@@ -12,7 +12,7 @@
 //!   ready order). Same tasks, same true dependencies; the raw encoding
 //!   carries the WAW/WAR serialization the renamer deleted, so the
 //!   renamed stream exposes strictly more ready work per step.
-//! * `frontend/runtime` — end to end on the threaded `ShardedRuntime`
+//! * `frontend/runtime` — end to end on the threaded `Runtime`
 //!   via `spawn_lowered` with trivial task bodies: the wall-clock gap
 //!   between the two encodings under a real scheduler.
 //!

@@ -9,16 +9,20 @@
 //!   acceptance bar lives — the ≥ 1.5× 4-worker comparison is asserted
 //!   deterministically in `nexuspp-sched`'s `steal_perf` test; the lines
 //!   printed here are the same measurement under criterion timing.
-//! * `runtime/*` — end to end through both execution backends (engine
-//!   resolution, region bookkeeping, panic fences included), so the
-//!   scheduler's share of total runtime overhead is visible.
+//! * `runtime/*` — end to end through the runtime at 1 and 4 resolver
+//!   shards (engine resolution, region bookkeeping, panic fences
+//!   included), so the scheduler's share of total runtime overhead is
+//!   visible. One shard is the same code as four; the `single-engine_*`
+//!   rows kept in `BENCH_ready_scheduling.json` are the last measurement
+//!   of the deleted single-lock runtime (ARCHITECTURE.md, "The
+//!   `ready_scheduling` gap").
 //!
 //! Steal/park counters are printed per configuration so regressions in
 //! redistribution (e.g. stealing stops happening) show up even where
 //! wall-clock noise hides them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nexuspp_bench::steal_driver::{run_steal, Backend};
+use nexuspp_bench::steal_driver::run_steal;
 use nexuspp_runtime::SchedulerKind;
 use nexuspp_sched::stress::{run_chain_stress, ChainStressSpec};
 use nexuspp_workloads::StealStressSpec;
@@ -58,18 +62,17 @@ fn bench_runtime_level(c: &mut Criterion) {
     let mut g = c.benchmark_group("ready_scheduling/runtime");
     g.sample_size(10);
     g.throughput(criterion::Throughput::Elements(spec.task_count()));
-    for backend in [Backend::Single, Backend::Sharded(4)] {
+    for shards in [1usize, 4] {
         for kind in KINDS {
-            let r = run_steal(backend, kind, 4, &spec);
+            let r = run_steal(shards, kind, 4, &spec);
             println!(
-                "runtime/{}/{}: {} tasks, {} steals",
-                backend.name(),
+                "runtime/sharded{shards}/{}: {} tasks, {} steals",
                 kind.name(),
                 r.tasks,
                 r.counts.steals
             );
-            g.bench_function(&format!("{}_{}", backend.name(), kind.name()), |b| {
-                b.iter(|| run_steal(backend, kind, 4, &spec));
+            g.bench_function(&format!("sharded{shards}_{}", kind.name()), |b| {
+                b.iter(|| run_steal(shards, kind, 4, &spec));
             });
         }
     }

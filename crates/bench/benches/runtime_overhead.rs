@@ -12,7 +12,7 @@ fn bench_runtime(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N));
 
     g.bench_function("independent_empty_tasks", |b| {
-        let rt = Runtime::new(4);
+        let rt = Runtime::new(4, 1);
         b.iter(|| {
             for _ in 0..N {
                 rt.task().spawn(|_| {});
@@ -22,7 +22,7 @@ fn bench_runtime(c: &mut Criterion) {
     });
 
     g.bench_function("chained_inout_tasks", |b| {
-        let rt = Runtime::new(4);
+        let rt = Runtime::new(4, 1);
         let r = rt.region(vec![0u64]);
         b.iter(|| {
             for _ in 0..N {

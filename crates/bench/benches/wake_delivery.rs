@@ -16,7 +16,7 @@
 //!   exactly that: locked ≈ lock-free to within 0.4%. Timing the
 //!   delivery step itself makes the trajectory reflect the quantity
 //!   the gate holds at ≥ 1.3×.
-//! * `wake_delivery/runtime` — end to end through `ShardedRuntime`
+//! * `wake_delivery/runtime` — end to end through `Runtime`
 //!   (work-stealing scheduler, region bookkeeping, real closures), so
 //!   the wake path's share of total runtime overhead is visible. Here
 //!   wall clock is the right measure and near-parity is the expected
@@ -27,7 +27,7 @@
 //! even where wall-clock noise hides it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nexuspp_runtime::{SchedulerKind, ShardCapacity, ShardedRuntime};
+use nexuspp_runtime::{Runtime, SchedulerKind, ShardCapacity};
 use nexuspp_shard::stress::{run_wake_stress, WakeStressSpec};
 use nexuspp_shard::WakeMode;
 use std::time::Duration;
@@ -82,7 +82,7 @@ fn bench_runtime_level(c: &mut Criterion) {
     for mode in MODES {
         g.bench_function(mode.name(), |b| {
             b.iter(|| {
-                let rt = ShardedRuntime::with_options(
+                let rt = Runtime::with_options(
                     4,
                     4,
                     SchedulerKind::default(),

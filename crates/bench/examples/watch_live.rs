@@ -1,5 +1,5 @@
 //! Minimal demonstration of the online-introspection layer: attach a
-//! [`Collector`](nexuspp_obs::Collector) to a `ShardedRuntime`, submit
+//! [`Collector`](nexuspp_obs::Collector) to a `Runtime`, submit
 //! dependent work, and watch the live task-graph dashboard update
 //! while the run executes.
 //!

@@ -952,12 +952,13 @@ pub fn shards(opts: &ExpOptions) -> Experiment {
 
 /// Ready-scheduling study: mutex ready queue vs work-stealing deques on
 /// the imbalanced `steal_stress` workload, at the scheduler layer (pure
-/// scheduling overhead) and end-to-end through both runtime backends.
+/// scheduling overhead) and end-to-end through the runtime at 1 and 4
+/// resolver shards.
 /// Not a paper figure — this measures the serialization point the
 /// `nexuspp-sched` subsystem removes, the ROADMAP's "work-stealing ready
 /// queues" item.
 pub fn steal(opts: &ExpOptions) -> Experiment {
-    use crate::steal_driver::{best_steal, Backend};
+    use crate::steal_driver::best_steal;
     use nexuspp_sched::stress::{best_of, ChainStressSpec};
     use nexuspp_sched::SchedulerKind;
     use nexuspp_workloads::StealStressSpec;
@@ -1008,11 +1009,11 @@ pub fn steal(opts: &ExpOptions) -> Experiment {
         }
     }
 
-    // End to end: the same DAG through both execution backends (engine
-    // resolution + region bookkeeping included), 4 workers.
+    // End to end: the same DAG through the runtime (engine resolution +
+    // region bookkeeping included) at 1 and 4 resolver shards, 4 workers.
     let rt_spec = StealStressSpec::for_workers(4, if opts.quick { 400 } else { 1500 });
     let mut rt_t = TextTable::new(vec![
-        "backend",
+        "shards",
         "scheduler",
         "tasks",
         "wall ms",
@@ -1020,14 +1021,14 @@ pub fn steal(opts: &ExpOptions) -> Experiment {
         "vs mutex",
         "steals",
     ]);
-    for backend in [Backend::Single, Backend::Sharded(4)] {
+    for shards in [1usize, 4] {
         let mut mutex_ms = None;
         for kind in kinds {
-            let r = best_steal(backend, kind, 4, &rt_spec, runs);
+            let r = best_steal(shards, kind, 4, &rt_spec, runs);
             let ms = r.elapsed.as_secs_f64() * 1e3;
             let base = *mutex_ms.get_or_insert(ms);
             rt_t.row(vec![
-                backend.name().to_string(),
+                shards.to_string(),
                 kind.name().to_string(),
                 r.tasks.to_string(),
                 f2(ms),
@@ -1068,7 +1069,7 @@ pub fn steal(opts: &ExpOptions) -> Experiment {
         title: "Ready-task scheduling: mutex queue vs work stealing (steal_stress)".into(),
         tables: vec![
             ("Scheduler layer (pure scheduling overhead)".into(), sched_t),
-            ("End to end through the runtimes (4 workers)".into(), rt_t),
+            ("End to end through the runtime (4 workers)".into(), rt_t),
         ],
         notes,
     }
@@ -1230,7 +1231,7 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
 /// and the stall/retry counters must balance at quiescence.
 pub fn capacity(opts: &ExpOptions) -> Experiment {
     use nexuspp_core::ShardCapacity;
-    use nexuspp_runtime::ShardedRuntime;
+    use nexuspp_runtime::{Runtime, SchedulerKind, WakeMode};
     use nexuspp_taskmachine::{simulate_sharded, MultiMaestroConfig};
     use nexuspp_workloads::CapacityStressSpec;
 
@@ -1308,7 +1309,13 @@ pub fn capacity(opts: &ExpOptions) -> Experiment {
     ]);
     let (rt_chains, rt_chain_len) = (8u32, if opts.quick { 25u32 } else { 100 });
     for cap in caps {
-        let rt = ShardedRuntime::with_capacity(4, shards, cap);
+        let rt = Runtime::with_options(
+            4,
+            shards,
+            SchedulerKind::default(),
+            cap,
+            WakeMode::default(),
+        );
         let wall = nexuspp_runtime::stress::drive_capacity_stress(&rt, rt_chains, rt_chain_len);
         let ms = wall.as_secs_f64() * 1e3;
         let counts = rt.capacity_counts();
@@ -1341,7 +1348,7 @@ pub fn capacity(opts: &ExpOptions) -> Experiment {
         ),
         tables: vec![
             ("modeled multi-Maestro fabric".into(), modeled),
-            ("threaded ShardedRuntime (4 workers)".into(), threaded),
+            ("threaded Runtime (4 workers)".into(), threaded),
         ],
         notes,
     }
@@ -1360,7 +1367,7 @@ pub fn capacity(opts: &ExpOptions) -> Experiment {
 /// must run at width 1 and renamed saturates the workers).
 pub fn frontend(opts: &ExpOptions) -> Experiment {
     use nexuspp_frontend::Lowering;
-    use nexuspp_runtime::ShardedRuntime;
+    use nexuspp_runtime::Runtime;
     use nexuspp_workloads::VersionStressSpec;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
@@ -1432,7 +1439,7 @@ pub fn frontend(opts: &ExpOptions) -> Experiment {
     ]);
     for lowering in lowerings {
         let lp = VersionStressSpec::single_chain(chain_len).lowered(lowering);
-        let rt = ShardedRuntime::new(workers, 2);
+        let rt = Runtime::new(workers, 2);
         let in_flight = Arc::new(AtomicU32::new(0));
         let peak = Arc::new(AtomicU32::new(0));
         let start = Instant::now();
@@ -1510,7 +1517,7 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
         chrome_trace, latency_breakdown, observed_critical_path, timelines, validate_json,
         EventKind, LatencyStats, Recorder,
     };
-    use nexuspp_runtime::{ShardedRuntime, WakeMode};
+    use nexuspp_runtime::{Runtime, WakeMode};
     use nexuspp_sched::SchedulerKind;
     use nexuspp_workloads::VersionStressSpec;
     use std::sync::Arc;
@@ -1540,7 +1547,7 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
     let structural = parallelism_profile(&spec.trace(Lowering::Renamed)).critical_path();
 
     let rec = Arc::new(Recorder::new(workers));
-    let rt = ShardedRuntime::with_recorder(
+    let rt = Runtime::with_recorder(
         workers,
         4,
         SchedulerKind::WorkStealing,
@@ -1685,7 +1692,7 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
 /// drains with a graceful shutdown and cross-checks exactly-once
 /// against a one-shot run of the identical programs on a bare runtime.
 pub fn serve(opts: &ExpOptions) -> Experiment {
-    use nexuspp_runtime::ShardedRuntime;
+    use nexuspp_runtime::Runtime;
     use nexuspp_service::{ResolverService, ServiceConfig, ServiceTask, TenantId};
     use nexuspp_workloads::ServiceStressSpec;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1776,7 +1783,7 @@ pub fn serve(opts: &ExpOptions) -> Experiment {
     // Differential: the identical programs, one-shot on a bare runtime
     // with no admission layer — both sides must execute every task.
     let oneshot_ran = Arc::new(AtomicU64::new(0));
-    let rt = ShardedRuntime::new(workers, 4);
+    let rt = Runtime::new(workers, 4);
     for (_, prog) in spec.programs() {
         for sub in prog {
             let oneshot_ran = Arc::clone(&oneshot_ran);

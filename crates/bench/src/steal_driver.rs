@@ -1,32 +1,12 @@
-//! Executes the [`StealStressSpec`] workload on the threaded runtimes —
-//! real closures, real regions, either execution backend, either
-//! ready-task scheduler — and reports wall-clock plus scheduler
-//! counters. Shared by `experiments::steal` and the `ready_scheduling`
-//! criterion bench.
+//! Executes the [`StealStressSpec`] workload on the threaded runtime —
+//! real closures, real regions, any shard count, either ready-task
+//! scheduler — and reports wall-clock plus scheduler counters. Shared by
+//! `experiments::steal` and the `ready_scheduling` criterion bench.
 
-use nexuspp_runtime::{Runtime, SchedCounts, SchedulerKind, ShardedRuntime};
+use nexuspp_runtime::{Runtime, SchedCounts, SchedulerKind, ShardCapacity, WakeMode};
 use nexuspp_sched::stress::spin_for;
 use nexuspp_workloads::StealStressSpec;
 use std::time::{Duration, Instant};
-
-/// Which execution backend to drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// [`Runtime`]: one engine behind one lock.
-    Single,
-    /// [`ShardedRuntime`] over this many shards.
-    Sharded(usize),
-}
-
-impl Backend {
-    /// Short stable name (table rows, bench labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Single => "single-engine",
-            Backend::Sharded(_) => "sharded",
-        }
-    }
-}
 
 /// Outcome of one runtime-level steal-stress run.
 #[derive(Debug, Clone)]
@@ -46,75 +26,69 @@ impl StealRun {
     }
 }
 
-macro_rules! drive {
-    ($rt:expr, $spec:expr) => {{
-        let rt = $rt;
-        let spec = $spec;
-        let exec_ns = spec.exec_ns;
-        let root = rt.region(vec![0u64]);
-        let cells: Vec<_> = (0..spec.chains).map(|_| rt.region(vec![0u64])).collect();
-        let t0 = Instant::now();
-        {
-            let root = root.clone();
-            rt.task().output(&root).spawn(move |t| {
-                spin_for(exec_ns);
-                t.write(&root)[0] = 1;
-            });
-        }
-        for cell in &cells {
-            for i in 0..spec.chain_len {
-                let cell2 = cell.clone();
-                if i == 0 {
-                    let root = root.clone();
-                    rt.task().input(&root).inout(cell).spawn(move |t| {
-                        spin_for(exec_ns);
-                        t.write(&cell2)[0] += 1;
-                    });
-                } else {
-                    rt.task().inout(cell).spawn(move |t| {
-                        spin_for(exec_ns);
-                        t.write(&cell2)[0] += 1;
-                    });
-                }
-            }
-        }
-        rt.barrier();
-        let elapsed = t0.elapsed();
-        for cell in &cells {
-            assert_eq!(
-                rt.with_data(cell, |v| v[0]),
-                spec.chain_len as u64,
-                "a chain lost tasks"
-            );
-        }
-        StealRun {
-            elapsed,
-            tasks: spec.task_count(),
-            counts: rt.sched_counts(),
-        }
-    }};
-}
-
-/// Run the workload to completion and report. Panics if any chain lost a
-/// task (the runtimes' correctness tests guard this; here it protects the
-/// measurement).
+/// Run the workload to completion on a runtime of `shards` resolver
+/// shards and report. Panics if any chain lost a task (the runtime's
+/// correctness tests guard this; here it protects the measurement).
 pub fn run_steal(
-    backend: Backend,
+    shards: usize,
     kind: SchedulerKind,
     workers: usize,
     spec: &StealStressSpec,
 ) -> StealRun {
-    match backend {
-        Backend::Single => drive!(Runtime::with_scheduler(workers, kind), spec),
-        Backend::Sharded(shards) => {
-            drive!(ShardedRuntime::with_scheduler(workers, shards, kind), spec)
+    let rt = Runtime::with_options(
+        workers,
+        shards,
+        kind,
+        ShardCapacity::Unbounded,
+        WakeMode::default(),
+    );
+    let exec_ns = spec.exec_ns;
+    let root = rt.region(vec![0u64]);
+    let cells: Vec<_> = (0..spec.chains).map(|_| rt.region(vec![0u64])).collect();
+    let t0 = Instant::now();
+    {
+        let root = root.clone();
+        rt.task().output(&root).spawn(move |t| {
+            spin_for(exec_ns);
+            t.write(&root)[0] = 1;
+        });
+    }
+    for cell in &cells {
+        for i in 0..spec.chain_len {
+            let cell2 = cell.clone();
+            if i == 0 {
+                let root = root.clone();
+                rt.task().input(&root).inout(cell).spawn(move |t| {
+                    spin_for(exec_ns);
+                    t.write(&cell2)[0] += 1;
+                });
+            } else {
+                rt.task().inout(cell).spawn(move |t| {
+                    spin_for(exec_ns);
+                    t.write(&cell2)[0] += 1;
+                });
+            }
         }
+    }
+    rt.barrier();
+    let elapsed = t0.elapsed();
+    for cell in &cells {
+        assert_eq!(
+            rt.with_data(cell, |v| v[0]),
+            spec.chain_len as u64,
+            "a chain lost tasks"
+        );
+    }
+    StealRun {
+        elapsed,
+        tasks: spec.task_count(),
+        counts: rt.sched_counts(),
     }
 }
 
 /// Best (minimum) wall-clock over `runs` repetitions.
 pub fn best_steal(
-    backend: Backend,
+    shards: usize,
     kind: SchedulerKind,
     workers: usize,
     spec: &StealStressSpec,
@@ -122,7 +96,7 @@ pub fn best_steal(
 ) -> StealRun {
     let mut best: Option<StealRun> = None;
     for _ in 0..runs {
-        let r = run_steal(backend, kind, workers, spec);
+        let r = run_steal(shards, kind, workers, spec);
         if best.as_ref().is_none_or(|b| r.elapsed < b.elapsed) {
             best = Some(r);
         }

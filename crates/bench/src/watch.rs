@@ -1,6 +1,6 @@
 //! `repro watch` — a live text dashboard over a streaming run.
 //!
-//! Drives a `ShardedRuntime` with a background [`Collector`] attached
+//! Drives a `Runtime` with a background [`Collector`] attached
 //! (the online-introspection layer from `nexuspp-obs`), submits a
 //! burst of dependent work each frame, and renders the collector's
 //! live [`TrackerSnapshot`](nexuspp_obs::TrackerSnapshot) plus metric
@@ -15,7 +15,7 @@
 
 use nexuspp_core::ShardCapacity;
 use nexuspp_obs::{render_dashboard, Collector, CollectorConfig, Recorder};
-use nexuspp_runtime::ShardedRuntime;
+use nexuspp_runtime::Runtime;
 use nexuspp_sched::SchedulerKind;
 use nexuspp_shard::WakeMode;
 use std::io::Write;
@@ -91,7 +91,7 @@ const BURST_DEPTH: usize = 12;
 const BURST_INDEPENDENT: usize = 8;
 const TASK_SLEEP: Duration = Duration::from_micros(500);
 
-fn submit_burst(rt: &ShardedRuntime) {
+fn submit_burst(rt: &Runtime) {
     let chains: Vec<_> = (0..BURST_CHAINS).map(|_| rt.region(vec![0u64])).collect();
     for _ in 0..BURST_DEPTH {
         for r in &chains {
@@ -116,7 +116,7 @@ pub fn run_watch(opts: &WatchOptions, out: &mut dyn Write) -> std::io::Result<Wa
         ..CollectorConfig::default()
     };
     let collector = Collector::spawn(Arc::new(Recorder::new(opts.workers)), cfg);
-    let rt = ShardedRuntime::with_observer(
+    let rt = Runtime::with_observer(
         opts.workers,
         4,
         SchedulerKind::WorkStealing,

@@ -3,14 +3,14 @@
 //! These runners are the frontend's proof obligations made executable:
 //! the same lowered stream drives the batch-style [`ShardedEngine`],
 //! the concurrent [`ShardDispatcher`], and the threaded
-//! [`ShardedRuntime`], each returning the order tasks actually ran so
+//! [`Runtime`], each returning the order tasks actually ran so
 //! differential tests can check (a) every declared task executed and
 //! (b) every true dependency edge was respected — for *both* the
 //! renamed and raw lowerings, on every backend.
 
 use crate::lower::LoweredProgram;
 use nexuspp_core::{NexusConfig, ShardCapacity};
-use nexuspp_runtime::ShardedRuntime;
+use nexuspp_runtime::{Runtime, SchedulerKind, WakeMode};
 use nexuspp_shard::{ShardDispatcher, ShardedEngine, TaskId, TaskTicket};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -145,7 +145,7 @@ pub fn run_on_dispatcher(lp: &LoweredProgram, n_shards: usize, workers: usize) -
     order
 }
 
-/// Run the lowered stream on the full threaded [`ShardedRuntime`]:
+/// Run the lowered stream on the full threaded [`Runtime`]:
 /// every task body logs its tag, the runtime schedules as dependencies
 /// allow, and the logged order (the order bodies actually ran) comes
 /// back after the barrier.
@@ -155,7 +155,13 @@ pub fn run_on_runtime(
     shards: usize,
     capacity: ShardCapacity,
 ) -> Vec<u64> {
-    let rt = ShardedRuntime::with_capacity(workers, shards, capacity);
+    let rt = Runtime::with_options(
+        workers,
+        shards,
+        SchedulerKind::default(),
+        capacity,
+        WakeMode::default(),
+    );
     let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(lp.tasks.len())));
     for sub in lp.tasks.iter().cloned() {
         let tag = sub.tag;

@@ -30,7 +30,7 @@
 //! * [`exec`] — runs a [`LoweredProgram`] on all three backends (the
 //!   batch [`ShardedEngine`](nexuspp_shard::ShardedEngine), the
 //!   concurrent [`ShardDispatcher`](nexuspp_shard::ShardDispatcher),
-//!   and the threaded [`ShardedRuntime`](nexuspp_runtime::ShardedRuntime)),
+//!   and the threaded [`Runtime`](nexuspp_runtime::Runtime)),
 //!   returning executed orders for differential checking.
 //! * [`rand_prog`] — seeded random programs for differential tests and
 //!   benchmarks.

@@ -11,7 +11,7 @@
 //! 2. Re-encoded **by hand** in this file — an independent
 //!    implementation of the versioning semantics that assigns its own
 //!    addresses from a different base — and executed on the
-//!    [`ShardedRuntime`] at {1, 4} workers under unbounded *and*
+//!    [`Runtime`] at {1, 4} workers under unbounded *and*
 //!    bounded shard capacities. Both encodings must execute the same
 //!    task sets, and every executed order must respect the true-edge
 //!    set the hand encoding derives for itself.

@@ -40,7 +40,7 @@ use crate::store::{self, TaskRecord};
 use nexuspp_core::{Priority, Submission, TaskBuilder};
 use nexuspp_frontend::exec::{run_on_dispatcher, run_on_engine};
 use nexuspp_frontend::{LoweredProgram, Lowering, ResourceId, Version};
-use nexuspp_runtime::ShardedRuntime;
+use nexuspp_runtime::Runtime;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -306,7 +306,7 @@ impl IncrementalProgram {
         }
         let map = Arc::new(Mutex::new(seed));
         let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(plans.len())));
-        let rt = ShardedRuntime::new(workers, shards);
+        let rt = Runtime::new(workers, shards);
         for (p, sub) in plans.iter().zip(partial.tasks.iter().cloned()) {
             let (map, log) = (Arc::clone(&map), Arc::clone(&log));
             let (key, fptr) = (p.key, p.fptr);

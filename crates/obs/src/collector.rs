@@ -6,10 +6,10 @@
 //! [`Sampler`]. The collector is that someone: a single background
 //! thread polling on a fixed interval, so the runtimes' hot paths keep
 //! their PR 7 guarantees untouched (producers only ever CAS into their
-//! lanes; the collector only ever takes the consumer side). Runtimes
-//! attach via `Runtime::with_observer`/`ShardedRuntime::with_observer`,
-//! which hands the collector's recorder to every layer and registers
-//! the runtime's metrics for sampling.
+//! lanes; the collector only ever takes the consumer side). A runtime
+//! attaches via `Runtime::with_observer`, which hands the collector's
+//! recorder to every layer and registers the runtime's metrics for
+//! sampling.
 //!
 //! Shutdown is a handshake, not a guess: [`finish`](Collector::finish)
 //! raises the stop flag, the thread performs one *final* poll after

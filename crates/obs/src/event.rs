@@ -15,7 +15,7 @@
 pub const NO_TASK: u64 = u64::MAX;
 
 /// Sentinel for "no shard": events outside the sharded dependence
-/// tables (single-engine runtime, scheduler-layer events).
+/// tables (exec-phase and scheduler-layer events, parameterless tasks).
 pub const NO_SHARD: u32 = u32::MAX;
 
 /// Sentinel for "no worker": events emitted by a thread that never

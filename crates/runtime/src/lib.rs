@@ -10,10 +10,15 @@
 //! (against the oracle resolver) and shared between the simulator and this
 //! runtime.
 //!
+//! The whole user surface is a task declaration ([`Runtime::task`] →
+//! [`TaskBuilder`]), a parameter direction (`input` / `output` / `inout`
+//! over a [`Region`]) and init/finish ([`Runtime::new`],
+//! [`Runtime::barrier`]):
+//!
 //! ```
 //! use nexuspp_runtime::Runtime;
 //!
-//! let rt = Runtime::new(4);
+//! let rt = Runtime::new(4, 1); // 4 workers, 1 resolver shard
 //! let a = rt.region(vec![1u64; 8]);
 //! let b = rt.region(vec![0u64; 8]);
 //! {
@@ -34,25 +39,30 @@
 //! ```
 
 //!
-//! For many workers, [`ShardedRuntime`] offers the same API with
-//! dependency resolution partitioned across N engines behind per-shard
-//! locks (see [`sharded`]), removing the single global engine lock from
-//! every task completion.
+//! There is one runtime. Dependency resolution is partitioned across
+//! `shards` engines behind per-shard locks, so task completions touching
+//! disjoint addresses retire in parallel; `Runtime::new(n, 1)` — one
+//! engine, one lock, the centralized Task Maestro — is the degenerate
+//! case of the same code. [`ShardedRuntime`] is an alias for [`Runtime`],
+//! kept because the `e2e` benchmark names it.
 //!
-//! Both backends hand ready tasks to their workers through the
-//! `nexuspp-sched` scheduling layer: per-worker work-stealing deques by
-//! default, with the previous global mutex queue selectable via
-//! [`SchedulerKind`] (`Runtime::with_scheduler` /
-//! `ShardedRuntime::with_scheduler`) for differential comparison.
+//! Ready tasks reach the workers through the `nexuspp-sched` scheduling
+//! layer: per-worker work-stealing deques by default.
+//! [`Runtime::with_options`] makes every knob explicit — the mutex-queue
+//! scheduler ([`SchedulerKind`]) and the locked wake path ([`WakeMode`])
+//! kept as differential references, and a per-shard residency bound
+//! ([`ShardCapacity`]) under which `spawn` blocks while a shard is full.
+
+#![deny(missing_docs)]
 
 pub mod region;
-pub mod runtime;
-pub mod sharded;
+mod runtime;
+mod sharded;
 pub mod stress;
 
 pub use nexuspp_core::ShardCapacity;
 pub use nexuspp_sched::{SchedCounts, SchedulerKind};
 pub use nexuspp_shard::{CapacityCounts, WakeCounts, WakeMode};
 pub use region::{Region, RegionId};
-pub use runtime::{Runtime, ShutdownReport, TaskBuilder, TaskCtx};
-pub use sharded::{PendingSpawn, ShardedRuntime, ShardedTaskBuilder};
+pub use runtime::{ShutdownReport, TaskCtx};
+pub use sharded::{PendingSpawn, Runtime, ShardedRuntime, TaskBuilder};

@@ -54,7 +54,7 @@ impl<T> std::fmt::Debug for Region<T> {
 
 impl<T> Region<T> {
     /// Create a region from owned data. (Usually via
-    /// [`Runtime::region`](crate::runtime::Runtime::region).)
+    /// [`Runtime::region`](crate::Runtime::region).)
     pub fn new(data: Vec<T>) -> Self {
         // Region ids are spaced so they behave like distinct base
         // addresses under the engine's hash.

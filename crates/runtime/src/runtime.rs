@@ -1,57 +1,19 @@
-//! The task runtime: thread pool + Nexus++ dependency engine.
-//!
-//! Submission mirrors the paper's master core: the submitting thread
-//! admits the task into the (growable, software) engine and checks its
-//! dependencies; ready tasks go to the scheduler, dependent ones park
-//! until a completion wakes them — the software analogue of the Kick-Off
-//! List wake-up performed by `Handle Finished`.
-//!
-//! Ready tasks are handed to workers through a
-//! [`nexuspp_sched::Scheduler`]: per-worker work-stealing deques by
-//! default (a worker that completes a task keeps the tasks it woke on its
-//! own deque and idle workers steal), with the previous global
-//! mutex-queue + wake-token scheme selectable via
-//! [`SchedulerKind::MutexQueue`] for differential comparison.
+//! What a task body and a caller see of a run, apart from the
+//! [`Runtime`](crate::Runtime) itself: the [`TaskCtx`] handed to every
+//! closure and the [`ShutdownReport`] an explicit shutdown returns.
 
 use crate::region::{ReadGuard, Region, RegionId, WriteGuard};
-use crossbeam::channel::{RecvTimeoutError, TryRecvError};
-use nexuspp_core::pool::TdIndex;
-use nexuspp_core::{DependencyEngine, NexusConfig, Priority};
-use nexuspp_obs::{EventKind, MetricsRegistry, Recorder, NO_SHARD};
-use nexuspp_sched::{SchedCounts, Scheduler, SchedulerKind, WorkerHandle};
-use nexuspp_trace::normalize::normalize_params;
-use nexuspp_trace::{AccessMode, Param};
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use nexuspp_sched::SchedCounts;
+use nexuspp_trace::AccessMode;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 pub(crate) type Job = Box<dyn FnOnce(&TaskCtx) + Send + 'static>;
 /// Access grants attached to a task (region, declared mode).
 pub(crate) type Grants = Arc<Vec<(RegionId, AccessMode)>>;
 
-struct Work {
-    td: TdIndex,
-    /// Caller-visible task identity carried through the scheduler so
-    /// exec-phase lifecycle events name the task, not its pool slot.
-    tag: u64,
-    grants: Grants,
-    job: Job,
-    prio: Priority,
-}
-
-struct RtState {
-    engine: DependencyEngine,
-    parked: HashMap<u32, Work>,
-    submitted: u64,
-}
-
-/// What an explicit [`Runtime::shutdown`]/
-/// [`ShardedRuntime::shutdown`](crate::ShardedRuntime::shutdown) hands
-/// back: whether the drain stayed graceful, and the executed/cancelled
-/// split.
+/// What an explicit [`Runtime::shutdown`](crate::Runtime::shutdown)
+/// hands back: whether the drain stayed graceful, and the
+/// executed/cancelled split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShutdownReport {
     /// `true` if every task ran to completion within the deadline;
@@ -62,85 +24,6 @@ pub struct ShutdownReport {
     pub executed: u64,
     /// Tasks cancel-finished without running (abort path only).
     pub cancelled: u64,
-}
-
-struct Inner {
-    state: Mutex<RtState>,
-    sched: Scheduler<Work>,
-    pending: Mutex<u64>,
-    quiescent: Condvar,
-    /// First task panic observed (re-raised at the next barrier).
-    panicked: Mutex<Option<String>>,
-    /// Hard-deadline shutdown flag: once set, ready tasks cancel-finish
-    /// (bodies dropped unexecuted, still retired in the engine).
-    aborting: AtomicBool,
-    /// Tasks whose bodies ran (including panicking ones).
-    executed: AtomicU64,
-    /// Tasks cancel-finished by a hard-deadline shutdown.
-    cancelled: AtomicU64,
-    /// Lifecycle-event recorder; `None` when the runtime was built
-    /// without one (zero recording overhead on every hot path).
-    obs: Option<Arc<Recorder>>,
-}
-
-impl Inner {
-    #[inline]
-    fn emit(&self, kind: EventKind, task: u64) {
-        if let Some(r) = &self.obs {
-            r.emit(kind, task, NO_SHARD);
-        }
-    }
-
-    #[inline]
-    fn emit_edge(&self, kind: EventKind, task: u64, aux: u64) {
-        if let Some(r) = &self.obs {
-            r.emit_edge(kind, task, aux, NO_SHARD);
-        }
-    }
-
-    /// Retire `td` in the engine and deliver the whole wake set as one
-    /// batched scheduling operation from worker `h` (or the external
-    /// path for scheduler-aware waiters, `h == None`). `tag` is the
-    /// finishing task's identity for the event stream.
-    fn task_finished(&self, h: Option<&WorkerHandle<Work>>, td: TdIndex, tag: u64) {
-        let woken: Vec<(Work, Priority)> = {
-            let mut st = self.state.lock();
-            let fin = st.engine.finish(td);
-            let woken: Vec<(Work, Priority)> = fin
-                .newly_ready
-                .into_iter()
-                .map(|ready| {
-                    let work = st
-                        .parked
-                        .remove(&ready.0)
-                        .expect("woken task must be parked");
-                    let prio = work.prio;
-                    (work, prio)
-                })
-                .collect();
-            // Emit under the state lock: any later submit/finish holds
-            // the same lock, so these events are seq-ordered before
-            // everything that observes the wake.
-            self.emit(EventKind::Finished, tag);
-            for (work, _) in &woken {
-                self.emit_edge(EventKind::Ready, work.tag, tag);
-                self.emit_edge(EventKind::WakePosted, work.tag, tag);
-            }
-            woken
-        };
-        for (work, _) in &woken {
-            self.emit(EventKind::WakeDelivered, work.tag);
-        }
-        match h {
-            Some(h) => self.sched.wake_batch(h, woken),
-            None => self.sched.wake_batch_external(woken),
-        }
-        let mut p = self.pending.lock();
-        *p -= 1;
-        if *p == 0 {
-            self.quiescent.notify_all();
-        }
-    }
 }
 
 /// Render a caught task-panic payload for barrier re-raising.
@@ -186,364 +69,7 @@ impl TaskCtx {
     }
 }
 
-/// Declarative task builder (the embedded-DSL equivalent of a
-/// `#pragma css task input(...) output(...) inout(...)` annotation).
-pub struct TaskBuilder<'rt> {
-    rt: &'rt Runtime,
-    accesses: Vec<(RegionId, AccessMode)>,
-    high_priority: bool,
-}
-
-impl<'rt> TaskBuilder<'rt> {
-    /// Declare a read-only parameter.
-    pub fn input<T>(mut self, r: &Region<T>) -> Self {
-        self.accesses.push((r.id(), AccessMode::In));
-        self
-    }
-
-    /// Declare a write-only parameter.
-    pub fn output<T>(mut self, r: &Region<T>) -> Self {
-        self.accesses.push((r.id(), AccessMode::Out));
-        self
-    }
-
-    /// Declare a read-write parameter.
-    pub fn inout<T>(mut self, r: &Region<T>) -> Self {
-        self.accesses.push((r.id(), AccessMode::InOut));
-        self
-    }
-
-    /// Mark the task high priority (the StarSs `highpriority` clause):
-    /// once ready, it overtakes queued normal-priority tasks.
-    pub fn high_priority(mut self) -> Self {
-        self.high_priority = true;
-        self
-    }
-
-    /// Submit the task. It runs as soon as its dependencies allow.
-    pub fn spawn(self, f: impl FnOnce(&TaskCtx) + Send + 'static) {
-        let params: Vec<Param> = self
-            .accesses
-            .iter()
-            .map(|(id, m)| Param::new(id.0, 1, *m))
-            .collect();
-        let params = normalize_params(&params);
-        // Grants mirror the normalized (merged-mode) parameter list.
-        let grants: Grants = Arc::new(params.iter().map(|p| (RegionId(p.addr), p.mode)).collect());
-        let inner = &self.rt.inner;
-        {
-            let mut p = inner.pending.lock();
-            *p += 1;
-        }
-        let prio = Priority::from_high_flag(self.high_priority);
-        let mut st = inner.state.lock();
-        st.submitted += 1;
-        let tag = st.submitted;
-        inner.emit(EventKind::Submitted, tag);
-        inner.emit(EventKind::DepCheckStart, tag);
-        let (td, ready) = st
-            .engine
-            .submit(0, tag, params)
-            .expect("growable engine cannot reject");
-        // Emitted under the state lock: a finisher that will wake this
-        // task must acquire the same lock first, so its `Ready` event is
-        // seq-ordered after this one.
-        inner.emit(EventKind::DepCheckDone, tag);
-        let work = Work {
-            td,
-            tag,
-            grants,
-            job: Box::new(f),
-            prio,
-        };
-        if ready {
-            inner.emit(EventKind::Ready, tag);
-            drop(st);
-            inner.sched.submit(work, prio);
-        } else {
-            st.parked.insert(td.0, work);
-        }
-    }
-}
-
-/// The StarSs-like task dataflow runtime.
-pub struct Runtime {
-    inner: Arc<Inner>,
-    /// Behind a mutex so [`shutdown`](Self::shutdown) can join through
-    /// `&self` (services share the runtime in an `Arc`).
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl Runtime {
-    /// Start a runtime with `n` worker threads and the default
-    /// (work-stealing) scheduler.
-    pub fn new(n: usize) -> Self {
-        Runtime::with_scheduler(n, SchedulerKind::default())
-    }
-
-    /// Start a runtime with `n` worker threads scheduling ready tasks
-    /// through `kind`.
-    pub fn with_scheduler(n: usize, kind: SchedulerKind) -> Self {
-        Runtime::build(n, kind, None)
-    }
-
-    /// Start a runtime that records lifecycle events into `rec`. Every
-    /// submit/wake/exec transition is stamped into the recorder's
-    /// per-thread rings; drain with [`nexuspp_obs::Recorder::drain`]
-    /// after a [`barrier`](Self::barrier) for a causally ordered stream.
-    pub fn with_recorder(n: usize, kind: SchedulerKind, rec: Arc<Recorder>) -> Self {
-        Runtime::build(n, kind, Some(rec))
-    }
-
-    /// Start a runtime observed *online* by `collector`
-    /// ([`nexuspp_obs::Collector`]): lifecycle events stream into the
-    /// collector's recorder (its background thread keeps a live
-    /// [`nexuspp_obs::GraphTracker`] current while tasks are in
-    /// flight), and this runtime's [`metrics`](Self::metrics) registry
-    /// is attached for periodic sampling. Producers never block on the
-    /// collector — it only ever drains the consumer side of the event
-    /// rings. Call [`Collector::finish`](nexuspp_obs::Collector::finish)
-    /// after the runtime joins for the complete final state.
-    pub fn with_observer(
-        n: usize,
-        kind: SchedulerKind,
-        collector: &nexuspp_obs::Collector,
-    ) -> Self {
-        let rt = Runtime::build(n, kind, Some(collector.recorder()));
-        collector.attach_registry(Arc::new(rt.metrics()));
-        rt
-    }
-
-    fn build(n: usize, kind: SchedulerKind, obs: Option<Arc<Recorder>>) -> Self {
-        // n == 0 is allowed: no worker threads are spawned and every
-        // task executes inside a scheduler-aware waiter (`wait_on`).
-        let (mut sched, handles) = Scheduler::new(kind, n);
-        if let Some(rec) = &obs {
-            sched.set_recorder(Arc::clone(rec), |w: &Work| w.tag);
-        }
-        let inner = Arc::new(Inner {
-            state: Mutex::new(RtState {
-                engine: DependencyEngine::new(&NexusConfig::unbounded()),
-                parked: HashMap::new(),
-                submitted: 0,
-            }),
-            sched,
-            pending: Mutex::new(0),
-            quiescent: Condvar::new(),
-            panicked: Mutex::new(None),
-            aborting: AtomicBool::new(false),
-            executed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            obs,
-        });
-        let workers = handles
-            .into_iter()
-            .map(|h| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("nexuspp-worker-{}", h.id()))
-                    .spawn(move || worker_loop(&inner, &h))
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        Runtime {
-            inner,
-            workers: Mutex::new(workers),
-        }
-    }
-
-    /// Which ready-task scheduler this runtime drives.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.inner.sched.kind()
-    }
-
-    /// Scheduler activity counters (steals, parks, …; exact once
-    /// quiescent — call after [`barrier`](Self::barrier)).
-    pub fn sched_counts(&self) -> SchedCounts {
-        self.inner.sched.counts()
-    }
-
-    /// The lifecycle-event recorder this runtime stamps into, if built
-    /// with [`with_recorder`](Self::with_recorder).
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.inner.obs.as_ref()
-    }
-
-    /// Build a [`MetricsRegistry`] over every counter surface this
-    /// runtime exposes: task accounting (`tasks`), scheduler activity
-    /// (`sched`) and — when a recorder is attached — event-ring
-    /// accounting (`events`). Snapshots are exact at quiescence.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let reg = MetricsRegistry::new();
-        let inner = Arc::clone(&self.inner);
-        reg.register("tasks", move || {
-            vec![
-                ("submitted".into(), inner.state.lock().submitted),
-                ("pending".into(), *inner.pending.lock()),
-                ("executed".into(), inner.executed.load(Ordering::Relaxed)),
-                ("cancelled".into(), inner.cancelled.load(Ordering::Relaxed)),
-            ]
-        });
-        let inner = Arc::clone(&self.inner);
-        reg.register("sched", move || sched_counters(&inner.sched.counts()));
-        if let Some(rec) = &self.inner.obs {
-            let rec = Arc::clone(rec);
-            reg.register("events", move || {
-                vec![
-                    ("recorded".into(), rec.recorded()),
-                    ("dropped".into(), rec.dropped()),
-                ]
-            });
-        }
-        reg
-    }
-
-    /// Allocate a data region managed by this runtime.
-    pub fn region<T>(&self, data: Vec<T>) -> Region<T> {
-        Region::new(data)
-    }
-
-    /// Begin declaring a task.
-    pub fn task(&self) -> TaskBuilder<'_> {
-        TaskBuilder {
-            rt: self,
-            accesses: Vec::new(),
-            high_priority: false,
-        }
-    }
-
-    /// Block until every producer of `region` submitted so far has
-    /// finished — the StarSs `#pragma css wait on(...)` primitive.
-    /// Implemented as a high-priority probe task reading the region;
-    /// dependency resolution makes it wait for exactly the outstanding
-    /// writers (concurrent readers do not delay it).
-    ///
-    /// Must be called from outside task context (calling it from within a
-    /// task can deadlock if all workers block on waits).
-    ///
-    /// The waiter is scheduler-aware: instead of blocking on a channel
-    /// (starving the pool of one thread), it pops/steals ready tasks
-    /// and executes them until its probe completes — a graph completes
-    /// even at `workers == 0` with a single waiter. If the runtime is
-    /// torn down (hard-deadline shutdown cancels the probe), the wait
-    /// returns cleanly instead of panicking.
-    pub fn wait_on<T>(&self, region: &Region<T>) {
-        let (tx, rx) = crossbeam::channel::bounded::<()>(1);
-        self.task().input(region).high_priority().spawn(move |_| {
-            let _ = tx.send(());
-        });
-        loop {
-            match rx.try_recv() {
-                Ok(()) => return,
-                // Probe dropped unexecuted: the runtime is aborting; its
-                // producers will never run, so there is nothing to wait
-                // for.
-                Err(TryRecvError::Disconnected) => return,
-                Err(TryRecvError::Empty) => {}
-            }
-            if let Some(work) = self.inner.sched.try_next_external() {
-                execute_work(&self.inner, work, None);
-            } else {
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                    Err(RecvTimeoutError::Timeout) => {}
-                }
-            }
-        }
-    }
-
-    /// Graceful explicit shutdown: drain every in-flight task, then stop
-    /// and join the workers. Equivalent to `drop` but hands back a
-    /// [`ShutdownReport`] and is callable through a shared reference.
-    /// Does not re-raise task panics. Submitting after shutdown is a
-    /// caller error (tasks would queue forever).
-    pub fn shutdown(&self) -> ShutdownReport {
-        self.shutdown_inner(None)
-    }
-
-    /// Shutdown with a hard deadline: wait up to `deadline` for a
-    /// graceful drain; past it, every still-queued task cancel-finishes
-    /// (body dropped unexecuted, retired in the engine so dependents
-    /// drain). Bodies already running are never interrupted.
-    pub fn shutdown_deadline(&self, deadline: Duration) -> ShutdownReport {
-        self.shutdown_inner(Some(deadline))
-    }
-
-    fn shutdown_inner(&self, deadline: Option<Duration>) -> ShutdownReport {
-        let mut graceful = true;
-        {
-            let mut p = self.inner.pending.lock();
-            match deadline {
-                None => {
-                    while *p > 0 {
-                        self.inner.quiescent.wait(&mut p);
-                    }
-                }
-                Some(d) => {
-                    let start = Instant::now();
-                    while *p > 0 {
-                        match d.checked_sub(start.elapsed()) {
-                            Some(left) if !left.is_zero() => {
-                                let _ = self.inner.quiescent.wait_for(&mut p, left);
-                            }
-                            _ => {
-                                graceful = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !graceful {
-            self.inner.aborting.store(true, Ordering::SeqCst);
-            let mut p = self.inner.pending.lock();
-            while *p > 0 {
-                self.inner.quiescent.wait(&mut p);
-            }
-        }
-        self.inner.sched.shutdown();
-        let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
-        for w in handles {
-            let _ = w.join();
-        }
-        ShutdownReport {
-            graceful,
-            executed: self.inner.executed.load(Ordering::Relaxed),
-            cancelled: self.inner.cancelled.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Wait until every submitted task has finished — the equivalent of
-    /// `#pragma css barrier`. If any task panicked since the last
-    /// barrier, the panic is re-raised here on the calling thread.
-    pub fn barrier(&self) {
-        let mut p = self.inner.pending.lock();
-        while *p > 0 {
-            self.inner.quiescent.wait(&mut p);
-        }
-        drop(p);
-        if let Some(msg) = self.inner.panicked.lock().take() {
-            panic!("task panicked: {msg}");
-        }
-    }
-
-    /// Synchronously inspect a region's data (callers should reach
-    /// quiescence first via [`barrier`](Self::barrier); concurrent writers
-    /// are caught by the region's access checker).
-    pub fn with_data<T, R>(&self, region: &Region<T>, f: impl FnOnce(&[T]) -> R) -> R {
-        let guard = region.begin_read();
-        f(&guard)
-    }
-
-    /// Number of tasks submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.inner.state.lock().submitted
-    }
-}
-
-/// Flatten a [`SchedCounts`] snapshot into registry rows (shared with
-/// the sharded runtime's registry).
+/// Flatten a [`SchedCounts`] snapshot into registry rows.
 pub(crate) fn sched_counters(c: &SchedCounts) -> Vec<(String, u64)> {
     vec![
         ("submitted".into(), c.submitted),
@@ -557,59 +83,4 @@ pub(crate) fn sched_counters(c: &SchedCounts) -> Vec<(String, u64)> {
         ("wake_batches".into(), c.wake_batches),
         ("dispatched".into(), c.dispatched()),
     ]
-}
-
-fn worker_loop(inner: &Arc<Inner>, h: &WorkerHandle<Work>) {
-    Recorder::set_thread_worker(h.id() as u32);
-    while let Some(work) = inner.sched.next(h) {
-        execute_work(inner, work, Some(h));
-    }
-}
-
-/// Run (or, when aborting, cancel) one ready task and retire it. Shared
-/// by the worker loop and scheduler-aware waiters (`h == None` — wakes
-/// then go through the external scheduling path).
-fn execute_work(inner: &Arc<Inner>, work: Work, h: Option<&WorkerHandle<Work>>) {
-    let tag = work.tag;
-    let td = work.td;
-    if inner.aborting.load(Ordering::SeqCst) {
-        // Hard-deadline shutdown: drop the body unexecuted (releasing
-        // its captures) but still retire the task so the graph drains.
-        drop(work.job);
-        inner.cancelled.fetch_add(1, Ordering::Relaxed);
-    } else {
-        let ctx = TaskCtx {
-            grants: work.grants,
-        };
-        inner.emit(EventKind::ExecStart, tag);
-        // Keep the runtime's bookkeeping sound even when a task panics:
-        // record the payload, finish the task, re-raise at the next
-        // barrier.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (work.job)(&ctx)));
-        if let Err(payload) = result {
-            inner.panicked.lock().get_or_insert(panic_msg(&*payload));
-        }
-        inner.emit(EventKind::ExecDone, tag);
-        inner.executed.fetch_add(1, Ordering::Relaxed);
-    }
-    inner.task_finished(h, td, tag);
-}
-
-impl Drop for Runtime {
-    fn drop(&mut self) {
-        // Drain in-flight work (without re-raising task panics — Drop
-        // must not panic), then stop every worker and join it. A no-op
-        // beyond the scheduler flag if an explicit shutdown already ran.
-        {
-            let mut p = self.inner.pending.lock();
-            while *p > 0 {
-                self.inner.quiescent.wait(&mut p);
-            }
-        }
-        self.inner.sched.shutdown();
-        let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
-        for w in handles {
-            let _ = w.join();
-        }
-    }
 }

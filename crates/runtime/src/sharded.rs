@@ -1,26 +1,29 @@
-//! The sharded runtime: the same StarSs-like API as
-//! [`Runtime`](crate::Runtime), with dependency resolution partitioned
-//! over N engines behind per-shard locks.
+//! The runtime: a StarSs-like task API over a thread pool, with
+//! dependency resolution partitioned over N engines behind per-shard
+//! locks.
 //!
-//! [`Runtime`](crate::Runtime) funnels every `submit`/`finish` through a
-//! single `Mutex<DependencyEngine>` — the software re-creation of the
-//! centralized Task Maestro, and under many workers the dominant
-//! serialization point. [`ShardedRuntime`] replaces that global lock with
-//! a [`ShardDispatcher`]: workers finishing tasks lock only the shards
-//! whose addresses the task actually touched, disjoint completions retire
-//! fully in parallel, and the dispatcher's deferred-finish rings let one
-//! lock holder drain a burst of queued completions in a single
-//! acquisition. Readiness semantics are identical — the dispatcher
-//! composes the same `DependencyEngine` the single-lock runtime uses, and
-//! the sharded composition is differentially verified against it and the
-//! oracle in `nexuspp-shard`.
+//! Submission mirrors the paper's master core: the submitting thread
+//! admits the task and checks its dependencies; ready tasks go to the
+//! scheduler, dependent ones park until a completion wakes them — the
+//! software analogue of the Kick-Off List wake-up performed by `Handle
+//! Finished`. Resolution runs through a [`ShardDispatcher`]: workers
+//! finishing tasks lock only the shards whose addresses the task actually
+//! touched, disjoint completions retire fully in parallel, and the
+//! dispatcher's deferred-finish rings let one lock holder drain a burst
+//! of queued completions in a single acquisition. One shard
+//! (`Runtime::new(n, 1)`) is the degenerate case — one engine behind one
+//! lock, the software re-creation of the centralized Task Maestro — and
+//! runs the same code as any other shard count; the sharded composition
+//! is differentially verified against a single engine and the oracle in
+//! `nexuspp-shard`.
 //!
-//! Ready tasks flow through the same [`nexuspp_sched::Scheduler`] as the
-//! single-engine runtime (work-stealing by default, the mutex queue
-//! selectable for comparison). A finish report's wakes — which may
-//! include tasks drained on behalf of other workers — are delivered as
-//! **one** batched scheduling operation: under the mutex queue that is
-//! one lock acquisition and one `Wake(n)` token instead of a queue-lock +
+//! Ready tasks are handed to workers through a
+//! [`nexuspp_sched::Scheduler`] (work-stealing by default, the mutex
+//! queue selectable via [`SchedulerKind::MutexQueue`] for differential
+//! comparison). A finish report's wakes — which may include tasks drained
+//! on behalf of other workers — are delivered as **one** batched
+//! scheduling operation: under the mutex queue that is one lock
+//! acquisition and one `Wake(n)` token instead of a queue-lock +
 //! channel-send per wake; under work stealing the whole burst lands on
 //! the finishing worker's own deque and idle workers steal it back out.
 //!
@@ -32,7 +35,7 @@
 //! concurrent finisher posted and skipped) straight into `wake_batch`.
 
 use crate::region::{Region, RegionId};
-use crate::runtime::{sched_counters, Grants, Job, ShutdownReport, TaskCtx};
+use crate::runtime::{panic_msg, sched_counters, Grants, Job, ShutdownReport, TaskCtx};
 use crossbeam::channel::{RecvTimeoutError, TryRecvError};
 use nexuspp_core::{NexusConfig, Priority, ShardCapacity, Submission, SubmitError};
 use nexuspp_obs::{EventKind, MetricsRegistry, Recorder};
@@ -56,11 +59,13 @@ struct Work {
 /// A scheduled unit: the dispatcher ticket plus the work to run.
 type Ready = (TaskTicket<Work>, Work);
 
-/// A submission rejected by
-/// [`try_spawn_lowered`](ShardedRuntime::try_spawn_lowered), handed
-/// back intact (closure included) for resubmission once the retryable
-/// condition clears. Opaque: the closure cannot be recovered, only
-/// resubmitted via [`try_respawn`](ShardedRuntime::try_respawn).
+/// A task ready to hand to the dispatcher: every spawn flavour builds
+/// one and goes through the runtime's single internal `submit`.
+/// Publicly, it is a submission rejected by
+/// [`try_spawn_lowered`](Runtime::try_spawn_lowered), handed back intact
+/// (closure included) for resubmission once the retryable condition
+/// clears. Opaque: the closure cannot be recovered, only resubmitted via
+/// [`try_respawn`](Runtime::try_respawn).
 pub struct PendingSpawn {
     fptr: u64,
     tag: u64,
@@ -69,6 +74,25 @@ pub struct PendingSpawn {
 }
 
 impl PendingSpawn {
+    fn new(fptr: u64, tag: u64, params: Vec<Param>, prio: Priority, job: Job) -> Self {
+        // Grants mirror the (normalized) parameter list.
+        let grants: Grants = Arc::new(params.iter().map(|p| (RegionId(p.addr), p.mode)).collect());
+        PendingSpawn {
+            fptr,
+            tag,
+            params,
+            work: Work { grants, job, prio },
+        }
+    }
+
+    /// A pre-addressed submission: the addresses *are* the
+    /// dependence-table keys, so `f` receives no data context.
+    fn lowered(sub: Submission, f: impl FnOnce() + Send + 'static) -> Self {
+        let prio = sub.priority;
+        let (fptr, tag, params) = sub.into_parts();
+        PendingSpawn::new(fptr, tag, params, prio, Box::new(move |_ctx| f()))
+    }
+
     /// The caller tag of the rejected submission.
     pub fn tag(&self) -> u64 {
         self.tag
@@ -78,7 +102,11 @@ impl PendingSpawn {
 struct Inner {
     dispatcher: ShardDispatcher<Work>,
     sched: Scheduler<Ready>,
-    /// Tag counter; atomic so submissions don't serialize on a lock.
+    /// Tag source for builder-spawned tasks (lowered submissions carry
+    /// their caller's tag).
+    next_tag: AtomicU64,
+    /// Tasks admitted so far; atomic so submissions don't serialize on a
+    /// lock.
     submitted: AtomicU64,
     /// Tasks spawned and not yet fully retired. This lock pairs with the
     /// `quiescent` condvar, so it cannot be an atomic.
@@ -101,15 +129,46 @@ struct Inner {
     obs: Option<Arc<Recorder>>,
 }
 
-/// Declarative task builder for the sharded runtime (same surface as
-/// [`TaskBuilder`](crate::TaskBuilder)).
-pub struct ShardedTaskBuilder<'rt> {
-    rt: &'rt ShardedRuntime,
+impl Inner {
+    /// `n` pending tasks left the system: retired through the
+    /// dispatcher, or rejected at admission.
+    fn retire(&self, n: u64) {
+        let mut p = self.pending.lock();
+        *p -= n;
+        if *p == 0 {
+            self.quiescent.notify_all();
+        }
+    }
+
+    /// Block until no task is pending, or until `limit` has passed;
+    /// `false` means the limit ran out first.
+    fn wait_quiescent(&self, limit: Option<Duration>) -> bool {
+        let start = Instant::now();
+        let mut p = self.pending.lock();
+        while *p > 0 {
+            match limit {
+                None => self.quiescent.wait(&mut p),
+                Some(d) => match d.checked_sub(start.elapsed()) {
+                    Some(left) if !left.is_zero() => {
+                        let _ = self.quiescent.wait_for(&mut p, left);
+                    }
+                    _ => return false,
+                },
+            }
+        }
+        true
+    }
+}
+
+/// Declarative task builder (the embedded-DSL equivalent of a
+/// `#pragma css task input(...) output(...) inout(...)` annotation).
+pub struct TaskBuilder<'rt> {
+    rt: &'rt Runtime,
     accesses: Vec<(RegionId, AccessMode)>,
     high_priority: bool,
 }
 
-impl<'rt> ShardedTaskBuilder<'rt> {
+impl<'rt> TaskBuilder<'rt> {
     /// Declare a read-only parameter.
     pub fn input<T>(mut self, r: &Region<T>) -> Self {
         self.accesses.push((r.id(), AccessMode::In));
@@ -128,16 +187,20 @@ impl<'rt> ShardedTaskBuilder<'rt> {
         self
     }
 
-    /// Mark the task high priority: once ready, it overtakes queued
-    /// normal-priority tasks.
+    /// Mark the task high priority (the StarSs `highpriority` clause):
+    /// once ready, it overtakes queued normal-priority tasks.
     pub fn high_priority(mut self) -> Self {
         self.high_priority = true;
         self
     }
 
     /// Submit the task. It runs as soon as its dependencies allow. Under
-    /// a bounded [`ShardCapacity`] this blocks while any involved shard
-    /// is full, resuming on that shard's next finish report.
+    /// a bounded [`ShardCapacity`] this **blocks the submitting thread**
+    /// while any involved shard is full, resuming on that shard's next
+    /// finish report — the software form of the paper's master-core
+    /// stall — so spawn tasks in dependency order (producers first),
+    /// which this builder yields naturally from a single submitting
+    /// thread.
     pub fn spawn(self, f: impl FnOnce(&TaskCtx) + Send + 'static) {
         let params: Vec<Param> = self
             .accesses
@@ -145,74 +208,45 @@ impl<'rt> ShardedTaskBuilder<'rt> {
             .map(|(id, m)| Param::new(id.0, 1, *m))
             .collect();
         let params = normalize_params(&params);
-        let grants: Grants = Arc::new(params.iter().map(|p| (RegionId(p.addr), p.mode)).collect());
-        let inner = &self.rt.inner;
-        {
-            let mut p = inner.pending.lock();
-            *p += 1;
-        }
-        let tag = inner.submitted.fetch_add(1, Ordering::Relaxed) + 1;
+        let tag = self.rt.inner.next_tag.fetch_add(1, Ordering::Relaxed) + 1;
         let prio = Priority::from_high_flag(self.high_priority);
-        let work = Work {
-            grants,
-            job: Box::new(f),
-            prio,
-        };
-        let res = inner.dispatcher.submit(0, tag, &params, work);
-        if let Some(work) = res.ready {
-            inner.sched.submit((res.ticket, work), prio);
-        }
-        // A parked task's ticket resurfaces in some FinishReport::woken.
+        self.rt
+            .submit_blocking(PendingSpawn::new(0, tag, params, prio, Box::new(f)));
     }
 }
 
-/// The StarSs-like runtime over sharded, per-shard-locked resolution.
-pub struct ShardedRuntime {
+/// The StarSs-like task dataflow runtime.
+pub struct Runtime {
     inner: Arc<Inner>,
     /// Behind a mutex so [`shutdown`](Self::shutdown) can join through
     /// `&self` (services share the runtime in an `Arc`).
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl ShardedRuntime {
-    /// Start a runtime with `n` worker threads resolving dependencies
-    /// across `shards` engines, scheduling through the default
-    /// (work-stealing) scheduler.
-    pub fn new(n: usize, shards: usize) -> Self {
-        ShardedRuntime::with_scheduler(n, shards, SchedulerKind::default())
-    }
+/// The name the `e2e` benchmark knows [`Runtime`] by.
+pub type ShardedRuntime = Runtime;
 
-    /// Start a runtime with an explicit ready-task scheduler kind.
-    pub fn with_scheduler(n: usize, shards: usize, kind: SchedulerKind) -> Self {
-        ShardedRuntime::with_options(
+impl Runtime {
+    /// Start a runtime with `n` worker threads resolving dependencies
+    /// across `shards` engines (`1` = one engine behind one lock), with
+    /// the default work-stealing scheduler, unbounded shards and
+    /// lock-free wake delivery.
+    pub fn new(n: usize, shards: usize) -> Self {
+        Runtime::with_options(
             n,
             shards,
-            kind,
+            SchedulerKind::default(),
             ShardCapacity::Unbounded,
             WakeMode::default(),
         )
     }
 
-    /// Start a bounded runtime (default scheduler): each shard holds at
-    /// most `capacity` resident tasks. A `spawn` whose shards are full
-    /// **blocks the submitting thread** until the workers' finish reports
-    /// free a slot — the software form of the paper's master-core stall —
-    /// so spawn tasks in dependency order (producers first), which the
-    /// builder API yields naturally from a single submitting thread.
-    pub fn with_capacity(n: usize, shards: usize, capacity: ShardCapacity) -> Self {
-        ShardedRuntime::with_options(
-            n,
-            shards,
-            SchedulerKind::default(),
-            capacity,
-            WakeMode::default(),
-        )
-    }
-
-    /// Start a runtime with every knob explicit, including how finish
-    /// reports deliver wakes out of the shards ([`WakeMode`]: lock-free
-    /// wake lists by default, the locked kick-off baseline selectable
-    /// for comparison).
+    /// Start a runtime with every knob explicit: the ready-task
+    /// scheduler `kind`, the per-shard residency bound `capacity` (a
+    /// bounded runtime blocks [`spawn`](TaskBuilder::spawn) while a shard
+    /// is full), and how finish reports deliver wakes out of the shards
+    /// ([`WakeMode`]: lock-free wake lists by default, the locked
+    /// kick-off baseline selectable for comparison).
     pub fn with_options(
         n: usize,
         shards: usize,
@@ -220,7 +254,7 @@ impl ShardedRuntime {
         capacity: ShardCapacity,
         wake_mode: WakeMode,
     ) -> Self {
-        ShardedRuntime::build(n, shards, kind, capacity, wake_mode, None)
+        Runtime::build(n, shards, kind, capacity, wake_mode, None)
     }
 
     /// Start a runtime (every knob explicit) that records lifecycle
@@ -237,7 +271,7 @@ impl ShardedRuntime {
         wake_mode: WakeMode,
         rec: Arc<Recorder>,
     ) -> Self {
-        ShardedRuntime::build(n, shards, kind, capacity, wake_mode, Some(rec))
+        Runtime::build(n, shards, kind, capacity, wake_mode, Some(rec))
     }
 
     /// Start a runtime (every knob explicit) observed *online* by
@@ -259,7 +293,7 @@ impl ShardedRuntime {
         wake_mode: WakeMode,
         collector: &nexuspp_obs::Collector,
     ) -> Self {
-        let rt = ShardedRuntime::build(
+        let rt = Runtime::build(
             n,
             shards,
             kind,
@@ -291,6 +325,7 @@ impl ShardedRuntime {
         let inner = Arc::new(Inner {
             dispatcher,
             sched,
+            next_tag: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             pending: Mutex::new(0),
             quiescent: Condvar::new(),
@@ -310,7 +345,7 @@ impl ShardedRuntime {
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        ShardedRuntime {
+        Runtime {
             inner,
             workers: Mutex::new(workers),
         }
@@ -432,8 +467,8 @@ impl ShardedRuntime {
     }
 
     /// Begin declaring a task.
-    pub fn task(&self) -> ShardedTaskBuilder<'_> {
-        ShardedTaskBuilder {
+    pub fn task(&self) -> TaskBuilder<'_> {
+        TaskBuilder {
             rt: self,
             accesses: Vec::new(),
             high_priority: false,
@@ -445,8 +480,8 @@ impl ShardedRuntime {
     /// versioning frontend's lowering — and run `f` when its declared
     /// dependencies allow. No [`Region`]s are involved: the addresses
     /// *are* the dependence-table keys, so `f` receives no data context.
-    /// Capacity semantics match [`spawn`](ShardedTaskBuilder::spawn)
-    /// (bounded shards block the submitter until a slot frees).
+    /// Capacity semantics match [`spawn`](TaskBuilder::spawn) (bounded
+    /// shards block the submitter until a slot frees).
     ///
     /// # Panics
     ///
@@ -455,24 +490,7 @@ impl ShardedRuntime {
     /// submissions are always valid.
     pub fn spawn_lowered(&self, sub: Submission, f: impl FnOnce() + Send + 'static) {
         sub.validate().expect("invalid lowered submission");
-        let prio = sub.priority;
-        let (fptr, tag, params) = sub.into_parts();
-        let grants: Grants = Arc::new(params.iter().map(|p| (RegionId(p.addr), p.mode)).collect());
-        let inner = &self.inner;
-        {
-            let mut p = inner.pending.lock();
-            *p += 1;
-        }
-        inner.submitted.fetch_add(1, Ordering::Relaxed);
-        let work = Work {
-            grants,
-            job: Box::new(move |_ctx| f()),
-            prio,
-        };
-        let res = inner.dispatcher.submit(fptr, tag, &params, work);
-        if let Some(work) = res.ready {
-            inner.sched.submit((res.ticket, work), prio);
-        }
+        self.submit_blocking(PendingSpawn::lowered(sub, f));
     }
 
     /// Non-blocking form of [`spawn_lowered`](Self::spawn_lowered): a
@@ -489,73 +507,64 @@ impl ShardedRuntime {
         sub: Submission,
         f: impl FnOnce() + Send + 'static,
     ) -> Result<(), (SubmitError, PendingSpawn)> {
-        let prio = sub.priority;
-        let (fptr, tag, params) = sub.into_parts();
-        let grants: Grants = Arc::new(params.iter().map(|p| (RegionId(p.addr), p.mode)).collect());
-        let work = Work {
-            grants,
-            job: Box::new(move |_ctx| f()),
-            prio,
-        };
-        self.try_submit_work(PendingSpawn {
-            fptr,
-            tag,
-            params,
-            work,
-        })
+        self.submit(PendingSpawn::lowered(sub, f), false)
     }
 
     /// Resubmit a spawn previously rejected by
     /// [`try_spawn_lowered`](Self::try_spawn_lowered).
     pub fn try_respawn(&self, p: PendingSpawn) -> Result<(), (SubmitError, PendingSpawn)> {
-        self.try_submit_work(p)
+        self.submit(p, false)
     }
 
-    fn try_submit_work(&self, p: PendingSpawn) -> Result<(), (SubmitError, PendingSpawn)> {
-        let PendingSpawn {
-            fptr,
-            tag,
-            params,
-            work,
-        } = p;
-        let prio = work.prio;
+    /// The one submission path: count the task pending, admit it through
+    /// the dispatcher and schedule it if nothing blocks it. `block`
+    /// is the only difference between the spawn flavours — a full shard
+    /// parks the caller (`dispatcher.submit`, never rejects) or hands the
+    /// task back (`dispatcher.try_submit`).
+    fn submit(&self, p: PendingSpawn, block: bool) -> Result<(), (SubmitError, PendingSpawn)> {
+        let prio = p.work.prio;
         let inner = &self.inner;
-        {
-            let mut pending = inner.pending.lock();
-            *pending += 1;
-        }
-        match inner.dispatcher.try_submit(fptr, tag, &params, work) {
+        *inner.pending.lock() += 1;
+        let admitted = if block {
+            Ok(inner.dispatcher.submit(p.fptr, p.tag, &p.params, p.work))
+        } else {
+            inner
+                .dispatcher
+                .try_submit(p.fptr, p.tag, &p.params, p.work)
+        };
+        match admitted {
             Ok(res) => {
                 inner.submitted.fetch_add(1, Ordering::Relaxed);
                 if let Some(work) = res.ready {
                     inner.sched.submit((res.ticket, work), prio);
                 }
+                // A parked task's ticket resurfaces in some
+                // FinishReport::woken.
                 Ok(())
             }
             Err((e, work)) => {
                 // Roll the optimistic pending increment back; a barrier
                 // waiting concurrently must not count a rejected task.
-                let mut pending = inner.pending.lock();
-                *pending -= 1;
-                if *pending == 0 {
-                    inner.quiescent.notify_all();
-                }
-                drop(pending);
-                Err((
-                    e,
-                    PendingSpawn {
-                        fptr,
-                        tag,
-                        params,
-                        work,
-                    },
-                ))
+                inner.retire(1);
+                Err((e, PendingSpawn { work, ..p }))
             }
         }
     }
 
+    fn submit_blocking(&self, p: PendingSpawn) {
+        if self.submit(p, true).is_err() {
+            unreachable!("a blocking submit parks on a full shard instead of rejecting");
+        }
+    }
+
     /// Block until every producer of `region` submitted so far has
-    /// finished (see [`Runtime::wait_on`](crate::Runtime::wait_on)).
+    /// finished — the StarSs `#pragma css wait on(...)` primitive.
+    /// Implemented as a high-priority probe task reading the region;
+    /// dependency resolution makes it wait for exactly the outstanding
+    /// writers (concurrent readers do not delay it).
+    ///
+    /// Must be called from outside task context (calling it from within a
+    /// task can deadlock if all workers block on waits).
     ///
     /// The waiter is scheduler-aware: instead of blocking on a channel
     /// (starving the pool of one thread), it pops/steals ready tasks
@@ -594,7 +603,7 @@ impl ShardedRuntime {
     /// bodies finish, queued tasks execute), then stop and join the
     /// workers. Equivalent to `drop` but hands back a
     /// [`ShutdownReport`] and is callable through a shared reference
-    /// (`Arc<ShardedRuntime>` in service deployments). Does not
+    /// (`Arc<Runtime>` in service deployments). Does not
     /// re-raise task panics. Submitting after shutdown is a caller
     /// error (tasks would queue forever).
     pub fn shutdown(&self) -> ShutdownReport {
@@ -613,60 +622,33 @@ impl ShardedRuntime {
     }
 
     fn shutdown_inner(&self, deadline: Option<Duration>) -> ShutdownReport {
-        let mut graceful = true;
-        {
-            let mut p = self.inner.pending.lock();
-            match deadline {
-                None => {
-                    while *p > 0 {
-                        self.inner.quiescent.wait(&mut p);
-                    }
-                }
-                Some(d) => {
-                    let start = Instant::now();
-                    while *p > 0 {
-                        match d.checked_sub(start.elapsed()) {
-                            Some(left) if !left.is_zero() => {
-                                let _ = self.inner.quiescent.wait_for(&mut p, left);
-                            }
-                            _ => {
-                                graceful = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let inner = &self.inner;
+        let graceful = inner.wait_quiescent(deadline);
         if !graceful {
-            self.inner.aborting.store(true, Ordering::SeqCst);
             // Every queued task now cancel-finishes; wait out the
             // remaining (already-running) bodies.
-            let mut p = self.inner.pending.lock();
-            while *p > 0 {
-                self.inner.quiescent.wait(&mut p);
-            }
+            inner.aborting.store(true, Ordering::SeqCst);
+            inner.wait_quiescent(None);
         }
-        self.inner.sched.shutdown();
+        inner.sched.shutdown();
+        // Empty after the first shutdown, so a second one (or the drop
+        // that follows an explicit shutdown) joins nothing.
         let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
         for w in handles {
             let _ = w.join();
         }
         ShutdownReport {
             graceful,
-            executed: self.inner.executed.load(Ordering::Relaxed),
-            cancelled: self.inner.cancelled.load(Ordering::Relaxed),
+            executed: inner.executed.load(Ordering::Relaxed),
+            cancelled: inner.cancelled.load(Ordering::Relaxed),
         }
     }
 
-    /// Wait until every submitted task has finished. Re-raises the first
-    /// task panic observed since the last barrier.
+    /// Wait until every submitted task has finished — the equivalent of
+    /// `#pragma css barrier`. If any task panicked since the last
+    /// barrier, the panic is re-raised here on the calling thread.
     pub fn barrier(&self) {
-        let mut p = self.inner.pending.lock();
-        while *p > 0 {
-            self.inner.quiescent.wait(&mut p);
-        }
-        drop(p);
+        self.inner.wait_quiescent(None);
         if let Some(msg) = self.inner.panicked.lock().take() {
             panic!("task panicked: {msg}");
         }
@@ -715,10 +697,7 @@ fn execute_ready(
         }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (work.job)(&ctx)));
         if let Err(payload) = result {
-            inner
-                .panicked
-                .lock()
-                .get_or_insert(crate::runtime::panic_msg(&*payload));
+            inner.panicked.lock().get_or_insert(panic_msg(&*payload));
         }
         if let Some(r) = &inner.obs {
             r.emit(EventKind::ExecDone, ticket.tag(), nexuspp_obs::NO_SHARD);
@@ -746,29 +725,15 @@ fn execute_ready(
         None => inner.sched.wake_batch_external(woken),
     }
     if completed > 0 {
-        let mut p = inner.pending.lock();
-        *p -= completed;
-        if *p == 0 {
-            inner.quiescent.notify_all();
-        }
+        inner.retire(completed);
     }
 }
 
-impl Drop for ShardedRuntime {
+impl Drop for Runtime {
     fn drop(&mut self) {
-        // Drain in-flight work (without re-raising task panics — Drop
-        // must not panic), then stop every worker and join it. A no-op
-        // beyond the scheduler flag if an explicit shutdown already ran.
-        {
-            let mut p = self.inner.pending.lock();
-            while *p > 0 {
-                self.inner.quiescent.wait(&mut p);
-            }
-        }
-        self.inner.sched.shutdown();
-        let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
-        for w in handles {
-            let _ = w.join();
-        }
+        // Drain, stop and join without re-raising task panics (Drop must
+        // not panic); only stops the scheduler again if an explicit
+        // shutdown already ran.
+        self.shutdown_inner(None);
     }
 }

@@ -3,7 +3,7 @@
 //! measures cannot drift apart.
 
 use crate::region::Region;
-use crate::sharded::ShardedRuntime;
+use crate::Runtime;
 use std::time::{Duration, Instant};
 
 /// Drive the capacity-stress DAG shape (the region-level twin of
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 ///
 /// Blocks to quiescence, panics if any chain lost or duplicated a task,
 /// and returns the wall-clock from first spawn to quiescence.
-pub fn drive_capacity_stress(rt: &ShardedRuntime, chains: u32, chain_len: u32) -> Duration {
+pub fn drive_capacity_stress(rt: &Runtime, chains: u32, chain_len: u32) -> Duration {
     let root: Region<u64> = rt.region(vec![0]);
     let cells: Vec<Region<u64>> = (0..chains).map(|_| rt.region(vec![0u64])).collect();
     let t0 = Instant::now();

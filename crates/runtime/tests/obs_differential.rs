@@ -2,15 +2,15 @@
 //! atomic counters are two independent records of the same execution;
 //! at quiescence they must agree exactly.
 //!
-//! Covered matrix: both backends ([`Runtime`] and [`ShardedRuntime`]),
-//! {1, 2, 4, 8} workers, and (sharded) both wake modes. Each run also
+//! Covered matrix: one resolver shard (a single engine) and four,
+//! {1, 2, 4, 8} workers, and (at four shards) both wake modes. Each run also
 //! checks the strict per-task lifecycle ordering the recorder's global
 //! sequence promises: `Submitted < DepCheckStart < DepCheckDone < Ready
 //! < ExecStart < ExecDone < Finished` on `seq`.
 
 use nexuspp_core::ShardCapacity;
 use nexuspp_obs::{Event, EventKind, Recorder, NO_TASK};
-use nexuspp_runtime::{Runtime, ShardedRuntime};
+use nexuspp_runtime::Runtime;
 use nexuspp_sched::SchedulerKind;
 use nexuspp_shard::WakeMode;
 use std::collections::BTreeMap;
@@ -97,7 +97,7 @@ fn drain_until_parks_settle(
     events
 }
 
-/// Common invariants shared by both backends. `scheduler_submitted` is
+/// Lifecycle invariants of one run. `scheduler_submitted` is
 /// the scheduler's own spawn-side counter; it must equal the number of
 /// tasks whose `Ready` event carries no waker (ready at submission).
 fn check_common(events: &[Event], steals: u64, scheduler_submitted: u64) {
@@ -135,11 +135,11 @@ fn check_common(events: &[Event], steals: u64, scheduler_submitted: u64) {
     check_per_task_order(events);
 }
 
-fn run_sharded(workers: usize, wake_mode: WakeMode) {
+fn run(workers: usize, shards: usize, wake_mode: WakeMode) {
     let rec = Arc::new(Recorder::new(workers));
-    let rt = ShardedRuntime::with_recorder(
+    let rt = Runtime::with_recorder(
         workers,
-        4,
+        shards,
         SchedulerKind::WorkStealing,
         ShardCapacity::Unbounded,
         wake_mode,
@@ -175,6 +175,13 @@ fn run_sharded(workers: usize, wake_mode: WakeMode) {
     // appears as one WakePosted and one WakeDelivered event.
     assert_eq!(count(&events, EventKind::WakePosted), wake.delivered);
     assert_eq!(count(&events, EventKind::WakeDelivered), wake.delivered);
+    // ... and belongs to exactly one task that parked at submission
+    // (i.e. whose Ready names a waker).
+    let woken = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Ready && e.aux != NO_TASK)
+        .count() as u64;
+    assert_eq!(woken, wake.delivered);
     // The registry sees the same totals through its snapshot surface.
     let snap = rt.metrics().snapshot();
     assert_eq!(snap.get("tasks", "submitted"), Some(task_count()));
@@ -183,65 +190,23 @@ fn run_sharded(workers: usize, wake_mode: WakeMode) {
     drop(rt);
 }
 
-fn run_single(workers: usize) {
-    let rec = Arc::new(Recorder::new(workers));
-    let rt = Runtime::with_recorder(workers, SchedulerKind::WorkStealing, Arc::clone(&rec));
-    let executed = Arc::new(AtomicU64::new(0));
-    let chains: Vec<_> = (0..CHAINS).map(|_| rt.region(vec![0u64])).collect();
-    for _ in 0..DEPTH {
-        for r in &chains {
-            let executed = Arc::clone(&executed);
-            rt.task().inout(r).spawn(move |_| {
-                executed.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    }
-    for _ in 0..INDEPENDENT {
-        let r = rt.region(vec![0u64]);
-        let executed = Arc::clone(&executed);
-        rt.task().output(&r).spawn(move |_| {
-            executed.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    rt.barrier();
-    assert_eq!(executed.load(Ordering::Relaxed), task_count());
-
-    let events = drain_until_parks_settle(&rec, || rt.sched_counts().parks, Vec::new());
-    assert_eq!(rec.dropped(), 0, "event rings must not overflow");
-
-    let sched = rt.sched_counts();
-    check_common(&events, sched.steals, sched.submitted);
-    // Single-engine wake path: one WakePosted + WakeDelivered per task
-    // that parked at submission (i.e. whose Ready names a waker).
-    let woken = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Ready && e.aux != NO_TASK)
-        .count() as u64;
-    assert_eq!(count(&events, EventKind::WakePosted), woken);
-    assert_eq!(count(&events, EventKind::WakeDelivered), woken);
-    let snap = rt.metrics().snapshot();
-    assert_eq!(snap.get("tasks", "submitted"), Some(task_count()));
-    assert_eq!(snap.get("events", "recorded"), Some(rec.recorded()));
-    drop(rt);
-}
-
 #[test]
 fn sharded_lock_free_events_match_counters() {
     for workers in [1, 2, 4, 8] {
-        run_sharded(workers, WakeMode::LockFree);
+        run(workers, 4, WakeMode::LockFree);
     }
 }
 
 #[test]
 fn sharded_locked_events_match_counters() {
     for workers in [1, 2, 4, 8] {
-        run_sharded(workers, WakeMode::Locked);
+        run(workers, 4, WakeMode::Locked);
     }
 }
 
 #[test]
 fn single_engine_events_match_counters() {
     for workers in [1, 2, 4, 8] {
-        run_single(workers);
+        run(workers, 1, WakeMode::LockFree);
     }
 }

@@ -1,6 +1,7 @@
 //! Property test: arbitrary dataflow programs executed by the threaded
 //! runtime always produce the sequential (submission-order) result,
-//! regardless of worker count, task shape, or scheduling interleaving.
+//! regardless of worker count, shard count, task shape, or scheduling
+//! interleaving.
 
 use nexuspp_runtime::Runtime;
 use proptest::prelude::*;
@@ -41,6 +42,7 @@ proptest! {
     fn parallel_equals_sequential(
         script in prop::collection::vec(op_strategy(5), 1..120),
         workers in 1usize..9,
+        shards in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         const REGIONS: usize = 5;
         // Sequential reference.
@@ -50,7 +52,7 @@ proptest! {
         }
 
         // Parallel execution with declared accesses.
-        let rt = Runtime::new(workers);
+        let rt = Runtime::new(workers, shards);
         let regions: Vec<_> = (0..REGIONS).map(|_| rt.region(vec![1u64])).collect();
         for &op in &script {
             let d = regions[op.dst].clone();

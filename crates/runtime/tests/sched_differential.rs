@@ -2,7 +2,7 @@
 //! runtime level: the work-stealing scheduler must execute exactly the
 //! same task set as the mutex queue — no lost execution, no duplicated
 //! execution, no dependency-order violation — across thread counts
-//! {1, 2, 4, 8}, on both execution backends.
+//! {1, 2, 4, 8}, at one resolver shard and at four.
 //!
 //! Execution logs are gathered by the tasks themselves: every task
 //! appends its global id to a shared log and checks, inside its body,
@@ -10,7 +10,7 @@
 //! predecessor must have produced (a dependency-order violation is
 //! caught at the task that observes it, not inferred from final state).
 
-use nexuspp_runtime::{Runtime, SchedulerKind, ShardedRuntime};
+use nexuspp_runtime::{Runtime, SchedulerKind, ShardCapacity, WakeMode};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,6 +18,17 @@ use std::sync::{Arc, Mutex};
 
 const KINDS: [SchedulerKind; 2] = [SchedulerKind::MutexQueue, SchedulerKind::WorkStealing];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+const SHARDS: [usize; 2] = [1, 4];
+
+fn runtime(workers: usize, shards: usize, kind: SchedulerKind) -> Runtime {
+    Runtime::with_options(
+        workers,
+        shards,
+        kind,
+        ShardCapacity::Unbounded,
+        WakeMode::default(),
+    )
+}
 
 /// Outcome of one chain-workload run: the execution log (global task
 /// ids, in observed completion order) plus the final chain values.
@@ -26,66 +37,51 @@ struct RunLog {
     finals: Vec<u64>,
 }
 
-/// Tiny backend abstraction so the same workload — `chains` ×
-/// `chain_len` inout-serialized chains plus a fan-out root, the
-/// steal-stress shape on real regions — runs on both runtimes without
-/// duplicating the driver. Task (c, i) asserts its chain cell holds `i`
-/// before writing `i + 1`, so any dependency-order violation panics
-/// inside the violating task and surfaces at the barrier.
-trait ChainBackend {
-    fn run(&self, chains: u64, chain_len: u64) -> RunLog;
-}
-
-macro_rules! impl_chain_backend {
-    ($ty:ty) => {
-        impl ChainBackend for $ty {
-            fn run(&self, chains: u64, chain_len: u64) -> RunLog {
-                let rt = self;
-                let log = Arc::new(Mutex::new(Vec::new()));
-                let root = rt.region(vec![0u64]);
-                let cells: Vec<_> = (0..chains).map(|_| rt.region(vec![0u64])).collect();
-                {
-                    let (root, log) = (root.clone(), Arc::clone(&log));
-                    rt.task().output(&root).spawn(move |t| {
-                        t.write(&root)[0] = 7;
-                        log.lock().unwrap().push(0);
-                    });
-                }
-                for (c, cell) in cells.iter().enumerate() {
-                    for i in 0..chain_len {
-                        let id = 1 + c as u64 * chain_len + i;
-                        let (cell, log) = (cell.clone(), Arc::clone(&log));
-                        if i == 0 {
-                            let (root, cell2) = (root.clone(), cell.clone());
-                            rt.task().input(&root).inout(&cell).spawn(move |t| {
-                                assert_eq!(t.read(&root)[0], 7, "head ran before root");
-                                let mut v = t.write(&cell2);
-                                assert_eq!(v[0], 0, "chain head must run first");
-                                v[0] = 1;
-                                log.lock().unwrap().push(id);
-                            });
-                        } else {
-                            let cell2 = cell.clone();
-                            rt.task().inout(&cell).spawn(move |t| {
-                                let mut v = t.write(&cell2);
-                                assert_eq!(v[0], i, "dependency order violated in chain");
-                                v[0] = i + 1;
-                                log.lock().unwrap().push(id);
-                            });
-                        }
-                    }
-                }
-                rt.barrier();
-                let finals = cells.iter().map(|c| rt.with_data(c, |v| v[0])).collect();
-                let log = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
-                RunLog { log, finals }
+/// The steal-stress shape on real regions: `chains` × `chain_len`
+/// inout-serialized chains plus a fan-out root. Task (c, i) asserts its
+/// chain cell holds `i` before writing `i + 1`, so any dependency-order
+/// violation panics inside the violating task and surfaces at the
+/// barrier.
+fn run_chains(rt: &Runtime, chains: u64, chain_len: u64) -> RunLog {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let root = rt.region(vec![0u64]);
+    let cells: Vec<_> = (0..chains).map(|_| rt.region(vec![0u64])).collect();
+    {
+        let (root, log) = (root.clone(), Arc::clone(&log));
+        rt.task().output(&root).spawn(move |t| {
+            t.write(&root)[0] = 7;
+            log.lock().unwrap().push(0);
+        });
+    }
+    for (c, cell) in cells.iter().enumerate() {
+        for i in 0..chain_len {
+            let id = 1 + c as u64 * chain_len + i;
+            let (cell, log) = (cell.clone(), Arc::clone(&log));
+            if i == 0 {
+                let (root, cell2) = (root.clone(), cell.clone());
+                rt.task().input(&root).inout(&cell).spawn(move |t| {
+                    assert_eq!(t.read(&root)[0], 7, "head ran before root");
+                    let mut v = t.write(&cell2);
+                    assert_eq!(v[0], 0, "chain head must run first");
+                    v[0] = 1;
+                    log.lock().unwrap().push(id);
+                });
+            } else {
+                let cell2 = cell.clone();
+                rt.task().inout(&cell).spawn(move |t| {
+                    let mut v = t.write(&cell2);
+                    assert_eq!(v[0], i, "dependency order violated in chain");
+                    v[0] = i + 1;
+                    log.lock().unwrap().push(id);
+                });
             }
         }
-    };
+    }
+    rt.barrier();
+    let finals = cells.iter().map(|c| rt.with_data(c, |v| v[0])).collect();
+    let log = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
+    RunLog { log, finals }
 }
-
-impl_chain_backend!(Runtime);
-impl_chain_backend!(ShardedRuntime);
 
 fn check_run(log: RunLog, chains: u64, chain_len: u64, what: &str) -> HashSet<u64> {
     let total = 1 + chains * chain_len;
@@ -100,55 +96,41 @@ fn check_run(log: RunLog, chains: u64, chain_len: u64, what: &str) -> HashSet<u6
     set
 }
 
-#[test]
-fn schedulers_execute_identical_task_sets_on_single_engine_runtime() {
+fn schedulers_execute_identical_task_sets(shards: usize) {
     const CHAINS: u64 = 6;
     const LEN: u64 = 60;
     for workers in THREADS {
         let mut sets = Vec::new();
         for kind in KINDS {
-            let rt = Runtime::with_scheduler(workers, kind);
+            let rt = runtime(workers, shards, kind);
             assert_eq!(rt.scheduler_kind(), kind);
-            let run = rt.run(CHAINS, LEN);
+            let run = run_chains(&rt, CHAINS, LEN);
             sets.push(check_run(
                 run,
                 CHAINS,
                 LEN,
-                &format!("runtime/{}/{workers}w", kind.name()),
+                &format!("{shards} shards/{}/{workers}w", kind.name()),
             ));
         }
         assert_eq!(
             sets[0], sets[1],
-            "{workers} workers: kinds executed different task sets"
+            "{shards} shards, {workers} workers: kinds executed different task sets"
         );
     }
+}
+
+#[test]
+fn schedulers_execute_identical_task_sets_on_single_engine_runtime() {
+    schedulers_execute_identical_task_sets(1);
 }
 
 #[test]
 fn schedulers_execute_identical_task_sets_on_sharded_runtime() {
-    const CHAINS: u64 = 6;
-    const LEN: u64 = 60;
-    for workers in THREADS {
-        let mut sets = Vec::new();
-        for kind in KINDS {
-            let rt = ShardedRuntime::with_scheduler(workers, 4, kind);
-            let run = rt.run(CHAINS, LEN);
-            sets.push(check_run(
-                run,
-                CHAINS,
-                LEN,
-                &format!("sharded/{}/{workers}w", kind.name()),
-            ));
-        }
-        assert_eq!(
-            sets[0], sets[1],
-            "{workers} workers: kinds executed different task sets"
-        );
-    }
+    schedulers_execute_identical_task_sets(4);
 }
 
 /// Random DAGs, differentially: the same seeded random task graph runs
-/// under both schedulers on both backends; dataflow semantics make
+/// under both schedulers at both shard counts; dataflow semantics make
 /// results schedule-independent, so every run must produce identical
 /// region contents — and every task must run exactly once.
 #[derive(Debug, Clone)]
@@ -173,8 +155,14 @@ fn random_ops(regions: usize) -> impl Strategy<Value = Vec<RandomOp>> {
     )
 }
 
-fn run_random(ops: &[RandomOp], kind: SchedulerKind, workers: usize, regions: usize) -> Vec<u64> {
-    let rt = Runtime::with_scheduler(workers, kind);
+fn run_random(
+    ops: &[RandomOp],
+    kind: SchedulerKind,
+    workers: usize,
+    shards: usize,
+    regions: usize,
+) -> Vec<u64> {
+    let rt = runtime(workers, shards, kind);
     let regs: Vec<_> = (0..regions).map(|i| rt.region(vec![i as u64])).collect();
     let ran = Arc::new(AtomicU64::new(0));
     for op in ops {
@@ -209,17 +197,20 @@ proptest! {
 
     #[test]
     fn random_dags_agree_across_schedulers(ops in random_ops(5)) {
-        let reference = run_random(&ops, SchedulerKind::MutexQueue, 1, 5);
+        let reference = run_random(&ops, SchedulerKind::MutexQueue, 1, 1, 5);
         for kind in KINDS {
             for workers in [2usize, 4] {
-                let got = run_random(&ops, kind, workers, 5);
-                prop_assert_eq!(
-                    &got,
-                    &reference,
-                    "{} @ {} workers diverged from serial reference",
-                    kind.name(),
-                    workers
-                );
+                for shards in SHARDS {
+                    let got = run_random(&ops, kind, workers, shards, 5);
+                    prop_assert_eq!(
+                        &got,
+                        &reference,
+                        "{} @ {} workers, {} shards diverged from serial reference",
+                        kind.name(),
+                        workers,
+                        shards
+                    );
+                }
             }
         }
     }
@@ -227,7 +218,7 @@ proptest! {
 
 #[test]
 fn steal_stress_chains_record_steals_and_shut_down_cleanly() {
-    // The imbalanced shape at 4 workers on the sharded backend: the
+    // The imbalanced shape at 4 workers over 4 shards: the
     // worker that retires the root wakes every chain head onto its own
     // deque, so other workers can only contribute by stealing. Task
     // bodies busy-spin long enough that the run spans many OS quanta
@@ -237,7 +228,7 @@ fn steal_stress_chains_record_steals_and_shut_down_cleanly() {
     let spin = std::time::Duration::from_micros(5);
     let mut counts = None;
     for _attempt in 0..3 {
-        let rt = ShardedRuntime::with_scheduler(4, 4, SchedulerKind::WorkStealing);
+        let rt = runtime(4, 4, SchedulerKind::WorkStealing);
         let root = rt.region(vec![0u64]);
         let cells: Vec<_> = (0..8).map(|_| rt.region(vec![0u64])).collect();
         {
@@ -285,8 +276,8 @@ fn steal_stress_chains_record_steals_and_shut_down_cleanly() {
 
 #[test]
 fn parked_workers_wake_for_late_work_and_shut_down() {
-    for kind in KINDS {
-        let rt = Runtime::with_scheduler(8, kind);
+    for (kind, shards) in KINDS.into_iter().flat_map(|k| SHARDS.map(|s| (k, s))) {
+        let rt = runtime(8, shards, kind);
         let r = rt.region(vec![0u64]);
         {
             let r = r.clone();

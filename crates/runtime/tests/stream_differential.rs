@@ -3,8 +3,8 @@
 //! executing — must end in exactly the state a fresh tracker reaches
 //! when replaying the same stream from a quiescent drain.
 //!
-//! Covered matrix: both backends ([`Runtime`] and [`ShardedRuntime`]),
-//! {1, 4} workers, and (sharded) both wake modes. Each configuration
+//! Covered matrix: one resolver shard (a single engine) and four,
+//! {1, 4} workers, and (at four shards) both wake modes. Each configuration
 //! also asserts the properties that make the live view *live*:
 //!
 //! * mid-run, the tracker observes a nonzero number of tasks in the
@@ -17,7 +17,7 @@
 
 use nexuspp_core::ShardCapacity;
 use nexuspp_obs::{Collector, CollectorReport, GraphTracker, Recorder, Subscriber, TaskState};
-use nexuspp_runtime::{Runtime, ShardedRuntime};
+use nexuspp_runtime::Runtime;
 use nexuspp_sched::SchedulerKind;
 use nexuspp_shard::WakeMode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,34 +35,30 @@ fn task_count() -> u64 {
     (CHAINS * DEPTH + INDEPENDENT) as u64
 }
 
-/// Spawn the shared workload on either backend: `CHAINS` inout chains
-/// of `DEPTH` (every link waits on its predecessor → plenty of Stalled
-/// dwell time and wake edges) plus `INDEPENDENT` instantly-ready
-/// tasks. Both runtimes expose the same task-builder surface, so this
-/// is a macro rather than a trait.
-macro_rules! spawn_workload {
-    ($rt:expr) => {{
-        let executed = Arc::new(AtomicU64::new(0));
-        let chains: Vec<_> = (0..CHAINS).map(|_| $rt.region(vec![0u64])).collect();
-        for _ in 0..DEPTH {
-            for r in &chains {
-                let executed = Arc::clone(&executed);
-                $rt.task().inout(r).spawn(move |_| {
-                    std::thread::sleep(TASK_SLEEP);
-                    executed.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        }
-        for _ in 0..INDEPENDENT {
-            let r = $rt.region(vec![0u64]);
+/// Spawn the shared workload: `CHAINS` inout chains of `DEPTH` (every
+/// link waits on its predecessor → plenty of Stalled dwell time and wake
+/// edges) plus `INDEPENDENT` instantly-ready tasks.
+fn spawn_workload(rt: &Runtime) -> Arc<AtomicU64> {
+    let executed = Arc::new(AtomicU64::new(0));
+    let chains: Vec<_> = (0..CHAINS).map(|_| rt.region(vec![0u64])).collect();
+    for _ in 0..DEPTH {
+        for r in &chains {
             let executed = Arc::clone(&executed);
-            $rt.task().output(&r).spawn(move |_| {
+            rt.task().inout(r).spawn(move |_| {
                 std::thread::sleep(TASK_SLEEP);
                 executed.fetch_add(1, Ordering::Relaxed);
             });
         }
-        executed
-    }};
+    }
+    for _ in 0..INDEPENDENT {
+        let r = rt.region(vec![0u64]);
+        let executed = Arc::clone(&executed);
+        rt.task().output(&r).spawn(move |_| {
+            std::thread::sleep(TASK_SLEEP);
+            executed.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    executed
 }
 
 /// Poll the live tracker until it reports in-flight tasks in the
@@ -153,22 +149,22 @@ fn verify(
     }
 }
 
-fn check_sharded(workers: usize, mode: WakeMode) {
-    let label = format!("sharded/{workers}w/{}", mode.name());
+fn check(workers: usize, shards: usize, mode: WakeMode) {
+    let label = format!("{shards} shards/{workers}w/{}", mode.name());
     let collector = Collector::new(Arc::new(Recorder::new(workers)));
     // A second subscriber on the same stream: after the collector's
     // final poll it replays the exact released sequence quiescently.
     let mut replay_sub = collector.stream().clone().subscribe();
 
-    let rt = ShardedRuntime::with_observer(
+    let rt = Runtime::with_observer(
         workers,
-        4,
+        shards,
         SchedulerKind::WorkStealing,
         ShardCapacity::Unbounded,
         mode,
         &collector,
     );
-    let executed = spawn_workload!(rt);
+    let executed = spawn_workload(&rt);
     let mid_flight = wait_for_mid_flight(&collector);
     rt.barrier();
     assert_eq!(executed.load(Ordering::Relaxed), task_count());
@@ -182,39 +178,23 @@ fn check_sharded(workers: usize, mode: WakeMode) {
     verify(&label, &report, &mut replay_sub, mid_flight, wake_locks);
 }
 
-fn check_single(workers: usize) {
-    let label = format!("single/{workers}w");
-    let collector = Collector::new(Arc::new(Recorder::new(workers)));
-    let mut replay_sub = collector.stream().clone().subscribe();
-
-    let rt = Runtime::with_observer(workers, SchedulerKind::WorkStealing, &collector);
-    let executed = spawn_workload!(rt);
-    let mid_flight = wait_for_mid_flight(&collector);
-    rt.barrier();
-    assert_eq!(executed.load(Ordering::Relaxed), task_count());
-    drop(rt);
-    let report = collector.finish();
-
-    verify(&label, &report, &mut replay_sub, mid_flight, None);
-}
-
 #[test]
 fn sharded_lock_free_live_tracker_matches_quiescent_replay() {
     for workers in [1, 4] {
-        check_sharded(workers, WakeMode::LockFree);
+        check(workers, 4, WakeMode::LockFree);
     }
 }
 
 #[test]
 fn sharded_locked_live_tracker_matches_quiescent_replay() {
     for workers in [1, 4] {
-        check_sharded(workers, WakeMode::Locked);
+        check(workers, 4, WakeMode::Locked);
     }
 }
 
 #[test]
 fn single_engine_live_tracker_matches_quiescent_replay() {
     for workers in [1, 4] {
-        check_single(workers);
+        check(workers, 1, WakeMode::LockFree);
     }
 }

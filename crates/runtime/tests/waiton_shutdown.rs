@@ -1,5 +1,5 @@
 //! Regression tests for the two historical `wait_on` defects plus the
-//! explicit shutdown hooks, on both runtime backends:
+//! explicit shutdown hooks, at one resolver shard and at four:
 //!
 //! 1. **Teardown panic** — `rx.recv().expect("wait_on probe vanished")`
 //!    panicked when the runtime tore down with the waiter still blocked
@@ -15,20 +15,26 @@
 //! bodies exactly once (executed + cancelled == submitted).
 
 use nexuspp_core::testsupport::with_watchdog;
-use nexuspp_runtime::{Runtime, SchedulerKind, ShardedRuntime};
+use nexuspp_runtime::{Runtime, SchedulerKind, ShardCapacity, WakeMode};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 const KINDS: [SchedulerKind; 2] = [SchedulerKind::MutexQueue, SchedulerKind::WorkStealing];
 
+fn runtime(workers: usize, shards: usize, kind: SchedulerKind) -> Runtime {
+    Runtime::with_options(
+        workers,
+        shards,
+        kind,
+        ShardCapacity::Unbounded,
+        WakeMode::default(),
+    )
+}
+
 /// A chain of `len` inout tasks over one region; returns the counter
 /// every task bumps.
-fn spawn_chain_single(
-    rt: &Runtime,
-    region: &nexuspp_runtime::Region<u64>,
-    len: u64,
-) -> Arc<AtomicU64> {
+fn spawn_chain(rt: &Runtime, region: &nexuspp_runtime::Region<u64>, len: u64) -> Arc<AtomicU64> {
     let ran = Arc::new(AtomicU64::new(0));
     for _ in 0..len {
         let r = region.clone();
@@ -42,49 +48,39 @@ fn spawn_chain_single(
     ran
 }
 
-#[test]
-fn waiter_executes_the_graph_at_zero_workers_single_engine() {
+fn waiter_executes_the_graph_at_zero_workers(shards: usize) {
     for kind in KINDS {
-        with_watchdog(60, format!("single zero-worker {kind:?}"), move || {
-            let rt = Runtime::with_scheduler(0, kind);
-            let region = rt.region(vec![0u64]);
-            let ran = spawn_chain_single(&rt, &region, 64);
-            // The only thread able to execute anything is this waiter.
-            rt.wait_on(&region);
-            assert_eq!(ran.load(Ordering::SeqCst), 64, "{kind:?}");
-            assert_eq!(rt.with_data(&region, |v| v[0]), 64, "{kind:?}");
-        });
+        with_watchdog(
+            60,
+            format!("{shards}-shard zero-worker {kind:?}"),
+            move || {
+                let rt = runtime(0, shards, kind);
+                let region = rt.region(vec![0u64]);
+                let ran = spawn_chain(&rt, &region, 64);
+                // The only thread able to execute anything is this waiter.
+                rt.wait_on(&region);
+                assert_eq!(ran.load(Ordering::SeqCst), 64, "{kind:?}");
+                assert_eq!(rt.with_data(&region, |v| v[0]), 64, "{kind:?}");
+            },
+        );
     }
 }
 
 #[test]
+fn waiter_executes_the_graph_at_zero_workers_single_engine() {
+    waiter_executes_the_graph_at_zero_workers(1);
+}
+
+#[test]
 fn waiter_executes_the_graph_at_zero_workers_sharded() {
-    for kind in KINDS {
-        with_watchdog(60, format!("sharded zero-worker {kind:?}"), move || {
-            let rt = ShardedRuntime::with_scheduler(0, 4, kind);
-            let region = rt.region(vec![0u64]);
-            let ran = Arc::new(AtomicU64::new(0));
-            for _ in 0..64 {
-                let r = region.clone();
-                let ran = Arc::clone(&ran);
-                rt.task().inout(&region).spawn(move |t| {
-                    let mut v = t.write(&r);
-                    v[0] += 1;
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            rt.wait_on(&region);
-            assert_eq!(ran.load(Ordering::SeqCst), 64, "{kind:?}");
-            assert_eq!(rt.with_data(&region, |v| v[0]), 64, "{kind:?}");
-        });
-    }
+    waiter_executes_the_graph_at_zero_workers(4);
 }
 
 #[test]
 fn dropping_the_runtime_under_a_parked_waiter_is_clean() {
     for kind in KINDS {
         with_watchdog(60, format!("drop under waiter {kind:?}"), move || {
-            let rt = Arc::new(ShardedRuntime::with_scheduler(2, 4, kind));
+            let rt = Arc::new(runtime(2, 4, kind));
             let region = rt.region(vec![0u64]);
             let gate = Arc::new(AtomicBool::new(false));
             {
@@ -119,7 +115,7 @@ fn dropping_the_runtime_under_a_parked_waiter_is_clean() {
 fn hard_deadline_shutdown_cancels_the_probe_and_the_waiter_returns() {
     for kind in KINDS {
         with_watchdog(60, format!("abort under waiter {kind:?}"), move || {
-            let rt = Arc::new(ShardedRuntime::with_scheduler(1, 4, kind));
+            let rt = Arc::new(runtime(1, 4, kind));
             let region = rt.region(vec![0u64]);
             let gate = Arc::new(AtomicBool::new(false));
             {
@@ -164,20 +160,22 @@ fn hard_deadline_shutdown_cancels_the_probe_and_the_waiter_returns() {
 
 #[test]
 fn graceful_shutdown_reports_everything_executed() {
-    let rt = Runtime::new(2);
-    let region = rt.region(vec![0u64]);
-    let ran = spawn_chain_single(&rt, &region, 32);
-    let report = rt.shutdown();
-    assert!(report.graceful);
-    assert_eq!(report.executed, 32);
-    assert_eq!(report.cancelled, 0);
-    assert_eq!(ran.load(Ordering::SeqCst), 32);
+    for shards in [1, 4] {
+        let rt = Runtime::new(2, shards);
+        let region = rt.region(vec![0u64]);
+        let ran = spawn_chain(&rt, &region, 32);
+        let report = rt.shutdown();
+        assert!(report.graceful);
+        assert_eq!(report.executed, 32);
+        assert_eq!(report.cancelled, 0);
+        assert_eq!(ran.load(Ordering::SeqCst), 32);
+    }
 }
 
 #[test]
 fn sharded_hard_deadline_splits_executed_and_cancelled_exactly_once() {
     with_watchdog(60, "sharded deadline split", || {
-        let rt = ShardedRuntime::new(1, 4);
+        let rt = Runtime::new(1, 4);
         let region = rt.region(vec![0u64]);
         let gate = Arc::new(AtomicBool::new(false));
         let ran = Arc::new(AtomicU64::new(0));

@@ -4,9 +4,9 @@
 //! its structural promise (zero shard-lock acquisitions on the wake
 //! delivery path) all the way up through the runtime.
 
-use nexuspp_runtime::{SchedulerKind, ShardCapacity, ShardedRuntime, WakeMode};
+use nexuspp_runtime::{Runtime, SchedulerKind, ShardCapacity, WakeMode};
 
-fn wake_fan_in(rt: &ShardedRuntime, producers: u32, consumers_per: u32) -> u64 {
+fn wake_fan_in(rt: &Runtime, producers: u32, consumers_per: u32) -> u64 {
     // Each producer seeds a cell; its consumers add into a shared
     // accumulator region of their own; a final sum reduces everything.
     let cells: Vec<_> = (0..producers).map(|_| rt.region(vec![0u64])).collect();
@@ -42,7 +42,7 @@ fn expected(producers: u32, consumers_per: u32) -> u64 {
 fn wake_modes_compute_identical_results() {
     for mode in [WakeMode::Locked, WakeMode::LockFree] {
         for workers in [1usize, 4] {
-            let rt = ShardedRuntime::with_options(
+            let rt = Runtime::with_options(
                 workers,
                 4,
                 SchedulerKind::default(),
@@ -71,7 +71,7 @@ fn wake_modes_compute_identical_results() {
 
 #[test]
 fn lock_free_wake_path_never_touches_a_shard_lock() {
-    let rt = ShardedRuntime::new(4, 4);
+    let rt = Runtime::new(4, 4);
     assert_eq!(rt.wake_mode(), WakeMode::LockFree);
     let got = wake_fan_in(&rt, 16, 8);
     assert_eq!(got, expected(16, 8));
@@ -88,7 +88,7 @@ fn bounded_capacity_and_lock_free_wakes_compose() {
     // Capacity-1 shards force the stall/retry handshake while the wake
     // path runs lock-free: both features' counters must come out clean.
     for mode in [WakeMode::Locked, WakeMode::LockFree] {
-        let rt = ShardedRuntime::with_options(
+        let rt = Runtime::with_options(
             4,
             2,
             SchedulerKind::default(),

@@ -26,7 +26,7 @@ use crate::metrics::TenantMetrics;
 use crate::task::{IngressSignal, ServiceTask};
 use crossbeam::channel::Receiver;
 use nexuspp_core::TenantId;
-use nexuspp_runtime::{PendingSpawn, ShardedRuntime};
+use nexuspp_runtime::{PendingSpawn, Runtime};
 use nexuspp_shard::TenantBudgets;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,7 +78,7 @@ impl Lane {
 
 /// State shared between the service front and the ingress thread.
 pub(crate) struct IngressShared {
-    pub(crate) rt: Arc<ShardedRuntime>,
+    pub(crate) rt: Arc<Runtime>,
     pub(crate) budgets: Arc<TenantBudgets>,
     pub(crate) signal: Arc<IngressSignal>,
     /// Raised (after sealing the gate) to ask the sweep to drain out.

@@ -6,7 +6,7 @@
 //! facility* — one task manager serving every core that submits to it.
 //! This crate is the software analogue at the process level: a
 //! persistent [`ResolverService`] wrapping an
-//! `Arc<`[`ShardedRuntime`](nexuspp_runtime::ShardedRuntime)`>` that
+//! `Arc<`[`Runtime`](nexuspp_runtime::Runtime)`>` that
 //! accepts **streaming submissions from many concurrent clients**,
 //! meters them per tenant, and shuts down without losing accepted work.
 //!
@@ -38,7 +38,7 @@
 //!   [`shutdown_deadline`](ResolverService::shutdown_deadline) form
 //!   adds the hard-abort path: past the deadline, still-queued ingress
 //!   is dropped (counted) and the runtime cancel-finishes queued tasks
-//!   via [`shutdown_deadline`](nexuspp_runtime::ShardedRuntime::shutdown_deadline).
+//!   via [`shutdown_deadline`](nexuspp_runtime::Runtime::shutdown_deadline).
 //!   Either way the [`ServiceReport`] accounts for every accepted task
 //!   exactly once: executed, cancelled, or dropped-at-ingress.
 

@@ -7,7 +7,7 @@ use crate::metrics::TenantMetrics;
 use crate::task::{IngressGate, IngressSignal, SubmissionHandle};
 use nexuspp_core::TenantId;
 use nexuspp_obs::{Collector, MetricsRegistry, MetricsSnapshot};
-use nexuspp_runtime::{ShardedRuntime, ShutdownReport};
+use nexuspp_runtime::{Runtime, ShutdownReport};
 use nexuspp_shard::{TenantBudgets, TenantCounts};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -38,7 +38,7 @@ pub struct ServiceReport {
 /// A persistent, multi-tenant resolver: the sharded runtime behind a
 /// streaming ingress. See the crate docs for the architecture.
 pub struct ResolverService {
-    rt: Arc<ShardedRuntime>,
+    rt: Arc<Runtime>,
     registry: Arc<MetricsRegistry>,
     shared: Arc<IngressShared>,
     gate: Arc<IngressGate>,
@@ -65,7 +65,7 @@ impl ResolverService {
 
     fn build(cfg: ServiceConfig, collector: Option<&Collector>) -> ResolverService {
         let rt = Arc::new(match collector {
-            Some(c) => ShardedRuntime::with_observer(
+            Some(c) => Runtime::with_observer(
                 cfg.workers,
                 cfg.shards,
                 cfg.scheduler,
@@ -73,7 +73,7 @@ impl ResolverService {
                 cfg.wake_mode,
                 c,
             ),
-            None => ShardedRuntime::with_options(
+            None => Runtime::with_options(
                 cfg.workers,
                 cfg.shards,
                 cfg.scheduler,
@@ -147,7 +147,7 @@ impl ResolverService {
 
     /// The wrapped runtime (read-side introspection; submitting around
     /// the ingress defeats the tenant accounting).
-    pub fn runtime(&self) -> &Arc<ShardedRuntime> {
+    pub fn runtime(&self) -> &Arc<Runtime> {
         &self.rt
     }
 

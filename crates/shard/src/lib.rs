@@ -33,7 +33,7 @@
 //!   being scheduled), and wake delivery bypasses the shard lock
 //!   entirely: ready tasks post to a lock-free MPSC wake list per shard
 //!   and a CAS-claimed drainer hands them to the finish report (see
-//!   [`WakeMode`]). This is what `ShardedRuntime` in `nexuspp-runtime`
+//!   [`WakeMode`]). This is what `Runtime` in `nexuspp-runtime`
 //!   executes on.
 //! * [`budget`] — [`TenantBudgets`]: per-tenant in-flight admission caps
 //!   layered above [`ShardCapacity`](nexuspp_core::ShardCapacity), the

@@ -20,7 +20,7 @@
 //! The structural claim — renaming buys ≥ 2× available parallelism —
 //! is asserted by `parallelism_profile` over both lowered traces in
 //! this module's tests; the *measured* claim (executed-width on a
-//! 4-worker `ShardedRuntime` at least doubles) lives
+//! 4-worker `Runtime` at least doubles) lives
 //! in `tests/version_parallelism.rs`.
 
 use nexuspp_desim::SimTime;

@@ -1,5 +1,5 @@
 //! The *measured* renaming claim: on a real 4-worker
-//! [`ShardedRuntime`], the renamed lowering of a version chain executes
+//! [`Runtime`], the renamed lowering of a version chain executes
 //! with at least twice the observed concurrency of the raw lowering.
 //!
 //! The workload is [`VersionStressSpec::single_chain`] — the starkest
@@ -12,7 +12,7 @@
 //! workers and a generous sleep, reliably overlaps ≥ 2.
 
 use nexuspp_frontend::Lowering;
-use nexuspp_runtime::ShardedRuntime;
+use nexuspp_runtime::Runtime;
 use nexuspp_workloads::VersionStressSpec;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use std::time::Duration;
 
 fn measured_width(lowering: Lowering) -> u32 {
     let lp = VersionStressSpec::single_chain(12).lowered(lowering);
-    let rt = ShardedRuntime::new(4, 2);
+    let rt = Runtime::new(4, 2);
     let in_flight = Arc::new(AtomicU32::new(0));
     let high_water = Arc::new(AtomicU32::new(0));
     for sub in lp.tasks.iter().cloned() {

@@ -128,7 +128,7 @@ fn main() {
 
     let reference = sequential_ge(cols.clone());
 
-    let rt = Runtime::new(8);
+    let rt = Runtime::new(8, 1);
     let regions: Vec<Region<f64>> = cols.iter().map(|c| rt.region(c.clone())).collect();
     let pivots: Vec<Region<usize>> = (0..N).map(|_| rt.region(vec![0usize])).collect();
     parallel_ge(&rt, &regions, &pivots);

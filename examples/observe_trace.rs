@@ -12,7 +12,7 @@
 
 use nexuspp::core::ShardCapacity;
 use nexuspp::obs::{self, Recorder};
-use nexuspp::runtime::ShardedRuntime;
+use nexuspp::runtime::Runtime;
 use nexuspp::sched::SchedulerKind;
 use nexuspp::shard::WakeMode;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use std::time::Duration;
 fn main() {
     let workers = 4;
     let rec = Arc::new(Recorder::new(workers));
-    let rt = ShardedRuntime::with_recorder(
+    let rt = Runtime::with_recorder(
         workers,
         4,
         SchedulerKind::WorkStealing,

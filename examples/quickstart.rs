@@ -43,7 +43,7 @@ fn main() {
     // ------------------------------------------------------------------
     // A tiny 3-stage pipeline: scale → offset → checksum, with the same
     // input/output annotations a StarSs pragma would carry.
-    let rt = Runtime::new(4);
+    let rt = Runtime::new(4, 1);
     let input = rt.region((1..=1000u64).collect::<Vec<_>>());
     let scaled = rt.region(vec![0u64; 1000]);
     let total = rt.region(vec![0u64]);

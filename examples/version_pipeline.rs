@@ -13,7 +13,7 @@
 //! ```
 
 use nexuspp::frontend::{Lowering, Program};
-use nexuspp::runtime::ShardedRuntime;
+use nexuspp::runtime::Runtime;
 use nexuspp::workloads::analysis::parallelism_profile;
 use nexuspp::workloads::VersionStressSpec;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -77,7 +77,7 @@ fn main() {
     println!("\nexecuting a 16-deep version chain on 4 workers (2 ms/task):");
     for lowering in [Lowering::Renamed, Lowering::Raw] {
         let lp = VersionStressSpec::single_chain(16).lowered(lowering);
-        let rt = ShardedRuntime::new(4, 2);
+        let rt = Runtime::new(4, 2);
         let in_flight = Arc::new(AtomicU32::new(0));
         let peak = Arc::new(AtomicU32::new(0));
         let start = Instant::now();

@@ -36,8 +36,9 @@
 //!   work-stealing deques with a lock-free injector (default) and the
 //!   global mutex-queue baseline, behind one `SchedulerKind` knob,
 //! * [`runtime`] — a real threaded StarSs-like runtime built on the same
-//!   resolution semantics (single-engine and sharded), scheduling
-//!   through [`sched`],
+//!   resolution semantics ([`runtime::Runtime`]: any number of resolver
+//!   shards, one being the single-engine case), scheduling through
+//!   [`sched`],
 //! * [`service`] — the runtime as a persistent facility: a streaming,
 //!   multi-tenant ingress ([`service::ResolverService`]) with bounded
 //!   per-tenant lanes, admission budgets, live per-tenant metrics, and
@@ -53,11 +54,11 @@
 //! addressing: each write mints a new logical version, lowering infers
 //! the true dependency edges and renames versions onto distinct
 //! physical addresses, and the lowered stream runs on any backend —
-//! here the real threaded sharded runtime:
+//! here the real threaded runtime, over two resolver shards:
 //!
 //! ```
 //! use nexuspp::frontend::{Lowering, Program};
-//! use nexuspp::runtime::ShardedRuntime;
+//! use nexuspp::runtime::Runtime;
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //! use std::sync::Arc;
 //!
@@ -73,7 +74,7 @@
 //! let lowered = p.lower(Lowering::Renamed).unwrap();
 //! assert_eq!(lowered.edges.len(), 3, "true RAW edges only — no WAW/WAR");
 //!
-//! let rt = ShardedRuntime::new(2, 2);
+//! let rt = Runtime::new(2, 2);
 //! let ran = Arc::new(AtomicU64::new(0));
 //! for sub in lowered.tasks.iter().cloned() {
 //!     let ran = Arc::clone(&ran);
@@ -126,7 +127,7 @@
 //!
 //! // The same dependency semantics executing real closures on threads:
 //! // a two-stage pipeline wired purely by input/output declarations.
-//! let rt = Runtime::new(2);
+//! let rt = Runtime::new(2, 1); // 2 workers, 1 resolver shard
 //! let src = rt.region(vec![1u64; 64]);
 //! let mid = rt.region(vec![0u64; 64]);
 //! let sum = rt.region(vec![0u64]);
@@ -149,13 +150,19 @@
 //! rt.barrier();
 //! assert_eq!(rt.with_data(&sum, |v| v[0]), 3 * 64);
 //!
-//! // Finite hardware tables, as a knob: a sharded runtime whose shards
-//! // each hold at most 2 resident tasks. Overflowing submissions stall
-//! // (the paper's master-core stall) and resume on finish reports; the
-//! // per-shard counters must balance once quiescent.
-//! use nexuspp::runtime::{ShardCapacity, ShardedRuntime};
+//! // Finite hardware tables, as a knob: the same runtime over two shards
+//! // that each hold at most 2 resident tasks. Overflowing submissions
+//! // stall (the paper's master-core stall) and resume on finish reports;
+//! // the per-shard counters must balance once quiescent.
+//! use nexuspp::runtime::{SchedulerKind, ShardCapacity, WakeMode};
 //!
-//! let srt = ShardedRuntime::with_capacity(2, 2, ShardCapacity::Bounded(2));
+//! let srt = Runtime::with_options(
+//!     2,
+//!     2,
+//!     SchedulerKind::default(),
+//!     ShardCapacity::Bounded(2),
+//!     WakeMode::default(),
+//! );
 //! let cell = srt.region(vec![0u64]);
 //! for _ in 0..32 {
 //!     let cell2 = cell.clone();
