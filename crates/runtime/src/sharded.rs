@@ -44,7 +44,7 @@ use nexuspp_shard::{CapacityCounts, ShardDispatcher, TaskTicket, WakeCounts, Wak
 use nexuspp_trace::normalize::normalize_params;
 use nexuspp_trace::{AccessMode, Param};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -108,9 +108,16 @@ struct Inner {
     /// Tasks admitted so far; atomic so submissions don't serialize on a
     /// lock.
     submitted: AtomicU64,
-    /// Tasks spawned and not yet fully retired. This lock pairs with the
-    /// `quiescent` condvar, so it cannot be an atomic.
-    pending: Mutex<u64>,
+    /// Tasks spawned and not yet fully retired.
+    pending: AtomicU64,
+    /// Threads inside [`wait_quiescent`](Inner::wait_quiescent). A
+    /// retirement that takes `pending` to 0 notifies `quiescent` only
+    /// when this is non-zero: the count crosses 0 once per task on a
+    /// streaming workload, almost always with nobody waiting.
+    quiescent_waiters: AtomicUsize,
+    /// Waiters re-read `pending` and block under this lock; a notifier
+    /// takes it first, so it cannot slip between the two.
+    quiescent_lock: Mutex<()>,
     quiescent: Condvar,
     /// First task panic observed (re-raised at the next barrier).
     panicked: Mutex<Option<String>>,
@@ -133,9 +140,16 @@ impl Inner {
     /// `n` pending tasks left the system: retired through the
     /// dispatcher, or rejected at admission.
     fn retire(&self, n: u64) {
-        let mut p = self.pending.lock();
-        *p -= n;
-        if *p == 0 {
+        // Dekker with `wait_quiescent`, every access `SeqCst`: this side
+        // writes `pending` then reads the waiter count, a waiter writes
+        // the count then reads `pending`. One of the two reads sees the
+        // other side's write, so a waiter that missed the 0 is counted
+        // here — and is then either not yet past its re-read (it holds
+        // the lock taken below until it blocks) or already blocked.
+        let before = self.pending.fetch_sub(n, Ordering::SeqCst);
+        debug_assert!(before >= n, "retired more tasks than were pending");
+        if before == n && self.quiescent_waiters.load(Ordering::SeqCst) > 0 {
+            let _g = self.quiescent_lock.lock();
             self.quiescent.notify_all();
         }
     }
@@ -144,19 +158,25 @@ impl Inner {
     /// `false` means the limit ran out first.
     fn wait_quiescent(&self, limit: Option<Duration>) -> bool {
         let start = Instant::now();
-        let mut p = self.pending.lock();
-        while *p > 0 {
+        self.quiescent_waiters.fetch_add(1, Ordering::SeqCst);
+        let mut g = self.quiescent_lock.lock();
+        let quiescent = loop {
+            if self.pending.load(Ordering::SeqCst) == 0 {
+                break true;
+            }
             match limit {
-                None => self.quiescent.wait(&mut p),
+                None => self.quiescent.wait(&mut g),
                 Some(d) => match d.checked_sub(start.elapsed()) {
                     Some(left) if !left.is_zero() => {
-                        let _ = self.quiescent.wait_for(&mut p, left);
+                        let _ = self.quiescent.wait_for(&mut g, left);
                     }
-                    _ => return false,
+                    _ => break false,
                 },
             }
-        }
-        true
+        };
+        drop(g);
+        self.quiescent_waiters.fetch_sub(1, Ordering::SeqCst);
+        quiescent
     }
 }
 
@@ -327,7 +347,9 @@ impl Runtime {
             sched,
             next_tag: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
-            pending: Mutex::new(0),
+            pending: AtomicU64::new(0),
+            quiescent_waiters: AtomicUsize::new(0),
+            quiescent_lock: Mutex::new(()),
             quiescent: Condvar::new(),
             panicked: Mutex::new(None),
             aborting: AtomicBool::new(false),
@@ -409,7 +431,7 @@ impl Runtime {
         reg.register("tasks", move || {
             vec![
                 ("submitted".into(), inner.submitted.load(Ordering::Relaxed)),
-                ("pending".into(), *inner.pending.lock()),
+                ("pending".into(), inner.pending.load(Ordering::SeqCst)),
                 ("executed".into(), inner.executed.load(Ordering::Relaxed)),
                 ("cancelled".into(), inner.cancelled.load(Ordering::Relaxed)),
             ]
@@ -524,7 +546,7 @@ impl Runtime {
     fn submit(&self, p: PendingSpawn, block: bool) -> Result<(), (SubmitError, PendingSpawn)> {
         let prio = p.work.prio;
         let inner = &self.inner;
-        *inner.pending.lock() += 1;
+        inner.pending.fetch_add(1, Ordering::SeqCst);
         let admitted = if block {
             Ok(inner.dispatcher.submit(p.fptr, p.tag, &p.params, p.work))
         } else {

@@ -22,8 +22,9 @@ pub struct ServiceConfig {
     /// Bound of each tenant's ingress lane (queued, not yet admitted).
     /// A full lane is client-visible backpressure.
     pub lane_capacity: usize,
-    /// Max tasks admitted from one lane per ingress sweep before moving
-    /// to the next lane (round-robin fairness quantum).
+    /// Max tasks one admission pass takes from a lane before giving
+    /// the lane up — for the ingress thread, before moving to the next
+    /// lane (round-robin fairness quantum).
     pub sweep_batch: usize,
     pub(crate) tenants: Vec<(TenantId, u64)>,
 }

@@ -1,86 +1,272 @@
-//! The admission sweep: one thread, all tenant lanes, program order
+//! Caller-runs admission: one [`pump`], three callers, program order
 //! per tenant.
 //!
-//! The ingress thread is the only caller of the runtime's non-blocking
-//! submission API, which keeps the two backpressure layers composable
-//! without ever parking a client:
+//! A lane is a bounded channel plus two one-task slots, and admitting
+//! from it — `pump` — runs under the lane's lock on whichever thread
+//! has a reason to: the client that just sent into the lane, the worker
+//! that just retired one of the lane's tasks and so freed budget
+//! ([`CreditGuard`]'s `Drop`) — both through [`Lane::try_pump`] — or
+//! the ingress thread ([`run`]). The first two never block on the lock;
+//! losing it, or leaving work they cannot finish, they notify the
+//! ingress thread, which otherwise sleeps. In steady state a task goes
+//! from its client straight to a worker.
+//!
+//! `pump` is the only caller of the runtime's non-blocking submission
+//! API, which keeps the two backpressure layers composable without ever
+//! parking a client:
 //!
 //! 1. **Budget** — before a task may occupy runtime state it is charged
-//!    against its tenant's [`TenantBudgets`] lane. A denial leaves the
-//!    task in a per-lane *hold slot* (program order is part of the
-//!    dependence semantics, so a lane never reorders); the charge is
-//!    retried once retirements credit the lane back.
+//!    against its tenant's budget lane. A denial leaves the task in the
+//!    lane's *hold slot* (program order is part of the dependence
+//!    semantics, so a lane never reorders). Only a retirement can clear
+//!    it, so a client-side pump does not retry the charge; the
+//!    retirement's own pump does.
 //! 2. **Capacity** — the runtime's retryable
 //!    [`SubmitError`](nexuspp_core::SubmitError) hands the lowered task
 //!    back as a [`PendingSpawn`]; it parks in the lane's *retry slot*
-//!    until a finish frees shard slots.
+//!    until a finish frees shard slots. That happens in the
+//!    dispatcher's `finish`, *after* the finishing task's guard has
+//!    dropped and pumped, so nothing caller-side observes it: the
+//!    ingress thread's tick is what resubmits a parked retry slot.
 //!
-//! Both slots block only their own lane; the sweep moves on to the next
-//! tenant either way, which is exactly the isolation property the
-//! multi-tenant tests assert. Every admission wraps the client job in a
-//! [`CreditGuard`] whose `Drop` credits the budget and classifies the
-//! outcome (executed vs cancelled) — dropping a job unexecuted on the
-//! abort path settles the ledger exactly like running it.
+//! Both slots block only their own lane, which is exactly the isolation
+//! property the multi-tenant tests assert. Every admission wraps the
+//! client job in a [`CreditGuard`] whose `Drop` credits the budget and
+//! classifies the outcome (executed vs cancelled) — dropping a job
+//! unexecuted on the abort path settles the ledger exactly like running
+//! it.
 
 use crate::metrics::TenantMetrics;
-use crate::task::{IngressSignal, ServiceTask};
-use crossbeam::channel::Receiver;
+use crate::task::{IngressGate, IngressSignal, ServiceTask};
+use crossbeam::channel::{Receiver, Sender};
 use nexuspp_core::TenantId;
 use nexuspp_runtime::{PendingSpawn, Runtime};
-use nexuspp_shard::TenantBudgets;
+use nexuspp_shard::BudgetLane;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The longest the ingress thread, or a parked `submit_blocking`,
+/// sleeps between looks.
+pub(crate) const TICK: Duration = Duration::from_millis(1);
+
 /// Settles one admitted task's ledger entry from `Drop`, so the
 /// accounting holds on every exit path: normal completion, a panicking
 /// body, or a cancel-finish that drops the job unexecuted.
 struct CreditGuard {
-    budgets: Arc<TenantBudgets>,
-    tenant: TenantId,
-    metrics: Arc<TenantMetrics>,
-    signal: Arc<IngressSignal>,
+    lane: Arc<Lane>,
     ran: bool,
 }
 
 impl Drop for CreditGuard {
     fn drop(&mut self) {
+        let lane = &self.lane;
         if self.ran {
-            self.metrics.executed.inc();
+            lane.metrics.executed.inc();
         } else {
-            self.metrics.cancelled.inc();
+            lane.metrics.cancelled.inc();
         }
-        self.budgets.credit(self.tenant);
-        // A retirement frees budget and (on bounded runtimes) shard
-        // capacity — exactly what a parked hold/retry slot waits for.
-        self.signal.notify();
+        lane.budget.credit();
+        // The freed budget is what a held task waits for: admit it
+        // from here.
+        lane.try_pump(true);
     }
 }
 
-/// One tenant's server-side lane state (owned by the ingress thread).
+/// One tenant's lane. Handles and guards reach everything through it.
 pub(crate) struct Lane {
     pub(crate) tenant: TenantId,
-    pub(crate) rx: Receiver<ServiceTask>,
-    /// Popped but budget-denied: admitted before anything newer.
-    pub(crate) hold: Option<ServiceTask>,
-    /// Budget-charged but capacity-rejected: resubmitted before the
-    /// hold slot or anything newer.
-    pub(crate) retry: Option<PendingSpawn>,
-    pub(crate) metrics: Arc<TenantMetrics>,
+    pub(crate) shared: Arc<IngressShared>,
+    pub(crate) tx: Sender<ServiceTask>,
+    pub(crate) metrics: TenantMetrics,
+    /// Notified when a pump pops the lane: room for one more send.
+    pub(crate) space: IngressSignal,
+    budget: BudgetLane,
+    /// The lane lock. Held across one `pump`, so per-tenant admission
+    /// order is send order whichever threads do the admitting.
+    slots: Mutex<Slots>,
 }
 
-impl Lane {
+/// What the lane lock owns: the receive side and the two parked slots.
+struct Slots {
+    rx: Receiver<ServiceTask>,
+    /// Popped but budget-denied: admitted before anything newer.
+    hold: Option<ServiceTask>,
+    /// Budget-charged but capacity-rejected: resubmitted before
+    /// anything newer. Never occupied together with `hold`.
+    retry: Option<PendingSpawn>,
+    /// Set by the hard-deadline path once it has emptied the lane: no
+    /// pump admits afterwards.
+    discard: bool,
+}
+
+impl Slots {
     fn has_backlog(&self) -> bool {
         self.retry.is_some() || self.hold.is_some() || !self.rx.is_empty()
     }
 }
 
-/// State shared between the service front and the ingress thread.
+/// What one [`pump`] did.
+struct Pumped {
+    /// It admitted (or disposed of) at least one task.
+    progress: bool,
+    /// It left work that no later submit or retirement is bound to pick
+    /// up: a parked retry slot, or a queue it ran out of quota on.
+    wants_tick: bool,
+}
+
+impl Lane {
+    pub(crate) fn new(
+        tenant: TenantId,
+        shared: Arc<IngressShared>,
+        budget: BudgetLane,
+        capacity: usize,
+    ) -> Lane {
+        let (tx, rx) = crossbeam::channel::bounded(capacity);
+        Lane {
+            tenant,
+            shared,
+            tx,
+            metrics: TenantMetrics::new(),
+            space: IngressSignal::new(),
+            budget,
+            slots: Mutex::new(Slots {
+                rx,
+                hold: None,
+                retry: None,
+                discard: false,
+            }),
+        }
+    }
+
+    /// Caller-runs admission: pump the lane on this thread if its lock
+    /// is free. The client calls this after its send (`budget_freed`
+    /// false), a [`CreditGuard`] after its credit (`true`). `try_lock`,
+    /// never `lock`: a guard can drop inside a pump of its own lane (a
+    /// discarded retry slot, an invalid submission), under the lock it
+    /// would wait for.
+    ///
+    /// Wakes the ingress thread if that leaves it something: a lost
+    /// lock race (the holder may already be past the queue), work only
+    /// a tick resolves, or a drain waiting to see this lane empty.
+    pub(crate) fn try_pump(self: &Arc<Self>, budget_freed: bool) {
+        let wants_tick = match self.slots.try_lock() {
+            // A held task is budget-blocked, and a submit frees no
+            // budget: re-charging would only count another denial.
+            Some(slots) if !budget_freed && slots.hold.is_some() => false,
+            Some(mut slots) => pump(self, &mut slots).wants_tick,
+            None => true,
+        };
+        if wants_tick || self.shared.stop.load(Ordering::SeqCst) {
+            self.shared.signal.notify();
+        }
+    }
+
+    /// Hard deadline: empty the lane un-admitted and close it to every
+    /// later pump. Returns how many accepted tasks were dropped.
+    fn discard(&self) -> u64 {
+        let mut slots = self.slots.lock();
+        slots.discard = true;
+        let held = slots.hold.take();
+        let queued = std::iter::from_fn(|| slots.rx.try_recv().ok());
+        let dropped = held.into_iter().chain(queued).count() as u64;
+        self.metrics.dropped.add(dropped);
+        // The retry slot was budget-charged already; dropping it
+        // settles through its CreditGuard (as cancelled).
+        slots.retry.take();
+        dropped
+    }
+}
+
+/// Admit from `lane`, in lane order, until it is empty, blocked or
+/// `sweep_batch` tasks are in. The caller holds the lane lock (`slots`).
+fn pump(lane: &Arc<Lane>, slots: &mut Slots) -> Pumped {
+    let shared = &lane.shared;
+    let mut pumped = Pumped {
+        progress: false,
+        wants_tick: false,
+    };
+    if slots.discard {
+        return pumped;
+    }
+    // Order within a lane is dependence order: the retry slot precedes
+    // the hold slot precedes the queue, and a parked slot parks the
+    // whole lane (only that lane).
+    if let Some(p) = slots.retry.take() {
+        match shared.rt.try_respawn(p) {
+            Ok(()) => {
+                lane.metrics.admitted.inc();
+                pumped.progress = true;
+            }
+            Err((_e, p)) => {
+                slots.retry = Some(p);
+                pumped.wants_tick = true;
+                return pumped;
+            }
+        }
+    }
+    for _ in 0..shared.sweep_batch {
+        let task = match slots.hold.take() {
+            Some(t) => t,
+            None => match slots.rx.try_recv() {
+                Ok(t) => {
+                    lane.space.notify();
+                    t
+                }
+                Err(_) => return pumped,
+            },
+        };
+        // A pump that has just spent budget looks before it charges
+        // again: at the cap the task is held without a refused attempt
+        // (one per retirement, on a lane its budget paces).
+        let foreseen = pumped.progress && lane.budget.at_cap();
+        if foreseen || lane.budget.charge().is_err() {
+            if !foreseen {
+                lane.metrics.budget_denied.inc();
+            }
+            slots.hold = Some(task);
+            return pumped;
+        }
+        let guard = CreditGuard {
+            lane: Arc::clone(lane),
+            ran: false,
+        };
+        let ServiceTask { sub, job } = task;
+        let wrapped = move || {
+            let mut guard = guard;
+            guard.ran = true;
+            job();
+        };
+        match shared.rt.try_spawn_lowered(sub, wrapped) {
+            Ok(()) => lane.metrics.admitted.inc(),
+            Err((e, p)) if e.is_retryable() => {
+                lane.metrics.capacity_retries.inc();
+                slots.retry = Some(p);
+                pumped.wants_tick = true;
+                return pumped;
+            }
+            // Non-retryable (invalid submission): discard; the guard
+            // settles it as cancelled.
+            Err((_e, p)) => drop(p),
+        }
+        pumped.progress = true;
+    }
+    // Quota spent with the lane still flowing: the rest is the tick's.
+    pumped.wants_tick = !slots.rx.is_empty();
+    pumped
+}
+
+/// State shared between the service front, every lane and the ingress
+/// thread.
 pub(crate) struct IngressShared {
     pub(crate) rt: Arc<Runtime>,
-    pub(crate) budgets: Arc<TenantBudgets>,
-    pub(crate) signal: Arc<IngressSignal>,
+    pub(crate) gate: IngressGate,
+    /// The ingress thread's wake-up.
+    pub(crate) signal: IngressSignal,
+    /// Max tasks one `pump` admits before it gives the lane up
+    /// (round-robin fairness quantum of the ingress sweep).
+    pub(crate) sweep_batch: usize,
     /// Raised (after sealing the gate) to ask the sweep to drain out.
     pub(crate) stop: AtomicBool,
     /// Hard shutdown deadline; past it a draining sweep discards its
@@ -93,112 +279,44 @@ pub(crate) struct IngressShared {
 pub(crate) struct IngressStats {
     /// Accepted tasks discarded un-admitted by the hard-deadline path.
     pub(crate) dropped: u64,
-    /// Total sweep iterations (coarse liveness signal for tests).
-    pub(crate) sweeps: u64,
 }
 
-/// The sweep loop. Exits when `stop` is raised and every lane is fully
-/// drained — or immediately past the hard deadline, discarding backlog.
-pub(crate) fn run(
-    shared: &Arc<IngressShared>,
-    mut lanes: Vec<Lane>,
-    sweep_batch: usize,
-) -> IngressStats {
-    let mut stats = IngressStats::default();
+/// Pump every lane once, waiting for each lane's lock. Returns whether
+/// any pump made progress and whether any lane still has backlog.
+fn sweep(lanes: &[Arc<Lane>]) -> (bool, bool) {
+    let (mut progress, mut backlog) = (false, false);
+    for lane in lanes {
+        let mut slots = lane.slots.lock();
+        progress |= pump(lane, &mut slots).progress;
+        backlog |= slots.has_backlog();
+    }
+    (progress, backlog)
+}
+
+/// The ingress thread: the slow path of admission. It sleeps on the
+/// shared signal and sweeps when a caller-side pump hands over, and
+/// once a [`TICK`] regardless — for a parked retry slot, and for the
+/// shutdown deadline. Exits when `stop` is raised and it has found
+/// every lane, under that lane's lock, without backlog — so an
+/// admission still in flight on another thread has reached the runtime
+/// before the caller goes on to quiesce it — or immediately past the
+/// hard deadline, discarding backlog.
+pub(crate) fn run(shared: &IngressShared, lanes: &[Arc<Lane>]) -> IngressStats {
     loop {
-        stats.sweeps += 1;
         let stop = shared.stop.load(Ordering::SeqCst);
-        let past_deadline = stop && shared.deadline.lock().is_some_and(|d| Instant::now() >= d);
-        if past_deadline {
-            for lane in &mut lanes {
-                if let Some(t) = lane.hold.take() {
-                    lane.metrics.dropped.inc();
-                    stats.dropped += 1;
-                    drop(t);
-                }
-                while let Ok(t) = lane.rx.try_recv() {
-                    lane.metrics.dropped.inc();
-                    stats.dropped += 1;
-                    drop(t);
-                }
-                // The retry slot was budget-charged already; dropping
-                // it settles through its CreditGuard (as cancelled).
-                lane.retry.take();
-            }
-            return stats;
+        if stop && shared.deadline.lock().is_some_and(|d| Instant::now() >= d) {
+            return IngressStats {
+                dropped: lanes.iter().map(|lane| lane.discard()).sum(),
+            };
         }
-
-        let mut progress = false;
-        for lane in &mut lanes {
-            // Order within a lane is dependence order: the retry slot
-            // precedes the hold slot precedes the queue, and a parked
-            // slot parks the whole lane (only that lane).
-            if let Some(p) = lane.retry.take() {
-                match shared.rt.try_respawn(p) {
-                    Ok(()) => {
-                        lane.metrics.admitted.inc();
-                        progress = true;
-                    }
-                    Err((_e, p)) => {
-                        lane.retry = Some(p);
-                        continue;
-                    }
-                }
-            }
-            let mut quota = sweep_batch;
-            while quota > 0 {
-                let task = match lane.hold.take() {
-                    Some(t) => t,
-                    None => match lane.rx.try_recv() {
-                        Ok(t) => t,
-                        Err(_) => break,
-                    },
-                };
-                if shared.budgets.charge(lane.tenant).is_err() {
-                    lane.metrics.budget_denied.inc();
-                    lane.hold = Some(task);
-                    break;
-                }
-                let guard = CreditGuard {
-                    budgets: Arc::clone(&shared.budgets),
-                    tenant: lane.tenant,
-                    metrics: Arc::clone(&lane.metrics),
-                    signal: Arc::clone(&shared.signal),
-                    ran: false,
-                };
-                let ServiceTask { sub, job } = task;
-                let wrapped = move || {
-                    let mut guard = guard;
-                    guard.ran = true;
-                    job();
-                };
-                match shared.rt.try_spawn_lowered(sub, wrapped) {
-                    Ok(()) => {
-                        lane.metrics.admitted.inc();
-                        progress = true;
-                        quota -= 1;
-                    }
-                    Err((e, p)) if e.is_retryable() => {
-                        lane.metrics.capacity_retries.inc();
-                        lane.retry = Some(p);
-                        break;
-                    }
-                    Err((_e, p)) => {
-                        // Non-retryable (invalid submission): discard;
-                        // the guard settles it as cancelled.
-                        drop(p);
-                        progress = true;
-                        quota -= 1;
-                    }
-                }
-            }
-        }
-
-        if stop && lanes.iter().all(|l| !l.has_backlog()) {
-            return stats;
+        let (progress, backlog) = sweep(lanes);
+        if stop && !backlog {
+            return IngressStats::default();
         }
         if !progress {
-            shared.signal.wait(Duration::from_millis(1));
+            shared.signal.wait(TICK, || {
+                shared.stop.load(Ordering::SeqCst) != stop || sweep(lanes).0
+            });
         }
     }
 }

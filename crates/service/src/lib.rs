@@ -15,10 +15,12 @@
 //! * [`SubmissionHandle`] — a tenant's cheaply-clonable ingress
 //!   endpoint: a bounded channel into the service. A full lane surfaces
 //!   as a **retryable** [`IngressError::Backpressure`] carrying the
-//!   task back to the caller; clients are never parked.
-//! * Admission — one ingress thread sweeps the tenant lanes round-robin
-//!   and admits in program order per tenant, charging each task against
-//!   the tenant's [`TenantBudgets`](nexuspp_shard::TenantBudgets) lane
+//!   task back to the caller; `try_submit` never parks a client.
+//! * Admission — caller-runs: one routine, run under a per-lane lock by
+//!   the client that just sent, by the worker that just retired one of
+//!   the lane's tasks, or — the slow path — by the ingress thread,
+//!   admits in send order per tenant, charging each task against the
+//!   tenant's [`TenantBudgets`](nexuspp_shard::TenantBudgets) lane
 //!   before it may occupy runtime state, and absorbing the runtime's
 //!   retryable [`SubmitError`](nexuspp_core::SubmitError) capacity
 //!   rejections into a per-lane retry slot. A saturating tenant

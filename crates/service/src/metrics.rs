@@ -16,7 +16,7 @@ pub(crate) struct TenantMetrics {
     pub(crate) backpressured: Counter,
     /// Tasks admitted into the runtime (budget charged, submit landed).
     pub(crate) admitted: Counter,
-    /// Sweeps that found the tenant at its budget cap.
+    /// Admission attempts that found the tenant at its budget cap.
     pub(crate) budget_denied: Counter,
     /// Runtime capacity rejections absorbed into the retry slot.
     pub(crate) capacity_retries: Counter,

@@ -3,7 +3,6 @@
 
 use crate::config::ServiceConfig;
 use crate::ingress::{self, IngressShared, IngressStats, Lane};
-use crate::metrics::TenantMetrics;
 use crate::task::{IngressGate, IngressSignal, SubmissionHandle};
 use nexuspp_core::TenantId;
 use nexuspp_obs::{Collector, MetricsRegistry, MetricsSnapshot};
@@ -38,10 +37,9 @@ pub struct ServiceReport {
 /// A persistent, multi-tenant resolver: the sharded runtime behind a
 /// streaming ingress. See the crate docs for the architecture.
 pub struct ResolverService {
-    rt: Arc<Runtime>,
     registry: Arc<MetricsRegistry>,
     shared: Arc<IngressShared>,
-    gate: Arc<IngressGate>,
+    budgets: Arc<TenantBudgets>,
     handles: HashMap<TenantId, SubmissionHandle>,
     ingress: Mutex<Option<JoinHandle<IngressStats>>>,
     /// Stats captured by whichever call actually performed shutdown.
@@ -50,7 +48,7 @@ pub struct ResolverService {
 
 impl ResolverService {
     /// Start a service (runtime workers spawned, ingress thread
-    /// running, handles ready to vend).
+    /// parked, handles ready to vend).
     pub fn start(cfg: ServiceConfig) -> ResolverService {
         ResolverService::build(cfg, None)
     }
@@ -83,56 +81,43 @@ impl ResolverService {
         });
         let registry = Arc::new(rt.metrics());
         let budgets = Arc::new(TenantBudgets::new(cfg.tenants.iter().copied()));
-        let signal = Arc::new(IngressSignal::new());
-        let gate = Arc::new(IngressGate::new());
+        let shared = Arc::new(IngressShared {
+            rt,
+            gate: IngressGate::new(),
+            signal: IngressSignal::new(),
+            sweep_batch: cfg.sweep_batch,
+            stop: AtomicBool::new(false),
+            deadline: Mutex::new(None),
+        });
         let mut lanes = Vec::new();
         let mut handles = HashMap::new();
         for (tenant, _budget) in cfg.tenants() {
             if handles.contains_key(&tenant) {
                 continue; // duplicate registration: first entry wins
             }
-            let (tx, rx) = crossbeam::channel::bounded(cfg.lane_capacity);
-            let metrics = Arc::new(TenantMetrics::new());
-            metrics.register_in(&registry, tenant, &budgets);
-            lanes.push(Lane {
+            let budget = budgets.lane_of(tenant).expect("registered just above");
+            let lane = Arc::new(Lane::new(
                 tenant,
-                rx,
-                hold: None,
-                retry: None,
-                metrics: Arc::clone(&metrics),
-            });
-            handles.insert(
-                tenant,
-                SubmissionHandle {
-                    tenant,
-                    tx,
-                    gate: Arc::clone(&gate),
-                    signal: Arc::clone(&signal),
-                    metrics,
-                },
-            );
+                Arc::clone(&shared),
+                budget,
+                cfg.lane_capacity,
+            ));
+            lane.metrics.register_in(&registry, tenant, &budgets);
+            lanes.push(Arc::clone(&lane));
+            handles.insert(tenant, SubmissionHandle { lane });
         }
         if let Some(c) = collector {
             c.attach_registry(Arc::clone(&registry));
         }
-        let shared = Arc::new(IngressShared {
-            rt: Arc::clone(&rt),
-            budgets,
-            signal,
-            stop: AtomicBool::new(false),
-            deadline: Mutex::new(None),
-        });
-        let sweep_batch = cfg.sweep_batch;
         let thread_shared = Arc::clone(&shared);
         let ingress = std::thread::Builder::new()
             .name("nexuspp-ingress".into())
-            .spawn(move || ingress::run(&thread_shared, lanes, sweep_batch))
+            .spawn(move || ingress::run(&thread_shared, &lanes))
             .expect("failed to spawn ingress thread");
         ResolverService {
-            rt,
             registry,
             shared,
-            gate,
+            budgets,
             handles,
             ingress: Mutex::new(Some(ingress)),
             finished: Mutex::new(None),
@@ -148,7 +133,7 @@ impl ResolverService {
     /// The wrapped runtime (read-side introspection; submitting around
     /// the ingress defeats the tenant accounting).
     pub fn runtime(&self) -> &Arc<Runtime> {
-        &self.rt
+        &self.shared.rt
     }
 
     /// The service's metrics registry: the runtime's groups plus one
@@ -164,7 +149,7 @@ impl ResolverService {
 
     /// Per-tenant budget ledgers, sorted by tenant.
     pub fn tenant_counts(&self) -> Vec<(TenantId, TenantCounts)> {
-        self.shared.budgets.all_counts()
+        self.budgets.all_counts()
     }
 
     /// Graceful two-phase shutdown: seal ingress (new `try_submit`s
@@ -191,7 +176,7 @@ impl ResolverService {
         }
         // Phase 1: seal + drain. After seal() returns, every send a
         // client got Ok for is visible to the ingress drain.
-        self.gate.seal();
+        self.shared.gate.seal();
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.signal.notify();
         let stats = {
@@ -205,14 +190,17 @@ impl ResolverService {
         // Phase 2: quiesce the runtime within whatever deadline is
         // left (the drain above consumed part of it).
         let runtime = match deadline {
-            None => self.rt.shutdown(),
-            Some(d) => self.rt.shutdown_deadline(d.saturating_sub(start.elapsed())),
+            None => self.shared.rt.shutdown(),
+            Some(d) => self
+                .shared
+                .rt
+                .shutdown_deadline(d.saturating_sub(start.elapsed())),
         };
         ServiceReport {
             graceful: runtime.graceful && stats.dropped == 0,
             runtime,
             dropped_ingress: stats.dropped,
-            tenants: self.shared.budgets.all_counts(),
+            tenants: self.budgets.all_counts(),
         }
     }
 }

@@ -1,17 +1,16 @@
 //! The client-facing ingress surface: tasks, errors, handles.
 
-use crate::metrics::TenantMetrics;
-use crossbeam::channel::{Sender, TrySendError};
+use crate::ingress::{Lane, TICK};
+use crossbeam::channel::TrySendError;
 use nexuspp_core::{Submission, TenantId};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 /// One streamed task: a pre-addressed [`Submission`] (the dependence
 /// declaration) plus the closure to run when it becomes ready. Built by
-/// clients, carried through a tenant lane, admitted by the ingress
-/// thread.
+/// clients, carried through a tenant lane, admitted in lane order.
 pub struct ServiceTask {
     pub(crate) sub: Submission,
     pub(crate) job: Box<dyn FnOnce() + Send + 'static>,
@@ -47,8 +46,8 @@ impl std::fmt::Debug for ServiceTask {
 /// Why [`SubmissionHandle::try_submit`] handed the task back.
 pub enum IngressError {
     /// The tenant's lane is full. **Retryable**: the task is returned
-    /// untouched; resubmit after backing off (lane slots free as the
-    /// ingress thread admits work).
+    /// untouched; resubmit after backing off (lane slots free as
+    /// admission pops the lane, which a full lane's budget paces).
     Backpressure(ServiceTask),
     /// The service sealed its ingress (shutdown started or completed).
     /// Not retryable.
@@ -78,31 +77,60 @@ impl std::fmt::Debug for IngressError {
     }
 }
 
-/// Wakeup plumbing for the ingress thread: clients notify after a send,
-/// credit guards notify after a retirement (slots freed), shutdown
-/// notifies to deliver the stop flag. The ingress loop pairs waits with
-/// a short timeout, so a lost race costs one tick, never a hang.
+/// An eventcount: `notify` costs no kernel entry unless a thread is
+/// inside [`wait`](Self::wait). Two instances of it carry every wake
+/// the service sends: the ingress thread's (notified by a caller-side
+/// pump that leaves it work, and by shutdown) and each lane's *space*
+/// signal (notified when a pump pops the lane, for a parked
+/// [`submit_blocking`](SubmissionHandle::submit_blocking)).
+///
+/// The contract: publish a state change, then `notify`; a waiter calls
+/// `wait` with a `recheck` that looks for such a change. Either the
+/// recheck sees it or the wait is cut short. The argument is Dekker's —
+/// `wait` counts itself in, fences, then rechecks; `notify` fences,
+/// then reads the count — so one side always sees the other; and a
+/// notify that did see the waiter bumps `epoch` under the lock the
+/// waiter blocks under, so it cannot fall between the waiter's recheck
+/// and its block. Waits are bounded all the same, because two of the
+/// things the ingress thread waits for are published by nobody: the
+/// shutdown deadline passing, and shard capacity freed by a finish.
 pub(crate) struct IngressSignal {
-    lock: Mutex<()>,
+    waiters: AtomicUsize,
+    epoch: Mutex<u64>,
     cv: Condvar,
 }
 
 impl IngressSignal {
     pub(crate) fn new() -> IngressSignal {
         IngressSignal {
-            lock: Mutex::new(()),
+            waiters: AtomicUsize::new(0),
+            epoch: Mutex::new(0),
             cv: Condvar::new(),
         }
     }
 
     pub(crate) fn notify(&self) {
-        let _g = self.lock.lock();
+        fence(Ordering::SeqCst);
+        if self.waiters.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        *self.epoch.lock() += 1;
         self.cv.notify_all();
     }
 
-    pub(crate) fn wait(&self, timeout: Duration) {
-        let mut g = self.lock.lock();
-        let _ = self.cv.wait_for(&mut g, timeout);
+    /// Block for at most `timeout`, unless `recheck` returns `true` or
+    /// a `notify` has arrived since this call began.
+    pub(crate) fn wait(&self, timeout: Duration, recheck: impl FnOnce() -> bool) {
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        let seen = *self.epoch.lock();
+        fence(Ordering::SeqCst);
+        if !recheck() {
+            let mut epoch = self.epoch.lock();
+            if *epoch == seen {
+                let _ = self.cv.wait_for(&mut epoch, timeout);
+            }
+        }
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -139,71 +167,134 @@ impl IngressGate {
 }
 
 /// A tenant's ingress endpoint: clone freely, send from any thread.
-/// Submissions stream into a bounded per-tenant lane; the service's
-/// ingress thread admits them in send order.
+/// Submissions stream into a bounded per-tenant lane and are admitted
+/// in send order — normally by the submitting thread itself, before
+/// `try_submit` returns.
 #[derive(Clone)]
 pub struct SubmissionHandle {
-    pub(crate) tenant: TenantId,
-    pub(crate) tx: Sender<ServiceTask>,
-    pub(crate) gate: Arc<IngressGate>,
-    pub(crate) signal: Arc<IngressSignal>,
-    pub(crate) metrics: Arc<TenantMetrics>,
+    pub(crate) lane: Arc<Lane>,
 }
 
 impl SubmissionHandle {
     /// The tenant this handle submits as.
     pub fn tenant(&self) -> TenantId {
-        self.tenant
+        self.lane.tenant
     }
 
     /// Non-blocking submit. `Ok(())` means *accepted*: the task is in
     /// the tenant's lane and — unless a hard-deadline shutdown drops
     /// it — will be admitted and retired exactly once. Errors hand the
     /// task back; see [`IngressError`] for which are retryable.
+    ///
+    /// An accepted task is admitted into the runtime on this thread
+    /// when the lane is free to pump (see the `ingress` module); it may
+    /// have started, or finished, by the time this returns.
     pub fn try_submit(&self, mut task: ServiceTask) -> Result<(), IngressError> {
-        let _r = self
-            .gate
-            .gate
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !self.gate.is_accepting() {
-            return Err(IngressError::Closed(task));
-        }
-        task.sub.tenant = self.tenant;
-        match self.tx.try_send(task) {
-            Ok(()) => {
-                self.metrics.submitted.inc();
-                self.signal.notify();
-                Ok(())
+        let lane = &self.lane;
+        {
+            let gate = &lane.shared.gate;
+            let _r = gate
+                .gate
+                .read()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            if !gate.is_accepting() {
+                return Err(IngressError::Closed(task));
             }
-            Err(TrySendError::Full(t)) => {
-                self.metrics.backpressured.inc();
-                Err(IngressError::Backpressure(t))
+            task.sub.tenant = lane.tenant;
+            match lane.tx.try_send(task) {
+                Ok(()) => lane.metrics.submitted.inc(),
+                Err(TrySendError::Full(t)) => {
+                    lane.metrics.backpressured.inc();
+                    return Err(IngressError::Backpressure(t));
+                }
+                Err(TrySendError::Disconnected(t)) => return Err(IngressError::Closed(t)),
             }
-            Err(TrySendError::Disconnected(t)) => Err(IngressError::Closed(t)),
         }
+        lane.try_pump(false);
+        Ok(())
     }
 
     /// Convenience retry loop around [`try_submit`](Self::try_submit):
-    /// backs off (yield, then 100µs sleeps) while backpressured.
-    /// Returns the task only if ingress closed.
+    /// while backpressured, parks (in 1 ms bounded waits) until an
+    /// admission pops the lane. Returns the task only if ingress closed.
     pub fn submit_blocking(&self, task: ServiceTask) -> Result<(), ServiceTask> {
+        let lane = &self.lane;
         let mut task = task;
-        let mut attempts = 0u32;
         loop {
             match self.try_submit(task) {
                 Ok(()) => return Ok(()),
                 Err(IngressError::Closed(t)) => return Err(t),
-                Err(IngressError::Backpressure(t)) => {
-                    task = t;
-                    if attempts < 16 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                    attempts = attempts.saturating_add(1);
-                }
+                Err(IngressError::Backpressure(t)) => task = t,
             }
+            // A seal publishes nothing here; the bound is what returns
+            // a submitter parked across one to `try_submit`'s `Closed`.
+            lane.space.wait(TICK, || {
+                !lane.tx.is_full() || !lane.shared.gate.is_accepting()
+            });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// Far longer than any of these waits should take; a wait that
+    /// spends it lost its wake.
+    const LONG: Duration = Duration::from_secs(20);
+
+    fn returns_early(signal: &IngressSignal, recheck: impl FnOnce() -> bool) {
+        let start = Instant::now();
+        signal.wait(LONG, recheck);
+        assert!(start.elapsed() < LONG / 2, "wait spent its whole timeout");
+    }
+
+    #[test]
+    fn notify_before_the_wait_begins_is_seen_by_the_recheck() {
+        let (signal, work) = (IngressSignal::new(), AtomicBool::new(false));
+        work.store(true, Ordering::SeqCst);
+        signal.notify();
+        returns_early(&signal, || work.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn notify_between_recheck_and_block_cancels_the_block() {
+        let signal = IngressSignal::new();
+        // The recheck runs after the waiter has counted itself in and
+        // before it blocks; it notifies from inside that window, then
+        // reports having seen nothing.
+        returns_early(&signal, || {
+            signal.notify();
+            false
+        });
+    }
+
+    #[test]
+    fn notify_during_the_block_ends_it() {
+        let signal = IngressSignal::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while signal.waiters.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+                // Most likely blocked by now; if it is still short of
+                // the block, this is the previous test's window again.
+                std::thread::sleep(Duration::from_millis(20));
+                signal.notify();
+            });
+            returns_early(&signal, || false);
+        });
+    }
+
+    #[test]
+    fn unnotified_wait_is_bounded_and_notify_without_waiter_is_free() {
+        let signal = IngressSignal::new();
+        signal.notify();
+        assert_eq!(*signal.epoch.lock(), 0, "nobody to wake: no epoch bump");
+        let start = Instant::now();
+        signal.wait(Duration::from_millis(5), || false);
+        assert!(start.elapsed() >= Duration::from_millis(5));
+        assert_eq!(signal.waiters.load(Ordering::SeqCst), 0);
     }
 }

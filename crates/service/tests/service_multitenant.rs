@@ -1,11 +1,13 @@
 //! Multi-tenant service behavior: admission isolation, client-visible
-//! backpressure, and both shutdown phases' exactly-once accounting.
+//! backpressure, both shutdown phases' exactly-once accounting, and
+//! caller-runs admission with client-side, worker-side and
+//! ingress-thread pumps racing on every lane.
 
 use nexuspp_core::testsupport::with_watchdog;
-use nexuspp_core::TaskBuilder;
+use nexuspp_core::{ShardCapacity, TaskBuilder};
 use nexuspp_service::{IngressError, ResolverService, ServiceConfig, ServiceTask, TenantId};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tenant-scoped address: tenants touch disjoint address spaces, so
@@ -298,6 +300,200 @@ fn hard_deadline_shutdown_accounts_for_every_accepted_task() {
         assert_eq!(snap.get("tenant1", "dropped"), Some(report.dropped_ingress));
         // Budget fully settled even on the abort path.
         assert_eq!(report.tenants[0].1.in_flight, 0);
+    });
+}
+
+#[test]
+fn racing_pumps_admit_each_clients_tasks_in_send_order_exactly_once() {
+    with_watchdog(120, "racing pumps keep order", || {
+        const TENANTS: u32 = 3;
+        const CLIENTS: u32 = 2;
+        const PER_CLIENT: u64 = 500;
+        // Budget 1 and lane 2 keep every lane blocked nearly always, so
+        // a task is admitted by whichever of its clients, the worker
+        // that just retired its predecessor, or the ingress thread gets
+        // to the lane first.
+        let mut cfg = ServiceConfig::new(4, 4).lane_capacity(2);
+        for t in 1..=TENANTS {
+            cfg = cfg.tenant(TenantId(t), 1);
+        }
+        let svc = Arc::new(ResolverService::start(cfg));
+        let clients: Vec<_> = (1..=TENANTS)
+            .flat_map(|t| (0..CLIENTS).map(move |c| (t, c)))
+            .map(|(t, c)| {
+                let h = svc.handle(TenantId(t)).unwrap();
+                // Every task of one client is an inout on that client's
+                // own address: they execute in admission order.
+                let order = Arc::new(Mutex::new(Vec::with_capacity(PER_CLIENT as usize)));
+                let seen = Arc::clone(&order);
+                let client = std::thread::spawn(move || {
+                    for tag in 0..PER_CLIENT {
+                        let order = Arc::clone(&order);
+                        let job = move || order.lock().unwrap().push(tag);
+                        h.submit_blocking(task(t, c as u64, tag, job))
+                            .expect("accepted");
+                    }
+                });
+                (t, c, client, seen)
+            })
+            .collect();
+        let orders: Vec<_> = clients
+            .into_iter()
+            .map(|(t, c, client, seen)| {
+                client.join().unwrap();
+                (t, c, seen)
+            })
+            .collect();
+        let report = svc.shutdown();
+        assert!(report.graceful);
+        let accepted = (TENANTS * CLIENTS) as u64 * PER_CLIENT;
+        assert_eq!(report.runtime.executed, accepted);
+        assert_eq!(report.runtime.cancelled + report.dropped_ingress, 0);
+        for (t, c, seen) in orders {
+            // Ascending and complete is also exactly-once per cell.
+            let seen = seen.lock().unwrap();
+            assert!(
+                seen.iter().copied().eq(0..PER_CLIENT),
+                "tenant {t} client {c} ran out of send order or not exactly once: {seen:?}"
+            );
+        }
+        let snap = svc.metrics_snapshot();
+        for t in 1..=TENANTS {
+            let get = |counter| snap.get(&TenantId(t).to_string(), counter).unwrap();
+            assert_eq!(get("submitted"), CLIENTS as u64 * PER_CLIENT);
+            assert_eq!(get("admitted"), get("submitted"));
+            assert_eq!(get("executed"), get("submitted"));
+            assert!(get("in_flight_peak") <= 1, "budget 1 was exceeded");
+        }
+    });
+}
+
+#[test]
+fn parked_capacity_retry_drains_on_the_tick_alone() {
+    with_watchdog(60, "capacity retry slot", || {
+        const TASKS: u64 = 40;
+        // One resident task per shard, and every task touches the same
+        // four addresses: while one is resident the next is rejected by
+        // the runtime, not by the budget, and parks in the retry slot.
+        let svc = ResolverService::start(
+            ServiceConfig::new(2, 2)
+                .capacity(ShardCapacity::Bounded(1))
+                .tenant(TenantId(1), 8)
+                .lane_capacity(TASKS as usize),
+        );
+        let h = svc.handle(TenantId(1)).unwrap();
+        let gate = Arc::new(AtomicBool::new(false));
+        let ran: Arc<Vec<AtomicU32>> = Arc::new((0..TASKS).map(|_| AtomicU32::new(0)).collect());
+        for tag in 0..TASKS {
+            let (gate, ran) = (Arc::clone(&gate), Arc::clone(&ran));
+            let mut sub = TaskBuilder::new(1).tag(tag);
+            for slot in 0..4 {
+                sub = sub.read_writes(addr(1, slot), 8);
+            }
+            let job = move || {
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                ran[tag as usize].fetch_add(1, Ordering::SeqCst);
+            };
+            h.try_submit(ServiceTask::new(sub.build(), job))
+                .expect("lane holds them all");
+        }
+        // Last submit made. A finish frees shard slots only after the
+        // finishing task's guard has pumped, so from here on nothing but
+        // the ingress thread's tick can resubmit the retry slot.
+        gate.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while svc.metrics_snapshot().get("tenant1", "executed") != Some(TASKS) {
+            assert!(
+                Instant::now() < deadline,
+                "a parked retry slot never drained"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let report = svc.shutdown();
+        assert!(report.graceful);
+        assert_eq!(report.runtime.executed, TASKS);
+        assert_eq!(report.runtime.cancelled + report.dropped_ingress, 0);
+        for (tag, cell) in ran.iter().enumerate() {
+            assert_eq!(cell.load(Ordering::SeqCst), 1, "task {tag}");
+        }
+        let snap = svc.metrics_snapshot();
+        assert!(snap.get("tenant1", "capacity_retries").unwrap() > 0);
+        assert_eq!(snap.get("tenant1", "admitted"), Some(TASKS));
+        assert_eq!(report.tenants[0].1.in_flight, 0);
+    });
+}
+
+#[test]
+fn hard_deadline_with_pumps_in_flight_accounts_exactly_once() {
+    with_watchdog(120, "deadline vs racing pumps", || {
+        const TENANTS: u32 = 2;
+        for round in 0..20 {
+            let mut cfg = ServiceConfig::new(2, 4).lane_capacity(4);
+            for t in 1..=TENANTS {
+                cfg = cfg.tenant(TenantId(t), 2);
+            }
+            let svc = Arc::new(ResolverService::start(cfg));
+            let executed = Arc::new(AtomicU64::new(0));
+            // Two clients per tenant stream until the seal turns them
+            // away, so the deadline lands on client-side and
+            // worker-side pumps wherever they happen to be.
+            let clients: Vec<_> = (0..2 * TENANTS)
+                .map(|c| {
+                    let t = 1 + c % TENANTS;
+                    let h = svc.handle(TenantId(t)).unwrap();
+                    let executed = Arc::clone(&executed);
+                    std::thread::spawn(move || {
+                        let mut accepted = 0u64;
+                        loop {
+                            let executed = Arc::clone(&executed);
+                            let job = move || {
+                                executed.fetch_add(1, Ordering::SeqCst);
+                            };
+                            match h.try_submit(task(t, c as u64 % 3, accepted, job)) {
+                                Ok(()) => accepted += 1,
+                                Err(IngressError::Backpressure(_)) => std::thread::yield_now(),
+                                Err(IngressError::Closed(_)) => return accepted,
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Let the stream establish itself, at a different phase
+            // each round.
+            let flowing = 200 + 150 * round;
+            while executed.load(Ordering::SeqCst) < flowing {
+                std::thread::yield_now();
+            }
+            let report = svc.shutdown_deadline(Duration::ZERO);
+            let accepted: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+            assert_eq!(
+                report.runtime.executed + report.runtime.cancelled + report.dropped_ingress,
+                accepted,
+                "round {round}: {report:?}"
+            );
+            assert_eq!(report.runtime.executed, executed.load(Ordering::SeqCst));
+            // Nothing was admitted behind the discard's back: what the
+            // lanes admitted is what the runtime retired, and the rest
+            // of what they accepted is what the discard dropped.
+            let snap = svc.metrics_snapshot();
+            let sum = |counter: &str| -> u64 {
+                (1..=TENANTS)
+                    .map(|t| snap.get(&TenantId(t).to_string(), counter).unwrap())
+                    .sum()
+            };
+            assert_eq!(sum("submitted"), accepted, "round {round}");
+            assert_eq!(
+                sum("admitted"),
+                report.runtime.executed + report.runtime.cancelled,
+                "round {round}"
+            );
+            assert_eq!(sum("dropped"), report.dropped_ingress, "round {round}");
+            for (t, counts) in &report.tenants {
+                assert_eq!(counts.in_flight, 0, "round {round}: {t} still holds budget");
+            }
+        }
     });
 }
 

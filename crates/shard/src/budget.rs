@@ -13,11 +13,13 @@
 //! a park), [`credit`](TenantBudgets::credit) when the task retires — or
 //! immediately, if the submit itself was rejected downstream. All
 //! accounting is lock-free atomics; the map of lanes is immutable after
-//! construction, so charging is a hash lookup plus one CAS loop.
+//! construction, so charging is a hash lookup plus one CAS loop — or
+//! the CAS loop alone through a [`BudgetLane`] resolved once up front.
 
 use nexuspp_core::TenantId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Why [`TenantBudgets::charge`] refused an admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,14 +113,44 @@ pub struct TenantCounts {
 /// CAS loop). [`TenantId::NONE`] is always admitted unmetered — it is
 /// the single-tenant/embedded path, which predates tenancy.
 pub struct TenantBudgets {
-    lanes: HashMap<TenantId, Lane>,
+    lanes: HashMap<TenantId, Arc<Lane>>,
     /// Cap applied to tenants with no registered lane; `None` refuses
     /// them outright.
     default_cap: Option<u64>,
     /// Shared lane for unregistered tenants when `default_cap` is set.
     /// Collapsing them into one lane keeps the map immutable; the
     /// default lane is a catch-all, not per-tenant isolation.
-    default_lane: Option<Lane>,
+    default_lane: Option<Arc<Lane>>,
+}
+
+/// One tenant's lane of a [`TenantBudgets`] ledger, resolved once by
+/// [`TenantBudgets::lane_of`]: the same accounting as
+/// [`charge`](TenantBudgets::charge) / [`credit`](TenantBudgets::credit)
+/// by tenant id, minus the per-call map lookup. `None` inside is
+/// [`TenantId::NONE`]: always admitted, never accounted.
+#[derive(Clone)]
+pub struct BudgetLane(Option<Arc<Lane>>);
+
+impl BudgetLane {
+    /// As [`TenantBudgets::charge`] for the tenant this was resolved for.
+    pub fn charge(&self) -> Result<(), BudgetError> {
+        self.0.as_ref().map_or(Ok(()), |lane| lane.charge())
+    }
+
+    /// As [`TenantBudgets::credit`] for the tenant this was resolved for.
+    pub fn credit(&self) {
+        if let Some(lane) = &self.0 {
+            lane.credit();
+        }
+    }
+
+    /// Whether a [`charge`](Self::charge) right now would be refused.
+    /// A look, not an attempt: nothing is counted as denied.
+    pub fn at_cap(&self) -> bool {
+        self.0
+            .as_ref()
+            .is_some_and(|lane| lane.in_flight.load(Ordering::Acquire) >= lane.cap)
+    }
 }
 
 impl TenantBudgets {
@@ -131,7 +163,7 @@ impl TenantBudgets {
         TenantBudgets {
             lanes: caps
                 .into_iter()
-                .map(|(t, cap)| (t, Lane::new(cap)))
+                .map(|(t, cap)| (t, Arc::new(Lane::new(cap))))
                 .collect(),
             default_cap: None,
             default_lane: None,
@@ -146,12 +178,26 @@ impl TenantBudgets {
     ) -> TenantBudgets {
         let mut b = TenantBudgets::new(caps);
         b.default_cap = Some(cap);
-        b.default_lane = Some(Lane::new(cap));
+        b.default_lane = Some(Arc::new(Lane::new(cap)));
         b
     }
 
-    fn lane(&self, tenant: TenantId) -> Option<&Lane> {
+    fn lane(&self, tenant: TenantId) -> Option<&Arc<Lane>> {
         self.lanes.get(&tenant).or(self.default_lane.as_ref())
+    }
+
+    /// Resolve `tenant`'s lane once, for callers that charge and credit
+    /// the same tenant per task. An unregistered tenant resolves to the
+    /// catch-all lane if there is one and is refused otherwise, exactly
+    /// as [`charge`](Self::charge) would refuse it.
+    pub fn lane_of(&self, tenant: TenantId) -> Result<BudgetLane, BudgetError> {
+        if !tenant.is_tenant() {
+            return Ok(BudgetLane(None));
+        }
+        match self.lane(tenant) {
+            Some(lane) => Ok(BudgetLane(Some(Arc::clone(lane)))),
+            None => Err(BudgetError::UnknownTenant),
+        }
     }
 
     /// Reserve one in-flight slot for `tenant`. Must be paired with
@@ -180,7 +226,7 @@ impl TenantBudgets {
 
     /// Accounting snapshot for `tenant`; `None` if it has no lane.
     pub fn counts(&self, tenant: TenantId) -> Option<TenantCounts> {
-        self.lane(tenant).map(Lane::counts)
+        self.lane(tenant).map(|lane| lane.counts())
     }
 
     /// Snapshot every registered lane (excludes the catch-all).
@@ -205,7 +251,31 @@ impl TenantBudgets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    #[test]
+    fn resolved_lane_shares_the_ledger_with_lookups_by_id() {
+        let b = TenantBudgets::with_default_cap([(TenantId(1), 2)], 1);
+        let lane = b.lane_of(TenantId(1)).unwrap();
+        assert!(lane.charge().is_ok());
+        assert!(b.charge(TenantId(1)).is_ok());
+        assert!(lane.at_cap());
+        assert_eq!(lane.charge(), Err(BudgetError::AtCap { cap: 2 }));
+        lane.credit();
+        assert!(!lane.at_cap());
+        let c = b.counts(TenantId(1)).unwrap();
+        assert_eq!((c.in_flight, c.denied), (1, 1), "a look is not a denial");
+        // NONE stays unmetered; a stranger lands on the catch-all lane.
+        let none = b.lane_of(TenantId::NONE).unwrap();
+        assert!((0..10).all(|_| none.charge().is_ok() && !none.at_cap()));
+        none.credit();
+        assert!(b.lane_of(TenantId(7)).unwrap().charge().is_ok());
+        assert_eq!(b.charge(TenantId(8)), Err(BudgetError::AtCap { cap: 1 }));
+        let strict = TenantBudgets::new([(TenantId(1), 1)]);
+        assert!(matches!(
+            strict.lane_of(TenantId(9)),
+            Err(BudgetError::UnknownTenant)
+        ));
+    }
 
     #[test]
     fn charges_up_to_cap_then_denies_until_credited() {

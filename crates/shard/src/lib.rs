@@ -61,7 +61,7 @@ pub mod dispatch;
 pub mod engine;
 pub mod stress;
 
-pub use budget::{BudgetError, TenantBudgets, TenantCounts};
+pub use budget::{BudgetError, BudgetLane, TenantBudgets, TenantCounts};
 pub use dispatch::{
     CapacityCounts, FinishReport, ShardDispatcher, SubmitResult, TaskTicket, WakeCounts, WakeMode,
 };
