@@ -1,21 +1,20 @@
-//! Ready-task scheduling throughput: mutex queue vs work stealing on the
-//! imbalanced `steal_stress` workload.
+//! Ready-task scheduling throughput on the imbalanced `steal_stress`
+//! workload.
 //!
 //! Two views:
 //!
 //! * `sched/*` — the scheduler layer alone, via the chain-stress harness
 //!   in `nexuspp_sched::stress` (tasks are a few atomic increments):
-//!   pure per-task scheduling overhead. This is the layer where the
-//!   acceptance bar lives — the ≥ 1.5× 4-worker comparison is asserted
-//!   deterministically in `nexuspp-sched`'s `steal_perf` test; the lines
-//!   printed here are the same measurement under criterion timing.
+//!   pure per-task scheduling overhead.
 //! * `runtime/*` — end to end through the runtime at 1 and 4 resolver
 //!   shards (engine resolution, region bookkeeping, panic fences
 //!   included), so the scheduler's share of total runtime overhead is
-//!   visible. One shard is the same code as four; the `single-engine_*`
-//!   rows kept in `BENCH_ready_scheduling.json` are the last measurement
-//!   of the deleted single-lock runtime (ARCHITECTURE.md, "The
-//!   `ready_scheduling` gap").
+//!   visible. One shard is the same code as four.
+//!
+//! The `mutex-queue` and `single-engine_*` rows kept in
+//! `BENCH_ready_scheduling.json` are the last measurements of deleted
+//! code (ARCHITECTURE.md, "Retired baselines"); `bench-diff` renders
+//! them `removed`.
 //!
 //! Steal/park counters are printed per configuration so regressions in
 //! redistribution (e.g. stealing stops happening) show up even where
@@ -23,11 +22,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nexuspp_bench::steal_driver::run_steal;
-use nexuspp_runtime::SchedulerKind;
 use nexuspp_sched::stress::{run_chain_stress, ChainStressSpec};
 use nexuspp_workloads::StealStressSpec;
 
-const KINDS: [SchedulerKind; 2] = [SchedulerKind::MutexQueue, SchedulerKind::WorkStealing];
+/// Row label: the name the checked-in trajectory knows the scheduler by.
+const SCHED: &str = "work-stealing";
 
 fn bench_sched_layer(c: &mut Criterion) {
     let spec = ChainStressSpec {
@@ -39,21 +38,15 @@ fn bench_sched_layer(c: &mut Criterion) {
     let mut g = c.benchmark_group("ready_scheduling/sched");
     g.sample_size(10);
     g.throughput(criterion::Throughput::Elements(spec.task_count()));
-    for kind in KINDS {
-        // One reporting run outside the timer for the counters.
-        let r = run_chain_stress(kind, &spec);
-        println!(
-            "sched/{}: {} tasks, {} steals, {} parks, {} unparks",
-            kind.name(),
-            r.executed,
-            r.counts.steals,
-            r.counts.parks,
-            r.counts.unparks
-        );
-        g.bench_function(kind.name(), |b| {
-            b.iter(|| run_chain_stress(kind, &spec));
-        });
-    }
+    // One reporting run outside the timer for the counters.
+    let r = run_chain_stress(&spec);
+    println!(
+        "sched/{SCHED}: {} tasks, {} steals, {} parks, {} unparks",
+        r.executed, r.counts.steals, r.counts.parks, r.counts.unparks
+    );
+    g.bench_function(SCHED, |b| {
+        b.iter(|| run_chain_stress(&spec));
+    });
     g.finish();
 }
 
@@ -63,18 +56,14 @@ fn bench_runtime_level(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(criterion::Throughput::Elements(spec.task_count()));
     for shards in [1usize, 4] {
-        for kind in KINDS {
-            let r = run_steal(shards, kind, 4, &spec);
-            println!(
-                "runtime/sharded{shards}/{}: {} tasks, {} steals",
-                kind.name(),
-                r.tasks,
-                r.counts.steals
-            );
-            g.bench_function(&format!("sharded{shards}_{}", kind.name()), |b| {
-                b.iter(|| run_steal(shards, kind, 4, &spec));
-            });
-        }
+        let r = run_steal(shards, 4, &spec);
+        println!(
+            "runtime/sharded{shards}/{SCHED}: {} tasks, {} steals",
+            r.tasks, r.counts.steals
+        );
+        g.bench_function(&format!("sharded{shards}_{SCHED}"), |b| {
+            b.iter(|| run_steal(shards, 4, &spec));
+        });
     }
     g.finish();
 }

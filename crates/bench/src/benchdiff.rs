@@ -7,12 +7,11 @@
 //! freshly generated one, print per-benchmark deltas and flag
 //! regressions beyond a configurable threshold.
 //!
-//! The parser here is a minimal recursive-descent JSON *value* reader
-//! (the well-formedness validator in `nexuspp-obs` deliberately
-//! extracts nothing). It understands exactly the summary schema:
-//! everything beyond `benchmarks[].{group, name, best_ns}` is ignored,
-//! and malformed input is a readable `Err`, not a panic — CI feeds
-//! this from freshly written files.
+//! [`parse_summary`] walks the value `nexuspp_obs::parse_json` returns
+//! and understands exactly the summary schema: everything beyond
+//! `benchmarks[].{group, name, best_ns}` is ignored, and malformed
+//! input is a readable `Err`, not a panic — CI feeds this from freshly
+//! written files.
 //!
 //! Interpretation note baked into the table: `best_ns` entries are
 //! best-of-N single machine samples, so small deltas are noise. The
@@ -21,6 +20,7 @@
 //! for local bisection sessions.
 
 use crate::table::{f1, TextTable};
+use nexuspp_obs::{parse_json, Json};
 use std::collections::BTreeMap;
 
 /// One benchmark extracted from a summary file.
@@ -86,7 +86,7 @@ pub struct DiffRow {
 
 /// Parse a `CRITERION_SUMMARY_JSON` file into its benchmark records.
 pub fn parse_summary(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let v = JsonParser::parse(text)?;
+    let v = parse_json(text)?;
     let Json::Object(top) = v else {
         return Err("summary root must be a JSON object".into());
     };
@@ -179,213 +179,6 @@ pub fn render(rows: &[DiffRow], threshold_pct: f64) -> String {
         "bench-diff (threshold {threshold_pct:.0}%; best-of-N samples — treat small deltas as noise)\n{}",
         t.render()
     )
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON value parser (summary schema needs: objects with string
-// keys, arrays, strings, numbers, null; true/false accepted for
-// completeness).
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    Number(f64),
-    Bool(bool),
-    Null,
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        p.ws();
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at offset {}", p.i));
-        }
-        Ok(v)
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at offset {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.i)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.i))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .b
-                        .get(self.i)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.i += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", *other as char)),
-                    }
-                }
-                c => {
-                    // Multi-byte UTF-8 passes through unchanged.
-                    let start = self.i - 1;
-                    let width = utf8_width(c);
-                    let end = start + width;
-                    let chunk = self
-                        .b
-                        .get(start..end)
-                        .ok_or_else(|| "truncated UTF-8".to_string())?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.i = end;
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while let Some(&c) = self.b.get(self.i) {
-            if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Json::Number)
-            .map_err(|e| format!("bad number at offset {start}: {e}"))
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 #[cfg(test)]

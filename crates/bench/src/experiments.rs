@@ -950,36 +950,24 @@ pub fn shards(opts: &ExpOptions) -> Experiment {
 // Ready-task scheduling (work-stealing extension)
 // ---------------------------------------------------------------------
 
-/// Ready-scheduling study: mutex ready queue vs work-stealing deques on
-/// the imbalanced `steal_stress` workload, at the scheduler layer (pure
-/// scheduling overhead) and end-to-end through the runtime at 1 and 4
-/// resolver shards.
-/// Not a paper figure — this measures the serialization point the
-/// `nexuspp-sched` subsystem removes, the ROADMAP's "work-stealing ready
-/// queues" item.
+/// Ready-scheduling study: the work-stealing scheduler on the imbalanced
+/// `steal_stress` workload, at the scheduler layer (pure scheduling
+/// overhead) and end-to-end through the runtime at 1 and 4 resolver
+/// shards. Not a paper figure — this measures the layer `nexuspp-sched`
+/// owns.
 pub fn steal(opts: &ExpOptions) -> Experiment {
     use crate::steal_driver::best_steal;
     use nexuspp_sched::stress::{best_of, ChainStressSpec};
-    use nexuspp_sched::SchedulerKind;
     use nexuspp_workloads::StealStressSpec;
 
-    let kinds = [SchedulerKind::MutexQueue, SchedulerKind::WorkStealing];
     let chain_len: u32 = if opts.quick { 800 } else { 4000 };
     let runs: u32 = if opts.quick { 2 } else { 3 };
 
     // Scheduler layer: tasks are a few atomic increments, so wall-clock
     // is the scheduling overhead itself.
     let mut sched_t = TextTable::new(vec![
-        "scheduler",
-        "workers",
-        "tasks",
-        "wall ms",
-        "Mtasks/s",
-        "vs mutex",
-        "steals",
-        "parks",
+        "workers", "tasks", "wall ms", "Mtasks/s", "steals", "parks",
     ]);
-    let mut ws_vs_mutex_at_4 = None;
     for &workers in &[1usize, 2, 4] {
         let spec = ChainStressSpec {
             workers,
@@ -987,86 +975,43 @@ pub fn steal(opts: &ExpOptions) -> Experiment {
             chain_len,
             spin_ns: 0,
         };
-        let mut mutex_ms = None;
-        for kind in kinds {
-            let r = best_of(kind, &spec, runs);
-            let ms = r.elapsed.as_secs_f64() * 1e3;
-            let base = *mutex_ms.get_or_insert(ms);
-            let speedup = base / ms;
-            if workers == 4 && kind == SchedulerKind::WorkStealing {
-                ws_vs_mutex_at_4 = Some(speedup);
-            }
-            sched_t.row(vec![
-                kind.name().to_string(),
-                workers.to_string(),
-                spec.task_count().to_string(),
-                f2(ms),
-                f2(spec.task_count() as f64 / r.elapsed.as_secs_f64() / 1e6),
-                format!("{}x", f2(speedup)),
-                r.counts.steals.to_string(),
-                r.counts.parks.to_string(),
-            ]);
-        }
+        // `best_of` asserts every task ran exactly once.
+        let r = best_of(&spec, runs);
+        sched_t.row(vec![
+            workers.to_string(),
+            spec.task_count().to_string(),
+            f2(r.elapsed.as_secs_f64() * 1e3),
+            f2(spec.task_count() as f64 / r.elapsed.as_secs_f64() / 1e6),
+            r.counts.steals.to_string(),
+            r.counts.parks.to_string(),
+        ]);
     }
 
     // End to end: the same DAG through the runtime (engine resolution +
     // region bookkeeping included) at 1 and 4 resolver shards, 4 workers.
     let rt_spec = StealStressSpec::for_workers(4, if opts.quick { 400 } else { 1500 });
-    let mut rt_t = TextTable::new(vec![
-        "shards",
-        "scheduler",
-        "tasks",
-        "wall ms",
-        "Mtasks/s",
-        "vs mutex",
-        "steals",
-    ]);
+    let mut rt_t = TextTable::new(vec!["shards", "tasks", "wall ms", "Mtasks/s", "steals"]);
     for shards in [1usize, 4] {
-        let mut mutex_ms = None;
-        for kind in kinds {
-            let r = best_steal(shards, kind, 4, &rt_spec, runs);
-            let ms = r.elapsed.as_secs_f64() * 1e3;
-            let base = *mutex_ms.get_or_insert(ms);
-            rt_t.row(vec![
-                shards.to_string(),
-                kind.name().to_string(),
-                r.tasks.to_string(),
-                f2(ms),
-                f2(r.tasks_per_sec() / 1e6),
-                format!("{}x", f2(base / ms)),
-                r.counts.steals.to_string(),
-            ]);
-        }
+        // `run_steal` asserts no chain lost a task.
+        let r = best_steal(shards, 4, &rt_spec, runs);
+        rt_t.row(vec![
+            shards.to_string(),
+            r.tasks.to_string(),
+            f2(r.elapsed.as_secs_f64() * 1e3),
+            f2(r.tasks_per_sec() / 1e6),
+            r.counts.steals.to_string(),
+        ]);
     }
 
-    let mut notes = vec![
-        "scheduler layer: per task the mutex baseline pays a queue-lock round, a wake \
-         token through a Mutex+Condvar channel, and another queue-lock round; work \
-         stealing pays a handful of deque atomics on the owner path"
+    let notes = vec![
+        "scheduler layer: per task the owner path pays a handful of deque atomics; \
+         rows are 'best of N' measurements"
             .into(),
-        "the >= 1.5x 4-worker bar is asserted deterministically in \
-         nexuspp-sched tests/steal_perf.rs (best-of-3); rows here are 'best of N' \
-         measurements of the same workload"
-            .into(),
-        "end-to-end rows include dependency resolution and region bookkeeping, which \
-         are identical across schedulers, so ratios are smaller than the \
-         scheduler-layer ones"
-            .into(),
+        "end-to-end rows include dependency resolution and region bookkeeping".into(),
     ];
-    if let Some(speedup) = ws_vs_mutex_at_4 {
-        if speedup < 1.5 {
-            notes.insert(
-                0,
-                format!(
-                    "REGRESSION: scheduler-layer work stealing at 4 workers is only \
-                     {speedup:.2}x the mutex queue (bar: 1.5x)"
-                ),
-            );
-        }
-    }
     Experiment {
         id: "steal",
-        title: "Ready-task scheduling: mutex queue vs work stealing (steal_stress)".into(),
+        title: "Ready-task scheduling: work stealing (steal_stress)".into(),
         tables: vec![
             ("Scheduler layer (pure scheduling overhead)".into(), sched_t),
             ("End to end through the runtime (4 workers)".into(), rt_t),
@@ -1079,35 +1024,22 @@ pub fn steal(opts: &ExpOptions) -> Experiment {
 // Lock-free wake lists (kick-off delivery extension)
 // ---------------------------------------------------------------------
 
-/// Wake-delivery study: locked kick-off lists vs lock-free wake lists on
-/// the wide fan-in wake-stress stream, plus the multi-Maestro model's
-/// per-shard kick-off FIFO depths. Not a paper figure — this closes the
-/// ROADMAP's "lock-free kick-off lists" item: finish-side wake delivery
-/// posts outside the shard lock and is drained by a CAS-claimed owner,
-/// so it performs zero shard-lock acquisitions (self-checked below) and
-/// stops queueing behind resolution on the hot shard.
+/// Wake-delivery study: the lock-free wake lists on the wide fan-in
+/// wake-stress stream, plus the multi-Maestro model's per-shard kick-off
+/// FIFO depths. Not a paper figure: finish-side wake delivery posts
+/// outside the shard lock and is drained by a CAS-claimed owner, so it
+/// never queues behind resolution on the hot shard.
 pub fn wakes(opts: &ExpOptions) -> Experiment {
     use nexuspp_shard::stress::{best_of, WakeStressSpec};
-    use nexuspp_shard::WakeMode;
     use nexuspp_taskmachine::{simulate_sharded, MultiMaestroConfig};
     use nexuspp_workloads::WakeStressSpec as WakeTraceSpec;
 
-    let modes = [WakeMode::Locked, WakeMode::LockFree];
     let runs: u32 = if opts.quick { 2 } else { 3 };
     let producers: u32 = if opts.quick { 64 } else { 256 };
 
     // Threaded dispatcher: 4 finisher workers hammer one hot shard's
-    // wake path; the delivery-time ratio is the gated quantity.
-    let mut disp_t = TextTable::new(vec![
-        "wake mode",
-        "burst",
-        "tasks",
-        "wakes",
-        "wall ms",
-        "delivery us",
-        "vs locked",
-        "lock acq",
-    ]);
+    // wake path.
+    let mut disp_t = TextTable::new(vec!["burst", "tasks", "wakes", "wall ms", "delivery us"]);
     let mut notes = Vec::new();
     for &consumers_per in &[4u32, 24] {
         let spec = WakeStressSpec {
@@ -1117,36 +1049,21 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
             shards: 4,
             spin_ns: 0,
         };
-        let mut locked_delivery = None;
-        for mode in modes {
-            let r = best_of(mode, &spec, runs);
-            let delivery_us = r.wake_counts.delivery_ns as f64 / 1e3;
-            let base = *locked_delivery.get_or_insert(delivery_us);
-            if mode == WakeMode::LockFree && r.wake_counts.delivery_lock_acquisitions != 0 {
-                notes.push(format!(
-                    "REGRESSION: lock-free delivery took {} shard-lock acquisitions",
-                    r.wake_counts.delivery_lock_acquisitions
-                ));
-            }
-            if r.woken != spec.wake_count() {
-                notes.push(format!(
-                    "REGRESSION: {} mode delivered {} of {} wakes",
-                    mode.name(),
-                    r.woken,
-                    spec.wake_count()
-                ));
-            }
-            disp_t.row(vec![
-                mode.name().to_string(),
-                consumers_per.to_string(),
-                r.completed.to_string(),
-                r.woken.to_string(),
-                f2(r.elapsed.as_secs_f64() * 1e3),
-                f1(delivery_us),
-                format!("{}x", f2(base / delivery_us)),
-                r.wake_counts.delivery_lock_acquisitions.to_string(),
-            ]);
+        let r = best_of(&spec, runs);
+        if r.woken != spec.wake_count() {
+            notes.push(format!(
+                "REGRESSION: delivered {} of {} wakes",
+                r.woken,
+                spec.wake_count()
+            ));
         }
+        disp_t.row(vec![
+            consumers_per.to_string(),
+            r.completed.to_string(),
+            r.woken.to_string(),
+            f2(r.elapsed.as_secs_f64() * 1e3),
+            f1(r.wake_counts.delivery_ns as f64 / 1e3),
+        ]);
     }
 
     // Modeled: the multi-Maestro kick-off FIFOs under the same fan-in,
@@ -1189,14 +1106,8 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
     }
 
     notes.extend([
-        "delivery time counts the drain-to-report step only (claim + hand-off); \
-         resolution work under the shard lock is identical across modes, which is \
-         why end-to-end wall-clock barely moves while delivery shrinks"
-            .into(),
-        "the >= 1.3x delivery bar at 4 workers (and the zero-lock-acquisition \
-         invariant) is asserted deterministically in nexuspp-shard \
-         tests/wake_perf.rs; rows here are 'best of N' measurements of the same \
-         workload"
+        "delivery time counts the drain-to-report step only (claim + hand-off), not \
+         the resolution work under the shard lock; rows are 'best of N' measurements"
             .into(),
         "modeled rows: every consumer that parked at its check is delivered through \
          a kick-off FIFO exactly once (asserted inside the model); consumers the \
@@ -1206,7 +1117,7 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
     ]);
     Experiment {
         id: "wakes",
-        title: "Wake delivery: locked kick-off lists vs lock-free wake lists (wake_stress)".into(),
+        title: "Wake delivery: lock-free wake lists (wake_stress)".into(),
         tables: vec![
             (
                 "Threaded dispatcher (4 finisher workers, hot shard)".into(),
@@ -1231,7 +1142,7 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
 /// and the stall/retry counters must balance at quiescence.
 pub fn capacity(opts: &ExpOptions) -> Experiment {
     use nexuspp_core::ShardCapacity;
-    use nexuspp_runtime::{Runtime, SchedulerKind, WakeMode};
+    use nexuspp_runtime::Runtime;
     use nexuspp_taskmachine::{simulate_sharded, MultiMaestroConfig};
     use nexuspp_workloads::CapacityStressSpec;
 
@@ -1309,13 +1220,7 @@ pub fn capacity(opts: &ExpOptions) -> Experiment {
     ]);
     let (rt_chains, rt_chain_len) = (8u32, if opts.quick { 25u32 } else { 100 });
     for cap in caps {
-        let rt = Runtime::with_options(
-            4,
-            shards,
-            SchedulerKind::default(),
-            cap,
-            WakeMode::default(),
-        );
+        let rt = Runtime::with_capacity(4, shards, cap);
         let wall = nexuspp_runtime::stress::drive_capacity_stress(&rt, rt_chains, rt_chain_len);
         let ms = wall.as_secs_f64() * 1e3;
         let counts = rt.capacity_counts();
@@ -1517,8 +1422,9 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
         chrome_trace, latency_breakdown, observed_critical_path, timelines, validate_json,
         EventKind, LatencyStats, Recorder,
     };
-    use nexuspp_runtime::{Runtime, WakeMode};
+    use nexuspp_runtime::Runtime;
     use nexuspp_sched::SchedulerKind;
+    use nexuspp_shard::WakeMode;
     use nexuspp_workloads::VersionStressSpec;
     use std::sync::Arc;
 
@@ -1550,9 +1456,9 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
     let rt = Runtime::with_recorder(
         workers,
         4,
-        SchedulerKind::WorkStealing,
+        SchedulerKind::default(),
         nexuspp_core::ShardCapacity::Unbounded,
-        WakeMode::LockFree,
+        WakeMode::default(),
         Arc::clone(&rec),
     );
     // A small per-task sleep keeps dependents parked until their
@@ -2142,14 +2048,10 @@ mod tests {
     #[test]
     fn steal_tables_have_expected_shape() {
         let e = steal(&quick());
-        // Scheduler layer: 2 kinds × workers {1, 2, 4}.
-        assert_eq!(e.tables[0].1.len(), 6);
-        // End to end: 2 backends × 2 kinds.
-        assert_eq!(e.tables[1].1.len(), 4);
-        // Shape only: the 1.5x bar itself is asserted by the dedicated
-        // nexuspp-sched perf test (full sizes, best-of-3, own process);
-        // re-asserting it here on quick debug-mode sizes would only add
-        // a second, noisier flake surface for the same property.
+        // Scheduler layer: workers {1, 2, 4}.
+        assert_eq!(e.tables[0].1.len(), 3);
+        // End to end: shards {1, 4}.
+        assert_eq!(e.tables[1].1.len(), 2);
     }
 
     #[test]
@@ -2173,8 +2075,8 @@ mod tests {
             "wake delivery accounting broke: {:?}",
             e.notes
         );
-        // Threaded rows: 2 modes × 2 burst widths; modeled rows: 3.
-        assert_eq!(e.tables[0].1.len(), 4);
+        // Threaded rows: 2 burst widths; modeled rows: 3.
+        assert_eq!(e.tables[0].1.len(), 2);
         assert_eq!(e.tables[1].1.len(), 3);
     }
 

@@ -1,9 +1,9 @@
 //! Executes the [`StealStressSpec`] workload on the threaded runtime —
-//! real closures, real regions, any shard count, either ready-task
-//! scheduler — and reports wall-clock plus scheduler counters. Shared by
+//! real closures, real regions, any shard count — and reports
+//! wall-clock plus scheduler counters. Shared by
 //! `experiments::steal` and the `ready_scheduling` criterion bench.
 
-use nexuspp_runtime::{Runtime, SchedCounts, SchedulerKind, ShardCapacity, WakeMode};
+use nexuspp_runtime::{Runtime, SchedCounts};
 use nexuspp_sched::stress::spin_for;
 use nexuspp_workloads::StealStressSpec;
 use std::time::{Duration, Instant};
@@ -29,19 +29,8 @@ impl StealRun {
 /// Run the workload to completion on a runtime of `shards` resolver
 /// shards and report. Panics if any chain lost a task (the runtime's
 /// correctness tests guard this; here it protects the measurement).
-pub fn run_steal(
-    shards: usize,
-    kind: SchedulerKind,
-    workers: usize,
-    spec: &StealStressSpec,
-) -> StealRun {
-    let rt = Runtime::with_options(
-        workers,
-        shards,
-        kind,
-        ShardCapacity::Unbounded,
-        WakeMode::default(),
-    );
+pub fn run_steal(shards: usize, workers: usize, spec: &StealStressSpec) -> StealRun {
+    let rt = Runtime::new(workers, shards);
     let exec_ns = spec.exec_ns;
     let root = rt.region(vec![0u64]);
     let cells: Vec<_> = (0..spec.chains).map(|_| rt.region(vec![0u64])).collect();
@@ -87,16 +76,10 @@ pub fn run_steal(
 }
 
 /// Best (minimum) wall-clock over `runs` repetitions.
-pub fn best_steal(
-    shards: usize,
-    kind: SchedulerKind,
-    workers: usize,
-    spec: &StealStressSpec,
-    runs: u32,
-) -> StealRun {
+pub fn best_steal(shards: usize, workers: usize, spec: &StealStressSpec, runs: u32) -> StealRun {
     let mut best: Option<StealRun> = None;
     for _ in 0..runs {
-        let r = run_steal(shards, kind, workers, spec);
+        let r = run_steal(shards, workers, spec);
         if best.as_ref().is_none_or(|b| r.elapsed < b.elapsed) {
             best = Some(r);
         }

@@ -16,8 +16,6 @@
 use nexuspp_core::ShardCapacity;
 use nexuspp_obs::{render_dashboard, Collector, CollectorConfig, Recorder};
 use nexuspp_runtime::Runtime;
-use nexuspp_sched::SchedulerKind;
-use nexuspp_shard::WakeMode;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -116,14 +114,7 @@ pub fn run_watch(opts: &WatchOptions, out: &mut dyn Write) -> std::io::Result<Wa
         ..CollectorConfig::default()
     };
     let collector = Collector::spawn(Arc::new(Recorder::new(opts.workers)), cfg);
-    let rt = Runtime::with_observer(
-        opts.workers,
-        4,
-        SchedulerKind::WorkStealing,
-        ShardCapacity::Unbounded,
-        WakeMode::LockFree,
-        &collector,
-    );
+    let rt = Runtime::with_observer(opts.workers, 4, ShardCapacity::Unbounded, &collector);
 
     let mut live_frames = 0u32;
     for frame in 0..opts.frames {

@@ -129,11 +129,7 @@ impl DependencyEngine {
         params: Vec<Param>,
     ) -> Result<(TdIndex, OpCost), PoolError> {
         debug_assert!(
-            {
-                let mut addrs: Vec<u64> = params.iter().map(|p| p.addr).collect();
-                addrs.sort_unstable();
-                addrs.windows(2).all(|w| w[0] != w[1])
-            },
+            crate::submit::duplicate_address(&params).is_none(),
             "duplicate addresses in a parameter list must be normalized first"
         );
         let (td, cost) = self.pool.admit(fptr, tag, params)?;

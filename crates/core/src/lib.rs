@@ -52,5 +52,5 @@ pub use cost::OpCost;
 pub use engine::{CheckProgress, DependencyEngine, FinishResult};
 pub use pool::{PoolError, TaskPool, TdIndex};
 pub use priority::Priority;
-pub use submit::{Submission, SubmitError, TaskBuilder, TenantId};
+pub use submit::{duplicate_address, Submission, SubmitError, TaskBuilder, TenantId};
 pub use table::{address_hash, nth_addr_on_shard, shard_of_addr, DepTable, TableFull};

@@ -224,13 +224,20 @@ pub struct Submission {
     pub params: Vec<Param>,
 }
 
+/// The precondition every resolver relies on, stated once: no address
+/// may appear twice in a parameter list. Returns the smallest address
+/// that does.
+pub fn duplicate_address(params: &[Param]) -> Option<u64> {
+    let mut addrs: Vec<u64> = params.iter().map(|p| p.addr).collect();
+    addrs.sort_unstable();
+    addrs.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 impl Submission {
-    /// Check the resolver precondition: no address may appear twice.
+    /// Check the resolver precondition ([`duplicate_address`]).
     pub fn validate(&self) -> Result<(), SubmitError> {
-        let mut addrs: Vec<u64> = self.params.iter().map(|p| p.addr).collect();
-        addrs.sort_unstable();
-        match addrs.windows(2).find(|w| w[0] == w[1]) {
-            Some(w) => Err(SubmitError::DuplicateAddress { addr: w[0] }),
+        match duplicate_address(&self.params) {
+            Some(addr) => Err(SubmitError::DuplicateAddress { addr }),
             None => Ok(()),
         }
     }

@@ -10,7 +10,7 @@
 
 use crate::lower::LoweredProgram;
 use nexuspp_core::{NexusConfig, ShardCapacity};
-use nexuspp_runtime::{Runtime, SchedulerKind, WakeMode};
+use nexuspp_runtime::Runtime;
 use nexuspp_shard::{ShardDispatcher, ShardedEngine, TaskId, TaskTicket};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -155,13 +155,7 @@ pub fn run_on_runtime(
     shards: usize,
     capacity: ShardCapacity,
 ) -> Vec<u64> {
-    let rt = Runtime::with_options(
-        workers,
-        shards,
-        SchedulerKind::default(),
-        capacity,
-        WakeMode::default(),
-    );
+    let rt = Runtime::with_capacity(workers, shards, capacity);
     let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(lp.tasks.len())));
     for sub in lp.tasks.iter().cloned() {
         let tag = sub.tag;

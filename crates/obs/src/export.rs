@@ -1,6 +1,8 @@
 //! Chrome-trace export (the `chrome://tracing` / Perfetto JSON event
-//! format) plus a small JSON well-formedness checker used by the
-//! export's own tests and the `repro -- observe` self-check.
+//! format) plus the workspace's one JSON reader: [`parse_json`] returns
+//! the value (`repro bench-diff` walks it), [`validate_json`] only the
+//! verdict (the export's own tests, the `repro -- observe` self-check
+//! and the `e2e` benchmark's output check).
 //!
 //! Execution spans become `"X"` (complete) events — one horizontal bar
 //! per task on its worker's row — and every other lifecycle event
@@ -128,23 +130,45 @@ pub fn chrome_trace(events: &[Event]) -> String {
     out
 }
 
-/// Check that `s` is one well-formed JSON value (objects, arrays,
-/// strings, numbers, booleans, null). Returns the byte offset and a
-/// short message on the first violation.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
+/// A parsed JSON value. Objects keep their fields in document order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `{...}`: `(key, value)` pairs in document order.
+    Object(Vec<(String, Json)>),
+    /// `[...]`.
+    Array(Vec<Json>),
+    /// A string, escapes decoded.
+    String(String),
+    /// Any number, as `f64`.
+    Number(f64),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+/// Parse `s` as exactly one JSON value (objects, arrays, strings,
+/// numbers, booleans, null). Returns a short message with the byte
+/// offset of the first violation.
+pub fn parse_json(s: &str) -> Result<Json, String> {
+    let mut p = Parser { s, i: 0 };
     p.skip_ws();
-    p.value()?;
+    let v = p.value()?;
     p.skip_ws();
-    if p.i != b.len() {
+    if p.i != s.len() {
         return Err(format!("trailing data at byte {}", p.i));
     }
-    Ok(())
+    Ok(v)
+}
+
+/// Check that `s` is one well-formed JSON value; the error is
+/// [`parse_json`]'s.
+pub fn validate_json(s: &str) -> Result<(), String> {
+    parse_json(s).map(drop)
 }
 
 struct Parser<'a> {
-    b: &'a [u8],
+    s: &'a str,
     i: usize,
 }
 
@@ -154,7 +178,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
+        self.s.as_bytes().get(self.i).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -172,102 +196,122 @@ impl Parser<'_> {
         }
     }
 
-    fn lit(&mut self, word: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
+    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
+        if self.s.as_bytes()[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
-            Ok(())
+            Ok(v)
         } else {
             self.err(&format!("expected '{word}'"))
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
+    fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.lit("true"),
-            Some(b'f') => self.lit("false"),
-            Some(b'n') => self.lit("null"),
+            Some(b'"') => self.string().map(Json::String),
+            Some(b't') => self.lit("true", Json::Bool(true)),
+            Some(b'f') => self.lit("false", Json::Bool(false)),
+            Some(b'n') => self.lit("null", Json::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => self.err("expected a JSON value"),
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
+    fn object(&mut self) -> Result<Json, String> {
         self.eat(b'{')?;
+        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
-            return Ok(());
+            return Ok(Json::Object(fields));
         }
         loop {
             self.skip_ws();
-            self.string()?;
+            let key = self.string()?;
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            self.value()?;
+            fields.push((key, self.value()?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
                 Some(b'}') => {
                     self.i += 1;
-                    return Ok(());
+                    return Ok(Json::Object(fields));
                 }
                 _ => return self.err("expected ',' or '}'"),
             }
         }
     }
 
-    fn array(&mut self) -> Result<(), String> {
+    fn array(&mut self) -> Result<Json, String> {
         self.eat(b'[')?;
+        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.i += 1;
-            return Ok(());
+            return Ok(Json::Array(items));
         }
         loop {
             self.skip_ws();
-            self.value()?;
+            items.push(self.value()?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
                 Some(b']') => {
                     self.i += 1;
-                    return Ok(());
+                    return Ok(Json::Array(items));
                 }
                 _ => return self.err("expected ',' or ']'"),
             }
         }
     }
 
-    fn string(&mut self) -> Result<(), String> {
+    fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
+        let mut out = String::new();
+        // Start of the current escape-free run. Runs end at an ASCII
+        // `"` or `\`, so the slices below fall on char boundaries and
+        // multi-byte UTF-8 passes through unchanged.
+        let mut run = self.i;
         loop {
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
+                    out.push_str(&self.s[run..self.i]);
                     self.i += 1;
-                    return Ok(());
+                    return Ok(out);
                 }
                 Some(b'\\') => {
+                    out.push_str(&self.s[run..self.i]);
                     self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
-                            self.i += 1;
+                            let mut code = 0u32;
                             for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return self.err("bad \\u escape"),
+                                self.i += 1;
+                                match self.peek().and_then(|c| (c as char).to_digit(16)) {
+                                    Some(d) => code = code * 16 + d,
+                                    None => return self.err("bad \\u escape"),
                                 }
                             }
+                            // A lone surrogate has no `char`.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
                         }
                         _ => return self.err("bad escape"),
-                    }
+                    };
+                    out.push(c);
+                    self.i += 1;
+                    run = self.i;
                 }
                 Some(c) if c < 0x20 => return self.err("control character in string"),
                 Some(_) => self.i += 1,
@@ -275,7 +319,8 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<(), String> {
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
@@ -304,7 +349,10 @@ impl Parser<'_> {
                 return self.err("expected exponent digits");
             }
         }
-        Ok(())
+        match self.s[start..self.i].parse() {
+            Ok(n) => Ok(Json::Number(n)),
+            Err(_) => self.err("number out of range"),
+        }
     }
 }
 
@@ -346,6 +394,25 @@ mod tests {
     #[test]
     fn empty_batch_still_validates() {
         validate_json(&chrome_trace(&[])).unwrap();
+    }
+
+    #[test]
+    fn parser_decodes_escapes_and_passes_utf8_through() {
+        let v = parse_json(r#"{"k": ["a\"\\\n\u00e9", "µs — é", -1.5e2, true, null]}"#).unwrap();
+        let Json::Object(fields) = v else {
+            panic!("not an object")
+        };
+        assert_eq!(fields[0].0, "k");
+        assert_eq!(
+            fields[0].1,
+            Json::Array(vec![
+                Json::String("a\"\\\né".into()),
+                Json::String("µs — é".into()),
+                Json::Number(-150.0),
+                Json::Bool(true),
+                Json::Null,
+            ])
+        );
     }
 
     #[test]

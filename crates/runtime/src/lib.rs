@@ -46,12 +46,11 @@
 //! case of the same code. [`ShardedRuntime`] is an alias for [`Runtime`],
 //! kept because the `e2e` benchmark names it.
 //!
-//! Ready tasks reach the workers through the `nexuspp-sched` scheduling
-//! layer: per-worker work-stealing deques by default.
-//! [`Runtime::with_options`] makes every knob explicit — the mutex-queue
-//! scheduler ([`SchedulerKind`]) and the locked wake path ([`WakeMode`])
-//! kept as differential references, and a per-shard residency bound
-//! ([`ShardCapacity`]) under which `spawn` blocks while a shard is full.
+//! Ready tasks reach the workers through the `nexuspp-sched`
+//! work-stealing scheduler, and wakes leave the shards over lock-free
+//! wake lists. [`Runtime::with_capacity`] adds the one setting beyond
+//! `(workers, shards)`: a per-shard residency bound ([`ShardCapacity`])
+//! under which `spawn` blocks while a shard is full.
 
 #![deny(missing_docs)]
 
@@ -61,8 +60,8 @@ mod sharded;
 pub mod stress;
 
 pub use nexuspp_core::ShardCapacity;
-pub use nexuspp_sched::{SchedCounts, SchedulerKind};
-pub use nexuspp_shard::{CapacityCounts, WakeCounts, WakeMode};
+pub use nexuspp_sched::SchedCounts;
+pub use nexuspp_shard::{CapacityCounts, WakeCounts};
 pub use region::{Region, RegionId};
 pub use runtime::{ShutdownReport, TaskCtx};
 pub use sharded::{PendingSpawn, Runtime, ShardedRuntime, TaskBuilder};

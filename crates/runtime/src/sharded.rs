@@ -17,21 +17,16 @@
 //! is differentially verified against a single engine and the oracle in
 //! `nexuspp-shard`.
 //!
-//! Ready tasks are handed to workers through a
-//! [`nexuspp_sched::Scheduler`] (work-stealing by default, the mutex
-//! queue selectable via [`SchedulerKind::MutexQueue`] for differential
-//! comparison). A finish report's wakes — which may include tasks drained
-//! on behalf of other workers — are delivered as **one** batched
-//! scheduling operation: under the mutex queue that is one lock
-//! acquisition and one `Wake(n)` token instead of a queue-lock +
-//! channel-send per wake; under work stealing the whole burst lands on
-//! the finishing worker's own deque and idle workers steal it back out.
+//! Ready tasks are handed to workers through the work-stealing
+//! [`nexuspp_sched::Scheduler`]. A finish report's wakes — which may
+//! include tasks drained on behalf of other workers — are delivered as
+//! **one** batched scheduling operation: the whole burst lands on the
+//! finishing worker's own deque and idle workers steal it back out.
 //!
-//! Between the shards and the scheduler sits the dispatcher's wake path
-//! (see [`WakeMode`]): under the default lock-free mode a worker never
-//! holds a shard lock across wake delivery — ready tasks post to
-//! per-shard MPSC wake lists as the lock is released, and the worker
-//! drains whatever lists it can claim (its own wakes, plus any a
+//! Between the shards and the scheduler sits the dispatcher's wake path:
+//! a worker never holds a shard lock across wake delivery — ready tasks
+//! post to per-shard MPSC wake lists as the lock is released, and the
+//! worker drains whatever lists it can claim (its own wakes, plus any a
 //! concurrent finisher posted and skipped) straight into `wake_batch`.
 
 use crate::region::{Region, RegionId};
@@ -249,95 +244,64 @@ pub type ShardedRuntime = Runtime;
 impl Runtime {
     /// Start a runtime with `n` worker threads resolving dependencies
     /// across `shards` engines (`1` = one engine behind one lock), with
-    /// the default work-stealing scheduler, unbounded shards and
-    /// lock-free wake delivery.
+    /// unbounded shards.
     pub fn new(n: usize, shards: usize) -> Self {
-        Runtime::with_options(
-            n,
-            shards,
-            SchedulerKind::default(),
-            ShardCapacity::Unbounded,
-            WakeMode::default(),
-        )
+        Runtime::with_capacity(n, shards, ShardCapacity::Unbounded)
     }
 
-    /// Start a runtime with every knob explicit: the ready-task
-    /// scheduler `kind`, the per-shard residency bound `capacity` (a
+    /// Start a runtime with the per-shard residency bound `capacity` (a
     /// bounded runtime blocks [`spawn`](TaskBuilder::spawn) while a shard
-    /// is full), and how finish reports deliver wakes out of the shards
-    /// ([`WakeMode`]: lock-free wake lists by default, the locked
-    /// kick-off baseline selectable for comparison).
-    pub fn with_options(
-        n: usize,
-        shards: usize,
-        kind: SchedulerKind,
-        capacity: ShardCapacity,
-        wake_mode: WakeMode,
-    ) -> Self {
-        Runtime::build(n, shards, kind, capacity, wake_mode, None)
+    /// is full).
+    pub fn with_capacity(n: usize, shards: usize, capacity: ShardCapacity) -> Self {
+        Runtime::build(n, shards, capacity, None)
     }
 
-    /// Start a runtime (every knob explicit) that records lifecycle
-    /// events into `rec`: the dispatcher stamps the resolution and wake
-    /// phases (with real shard ids), the scheduler stamps steals and
-    /// idle parks, and the workers stamp the exec phase. Drain with
-    /// [`nexuspp_obs::Recorder::drain`] after a
-    /// [`barrier`](Self::barrier) for a causally ordered stream.
+    /// Start a runtime that records lifecycle events into `rec`: the
+    /// dispatcher stamps the resolution and wake phases (with real shard
+    /// ids), the scheduler stamps steals and idle parks, and the workers
+    /// stamp the exec phase. Drain with [`nexuspp_obs::Recorder::drain`]
+    /// after a [`barrier`](Self::barrier) for a causally ordered stream.
+    ///
+    /// `_kind` and `_wake_mode` are accepted and ignored: the six-argument
+    /// shape is kept only because `crates/bench/src/bin/e2e/` calls it.
     pub fn with_recorder(
         n: usize,
         shards: usize,
-        kind: SchedulerKind,
+        _kind: SchedulerKind,
         capacity: ShardCapacity,
-        wake_mode: WakeMode,
+        _wake_mode: WakeMode,
         rec: Arc<Recorder>,
     ) -> Self {
-        Runtime::build(n, shards, kind, capacity, wake_mode, Some(rec))
+        Runtime::build(n, shards, capacity, Some(rec))
     }
 
-    /// Start a runtime (every knob explicit) observed *online* by
-    /// `collector` ([`nexuspp_obs::Collector`]): lifecycle events
-    /// stream into the collector's recorder — its background thread
-    /// keeps a live [`nexuspp_obs::GraphTracker`] current while tasks
-    /// are in flight — and this runtime's [`metrics`](Self::metrics)
-    /// registry is attached for periodic sampling. The wake path keeps
-    /// its lock-freedom guarantee with the collector attached
-    /// (producers only CAS into their event lanes; the collector only
-    /// drains the consumer side). Call
+    /// Start a runtime observed *online* by `collector`
+    /// ([`nexuspp_obs::Collector`]): lifecycle events stream into the
+    /// collector's recorder — its background thread keeps a live
+    /// [`nexuspp_obs::GraphTracker`] current while tasks are in flight —
+    /// and this runtime's [`metrics`](Self::metrics) registry is
+    /// attached for periodic sampling. The wake path stays lock-free
+    /// with the collector attached (producers only CAS into their event
+    /// lanes; the collector only drains the consumer side). Call
     /// [`Collector::finish`](nexuspp_obs::Collector::finish) after the
     /// runtime joins for the complete final state.
     pub fn with_observer(
         n: usize,
         shards: usize,
-        kind: SchedulerKind,
         capacity: ShardCapacity,
-        wake_mode: WakeMode,
         collector: &nexuspp_obs::Collector,
     ) -> Self {
-        let rt = Runtime::build(
-            n,
-            shards,
-            kind,
-            capacity,
-            wake_mode,
-            Some(collector.recorder()),
-        );
+        let rt = Runtime::build(n, shards, capacity, Some(collector.recorder()));
         collector.attach_registry(Arc::new(rt.metrics()));
         rt
     }
 
-    fn build(
-        n: usize,
-        shards: usize,
-        kind: SchedulerKind,
-        capacity: ShardCapacity,
-        wake_mode: WakeMode,
-        obs: Option<Arc<Recorder>>,
-    ) -> Self {
+    fn build(n: usize, shards: usize, capacity: ShardCapacity, obs: Option<Arc<Recorder>>) -> Self {
         // n == 0 is allowed: no worker threads are spawned and every
         // task executes inside a scheduler-aware waiter (`wait_on`).
-        let (mut sched, handles) = Scheduler::new(kind, n);
+        let (mut sched, handles) = Scheduler::new(SchedulerKind::default(), n);
         let mut dispatcher =
-            ShardDispatcher::with_mode(shards, &NexusConfig::unbounded(), capacity, wake_mode);
+            ShardDispatcher::with_capacity(shards, &NexusConfig::unbounded(), capacity);
         if let Some(rec) = &obs {
             sched.set_recorder(Arc::clone(rec), |r: &Ready| r.0.tag());
             dispatcher = dispatcher.with_recorder(Arc::clone(rec));
@@ -389,20 +353,9 @@ impl Runtime {
         self.inner.dispatcher.capacity_counts()
     }
 
-    /// Which ready-task scheduler this runtime drives.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.inner.sched.kind()
-    }
-
-    /// How this runtime's workers deliver wakes out of the shards.
-    pub fn wake_mode(&self) -> WakeMode {
-        self.inner.dispatcher.wake_mode()
-    }
-
-    /// Wake-path activity counters — records delivered, drain attempts,
-    /// time in the drain step, and the shard-lock acquisitions it
-    /// performed (zero under [`WakeMode::LockFree`]). Exact once
-    /// quiescent — call after [`barrier`](Self::barrier).
+    /// Wake-path activity counters — records delivered, drain attempts
+    /// and time in the drain step. Exact once quiescent — call after
+    /// [`barrier`](Self::barrier).
     pub fn wake_counts(&self) -> WakeCounts {
         self.inner.dispatcher.wake_counts()
     }
@@ -728,8 +681,8 @@ fn execute_ready(
     }
     // Retire through the sharded dispatcher: only the shards this
     // task touched are locked (for table access; wake delivery runs
-    // outside the locks under WakeMode::LockFree), and the report may
-    // carry wakes and completions drained on behalf of other workers.
+    // outside the locks), and the report may carry wakes and
+    // completions drained on behalf of other workers.
     // The whole wake set is delivered as one batched scheduling
     // operation.
     let report = inner.dispatcher.finish(ticket);

@@ -7,17 +7,11 @@
 
 use nexuspp_core::testsupport::with_watchdog;
 use nexuspp_runtime::stress::drive_capacity_stress;
-use nexuspp_runtime::{Region, Runtime, SchedulerKind, ShardCapacity, WakeMode};
+use nexuspp_runtime::{Region, Runtime, ShardCapacity};
 use std::sync::Arc;
 
 fn bounded(workers: usize, shards: usize, limit: usize) -> Runtime {
-    Runtime::with_options(
-        workers,
-        shards,
-        SchedulerKind::default(),
-        ShardCapacity::Bounded(limit),
-        WakeMode::default(),
-    )
+    Runtime::with_capacity(workers, shards, ShardCapacity::Bounded(limit))
 }
 
 #[test]

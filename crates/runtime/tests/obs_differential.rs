@@ -3,8 +3,7 @@
 //! at quiescence they must agree exactly.
 //!
 //! Covered matrix: one resolver shard (a single engine) and four,
-//! {1, 2, 4, 8} workers, and (at four shards) both wake modes. Each run also
-//! checks the strict per-task lifecycle ordering the recorder's global
+//! {1, 2, 4, 8} workers. Each run also checks the strict per-task lifecycle ordering the recorder's global
 //! sequence promises: `Submitted < DepCheckStart < DepCheckDone < Ready
 //! < ExecStart < ExecDone < Finished` on `seq`.
 
@@ -135,14 +134,14 @@ fn check_common(events: &[Event], steals: u64, scheduler_submitted: u64) {
     check_per_task_order(events);
 }
 
-fn run(workers: usize, shards: usize, wake_mode: WakeMode) {
+fn run(workers: usize, shards: usize) {
     let rec = Arc::new(Recorder::new(workers));
     let rt = Runtime::with_recorder(
         workers,
         shards,
-        SchedulerKind::WorkStealing,
+        SchedulerKind::default(),
         ShardCapacity::Unbounded,
-        wake_mode,
+        WakeMode::default(),
         Arc::clone(&rec),
     );
     let executed = Arc::new(AtomicU64::new(0));
@@ -202,20 +201,13 @@ fn run(workers: usize, shards: usize, wake_mode: WakeMode) {
 #[test]
 fn sharded_lock_free_events_match_counters() {
     for workers in [1, 2, 4, 8] {
-        run(workers, 4, WakeMode::LockFree);
-    }
-}
-
-#[test]
-fn sharded_locked_events_match_counters() {
-    for workers in [1, 2, 4, 8] {
-        run(workers, 4, WakeMode::Locked);
+        run(workers, 4);
     }
 }
 
 #[test]
 fn single_engine_events_match_counters() {
     for workers in [1, 2, 4, 8] {
-        run(workers, 1, WakeMode::LockFree);
+        run(workers, 1);
     }
 }

@@ -1,8 +1,9 @@
-//! Differential tests between the two ready-task schedulers at the
-//! runtime level: the work-stealing scheduler must execute exactly the
-//! same task set as the mutex queue — no lost execution, no duplicated
-//! execution, no dependency-order violation — across thread counts
-//! {1, 2, 4, 8}, at one resolver shard and at four.
+//! Differential tests of the ready-task scheduler at the runtime level:
+//! the work-stealing scheduler must execute exactly the declared task
+//! set — no lost execution, no duplicated execution, no dependency-order
+//! violation — across thread counts {1, 2, 4, 8}, at one resolver shard
+//! and at four, and random DAGs must produce the contents a sequential
+//! fold of the same operations produces.
 //!
 //! Execution logs are gathered by the tasks themselves: every task
 //! appends its global id to a shared log and checks, inside its body,
@@ -10,25 +11,14 @@
 //! predecessor must have produced (a dependency-order violation is
 //! caught at the task that observes it, not inferred from final state).
 
-use nexuspp_runtime::{Runtime, SchedulerKind, ShardCapacity, WakeMode};
+use nexuspp_runtime::Runtime;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-const KINDS: [SchedulerKind; 2] = [SchedulerKind::MutexQueue, SchedulerKind::WorkStealing];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SHARDS: [usize; 2] = [1, 4];
-
-fn runtime(workers: usize, shards: usize, kind: SchedulerKind) -> Runtime {
-    Runtime::with_options(
-        workers,
-        shards,
-        kind,
-        ShardCapacity::Unbounded,
-        WakeMode::default(),
-    )
-}
 
 /// Outcome of one chain-workload run: the execution log (global task
 /// ids, in observed completion order) plus the final chain values.
@@ -83,39 +73,29 @@ fn run_chains(rt: &Runtime, chains: u64, chain_len: u64) -> RunLog {
     RunLog { log, finals }
 }
 
-fn check_run(log: RunLog, chains: u64, chain_len: u64, what: &str) -> HashSet<u64> {
+fn check_run(log: RunLog, chains: u64, chain_len: u64, what: &str) {
     let total = 1 + chains * chain_len;
     assert_eq!(log.log.len() as u64, total, "{what}: wrong execution count");
     let set: HashSet<u64> = log.log.iter().copied().collect();
-    assert_eq!(set.len() as u64, total, "{what}: duplicated execution");
+    assert_eq!(
+        set,
+        (0..total).collect::<HashSet<u64>>(),
+        "{what}: executed set is not the declared task set"
+    );
     assert_eq!(
         log.finals,
         vec![chain_len; chains as usize],
         "{what}: lost or misordered chain task"
     );
-    set
 }
 
 fn schedulers_execute_identical_task_sets(shards: usize) {
     const CHAINS: u64 = 6;
     const LEN: u64 = 60;
     for workers in THREADS {
-        let mut sets = Vec::new();
-        for kind in KINDS {
-            let rt = runtime(workers, shards, kind);
-            assert_eq!(rt.scheduler_kind(), kind);
-            let run = run_chains(&rt, CHAINS, LEN);
-            sets.push(check_run(
-                run,
-                CHAINS,
-                LEN,
-                &format!("{shards} shards/{}/{workers}w", kind.name()),
-            ));
-        }
-        assert_eq!(
-            sets[0], sets[1],
-            "{shards} shards, {workers} workers: kinds executed different task sets"
-        );
+        let rt = Runtime::new(workers, shards);
+        let run = run_chains(&rt, CHAINS, LEN);
+        check_run(run, CHAINS, LEN, &format!("{shards} shards/{workers}w"));
     }
 }
 
@@ -130,9 +110,9 @@ fn schedulers_execute_identical_task_sets_on_sharded_runtime() {
 }
 
 /// Random DAGs, differentially: the same seeded random task graph runs
-/// under both schedulers at both shard counts; dataflow semantics make
-/// results schedule-independent, so every run must produce identical
-/// region contents — and every task must run exactly once.
+/// at both shard counts; dataflow semantics make results
+/// schedule-independent, so every run must produce the region contents
+/// of the sequential fold — and every task must run exactly once.
 #[derive(Debug, Clone)]
 struct RandomOp {
     dst: usize,
@@ -155,14 +135,18 @@ fn random_ops(regions: usize) -> impl Strategy<Value = Vec<RandomOp>> {
     )
 }
 
-fn run_random(
-    ops: &[RandomOp],
-    kind: SchedulerKind,
-    workers: usize,
-    shards: usize,
-    regions: usize,
-) -> Vec<u64> {
-    let rt = runtime(workers, shards, kind);
+/// The reference: apply `ops` in program order on plain cells.
+fn fold_random(ops: &[RandomOp], regions: usize) -> Vec<u64> {
+    let mut cells: Vec<u64> = (0..regions as u64).collect();
+    for op in ops {
+        let s = if op.src == op.dst { 0 } else { cells[op.src] };
+        cells[op.dst] = cells[op.dst].wrapping_mul(3).wrapping_add(s + op.add);
+    }
+    cells
+}
+
+fn run_random(ops: &[RandomOp], workers: usize, shards: usize, regions: usize) -> Vec<u64> {
+    let rt = Runtime::new(workers, shards);
     let regs: Vec<_> = (0..regions).map(|i| rt.region(vec![i as u64])).collect();
     let ran = Arc::new(AtomicU64::new(0));
     for op in ops {
@@ -197,20 +181,17 @@ proptest! {
 
     #[test]
     fn random_dags_agree_across_schedulers(ops in random_ops(5)) {
-        let reference = run_random(&ops, SchedulerKind::MutexQueue, 1, 1, 5);
-        for kind in KINDS {
-            for workers in [2usize, 4] {
-                for shards in SHARDS {
-                    let got = run_random(&ops, kind, workers, shards, 5);
-                    prop_assert_eq!(
-                        &got,
-                        &reference,
-                        "{} @ {} workers, {} shards diverged from serial reference",
-                        kind.name(),
-                        workers,
-                        shards
-                    );
-                }
+        let reference = fold_random(&ops, 5);
+        for workers in [2usize, 4] {
+            for shards in SHARDS {
+                let got = run_random(&ops, workers, shards, 5);
+                prop_assert_eq!(
+                    &got,
+                    &reference,
+                    "{} workers, {} shards diverged from serial reference",
+                    workers,
+                    shards
+                );
             }
         }
     }
@@ -228,7 +209,7 @@ fn steal_stress_chains_record_steals_and_shut_down_cleanly() {
     let spin = std::time::Duration::from_micros(5);
     let mut counts = None;
     for _attempt in 0..3 {
-        let rt = runtime(4, 4, SchedulerKind::WorkStealing);
+        let rt = Runtime::new(4, 4);
         let root = rt.region(vec![0u64]);
         let cells: Vec<_> = (0..8).map(|_| rt.region(vec![0u64])).collect();
         {
@@ -276,8 +257,8 @@ fn steal_stress_chains_record_steals_and_shut_down_cleanly() {
 
 #[test]
 fn parked_workers_wake_for_late_work_and_shut_down() {
-    for (kind, shards) in KINDS.into_iter().flat_map(|k| SHARDS.map(|s| (k, s))) {
-        let rt = runtime(8, shards, kind);
+    for shards in SHARDS {
+        let rt = Runtime::new(8, shards);
         let r = rt.region(vec![0u64]);
         {
             let r = r.clone();
@@ -286,8 +267,8 @@ fn parked_workers_wake_for_late_work_and_shut_down() {
             });
         }
         rt.barrier();
-        // All eight workers idle (the work-stealing ones park). Late
-        // work must still be picked up.
+        // All eight workers idle and park. Late work must still be
+        // picked up.
         std::thread::sleep(std::time::Duration::from_millis(30));
         {
             let r = r.clone();
@@ -297,12 +278,7 @@ fn parked_workers_wake_for_late_work_and_shut_down() {
         }
         rt.barrier();
         assert_eq!(rt.with_data(&r, |v| v[0]), 2);
-        if kind == SchedulerKind::WorkStealing {
-            assert!(
-                rt.sched_counts().parks > 0,
-                "idle work-stealing workers should park"
-            );
-        }
+        assert!(rt.sched_counts().parks > 0, "idle workers should park");
         drop(rt); // must join parked workers cleanly
     }
 }

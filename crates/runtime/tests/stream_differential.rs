@@ -4,22 +4,16 @@
 //! when replaying the same stream from a quiescent drain.
 //!
 //! Covered matrix: one resolver shard (a single engine) and four,
-//! {1, 4} workers, and (at four shards) both wake modes. Each configuration
-//! also asserts the properties that make the live view *live*:
+//! {1, 4} workers. Each configuration also asserts the properties that make the live view *live*:
 //!
 //! * mid-run, the tracker observes a nonzero number of tasks in the
 //!   intermediate states (Stalled / Ready / Running) — it is watching
 //!   the run, not summarizing it afterwards;
-//! * the state machine sees zero illegal transitions on real streams;
-//! * with the collector attached and polling, the lock-free wake path
-//!   still performs zero shard-lock acquisitions — observation does
-//!   not re-serialize delivery.
+//! * the state machine sees zero illegal transitions on real streams.
 
 use nexuspp_core::ShardCapacity;
 use nexuspp_obs::{Collector, CollectorReport, GraphTracker, Recorder, Subscriber, TaskState};
 use nexuspp_runtime::Runtime;
-use nexuspp_sched::SchedulerKind;
-use nexuspp_shard::WakeMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,16 +78,8 @@ fn wait_for_mid_flight(collector: &Collector) -> u64 {
     }
 }
 
-/// Post-run assertions shared by every configuration. `wake_locks` is
-/// the sharded lock-free runs' delivery-lock counter (None where there
-/// is nothing to assert).
-fn verify(
-    label: &str,
-    report: &CollectorReport,
-    replay_sub: &mut Subscriber,
-    mid_flight: u64,
-    wake_locks: Option<u64>,
-) {
+/// Post-run assertions shared by every configuration.
+fn verify(label: &str, report: &CollectorReport, replay_sub: &mut Subscriber, mid_flight: u64) {
     assert_eq!(
         report.stream.dropped, 0,
         "{label}: event rings must not overflow"
@@ -140,61 +126,38 @@ fn verify(
         "{label}: chain workload must produce wake edges"
     );
     assert!(mid_flight > 0, "{label}");
-
-    if let Some(locks) = wake_locks {
-        assert_eq!(
-            locks, 0,
-            "{label}: lock-free wake delivery must stay lock-free with a live collector"
-        );
-    }
 }
 
-fn check(workers: usize, shards: usize, mode: WakeMode) {
-    let label = format!("{shards} shards/{workers}w/{}", mode.name());
+fn check(workers: usize, shards: usize) {
+    let label = format!("{shards} shards/{workers}w");
     let collector = Collector::new(Arc::new(Recorder::new(workers)));
     // A second subscriber on the same stream: after the collector's
     // final poll it replays the exact released sequence quiescently.
     let mut replay_sub = collector.stream().clone().subscribe();
 
-    let rt = Runtime::with_observer(
-        workers,
-        shards,
-        SchedulerKind::WorkStealing,
-        ShardCapacity::Unbounded,
-        mode,
-        &collector,
-    );
+    let rt = Runtime::with_observer(workers, shards, ShardCapacity::Unbounded, &collector);
     let executed = spawn_workload(&rt);
     let mid_flight = wait_for_mid_flight(&collector);
     rt.barrier();
     assert_eq!(executed.load(Ordering::Relaxed), task_count());
-    let locks = rt.wake_counts().delivery_lock_acquisitions;
     // Join the workers before stopping the collector so its final poll
     // is a complete quiescent drain (no straggler park events).
     drop(rt);
     let report = collector.finish();
 
-    let wake_locks = (mode == WakeMode::LockFree).then_some(locks);
-    verify(&label, &report, &mut replay_sub, mid_flight, wake_locks);
+    verify(&label, &report, &mut replay_sub, mid_flight);
 }
 
 #[test]
 fn sharded_lock_free_live_tracker_matches_quiescent_replay() {
     for workers in [1, 4] {
-        check(workers, 4, WakeMode::LockFree);
-    }
-}
-
-#[test]
-fn sharded_locked_live_tracker_matches_quiescent_replay() {
-    for workers in [1, 4] {
-        check(workers, 4, WakeMode::Locked);
+        check(workers, 4);
     }
 }
 
 #[test]
 fn single_engine_live_tracker_matches_quiescent_replay() {
     for workers in [1, 4] {
-        check(workers, 1, WakeMode::LockFree);
+        check(workers, 1);
     }
 }

@@ -15,22 +15,10 @@
 //! bodies exactly once (executed + cancelled == submitted).
 
 use nexuspp_core::testsupport::with_watchdog;
-use nexuspp_runtime::{Runtime, SchedulerKind, ShardCapacity, WakeMode};
+use nexuspp_runtime::Runtime;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-const KINDS: [SchedulerKind; 2] = [SchedulerKind::MutexQueue, SchedulerKind::WorkStealing];
-
-fn runtime(workers: usize, shards: usize, kind: SchedulerKind) -> Runtime {
-    Runtime::with_options(
-        workers,
-        shards,
-        kind,
-        ShardCapacity::Unbounded,
-        WakeMode::default(),
-    )
-}
 
 /// A chain of `len` inout tasks over one region; returns the counter
 /// every task bumps.
@@ -49,21 +37,15 @@ fn spawn_chain(rt: &Runtime, region: &nexuspp_runtime::Region<u64>, len: u64) ->
 }
 
 fn waiter_executes_the_graph_at_zero_workers(shards: usize) {
-    for kind in KINDS {
-        with_watchdog(
-            60,
-            format!("{shards}-shard zero-worker {kind:?}"),
-            move || {
-                let rt = runtime(0, shards, kind);
-                let region = rt.region(vec![0u64]);
-                let ran = spawn_chain(&rt, &region, 64);
-                // The only thread able to execute anything is this waiter.
-                rt.wait_on(&region);
-                assert_eq!(ran.load(Ordering::SeqCst), 64, "{kind:?}");
-                assert_eq!(rt.with_data(&region, |v| v[0]), 64, "{kind:?}");
-            },
-        );
-    }
+    with_watchdog(60, format!("{shards}-shard zero-worker"), move || {
+        let rt = Runtime::new(0, shards);
+        let region = rt.region(vec![0u64]);
+        let ran = spawn_chain(&rt, &region, 64);
+        // The only thread able to execute anything is this waiter.
+        rt.wait_on(&region);
+        assert_eq!(ran.load(Ordering::SeqCst), 64);
+        assert_eq!(rt.with_data(&region, |v| v[0]), 64);
+    });
 }
 
 #[test]
@@ -78,84 +60,80 @@ fn waiter_executes_the_graph_at_zero_workers_sharded() {
 
 #[test]
 fn dropping_the_runtime_under_a_parked_waiter_is_clean() {
-    for kind in KINDS {
-        with_watchdog(60, format!("drop under waiter {kind:?}"), move || {
-            let rt = Arc::new(runtime(2, 4, kind));
-            let region = rt.region(vec![0u64]);
-            let gate = Arc::new(AtomicBool::new(false));
-            {
-                let r = region.clone();
-                let gate = Arc::clone(&gate);
-                rt.task().inout(&region).spawn(move |t| {
-                    while !gate.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                    t.write(&r)[0] = 7;
-                });
-            }
-            let waiter = {
-                let rt = Arc::clone(&rt);
-                let region = region.clone();
-                std::thread::spawn(move || rt.wait_on(&region))
-            };
-            // Let the waiter park behind the gated producer, then drop
-            // the main handle: the waiter thread now owns the runtime,
-            // so the full teardown (drain + worker join) runs on the
-            // thread that was parked. It must return normally — never
-            // panic, never deadlock joining itself.
-            std::thread::sleep(Duration::from_millis(20));
-            gate.store(true, Ordering::SeqCst);
-            drop(rt);
-            waiter.join().expect("waiter must not panic on teardown");
-        });
-    }
+    with_watchdog(60, "drop under waiter".to_string(), move || {
+        let rt = Arc::new(Runtime::new(2, 4));
+        let region = rt.region(vec![0u64]);
+        let gate = Arc::new(AtomicBool::new(false));
+        {
+            let r = region.clone();
+            let gate = Arc::clone(&gate);
+            rt.task().inout(&region).spawn(move |t| {
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                t.write(&r)[0] = 7;
+            });
+        }
+        let waiter = {
+            let rt = Arc::clone(&rt);
+            let region = region.clone();
+            std::thread::spawn(move || rt.wait_on(&region))
+        };
+        // Let the waiter park behind the gated producer, then drop
+        // the main handle: the waiter thread now owns the runtime,
+        // so the full teardown (drain + worker join) runs on the
+        // thread that was parked. It must return normally — never
+        // panic, never deadlock joining itself.
+        std::thread::sleep(Duration::from_millis(20));
+        gate.store(true, Ordering::SeqCst);
+        drop(rt);
+        waiter.join().expect("waiter must not panic on teardown");
+    });
 }
 
 #[test]
 fn hard_deadline_shutdown_cancels_the_probe_and_the_waiter_returns() {
-    for kind in KINDS {
-        with_watchdog(60, format!("abort under waiter {kind:?}"), move || {
-            let rt = Arc::new(runtime(1, 4, kind));
-            let region = rt.region(vec![0u64]);
-            let gate = Arc::new(AtomicBool::new(false));
-            {
-                let r = region.clone();
-                let gate = Arc::clone(&gate);
-                rt.task().inout(&region).spawn(move |t| {
-                    while !gate.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    t.write(&r)[0] = 7;
-                });
-            }
-            let waiter = {
-                let rt = Arc::clone(&rt);
-                let region = region.clone();
-                std::thread::spawn(move || rt.wait_on(&region))
-            };
-            std::thread::sleep(Duration::from_millis(20));
-            // Producer still gated: the deadline elapses, the abort path
-            // engages. Release the gate afterwards so the running body
-            // finishes; the woken probe then cancel-finishes (dropping
-            // its sender) and the parked waiter must return cleanly —
-            // this is the exact disconnect that used to panic.
-            let release = {
-                let gate = Arc::clone(&gate);
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(100));
-                    gate.store(true, Ordering::SeqCst);
-                })
-            };
-            let report = rt.shutdown_deadline(Duration::from_millis(30));
-            assert!(!report.graceful, "{kind:?}: deadline should have fired");
-            assert_eq!(report.executed, 1, "{kind:?}: the gated producer ran");
-            assert_eq!(report.cancelled, 1, "{kind:?}: the probe was cancelled");
-            waiter
-                .join()
-                .expect("waiter must not panic when its probe is cancelled");
-            release.join().unwrap();
-        });
-    }
+    with_watchdog(60, "abort under waiter".to_string(), move || {
+        let rt = Arc::new(Runtime::new(1, 4));
+        let region = rt.region(vec![0u64]);
+        let gate = Arc::new(AtomicBool::new(false));
+        {
+            let r = region.clone();
+            let gate = Arc::clone(&gate);
+            rt.task().inout(&region).spawn(move |t| {
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                t.write(&r)[0] = 7;
+            });
+        }
+        let waiter = {
+            let rt = Arc::clone(&rt);
+            let region = region.clone();
+            std::thread::spawn(move || rt.wait_on(&region))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        // Producer still gated: the deadline elapses, the abort path
+        // engages. Release the gate afterwards so the running body
+        // finishes; the woken probe then cancel-finishes (dropping
+        // its sender) and the parked waiter must return cleanly —
+        // this is the exact disconnect that used to panic.
+        let release = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(100));
+                gate.store(true, Ordering::SeqCst);
+            })
+        };
+        let report = rt.shutdown_deadline(Duration::from_millis(30));
+        assert!(!report.graceful, "deadline should have fired");
+        assert_eq!(report.executed, 1, "the gated producer ran");
+        assert_eq!(report.cancelled, 1, "the probe was cancelled");
+        waiter
+            .join()
+            .expect("waiter must not panic when its probe is cancelled");
+        release.join().unwrap();
+    });
 }
 
 #[test]

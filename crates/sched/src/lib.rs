@@ -1,36 +1,26 @@
 //! # nexuspp-sched — the ready-task scheduling layer
 //!
-//! After PR 2 sharded dependency *resolution*, both runtimes still
-//! funneled every ready task through one `Mutex<ReadyQueue>` plus one
-//! wake-token channel — four serialized lock acquisitions per task, the
-//! next bottleneck ROADMAP named. This crate is that layer, extracted and
-//! replaced: a work-stealing scheduler in the style task-based runtimes
-//! converged on once resolution stopped being the bottleneck (Álvarez et
-//! al., *Advanced Synchronization Techniques for Task-based Runtime
-//! Systems*, arXiv:2105.07902; the Nanos6/CppSs lineage of StarSs).
-//!
-//! Two implementations sit behind one API, selected by [`SchedulerKind`]:
-//!
-//! * [`SchedulerKind::WorkStealing`] *(default)* — per-worker Chase–Lev
-//!   deques (LIFO owner pop, FIFO steal), a lock-free global injector for
-//!   spawns, a global high-priority queue, and parking so idle workers
-//!   hold no CPU. A worker that wakes dependent tasks keeps them local;
-//!   idle workers steal oldest-first.
-//! * [`SchedulerKind::MutexQueue`] — the previous global-mutex ready
-//!   queue with channel wake tokens, kept fully functional for
-//!   differential testing and as the measured baseline of
-//!   `repro -- steal`.
+//! Every task the dependency layer declares ready travels through this
+//! crate to a worker thread: a work-stealing scheduler in the style
+//! task-based runtimes converged on once resolution stopped being the
+//! bottleneck (Álvarez et al., *Advanced Synchronization Techniques for
+//! Task-based Runtime Systems*, arXiv:2105.07902; the Nanos6/CppSs
+//! lineage of StarSs). Per-worker Chase–Lev deques (LIFO owner pop, FIFO
+//! steal), a lock-free global injector for spawns, a global
+//! high-priority queue, and parking so idle workers hold no CPU. A worker
+//! that wakes dependent tasks keeps them local; idle workers steal
+//! oldest-first.
 //!
 //! Workers interact through a per-thread [`WorkerHandle`]; spawning
 //! threads use [`Scheduler::submit`]. Wakes produced by a finish report
-//! are delivered with [`Scheduler::wake_batch`] — one queue operation and
-//! one wake token for the whole report, regardless of scheduler kind.
+//! are delivered with [`Scheduler::wake_batch`] — one scheduling
+//! operation for the whole report.
 //!
 //! ```
 //! use nexuspp_core::Priority;
 //! use nexuspp_sched::{Scheduler, SchedulerKind};
 //!
-//! let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::WorkStealing, 2);
+//! let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), 2);
 //! let sched = std::sync::Arc::new(sched);
 //! let workers: Vec<_> = handles
 //!     .into_iter()
@@ -60,232 +50,19 @@
 #![deny(missing_docs)]
 
 mod metrics;
-mod mutex_queue;
 pub mod stress;
 mod work_steal;
 
 pub use metrics::SchedCounts;
 pub use nexuspp_core::Priority;
+pub use work_steal::{Scheduler, WorkerHandle};
 
-use crossbeam::deque;
-use metrics::SchedMetrics;
-use mutex_queue::MutexScheduler;
-use work_steal::WorkStealScheduler;
-
-/// Which ready-task scheduler a runtime drives its workers with.
+/// Kept only because `crates/bench/src/bin/e2e/` passes
+/// `SchedulerKind::default()` to [`Scheduler::new`]; there is one
+/// scheduler and the value selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// The pre-sched global queue: one mutex, wake tokens over a channel.
-    MutexQueue,
     /// Per-worker work-stealing deques with a lock-free injector.
     #[default]
     WorkStealing,
-}
-
-impl SchedulerKind {
-    /// Short stable name (table rows, bench labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::MutexQueue => "mutex-queue",
-            SchedulerKind::WorkStealing => "work-stealing",
-        }
-    }
-}
-
-/// Per-worker-thread scheduler endpoint. Created by [`Scheduler::new`]
-/// and moved into the worker thread; identifies the worker and, for the
-/// work-stealing kind, owns its deque.
-pub struct WorkerHandle<T> {
-    pub(crate) id: usize,
-    pub(crate) local: Option<deque::Worker<T>>,
-}
-
-impl<T> WorkerHandle<T> {
-    /// This worker's index in `0..n_workers`.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-}
-
-enum Imp<T> {
-    Mutex(MutexScheduler<T>),
-    Ws(WorkStealScheduler<T>),
-}
-
-/// Lifecycle-event hook attached by [`Scheduler::set_recorder`]: the
-/// recorder plus a projection from the scheduled item to its task tag,
-/// so steal events name the task that moved.
-pub(crate) struct SchedObs<T> {
-    pub(crate) rec: std::sync::Arc<nexuspp_obs::Recorder>,
-    pub(crate) tag_of: fn(&T) -> u64,
-}
-
-/// A ready-task scheduler shared by `n` workers (plus any number of
-/// submitting threads).
-pub struct Scheduler<T> {
-    imp: Imp<T>,
-    metrics: SchedMetrics,
-    n_workers: usize,
-    obs: Option<SchedObs<T>>,
-}
-
-impl<T: Send> Scheduler<T> {
-    /// Build a scheduler and one [`WorkerHandle`] per worker. Handle `i`
-    /// belongs to worker `i`; each must be moved into exactly one thread.
-    ///
-    /// `n_workers == 0` is allowed: no handles are produced and nothing
-    /// ever calls [`next`](Self::next) — every queued task must then be
-    /// drained through [`try_next_external`](Self::try_next_external)
-    /// (the scheduler-aware-waiter configuration).
-    pub fn new(kind: SchedulerKind, n_workers: usize) -> (Self, Vec<WorkerHandle<T>>) {
-        let (imp, locals) = match kind {
-            SchedulerKind::MutexQueue => (Imp::Mutex(MutexScheduler::new()), None),
-            SchedulerKind::WorkStealing => {
-                let (ws, locals) = WorkStealScheduler::new(n_workers);
-                (Imp::Ws(ws), Some(locals))
-            }
-        };
-        let mut locals: Vec<Option<deque::Worker<T>>> = match locals {
-            Some(v) => v.into_iter().map(Some).collect(),
-            None => (0..n_workers).map(|_| None).collect(),
-        };
-        let handles = (0..n_workers)
-            .map(|id| WorkerHandle {
-                id,
-                local: locals[id].take(),
-            })
-            .collect();
-        (
-            Scheduler {
-                imp,
-                metrics: SchedMetrics::default(),
-                n_workers,
-                obs: None,
-            },
-            handles,
-        )
-    }
-
-    /// Attach a lifecycle-event recorder. `tag_of` projects a scheduled
-    /// item to its task tag so `Stolen` events name the task that moved
-    /// between workers. The work-stealing kind additionally emits
-    /// `Stalled`/`Resumed` around each idle park (with no task or shard
-    /// attached — see [`nexuspp_obs::EventKind::Stalled`]); the mutex
-    /// kind blocks in a channel receive and emits no park events.
-    pub fn set_recorder(
-        &mut self,
-        rec: std::sync::Arc<nexuspp_obs::Recorder>,
-        tag_of: fn(&T) -> u64,
-    ) {
-        self.obs = Some(SchedObs { rec, tag_of });
-    }
-
-    /// Which implementation this scheduler runs.
-    pub fn kind(&self) -> SchedulerKind {
-        match self.imp {
-            Imp::Mutex(_) => SchedulerKind::MutexQueue,
-            Imp::Ws(_) => SchedulerKind::WorkStealing,
-        }
-    }
-
-    /// Number of workers this scheduler was built for.
-    pub fn n_workers(&self) -> usize {
-        self.n_workers
-    }
-
-    /// Hand a ready task to the workers from outside worker context
-    /// (task spawns, wait-on probes).
-    pub fn submit(&self, item: T, prio: Priority) {
-        SchedMetrics::bump(&self.metrics.submitted);
-        match &self.imp {
-            Imp::Mutex(m) => m.push(item, prio),
-            Imp::Ws(ws) => ws.push_external(item, prio, &self.metrics),
-        }
-    }
-
-    /// Deliver one wake from worker `h` (a task it completed released
-    /// `item`). Prefer [`wake_batch`](Self::wake_batch) for whole finish
-    /// reports.
-    pub fn wake(&self, h: &WorkerHandle<T>, item: T, prio: Priority) {
-        match &self.imp {
-            Imp::Mutex(m) => m.push(item, prio),
-            Imp::Ws(ws) => ws.push_local(h, item, prio, &self.metrics),
-        }
-    }
-
-    /// Deliver a whole finish report's wakes in one scheduling operation:
-    /// one queue lock + one wake token (mutex kind), or a run of local
-    /// deque pushes with at most one unpark per item (work-stealing
-    /// kind). No channel round-trip per wake either way.
-    pub fn wake_batch(&self, h: &WorkerHandle<T>, items: Vec<(T, Priority)>) {
-        if items.is_empty() {
-            return;
-        }
-        SchedMetrics::bump(&self.metrics.wake_batches);
-        match &self.imp {
-            Imp::Mutex(m) => m.push_batch(items),
-            Imp::Ws(ws) => {
-                for (item, prio) in items {
-                    ws.push_local(h, item, prio, &self.metrics);
-                }
-            }
-        }
-    }
-
-    /// Blocking pop for worker `h`: the next task to execute, or `None`
-    /// once the scheduler shut down and no work remains.
-    pub fn next(&self, h: &WorkerHandle<T>) -> Option<T> {
-        match &self.imp {
-            Imp::Mutex(m) => m.next(&self.metrics),
-            Imp::Ws(ws) => ws.next(h, &self.metrics, self.obs.as_ref()),
-        }
-    }
-
-    /// Non-blocking pop from *outside* any worker thread — the endpoint
-    /// for scheduler-aware waiters (a blocked `wait_on` caller executing
-    /// ready tasks until its probe completes) and 0-worker runtimes.
-    /// Sweeps the shared sources in policy order: the high-priority
-    /// queue, the injector (mutex kind: the global queue), then steals
-    /// from worker deques. Returns `None` when no ready task is
-    /// currently visible — which is not quiescence; a running task may
-    /// publish more work.
-    pub fn try_next_external(&self) -> Option<T> {
-        match &self.imp {
-            Imp::Mutex(m) => m.try_pop(&self.metrics),
-            Imp::Ws(ws) => ws.try_find_external(&self.metrics, self.obs.as_ref()),
-        }
-    }
-
-    /// Deliver a finish report's wakes from outside worker context (an
-    /// external helper has no [`WorkerHandle`], so the items land on the
-    /// shared queues instead of a local deque). One queue lock + one
-    /// token under the mutex kind, injector pushes under work stealing.
-    pub fn wake_batch_external(&self, items: Vec<(T, Priority)>) {
-        if items.is_empty() {
-            return;
-        }
-        SchedMetrics::bump(&self.metrics.wake_batches);
-        match &self.imp {
-            Imp::Mutex(m) => m.push_batch(items),
-            Imp::Ws(ws) => {
-                for (item, prio) in items {
-                    ws.push_external(item, prio, &self.metrics);
-                }
-            }
-        }
-    }
-
-    /// Stop all workers. Callers must have reached quiescence (no tasks
-    /// in flight); pending queue contents are not drained.
-    pub fn shutdown(&self) {
-        match &self.imp {
-            Imp::Mutex(m) => m.shutdown(self.n_workers),
-            Imp::Ws(ws) => ws.shutdown(),
-        }
-    }
-
-    /// Snapshot of the activity counters (exact at quiescence).
-    pub fn counts(&self) -> SchedCounts {
-        self.metrics.snapshot()
-    }
 }

@@ -8,14 +8,11 @@
 //! `chains` dependency chains of `chain_len` strictly serial tasks.
 //! Whichever worker executes the root wakes *every* chain head at once —
 //! the single-producer burst — so any speedup beyond one worker requires
-//! the other workers to take work they did not produce. Under the mutex
-//! queue that means hammering the one global lock; under work stealing it
-//! means stealing the chain heads once and then running each chain
-//! locally.
+//! the other workers to take work they did not produce: they steal the
+//! chain heads once and then run each chain locally.
 //!
 //! Tasks are `u64` ids; "executing" one costs a few atomic increments, so
-//! measured wall-clock is almost pure scheduling overhead — exactly the
-//! layer this crate replaces.
+//! measured wall-clock is almost pure scheduling overhead.
 
 use crate::{Priority, SchedCounts, Scheduler, SchedulerKind};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -77,10 +74,10 @@ pub fn spin_for(ns: u64) {
 }
 
 /// Run the workload to completion on `spec.workers` threads and report.
-pub fn run_chain_stress(kind: SchedulerKind, spec: &ChainStressSpec) -> ChainStressReport {
+pub fn run_chain_stress(spec: &ChainStressSpec) -> ChainStressReport {
     assert!(spec.chains >= 1 && spec.chain_len >= 1);
     let total = spec.task_count();
-    let (sched, handles) = Scheduler::<u64>::new(kind, spec.workers);
+    let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), spec.workers);
     let sched = Arc::new(sched);
     let executed = Arc::new(AtomicU64::new(0));
     let per_task: Arc<Vec<AtomicU32>> = Arc::new((0..total).map(|_| AtomicU32::new(0)).collect());
@@ -136,16 +133,12 @@ pub fn run_chain_stress(kind: SchedulerKind, spec: &ChainStressSpec) -> ChainStr
 }
 
 /// Best (minimum) wall-clock over `runs` repetitions — the robust
-/// comparison statistic for the mutex-vs-stealing acceptance bar.
-pub fn best_of(kind: SchedulerKind, spec: &ChainStressSpec, runs: u32) -> ChainStressReport {
+/// statistic for a wall-clock row.
+pub fn best_of(spec: &ChainStressSpec, runs: u32) -> ChainStressReport {
     let mut best: Option<ChainStressReport> = None;
     for _ in 0..runs {
-        let r = run_chain_stress(kind, spec);
-        assert!(
-            r.exactly_once,
-            "{} run lost or duplicated tasks",
-            kind.name()
-        );
+        let r = run_chain_stress(spec);
+        assert!(r.exactly_once, "run lost or duplicated tasks");
         if best.as_ref().is_none_or(|b| r.elapsed < b.elapsed) {
             best = Some(r);
         }

@@ -21,13 +21,37 @@
 //! the registration and unparks, or the re-check observes the work — a
 //! wake can be spurious but never lost.
 
-use crate::metrics::SchedMetrics;
-use crate::{SchedObs, WorkerHandle};
+use crate::metrics::{SchedCounts, SchedMetrics};
+use crate::SchedulerKind;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use nexuspp_core::Priority;
-use nexuspp_obs::{EventKind, NO_SHARD, NO_TASK};
+use nexuspp_obs::{EventKind, Recorder, NO_SHARD, NO_TASK};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Per-worker-thread scheduler endpoint. Created by [`Scheduler::new`]
+/// and moved into the worker thread; identifies the worker and owns its
+/// deque.
+pub struct WorkerHandle<T> {
+    id: usize,
+    local: Worker<T>,
+}
+
+impl<T> WorkerHandle<T> {
+    /// This worker's index in `0..n_workers`.
+    pub fn id(&self) -> usize {
+        self.id
+    }
+}
+
+/// Lifecycle-event hook attached by [`Scheduler::set_recorder`]: the
+/// recorder plus a projection from the scheduled item to its task tag,
+/// so steal events name the task that moved.
+struct SchedObs<T> {
+    rec: Arc<Recorder>,
+    tag_of: fn(&T) -> u64,
+}
 
 /// One worker's parking spot.
 #[derive(Default)]
@@ -39,7 +63,9 @@ struct Parker {
     cv: Condvar,
 }
 
-pub(crate) struct WorkStealScheduler<T> {
+/// A ready-task scheduler shared by `n` workers (plus any number of
+/// submitting threads).
+pub struct Scheduler<T> {
     /// Global high-priority queue, checked before any normal source.
     high: Injector<T>,
     /// Global entry point for externally submitted normal tasks.
@@ -52,69 +78,125 @@ pub(crate) struct WorkStealScheduler<T> {
     /// Mirror of `sleepers.len()`, readable without the lock.
     n_sleepers: AtomicUsize,
     shutdown: AtomicBool,
+    metrics: SchedMetrics,
+    obs: Option<SchedObs<T>>,
 }
 
-impl<T: Send> WorkStealScheduler<T> {
-    /// Build the shared scheduler plus one deque per worker; the deques
-    /// are handed to the caller to move into the worker threads.
-    pub(crate) fn new(n_workers: usize) -> (Self, Vec<Worker<T>>) {
-        let locals: Vec<Worker<T>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
-        let sched = WorkStealScheduler {
+impl<T: Send> Scheduler<T> {
+    /// Build a scheduler and one [`WorkerHandle`] per worker. Handle `i`
+    /// belongs to worker `i`; each must be moved into exactly one thread.
+    /// `_kind` is accepted and ignored (see [`SchedulerKind`]).
+    ///
+    /// `n_workers == 0` is allowed: no handles are produced and nothing
+    /// ever calls [`next`](Self::next) — every queued task must then be
+    /// drained through [`try_next_external`](Self::try_next_external)
+    /// (the scheduler-aware-waiter configuration).
+    pub fn new(_kind: SchedulerKind, n_workers: usize) -> (Self, Vec<WorkerHandle<T>>) {
+        let handles: Vec<WorkerHandle<T>> = (0..n_workers)
+            .map(|id| WorkerHandle {
+                id,
+                local: Worker::new_lifo(),
+            })
+            .collect();
+        let sched = Scheduler {
             high: Injector::new(),
             injector: Injector::new(),
-            stealers: locals.iter().map(Worker::stealer).collect(),
+            stealers: handles.iter().map(|h| h.local.stealer()).collect(),
             parkers: (0..n_workers).map(|_| Parker::default()).collect(),
             sleepers: Mutex::new(Vec::with_capacity(n_workers)),
             n_sleepers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            metrics: SchedMetrics::default(),
+            obs: None,
         };
-        (sched, locals)
+        (sched, handles)
+    }
+
+    /// Attach a lifecycle-event recorder. `tag_of` projects a scheduled
+    /// item to its task tag so `Stolen` events name the task that moved
+    /// between workers. `Stalled`/`Resumed` are emitted around each idle
+    /// park (with no task or shard attached — see
+    /// [`nexuspp_obs::EventKind::Stalled`]).
+    pub fn set_recorder(&mut self, rec: Arc<Recorder>, tag_of: fn(&T) -> u64) {
+        self.obs = Some(SchedObs { rec, tag_of });
+    }
+
+    /// Number of workers this scheduler was built for.
+    pub fn n_workers(&self) -> usize {
+        self.parkers.len()
+    }
+
+    /// Hand a ready task to the workers from outside worker context
+    /// (task spawns, wait-on probes).
+    pub fn submit(&self, item: T, prio: Priority) {
+        SchedMetrics::bump(&self.metrics.submitted);
+        self.push_external(item, prio);
+    }
+
+    /// Deliver one wake from worker `h` (a task it completed released
+    /// `item`): normal wakes stay on the worker's own deque (work-first),
+    /// high-priority wakes go global so any worker picks them up next.
+    /// Prefer [`wake_batch`](Self::wake_batch) for whole finish reports.
+    pub fn wake(&self, h: &WorkerHandle<T>, item: T, prio: Priority) {
+        if prio.is_high() {
+            self.high.push(item);
+        } else {
+            h.local.push(item);
+            SchedMetrics::bump(&self.metrics.local_pushes);
+        }
+        self.maybe_unpark();
+    }
+
+    /// Deliver a whole finish report's wakes in one scheduling operation:
+    /// a run of local deque pushes with at most one unpark per item.
+    pub fn wake_batch(&self, h: &WorkerHandle<T>, items: Vec<(T, Priority)>) {
+        if items.is_empty() {
+            return;
+        }
+        SchedMetrics::bump(&self.metrics.wake_batches);
+        for (item, prio) in items {
+            self.wake(h, item, prio);
+        }
+    }
+
+    /// Deliver a finish report's wakes from outside worker context (an
+    /// external helper has no [`WorkerHandle`], so the items land on the
+    /// shared queues instead of a local deque).
+    pub fn wake_batch_external(&self, items: Vec<(T, Priority)>) {
+        if items.is_empty() {
+            return;
+        }
+        SchedMetrics::bump(&self.metrics.wake_batches);
+        for (item, prio) in items {
+            self.push_external(item, prio);
+        }
+    }
+
+    /// Snapshot of the activity counters (exact at quiescence).
+    pub fn counts(&self) -> SchedCounts {
+        self.metrics.snapshot()
     }
 
     /// Push from outside any worker (spawns, wait-on probes).
-    pub(crate) fn push_external(&self, item: T, prio: Priority, metrics: &SchedMetrics) {
+    fn push_external(&self, item: T, prio: Priority) {
         if prio.is_high() {
             self.high.push(item);
         } else {
             self.injector.push(item);
         }
-        self.maybe_unpark(metrics);
+        self.maybe_unpark();
     }
 
-    /// Push a wake from worker `h`: normal wakes stay on the worker's own
-    /// deque (work-first), high-priority wakes go global so any worker
-    /// picks them up next.
-    pub(crate) fn push_local(
-        &self,
-        h: &WorkerHandle<T>,
-        item: T,
-        prio: Priority,
-        metrics: &SchedMetrics,
-    ) {
-        if prio.is_high() {
-            self.high.push(item);
-        } else {
-            let local = h.local.as_ref().expect("work-stealing handle has a deque");
-            local.push(item);
-            SchedMetrics::bump(&metrics.local_pushes);
-        }
-        self.maybe_unpark(metrics);
-    }
-
-    /// Blocking pop. Returns `None` only after shutdown with no work
-    /// found in a full sweep.
-    pub(crate) fn next(
-        &self,
-        h: &WorkerHandle<T>,
-        metrics: &SchedMetrics,
-        obs: Option<&SchedObs<T>>,
-    ) -> Option<T> {
+    /// Blocking pop for worker `h`: the next task to execute, or `None`
+    /// once the scheduler shut down and a full sweep found no work.
+    pub fn next(&self, h: &WorkerHandle<T>) -> Option<T> {
+        let obs = self.obs.as_ref();
         loop {
             // Two sweeps with a yield between them: on a saturated host
             // this gives the producers a chance to publish before we pay
             // for the parking handshake.
             for round in 0..2 {
-                if let Some(item) = self.try_find(h, metrics, obs) {
+                if let Some(item) = self.try_find(h) {
                     return Some(item);
                 }
                 if round == 0 {
@@ -133,7 +215,7 @@ impl<T: Send> WorkStealScheduler<T> {
             // Phase 2: re-check. Work published before our registration
             // is necessarily visible here; work published after it will
             // find us in the sleeper stack and unpark us.
-            if let Some(item) = self.try_find(h, metrics, obs) {
+            if let Some(item) = self.try_find(h) {
                 self.cancel_park(h.id);
                 return Some(item);
             }
@@ -141,7 +223,7 @@ impl<T: Send> WorkStealScheduler<T> {
                 self.cancel_park(h.id);
                 return None;
             }
-            SchedMetrics::bump(&metrics.parks);
+            SchedMetrics::bump(&self.metrics.parks);
             if let Some(o) = obs {
                 o.rec.emit(EventKind::Stalled, NO_TASK, NO_SHARD);
             }
@@ -167,79 +249,54 @@ impl<T: Send> WorkStealScheduler<T> {
     }
 
     /// One full sweep over every source, in policy order.
-    fn try_find(
-        &self,
-        h: &WorkerHandle<T>,
-        metrics: &SchedMetrics,
-        obs: Option<&SchedObs<T>>,
-    ) -> Option<T> {
+    fn try_find(&self, h: &WorkerHandle<T>) -> Option<T> {
         if let Steal::Success(item) = self.high.steal() {
-            SchedMetrics::bump(&metrics.high_pops);
+            SchedMetrics::bump(&self.metrics.high_pops);
             return Some(item);
         }
-        if let Some(local) = h.local.as_ref() {
-            if let Some(item) = local.pop() {
-                SchedMetrics::bump(&metrics.local_pops);
-                return Some(item);
-            }
+        if let Some(item) = h.local.pop() {
+            SchedMetrics::bump(&self.metrics.local_pops);
+            return Some(item);
         }
         if let Steal::Success(item) = self.injector.steal() {
-            SchedMetrics::bump(&metrics.injector_pops);
+            SchedMetrics::bump(&self.metrics.injector_pops);
             return Some(item);
         }
-        // Steal, starting past our own id so victims spread out. Retry a
-        // bounded number of passes on CAS races, then give up (the outer
-        // loop re-sweeps before parking).
+        // Steal, starting past our own id so victims spread out.
         let n = self.stealers.len();
-        for _pass in 0..2 {
-            let mut contended = false;
-            for k in 1..n {
-                let victim = (h.id + k) % n;
-                match self.stealers[victim].steal() {
-                    Steal::Success(item) => {
-                        SchedMetrics::bump(&metrics.steals);
-                        if let Some(o) = obs {
-                            o.rec.emit(EventKind::Stolen, (o.tag_of)(&item), NO_SHARD);
-                        }
-                        return Some(item);
-                    }
-                    Steal::Retry => contended = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !contended {
-                break;
-            }
-        }
-        None
+        self.steal_from((1..n).map(|k| (h.id + k) % n))
     }
 
-    /// One sweep over the *shared* sources only — high-priority queue,
-    /// injector, then stealing from every worker deque — for callers
-    /// without a [`WorkerHandle`] (scheduler-aware waiters, 0-worker
-    /// runtimes). Safe from any thread: stealing is the deques' MPMC
-    /// side.
-    pub(crate) fn try_find_external(
-        &self,
-        metrics: &SchedMetrics,
-        obs: Option<&SchedObs<T>>,
-    ) -> Option<T> {
+    /// Non-blocking pop from *outside* any worker thread — the endpoint
+    /// for scheduler-aware waiters (a blocked `wait_on` caller executing
+    /// ready tasks until its probe completes) and 0-worker runtimes.
+    /// Sweeps the shared sources in policy order: the high-priority
+    /// queue, the injector, then steals from every worker deque (safe
+    /// from any thread: stealing is the deques' MPMC side). Returns
+    /// `None` when no ready task is currently visible — which is not
+    /// quiescence; a running task may publish more work.
+    pub fn try_next_external(&self) -> Option<T> {
         if let Steal::Success(item) = self.high.steal() {
-            SchedMetrics::bump(&metrics.high_pops);
+            SchedMetrics::bump(&self.metrics.high_pops);
             return Some(item);
         }
         if let Steal::Success(item) = self.injector.steal() {
-            SchedMetrics::bump(&metrics.injector_pops);
+            SchedMetrics::bump(&self.metrics.injector_pops);
             return Some(item);
         }
-        let n = self.stealers.len();
+        self.steal_from(0..self.stealers.len())
+    }
+
+    /// Try each victim's deque in order. Retry a bounded number of passes
+    /// on CAS races, then give up (`next` re-sweeps before parking).
+    fn steal_from(&self, victims: impl Iterator<Item = usize> + Clone) -> Option<T> {
         for _pass in 0..2 {
             let mut contended = false;
-            for victim in 0..n {
+            for victim in victims.clone() {
                 match self.stealers[victim].steal() {
                     Steal::Success(item) => {
-                        SchedMetrics::bump(&metrics.steals);
-                        if let Some(o) = obs {
+                        SchedMetrics::bump(&self.metrics.steals);
+                        if let Some(o) = &self.obs {
                             o.rec.emit(EventKind::Stolen, (o.tag_of)(&item), NO_SHARD);
                         }
                         return Some(item);
@@ -257,7 +314,7 @@ impl<T: Send> WorkStealScheduler<T> {
 
     /// Wake one sleeper if any are registered. Cheap when everyone is
     /// busy: a single relaxed-path atomic load.
-    fn maybe_unpark(&self, metrics: &SchedMetrics) {
+    fn maybe_unpark(&self) {
         if self.n_sleepers.load(Ordering::SeqCst) == 0 {
             return;
         }
@@ -268,8 +325,8 @@ impl<T: Send> WorkStealScheduler<T> {
             id
         };
         if let Some(id) = id {
-            SchedMetrics::bump(&metrics.unparks);
-            self.wake(id);
+            SchedMetrics::bump(&self.metrics.unparks);
+            self.unpark(id);
         }
     }
 
@@ -299,21 +356,23 @@ impl<T: Send> WorkStealScheduler<T> {
         }
     }
 
-    fn wake(&self, id: usize) {
+    fn unpark(&self, id: usize) {
         let parker = &self.parkers[id];
         let mut flag = parker.flag.lock();
         *flag = true;
         parker.cv.notify_one();
     }
 
-    /// Stop every worker: raise the flag, then wake all parking spots
-    /// (sleepers and not-yet-parked workers alike).
-    pub(crate) fn shutdown(&self) {
+    /// Stop all workers: raise the flag, then wake all parking spots
+    /// (sleepers and not-yet-parked workers alike). Callers must have
+    /// reached quiescence (no tasks in flight); pending queue contents
+    /// are not drained.
+    pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.sleepers.lock().clear();
         self.n_sleepers.store(0, Ordering::SeqCst);
         for id in 0..self.parkers.len() {
-            self.wake(id);
+            self.unpark(id);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Execution-correctness tests for both scheduler kinds: every submitted
+//! Execution-correctness tests for the scheduler: every submitted
 //! task is dispatched exactly once (none lost, none duplicated), across
 //! thread counts, with stealing observable under imbalance and clean
 //! shutdown from parked states.
@@ -8,14 +8,12 @@ use nexuspp_sched::{Priority, Scheduler, SchedulerKind};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const KINDS: [SchedulerKind; 2] = [SchedulerKind::MutexQueue, SchedulerKind::WorkStealing];
-
 /// Fan-out tree executed through the scheduler: ids `0..fanout_until`
 /// each wake two children (`2i+1`, `2i+2`). Checks exactly-once
 /// dispatch for externally submitted and worker-woken tasks alike.
-fn run_tree(kind: SchedulerKind, workers: usize, fanout_until: u64) -> Vec<u32> {
+fn run_tree(workers: usize, fanout_until: u64) -> Vec<u32> {
     let total = 2 * fanout_until + 1;
-    let (sched, handles) = Scheduler::<u64>::new(kind, workers);
+    let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), workers);
     let sched = Arc::new(sched);
     let seen: Arc<Vec<AtomicU32>> = Arc::new((0..total).map(|_| AtomicU32::new(0)).collect());
     let done = Arc::new(AtomicU64::new(0));
@@ -56,40 +54,34 @@ fn run_tree(kind: SchedulerKind, workers: usize, fanout_until: u64) -> Vec<u32> 
 
 #[test]
 fn both_kinds_dispatch_every_task_exactly_once_across_thread_counts() {
-    for kind in KINDS {
-        for workers in [1usize, 2, 4, 8] {
-            let seen = run_tree(kind, workers, 2000);
-            let bad: Vec<_> = seen
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 1)
-                .take(5)
-                .collect();
-            assert!(
-                bad.is_empty(),
-                "{} @ {workers} workers lost/duplicated tasks: {bad:?}",
-                kind.name()
-            );
-        }
+    for workers in [1usize, 2, 4, 8] {
+        let seen = run_tree(workers, 2000);
+        let bad: Vec<_> = seen
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c != 1)
+            .take(5)
+            .collect();
+        assert!(
+            bad.is_empty(),
+            "{workers} workers lost/duplicated tasks: {bad:?}"
+        );
     }
 }
 
 #[test]
 fn work_stealing_and_mutex_execute_identical_task_sets_on_chains() {
-    // The differential form of the same property, over the steal-stress
-    // workload: both kinds run the identical DAG to completion with every
-    // task executed exactly once — the executed *set* is identical.
+    // The same property over the steal-stress workload: the DAG runs to
+    // completion with every task executed exactly once.
     let spec = ChainStressSpec {
         workers: 4,
         chains: 6,
         chain_len: 500,
         spin_ns: 0,
     };
-    for kind in KINDS {
-        let r = run_chain_stress(kind, &spec);
-        assert_eq!(r.executed, spec.task_count(), "{}", kind.name());
-        assert!(r.exactly_once, "{} lost or duplicated a task", kind.name());
-    }
+    let r = run_chain_stress(&spec);
+    assert_eq!(r.executed, spec.task_count());
+    assert!(r.exactly_once, "lost or duplicated a task");
 }
 
 #[test]
@@ -107,7 +99,7 @@ fn imbalanced_chains_force_steals() {
     };
     let mut last = None;
     for _attempt in 0..3 {
-        let r = run_chain_stress(SchedulerKind::WorkStealing, &spec);
+        let r = run_chain_stress(&spec);
         assert!(r.exactly_once);
         // The wake burst was delivered batched, and chain wakes stayed
         // local to the worker that produced them.
@@ -123,34 +115,27 @@ fn imbalanced_chains_force_steals() {
 
 #[test]
 fn high_priority_overtakes_queued_normals_in_both_kinds() {
-    for kind in KINDS {
-        // Single worker, started only after the queue is preloaded, so
-        // the pop order is exactly the scheduling policy.
-        let (sched, mut handles) = Scheduler::<u64>::new(kind, 1);
-        for id in 1..=8u64 {
-            sched.submit(id, Priority::Normal);
-        }
-        sched.submit(99, Priority::High);
-        let h = handles.remove(0);
-        let first = sched.next(&h).unwrap();
-        assert_eq!(
-            first,
-            99,
-            "{}: the high-priority task must be dispatched first",
-            kind.name()
-        );
-        // Drain the rest, then shut down.
-        for _ in 0..8 {
-            assert!(sched.next(&h).unwrap() < 99);
-        }
-        sched.shutdown();
-        assert!(sched.next(&h).is_none());
+    // Single worker, started only after the queue is preloaded, so
+    // the pop order is exactly the scheduling policy.
+    let (sched, mut handles) = Scheduler::<u64>::new(SchedulerKind::default(), 1);
+    for id in 1..=8u64 {
+        sched.submit(id, Priority::Normal);
     }
+    sched.submit(99, Priority::High);
+    let h = handles.remove(0);
+    let first = sched.next(&h).unwrap();
+    assert_eq!(first, 99, "the high-priority task must be dispatched first");
+    // Drain the rest, then shut down.
+    for _ in 0..8 {
+        assert!(sched.next(&h).unwrap() < 99);
+    }
+    sched.shutdown();
+    assert!(sched.next(&h).is_none());
 }
 
 #[test]
 fn idle_workers_park_and_shut_down_cleanly() {
-    let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::WorkStealing, 4);
+    let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), 4);
     let sched = Arc::new(sched);
     let done = Arc::new(AtomicU64::new(0));
     let threads: Vec<_> = handles
@@ -196,56 +181,49 @@ fn idle_workers_park_and_shut_down_cleanly() {
 
 #[test]
 fn submissions_from_many_external_threads_all_dispatch() {
-    for kind in KINDS {
-        let (sched, handles) = Scheduler::<u64>::new(kind, 4);
-        let sched = Arc::new(sched);
-        let done = Arc::new(AtomicU64::new(0));
-        let workers: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                let sched = Arc::clone(&sched);
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    while sched.next(&h).is_some() {
-                        done.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
+    let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), 4);
+    let sched = Arc::new(sched);
+    let done = Arc::new(AtomicU64::new(0));
+    let workers: Vec<_> = handles
+        .into_iter()
+        .map(|h| {
+            let sched = Arc::clone(&sched);
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                while sched.next(&h).is_some() {
+                    done.fetch_add(1, Ordering::SeqCst);
+                }
             })
-            .collect();
-        const SUBMITTERS: u64 = 4;
-        const PER: u64 = 500;
-        let subs: Vec<_> = (0..SUBMITTERS)
-            .map(|s| {
-                let sched = Arc::clone(&sched);
-                std::thread::spawn(move || {
-                    for i in 0..PER {
-                        let prio = if i % 16 == 0 {
-                            Priority::High
-                        } else {
-                            Priority::Normal
-                        };
-                        sched.submit(s * PER + i, prio);
-                    }
-                })
+        })
+        .collect();
+    const SUBMITTERS: u64 = 4;
+    const PER: u64 = 500;
+    let subs: Vec<_> = (0..SUBMITTERS)
+        .map(|s| {
+            let sched = Arc::clone(&sched);
+            std::thread::spawn(move || {
+                for i in 0..PER {
+                    let prio = if i % 16 == 0 {
+                        Priority::High
+                    } else {
+                        Priority::Normal
+                    };
+                    sched.submit(s * PER + i, prio);
+                }
             })
-            .collect();
-        for s in subs {
-            s.join().unwrap();
-        }
-        while done.load(Ordering::SeqCst) < SUBMITTERS * PER {
-            std::thread::yield_now();
-        }
-        sched.shutdown();
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(
-            sched.counts().dispatched(),
-            SUBMITTERS * PER,
-            "{}",
-            kind.name()
-        );
+        })
+        .collect();
+    for s in subs {
+        s.join().unwrap();
     }
+    while done.load(Ordering::SeqCst) < SUBMITTERS * PER {
+        std::thread::yield_now();
+    }
+    sched.shutdown();
+    for w in workers {
+        w.join().unwrap();
+    }
+    assert_eq!(sched.counts().dispatched(), SUBMITTERS * PER);
 }
 
 /// External (handle-less) draining: a thread with no WorkerHandle pops
@@ -253,26 +231,24 @@ fn submissions_from_many_external_threads_all_dispatch() {
 /// itself — the shape a scheduler-aware waiter relies on.
 #[test]
 fn external_pop_drains_a_zero_worker_scheduler() {
-    for kind in KINDS {
-        let (sched, handles) = Scheduler::<u64>::new(kind, 0);
-        assert!(handles.is_empty());
-        for v in 0..8u64 {
-            sched.submit(v, Priority::Normal);
-        }
-        sched.submit(100, Priority::High);
-        let mut got = Vec::new();
-        while let Some(v) = sched.try_next_external() {
-            got.push(v);
-            if v == 3 {
-                // Wakes delivered externally surface through the same pop.
-                sched.wake_batch_external(vec![(200, Priority::Normal)]);
-            }
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5, 6, 7, 100, 200], "{kind:?}");
-        assert_eq!(sched.counts().dispatched(), 10, "{kind:?}");
-        sched.shutdown();
+    let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), 0);
+    assert!(handles.is_empty());
+    for v in 0..8u64 {
+        sched.submit(v, Priority::Normal);
     }
+    sched.submit(100, Priority::High);
+    let mut got = Vec::new();
+    while let Some(v) = sched.try_next_external() {
+        got.push(v);
+        if v == 3 {
+            // Wakes delivered externally surface through the same pop.
+            sched.wake_batch_external(vec![(200, Priority::Normal)]);
+        }
+    }
+    got.sort_unstable();
+    assert_eq!(got, vec![0, 1, 2, 3, 4, 5, 6, 7, 100, 200]);
+    assert_eq!(sched.counts().dispatched(), 10);
+    sched.shutdown();
 }
 
 /// A worker blocked in next() must tolerate an external helper popping
@@ -280,44 +256,35 @@ fn external_pop_drains_a_zero_worker_scheduler() {
 /// still dispatch later work.
 #[test]
 fn workers_absorb_tokens_orphaned_by_external_pops() {
-    for kind in KINDS {
-        let (sched, mut handles) = Scheduler::<u64>::new(kind, 1);
-        let sched = Arc::new(sched);
-        let h = handles.pop().unwrap();
-        let seen = Arc::new(AtomicU64::new(0));
-        let worker = {
-            let sched = Arc::clone(&sched);
-            let seen = Arc::clone(&seen);
-            std::thread::spawn(move || {
-                while let Some(v) = sched.next(&h) {
-                    seen.fetch_add(v, Ordering::SeqCst);
-                }
-            })
-        };
-        // Race external pops against the worker; whoever wins, every
-        // item must be dispatched exactly once and nothing may hang.
-        let mut external_sum = 0u64;
-        for round in 1..=50u64 {
-            sched.submit(round, Priority::Normal);
-            if let Some(v) = sched.try_next_external() {
-                external_sum += v;
+    let (sched, mut handles) = Scheduler::<u64>::new(SchedulerKind::default(), 1);
+    let sched = Arc::new(sched);
+    let h = handles.pop().unwrap();
+    let seen = Arc::new(AtomicU64::new(0));
+    let worker = {
+        let sched = Arc::clone(&sched);
+        let seen = Arc::clone(&seen);
+        std::thread::spawn(move || {
+            while let Some(v) = sched.next(&h) {
+                seen.fetch_add(v, Ordering::SeqCst);
             }
+        })
+    };
+    // Race external pops against the worker; whoever wins, every
+    // item must be dispatched exactly once and nothing may hang.
+    let mut external_sum = 0u64;
+    for round in 1..=50u64 {
+        sched.submit(round, Priority::Normal);
+        if let Some(v) = sched.try_next_external() {
+            external_sum += v;
         }
-        let expect: u64 = (1..=50).sum();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while seen.load(Ordering::SeqCst) + external_sum < expect {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "lost items ({kind:?})"
-            );
-            std::thread::yield_now();
-        }
-        assert_eq!(
-            seen.load(Ordering::SeqCst) + external_sum,
-            expect,
-            "{kind:?}"
-        );
-        sched.shutdown();
-        worker.join().unwrap();
     }
+    let expect: u64 = (1..=50).sum();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while seen.load(Ordering::SeqCst) + external_sum < expect {
+        assert!(std::time::Instant::now() < deadline, "lost items");
+        std::thread::yield_now();
+    }
+    assert_eq!(seen.load(Ordering::SeqCst) + external_sum, expect);
+    sched.shutdown();
+    worker.join().unwrap();
 }

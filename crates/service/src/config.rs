@@ -1,8 +1,6 @@
 //! Service construction parameters.
 
 use nexuspp_core::{ShardCapacity, TenantId};
-use nexuspp_sched::SchedulerKind;
-use nexuspp_shard::WakeMode;
 
 /// Everything a [`ResolverService`](crate::ResolverService) is built
 /// from: the wrapped runtime's shape plus the tenant roster.
@@ -12,13 +10,9 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Dependency-resolution shards.
     pub shards: usize,
-    /// Ready-task scheduler kind.
-    pub scheduler: SchedulerKind,
     /// Per-shard residency bound. Bounded capacity is what makes the
     /// ingress retry slot earn its keep; unbounded never rejects.
     pub capacity: ShardCapacity,
-    /// Wake-delivery mode of the dispatcher.
-    pub wake_mode: WakeMode,
     /// Bound of each tenant's ingress lane (queued, not yet admitted).
     /// A full lane is client-visible backpressure.
     pub lane_capacity: usize,
@@ -30,16 +24,14 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with `workers` workers and `shards` shards, default
-    /// scheduler/capacity/wake mode, and no tenants yet (add with
+    /// A config with `workers` workers and `shards` shards, unbounded
+    /// shard capacity, and no tenants yet (add with
     /// [`tenant`](Self::tenant)).
     pub fn new(workers: usize, shards: usize) -> ServiceConfig {
         ServiceConfig {
             workers,
             shards,
-            scheduler: SchedulerKind::default(),
             capacity: ShardCapacity::Unbounded,
-            wake_mode: WakeMode::default(),
             lane_capacity: 256,
             sweep_batch: 32,
             tenants: Vec::new(),
@@ -54,22 +46,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Select the ready-task scheduler.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
     /// Bound each shard's resident tasks (exercises the capacity-retry
     /// ingress path).
     pub fn capacity(mut self, cap: ShardCapacity) -> Self {
         self.capacity = cap;
-        self
-    }
-
-    /// Select the wake-delivery mode.
-    pub fn wake_mode(mut self, mode: WakeMode) -> Self {
-        self.wake_mode = mode;
         self
     }
 

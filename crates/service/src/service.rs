@@ -63,21 +63,8 @@ impl ResolverService {
 
     fn build(cfg: ServiceConfig, collector: Option<&Collector>) -> ResolverService {
         let rt = Arc::new(match collector {
-            Some(c) => Runtime::with_observer(
-                cfg.workers,
-                cfg.shards,
-                cfg.scheduler,
-                cfg.capacity,
-                cfg.wake_mode,
-                c,
-            ),
-            None => Runtime::with_options(
-                cfg.workers,
-                cfg.shards,
-                cfg.scheduler,
-                cfg.capacity,
-                cfg.wake_mode,
-            ),
+            Some(c) => Runtime::with_observer(cfg.workers, cfg.shards, cfg.capacity, c),
+            None => Runtime::with_capacity(cfg.workers, cfg.shards, cfg.capacity),
         });
         let registry = Arc::new(rt.metrics());
         let budgets = Arc::new(TenantBudgets::new(cfg.tenants.iter().copied()));

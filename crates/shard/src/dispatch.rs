@@ -34,8 +34,7 @@
 //!
 //! Finding which tasks a completion makes ready requires the shard lock
 //! (it reads the Dependence Table), but *delivering* those wakes does
-//! not. Under the default [`WakeMode::LockFree`] the ring drain only
-//! collects the woken home records under the lock; the remote decrement,
+//! not. The ring drain only collects the woken home records under the lock; the remote decrement,
 //! the payload handoff, and the queueing of the `(task, payload)` wake
 //! record all happen **after the shard lock is released**, posting
 //! lock-free onto the shard's [`PushList`]-based wake list — the software
@@ -47,47 +46,27 @@
 //! re-checking after release so a record posted during its drain is never
 //! stranded; losers simply skip — their wakes surface in the owner's
 //! report.
-//!
-//! [`WakeMode::Locked`] keeps the pre-lock-free shape — wake records are
-//! queued onto a `VecDeque` kick-off list *under the shard lock* and
-//! handed to the report under a second acquisition — as the measured
-//! baseline of `repro -- wakes` and the `wake_perf` gate.
 
 use crate::engine::route_params;
 use crossbeam::queue::{PushList, SegQueue};
-use nexuspp_core::{DependencyEngine, NexusConfig, ShardCapacity, SubmitError, TdIndex};
+use nexuspp_core::{
+    duplicate_address, DependencyEngine, NexusConfig, ShardCapacity, SubmitError, TdIndex,
+};
 use nexuspp_obs::{EventKind, Recorder, NO_SHARD};
 use nexuspp_trace::Param;
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// How a [`ShardDispatcher`] delivers wake records from the shards that
-/// produced them to the finish report that schedules them.
+/// Kept only because `crates/bench/src/bin/e2e/` passes
+/// `WakeMode::default()` to the runtime's `with_recorder`; there is one
+/// wake path and the value selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WakeMode {
-    /// Kick-off lists are `VecDeque`s inside the shard state: wakes are
-    /// queued while holding the shard lock and drained to the report
-    /// under a second acquisition. The pre-lock-free baseline, kept
-    /// selectable for differential testing and for the `repro -- wakes`
-    /// comparison.
-    Locked,
     /// Wakes post to a lock-free MPSC [`PushList`] per shard *outside*
-    /// the shard lock; the drain-to-report step is claimed by CAS. The
-    /// finish-side wake path performs zero shard-lock acquisitions.
+    /// the shard lock; the drain-to-report step is claimed by CAS.
     #[default]
     LockFree,
-}
-
-impl WakeMode {
-    /// Short stable name (table rows, bench labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            WakeMode::Locked => "locked",
-            WakeMode::LockFree => "lock-free",
-        }
-    }
 }
 
 /// The home record of a task in flight.
@@ -165,16 +144,11 @@ pub struct WakeCounts {
     pub delivered: u64,
     /// Drain-to-report attempts (one per involved shard per finish).
     pub deliveries: u64,
-    /// Nanoseconds spent in the drain-to-report step, including any time
-    /// blocked on the shard lock. This is the quantity the lock-free
-    /// wake lists shrink: under [`WakeMode::Locked`] every delivery
-    /// attempt waits behind whoever is resolving on the shard; under
-    /// [`WakeMode::LockFree`] it is an atomic check plus a CAS-claimed
-    /// drain that never waits.
+    /// Nanoseconds spent in the drain-to-report step: an atomic check
+    /// plus a CAS-claimed drain that never waits on the shard lock.
     pub delivery_ns: u64,
-    /// Shard-lock acquisitions performed by the drain-to-report step.
-    /// Always zero under [`WakeMode::LockFree`] — the acceptance bar of
-    /// the lock-free wake path, asserted in `tests/wake_perf.rs`.
+    /// Kept only because `crates/bench/src/bin/e2e/` reads it: the
+    /// drain-to-report step takes no shard lock, so this is always 0.
     pub delivery_lock_acquisitions: u64,
 }
 
@@ -183,7 +157,6 @@ struct WakeMetrics {
     delivered: AtomicU64,
     deliveries: AtomicU64,
     delivery_ns: AtomicU64,
-    delivery_lock_acquisitions: AtomicU64,
 }
 
 /// One shard's bounded-capacity counters at a quiescent point.
@@ -208,8 +181,8 @@ pub struct CapacityCounts {
 struct ShardCell<P> {
     /// Deferred-finish submission ring.
     ring: SegQueue<FinRecord<P>>,
-    /// Lock-free wake list ([`WakeMode::LockFree`]): finishers post wake
-    /// records here without touching `state`'s lock.
+    /// Lock-free wake list: finishers post wake records here without
+    /// touching `state`'s lock.
     wakes: PushList<WakeRecord<P>>,
     /// Drain ownership for `wakes`: claimed by CAS, at most one drainer
     /// at a time (the single-consumer end of the MPSC list).
@@ -230,9 +203,6 @@ struct ShardState<P> {
     engine: DependencyEngine,
     /// Sub-descriptor index → home record of the owning task.
     owner: Vec<Option<Arc<Node<P>>>>,
-    /// Locked-mode kick-off list ([`WakeMode::Locked`]): wake records
-    /// queued under the shard lock, drained under a second acquisition.
-    kickoff: VecDeque<WakeRecord<P>>,
 }
 
 /// N dependency engines behind per-shard locks, aggregating readiness
@@ -241,7 +211,6 @@ struct ShardState<P> {
 pub struct ShardDispatcher<P> {
     shards: Box<[ShardCell<P>]>,
     capacity: ShardCapacity,
-    wake_mode: WakeMode,
     wake_metrics: WakeMetrics,
     /// Lifecycle event sink. `None` (the default) is the zero-cost
     /// production shape: every emission site is one `Option` branch.
@@ -273,17 +242,6 @@ impl<P> ShardDispatcher<P> {
     /// down to capacity 1, because a parked submitter holds no slots and
     /// every resident task can eventually run.
     pub fn with_capacity(n_shards: usize, cfg: &NexusConfig, capacity: ShardCapacity) -> Self {
-        ShardDispatcher::with_mode(n_shards, cfg, capacity, WakeMode::default())
-    }
-
-    /// Build a dispatcher with every knob explicit, including the wake
-    /// delivery mode (see [`WakeMode`]; the default is lock-free).
-    pub fn with_mode(
-        n_shards: usize,
-        cfg: &NexusConfig,
-        capacity: ShardCapacity,
-        wake_mode: WakeMode,
-    ) -> Self {
         assert!(n_shards >= 1, "need at least one shard");
         assert!(
             cfg.growable,
@@ -300,7 +258,6 @@ impl<P> ShardDispatcher<P> {
                     state: Mutex::new(ShardState {
                         engine: DependencyEngine::new(cfg),
                         owner: Vec::new(),
-                        kickoff: VecDeque::new(),
                     }),
                     resident: AtomicU32::new(0),
                     park: Mutex::new(()),
@@ -311,7 +268,6 @@ impl<P> ShardDispatcher<P> {
                 })
                 .collect(),
             capacity,
-            wake_mode,
             wake_metrics: WakeMetrics::default(),
             obs: None,
         }
@@ -356,11 +312,6 @@ impl<P> ShardDispatcher<P> {
         self.capacity
     }
 
-    /// The wake delivery mode this dispatcher runs.
-    pub fn wake_mode(&self) -> WakeMode {
-        self.wake_mode
-    }
-
     /// Wake-path activity counters (see [`WakeCounts`]; exact at
     /// quiescence).
     pub fn wake_counts(&self) -> WakeCounts {
@@ -368,10 +319,7 @@ impl<P> ShardDispatcher<P> {
             delivered: self.wake_metrics.delivered.load(Ordering::Relaxed),
             deliveries: self.wake_metrics.deliveries.load(Ordering::Relaxed),
             delivery_ns: self.wake_metrics.delivery_ns.load(Ordering::Relaxed),
-            delivery_lock_acquisitions: self
-                .wake_metrics
-                .delivery_lock_acquisitions
-                .load(Ordering::Relaxed),
+            delivery_lock_acquisitions: 0,
         }
     }
 
@@ -379,13 +327,7 @@ impl<P> ShardDispatcher<P> {
     /// finishers run, exact at quiescence — zero once every finish report
     /// has been consumed).
     pub fn wake_list_depths(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|c| match self.wake_mode {
-                WakeMode::LockFree => c.wakes.len(),
-                WakeMode::Locked => c.state.lock().kickoff.len(),
-            })
-            .collect()
+        self.shards.iter().map(|c| c.wakes.len()).collect()
     }
 
     /// Per-shard stall/retry counters (exact at quiescence; counters use
@@ -508,12 +450,8 @@ impl<P> ShardDispatcher<P> {
         params: &[Param],
         payload: P,
     ) -> Result<SubmitResult<P>, (SubmitError, P)> {
-        {
-            let mut addrs: Vec<u64> = params.iter().map(|p| p.addr).collect();
-            addrs.sort_unstable();
-            if let Some(w) = addrs.windows(2).find(|w| w[0] == w[1]) {
-                return Err((SubmitError::DuplicateAddress { addr: w[0] }, payload));
-            }
+        if let Some(addr) = duplicate_address(params) {
+            return Err((SubmitError::DuplicateAddress { addr }, payload));
         }
         let groups = route_params(params, self.shards.len());
         if let Err(full) = self.try_reserve(&groups) {
@@ -623,81 +561,31 @@ impl<P> ShardDispatcher<P> {
     /// ring records were drained by someone else.
     fn drain_shard(&self, s: usize, report: &mut FinishReport<P>) {
         if !self.shards[s].ring.is_empty() {
-            match self.wake_mode {
-                WakeMode::Locked => self.drain_ring_locked(s, report),
-                WakeMode::LockFree => self.drain_ring_lock_free(s, report),
-            }
+            self.drain_ring(s, report);
         }
         let m = &self.wake_metrics;
         m.deliveries.fetch_add(1, Ordering::Relaxed);
-        if self.wake_mode == WakeMode::LockFree && self.shards[s].wakes.is_empty() {
-            // The lock-free fast path: one atomic load proves there is
-            // nothing to deliver anywhere, so the step costs nothing and
-            // is not timed. (This is the same emptiness check the claim
-            // loop starts with, hoisted; the locked mode has no such
-            // path — it must take the shard lock just to look.)
+        if self.shards[s].wakes.is_empty() {
+            // The fast path: one atomic load proves there is nothing to
+            // deliver, so the step costs nothing and is not timed. (This
+            // is the same emptiness check the claim loop starts with,
+            // hoisted.)
             return;
         }
         let before = report.woken.len();
         let t0 = std::time::Instant::now();
-        match self.wake_mode {
-            WakeMode::Locked => self.deliver_wakes_locked(s, report),
-            WakeMode::LockFree => self.deliver_wakes_lock_free(s, report),
-        }
+        self.deliver_wakes(s, report);
         m.delivery_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         m.delivered
             .fetch_add((report.woken.len() - before) as u64, Ordering::Relaxed);
     }
 
-    /// Locked-mode ring drain: resolution *and* wake queueing happen
-    /// under the shard lock — each ready task's remote decrement, payload
-    /// handoff, and kick-off enqueue extend the critical section every
-    /// submitter and finisher contends on.
-    fn drain_ring_locked(&self, s: usize, report: &mut FinishReport<P>) {
-        let cell = &self.shards[s];
-        let mut drained = 0u32;
-        let mut finished: Vec<u64> = Vec::new();
-        let mut st = cell.state.lock();
-        while let Some((node, td)) = cell.ring.pop() {
-            let fin = st.engine.finish(td);
-            st.owner[td.0 as usize] = None;
-            drained += 1;
-            for woken in fin.newly_ready {
-                let wnode = st.owner[woken.0 as usize]
-                    .as_ref()
-                    .expect("woken sub-descriptor must have an owner")
-                    .clone();
-                if wnode.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let payload = wnode
-                        .payload
-                        .lock()
-                        .take()
-                        .expect("ready task must hold its payload");
-                    self.emit_edge(EventKind::Ready, wnode.tag, node.tag, s as u32);
-                    self.emit_edge(EventKind::WakePosted, wnode.tag, node.tag, s as u32);
-                    st.kickoff.push_back((wnode, payload));
-                }
-            }
-            if node.parts_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                report.completed += 1;
-                finished.push(node.tag);
-            }
-        }
-        drop(st);
-        for tag in finished {
-            self.emit(EventKind::Finished, tag, s as u32);
-        }
-        if drained > 0 && self.capacity.is_bounded() {
-            self.release_slots(s, drained);
-        }
-    }
-
-    /// Lock-free-mode ring drain: the lock covers only table access (the
+    /// Ring drain: the lock covers only table access (the
     /// engine release and the owner lookup of each woken sub-descriptor).
     /// Everything wake-shaped — remote decrements, payload handoffs, the
     /// wake-list posts — happens after the lock is dropped.
-    fn drain_ring_lock_free(&self, s: usize, report: &mut FinishReport<P>) {
+    fn drain_ring(&self, s: usize, report: &mut FinishReport<P>) {
         let cell = &self.shards[s];
         let mut drained = 0u32;
         // Each woken home record is carried with its waker's tag so the
@@ -728,9 +616,9 @@ impl<P> ShardDispatcher<P> {
         for tag in finished {
             self.emit(EventKind::Finished, tag, s as u32);
         }
-        // Post wakes lock-free. Exactly one decrement per woken slice
-        // (same as the locked path), and exactly one thread — whoever
-        // performs the transition to zero — takes the payload and posts.
+        // Post wakes lock-free. Exactly one decrement per woken slice,
+        // and exactly one thread — whoever performs the transition to
+        // zero — takes the payload and posts.
         for (wnode, waker) in woken_nodes {
             if wnode.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 let payload = wnode
@@ -748,21 +636,7 @@ impl<P> ShardDispatcher<P> {
         }
     }
 
-    /// Locked-mode wake delivery: the kick-off `VecDeque` lives inside
-    /// the shard state, so handing records to the report costs a second
-    /// shard-lock acquisition (and blocks behind whoever is resolving).
-    fn deliver_wakes_locked(&self, s: usize, report: &mut FinishReport<P>) {
-        self.wake_metrics
-            .delivery_lock_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
-        let mut st = self.shards[s].state.lock();
-        while let Some((node, payload)) = st.kickoff.pop_front() {
-            self.emit(EventKind::WakeDelivered, node.tag, s as u32);
-            report.woken.push((TaskTicket(node), payload));
-        }
-    }
-
-    /// Lock-free-mode wake delivery: claim drain ownership by CAS (the
+    /// Wake delivery: claim drain ownership by CAS (the
     /// wake list is MPSC — one consumer at a time), move every queued
     /// record into the report, release, and re-check. The re-check after
     /// release is the lost-wake guard: a finisher that posted during our
@@ -771,7 +645,7 @@ impl<P> ShardDispatcher<P> {
     /// visible to this loop's next `is_empty`, so every posted wake is
     /// delivered by the poster or by a current-or-future owner. Never
     /// touches the shard lock.
-    fn deliver_wakes_lock_free(&self, s: usize, report: &mut FinishReport<P>) {
+    fn deliver_wakes(&self, s: usize, report: &mut FinishReport<P>) {
         let cell = &self.shards[s];
         loop {
             if cell.wakes.is_empty() {
@@ -836,35 +710,24 @@ mod tests {
 
     #[test]
     fn chain_wakes_in_dependency_order() {
-        for mode in [WakeMode::Locked, WakeMode::LockFree] {
-            let d = ShardDispatcher::with_mode(
-                4,
-                &NexusConfig::unbounded(),
-                ShardCapacity::Unbounded,
-                mode,
-            );
-            let mut ready = Vec::new();
-            let r0 = d.submit(1, 0, &[Param::output(0xA0, 4)], 0);
-            if let Some(p) = r0.ready {
-                ready.push((r0.ticket, p));
-            }
-            let r1 = d.submit(1, 1, &[Param::input(0xA0, 4), Param::output(0xB0, 4)], 1);
-            assert!(r1.ready.is_none(), "t1 depends on t0");
-            let r2 = d.submit(1, 2, &[Param::input(0xB0, 4)], 2);
-            assert!(r2.ready.is_none(), "t2 depends on t1");
-            drop((r1.ticket, r2.ticket)); // tickets resurface via woken
-            let (completed, order) = drain(&d, ready);
-            assert_eq!(completed, 3, "{}", mode.name());
-            assert_eq!(order, vec![0, 1, 2], "{}", mode.name());
-            assert_eq!(d.sub_descriptors_in_flight(), 0);
-            let counts = d.wake_counts();
-            assert_eq!(counts.delivered, 2, "{}: two dependents woken", mode.name());
-            assert!(d.wake_list_depths().iter().all(|&n| n == 0));
-            match mode {
-                WakeMode::Locked => assert!(counts.delivery_lock_acquisitions > 0),
-                WakeMode::LockFree => assert_eq!(counts.delivery_lock_acquisitions, 0),
-            }
+        let d = dispatcher(4);
+        let mut ready = Vec::new();
+        let r0 = d.submit(1, 0, &[Param::output(0xA0, 4)], 0);
+        if let Some(p) = r0.ready {
+            ready.push((r0.ticket, p));
         }
+        let r1 = d.submit(1, 1, &[Param::input(0xA0, 4), Param::output(0xB0, 4)], 1);
+        assert!(r1.ready.is_none(), "t1 depends on t0");
+        let r2 = d.submit(1, 2, &[Param::input(0xB0, 4)], 2);
+        assert!(r2.ready.is_none(), "t2 depends on t1");
+        drop((r1.ticket, r2.ticket)); // tickets resurface via woken
+        let (completed, order) = drain(&d, ready);
+        assert_eq!(completed, 3);
+        assert_eq!(order, vec![0, 1, 2]);
+        assert_eq!(d.sub_descriptors_in_flight(), 0);
+        let counts = d.wake_counts();
+        assert_eq!(counts.delivered, 2, "two dependents woken");
+        assert!(d.wake_list_depths().iter().all(|&n| n == 0));
     }
 
     #[test]
@@ -1058,20 +921,9 @@ mod tests {
 
     #[test]
     fn concurrent_producer_consumer_fanout() {
-        for mode in [WakeMode::Locked, WakeMode::LockFree] {
-            concurrent_producer_consumer_fanout_in(mode);
-        }
-    }
-
-    fn concurrent_producer_consumer_fanout_in(mode: WakeMode) {
         // One producer address per thread-pair; consumers park until the
         // producer finishes, then surface through some finisher's report.
-        let d = Arc::new(ShardDispatcher::<u64>::with_mode(
-            4,
-            &NexusConfig::unbounded(),
-            ShardCapacity::Unbounded,
-            mode,
-        ));
+        let d = Arc::new(dispatcher(4));
         let woken_total = Arc::new(AtomicU64::new(0));
         let completed_total = Arc::new(AtomicU64::new(0));
         const PAIRS: u64 = 8;

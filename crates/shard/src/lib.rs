@@ -32,9 +32,8 @@
 //!   counters (a submission guard prevents half-submitted tasks from
 //!   being scheduled), and wake delivery bypasses the shard lock
 //!   entirely: ready tasks post to a lock-free MPSC wake list per shard
-//!   and a CAS-claimed drainer hands them to the finish report (see
-//!   [`WakeMode`]). This is what `Runtime` in `nexuspp-runtime`
-//!   executes on.
+//!   and a CAS-claimed drainer hands them to the finish report. This is
+//!   what `Runtime` in `nexuspp-runtime` executes on.
 //! * [`budget`] — [`TenantBudgets`]: per-tenant in-flight admission caps
 //!   layered above [`ShardCapacity`](nexuspp_core::ShardCapacity), the
 //!   accounting a multi-tenant ingress (`nexuspp-service`) meters
@@ -43,8 +42,8 @@
 //! * [`stress`] — the wake-stress harness: the wide fan-in workload
 //!   (many finishers releasing dependents homed on one shard) driven
 //!   straight through a [`ShardDispatcher`] by real threads, shared by
-//!   the `wake_perf` acceptance gate, the `wake_delivery` criterion
-//!   bench, and the `repro -- wakes` experiment.
+//!   the `wake_delivery` criterion bench, the `repro -- wakes`
+//!   experiment and the recording-overhead gate.
 //!
 //! Related work motivating the direction: Álvarez et al., *Advanced
 //! Synchronization Techniques for Task-based Runtime Systems*

@@ -1,7 +1,7 @@
 //! The wake-stress harness: a wide fan-in workload driven straight
 //! through a [`ShardDispatcher`] by real finisher threads, shared by the
-//! `wake_perf` acceptance gate, the `wake_delivery` criterion bench and
-//! the `repro -- wakes` experiment.
+//! `wake_delivery` criterion bench, the `repro -- wakes` experiment and
+//! the recording-overhead gate.
 //!
 //! Shape (mirroring `nexuspp_workloads::wake_stress`, which generates the
 //! same DAG as an address trace): `producers` independent writer tasks
@@ -9,19 +9,14 @@
 //! reader tasks parked on its address. Every producer completion
 //! therefore releases a burst of dependents homed on the same hot shard —
 //! many finishers hammering one shard's kick-off path at once, which is
-//! exactly the traffic the lock-free wake lists exist for. Under
-//! [`WakeMode::Locked`] each finish queues its burst onto the kick-off
-//! `VecDeque` while holding the hot shard's lock and pays a second
-//! acquisition to hand records to the report; under
-//! [`WakeMode::LockFree`] the burst posts outside the lock and delivery
-//! is a CAS claim, so finishers that lose a race skip instead of
-//! blocking.
+//! exactly the traffic the lock-free wake lists exist for: the burst
+//! posts outside the lock and delivery is a CAS claim, so finishers that
+//! lose a race skip instead of blocking.
 //!
 //! Payloads are `u64` tags; "executing" a task costs nothing, so
-//! measured wall-clock is almost pure resolution + wake delivery —
-//! exactly the path this comparison isolates.
+//! measured wall-clock is almost pure resolution + wake delivery.
 
-use crate::dispatch::{ShardDispatcher, TaskTicket, WakeCounts, WakeMode};
+use crate::dispatch::{ShardDispatcher, TaskTicket, WakeCounts};
 use nexuspp_core::{nth_addr_on_shard, NexusConfig, TaskBuilder};
 use nexuspp_obs::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,8 +80,7 @@ impl WakeStressSpec {
 /// Outcome of one wake-stress run.
 #[derive(Debug, Clone)]
 pub struct WakeRun {
-    /// Wall-clock of the finish storm (submission excluded — it is
-    /// identical under both wake modes).
+    /// Wall-clock of the finish storm (submission excluded).
     pub elapsed: Duration,
     /// Tasks retired (producers + consumers; must equal
     /// [`WakeStressSpec::task_count`]).
@@ -94,9 +88,7 @@ pub struct WakeRun {
     /// Wake records delivered through finish reports (must equal
     /// [`WakeStressSpec::wake_count`]).
     pub woken: u64,
-    /// The dispatcher's wake-path counters at quiescence — delivery
-    /// time (the gated quantity) and delivery lock acquisitions (zero
-    /// under [`WakeMode::LockFree`]).
+    /// The dispatcher's wake-path counters at quiescence.
     pub wake_counts: WakeCounts,
 }
 
@@ -112,11 +104,11 @@ impl WakeRun {
     }
 }
 
-/// Run the workload to completion under `mode` and report. Panics if any
-/// task is lost or duplicated (the differential suites guard semantics;
-/// here it protects the measurement).
-pub fn run_wake_stress(mode: WakeMode, spec: &WakeStressSpec) -> WakeRun {
-    run_wake_stress_with(mode, spec, None)
+/// Run the workload to completion and report. Panics if any task is
+/// lost or duplicated (the differential suites guard semantics; here it
+/// protects the measurement).
+pub fn run_wake_stress(spec: &WakeStressSpec) -> WakeRun {
+    run_wake_stress_with(spec, None)
 }
 
 /// [`run_wake_stress`] with an optional lifecycle-event recorder
@@ -124,18 +116,9 @@ pub fn run_wake_stress(mode: WakeMode, spec: &WakeStressSpec) -> WakeRun {
 /// overhead gate (a [`Recorder::disabled`] recorder must cost within
 /// noise of no recorder at all) and behind event-stream validation on a
 /// contended workload.
-pub fn run_wake_stress_with(
-    mode: WakeMode,
-    spec: &WakeStressSpec,
-    obs: Option<Arc<Recorder>>,
-) -> WakeRun {
+pub fn run_wake_stress_with(spec: &WakeStressSpec, obs: Option<Arc<Recorder>>) -> WakeRun {
     assert!(spec.finishers >= 1 && spec.producers >= 1);
-    let mut d = ShardDispatcher::<u64>::with_mode(
-        spec.shards,
-        &NexusConfig::unbounded(),
-        nexuspp_core::ShardCapacity::Unbounded,
-        mode,
-    );
+    let mut d = ShardDispatcher::<u64>::new(spec.shards, &NexusConfig::unbounded());
     if let Some(rec) = obs {
         d = d.with_recorder(rec);
     }
@@ -204,10 +187,10 @@ pub fn run_wake_stress_with(
 }
 
 /// Best (minimum **wake-delivery time**) over `runs` repetitions.
-pub fn best_of(mode: WakeMode, spec: &WakeStressSpec, runs: u32) -> WakeRun {
+pub fn best_of(spec: &WakeStressSpec, runs: u32) -> WakeRun {
     let mut best: Option<WakeRun> = None;
     for _ in 0..runs {
-        let r = run_wake_stress(mode, spec);
+        let r = run_wake_stress(spec);
         if best
             .as_ref()
             .is_none_or(|b| r.wake_counts.delivery_ns < b.wake_counts.delivery_ns)
@@ -255,11 +238,9 @@ mod tests {
             shards: 4,
             spin_ns: 0,
         };
-        for mode in [WakeMode::Locked, WakeMode::LockFree] {
-            let r = run_wake_stress(mode, &spec);
-            assert_eq!(r.completed, spec.task_count(), "{}", mode.name());
-            assert_eq!(r.woken, spec.wake_count(), "{}", mode.name());
-        }
+        let r = run_wake_stress(&spec);
+        assert_eq!(r.completed, spec.task_count());
+        assert_eq!(r.woken, spec.wake_count());
     }
 
     #[test]

@@ -397,17 +397,17 @@ fn bounded_batch_front_end_drains_capacity_stress() {
     }
 }
 
-/// The bounded *dispatcher* across both wake modes: four worker threads
-/// retire tasks while a submitter thread spawns a dependency-rich random
-/// stream in program order, parking on full shards (capacity 1 and 2 put
-/// the stall/retry handshake on the hot path). Locked kick-off lists and
-/// lock-free wake lists must both execute every task exactly once, leak
-/// nothing, resolve every stall episode, and leave no undelivered wake —
+/// The bounded *dispatcher*: four worker threads retire tasks while a
+/// submitter thread spawns a dependency-rich random stream in program
+/// order, parking on full shards (capacity 1 and 2 put the stall/retry
+/// handshake on the hot path). The lock-free wake lists must execute
+/// every task exactly once, leak nothing, resolve every stall episode,
+/// and leave no undelivered wake —
 /// the threaded face of the single-threaded lockstep differential in
 /// `sharded_differential.rs`.
 #[test]
 fn bounded_dispatcher_wake_modes_execute_exactly_once_under_stalls() {
-    use nexuspp_shard::{ShardDispatcher, TaskTicket, WakeMode};
+    use nexuspp_shard::{ShardDispatcher, TaskTicket};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
@@ -435,78 +435,71 @@ fn bounded_dispatcher_wake_modes_execute_exactly_once_under_stalls() {
         })
         .collect();
 
-    for wake_mode in [WakeMode::Locked, WakeMode::LockFree] {
-        for (shards, capacity) in [
-            (1usize, ShardCapacity::Bounded(2)),
-            (4, ShardCapacity::Bounded(1)),
-            (4, ShardCapacity::Bounded(8)),
-        ] {
-            let d = Arc::new(ShardDispatcher::<u64>::with_mode(
-                shards,
-                &NexusConfig::unbounded(),
-                capacity,
-                wake_mode,
-            ));
-            let ready: ReadyQueue = Arc::new(Mutex::new(Vec::new()));
-            let completed = Arc::new(AtomicU64::new(0));
-            let executed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-            let workers: Vec<_> = (0..WORKERS)
-                .map(|_| {
-                    let d = Arc::clone(&d);
-                    let ready = Arc::clone(&ready);
-                    let completed = Arc::clone(&completed);
-                    let executed = Arc::clone(&executed);
-                    std::thread::spawn(move || {
-                        while completed.load(Ordering::SeqCst) < TASKS {
-                            let next = ready.lock().unwrap().pop();
-                            let Some((ticket, tag)) = next else {
-                                std::thread::yield_now();
-                                continue;
-                            };
-                            executed.lock().unwrap().push(tag);
-                            let report = d.finish(ticket);
-                            completed.fetch_add(report.completed, Ordering::SeqCst);
-                            if !report.woken.is_empty() {
-                                ready.lock().unwrap().extend(report.woken);
-                            }
+    for (shards, capacity) in [
+        (1usize, ShardCapacity::Bounded(2)),
+        (4, ShardCapacity::Bounded(1)),
+        (4, ShardCapacity::Bounded(8)),
+    ] {
+        let d = Arc::new(ShardDispatcher::<u64>::with_capacity(
+            shards,
+            &NexusConfig::unbounded(),
+            capacity,
+        ));
+        let ready: ReadyQueue = Arc::new(Mutex::new(Vec::new()));
+        let completed = Arc::new(AtomicU64::new(0));
+        let executed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|_| {
+                let d = Arc::clone(&d);
+                let ready = Arc::clone(&ready);
+                let completed = Arc::clone(&completed);
+                let executed = Arc::clone(&executed);
+                std::thread::spawn(move || {
+                    while completed.load(Ordering::SeqCst) < TASKS {
+                        let next = ready.lock().unwrap().pop();
+                        let Some((ticket, tag)) = next else {
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        executed.lock().unwrap().push(tag);
+                        let report = d.finish(ticket);
+                        completed.fetch_add(report.completed, Ordering::SeqCst);
+                        if !report.woken.is_empty() {
+                            ready.lock().unwrap().extend(report.woken);
                         }
-                    })
+                    }
                 })
-                .collect();
-            // Program-order submitter: parks on full shards; workers'
-            // finish reports resume it.
-            for (tag, params) in stream.iter().enumerate() {
-                let r = d.submit(0xF, tag as u64, params, tag as u64);
-                if let Some(p) = r.ready {
-                    ready.lock().unwrap().push((r.ticket, p));
-                }
+            })
+            .collect();
+        // Program-order submitter: parks on full shards; workers'
+        // finish reports resume it.
+        for (tag, params) in stream.iter().enumerate() {
+            let r = d.submit(0xF, tag as u64, params, tag as u64);
+            if let Some(p) = r.ready {
+                ready.lock().unwrap().push((r.ticket, p));
             }
-            for w in workers {
-                w.join().unwrap();
-            }
-            let mut done = executed.lock().unwrap().clone();
-            done.sort_unstable();
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        let mut done = executed.lock().unwrap().clone();
+        done.sort_unstable();
+        assert_eq!(
+            done,
+            (0..TASKS).collect::<Vec<u64>>(),
+            "N={shards} C={capacity}: tasks lost or duplicated"
+        );
+        assert_eq!(d.sub_descriptors_in_flight(), 0);
+        assert!(
+            d.wake_list_depths().iter().all(|&n| n == 0),
+            "undelivered wakes at quiescence"
+        );
+        for (s, c) in d.capacity_counts().iter().enumerate() {
             assert_eq!(
-                done,
-                (0..TASKS).collect::<Vec<u64>>(),
-                "{} N={shards} C={capacity}: tasks lost or duplicated",
-                wake_mode.name()
+                c.stalls_observed, c.retries_resolved,
+                "N={shards} C={capacity} shard {s}: unresolved stall episodes"
             );
-            assert_eq!(d.sub_descriptors_in_flight(), 0);
-            assert!(
-                d.wake_list_depths().iter().all(|&n| n == 0),
-                "{}: undelivered wakes at quiescence",
-                wake_mode.name()
-            );
-            for (s, c) in d.capacity_counts().iter().enumerate() {
-                assert_eq!(
-                    c.stalls_observed,
-                    c.retries_resolved,
-                    "{} N={shards} C={capacity} shard {s}: unresolved stall episodes",
-                    wake_mode.name()
-                );
-                assert_eq!(c.resident, 0, "shard {s} leaked residency slots");
-            }
+            assert_eq!(c.resident, 0, "shard {s} leaked residency slots");
         }
     }
 }

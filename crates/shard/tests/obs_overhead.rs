@@ -5,10 +5,10 @@
 //!    the no-op path is one branch on an `Option`, taken before any
 //!    clock read or atomic. Gated at 5% (plus a small absolute slack so
 //!    micro-runs on a noisy host don't flake the relative bound).
-//! 2. **Enabled** recording must not reintroduce shard-lock traffic on
-//!    the lock-free wake path: the dispatcher emits wake events outside
-//!    the shard locks, so `delivery_lock_acquisitions` stays zero under
-//!    [`WakeMode::LockFree`] with a live recorder attached.
+//! 2. **Enabled** recording observes the whole contended run: every
+//!    event recorded, none dropped. (The dispatcher emits wake events
+//!    outside the shard locks and wake delivery takes no lock at all, so
+//!    there is no lock traffic for a recorder to add.)
 //! 3. A **live streaming collector** — a background thread draining the
 //!    same rings while finishers emit — must cost ≤ 10% over enabled
 //!    recording with a quiescent (post-run) drain. The producers' path
@@ -20,7 +20,6 @@
 
 use nexuspp_obs::{Collector, CollectorConfig, Recorder};
 use nexuspp_shard::stress::{run_wake_stress_with, WakeStressSpec};
-use nexuspp_shard::WakeMode;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,8 +37,8 @@ fn spec() -> WakeStressSpec {
 
 /// Best-of-N wall clock, interleaved with the competing configuration
 /// by the caller so both see the same machine conditions.
-fn timed(mode: WakeMode, rec: Option<Arc<Recorder>>) -> Duration {
-    run_wake_stress_with(mode, &spec(), rec).elapsed
+fn timed(rec: Option<Arc<Recorder>>) -> Duration {
+    run_wake_stress_with(&spec(), rec).elapsed
 }
 
 #[test]
@@ -47,16 +46,13 @@ fn disabled_recorder_overhead_within_five_percent() {
     let spec_check = spec();
     assert_eq!(spec_check.finishers, 4, "the gate is defined at 4 workers");
     // Warm-up: fault in both code paths before timing anything.
-    timed(WakeMode::LockFree, None);
-    timed(WakeMode::LockFree, Some(Arc::new(Recorder::disabled())));
+    timed(None);
+    timed(Some(Arc::new(Recorder::disabled())));
     let mut base = Duration::MAX;
     let mut with_disabled = Duration::MAX;
     for _ in 0..ROUNDS {
-        base = base.min(timed(WakeMode::LockFree, None));
-        with_disabled = with_disabled.min(timed(
-            WakeMode::LockFree,
-            Some(Arc::new(Recorder::disabled())),
-        ));
+        base = base.min(timed(None));
+        with_disabled = with_disabled.min(timed(Some(Arc::new(Recorder::disabled()))));
     }
     // 5% relative + 2ms absolute: the relative term is the gate, the
     // absolute term absorbs scheduler jitter when the whole run is a
@@ -85,8 +81,7 @@ fn live_collector_overhead_within_ten_percent_of_quiescent_recording() {
     };
     let quiescent = || {
         let rec = Arc::new(Recorder::with_capacity(8, 1 << 17));
-        let elapsed =
-            run_wake_stress_with(WakeMode::LockFree, &spec, Some(Arc::clone(&rec))).elapsed;
+        let elapsed = run_wake_stress_with(&spec, Some(Arc::clone(&rec))).elapsed;
         let _ = rec.drain();
         elapsed
     };
@@ -102,16 +97,14 @@ fn live_collector_overhead_within_ten_percent_of_quiescent_recording() {
                 ..CollectorConfig::default()
             },
         );
-        let run = run_wake_stress_with(WakeMode::LockFree, &spec, Some(collector.recorder()));
+        let run = run_wake_stress_with(&spec, Some(collector.recorder()));
         let report = collector.finish();
-        // The collector really streamed the run, and streaming kept
-        // the wake path lock-free.
+        // The collector really streamed the run.
         assert!(report.stream.released > 0);
-        assert_eq!(run.wake_counts.delivery_lock_acquisitions, 0);
         run.elapsed
     };
     // Debug builds only exercise the path (the closures assert the
-    // collector streamed and the wake path stayed lock-free): the 10%
+    // collector streamed): the 10%
     // bound is defined on optimized code — CI runs this gate with
     // `--release` — and an unoptimized tracker inflates the collector's
     // share of a single CPU far past what production runs pay.
@@ -145,11 +138,7 @@ fn enabled_recording_keeps_wake_path_lock_free() {
     // Oversized rings: the submitting thread alone emits ~3 events per
     // task into one lane, and the gate below requires zero drops.
     let rec = Arc::new(Recorder::with_capacity(8, 1 << 17));
-    let run = run_wake_stress_with(WakeMode::LockFree, &spec(), Some(Arc::clone(&rec)));
-    assert_eq!(
-        run.wake_counts.delivery_lock_acquisitions, 0,
-        "recording must not add shard-lock acquisitions to the lock-free wake path"
-    );
+    run_wake_stress_with(&spec(), Some(Arc::clone(&rec)));
     // The run was actually observed: a live stream with no overflow.
     assert!(rec.recorded() > 0);
     assert_eq!(rec.dropped(), 0, "size the rings for the workload");

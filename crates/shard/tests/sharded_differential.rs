@@ -23,9 +23,9 @@
 use nexuspp_core::engine::CheckProgress;
 use nexuspp_core::oracle::OracleResolver;
 use nexuspp_core::pool::PoolError;
-use nexuspp_core::{DependencyEngine, NexusConfig, ShardCapacity, TdIndex};
+use nexuspp_core::{DependencyEngine, NexusConfig, TdIndex};
 use nexuspp_desim::Rng;
-use nexuspp_shard::{ShardDispatcher, ShardedCheck, ShardedEngine, TaskId, TaskTicket, WakeMode};
+use nexuspp_shard::{ShardDispatcher, ShardedCheck, ShardedEngine, TaskId, TaskTicket};
 use nexuspp_trace::normalize::normalize_params;
 use nexuspp_trace::{AccessMode, Param};
 use proptest::prelude::*;
@@ -223,85 +223,58 @@ fn run_differential(tasks: &[GenTask], cfg: &NexusConfig, n_shards: usize, seed:
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Both wake modes of the concurrent dispatcher, driven in lockstep
-/// against the oracle: locked kick-off lists and lock-free wake lists
-/// must produce identical ready sets at every stable point. Driven
-/// single-threadedly so every wake a finish produces must surface in
-/// that same call's report (post + self-drain) — the strictest
-/// equivalence the decoupled wake path can be held to.
+/// The concurrent dispatcher driven in lockstep against the oracle: the
+/// lock-free wake lists must produce the oracle's ready set at every
+/// stable point. Driven single-threadedly so every wake a finish
+/// produces must surface in that same call's report (post + self-drain)
+/// — the strictest equivalence the decoupled wake path can be held to.
 fn run_dispatcher_differential(tasks: &[GenTask], n_shards: usize, seed: u64) {
-    let cfg = NexusConfig::unbounded();
-    let locked = ShardDispatcher::<u64>::with_mode(
-        n_shards,
-        &cfg,
-        ShardCapacity::Unbounded,
-        WakeMode::Locked,
-    );
-    let lock_free = ShardDispatcher::<u64>::with_mode(
-        n_shards,
-        &cfg,
-        ShardCapacity::Unbounded,
-        WakeMode::LockFree,
-    );
+    let d = ShardDispatcher::<u64>::new(n_shards, &NexusConfig::unbounded());
     let mut oracle = OracleResolver::new();
     let mut rng = Rng::new(seed);
-    // tag → ticket, for each mode; the key set is the mode's ready set.
-    let mut ready: [BTreeMap<u64, TaskTicket<u64>>; 2] = [BTreeMap::new(), BTreeMap::new()];
+    // tag → ticket; the key set is the dispatcher's ready set.
+    let mut ready: BTreeMap<u64, TaskTicket<u64>> = BTreeMap::new();
 
     let assert_match =
-        |ready: &[BTreeMap<u64, TaskTicket<u64>>; 2], oracle: &OracleResolver, context: &str| {
+        |ready: &BTreeMap<u64, TaskTicket<u64>>, oracle: &OracleResolver, context: &str| {
             let oracle_ready: BTreeSet<u64> =
                 oracle.ready_set().into_iter().map(|i| i as u64).collect();
-            for (m, name) in [(0, "locked"), (1, "lock-free")] {
-                let got: BTreeSet<u64> = ready[m].keys().copied().collect();
-                assert_eq!(got, oracle_ready, "{name} dispatcher diverges {context}");
-            }
+            let got: BTreeSet<u64> = ready.keys().copied().collect();
+            assert_eq!(got, oracle_ready, "dispatcher diverges {context}");
         };
-
-    let finish_one = |ready: &mut [BTreeMap<u64, TaskTicket<u64>>; 2],
-                      oracle: &mut OracleResolver,
-                      rng: &mut Rng| {
-        let candidates: Vec<u64> = ready[0].keys().copied().collect();
-        assert!(!candidates.is_empty(), "nothing ready (deadlock)");
-        let pick = candidates[rng.gen_range(candidates.len() as u64) as usize];
-        for (m, d) in [(0, &locked), (1, &lock_free)] {
-            let ticket = ready[m].remove(&pick).expect("ready sets agreed");
-            let report = d.finish(ticket);
-            for (t, payload) in report.woken {
-                assert_eq!(t.tag(), payload, "payload must travel with its task");
-                ready[m].insert(payload, t);
-            }
-        }
-        oracle.finish(pick as usize);
-    };
 
     for (tag, task) in tasks.iter().enumerate() {
         let tag = tag as u64;
-        for (m, d) in [(0usize, &locked), (1, &lock_free)] {
-            let r = d.submit(0xF, tag, &task.params, tag);
-            if let Some(p) = r.ready {
-                assert_eq!(p, tag);
-                ready[m].insert(tag, r.ticket);
-            }
-            // Parked tickets resurface through some report's woken list.
+        let r = d.submit(0xF, tag, &task.params, tag);
+        if let Some(p) = r.ready {
+            assert_eq!(p, tag);
+            ready.insert(tag, r.ticket);
         }
+        // Parked tickets resurface through some report's woken list.
         let (oid, _) = oracle.submit(&task.params);
         assert_eq!(oid as u64, tag);
         assert_match(&ready, &oracle, &format!("after submitting task {tag}"));
     }
-    while !ready[0].is_empty() {
-        finish_one(&mut ready, &mut oracle, &mut rng);
+    let mut delivered = 0u64;
+    while !ready.is_empty() {
+        let candidates: Vec<u64> = ready.keys().copied().collect();
+        let pick = candidates[rng.gen_range(candidates.len() as u64) as usize];
+        let ticket = ready.remove(&pick).expect("picked from the ready set");
+        for (t, payload) in d.finish(ticket).woken {
+            assert_eq!(t.tag(), payload, "payload must travel with its task");
+            ready.insert(payload, t);
+            delivered += 1;
+        }
+        oracle.finish(pick as usize);
         assert_match(&ready, &oracle, "during drain");
     }
     assert!(oracle.all_done(), "oracle has unfinished tasks");
-    for d in [&locked, &lock_free] {
-        assert_eq!(d.sub_descriptors_in_flight(), 0);
-        assert!(d.wake_list_depths().iter().all(|&n| n == 0));
-    }
+    assert_eq!(d.sub_descriptors_in_flight(), 0);
+    assert!(d.wake_list_depths().iter().all(|&n| n == 0));
     assert_eq!(
-        locked.wake_counts().delivered,
-        lock_free.wake_counts().delivered,
-        "both modes must deliver exactly the same number of wakes"
+        d.wake_counts().delivered,
+        delivered,
+        "the delivery counter must equal the wakes the reports carried"
     );
 }
 
@@ -341,9 +314,8 @@ proptest! {
         }
     }
 
-    /// The concurrent dispatcher's wake modes: locked kick-off lists and
-    /// lock-free wake lists agree with the oracle (and hence with each
-    /// other and the engines above) on every ready set.
+    /// The concurrent dispatcher's lock-free wake lists agree with the
+    /// oracle (and hence with the engines above) on every ready set.
     #[test]
     fn dispatcher_wake_modes_match_oracle(
         tasks in prop::collection::vec(task_strategy(10, 5), 1..40),

@@ -121,39 +121,32 @@ fn shutdown_with_undelivered_wakes_drops_every_record() {
     assert_eq!(Arc::strong_count(&tracker), 1, "wake records leaked");
 
     // Payloads parked in never-woken tasks inside a dispatcher.
-    use nexuspp_core::{NexusConfig, ShardCapacity};
-    use nexuspp_shard::{ShardDispatcher, WakeMode};
+    use nexuspp_core::NexusConfig;
+    use nexuspp_shard::ShardDispatcher;
     use nexuspp_trace::Param;
     let payload_tracker = Arc::new(());
-    for mode in [WakeMode::Locked, WakeMode::LockFree] {
-        let d = ShardDispatcher::<Arc<()>>::with_mode(
-            4,
-            &NexusConfig::unbounded(),
-            ShardCapacity::Unbounded,
-            mode,
-        );
-        let producer = d.submit(
+    let d = ShardDispatcher::<Arc<()>>::new(4, &NexusConfig::unbounded());
+    let producer = d.submit(
+        1,
+        0,
+        &[Param::output(0x100, 4)],
+        Arc::clone(&payload_tracker),
+    );
+    drop(producer.ready.expect("producer is independent"));
+    for c in 0..16u64 {
+        let r = d.submit(
             1,
-            0,
-            &[Param::output(0x100, 4)],
+            1 + c,
+            &[Param::input(0x100, 4)],
             Arc::clone(&payload_tracker),
         );
-        let _unused = producer.ready.expect("producer is independent");
-        for c in 0..16u64 {
-            let r = d.submit(
-                1,
-                1 + c,
-                &[Param::input(0x100, 4)],
-                Arc::clone(&payload_tracker),
-            );
-            assert!(r.ready.is_none(), "consumers park behind the producer");
-            drop(r.ticket);
-        }
-        // The producer never finishes: every consumer payload stays
-        // parked. Dropping the dispatcher must free them all.
-        drop(producer.ticket);
-        drop(d);
+        assert!(r.ready.is_none(), "consumers park behind the producer");
+        drop(r.ticket);
     }
+    // The producer never finishes: every consumer payload stays
+    // parked. Dropping the dispatcher must free them all.
+    drop(producer.ticket);
+    drop(d);
     assert_eq!(
         Arc::strong_count(&payload_tracker),
         1,

@@ -24,9 +24,9 @@ fn main() {
     let rt = Runtime::with_recorder(
         workers,
         4,
-        SchedulerKind::WorkStealing,
+        SchedulerKind::default(),
         ShardCapacity::Unbounded,
-        WakeMode::LockFree,
+        WakeMode::default(),
         Arc::clone(&rec),
     );
 

@@ -33,8 +33,7 @@
 //!   lock-free bounded rings, a metrics registry over every layer's
 //!   counters, Chrome-trace export and critical-path analysis,
 //! * [`sched`] — the ready-task scheduling layer: per-worker
-//!   work-stealing deques with a lock-free injector (default) and the
-//!   global mutex-queue baseline, behind one `SchedulerKind` knob,
+//!   work-stealing deques with a lock-free injector,
 //! * [`runtime`] — a real threaded StarSs-like runtime built on the same
 //!   resolution semantics ([`runtime::Runtime`]: any number of resolver
 //!   shards, one being the single-engine case), scheduling through
@@ -154,15 +153,9 @@
 //! // that each hold at most 2 resident tasks. Overflowing submissions
 //! // stall (the paper's master-core stall) and resume on finish reports;
 //! // the per-shard counters must balance once quiescent.
-//! use nexuspp::runtime::{SchedulerKind, ShardCapacity, WakeMode};
+//! use nexuspp::runtime::ShardCapacity;
 //!
-//! let srt = Runtime::with_options(
-//!     2,
-//!     2,
-//!     SchedulerKind::default(),
-//!     ShardCapacity::Bounded(2),
-//!     WakeMode::default(),
-//! );
+//! let srt = Runtime::with_capacity(2, 2, ShardCapacity::Bounded(2));
 //! let cell = srt.region(vec![0u64]);
 //! for _ in 0..32 {
 //!     let cell2 = cell.clone();
