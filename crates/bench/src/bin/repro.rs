@@ -16,13 +16,9 @@
 //!   ablate     buffering depth / bus / kick-off size (design ablations)
 //!   video      multi-frame H.264 pipelining          (extension)
 //!   shards     multi-Maestro shard scaling           (extension)
-//!   steal      ready-queue vs work-stealing sched    (extension)
 //!   capacity   bounded shard tables, stall/retry     (extension)
-//!   wakes      locked vs lock-free wake delivery     (extension)
-//!   frontend   version renaming vs raw addressing    (extension)
+//!   wakes      wake delivery, kick-off FIFO depths   (extension)
 //!   observe    lifecycle tracing & critical path     (extension)
-//!   serve      multi-tenant resolver service         (extension)
-//!   incr       incremental re-execution, dirty cones (extension)
 //!   all        everything above
 //!
 //! flags:
@@ -33,77 +29,26 @@
 //! other subcommands (own flags):
 //!   watch       live dashboard over a streaming run
 //!               [--quick] [--csv DIR] [--frames N]
-//!   bench-diff  compare two criterion summary JSON files
-//!               [--threshold PCT] [--strict] OLD NEW
 //! ```
+//!
+//! Exit status: 0 when every self-check of every experiment run held,
+//! 1 when any failed (each prints as a `REGRESSION:` line), 2 on a
+//! usage error. Timings of the threaded layers are not `repro`'s job:
+//! the repository's benchmark is `e2e` (`crates/bench/src/bin/e2e/`).
 
-use nexuspp_bench::experiments::{self, Experiment};
-use nexuspp_bench::{benchdiff, watch, ExpOptions};
+use nexuspp_bench::experiments::{exit_code, EXPERIMENTS};
+use nexuspp_bench::{watch, ExpOptions};
 use std::io::IsTerminal;
 use std::time::Instant;
 
 fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: repro <table2|table4|fig4|fig6|fig7|fig8|headline|nexus-vs|rts|ablate|video|shards|steal|capacity|wakes|frontend|observe|serve|incr|all> \
-         [--full] [--quick] [--csv DIR]\n       \
-         repro watch [--quick] [--csv DIR] [--frames N]\n       \
-         repro bench-diff [--threshold PCT] [--strict] OLD.json NEW.json"
+        "usage: repro <{}|all> [--full] [--quick] [--csv DIR]\n       \
+         repro watch [--quick] [--csv DIR] [--frames N]",
+        names.join("|")
     );
     std::process::exit(2);
-}
-
-/// `repro bench-diff [--threshold PCT] [--strict] OLD NEW` — parse both
-/// summaries, print the per-benchmark delta table, and (only under
-/// `--strict`) exit nonzero when anything regressed past the threshold.
-fn bench_diff(args: impl Iterator<Item = String>) -> ! {
-    let mut threshold = 25.0f64;
-    let mut strict = false;
-    let mut paths: Vec<String> = Vec::new();
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let pct = args.next().unwrap_or_else(|| usage());
-                threshold = pct.parse().unwrap_or_else(|e| {
-                    eprintln!("bad --threshold {pct:?}: {e}");
-                    usage()
-                });
-            }
-            "--strict" => strict = true,
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag: {other}");
-                usage();
-            }
-            path => paths.push(path.to_string()),
-        }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        eprintln!("bench-diff needs exactly two summary files (old, new)");
-        usage();
-    };
-    let load = |path: &str| -> Vec<benchdiff::BenchRecord> {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        benchdiff::parse_summary(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let rows = benchdiff::diff(&load(old_path), &load(new_path), threshold);
-    println!("old: {old_path}\nnew: {new_path}");
-    println!("{}", benchdiff::render(&rows, threshold));
-    if benchdiff::has_regressions(&rows) {
-        if strict {
-            eprintln!("[bench-diff] regressions past {threshold:.0}% (strict mode): failing");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[bench-diff] regressions past {threshold:.0}% (warn-only; pass --strict to fail)"
-        );
-    }
-    std::process::exit(0);
 }
 
 /// `repro watch [--quick] [--csv DIR] [--frames N]` — drive a live run
@@ -163,10 +108,15 @@ fn watch_cmd(args: impl Iterator<Item = String>) -> ! {
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(which) = args.next() else { usage() };
-    match which.as_str() {
-        "bench-diff" => bench_diff(args),
-        "watch" => watch_cmd(args),
-        _ => {}
+    if which == "watch" {
+        watch_cmd(args);
+    }
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| which == "all" || which == *name)
+        .collect();
+    if selected.is_empty() {
+        usage();
     }
     let mut opts = ExpOptions::default();
     while let Some(flag) = args.next() {
@@ -184,40 +134,22 @@ fn main() {
         }
     }
 
-    let run = |exps: Vec<Experiment>, opts: &ExpOptions| {
-        for e in exps {
-            println!("{}", e.render());
-            if let Some(dir) = &opts.out_dir {
-                if let Err(err) = e.write_csv(dir) {
-                    eprintln!("failed to write CSV for {}: {err}", e.id);
-                }
+    let t0 = Instant::now();
+    let mut ran = Vec::new();
+    for (_, experiment) in selected {
+        let e = experiment(&opts);
+        println!("{}", e.render());
+        if let Some(dir) = &opts.out_dir {
+            if let Err(err) = e.write_csv(dir) {
+                eprintln!("failed to write CSV for {}: {err}", e.id);
             }
         }
-    };
-
-    let t0 = Instant::now();
-    match which.as_str() {
-        "table2" => run(vec![experiments::table2(&opts)], &opts),
-        "table4" => run(vec![experiments::table4(&opts)], &opts),
-        "fig4" => run(vec![experiments::fig4(&opts)], &opts),
-        "fig6" => run(vec![experiments::fig6(&opts)], &opts),
-        "fig7" => run(vec![experiments::fig7(&opts)], &opts),
-        "fig8" => run(vec![experiments::fig8(&opts)], &opts),
-        "headline" => run(vec![experiments::headline(&opts)], &opts),
-        "nexus-vs" => run(vec![experiments::nexus_vs(&opts)], &opts),
-        "rts" => run(vec![experiments::rts(&opts)], &opts),
-        "ablate" => run(vec![experiments::ablate(&opts)], &opts),
-        "video" => run(vec![experiments::video(&opts)], &opts),
-        "shards" => run(vec![experiments::shards(&opts)], &opts),
-        "steal" => run(vec![experiments::steal(&opts)], &opts),
-        "capacity" => run(vec![experiments::capacity(&opts)], &opts),
-        "wakes" => run(vec![experiments::wakes(&opts)], &opts),
-        "frontend" => run(vec![experiments::frontend(&opts)], &opts),
-        "observe" => run(vec![experiments::observe(&opts)], &opts),
-        "serve" => run(vec![experiments::serve(&opts)], &opts),
-        "incr" => run(vec![experiments::incr(&opts)], &opts),
-        "all" => run(experiments::all(&opts), &opts),
-        _ => usage(),
+        ran.push(e);
     }
     eprintln!("[repro] completed in {:.1}s", t0.elapsed().as_secs_f64());
+    let code = exit_code(&ran);
+    if code != 0 {
+        eprintln!("[repro] self-checks failed (see the REGRESSION lines)");
+    }
+    std::process::exit(code);
 }

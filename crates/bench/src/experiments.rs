@@ -1,9 +1,21 @@
-//! One function per table/figure of the paper.
+//! The paper's artefacts and the model-side studies, one function each.
 //!
-//! Each experiment returns an [`Experiment`] (title, rendered tables,
-//! notes) so the `repro` binary, the integration tests, and EXPERIMENTS.md
-//! generation all share one implementation. Paper values appear next to
-//! measured values wherever the paper states them.
+//! Every function returns an [`Experiment`] — tables, self-checks, CSV —
+//! so the `repro` binary and the unit tests share one implementation.
+//! Paper values appear next to measured values wherever the paper
+//! states them.
+//!
+//! **What lives here, by one rule:** an experiment goes when every
+//! self-check it makes is made by an `e2e` round check or a named
+//! tier-1 test *and* every number it prints is an `e2e` metric
+//! (`crates/bench/src/bin/e2e/`, the repository's benchmark). By that
+//! rule `steal`, `frontend`, `serve` and `incr` went (README, "What
+//! measures what", names the workload, metric and test that took over
+//! each). What stays is the paper's evaluation (`table2` … `ablate`)
+//! and the studies `e2e` does not print: multi-frame pipelining
+//! (`video`), modeled shard scaling (`shards`), bounded-table stall
+//! accounting (`capacity`), kick-off FIFO depths (`wakes`) and the
+//! trace export with its events-vs-counters differential (`observe`).
 
 use crate::table::{f1, f2, TextTable};
 use nexuspp_baseline::{classic::classic_check_trace, ClassicLimits};
@@ -16,6 +28,7 @@ use nexuspp_taskmachine::{simulate, simulate_trace, MachineConfig};
 use nexuspp_trace::{Trace, TraceSource};
 use nexuspp_workloads::analysis::parallelism_profile;
 use nexuspp_workloads::{stress, GaussianSpec, GridPattern, GridSpec, VideoSpec};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Experiment options from the command line.
@@ -29,7 +42,7 @@ pub struct ExpOptions {
     pub out_dir: Option<PathBuf>,
 }
 
-/// A reproduced paper artifact.
+/// A reproduced artefact in one shape: tables, self-checks, CSV.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     /// Short id (`table2`, `fig7`, …).
@@ -38,11 +51,40 @@ pub struct Experiment {
     pub title: String,
     /// Captioned tables.
     pub tables: Vec<(String, TextTable)>,
+    /// Self-checks that did not hold. Each renders as a `REGRESSION`
+    /// line, and any one makes `repro` exit 1 (see [`exit_code`]).
+    pub failures: Vec<String>,
     /// Free-form notes (caveats, paper-vs-measured commentary).
     pub notes: Vec<String>,
 }
 
 impl Experiment {
+    fn new(id: &'static str, title: impl Into<String>) -> Self {
+        Experiment {
+            id,
+            title: title.into(),
+            tables: Vec::new(),
+            failures: Vec::new(),
+            notes: Vec::new(),
+        }
+    }
+
+    fn table(&mut self, caption: impl Into<String>, table: TextTable) {
+        self.tables.push((caption.into(), table));
+    }
+
+    fn note(&mut self, note: impl Into<String>) {
+        self.notes.push(note.into());
+    }
+
+    /// Record one self-check: when `ok` is false, `msg()` joins
+    /// [`failures`](Self::failures).
+    pub fn check(&mut self, ok: bool, msg: impl FnOnce() -> String) {
+        if !ok {
+            self.failures.push(msg());
+        }
+    }
+
     /// Render everything as text.
     pub fn render(&self) -> String {
         let mut out = format!("== {} — {} ==\n", self.id, self.title);
@@ -52,13 +94,12 @@ impl Experiment {
             out.push('\n');
             out.push_str(&table.render());
         }
-        if !self.notes.is_empty() {
-            out.push('\n');
-            for n in &self.notes {
-                out.push_str("note: ");
-                out.push_str(n);
-                out.push('\n');
-            }
+        out.push('\n');
+        for f in &self.failures {
+            let _ = writeln!(out, "REGRESSION: {f}");
+        }
+        for n in &self.notes {
+            let _ = writeln!(out, "note: {n}");
         }
         out
     }
@@ -72,6 +113,12 @@ impl Experiment {
         }
         Ok(())
     }
+}
+
+/// The status `repro` exits with after running `ran`: 1 when any
+/// experiment has a failed self-check, else 0.
+pub fn exit_code(ran: &[Experiment]) -> i32 {
+    i32::from(ran.iter().any(|e| !e.failures.is_empty()))
 }
 
 fn grid_core_counts(opts: &ExpOptions) -> Vec<usize> {
@@ -95,6 +142,7 @@ pub fn table2(opts: &ExpOptions) -> Experiment {
         (3000, 4_501_499, 2012.0),
         (5000, 12_502_499, 3523.0),
     ];
+    let mut e = Experiment::new("table2", "Gaussian elimination tasks per matrix size");
     let mut t = TextTable::new(vec![
         "matrix dim",
         "# tasks (paper)",
@@ -116,7 +164,12 @@ pub fn table2(opts: &ExpOptions) -> Experiment {
         } else {
             spec.task_count()
         };
-        assert_eq!(counted, spec.task_count(), "closed form vs generated");
+        e.check(counted == spec.task_count() && counted == tasks, || {
+            format!(
+                "n={n}: generated {counted} tasks, closed form {}, paper {tasks}",
+                spec.task_count()
+            )
+        });
         t.row(vec![
             n.to_string(),
             tasks.to_string(),
@@ -126,17 +179,13 @@ pub fn table2(opts: &ExpOptions) -> Experiment {
             spec.avg_task_time().to_string(),
         ]);
     }
-    Experiment {
-        id: "table2",
-        title: "Gaussian elimination tasks per matrix size".into(),
-        tables: vec![("Table II".into(), t)],
-        notes: vec![
-            "task counts follow (n²+n−2)/2 exactly".into(),
-            "average weights follow Formula 1; the paper's n=5000 entry (3523) is \
-             inconsistent with its own formula (3332.7) — see EXPERIMENTS.md"
-                .into(),
-        ],
-    }
+    e.table("Table II", t);
+    e.note("task counts follow (n²+n−2)/2 exactly");
+    e.note(
+        "average weights follow Formula 1; the paper's n=5000 entry (3523) is \
+         inconsistent with its own formula (3332.7)",
+    );
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -212,30 +261,19 @@ pub fn table4(_opts: &ExpOptions) -> Experiment {
     ]);
 
     let total_kb = budget.total() as f64 / 1024.0;
-    Experiment {
-        id: "table4",
-        title: "System parameters and storage budget".into(),
-        tables: vec![
-            ("Table IV — parameters".into(), params),
-            ("Storage budget".into(), storage),
-        ],
-        notes: vec![
-            format!(
-                "total {:.1} KB — paper claims ≤ 210 KB: {}",
-                total_kb,
-                if budget.total() <= 210 * 1024 {
-                    "HOLDS"
-                } else {
-                    "VIOLATED"
-                }
-            ),
-            format!(
-                "Task Superscalar uses {} KB (≈{}× more)",
-                TASK_SUPERSCALAR_BYTES / 1024,
-                TASK_SUPERSCALAR_BYTES / budget.total().max(1)
-            ),
-        ],
-    }
+    let mut e = Experiment::new("table4", "System parameters and storage budget");
+    e.table("Table IV — parameters", params);
+    e.table("Storage budget", storage);
+    e.check(budget.total() <= 210 * 1024, || {
+        format!("storage total {total_kb:.1} KB exceeds the paper's 210 KB claim")
+    });
+    e.note(format!("total {total_kb:.1} KB — paper claims ≤ 210 KB"));
+    e.note(format!(
+        "Task Superscalar uses {} KB (≈{}× more)",
+        TASK_SUPERSCALAR_BYTES / 1024,
+        TASK_SUPERSCALAR_BYTES / budget.total().max(1)
+    ));
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -269,19 +307,14 @@ pub fn fig4(_opts: &ExpOptions) -> Experiment {
             }
         }
     }
-    Experiment {
-        id: "fig4",
-        title: "Dependency patterns (120×68 blocks)".into(),
-        tables: vec![
-            ("Pattern structure".into(), t),
-            ("Wavefront ramp profile (Fig 4a)".into(), ramp),
-        ],
-        notes: vec![
-            "the wavefront ramp rises from 1 to its mid-execution peak and falls \
-             back to 1 — the ramping effect the paper describes"
-                .into(),
-        ],
-    }
+    let mut e = Experiment::new("fig4", "Dependency patterns (120×68 blocks)");
+    e.table("Pattern structure", t);
+    e.table("Wavefront ramp profile (Fig 4a)", ramp);
+    e.note(
+        "the wavefront ramp rises from 1 to its mid-execution peak and falls \
+         back to 1 — the ramping effect the paper describes",
+    );
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -350,24 +383,18 @@ pub fn fig6(opts: &ExpOptions) -> Experiment {
         ]);
     }
 
-    Experiment {
-        id: "fig6",
-        title: format!(
-            "Design space exploration ({workers} cores, contention-free, independent tasks)"
-        ),
-        tables: vec![
-            ("Speedup & chains vs Dependence Table size".into(), dt_table),
-            ("Speedup vs Task Pool size".into(), tp_table),
-        ],
-        notes: vec![
-            "paper: speedup peaks (143×) from DT = 2K upward; chains ≈ halve from 2K → 4K"
-                .into(),
-            format!(
-                "paper: TP = 512 suffices at 256 cores (double buffering ⇒ window {} = cores × depth)",
-                workers * 2
-            ),
-        ],
-    }
+    let mut e = Experiment::new(
+        "fig6",
+        format!("Design space exploration ({workers} cores, contention-free, independent tasks)"),
+    );
+    e.table("Speedup & chains vs Dependence Table size", dt_table);
+    e.table("Speedup vs Task Pool size", tp_table);
+    e.note("paper: speedup peaks (143×) from DT = 2K upward; chains ≈ halve from 2K → 4K");
+    e.note(format!(
+        "paper: TP = 512 suffices at 256 cores (double buffering ⇒ window {} = cores × depth)",
+        workers * 2
+    ));
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -406,17 +433,17 @@ pub fn fig7(opts: &ExpOptions) -> Experiment {
         }
         t.row(row);
     }
-    Experiment {
-        id: "fig7",
-        title: "Speedup vs cores for the Figure 4 dependency patterns".into(),
-        tables: vec![("Figure 7".into(), t)],
-        notes: vec![
-            "paper shape: horizontal (b) saturates around 8 cores; vertical (c) scales \
-             to 64; the wavefront is capped by its ramp-limited parallelism; independent \
-             tasks reach 54× at 64 cores then flatten under memory contention"
-                .into(),
-        ],
-    }
+    let mut e = Experiment::new(
+        "fig7",
+        "Speedup vs cores for the Figure 4 dependency patterns",
+    );
+    e.table("Figure 7", t);
+    e.note(
+        "paper shape: horizontal (b) saturates around 8 cores; vertical (c) scales \
+         to 64; the wavefront is capped by its ramp-limited parallelism; independent \
+         tasks reach 54× at 64 cores then flatten under memory contention",
+    );
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -497,28 +524,21 @@ pub fn fig8(opts: &ExpOptions) -> Experiment {
         ]);
     }
 
-    Experiment {
-        id: "fig8",
-        title: "Gaussian elimination speedup per matrix size".into(),
-        tables: vec![
-            ("Figure 8 (literal memory model, contention on)".into(), t),
-            (format!("n={biggest}: memory-contention sensitivity"), cf),
-        ],
-        notes: vec![
-            "paper: n=5000 reaches 45× at 64 cores; n=250 reaches 2.3× at 4 cores and \
-             stays flat"
-                .into(),
-            "the paper's 45× is only consistent with Gaussian traffic NOT contending \
-             for the 32 banks (literal W-doubles traffic exceeds the 10.67 GB/s \
-             aggregate); the contention-free column reproduces it — see EXPERIMENTS.md"
-                .into(),
-            if opts.full {
-                "full mode: includes n=3000 and n=5000 (12.5M tasks per run)".into()
-            } else {
-                "default mode: n ≤ 1000; pass --full for n = 3000/5000".into()
-            },
-        ],
-    }
+    let mut e = Experiment::new("fig8", "Gaussian elimination speedup per matrix size");
+    e.table("Figure 8 (literal memory model, contention on)", t);
+    e.table(format!("n={biggest}: memory-contention sensitivity"), cf);
+    e.note("paper: n=5000 reaches 45× at 64 cores; n=250 reaches 2.3× at 4 cores and stays flat");
+    e.note(
+        "the paper's 45× is only consistent with Gaussian traffic NOT contending \
+         for the 32 banks (literal W-doubles traffic exceeds the 10.67 GB/s \
+         aggregate); the contention-free column reproduces it",
+    );
+    e.note(if opts.full {
+        "full mode: includes n=3000 and n=5000 (12.5M tasks per run)"
+    } else {
+        "default mode: n ≤ 1000; pass --full for n = 3000/5000"
+    });
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -538,35 +558,33 @@ pub fn headline(_opts: &ExpOptions) -> Experiment {
     let s256cf = mk(MachineConfig::with_workers(256).contention_free());
     let s256np = mk(MachineConfig::with_workers(256).contention_free().no_prep());
 
+    let mut e = Experiment::new(
+        "headline",
+        "Independent-tasks headline speedups (double buffering)",
+    );
     let mut t = TextTable::new(vec!["experiment", "paper", "ours", "ratio"]);
-    t.row(vec![
-        "64 cores, memory contention".to_string(),
-        "54×".into(),
-        format!("{:.1}×", s64),
-        f2(s64 / 54.0),
-    ]);
-    t.row(vec![
-        "256 cores, contention-free".to_string(),
-        "143×".into(),
-        format!("{:.1}×", s256cf),
-        f2(s256cf / 143.0),
-    ]);
-    t.row(vec![
-        "256 cores, contention-free, no prep delay".to_string(),
-        "221×".into(),
-        format!("{:.1}×", s256np),
-        f2(s256np / 221.0),
-    ]);
-    Experiment {
-        id: "headline",
-        title: "Independent-tasks headline speedups (double buffering)".into(),
-        tables: vec![("§V headline numbers".into(), t)],
-        notes: vec![
-            "same qualitative structure: contention caps the curve from ~64 cores; \
-             removing the 30 ns task preparation lifts the master-limited plateau"
-                .into(),
-        ],
+    for (name, paper, ours) in [
+        ("64 cores, memory contention", 54.0, s64),
+        ("256 cores, contention-free", 143.0, s256cf),
+        ("256 cores, contention-free, no prep delay", 221.0, s256np),
+    ] {
+        let ratio = ours / paper;
+        t.row(vec![
+            name.to_string(),
+            format!("{paper:.0}×"),
+            format!("{ours:.1}×"),
+            f2(ratio),
+        ]);
+        e.check((0.7..=1.4).contains(&ratio), || {
+            format!("{name}: {ours:.1}× is outside the ±40% band round the paper's {paper:.0}×")
+        });
     }
+    e.table("§V headline numbers", t);
+    e.note(
+        "same qualitative structure: contention caps the curve from ~64 cores; \
+         removing the 30 ns task preparation lifts the master-limited plateau",
+    );
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -617,18 +635,17 @@ pub fn nexus_vs(opts: &ExpOptions) -> Experiment {
             f2(v.access_ratio()),
         ]);
     }
-    Experiment {
-        id: "nexus-vs",
-        title: "Classic Nexus feasibility and lookup comparison".into(),
-        tables: vec![("Nexus (2010) vs Nexus++".into(), t)],
-        notes: vec![
-            "paper: \"applications that could not be executed by Nexus, such as Gaussian \
-             elimination …, can be executed efficiently on a multicore system with Nexus++\""
-                .into(),
-            "classic lookup model: three tables accessed for every parameter operation (§III-B)"
-                .into(),
-        ],
-    }
+    let mut e = Experiment::new(
+        "nexus-vs",
+        "Classic Nexus feasibility and lookup comparison",
+    );
+    e.table("Nexus (2010) vs Nexus++", t);
+    e.note(
+        "paper: \"applications that could not be executed by Nexus, such as Gaussian \
+         elimination …, can be executed efficiently on a multicore system with Nexus++\"",
+    );
+    e.note("classic lookup model: three tables accessed for every parameter operation (§III-B)");
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -676,17 +693,14 @@ pub fn rts(opts: &ExpOptions) -> Experiment {
             f2(ideal),
         ]);
     }
-    Experiment {
-        id: "rts",
-        title: "Software RTS bottleneck vs hardware task management".into(),
-        tables: vec![("Motivating comparison (independent tasks)".into(), t)],
-        notes: vec![
-            "the software runtime serializes ~3 µs of management per task on the master \
-             core and saturates in single digits; Nexus++ tracks the ideal curve until \
-             memory contention"
-                .into(),
-        ],
-    }
+    let mut e = Experiment::new("rts", "Software RTS bottleneck vs hardware task management");
+    e.table("Motivating comparison (independent tasks)", t);
+    e.note(
+        "the software runtime serializes ~3 µs of management per task on the master \
+         core and saturates in single digits; Nexus++ tracks the ideal curve until \
+         memory contention",
+    );
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -776,26 +790,19 @@ pub fn ablate(opts: &ExpOptions) -> Experiment {
         ]);
     }
 
-    Experiment {
-        id: "ablate",
-        title: format!("Design ablations ({workers} cores)"),
-        tables: vec![
-            (
-                "Task-buffering depth (§III double buffering)".into(),
-                depth_t,
-            ),
-            ("Bus model".into(), bus_t),
-            ("Kick-off list size vs dummy-entry traffic".into(), kick_t),
-        ],
-        notes: vec![
-            "depth 2 (double buffering) captures almost all of the benefit for \
-             memory-heavy tasks; deeper buffering has diminishing returns"
-                .into(),
-            "smaller kick-off lists trade SRAM for dummy-entry traffic at identical \
-             semantics — the mechanism's cost is visible, its correctness is not affected"
-                .into(),
-        ],
-    }
+    let mut e = Experiment::new("ablate", format!("Design ablations ({workers} cores)"));
+    e.table("Task-buffering depth (§III double buffering)", depth_t);
+    e.table("Bus model", bus_t);
+    e.table("Kick-off list size vs dummy-entry traffic", kick_t);
+    e.note(
+        "depth 2 (double buffering) captures almost all of the benefit for \
+         memory-heavy tasks; deeper buffering has diminishing returns",
+    );
+    e.note(
+        "smaller kick-off lists trade SRAM for dummy-entry traffic at identical \
+         semantics — the mechanism's cost is visible, its correctness is not affected",
+    );
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -833,15 +840,18 @@ pub fn video(opts: &ExpOptions) -> Experiment {
             f2(speedup / f as f64),
         ]);
     }
-    Experiment {
-        id: "video",
-        title: "Extension: multi-frame H.264 decode (P-frame pipelining)".into(),
-        tables: vec![("Frames vs recovered parallelism".into(), t)],
-        notes: vec![
-            "with inter-frame references, frame f+1's wavefront starts as soon as its              reference blocks retire: the critical path grows by ~1 wavefront step per              frame instead of a whole frame, so average parallelism — and the achieved              speedup — climbs toward the steady-state bound as frames accumulate"
-                .into(),
-        ],
-    }
+    let mut e = Experiment::new(
+        "video",
+        "Extension: multi-frame H.264 decode (P-frame pipelining)",
+    );
+    e.table("Frames vs recovered parallelism", t);
+    e.note(
+        "with inter-frame references, frame f+1's wavefront starts as soon as its \
+         reference blocks retire: the critical path grows by ~1 wavefront step per \
+         frame instead of a whole frame, so average parallelism — and the achieved \
+         speedup — climbs toward the steady-state bound as frames accumulate",
+    );
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -893,6 +903,10 @@ pub fn shards(opts: &ExpOptions) -> Experiment {
         ..MultiMaestroConfig::with_shards(s).no_prep()
     };
 
+    let mut e = Experiment::new(
+        "shards",
+        format!("Multi-Maestro shard scaling ({n_stress}-task streams, Gaussian n = {gauss_n})"),
+    );
     let mut table = TextTable::new(vec![
         "workload",
         "shards",
@@ -902,7 +916,6 @@ pub fn shards(opts: &ExpOptions) -> Experiment {
         "imbalance",
         "peak queue",
     ]);
-    let mut notes = Vec::new();
     for (name, trace) in [
         ("balanced", &balanced),
         ("hot-shard", &hot),
@@ -922,102 +935,23 @@ pub fn shards(opts: &ExpOptions) -> Experiment {
                 f2(r.imbalance()),
                 r.peak_shard_queue.to_string(),
             ]);
-            if name == "balanced" && s == 4 && tput < 2.0 * base {
-                notes.push(format!(
-                    "REGRESSION: balanced 4-shard speedup {:.2}x below the 2x acceptance bar",
-                    tput / base
-                ));
+            if name == "balanced" && s == 4 {
+                e.check(tput >= 2.0 * base, || {
+                    format!(
+                        "balanced 4-shard speedup {:.2}x below the 2x acceptance bar",
+                        tput / base
+                    )
+                });
             }
         }
     }
-    notes.push(
+    e.table("modeled resolution throughput by shard count", table);
+    e.note(
         "balanced stream: address partitions spread evenly, shards scale until the crossbar \
          or workers saturate; hot-shard stream: all addresses hash to one shard, extra shards \
-         idle (imbalance ≈ shard count)"
-            .to_string(),
+         idle (imbalance ≈ shard count)",
     );
-    Experiment {
-        id: "shards",
-        title: format!(
-            "Multi-Maestro shard scaling ({n_stress}-task streams, Gaussian n = {gauss_n})"
-        ),
-        tables: vec![("modeled resolution throughput by shard count".into(), table)],
-        notes,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Ready-task scheduling (work-stealing extension)
-// ---------------------------------------------------------------------
-
-/// Ready-scheduling study: the work-stealing scheduler on the imbalanced
-/// `steal_stress` workload, at the scheduler layer (pure scheduling
-/// overhead) and end-to-end through the runtime at 1 and 4 resolver
-/// shards. Not a paper figure — this measures the layer `nexuspp-sched`
-/// owns.
-pub fn steal(opts: &ExpOptions) -> Experiment {
-    use crate::steal_driver::best_steal;
-    use nexuspp_sched::stress::{best_of, ChainStressSpec};
-    use nexuspp_workloads::StealStressSpec;
-
-    let chain_len: u32 = if opts.quick { 800 } else { 4000 };
-    let runs: u32 = if opts.quick { 2 } else { 3 };
-
-    // Scheduler layer: tasks are a few atomic increments, so wall-clock
-    // is the scheduling overhead itself.
-    let mut sched_t = TextTable::new(vec![
-        "workers", "tasks", "wall ms", "Mtasks/s", "steals", "parks",
-    ]);
-    for &workers in &[1usize, 2, 4] {
-        let spec = ChainStressSpec {
-            workers,
-            chains: 2 * workers.max(2) as u32,
-            chain_len,
-            spin_ns: 0,
-        };
-        // `best_of` asserts every task ran exactly once.
-        let r = best_of(&spec, runs);
-        sched_t.row(vec![
-            workers.to_string(),
-            spec.task_count().to_string(),
-            f2(r.elapsed.as_secs_f64() * 1e3),
-            f2(spec.task_count() as f64 / r.elapsed.as_secs_f64() / 1e6),
-            r.counts.steals.to_string(),
-            r.counts.parks.to_string(),
-        ]);
-    }
-
-    // End to end: the same DAG through the runtime (engine resolution +
-    // region bookkeeping included) at 1 and 4 resolver shards, 4 workers.
-    let rt_spec = StealStressSpec::for_workers(4, if opts.quick { 400 } else { 1500 });
-    let mut rt_t = TextTable::new(vec!["shards", "tasks", "wall ms", "Mtasks/s", "steals"]);
-    for shards in [1usize, 4] {
-        // `run_steal` asserts no chain lost a task.
-        let r = best_steal(shards, 4, &rt_spec, runs);
-        rt_t.row(vec![
-            shards.to_string(),
-            r.tasks.to_string(),
-            f2(r.elapsed.as_secs_f64() * 1e3),
-            f2(r.tasks_per_sec() / 1e6),
-            r.counts.steals.to_string(),
-        ]);
-    }
-
-    let notes = vec![
-        "scheduler layer: per task the owner path pays a handful of deque atomics; \
-         rows are 'best of N' measurements"
-            .into(),
-        "end-to-end rows include dependency resolution and region bookkeeping".into(),
-    ];
-    Experiment {
-        id: "steal",
-        title: "Ready-task scheduling: work stealing (steal_stress)".into(),
-        tables: vec![
-            ("Scheduler layer (pure scheduling overhead)".into(), sched_t),
-            ("End to end through the runtime (4 workers)".into(), rt_t),
-        ],
-        notes,
-    }
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -1030,17 +964,16 @@ pub fn steal(opts: &ExpOptions) -> Experiment {
 /// outside the shard lock and is drained by a CAS-claimed owner, so it
 /// never queues behind resolution on the hot shard.
 pub fn wakes(opts: &ExpOptions) -> Experiment {
-    use nexuspp_shard::stress::{best_of, WakeStressSpec};
+    use nexuspp_shard::stress::{run_wake_stress, WakeStressSpec};
     use nexuspp_taskmachine::{simulate_sharded, MultiMaestroConfig};
     use nexuspp_workloads::WakeStressSpec as WakeTraceSpec;
 
-    let runs: u32 = if opts.quick { 2 } else { 3 };
     let producers: u32 = if opts.quick { 64 } else { 256 };
+    let mut e = Experiment::new("wakes", "Wake delivery: lock-free wake lists (wake_stress)");
 
     // Threaded dispatcher: 4 finisher workers hammer one hot shard's
     // wake path.
     let mut disp_t = TextTable::new(vec!["burst", "tasks", "wakes", "wall ms", "delivery us"]);
-    let mut notes = Vec::new();
     for &consumers_per in &[4u32, 24] {
         let spec = WakeStressSpec {
             finishers: 4,
@@ -1049,14 +982,9 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
             shards: 4,
             spin_ns: 0,
         };
-        let r = best_of(&spec, runs);
-        if r.woken != spec.wake_count() {
-            notes.push(format!(
-                "REGRESSION: delivered {} of {} wakes",
-                r.woken,
-                spec.wake_count()
-            ));
-        }
+        // Panics unless every task retired and every wake was delivered
+        // exactly once — this half's self-check lives in the harness.
+        let r = run_wake_stress(&spec);
         disp_t.row(vec![
             consumers_per.to_string(),
             r.completed.to_string(),
@@ -1088,13 +1016,12 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
             &trace,
         );
         let delivered: u64 = r.shard_wakes_delivered.iter().sum();
-        if delivered == 0 || delivered > spec.wake_count() {
-            notes.push(format!(
-                "REGRESSION: model delivered {} kick-offs of at most {}",
-                delivered,
+        e.check(delivered > 0 && delivered <= spec.wake_count(), || {
+            format!(
+                "model delivered {delivered} kick-offs of at most {}",
                 spec.wake_count()
-            ));
-        }
+            )
+        });
         model_t.row(vec![
             consumers_per.to_string(),
             r.tasks.to_string(),
@@ -1105,28 +1032,23 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
         ]);
     }
 
-    notes.extend([
+    e.table(
+        "Threaded dispatcher (4 finisher workers, hot shard)",
+        disp_t,
+    );
+    e.table("Multi-Maestro kick-off FIFOs (modeled)", model_t);
+    e.note(
         "delivery time counts the drain-to-report step only (claim + hand-off), not \
-         the resolution work under the shard lock; rows are 'best of N' measurements"
-            .into(),
+         the resolution work under the shard lock; one run per row — the timed \
+         figure is e2e's shard.wake_delivery_ns_per_wake",
+    );
+    e.note(
         "modeled rows: every consumer that parked at its check is delivered through \
          a kick-off FIFO exactly once (asserted inside the model); consumers the \
          master submitted after their producer already finished start ready and \
-         bypass kick-off, so 'wakes delivered' can sit below the DAG's edge count"
-            .into(),
-    ]);
-    Experiment {
-        id: "wakes",
-        title: "Wake delivery: lock-free wake lists (wake_stress)".into(),
-        tables: vec![
-            (
-                "Threaded dispatcher (4 finisher workers, hot shard)".into(),
-                disp_t,
-            ),
-            ("Multi-Maestro kick-off FIFOs (modeled)".into(), model_t),
-        ],
-        notes,
-    }
+         bypass kick-off, so 'wakes delivered' can sit below the DAG's edge count",
+    );
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -1160,7 +1082,10 @@ pub fn capacity(opts: &ExpOptions) -> Experiment {
         ShardCapacity::Unbounded,
     ];
 
-    let mut notes = Vec::new();
+    let mut e = Experiment::new(
+        "capacity",
+        format!("Bounded shard tables: stall/retry under capacity pressure ({shards} shards)"),
+    );
     let mut modeled = TextTable::new(vec![
         "workload",
         "capacity",
@@ -1189,23 +1114,24 @@ pub fn capacity(opts: &ExpOptions) -> Experiment {
                 resolved.to_string(),
                 r.peak_shard_queue.to_string(),
             ]);
-            if r.shard_stalls != r.shard_retries_resolved {
-                notes.push(format!(
-                    "REGRESSION: {name} at C={cap}: unresolved stall episodes \
-                     ({:?} vs {:?})",
+            e.check(r.shard_stalls == r.shard_retries_resolved, || {
+                format!(
+                    "{name} at C={cap}: unresolved stall episodes ({:?} vs {:?})",
                     r.shard_stalls, r.shard_retries_resolved
-                ));
+                )
+            });
+            if !cap.is_bounded() {
+                e.check(r.master_capacity_stalls == 0, || {
+                    format!(
+                        "{name}: unbounded tables reported {} stalls",
+                        r.master_capacity_stalls
+                    )
+                });
             }
-            if !cap.is_bounded() && r.master_capacity_stalls != 0 {
-                notes.push(format!(
-                    "REGRESSION: {name}: unbounded tables reported {} stalls",
-                    r.master_capacity_stalls
-                ));
-            }
-            if cap == ShardCapacity::Bounded(1) && r.master_capacity_stalls == 0 {
-                notes.push(format!(
-                    "REGRESSION: {name}: capacity 1 never stalled the master"
-                ));
+            if cap == ShardCapacity::Bounded(1) {
+                e.check(r.master_capacity_stalls > 0, || {
+                    format!("{name}: capacity 1 never stalled the master")
+                });
             }
         }
     }
@@ -1232,174 +1158,20 @@ pub fn capacity(opts: &ExpOptions) -> Experiment {
             stalls.to_string(),
             resolved.to_string(),
         ]);
-        if stalls != resolved {
-            notes.push(format!(
-                "REGRESSION: runtime at C={cap}: {stalls} stalls vs {resolved} resolved"
-            ));
-        }
+        e.check(stalls == resolved, || {
+            format!("runtime at C={cap}: {stalls} stalls vs {resolved} resolved")
+        });
     }
 
-    notes.push(
+    e.table("modeled multi-Maestro fabric", modeled);
+    e.table("threaded Runtime (4 workers)", threaded);
+    e.note(
         "the master parks on the first full shard and resumes when a finish phase \
          completes at the shards (cycle-accounted); episodes are counted once against \
          the first rejecting shard, so stalls == retries at quiescence is the \
-         no-lost-wakeup invariant"
-            .to_string(),
+         no-lost-wakeup invariant",
     );
-    Experiment {
-        id: "capacity",
-        title: format!(
-            "Bounded shard tables: stall/retry under capacity pressure ({shards} shards)"
-        ),
-        tables: vec![
-            ("modeled multi-Maestro fabric".into(), modeled),
-            ("threaded Runtime (4 workers)".into(), threaded),
-        ],
-        notes,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Resource-versioning frontend (renaming extension)
-// ---------------------------------------------------------------------
-
-/// Frontend study: what version renaming buys over a raw encoding that
-/// reuses one address per resource. Not a paper figure — this quantifies
-/// the renaming extension: the same declarative program lowered twice
-/// (renamed vs raw), contrasted structurally (DAG profile of the
-/// rename-heavy `version_stress` stream) and measured (a strictly serial
-/// version chain executed on the threaded sharded runtime, where raw
-/// must run at width 1 and renamed saturates the workers).
-pub fn frontend(opts: &ExpOptions) -> Experiment {
-    use nexuspp_frontend::Lowering;
-    use nexuspp_runtime::Runtime;
-    use nexuspp_workloads::VersionStressSpec;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let lowerings = [Lowering::Renamed, Lowering::Raw];
-    let mut notes = Vec::new();
-
-    // Structural: the rename-heavy stream's DAG profile per lowering.
-    let spec = if opts.quick {
-        VersionStressSpec {
-            chains: 8,
-            chain_len: 8,
-            cells: 6,
-            steps: 3,
-            exec_ns: 0,
-        }
-    } else {
-        VersionStressSpec::renaming_heavy()
-    };
-    let mut dag_t = TextTable::new(vec![
-        "lowering",
-        "tasks",
-        "true edges",
-        "critical path",
-        "avg parallelism",
-        "peak",
-        "avg vs raw",
-    ]);
-    let profiles: Vec<_> = lowerings
-        .iter()
-        .map(|&l| (l, spec.lowered(l), parallelism_profile(&spec.trace(l))))
-        .collect();
-    let raw_avg = profiles[1].2.avg_parallelism().max(f64::MIN_POSITIVE);
-    for (lowering, lp, profile) in &profiles {
-        dag_t.row(vec![
-            lowering.name().to_string(),
-            lp.tasks.len().to_string(),
-            lp.edges.len().to_string(),
-            profile.critical_path().to_string(),
-            f1(profile.avg_parallelism()),
-            profile.max_parallelism().to_string(),
-            format!("{}x", f2(profile.avg_parallelism() / raw_avg)),
-        ]);
-    }
-    let avgs = [
-        profiles[0].2.avg_parallelism(),
-        profiles[1].2.avg_parallelism(),
-    ];
-    if avgs[0] < 2.0 * avgs[1] {
-        notes.push(format!(
-            "REGRESSION: renamed avg parallelism {} is below 2x raw {}",
-            f1(avgs[0]),
-            f1(avgs[1])
-        ));
-    }
-
-    // Measured: a single version chain (strictly serial raw, fully
-    // parallel renamed) on real worker threads, peak width observed
-    // across a per-task sleep.
-    let chain_len = if opts.quick { 8 } else { 16 };
-    let workers = 4usize;
-    let mut run_t = TextTable::new(vec![
-        "lowering",
-        "chain len",
-        "workers",
-        "wall ms",
-        "peak executed width",
-    ]);
-    for lowering in lowerings {
-        let lp = VersionStressSpec::single_chain(chain_len).lowered(lowering);
-        let rt = Runtime::new(workers, 2);
-        let in_flight = Arc::new(AtomicU32::new(0));
-        let peak = Arc::new(AtomicU32::new(0));
-        let start = Instant::now();
-        for sub in lp.tasks.iter().cloned() {
-            let (in_flight, peak) = (Arc::clone(&in_flight), Arc::clone(&peak));
-            rt.spawn_lowered(sub, move || {
-                let now = in_flight.fetch_add(1, Ordering::AcqRel) + 1;
-                peak.fetch_max(now, Ordering::AcqRel);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                in_flight.fetch_sub(1, Ordering::AcqRel);
-            });
-        }
-        rt.barrier();
-        let width = peak.load(Ordering::Acquire);
-        match lowering {
-            Lowering::Raw if width != 1 => notes.push(format!(
-                "REGRESSION: raw chain overlapped (width {width}) — WAW order broken"
-            )),
-            Lowering::Renamed if width < 2 => notes.push(format!(
-                "REGRESSION: renamed chain never overlapped (width {width})"
-            )),
-            _ => {}
-        }
-        run_t.row(vec![
-            lowering.name().to_string(),
-            chain_len.to_string(),
-            workers.to_string(),
-            f2(start.elapsed().as_secs_f64() * 1e3),
-            width.to_string(),
-        ]);
-    }
-
-    notes.extend([
-        "both lowerings carry the identical task set and true-edge list; raw \
-         additionally serializes every version of a resource through one address, \
-         which is exactly the WAW/WAR false-dependence cost renaming deletes"
-            .into(),
-        "the >= 2x bars (structural and measured, raw width exactly 1) are \
-         asserted deterministically in nexuspp-workloads (version_stress tests \
-         and tests/version_parallelism.rs); rows here are the same contrast at \
-         report sizes"
-            .into(),
-    ]);
-    Experiment {
-        id: "frontend",
-        title: "Resource-versioning frontend: renamed vs raw lowering (version_stress)".into(),
-        tables: vec![
-            ("Structural: rename-heavy DAG profile".into(), dag_t),
-            (
-                "Measured: one version chain on the threaded runtime".into(),
-                run_t,
-            ),
-        ],
-        notes,
-    }
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -1446,7 +1218,10 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
         }
     };
     let workers = 4usize;
-    let mut notes = Vec::new();
+    let mut e = Experiment::new(
+        "observe",
+        "Observability: lifecycle tracing, latency breakdown, critical path",
+    );
 
     // Structural ground truth from the lowered DAG, before running
     // anything.
@@ -1501,11 +1276,9 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
     let mut diff_t = TextTable::new(vec!["quantity", "from events", "from counters"]);
     let mut diff_row = |name: &str, ev: u64, ctr: u64| {
         diff_t.row(vec![name.to_string(), ev.to_string(), ctr.to_string()]);
-        if ev != ctr {
-            notes.push(format!(
-                "REGRESSION: {name} disagrees — {ev} from events vs {ctr} from counters"
-            ));
-        }
+        e.check(ev == ctr, || {
+            format!("{name} disagrees — {ev} from events vs {ctr} from counters")
+        });
     };
     diff_row(
         "tasks submitted",
@@ -1524,12 +1297,9 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
         events.len() as u64,
         snap.get("events", "recorded").unwrap_or(0),
     );
-    if rec.dropped() > 0 {
-        notes.push(format!(
-            "REGRESSION: {} events dropped (ring overflow)",
-            rec.dropped()
-        ));
-    }
+    e.check(rec.dropped() == 0, || {
+        format!("{} events dropped (ring overflow)", rec.dropped())
+    });
 
     // Table 3: observed vs structural critical path.
     let observed = observed_critical_path(&events);
@@ -1542,462 +1312,70 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
         "observed (waker edges)".into(),
         observed.length.to_string(),
     ]);
-    if observed.length != structural {
-        notes.push(format!(
-            "REGRESSION: observed critical path {} != structural {structural}",
+    e.check(observed.length == structural, || {
+        format!(
+            "observed critical path {} != structural {structural}",
             observed.length
-        ));
-    }
+        )
+    });
 
     // The Chrome-trace export, validated always and written with --csv.
     let trace_json = chrome_trace(&events);
-    if let Err(err) = validate_json(&trace_json) {
-        notes.push(format!("REGRESSION: chrome trace is not valid JSON: {err}"));
-    }
+    let valid = validate_json(&trace_json);
+    e.check(valid.is_ok(), || {
+        format!("chrome trace is not valid JSON: {}", valid.unwrap_err())
+    });
     if let Some(dir) = &opts.out_dir {
         let path = dir.join("observe_trace.json");
         match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &trace_json)) {
-            Ok(()) => notes.push(format!("chrome trace written to {}", path.display())),
-            Err(err) => notes.push(format!("failed to write chrome trace: {err}")),
+            Ok(()) => e.note(format!("chrome trace written to {}", path.display())),
+            Err(err) => e.note(format!("failed to write chrome trace: {err}")),
         }
     }
 
-    notes.extend([
-        format!(
-            "workload: version_stress (Renamed), {} tasks on {workers} workers \
-             (sharded runtime, lock-free wakes), 1ms per-task sleep",
-            n
-        ),
+    e.table("Per-task latency breakdown", lat_t);
+    e.table("Differential: events vs counters", diff_t);
+    e.table("Observed vs structural critical path", cp_t);
+    e.note(format!(
+        "workload: version_stress (Renamed), {n} tasks on {workers} workers \
+         (sharded runtime, lock-free wakes), 1ms per-task sleep"
+    ));
+    e.note(
         "the observed critical path follows Ready waker edges (which finisher \
          released each task); under renaming the chains collapse to depth 1 and \
          the stencil wavefront sets the depth, so observed must equal the \
-         lowered DAG's longest chain"
-            .into(),
+         lowered DAG's longest chain",
+    );
+    e.note(
         "latency phases: submit->ready is dependence wait, ready->start is \
          scheduling delay, start->done is execution, done->finished is \
-         retirement (shard drain)"
-            .into(),
-    ]);
-    Experiment {
-        id: "observe",
-        title: "Observability: lifecycle tracing, latency breakdown, critical path".into(),
-        tables: vec![
-            ("Per-task latency breakdown".into(), lat_t),
-            ("Differential: events vs counters".into(), diff_t),
-            ("Observed vs structural critical path".into(), cp_t),
-        ],
-        notes,
-    }
-}
-
-/// The persistent resolver as a shared facility: a `ResolverService`
-/// with deliberately tight per-tenant budgets under the service-stress
-/// client streams, one client thread per tenant. Reports the full
-/// admission funnel per tenant (submitted → backpressured/denied/
-/// retried → admitted → executed) from the live metrics registry, then
-/// drains with a graceful shutdown and cross-checks exactly-once
-/// against a one-shot run of the identical programs on a bare runtime.
-pub fn serve(opts: &ExpOptions) -> Experiment {
-    use nexuspp_runtime::Runtime;
-    use nexuspp_service::{ResolverService, ServiceConfig, ServiceTask, TenantId};
-    use nexuspp_workloads::ServiceStressSpec;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let spec = if opts.quick {
-        ServiceStressSpec::quick()
-    } else {
-        ServiceStressSpec::pressure()
-    };
-    // Budget below the stream's steady-state demand (≈ chains resident
-    // chained tasks per tenant) so admission pressure is guaranteed;
-    // a small lane keeps client-visible backpressure in play too.
-    let budget = (spec.chains as u64 / 2).max(1);
-    let lane = spec.chains.max(2) as usize;
-    let workers = 4usize;
-    let mut notes = Vec::new();
-
-    let mut cfg = ServiceConfig::new(workers, 4).lane_capacity(lane);
-    for t in 1..=spec.tenants {
-        cfg = cfg.tenant(TenantId(t), budget);
-    }
-    let svc = ResolverService::start(cfg);
-    let ran = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let clients: Vec<_> = spec
-        .programs()
-        .into_iter()
-        .map(|(tenant, prog)| {
-            let handle = svc.handle(tenant).expect("tenant registered");
-            let ran = Arc::clone(&ran);
-            std::thread::spawn(move || {
-                let mut accepted = 0u64;
-                for sub in prog {
-                    let ran = Arc::clone(&ran);
-                    let task = ServiceTask::new(sub, move || {
-                        ran.fetch_add(1, Ordering::AcqRel);
-                    });
-                    if handle.submit_blocking(task).is_ok() {
-                        accepted += 1;
-                    }
-                }
-                accepted
-            })
-        })
-        .collect();
-    let accepted: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
-    let report = svc.shutdown();
-    let wall = start.elapsed();
-    let snap = svc.metrics_snapshot();
-
-    let mut t = TextTable::new(vec![
-        "tenant",
-        "budget",
-        "submitted",
-        "backpressured",
-        "budget denied",
-        "capacity retries",
-        "admitted",
-        "executed",
-        "peak in-flight",
-    ]);
-    let metric = |tenant: TenantId, name: &str| snap.get(&tenant.to_string(), name).unwrap_or(0);
-    let mut executed_total = 0u64;
-    for (tenant, counts) in &report.tenants {
-        let executed = metric(*tenant, "executed");
-        executed_total += executed;
-        t.row(vec![
-            tenant.to_string(),
-            counts.cap.to_string(),
-            metric(*tenant, "submitted").to_string(),
-            metric(*tenant, "backpressured").to_string(),
-            counts.denied.to_string(),
-            metric(*tenant, "capacity_retries").to_string(),
-            counts.admitted.to_string(),
-            executed.to_string(),
-            counts.peak.to_string(),
-        ]);
-        if counts.peak > counts.cap {
-            notes.push(format!(
-                "REGRESSION: {tenant} exceeded its budget (peak {} > cap {})",
-                counts.peak, counts.cap
-            ));
-        }
-    }
-
-    // Differential: the identical programs, one-shot on a bare runtime
-    // with no admission layer — both sides must execute every task.
-    let oneshot_ran = Arc::new(AtomicU64::new(0));
-    let rt = Runtime::new(workers, 4);
-    for (_, prog) in spec.programs() {
-        for sub in prog {
-            let oneshot_ran = Arc::clone(&oneshot_ran);
-            rt.spawn_lowered(sub, move || {
-                oneshot_ran.fetch_add(1, Ordering::AcqRel);
-            });
-        }
-    }
-    rt.barrier();
-    let oneshot = oneshot_ran.load(Ordering::Acquire);
-
-    let mut sum_t = TextTable::new(vec!["measure", "value"]);
-    sum_t.row(vec![
-        "tasks per tenant".into(),
-        spec.tasks_per_tenant().to_string(),
-    ]);
-    sum_t.row(vec!["accepted (client Ok)".into(), accepted.to_string()]);
-    sum_t.row(vec![
-        "executed (service)".into(),
-        report.runtime.executed.to_string(),
-    ]);
-    sum_t.row(vec!["executed (one-shot)".into(), oneshot.to_string()]);
-    sum_t.row(vec![
-        "cancelled".into(),
-        report.runtime.cancelled.to_string(),
-    ]);
-    sum_t.row(vec![
-        "dropped in ingress".into(),
-        report.dropped_ingress.to_string(),
-    ]);
-    sum_t.row(vec!["graceful".into(), report.graceful.to_string()]);
-    sum_t.row(vec!["wall ms".into(), f1(wall.as_secs_f64() * 1e3)]);
-    sum_t.row(vec![
-        "throughput (tasks/ms)".into(),
-        f1(accepted as f64 / (wall.as_secs_f64() * 1e3)),
-    ]);
-
-    if !report.graceful {
-        notes.push("REGRESSION: graceful shutdown reported drops or a non-graceful quiesce".into());
-    }
-    if report.runtime.executed != accepted || ran.load(Ordering::Acquire) != accepted {
-        notes.push(format!(
-            "REGRESSION: exactly-once broken — accepted {accepted}, runtime executed {}, bodies ran {}",
-            report.runtime.executed,
-            ran.load(Ordering::Acquire)
-        ));
-    }
-    if report.runtime.executed != executed_total {
-        notes.push(format!(
-            "REGRESSION: per-tenant executed counters sum to {executed_total}, runtime retired {}",
-            report.runtime.executed
-        ));
-    }
-    if report.runtime.executed != oneshot {
-        notes.push(format!(
-            "REGRESSION: service executed {} tasks but the one-shot run executed {oneshot}",
-            report.runtime.executed
-        ));
-    }
-    notes.push(format!(
-        "{} tenants, budget {budget} (steady-state demand ≈ {} chained tasks), lane {lane}, \
-         {workers} workers; clients spin on retryable backpressure via submit_blocking",
-        spec.tenants, spec.chains
-    ));
-    notes.push(
-        "the admission funnel is per tenant: lane-full → client backpressure, budget at cap → \
-         held in ingress, shard table full → parked retry slot; none of these stall another \
-         tenant's lane"
-            .into(),
+         retirement (shard drain)",
     );
-    Experiment {
-        id: "serve",
-        title: "Resolver service: multi-tenant streaming ingress under admission pressure".into(),
-        tables: vec![
-            (
-                "Per-tenant admission funnel (live metrics + final ledgers)".into(),
-                t,
-            ),
-            ("Run summary and one-shot differential".into(), sum_t),
-        ],
-        notes,
-    }
+    e
 }
 
-// ---------------------------------------------------------------------
-// Incremental re-execution (extension)
-// ---------------------------------------------------------------------
+/// What every experiment is: options in, tables and self-checks out.
+pub type ExperimentFn = fn(&ExpOptions) -> Experiment;
 
-/// The incremental re-execution layer (`nexuspp-incr`) end to end: run
-/// the 1000-task halo-exchange stencil from scratch, then apply edit
-/// batches of increasing size and show what each one actually costs —
-/// the dirty-cone table (per-scenario reran/reused split plus
-/// Pearce–Kelly maintenance work), the cumulative reuse funnel pulled
-/// from the *live* `MetricsRegistry` the program feeds, and the
-/// measured from-scratch vs 1-edit wall-clock ratio against the ≥ 2×
-/// acceptance bar.
-pub fn incr(opts: &ExpOptions) -> Experiment {
-    use nexuspp_frontend::Lowering;
-    use nexuspp_incr::{Access, Backend, Edit, METRIC_NAMES};
-    use nexuspp_obs::MetricsRegistry;
-    use nexuspp_workloads::IncrStencilSpec;
-    use std::time::Instant;
-
-    let spec = if opts.quick {
-        IncrStencilSpec {
-            cells: 24,
-            steps: 6,
-        }
-    } else {
-        IncrStencilSpec::thousand()
-    };
-    let backend = Backend::Engine { shards: 4 };
-    let lowering = Lowering::Renamed;
-    let total = spec.task_count() as usize;
-    let mut notes = Vec::new();
-
-    let reg = MetricsRegistry::new();
-    let mut ip = spec.build();
-    ip.register_metrics(&reg, "incr");
-
-    // The dirty-cone table: one rerun per scenario, live-timed. The
-    // "retarget (same bindings)" row re-declares a task unchanged: the
-    // cone is validated but every fingerprint matches, so early cutoff
-    // re-runs nothing.
-    let mid = spec.cells / 2;
-    let same_accesses = vec![
-        Access::ReadVersion(spec.cell(mid - 1), 0),
-        Access::ReadVersion(spec.cell(mid), 0),
-        Access::ReadVersion(spec.cell(mid + 1), 0),
-        Access::Write(spec.cell(mid)),
-    ];
-    let scenarios: Vec<(&str, Vec<Edit>)> = vec![
-        ("from scratch", vec![]),
-        ("idle (no edit)", vec![]),
-        ("1 edit", spec.touch_edits(1, 1)),
-        ("10 edits", spec.touch_edits(10, 2)),
-        (
-            "retarget (same bindings)",
-            vec![Edit::Retarget {
-                key: spec.key(mid, 1),
-                accesses: same_accesses,
-            }],
-        ),
-    ];
-    let mut t = TextTable::new(vec![
-        "scenario",
-        "tasks",
-        "dirtied",
-        "reran",
-        "reused",
-        "reuse %",
-        "order ops",
-        "wall ms",
-    ]);
-    let mut one_edit_reran = 0usize;
-    for (name, edits) in scenarios {
-        if !edits.is_empty() {
-            ip.edit_batch(edits).expect("stencil edits stay acyclic");
-        }
-        let t0 = Instant::now();
-        let rep = ip.rerun(lowering, &backend);
-        let wall = t0.elapsed();
-        if rep.reran + rep.reused != rep.total {
-            notes.push(format!(
-                "REGRESSION: {name}: reran {} + reused {} != total {}",
-                rep.reran, rep.reused, rep.total
-            ));
-        }
-        if name == "1 edit" {
-            one_edit_reran = rep.reran;
-        }
-        if name == "retarget (same bindings)" && rep.reran != 0 {
-            notes.push(format!(
-                "REGRESSION: unchanged retarget re-ran {} tasks (early cutoff broken)",
-                rep.reran
-            ));
-        }
-        t.row(vec![
-            name.to_string(),
-            rep.total.to_string(),
-            rep.dirtied.to_string(),
-            rep.reran.to_string(),
-            rep.reused.to_string(),
-            f1(100.0 * rep.reused as f64 / rep.total.max(1) as f64),
-            rep.order_maintenance_ops.to_string(),
-            f2(wall.as_secs_f64() * 1e3),
-        ]);
-    }
-    // Structural acceptance bar, clock-independent: one edit's cone
-    // must leave at least half the program reusable.
-    if one_edit_reran * 2 > total {
-        notes.push(format!(
-            "REGRESSION: 1-edit re-ran {one_edit_reran} of {total} tasks — \
-             the structural 2x work reduction is gone"
-        ));
-    }
-
-    // The cumulative reuse funnel, read back through the *registry*
-    // (not the reports): this is the path an operator dashboard uses.
-    let snap = reg.snapshot();
-    let mut funnel = TextTable::new(vec!["counter", "cumulative"]);
-    for name in METRIC_NAMES {
-        funnel.row(vec![
-            name.to_string(),
-            snap.get("incr", name).unwrap_or(0).to_string(),
-        ]);
-    }
-    let get = |n: &str| snap.get("incr", n).unwrap_or(0);
-    if get("reran") + get("reused") != get("total") {
-        notes.push(format!(
-            "REGRESSION: live funnel disagrees — reran {} + reused {} != total {}",
-            get("reran"),
-            get("reused"),
-            get("total")
-        ));
-    }
-    if get("runs") != 5 {
-        notes.push(format!(
-            "REGRESSION: registry saw {} runs, expected 5",
-            get("runs")
-        ));
-    }
-
-    // Measured: best-of-3 from-scratch vs 1-edit wall clock. Debug
-    // builds print the ratio but only release builds hold it to the
-    // bar (debug timing is allocator noise).
-    let rounds = if opts.quick { 2 } else { 3 };
-    let (mut best_full, mut best_edit) = (f64::MAX, f64::MAX);
-    for round in 0..rounds {
-        ip.invalidate_all();
-        let t0 = Instant::now();
-        ip.rerun(lowering, &backend);
-        best_full = best_full.min(t0.elapsed().as_secs_f64());
-        ip.edit_batch(spec.touch_edits(1, 100 + round)).unwrap();
-        let t1 = Instant::now();
-        ip.rerun(lowering, &backend);
-        best_edit = best_edit.min(t1.elapsed().as_secs_f64());
-    }
-    let ratio = best_full / best_edit.max(1e-9);
-    let mut speed = TextTable::new(vec!["path", "best wall ms", "vs from-scratch"]);
-    speed.row(vec![
-        "from scratch".to_string(),
-        f2(best_full * 1e3),
-        "1.00x".to_string(),
-    ]);
-    speed.row(vec![
-        "1-edit re-run".to_string(),
-        f2(best_edit * 1e3),
-        format!("{}x", f2(ratio)),
-    ]);
-    if ratio < 2.0 && !cfg!(debug_assertions) {
-        notes.push(format!(
-            "REGRESSION: 1-edit re-run only {}x faster than from-scratch (bar: 2x)",
-            f2(ratio)
-        ));
-    }
-
-    notes.push(format!(
-        "{} cells x {} steps = {total} tasks; a single-cell edit dirties one \
-         light-cone (~steps^2 tasks), which is why the reuse column stays high",
-        spec.cells, spec.steps
-    ));
-    notes.push(
-        "the exact reran == dirty-set equivalence (and contents equality against \
-         from-scratch and an independent oracle) is proptested per edit in \
-         crates/incr/tests/incr_differential.rs; the 2x wall-clock bar is asserted \
-         in release by crates/workloads/tests/incr_speedup.rs"
-            .into(),
-    );
-    Experiment {
-        id: "incr",
-        title: "Incremental re-execution: dirty cones, memo reuse, and edit cost".into(),
-        tables: vec![
-            ("Dirty-cone walk per edit scenario (live-timed)".into(), t),
-            (
-                "Cumulative reuse funnel (live MetricsRegistry)".into(),
-                funnel,
-            ),
-            ("Measured from-scratch vs 1-edit wall clock".into(), speed),
-        ],
-        notes,
-    }
-}
-
-/// Run every experiment.
-pub fn all(opts: &ExpOptions) -> Vec<Experiment> {
-    vec![
-        table2(opts),
-        table4(opts),
-        fig4(opts),
-        fig6(opts),
-        fig7(opts),
-        fig8(opts),
-        headline(opts),
-        nexus_vs(opts),
-        rts(opts),
-        ablate(opts),
-        video(opts),
-        shards(opts),
-        steal(opts),
-        capacity(opts),
-        wakes(opts),
-        frontend(opts),
-        observe(opts),
-        serve(opts),
-        incr(opts),
-    ]
-}
+/// Every experiment under the name `repro` runs it by, in `repro all`
+/// order.
+pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
+    ("table2", table2),
+    ("table4", table4),
+    ("fig4", fig4),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("headline", headline),
+    ("nexus-vs", nexus_vs),
+    ("rts", rts),
+    ("ablate", ablate),
+    ("video", video),
+    ("shards", shards),
+    ("capacity", capacity),
+    ("wakes", wakes),
+    ("observe", observe),
+];
 
 #[cfg(test)]
 mod tests {
@@ -2010,18 +1388,41 @@ mod tests {
         }
     }
 
+    fn assert_passes(e: &Experiment) {
+        assert!(
+            e.failures.is_empty(),
+            "{} self-checks failed: {:?}",
+            e.id,
+            e.failures
+        );
+    }
+
+    #[test]
+    fn failed_check_is_a_failure_a_regression_line_and_a_nonzero_exit() {
+        let mut e = Experiment::new("probe", "check plumbing");
+        e.check(true, || {
+            unreachable!("a passing check never builds its message")
+        });
+        assert_passes(&e);
+        assert_eq!(exit_code(std::slice::from_ref(&e)), 0);
+
+        e.check(false, || "1 + 1 came to 3".to_string());
+        assert_eq!(e.failures, ["1 + 1 came to 3"]);
+        assert!(e.render().contains("REGRESSION: 1 + 1 came to 3\n"));
+        let passing = Experiment::new("other", "no checks");
+        assert_eq!(exit_code(&[passing, e]), 1, "one failure fails the run");
+    }
+
     #[test]
     fn table2_rows_match_paper_counts() {
         let e = table2(&quick());
-        let t = &e.tables[0].1;
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.cell(0, 1), t.cell(0, 2), "ours must equal paper count");
+        assert_passes(&e);
+        assert_eq!(e.tables[0].1.len(), 5);
     }
 
     #[test]
     fn table4_budget_holds() {
-        let e = table4(&quick());
-        assert!(e.notes[0].contains("HOLDS"));
+        assert_passes(&table4(&quick()));
     }
 
     #[test]
@@ -2035,33 +1436,14 @@ mod tests {
     #[test]
     fn headline_within_band() {
         let e = headline(&quick());
-        let t = &e.tables[0].1;
-        for row in 0..3 {
-            let ratio: f64 = t.cell(row, 3).parse().unwrap();
-            assert!(
-                (0.7..=1.4).contains(&ratio),
-                "row {row} ratio {ratio} outside ±40% band"
-            );
-        }
-    }
-
-    #[test]
-    fn steal_tables_have_expected_shape() {
-        let e = steal(&quick());
-        // Scheduler layer: workers {1, 2, 4}.
+        assert_passes(&e);
         assert_eq!(e.tables[0].1.len(), 3);
-        // End to end: shards {1, 4}.
-        assert_eq!(e.tables[1].1.len(), 2);
     }
 
     #[test]
     fn capacity_sweep_balances_stalls_and_stresses_tight_bounds() {
         let e = capacity(&quick());
-        assert!(
-            !e.notes.iter().any(|n| n.contains("REGRESSION")),
-            "capacity accounting broke: {:?}",
-            e.notes
-        );
+        assert_passes(&e);
         // Modeled rows: 2 workloads × 4 capacities; threaded rows: 4.
         assert_eq!(e.tables[0].1.len(), 8);
         assert_eq!(e.tables[1].1.len(), 4);
@@ -2070,63 +1452,24 @@ mod tests {
     #[test]
     fn wakes_sweep_is_self_consistent() {
         let e = wakes(&quick());
-        assert!(
-            !e.notes.iter().any(|n| n.contains("REGRESSION")),
-            "wake delivery accounting broke: {:?}",
-            e.notes
-        );
+        assert_passes(&e);
         // Threaded rows: 2 burst widths; modeled rows: 3.
         assert_eq!(e.tables[0].1.len(), 2);
         assert_eq!(e.tables[1].1.len(), 3);
     }
 
     #[test]
-    fn frontend_renaming_holds_its_bars() {
-        let e = frontend(&quick());
-        assert!(
-            !e.notes.iter().any(|n| n.contains("REGRESSION")),
-            "renaming contrast broke: {:?}",
-            e.notes
-        );
-        // Structural and measured tables: one row per lowering.
-        assert_eq!(e.tables[0].1.len(), 2);
-        assert_eq!(e.tables[1].1.len(), 2);
-    }
-
-    #[test]
     fn shards_balanced_meets_acceptance_bar() {
         let e = shards(&quick());
-        assert!(
-            !e.notes.iter().any(|n| n.contains("REGRESSION")),
-            "balanced 4-shard speedup fell below 2x: {:?}",
-            e.notes
-        );
+        assert_passes(&e);
         // Quick mode rows: (balanced, hot, gaussian) × (1, 4 shards).
         assert_eq!(e.tables[0].1.len(), 6);
     }
 
     #[test]
-    fn incr_funnel_balances_and_cutoff_holds() {
-        let e = incr(&quick());
-        assert!(
-            !e.notes.iter().any(|n| n.contains("REGRESSION")),
-            "incremental re-execution invariants broke: {:?}",
-            e.notes
-        );
-        // Dirty-cone scenarios; funnel counters; speedup rows.
-        assert_eq!(e.tables[0].1.len(), 5);
-        assert_eq!(e.tables[1].1.len(), 6);
-        assert_eq!(e.tables[2].1.len(), 2);
-    }
-
-    #[test]
     fn observe_differential_and_critical_path_agree() {
         let e = observe(&quick());
-        assert!(
-            !e.notes.iter().any(|n| n.contains("REGRESSION")),
-            "observability invariants broke: {:?}",
-            e.notes
-        );
+        assert_passes(&e);
         // Latency breakdown: four phases; differential: five quantities;
         // critical path: structural vs observed.
         assert_eq!(e.tables[0].1.len(), 4);

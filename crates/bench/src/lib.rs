@@ -1,11 +1,15 @@
 //! # nexuspp-bench — experiment harness
 //!
-//! Library backing the `repro` binary: one module per table/figure of the
-//! paper, each returning structured rows that the binary renders as text
-//! tables and CSV. Integration tests call the same functions, so "the
-//! experiment reproduces" is a tested property, not a claim.
+//! Library backing the `repro` binary: one function per table/figure of
+//! the paper (plus the model-side studies), each returning an
+//! [`experiments::Experiment`] — tables, self-checks, CSV — that the
+//! binary renders and whose failed checks set its exit status. The unit
+//! tests call the same functions, so "the experiment reproduces" is a
+//! tested property, not a claim. Timing the threaded layers is the job
+//! of the `e2e` binary in this package (`src/bin/e2e/`, the
+//! repository's benchmark), not of this library.
 //!
-//! | Paper artifact | Module | Binary command |
+//! | Artefact | Function | Binary command |
 //! |---|---|---|
 //! | Table II (Gaussian sizes) | [`experiments::table2`] | `repro table2` |
 //! | Table IV (parameters, ≤210 KB) | [`experiments::table4`] | `repro table4` |
@@ -17,14 +21,14 @@
 //! | §III-B efficiency vs Nexus | [`experiments::nexus_vs`] | `repro nexus-vs` |
 //! | §I motivation (software RTS) | [`experiments::rts`] | `repro rts` |
 //! | design ablations | [`experiments::ablate`] | `repro ablate` |
+//! | multi-frame pipelining (extension) | [`experiments::video`] | `repro video` |
 //! | shard scaling (extension) | [`experiments::shards`] | `repro shards` |
-//! | ready scheduling (extension) | [`experiments::steal`] | `repro steal` |
 //! | bounded shard capacity (extension) | [`experiments::capacity`] | `repro capacity` |
-//! | wake delivery (extension) | [`experiments::wakes`] | `repro wakes` |
+//! | kick-off FIFO depths (extension) | [`experiments::wakes`] | `repro wakes` |
+//! | trace export, events vs counters (extension) | [`experiments::observe`] | `repro observe` |
+//! | live dashboard | [`watch::run_watch`] | `repro watch` |
 
-pub mod benchdiff;
 pub mod experiments;
-pub mod steal_driver;
 pub mod table;
 pub mod watch;
 

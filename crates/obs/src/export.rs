@@ -1,8 +1,7 @@
 //! Chrome-trace export (the `chrome://tracing` / Perfetto JSON event
-//! format) plus the workspace's one JSON reader: [`parse_json`] returns
-//! the value (`repro bench-diff` walks it), [`validate_json`] only the
-//! verdict (the export's own tests, the `repro -- observe` self-check
-//! and the `e2e` benchmark's output check).
+//! format) plus the workspace's one JSON reader, [`validate_json`] (the
+//! export's own tests, the `repro -- observe` self-check and the `e2e`
+//! benchmark's output check).
 //!
 //! Execution spans become `"X"` (complete) events — one horizontal bar
 //! per task on its worker's row — and every other lifecycle event
@@ -132,7 +131,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
 
 /// A parsed JSON value. Objects keep their fields in document order.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// `{...}`: `(key, value)` pairs in document order.
     Object(Vec<(String, Json)>),
     /// `[...]`.
@@ -150,7 +149,7 @@ pub enum Json {
 /// Parse `s` as exactly one JSON value (objects, arrays, strings,
 /// numbers, booleans, null). Returns a short message with the byte
 /// offset of the first violation.
-pub fn parse_json(s: &str) -> Result<Json, String> {
+pub(crate) fn parse_json(s: &str) -> Result<Json, String> {
     let mut p = Parser { s, i: 0 };
     p.skip_ws();
     let v = p.value()?;
@@ -161,8 +160,8 @@ pub fn parse_json(s: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Check that `s` is one well-formed JSON value; the error is
-/// [`parse_json`]'s.
+/// Check that `s` is exactly one well-formed JSON value; the error is
+/// a short message with the byte offset of the first violation.
 pub fn validate_json(s: &str) -> Result<(), String> {
     parse_json(s).map(drop)
 }

@@ -83,7 +83,7 @@ pub use analyze::{
 };
 pub use collector::{Collector, CollectorConfig, CollectorReport};
 pub use event::{Event, EventKind, NO_SHARD, NO_TASK, NO_WORKER};
-pub use export::{chrome_trace, parse_json, validate_json, Json};
+pub use export::{chrome_trace, validate_json};
 pub use hist::LogHistogram;
 pub use recorder::{Recorder, DEFAULT_LANE_CAPACITY};
 pub use registry::{Counter, CounterGroup, MetricsGroup, MetricsRegistry, MetricsSnapshot};

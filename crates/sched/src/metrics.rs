@@ -1,6 +1,6 @@
 //! Scheduler observability: atomic counters updated on the hot paths and
-//! a cheap snapshot type for tests, benches and the `repro -- steal`
-//! experiment.
+//! a cheap snapshot type for tests, the metrics registry and the `e2e`
+//! benchmark's `sched.*` rows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,7 +1,6 @@
 //! The steal-stress harness: an imbalanced fan-out workload driven
-//! straight through a [`Scheduler`], shared by the acceptance tests, the
-//! `ready_scheduling` criterion bench and the `repro -- steal`
-//! experiment.
+//! straight through a [`Scheduler`] by the acceptance tests
+//! (`tests/scheduler_exec.rs`).
 //!
 //! Shape (mirroring `nexuspp_workloads::steal_stress`, which generates
 //! the same DAG as an address trace): one root task fans out into
@@ -63,7 +62,7 @@ fn chain_head(c: u32, chain_len: u32) -> u64 {
 
 /// Busy-wait for `ns` nanoseconds (no-op for zero): the synthetic task
 /// body used wherever a stress run must span real wall-clock.
-pub fn spin_for(ns: u64) {
+fn spin_for(ns: u64) {
     if ns == 0 {
         return;
     }
@@ -130,18 +129,4 @@ pub fn run_chain_stress(spec: &ChainStressSpec) -> ChainStressReport {
         exactly_once,
         counts: sched.counts(),
     }
-}
-
-/// Best (minimum) wall-clock over `runs` repetitions — the robust
-/// statistic for a wall-clock row.
-pub fn best_of(spec: &ChainStressSpec, runs: u32) -> ChainStressReport {
-    let mut best: Option<ChainStressReport> = None;
-    for _ in 0..runs {
-        let r = run_chain_stress(spec);
-        assert!(r.exactly_once, "run lost or duplicated tasks");
-        if best.as_ref().is_none_or(|b| r.elapsed < b.elapsed) {
-            best = Some(r);
-        }
-    }
-    best.expect("runs >= 1")
 }

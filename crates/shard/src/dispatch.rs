@@ -207,7 +207,8 @@ struct ShardState<P> {
 
 /// N dependency engines behind per-shard locks, aggregating readiness
 /// with atomics. `P` is the payload delivered when a task becomes ready
-/// (a closure + access grants in the runtime; `()` in benches).
+/// (a closure + access grants in the runtime; `u64` tags in the stress
+/// harness).
 pub struct ShardDispatcher<P> {
     shards: Box<[ShardCell<P>]>,
     capacity: ShardCapacity,

@@ -131,23 +131,6 @@ pub enum ShardedCheck {
     },
 }
 
-/// Outcome of a bounded batched submission
-/// ([`ShardedEngine::submit_batch_bounded`]): the admitted prefix plus
-/// the parked remainder awaiting a finish on the full shard.
-#[derive(Debug, Clone)]
-pub struct BoundedBatch {
-    /// Admitted and checked members, in batch order.
-    pub submitted: Vec<(TaskId, bool)>,
-    /// The shard that was full for the first parked member (`None` when
-    /// the whole batch was admitted).
-    pub stalled: Option<u32>,
-    /// Members not admitted (no shard touched); re-offer them after the
-    /// stalled shard's next finish report.
-    pub parked: Vec<(u64, u64, Vec<Param>)>,
-    /// Work performed for the admitted prefix, by shard.
-    pub cost: OpBreakdown,
-}
-
 /// Result of finishing a task through the sharded engine.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedFinish {
@@ -181,10 +164,6 @@ pub(crate) fn route_params(params: &[Param], n_shards: usize) -> Vec<(u32, Vec<P
     }
     groups
 }
-
-/// One routed batch member: home record, function pointer, and per-shard
-/// parameter slices (see [`ShardedEngine::submit_batch`]).
-type RoutedMember = (TaskId, u64, Vec<(u32, Vec<Param>)>);
 
 /// One shard slice of a task: the sub-descriptor holding the parameters
 /// this shard owns.
@@ -238,14 +217,6 @@ pub struct ShardedEngine {
     wake_lists: Vec<Vec<TaskId>>,
     /// Deepest each shard's wake list has been at a post/drain boundary.
     wake_peak: Vec<usize>,
-    /// Per shard: when the currently-open bounded-batch stall episode on
-    /// that shard began (`None` when not stalled there). Opened by a
-    /// `submit_batch_bounded` call that parks members on the shard,
-    /// closed by a later call that admits a member touching it.
-    stall_open: Vec<Option<std::time::Instant>>,
-    /// Per shard: nanoseconds of closed stall episodes (the wall time
-    /// parked batch members waited for the shard, see `stall_ns_on`).
-    stall_ns: Vec<u64>,
     in_flight: usize,
 }
 
@@ -274,8 +245,6 @@ impl ShardedEngine {
             owner: vec![Vec::new(); n_shards],
             wake_lists: vec![Vec::new(); n_shards],
             wake_peak: vec![0; n_shards],
-            stall_open: vec![None; n_shards],
-            stall_ns: vec![0; n_shards],
             in_flight: 0,
         }
     }
@@ -310,17 +279,6 @@ impl ShardedEngine {
     /// fan-in pressure metric `repro -- wakes` sweeps).
     pub fn peak_wake_depth(&self, s: usize) -> usize {
         self.wake_peak[s]
-    }
-
-    /// Nanoseconds bounded-batch members spent parked on shard `s`,
-    /// summed over *closed* stall episodes: an episode opens when a
-    /// [`submit_batch_bounded`](Self::submit_batch_bounded) call parks
-    /// members on a full shard `s`, and closes when a later call admits
-    /// a member touching `s` (progress was made, so the park is over).
-    /// The single-threaded analogue of the dispatcher's
-    /// `CapacityCounts::stall_ns`.
-    pub fn stall_ns_on(&self, s: usize) -> u64 {
-        self.stall_ns[s]
     }
 
     /// Which shard owns `addr` under this engine's partition.
@@ -635,166 +593,6 @@ impl ShardedEngine {
             ),
         }
     }
-
-    /// Batched submission front-end (the software analogue of the paper's
-    /// buffered TP writes): admit and check a group of tasks while
-    /// visiting each shard **once per stage**, instead of once per task
-    /// per stage. All of a shard's sub-admissions happen back to back,
-    /// then all of its slice checks — per-shard operation order equals
-    /// batch order, and operations on different shards commute, so the
-    /// result is identical to submitting the batch serially. Requires a
-    /// growable configuration (a batched stall is not resumable).
-    ///
-    /// Returns each task's `(id, ready)` in batch order plus the combined
-    /// per-shard cost; the per-shard visit count drops from
-    /// `O(batch × shards_touched)` to `O(shards_touched)`, which is the
-    /// lock/arbitration amortization the concurrent and hardware layers
-    /// exploit.
-    pub fn submit_batch(
-        &mut self,
-        batch: Vec<(u64, u64, Vec<Param>)>,
-    ) -> (Vec<(TaskId, bool)>, OpBreakdown) {
-        assert!(
-            self.growable,
-            "submit_batch requires a growable configuration"
-        );
-        assert!(
-            !self.capacity.is_bounded(),
-            "bounded engines must use submit_batch_bounded (a batched stall must park)"
-        );
-        self.batch_ingest(batch)
-    }
-
-    /// Bounded batched submission: admit and check members in batch order
-    /// until one would overflow an involved shard, then stop — the
-    /// accepted prefix is ingested with the same one-visit-per-shard-per-
-    /// stage amortization as [`submit_batch`](Self::submit_batch), and the
-    /// remainder comes back in [`BoundedBatch::parked`] for the caller to
-    /// re-offer after the full shard's next finish report. Admission stays
-    /// atomic: the parked members have touched no shard at all.
-    pub fn submit_batch_bounded(&mut self, batch: Vec<(u64, u64, Vec<Param>)>) -> BoundedBatch {
-        assert!(
-            self.growable,
-            "submit_batch_bounded requires growable tables (capacity bounds residency)"
-        );
-        // Walk the batch against a shadow residency tally to find the
-        // longest admissible prefix.
-        let mut shadow = self.resident.clone();
-        let mut touched = vec![false; self.shards.len()];
-        let mut accepted = 0usize;
-        let mut stalled = None;
-        'members: for (_, _, params) in &batch {
-            let groups = self.partition(params);
-            for (s, _) in &groups {
-                if !self.capacity.admits(shadow[*s as usize]) {
-                    stalled = Some(*s);
-                    break 'members;
-                }
-            }
-            for (s, _) in &groups {
-                shadow[*s as usize] += 1;
-                touched[*s as usize] = true;
-            }
-            accepted += 1;
-        }
-        // Stall-time accounting: admitting a member that touches a shard
-        // closes any open stall episode there (the parked members' wait
-        // made progress); parking members opens an episode on the full
-        // shard unless one is already running.
-        for (s, hit) in touched.iter().enumerate() {
-            if *hit {
-                if let Some(t0) = self.stall_open[s].take() {
-                    self.stall_ns[s] += t0.elapsed().as_nanos() as u64;
-                }
-            }
-        }
-        if let Some(s) = stalled {
-            let slot = &mut self.stall_open[s as usize];
-            if slot.is_none() {
-                *slot = Some(std::time::Instant::now());
-            }
-        }
-        let mut batch = batch;
-        let parked = batch.split_off(accepted);
-        let (submitted, cost) = self.batch_ingest(batch);
-        BoundedBatch {
-            submitted,
-            stalled,
-            parked,
-            cost,
-        }
-    }
-
-    /// The shared two-stage batched admission core (capacity already
-    /// cleared by the caller).
-    fn batch_ingest(
-        &mut self,
-        batch: Vec<(u64, u64, Vec<Param>)>,
-    ) -> (Vec<(TaskId, bool)>, OpBreakdown) {
-        let n = self.shards.len();
-        let mut cost = OpBreakdown::default();
-        // Stage 0: route every member and create its home record.
-        let mut members: Vec<RoutedMember> = Vec::with_capacity(batch.len());
-        for (fptr, tag, params) in batch {
-            let groups = self.partition(&params);
-            let id = self.alloc_slot();
-            self.tasks[id.0 as usize] = TaskSlot::Live(TaskState {
-                tag,
-                parts: Vec::with_capacity(groups.len()),
-                next_check: 0,
-                pending: groups.len() as u32,
-                checked: false,
-            });
-            self.in_flight += 1;
-            for (s, _) in &groups {
-                self.resident[*s as usize] += 1;
-            }
-            members.push((id, fptr, groups));
-        }
-        // Stage 1 (`Write TP`, batched): one visit per shard admits every
-        // member's slice for that shard, in batch order.
-        for s in 0..n as u32 {
-            for (id, fptr, groups) in &members {
-                if let Some((_, sub)) = groups.iter().find(|(g, _)| *g == s) {
-                    let tag = self.state(*id).tag;
-                    let (td, c) = self.shards[s as usize]
-                        .admit(*fptr, tag, sub.clone())
-                        .expect("growable engine cannot reject");
-                    self.set_owner(s, td, *id);
-                    self.state_mut(*id).parts.push(Part { shard: s, td });
-                    cost.add(s, c);
-                }
-            }
-        }
-        // Stage 2 (`Check Deps`, batched): one visit per shard checks
-        // every member's slice, in batch order.
-        for s in 0..n as u32 {
-            for (id, _, _) in &members {
-                let part = self.state(*id).parts.iter().copied().find(|p| p.shard == s);
-                if let Some(part) = part {
-                    match self.shards[s as usize].check(part.td) {
-                        CheckProgress::Done { ready, cost: c } => {
-                            cost.add(s, c);
-                            if ready {
-                                self.state_mut(*id).pending -= 1;
-                            }
-                        }
-                        CheckProgress::Stalled { .. } => {
-                            unreachable!("growable engine cannot stall")
-                        }
-                    }
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(members.len());
-        for (id, _, _) in members {
-            let st = self.state_mut(id);
-            st.next_check = st.parts.len();
-            st.checked = true;
-            out.push((id, st.pending == 0));
-        }
-        (out, cost)
-    }
 }
 
 #[cfg(test)]
@@ -1010,70 +808,6 @@ mod tests {
         assert_eq!(e.shard(0).table().occupied(), 0);
     }
 
-    #[test]
-    fn batch_submission_matches_serial_submission() {
-        // Same dependent stream through submit() and submit_batch():
-        // identical readiness and identical total cost.
-        let mk = |i: u64| {
-            (
-                1u64,
-                i,
-                vec![
-                    Param::inout(0x100 + (i % 4) * 64, 4),
-                    Param::output(0x8000 + i * 64, 4),
-                ],
-            )
-        };
-        let mut serial = engine(4);
-        let serial_flags: Vec<bool> = (0..32)
-            .map(|i| {
-                let (_, _, p) = mk(i);
-                submit(&mut serial, i, p).1
-            })
-            .collect();
-        let mut batched = engine(4);
-        let (results, cost) = batched.submit_batch((0..32).map(mk).collect());
-        let batch_flags: Vec<bool> = results.iter().map(|(_, r)| *r).collect();
-        assert_eq!(serial_flags, batch_flags);
-        assert!(cost.total().total() > 0);
-        // Drain both engines by finishing the same task (by tag) each
-        // step; per-step wake sets must agree.
-        use std::collections::BTreeMap;
-        let mut s_ready: BTreeMap<u64, TaskId> = serial_flags
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r)
-            .map(|(i, _)| (i as u64, TaskId(i as u32)))
-            .collect();
-        let mut b_ready: BTreeMap<u64, TaskId> = results
-            .iter()
-            .filter(|(_, r)| *r)
-            .map(|(id, _)| (batched.tag_of(*id), *id))
-            .collect();
-        assert_eq!(
-            s_ready.keys().collect::<Vec<_>>(),
-            b_ready.keys().collect::<Vec<_>>()
-        );
-        while let Some((&tag, _)) = s_ready.first_key_value() {
-            let st = s_ready.remove(&tag).unwrap();
-            let bt = b_ready.remove(&tag).expect("ready sets agreed above");
-            let sf = serial.finish(st);
-            let bf = batched.finish(bt);
-            for &t in &sf.newly_ready {
-                s_ready.insert(serial.tag_of(t), t);
-            }
-            for &t in &bf.newly_ready {
-                b_ready.insert(batched.tag_of(t), t);
-            }
-            assert_eq!(
-                s_ready.keys().collect::<Vec<_>>(),
-                b_ready.keys().collect::<Vec<_>>()
-            );
-        }
-        assert_eq!(serial.in_flight(), 0);
-        assert_eq!(batched.in_flight(), 0);
-    }
-
     /// Find an address homed on `target` under an `n`-shard partition.
     fn addr_on(n: usize, target: usize, salt: u64) -> u64 {
         let mut a = 0u64;
@@ -1148,46 +882,6 @@ mod tests {
         done.push(e.finish(live.unwrap()).tag);
         assert_eq!(done, (0..16).collect::<Vec<u64>>());
         assert_eq!(e.in_flight(), 0);
-    }
-
-    #[test]
-    fn bounded_batch_parks_remainder_and_resumes() {
-        let mut e =
-            ShardedEngine::with_capacity(2, &NexusConfig::unbounded(), ShardCapacity::Bounded(2));
-        // Four independent tasks on shard 0: only two fit.
-        let batch: Vec<_> = (0..4u64)
-            .map(|i| (1u64, i, vec![Param::output(addr_on(2, 0, 10 + i), 4)]))
-            .collect();
-        let out = e.submit_batch_bounded(batch);
-        assert_eq!(out.submitted.len(), 2);
-        assert_eq!(out.stalled, Some(0));
-        assert_eq!(out.parked.len(), 2);
-        assert_eq!(e.resident_on(0), 2);
-        // Finishing one resident frees a slot; the re-offer admits one
-        // more and parks the last again.
-        let first = out.submitted[0].0;
-        e.finish(first);
-        let out2 = e.submit_batch_bounded(out.parked);
-        assert_eq!(out2.submitted.len(), 1);
-        assert_eq!(out2.stalled, Some(0));
-        assert_eq!(out2.parked.len(), 1);
-        // Tags survive the parking round-trips in order.
-        assert_eq!(e.tag_of(out2.submitted[0].0), 2);
-        let (tail, _) = (e.finish(out.submitted[1].0), e.finish(out2.submitted[0].0));
-        assert!(tail.newly_ready.is_empty());
-        let out3 = e.submit_batch_bounded(out2.parked);
-        assert!(out3.stalled.is_none() && out3.parked.is_empty());
-        assert_eq!(e.tag_of(out3.submitted[0].0), 3);
-        e.finish(out3.submitted[0].0);
-        assert_eq!(e.in_flight(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "submit_batch_bounded")]
-    fn unbounded_batch_api_rejects_bounded_engines() {
-        let mut e =
-            ShardedEngine::with_capacity(2, &NexusConfig::unbounded(), ShardCapacity::Bounded(1));
-        e.submit_batch(vec![(1, 0, vec![Param::output(0x40, 4)])]);
     }
 
     #[test]

@@ -19,11 +19,9 @@
 //!   ready exactly when every shard slice is — which, because distinct
 //!   addresses impose independent constraints, is exactly the single
 //!   engine's (and the oracle's) readiness predicate. Verified
-//!   differentially in `tests/sharded_differential.rs`.
-//!   The module also carries the batched submission front-end
-//!   ([`ShardedEngine::submit_batch`]): admits and checks are grouped so
-//!   every shard is visited once per batch per stage, the software
-//!   analogue of the paper's buffered TP writes.
+//!   differentially in `tests/sharded_differential.rs`. (Batching — the
+//!   paper's buffered TP writes — is modeled where it is timed, in
+//!   `nexuspp_taskmachine::multimaestro`'s `flush_batch`, not here.)
 //! * [`dispatch`] — [`ShardDispatcher`]: the concurrent form. Each shard
 //!   sits behind its own lock; finishing a task pushes per-shard release
 //!   records into per-shard submission rings that whoever next holds the
@@ -42,8 +40,7 @@
 //! * [`stress`] — the wake-stress harness: the wide fan-in workload
 //!   (many finishers releasing dependents homed on one shard) driven
 //!   straight through a [`ShardDispatcher`] by real threads, shared by
-//!   the `wake_delivery` criterion bench, the `repro -- wakes`
-//!   experiment and the recording-overhead gate.
+//!   the `repro -- wakes` experiment and the recording-overhead gate.
 //!
 //! Related work motivating the direction: Álvarez et al., *Advanced
 //! Synchronization Techniques for Task-based Runtime Systems*
@@ -64,6 +61,4 @@ pub use budget::{BudgetError, BudgetLane, TenantBudgets, TenantCounts};
 pub use dispatch::{
     CapacityCounts, FinishReport, ShardDispatcher, SubmitResult, TaskTicket, WakeCounts, WakeMode,
 };
-pub use engine::{
-    BoundedBatch, OpBreakdown, ShardRejection, ShardedCheck, ShardedEngine, ShardedFinish, TaskId,
-};
+pub use engine::{OpBreakdown, ShardRejection, ShardedCheck, ShardedEngine, ShardedFinish, TaskId};

@@ -1,7 +1,6 @@
 //! The wake-stress harness: a wide fan-in workload driven straight
 //! through a [`ShardDispatcher`] by real finisher threads, shared by the
-//! `wake_delivery` criterion bench, the `repro -- wakes` experiment and
-//! the recording-overhead gate.
+//! `repro -- wakes` experiment and the recording-overhead gate.
 //!
 //! Shape (mirroring `nexuspp_workloads::wake_stress`, which generates the
 //! same DAG as an address trace): `producers` independent writer tasks
@@ -184,21 +183,6 @@ pub fn run_wake_stress_with(spec: &WakeStressSpec, obs: Option<Arc<Recorder>>) -
         woken,
         wake_counts: d.wake_counts(),
     }
-}
-
-/// Best (minimum **wake-delivery time**) over `runs` repetitions.
-pub fn best_of(spec: &WakeStressSpec, runs: u32) -> WakeRun {
-    let mut best: Option<WakeRun> = None;
-    for _ in 0..runs {
-        let r = run_wake_stress(spec);
-        if best
-            .as_ref()
-            .is_none_or(|b| r.wake_counts.delivery_ns < b.wake_counts.delivery_ns)
-        {
-            best = Some(r);
-        }
-    }
-    best.expect("runs >= 1")
 }
 
 /// Busy-wait for roughly `ns` nanoseconds (a stand-in task body; no

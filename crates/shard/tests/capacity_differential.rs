@@ -332,71 +332,6 @@ fn soak_capacity_sweep_deterministic() {
     }
 }
 
-/// The bounded batch front-end must match serial bounded submission:
-/// chunks offered through `submit_batch_bounded`, parking the remainder
-/// on a full shard and re-offering after a completion, execute the same
-/// exactly-once task set the oracle prescribes.
-#[test]
-fn bounded_batch_front_end_drains_capacity_stress() {
-    use nexuspp_workloads::CapacityStressSpec;
-    for (n_shards, capacity) in [
-        (2usize, ShardCapacity::Bounded(1)),
-        (4, ShardCapacity::Bounded(2)),
-        (4, ShardCapacity::Bounded(8)),
-    ] {
-        let trace = CapacityStressSpec {
-            chains: 8,
-            chain_len: 12,
-            shards: n_shards as u32,
-            wide_every: 3,
-            exec_ns: 0,
-        }
-        .generate();
-        let mut engine =
-            ShardedEngine::with_capacity(n_shards, &NexusConfig::unbounded(), capacity);
-        let mut oracle = OracleResolver::new();
-        for t in &trace.tasks {
-            let (oid, _) = oracle.submit(&t.params);
-            assert_eq!(oid as u64, t.id);
-        }
-        let mut ready: Vec<TaskId> = Vec::new();
-        let mut finished = BTreeSet::new();
-        let mut offer: Vec<(u64, u64, Vec<Param>)> = trace
-            .tasks
-            .iter()
-            .map(|t| (t.fptr, t.id, t.params.clone()))
-            .collect();
-        let mut rounds = 0u32;
-        while !offer.is_empty() {
-            rounds += 1;
-            assert!(rounds < 100_000, "batch front-end livelocked");
-            let out = engine.submit_batch_bounded(offer);
-            ready.extend(out.submitted.iter().filter(|(_, r)| *r).map(|(id, _)| *id));
-            offer = out.parked;
-            if out.stalled.is_some() {
-                // Park until a completion frees the stalled shard — here
-                // the "finish report" is retiring one ready task.
-                let id = ready.pop().expect("stalled with nothing ready: deadlock");
-                let tag = engine.tag_of(id);
-                assert!(oracle.ready_set().contains(&(tag as usize)));
-                assert!(finished.insert(tag), "task {tag} ran twice");
-                oracle.finish(tag as usize);
-                ready.extend(engine.finish(id).newly_ready);
-            }
-        }
-        while let Some(id) = ready.pop() {
-            let tag = engine.tag_of(id);
-            assert!(oracle.ready_set().contains(&(tag as usize)));
-            assert!(finished.insert(tag), "task {tag} ran twice");
-            oracle.finish(tag as usize);
-            ready.extend(engine.finish(id).newly_ready);
-        }
-        assert_eq!(finished.len(), trace.len(), "N={n_shards} C={capacity}");
-        assert!(oracle.all_done());
-        assert_eq!(engine.in_flight(), 0);
-    }
-}
-
 /// The bounded *dispatcher*: four worker threads retire tasks while a
 /// submitter thread spawns a dependency-rich random stream in program
 /// order, parking on full shards (capacity 1 and 2 put the stall/retry

@@ -45,9 +45,16 @@ fn timed(rec: Option<Arc<Recorder>>) -> Duration {
 fn disabled_recorder_overhead_within_five_percent() {
     let spec_check = spec();
     assert_eq!(spec_check.finishers, 4, "the gate is defined at 4 workers");
-    // Warm-up: fault in both code paths before timing anything.
+    // Warm-up: fault in both code paths before timing anything (the
+    // harness asserts exactly-once retirement on each).
     timed(None);
     timed(Some(Arc::new(Recorder::disabled())));
+    // Debug builds only exercise the path: the 5% bound is a wall-clock
+    // ratio on optimized code — CI runs this gate with `--release` — and
+    // tier-1 should fail on wrong, not on a slow neighbour.
+    if cfg!(debug_assertions) {
+        return;
+    }
     let mut base = Duration::MAX;
     let mut with_disabled = Duration::MAX;
     for _ in 0..ROUNDS {

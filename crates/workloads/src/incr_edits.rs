@@ -5,8 +5,8 @@
 //! timesteps, each task reading the previous step's `i-1 / i / i+1`
 //! versions and minting the next version of cell `i` — but as an
 //! editable [`IncrementalProgram`] instead of a one-shot frontend
-//! program. It is the workload behind the `incremental` criterion
-//! bench and the `repro -- incr` experiment: run it from scratch once,
+//! program. It is the workload behind the `e2e` benchmark's
+//! `incr_edits` and the release speedup gate: run it from scratch once,
 //! then apply small edit batches ([`touch_edits`]) and measure how much
 //! of the graph the incremental layer actually re-executes.
 //!

@@ -25,15 +25,15 @@
 //!   fixed-capacity resolvers (`ShardCapacity`),
 //! * [`steal_stress`] — the imbalanced fan-out (one root releasing many
 //!   serial chains at once) that makes work stealing mandatory for
-//!   speedup, driving the `nexuspp-sched` scheduler comparison,
+//!   speedup, driving the multi-Maestro kick-off FIFO tests,
 //! * [`wake_stress`] — the wide fan-in (many finishers each releasing a
 //!   burst of dependents homed on one shard) that concentrates kick-off
-//!   traffic on a single wake list, driving the locked-vs-lock-free wake
-//!   delivery comparison (`repro -- wakes`),
+//!   traffic on a single wake list, driving the wake-delivery study
+//!   (`repro -- wakes`),
 //! * [`service_stress`] — per-tenant submission programs (serial chains
 //!   that occupy admission budget plus immediately-ready independents)
-//!   over tenant-scoped address spaces, the client-side workload for the
-//!   streaming `ResolverService` ingress (`repro -- serve`),
+//!   over tenant-scoped address spaces, a client-side workload for the
+//!   streaming `ResolverService` ingress,
 //! * [`incr_edits`] — an editable halo-exchange stencil for the
 //!   incremental re-execution layer (`crates/incr`): build once, apply
 //!   deterministic initial-contents edit batches, and measure how much

@@ -1,11 +1,28 @@
-//! Every source file ARCHITECTURE.md and README.md cite must exist, so a
-//! PR that moves or deletes a file cannot leave a dangling citation.
-//! Citations are `path` + symbol name; `path.rs:NNN` line anchors rot on
-//! the next edit above them and are rejected.
+//! What the docs cite must exist, so a PR that moves or deletes a file,
+//! or retires a `repro` subcommand, cannot leave a dangling citation.
+//! File citations are `path` + symbol name; `path.rs:NNN` line anchors
+//! rot on the next edit above them and are rejected. Subcommand
+//! citations are checked against the table `repro` itself dispatches on.
 
+use nexuspp_bench::experiments::EXPERIMENTS;
 use std::path::Path;
 
 const DOCS: [&str; 2] = ["ARCHITECTURE.md", "README.md"];
+
+/// Everything that tells a reader to run `repro <name>`: the docs, CI,
+/// and `repro`'s own module doc (its `usage()` is built from
+/// [`EXPERIMENTS`] and cannot drift).
+const REPRO_CITERS: [&str; 4] = [
+    "ARCHITECTURE.md",
+    "README.md",
+    ".github/workflows/ci.yml",
+    "crates/bench/src/bin/repro.rs",
+];
+
+fn read(rel: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
 
 /// The `crates/**.rs` and `examples/*.rs` paths `text` mentions.
 fn cited_paths(text: &str) -> Vec<&str> {
@@ -15,11 +32,41 @@ fn cited_paths(text: &str) -> Vec<&str> {
         .collect()
 }
 
+/// The subcommand names `text` cites: the word after `` `repro ``,
+/// `/repro ` or `--bin repro ` (with or without cargo's `--`), and the
+/// first column of the `experiments:` listing in `repro`'s module doc.
+fn cited_subcommands(text: &str) -> Vec<&str> {
+    fn word(s: &str) -> Option<&str> {
+        let s = s.strip_prefix(' ')?;
+        let s = s.strip_prefix("-- ").unwrap_or(s);
+        let end = s
+            .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+            .unwrap_or(s.len());
+        (end > 0).then(|| &s[..end])
+    }
+    let mut names: Vec<&str> = text
+        .match_indices("repro")
+        .filter(|(i, _)| {
+            let before = &text[..*i];
+            before.ends_with('`') || before.ends_with('/') || before.ends_with("--bin ")
+        })
+        .filter_map(|(i, m)| word(&text[i + m.len()..]))
+        .collect();
+    names.extend(
+        text.lines()
+            .skip_while(|l| l.trim() != "//! experiments:")
+            .skip(1)
+            .take_while(|l| l.trim() != "//!")
+            .filter_map(|l| l.trim_start_matches("//!").split_whitespace().next()),
+    );
+    names
+}
+
 #[test]
 fn cited_source_paths_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for doc in DOCS {
-        let text = std::fs::read_to_string(root.join(doc)).expect("doc is checked in");
+        let text = read(doc);
         let paths = cited_paths(&text);
         assert!(!paths.is_empty(), "{doc}: the scan found no citations");
         for p in paths {
@@ -33,4 +80,50 @@ fn cited_source_paths_exist() {
             panic!("{doc}:{line}: cite a path and a symbol, not a `path.rs:NNN` line anchor");
         }
     }
+}
+
+#[test]
+fn cited_repro_subcommands_are_live() {
+    let live = |name: &str| {
+        name == "all" || name == "watch" || EXPERIMENTS.iter().any(|(n, _)| *n == name)
+    };
+    for file in REPRO_CITERS {
+        let text = read(file);
+        let names = cited_subcommands(&text);
+        assert!(!names.is_empty(), "{file}: the scan found no `repro` call");
+        for name in names {
+            assert!(live(name), "{file} cites retired subcommand `repro {name}`");
+        }
+    }
+    // The scan itself: it must see through every spelling the docs use.
+    assert_eq!(
+        cited_subcommands("`repro -- steal`, ./target/release/repro serve, --bin repro -- incr x"),
+        ["steal", "serve", "incr"]
+    );
+}
+
+#[test]
+fn retired_instrument_is_not_cited() {
+    // The retired bench targets are deleted and the trajectory files live
+    // under docs/history/; nothing may point at the old places.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for file in REPRO_CITERS {
+        let text = read(file);
+        assert!(
+            !text.contains("crates/bench/benches"),
+            "{file} cites the deleted bench directory"
+        );
+        for (i, _) in text.match_indices("BENCH_") {
+            assert!(
+                text[..i].ends_with("docs/history/"),
+                "{file} cites a root-level BENCH_*.json (they moved to docs/history/)"
+            );
+        }
+    }
+    let stale: Vec<_> = std::fs::read_dir(root)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("BENCH_"))
+        .collect();
+    assert!(stale.is_empty(), "root-level trajectory files: {stale:?}");
 }

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests asserting the paper's claims as
 //! reproducible properties. These are the "did we actually reproduce the
-//! paper?" tests; EXPERIMENTS.md records the same numbers narratively.
+//! paper?" tests; README.md, "Reproducing the paper", lists each claim
+//! beside the `repro` subcommand that renders it and its current reading.
 
 use nexuspp::baseline::classic::classic_check_trace;
 use nexuspp::baseline::ClassicLimits;
