@@ -955,21 +955,21 @@ pub fn shards(opts: &ExpOptions) -> Experiment {
 }
 
 // ---------------------------------------------------------------------
-// Lock-free wake lists (kick-off delivery extension)
+// Wake hand-off (kick-off delivery extension)
 // ---------------------------------------------------------------------
 
-/// Wake-delivery study: the lock-free wake lists on the wide fan-in
+/// Wake-delivery study: the dispatcher's finish path on the wide fan-in
 /// wake-stress stream, plus the multi-Maestro model's per-shard kick-off
-/// FIFO depths. Not a paper figure: finish-side wake delivery posts
-/// outside the shard lock and is drained by a CAS-claimed owner, so it
-/// never queues behind resolution on the hot shard.
+/// FIFO depths. Not a paper figure: a finisher hands its wakes off after
+/// dropping the shard lock, so delivery never extends the hold time on
+/// the hot shard.
 pub fn wakes(opts: &ExpOptions) -> Experiment {
     use nexuspp_shard::stress::{run_wake_stress, WakeStressSpec};
     use nexuspp_taskmachine::{simulate_sharded, MultiMaestroConfig};
     use nexuspp_workloads::WakeStressSpec as WakeTraceSpec;
 
     let producers: u32 = if opts.quick { 64 } else { 256 };
-    let mut e = Experiment::new("wakes", "Wake delivery: lock-free wake lists (wake_stress)");
+    let mut e = Experiment::new("wakes", "Wake delivery: post-lock hand-off (wake_stress)");
 
     // Threaded dispatcher: 4 finisher workers hammer one hot shard's
     // wake path.
@@ -996,7 +996,7 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
 
     // Modeled: the multi-Maestro kick-off FIFOs under the same fan-in,
     // sweeping burst width — peak depth on the hot shard is the queueing
-    // the lock-free lists absorb.
+    // kick-off delivery absorbs.
     let mut model_t = TextTable::new(vec![
         "burst",
         "tasks",
@@ -1038,9 +1038,10 @@ pub fn wakes(opts: &ExpOptions) -> Experiment {
     );
     e.table("Multi-Maestro kick-off FIFOs (modeled)", model_t);
     e.note(
-        "delivery time counts the drain-to-report step only (claim + hand-off), not \
-         the resolution work under the shard lock; one run per row — the timed \
-         figure is e2e's shard.wake_delivery_ns_per_wake",
+        "delivery time counts the post-lock hand-off only (remote decrements, \
+         payload takes, report pushes), not the resolution work under the shard \
+         lock; one run per row — the timed figure is e2e's \
+         shard.wake_delivery_ns_per_wake",
     );
     e.note(
         "modeled rows: every consumer that parked at its check is delivered through \

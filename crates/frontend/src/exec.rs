@@ -115,11 +115,10 @@ pub fn run_on_dispatcher(lp: &LoweredProgram, n_shards: usize, workers: usize) -
                     match queue.pop() {
                         Some((ticket, tag)) => {
                             order.lock().push(tag);
-                            let rep = d.finish(ticket);
-                            for woken in rep.woken {
+                            for woken in d.finish(ticket).woken {
                                 queue.push(woken);
                             }
-                            done.fetch_add(rep.completed as usize, Ordering::AcqRel);
+                            done.fetch_add(1, Ordering::AcqRel);
                         }
                         None => std::thread::yield_now(),
                     }

@@ -51,14 +51,14 @@ pub enum EventKind {
     ExecStart,
     /// The task's body returned.
     ExecDone,
-    /// A wake record for the task was placed on its home shard's
-    /// kick-off list. `aux` is the finisher (waker) tag.
+    /// The finisher whose completion made the task ready took its
+    /// payload. `aux` is the finisher (waker) tag.
     WakePosted,
-    /// The wake record was handed to a finisher's report (the task is
-    /// on its way to a ready queue).
+    /// The task was handed to that finisher's report (it is on its way
+    /// to a ready queue).
     WakeDelivered,
     /// The task fully retired from the dependence tables (its last
-    /// address group was drained).
+    /// address group was released).
     Finished,
 }
 

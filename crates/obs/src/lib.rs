@@ -13,8 +13,7 @@
 //!    tag, shard, worker, a monotonic timestamp, and a global sequence
 //!    number. The runtimes, the sharded dispatcher, and the scheduler
 //!    all emit into one [`Recorder`]: per-lane lock-free bounded rings
-//!    (claim-by-CAS, publish-by-sequence-store — the same
-//!    count-then-publish discipline as the dispatcher's `PushList`)
+//!    (claim-by-CAS, publish-by-sequence-store)
 //!    drained by a collector, with a [`Recorder::disabled`] path that
 //!    returns before reading the clock so production runs pay one
 //!    branch.

@@ -1,7 +1,7 @@
 //! Bounded lock-free event rings.
 //!
-//! One [`EventRing`] per recorder lane. The push side follows the same
-//! count-then-publish discipline as the dispatcher's `PushList`: a
+//! One [`EventRing`] per recorder lane. The push side is
+//! claim-then-publish: a
 //! producer *claims* a slot with one CAS on the head cursor, writes the
 //! event, and *publishes* it with one release store of the slot's
 //! sequence number — no locks, no unbounded loops (a full ring rejects

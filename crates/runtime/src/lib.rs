@@ -47,8 +47,8 @@
 //! kept because the `e2e` benchmark names it.
 //!
 //! Ready tasks reach the workers through the `nexuspp-sched`
-//! work-stealing scheduler, and wakes leave the shards over lock-free
-//! wake lists. [`Runtime::with_capacity`] adds the one setting beyond
+//! work-stealing scheduler, and wakes leave the shards in the finisher's
+//! own report, outside the shard lock. [`Runtime::with_capacity`] adds the one setting beyond
 //! `(workers, shards)`: a per-shard residency bound ([`ShardCapacity`])
 //! under which `spawn` blocks while a shard is full.
 

@@ -8,9 +8,7 @@
 //! software analogue of the Kick-Off List wake-up performed by `Handle
 //! Finished`. Resolution runs through a [`ShardDispatcher`]: workers
 //! finishing tasks lock only the shards whose addresses the task actually
-//! touched, disjoint completions retire fully in parallel, and the
-//! dispatcher's deferred-finish rings let one lock holder drain a burst
-//! of queued completions in a single acquisition. One shard
+//! touched, and disjoint completions retire fully in parallel. One shard
 //! (`Runtime::new(n, 1)`) is the degenerate case — one engine behind one
 //! lock, the software re-creation of the centralized Task Maestro — and
 //! runs the same code as any other shard count; the sharded composition
@@ -18,16 +16,14 @@
 //! `nexuspp-shard`.
 //!
 //! Ready tasks are handed to workers through the work-stealing
-//! [`nexuspp_sched::Scheduler`]. A finish report's wakes — which may
-//! include tasks drained on behalf of other workers — are delivered as
-//! **one** batched scheduling operation: the whole burst lands on the
+//! [`nexuspp_sched::Scheduler`]. A finish report's wakes are delivered
+//! as **one** batched scheduling operation: the whole burst lands on the
 //! finishing worker's own deque and idle workers steal it back out.
 //!
 //! Between the shards and the scheduler sits the dispatcher's wake path:
-//! a worker never holds a shard lock across wake delivery — ready tasks
-//! post to per-shard MPSC wake lists as the lock is released, and the
-//! worker drains whatever lists it can claim (its own wakes, plus any a
-//! concurrent finisher posted and skipped) straight into `wake_batch`.
+//! a worker never holds a shard lock across wake delivery — the tasks its
+//! completion made ready are handed off after the lock is released,
+//! straight into its finish report and from there into `wake_batch`.
 
 use crate::region::{Region, RegionId};
 use crate::runtime::{panic_msg, sched_counters, Grants, Job, ShutdownReport, TaskCtx};
@@ -132,18 +128,18 @@ struct Inner {
 }
 
 impl Inner {
-    /// `n` pending tasks left the system: retired through the
+    /// One pending task left the system: retired through the
     /// dispatcher, or rejected at admission.
-    fn retire(&self, n: u64) {
+    fn retire(&self) {
         // Dekker with `wait_quiescent`, every access `SeqCst`: this side
         // writes `pending` then reads the waiter count, a waiter writes
         // the count then reads `pending`. One of the two reads sees the
         // other side's write, so a waiter that missed the 0 is counted
         // here — and is then either not yet past its re-read (it holds
         // the lock taken below until it blocks) or already blocked.
-        let before = self.pending.fetch_sub(n, Ordering::SeqCst);
-        debug_assert!(before >= n, "retired more tasks than were pending");
-        if before == n && self.quiescent_waiters.load(Ordering::SeqCst) > 0 {
+        let before = self.pending.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(before >= 1, "retired more tasks than were pending");
+        if before == 1 && self.quiescent_waiters.load(Ordering::SeqCst) > 0 {
             let _g = self.quiescent_lock.lock();
             self.quiescent.notify_all();
         }
@@ -280,9 +276,9 @@ impl Runtime {
     /// collector's recorder — its background thread keeps a live
     /// [`nexuspp_obs::GraphTracker`] current while tasks are in flight —
     /// and this runtime's [`metrics`](Self::metrics) registry is
-    /// attached for periodic sampling. The wake path stays lock-free
-    /// with the collector attached (producers only CAS into their event
-    /// lanes; the collector only drains the consumer side). Call
+    /// attached for periodic sampling. The collector adds no lock to
+    /// the wake path (producers only CAS into their event lanes; the
+    /// collector only drains the consumer side). Call
     /// [`Collector::finish`](nexuspp_obs::Collector::finish) after the
     /// runtime joins for the complete final state.
     pub fn with_observer(
@@ -353,8 +349,8 @@ impl Runtime {
         self.inner.dispatcher.capacity_counts()
     }
 
-    /// Wake-path activity counters — records delivered, drain attempts
-    /// and time in the drain step. Exact once quiescent — call after
+    /// Wake-path activity counters — tasks handed to finish reports and
+    /// time in the post-lock hand-off. Exact once quiescent — call after
     /// [`barrier`](Self::barrier).
     pub fn wake_counts(&self) -> WakeCounts {
         self.inner.dispatcher.wake_counts()
@@ -396,7 +392,6 @@ impl Runtime {
             let w = inner.dispatcher.wake_counts();
             vec![
                 ("delivered".into(), w.delivered),
-                ("deliveries".into(), w.deliveries),
                 ("delivery_ns".into(), w.delivery_ns),
                 (
                     "delivery_lock_acquisitions".into(),
@@ -520,7 +515,7 @@ impl Runtime {
             Err((e, work)) => {
                 // Roll the optimistic pending increment back; a barrier
                 // waiting concurrently must not count a rejected task.
-                inner.retire(1);
+                inner.retire();
                 Err((e, PendingSpawn { work, ..p }))
             }
         }
@@ -681,13 +676,11 @@ fn execute_ready(
     }
     // Retire through the sharded dispatcher: only the shards this
     // task touched are locked (for table access; wake delivery runs
-    // outside the locks), and the report may carry wakes and
-    // completions drained on behalf of other workers.
-    // The whole wake set is delivered as one batched scheduling
-    // operation.
-    let report = inner.dispatcher.finish(ticket);
-    let completed = report.completed;
-    let woken: Vec<(Ready, Priority)> = report
+    // outside the locks). The whole wake set is delivered as one
+    // batched scheduling operation.
+    let woken: Vec<(Ready, Priority)> = inner
+        .dispatcher
+        .finish(ticket)
         .woken
         .into_iter()
         .map(|(ticket, work)| {
@@ -699,9 +692,7 @@ fn execute_ready(
         Some(h) => inner.sched.wake_batch(h, woken),
         None => inner.sched.wake_batch_external(woken),
     }
-    if completed > 0 {
-        inner.retire(completed);
-    }
+    inner.retire();
 }
 
 impl Drop for Runtime {

@@ -1,7 +1,7 @@
-//! End-to-end wake-path tests for the runtime: the lock-free wake lists
-//! must compute the closed-form dataflow result under real workers, with
-//! every wake flowing through the dispatcher, alone and composed with
-//! bounded capacity.
+//! End-to-end wake-path tests for the runtime: a fan-in program must
+//! compute the closed-form dataflow result under real workers, with its
+//! wakes flowing through the dispatcher, alone and composed with bounded
+//! capacity.
 
 use nexuspp_runtime::{Runtime, ShardCapacity};
 
@@ -38,7 +38,7 @@ fn expected(producers: u32, consumers_per: u32) -> u64 {
 }
 
 #[test]
-fn wake_modes_compute_identical_results() {
+fn fan_in_result_matches_closed_form() {
     for workers in [1usize, 4] {
         let rt = Runtime::new(workers, 4);
         let got = wake_fan_in(&rt, 8, 16);
@@ -57,22 +57,18 @@ fn wake_modes_compute_identical_results() {
     }
 }
 
-/// Delivery takes no shard lock by construction (there is no locked path
-/// left to count); what stays checkable is that the wakes really went
-/// through the wake lists.
 #[test]
-fn lock_free_wake_path_never_touches_a_shard_lock() {
+fn dispatcher_wakes_are_counted() {
     let rt = Runtime::new(4, 4);
     let got = wake_fan_in(&rt, 16, 8);
     assert_eq!(got, expected(16, 8));
-    let counts = rt.wake_counts();
-    assert!(counts.delivered > 0 && counts.deliveries > 0);
+    assert!(rt.wake_counts().delivered > 0);
 }
 
 #[test]
-fn bounded_capacity_and_lock_free_wakes_compose() {
-    // Capacity-1 shards force the stall/retry handshake while the wake
-    // path runs lock-free: both features' counters must come out clean.
+fn bounded_capacity_fan_in_balances_stall_accounting() {
+    // Capacity-1 shards force the stall/retry handshake while finishers
+    // hand wakes off: both features' counters must come out clean.
     let rt = Runtime::with_capacity(4, 2, ShardCapacity::Bounded(1));
     let got = wake_fan_in(&rt, 6, 6);
     assert_eq!(got, expected(6, 6));

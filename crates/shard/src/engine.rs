@@ -139,9 +139,8 @@ pub struct ShardedFinish {
     /// [`wakes_by_shard`](Self::wakes_by_shard)).
     pub newly_ready: Vec<TaskId>,
     /// The same wake set attributed to the shard whose slice release
-    /// completed each task — the contents of each involved shard's
-    /// kick-off wake list at this finish. The timing models treat each
-    /// entry as one shard's kick-off FIFO traffic
+    /// completed each task. The timing models treat each entry as one
+    /// shard's kick-off FIFO traffic
     /// (`nexuspp_taskmachine::multimaestro`).
     pub wakes_by_shard: Vec<(u32, Vec<TaskId>)>,
     /// The finished task's caller tag.
@@ -208,15 +207,6 @@ pub struct ShardedEngine {
     /// Per shard: sub-descriptor index → owning task (reverse map for the
     /// remote-decrement path).
     owner: Vec<Vec<Option<TaskId>>>,
-    /// Per-shard kick-off wake lists: ready tasks are *posted* to the
-    /// shard whose slice release completed them, then drained into
-    /// [`ShardedFinish`]. Single-threaded model of the dispatcher's
-    /// lock-free MPSC wake lists — posting and draining are separate
-    /// steps with identical semantics to inline delivery (proven by the
-    /// differential suites), plus observable per-shard depths.
-    wake_lists: Vec<Vec<TaskId>>,
-    /// Deepest each shard's wake list has been at a post/drain boundary.
-    wake_peak: Vec<usize>,
     in_flight: usize,
 }
 
@@ -243,8 +233,6 @@ impl ShardedEngine {
             tasks: Vec::new(),
             free: Vec::new(),
             owner: vec![Vec::new(); n_shards],
-            wake_lists: vec![Vec::new(); n_shards],
-            wake_peak: vec![0; n_shards],
             in_flight: 0,
         }
     }
@@ -272,13 +260,6 @@ impl ShardedEngine {
     /// Live tasks currently holding a residency slot on shard `s`.
     pub fn resident_on(&self, s: usize) -> usize {
         self.resident[s]
-    }
-
-    /// Deepest shard `s`'s kick-off wake list has been: the most ready
-    /// tasks one slice-release burst posted there before the drain (the
-    /// fan-in pressure metric `repro -- wakes` sweeps).
-    pub fn peak_wake_depth(&self, s: usize) -> usize {
-        self.wake_peak[s]
     }
 
     /// Which shard owns `addr` under this engine's partition.
@@ -501,12 +482,8 @@ impl ShardedEngine {
     /// Finish a ready task: every involved shard releases its slice and
     /// wakes its local waiters; remote decrements are aggregated at each
     /// woken task's home record. A task whose counter reaches zero is
-    /// *posted* to the kick-off wake list of the shard that completed it,
-    /// and the lists are drained into the result after every slice is
-    /// released — the single-threaded mirror of the dispatcher's
-    /// post-lock-free/drain-by-one-owner wake protocol, with identical
-    /// wake order to inline delivery (each task posts to exactly one
-    /// list, and lists drain in slice order). Never stalls.
+    /// reported as newly ready, attributed to the shard whose slice
+    /// release completed it, in slice order. Never stalls.
     pub fn finish(&mut self, id: TaskId) -> ShardedFinish {
         let st = match std::mem::replace(&mut self.tasks[id.0 as usize], TaskSlot::Free) {
             TaskSlot::Live(s) => s,
@@ -521,13 +498,12 @@ impl ShardedEngine {
             tag: st.tag,
             ..Default::default()
         };
-        // Release every slice, posting each completed waker to the
-        // releasing shard's wake list.
         for part in &st.parts {
             let fin = self.shards[part.shard as usize].finish(part.td);
             out.cost.add(part.shard, fin.cost);
             self.owner[part.shard as usize][part.td.0 as usize] = None;
             self.resident[part.shard as usize] -= 1;
+            let mut woken_here = Vec::new();
             for woken in fin.newly_ready {
                 let wid = self.owner[part.shard as usize][woken.0 as usize]
                     .expect("woken sub-descriptor must have an owner");
@@ -535,24 +511,13 @@ impl ShardedEngine {
                 debug_assert!(wst.pending > 0, "remote decrement below zero");
                 wst.pending -= 1;
                 if wst.pending == 0 && wst.checked {
-                    self.wake_lists[part.shard as usize].push(wid);
+                    woken_here.push(wid);
                 }
             }
-        }
-        // Drain the wake lists (one claim per involved shard), recording
-        // the depth each burst reached.
-        for part in &st.parts {
-            let s = part.shard as usize;
-            let depth = self.wake_lists[s].len();
-            if depth == 0 {
-                continue;
+            if !woken_here.is_empty() {
+                out.newly_ready.extend(woken_here.iter().copied());
+                out.wakes_by_shard.push((part.shard, woken_here));
             }
-            if depth > self.wake_peak[s] {
-                self.wake_peak[s] = depth;
-            }
-            let drained = std::mem::take(&mut self.wake_lists[s]);
-            out.newly_ready.extend(drained.iter().copied());
-            out.wakes_by_shard.push((part.shard, drained));
         }
         self.free.push(id.0);
         self.in_flight -= 1;

@@ -23,15 +23,14 @@
 //!   paper's buffered TP writes — is modeled where it is timed, in
 //!   `nexuspp_taskmachine::multimaestro`'s `flush_batch`, not here.)
 //! * [`dispatch`] — [`ShardDispatcher`]: the concurrent form. Each shard
-//!   sits behind its own lock; finishing a task pushes per-shard release
-//!   records into per-shard submission rings that whoever next holds the
-//!   shard lock drains, so one lock acquisition retires many completions
-//!   under contention. Cross-shard readiness is aggregated with atomic
-//!   counters (a submission guard prevents half-submitted tasks from
-//!   being scheduled), and wake delivery bypasses the shard lock
-//!   entirely: ready tasks post to a lock-free MPSC wake list per shard
-//!   and a CAS-claimed drainer hands them to the finish report. This is
-//!   what `Runtime` in `nexuspp-runtime` executes on.
+//!   sits behind its own lock; finishing a task locks each involved
+//!   shard once to release its slice. Cross-shard readiness is
+//!   aggregated with atomic counters (a submission guard prevents
+//!   half-submitted tasks from being scheduled), and wake delivery runs
+//!   after the shard lock is dropped: the finisher decrements each woken
+//!   task's counter and hands the ones that reach zero straight to its
+//!   own finish report. This is what `Runtime` in `nexuspp-runtime`
+//!   executes on.
 //! * [`budget`] — [`TenantBudgets`]: per-tenant in-flight admission caps
 //!   layered above [`ShardCapacity`](nexuspp_core::ShardCapacity), the
 //!   accounting a multi-tenant ingress (`nexuspp-service`) meters

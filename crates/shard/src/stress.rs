@@ -7,13 +7,12 @@
 //! whose addresses all land on **one** shard, each with `consumers_per`
 //! reader tasks parked on its address. Every producer completion
 //! therefore releases a burst of dependents homed on the same hot shard —
-//! many finishers hammering one shard's kick-off path at once, which is
-//! exactly the traffic the lock-free wake lists exist for: the burst
-//! posts outside the lock and delivery is a CAS claim, so finishers that
-//! lose a race skip instead of blocking.
+//! many finishers hammering one shard's kick-off path at once, the most
+//! contention the shard lock can see: each finisher holds it only for
+//! the table release and hands its burst off after dropping it.
 //!
 //! Payloads are `u64` tags; "executing" a task costs nothing, so
-//! measured wall-clock is almost pure resolution + wake delivery.
+//! measured wall-clock is almost pure resolution + wake hand-off.
 
 use crate::dispatch::{ShardDispatcher, TaskTicket, WakeCounts};
 use nexuspp_core::{nth_addr_on_shard, NexusConfig, TaskBuilder};
@@ -91,21 +90,10 @@ pub struct WakeRun {
     pub wake_counts: WakeCounts,
 }
 
-impl WakeRun {
-    /// Delivered wakes per second.
-    pub fn wakes_per_sec(&self) -> f64 {
-        self.woken as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Time spent in the drain-to-report wake delivery step.
-    pub fn delivery_time(&self) -> Duration {
-        Duration::from_nanos(self.wake_counts.delivery_ns)
-    }
-}
-
 /// Run the workload to completion and report. Panics if any task is
-/// lost or duplicated (the differential suites guard semantics; here it
-/// protects the measurement).
+/// lost or duplicated, or if a `finish` reports anything but its own one
+/// completion (the differential suites guard semantics; here it protects
+/// the measurement).
 pub fn run_wake_stress(spec: &WakeStressSpec) -> WakeRun {
     run_wake_stress_with(spec, None)
 }
@@ -157,6 +145,7 @@ pub fn run_wake_stress_with(spec: &WakeStressSpec, obs: Option<Arc<Recorder>>) -
                 while let Some((ticket, _tag)) = queue.pop() {
                     spin_for(spin_ns);
                     let report = d.finish(ticket);
+                    assert_eq!(report.completed, 1, "a finish retires its own task");
                     completed.fetch_add(report.completed, Ordering::Relaxed);
                     woken.fetch_add(report.woken.len() as u64, Ordering::Relaxed);
                     queue.extend(report.woken);
@@ -173,10 +162,6 @@ pub fn run_wake_stress_with(spec: &WakeStressSpec, obs: Option<Arc<Recorder>>) -
     assert_eq!(completed, spec.task_count(), "lost or duplicated tasks");
     assert_eq!(woken, spec.wake_count(), "lost or duplicated wakes");
     assert_eq!(d.sub_descriptors_in_flight(), 0, "leaked sub-descriptors");
-    assert!(
-        d.wake_list_depths().iter().all(|&n| n == 0),
-        "undelivered wakes left on a shard list"
-    );
     WakeRun {
         elapsed,
         completed,
@@ -212,19 +197,22 @@ fn split_shares<T>(ready: Vec<T>, n: usize) -> Vec<Vec<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexuspp_core::testsupport::with_watchdog;
 
     #[test]
     fn both_modes_retire_every_task_and_wake() {
-        let spec = WakeStressSpec {
-            finishers: 4,
-            producers: 16,
-            consumers_per: 8,
-            shards: 4,
-            spin_ns: 0,
-        };
-        let r = run_wake_stress(&spec);
-        assert_eq!(r.completed, spec.task_count());
-        assert_eq!(r.woken, spec.wake_count());
+        with_watchdog(60, "wake-stress storm", || {
+            let spec = WakeStressSpec {
+                finishers: 4,
+                producers: 16,
+                consumers_per: 8,
+                shards: 4,
+                spin_ns: 0,
+            };
+            let r = run_wake_stress(&spec);
+            assert_eq!(r.completed, spec.task_count());
+            assert_eq!(r.woken, spec.wake_count());
+        });
     }
 
     #[test]

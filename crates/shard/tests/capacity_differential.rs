@@ -335,9 +335,8 @@ fn soak_capacity_sweep_deterministic() {
 /// The bounded *dispatcher*: four worker threads retire tasks while a
 /// submitter thread spawns a dependency-rich random stream in program
 /// order, parking on full shards (capacity 1 and 2 put the stall/retry
-/// handshake on the hot path). The lock-free wake lists must execute
-/// every task exactly once, leak nothing, resolve every stall episode,
-/// and leave no undelivered wake —
+/// handshake on the hot path). The dispatcher must execute every task
+/// exactly once, leak nothing and resolve every stall episode —
 /// the threaded face of the single-threaded lockstep differential in
 /// `sharded_differential.rs`.
 #[test]
@@ -425,10 +424,6 @@ fn bounded_dispatcher_wake_modes_execute_exactly_once_under_stalls() {
             "N={shards} C={capacity}: tasks lost or duplicated"
         );
         assert_eq!(d.sub_descriptors_in_flight(), 0);
-        assert!(
-            d.wake_list_depths().iter().all(|&n| n == 0),
-            "undelivered wakes at quiescence"
-        );
         for (s, c) in d.capacity_counts().iter().enumerate() {
             assert_eq!(
                 c.stalls_observed, c.retries_resolved,

@@ -26,9 +26,9 @@
 //! * A finished task likewise issues one **finish job** per involved
 //!   shard from its worker's request line.
 //! * Each shard owns a **kick-off FIFO** — a separate, *non-arbitrated*
-//!   resource modeling the lock-free wake lists of the software
-//!   dispatcher (`nexuspp_shard::dispatch`) and the paper Maestro's
-//!   kick-off delivery: when a shard's finish job completes, the tasks
+//!   resource modeling the paper Maestro's Kick-Off List delivery (the
+//!   software dispatcher, `nexuspp_shard::dispatch`, likewise delivers
+//!   wakes outside the shard lock): when a shard's finish job completes, the tasks
 //!   that release made ready enter that shard's FIFO immediately (no
 //!   crossbar grant, no shard occupancy) and drain serially at
 //!   [`MultiMaestroConfig::kickoff_cycles`] per wake. Per-shard peak

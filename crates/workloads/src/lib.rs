@@ -28,12 +28,8 @@
 //!   speedup, driving the multi-Maestro kick-off FIFO tests,
 //! * [`wake_stress`] — the wide fan-in (many finishers each releasing a
 //!   burst of dependents homed on one shard) that concentrates kick-off
-//!   traffic on a single wake list, driving the wake-delivery study
+//!   traffic on a single shard, driving the wake-delivery study
 //!   (`repro -- wakes`),
-//! * [`service_stress`] — per-tenant submission programs (serial chains
-//!   that occupy admission budget plus immediately-ready independents)
-//!   over tenant-scoped address spaces, a client-side workload for the
-//!   streaming `ResolverService` ingress,
 //! * [`incr_edits`] — an editable halo-exchange stencil for the
 //!   incremental re-execution layer (`crates/incr`): build once, apply
 //!   deterministic initial-contents edit batches, and measure how much
@@ -52,7 +48,6 @@ pub mod gaussian;
 pub mod grid;
 pub mod incr_edits;
 pub mod random;
-pub mod service_stress;
 pub mod sharded_stress;
 pub mod steal_stress;
 pub mod stress;
@@ -65,7 +60,6 @@ pub use capacity_stress::CapacityStressSpec;
 pub use gaussian::{GaussianSource, GaussianSpec};
 pub use grid::{GridPattern, GridSpec};
 pub use incr_edits::IncrStencilSpec;
-pub use service_stress::ServiceStressSpec;
 pub use sharded_stress::ShardedStressSpec;
 pub use steal_stress::StealStressSpec;
 pub use timing::H264Timing;
