@@ -1,15 +1,14 @@
 //! The unified submission surface: one error enum for every `submit*`
 //! entry point, plus the builder-style task constructor.
 //!
-//! Historically each layer reported rejection its own way — the single
-//! engine returned [`PoolError`], the sharded engine wrapped the same
-//! type in a `ShardRejection`, bounded dispatchers had no error path at
-//! all (they park the submitting thread), and malformed parameter lists
-//! were only a `debug_assert`. [`SubmitError`] folds all of those into
-//! one enum with uniform retry semantics, and [`TaskBuilder`] is the one
-//! blessed way to construct a [`Submission`] — it normalizes duplicate
-//! addresses away, so builder-made submissions can never trip the
-//! bad-params path.
+//! The single engine's step-wise path reports [`PoolError`], which
+//! converts into [`SubmitError`]; the sharded engine and the dispatcher's
+//! `try_submit` report [`SubmitError`] directly (a full shard is
+//! `CapacityFull`, named), and a malformed parameter list is a real
+//! error rather than a `debug_assert`. One enum, uniform retry
+//! semantics; [`TaskBuilder`] is the one blessed way to construct a
+//! [`Submission`] — it normalizes duplicate addresses away, so
+//! builder-made submissions can never trip the bad-params path.
 
 use crate::pool::PoolError;
 use crate::priority::Priority;

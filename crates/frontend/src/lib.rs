@@ -27,11 +27,11 @@
 //!   dependencies vanish, like register renaming); **`Raw`** collapses
 //!   each resource to one address (the hand-addressed encoding the
 //!   version chains would otherwise serialize through).
-//! * [`exec`] — runs a [`LoweredProgram`] on all three backends (the
-//!   batch [`ShardedEngine`](nexuspp_shard::ShardedEngine), the
-//!   concurrent [`ShardDispatcher`](nexuspp_shard::ShardDispatcher),
-//!   and the threaded [`Runtime`](nexuspp_runtime::Runtime)),
-//!   returning executed orders for differential checking.
+//! * [`exec`] — drains a [`LoweredProgram`] through the batch
+//!   [`ShardedEngine`](nexuspp_shard::ShardedEngine), returning the
+//!   executed order for differential checking. The crate depends only on
+//!   core, shard and trace: the threaded runtime is driven from above
+//!   (`nexuspp_incr`'s `Backend::Runtime`) and from this crate's tests.
 //! * [`rand_prog`] — seeded random programs for differential tests and
 //!   benchmarks.
 //!

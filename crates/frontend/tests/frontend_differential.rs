@@ -20,11 +20,82 @@
 
 use nexuspp_core::oracle::OracleResolver;
 use nexuspp_core::{NexusConfig, ShardCapacity, TaskBuilder};
-use nexuspp_frontend::exec::{run_on_engine_bounded, run_on_runtime};
-use nexuspp_frontend::{Lowering, Program};
-use nexuspp_shard::ShardedEngine;
+use nexuspp_frontend::{LoweredProgram, Lowering, Program};
+use nexuspp_runtime::Runtime;
+use nexuspp_shard::{ShardedEngine, TaskId};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
+
+/// Run the lowered stream on the threaded [`Runtime`]: every task body
+/// logs its tag, and the logged order (the order bodies actually ran)
+/// comes back after the barrier.
+fn run_on_runtime(
+    lp: &LoweredProgram,
+    workers: usize,
+    shards: usize,
+    capacity: ShardCapacity,
+) -> Vec<u64> {
+    let rt = Runtime::with_capacity(workers, shards, capacity);
+    let log = Arc::new(Mutex::new(Vec::with_capacity(lp.tasks.len())));
+    for sub in lp.tasks.iter().cloned() {
+        let tag = sub.tag;
+        let log = Arc::clone(&log);
+        rt.spawn_lowered(sub, move || log.lock().unwrap().push(tag));
+    }
+    rt.barrier();
+    let order = log.lock().unwrap().clone();
+    assert_eq!(order.len(), lp.tasks.len(), "every spawned task ran");
+    order
+}
+
+/// Run the lowered stream through a **bounded** [`ShardedEngine`]: when
+/// a shard's residency is full the feeder retires a ready task to free
+/// a slot, then retries — the software form of the paper's master-core
+/// stall. A topologically ordered stream cannot wedge: the oldest
+/// resident always has all its producers retired.
+fn run_on_engine_bounded(
+    lp: &LoweredProgram,
+    n_shards: usize,
+    capacity: ShardCapacity,
+) -> Vec<u64> {
+    fn retire_one(
+        eng: &mut ShardedEngine,
+        ready: &mut VecDeque<TaskId>,
+        order: &mut Vec<u64>,
+    ) -> bool {
+        let Some(id) = ready.pop_front() else {
+            return false;
+        };
+        let fin = eng.finish(id);
+        order.push(fin.tag);
+        ready.extend(fin.newly_ready);
+        true
+    }
+    let mut eng = ShardedEngine::with_capacity(n_shards, &NexusConfig::unbounded(), capacity);
+    let mut ready = VecDeque::new();
+    let mut order = Vec::with_capacity(lp.tasks.len());
+    for sub in &lp.tasks {
+        loop {
+            match eng.submit(sub.clone()) {
+                Ok((id, is_ready, _)) => {
+                    if is_ready {
+                        ready.push_back(id);
+                    }
+                    break;
+                }
+                Err(e) if e.is_retryable() => assert!(
+                    retire_one(&mut eng, &mut ready, &mut order),
+                    "bounded feed wedged with no ready task"
+                ),
+                Err(e) => panic!("lowered submission rejected: {e}"),
+            }
+        }
+    }
+    while retire_one(&mut eng, &mut ready, &mut order) {}
+    assert_eq!(order.len(), lp.tasks.len(), "every submitted task retired");
+    order
+}
 
 /// One declared access, as raw generator output.
 #[derive(Debug, Clone, Copy)]
@@ -147,7 +218,7 @@ fn hand_encode(resources: u8, decls: &[Vec<Acc>]) -> HandEncoding {
 
 /// Drive the renamed lowering through the sharded engine and the oracle
 /// in greedy-round lockstep; the ready sets must agree at every round.
-fn assert_engine_matches_oracle(lp: &nexuspp_frontend::LoweredProgram) {
+fn assert_engine_matches_oracle(lp: &LoweredProgram) {
     let mut eng = ShardedEngine::new(4, &NexusConfig::unbounded());
     let mut oracle = OracleResolver::new();
     let mut eng_ready: BTreeSet<u64> = BTreeSet::new();
@@ -157,7 +228,7 @@ fn assert_engine_matches_oracle(lp: &nexuspp_frontend::LoweredProgram) {
     for sub in lp.tasks.iter().cloned() {
         let tag = sub.tag;
         let params = sub.params.clone();
-        let (id, ready) = eng.submit_task(sub).expect("unbounded admits all");
+        let (id, ready, _) = eng.submit(sub).expect("unbounded admits all");
         id_of_tag.insert(tag, id);
         if ready {
             eng_ready.insert(tag);
@@ -207,7 +278,7 @@ proptest! {
 
         // Frontend-lowered ≡ hand-addressed on the threaded runtime at
         // {1, 4} workers, unbounded and bounded.
-        let hand_lp = nexuspp_frontend::LoweredProgram {
+        let hand_lp = LoweredProgram {
             lowering: Lowering::Renamed,
             tasks: hand.tasks.clone(),
             edges: hand.edges.iter().copied().collect(),

@@ -5,7 +5,7 @@
 //! against its memo (content fingerprints, so renumbered-but-equal
 //! bindings cut off early), and resubmit **only the invalidated tasks**
 //! as a *partial* lowered stream to the chosen [`Backend`] — the batch
-//! engine, the concurrent dispatcher, or the threaded runtime. Cached
+//! engine or the threaded runtime. Cached
 //! outputs of clean producers are spliced in as already-available
 //! inputs, so a re-run's cost scales with the edit, not the program.
 //!
@@ -38,7 +38,7 @@
 use crate::program::IncrementalProgram;
 use crate::store::{self, TaskRecord};
 use nexuspp_core::{Priority, Submission, TaskBuilder};
-use nexuspp_frontend::exec::{run_on_dispatcher, run_on_engine};
+use nexuspp_frontend::exec::run_on_engine;
 use nexuspp_frontend::{LoweredProgram, Lowering, ResourceId, Version};
 use nexuspp_runtime::Runtime;
 use parking_lot::Mutex;
@@ -52,13 +52,6 @@ pub enum Backend {
     Engine {
         /// Number of dependence-table shards.
         shards: usize,
-    },
-    /// The concurrent shard dispatcher with finisher worker threads.
-    Dispatcher {
-        /// Number of dependence-table shards.
-        shards: usize,
-        /// Number of finisher workers.
-        workers: usize,
     },
     /// The full threaded runtime; task bodies compute contents live
     /// (see the [module docs](self)).
@@ -75,7 +68,6 @@ impl Backend {
     pub fn name(&self) -> String {
         match self {
             Backend::Engine { shards } => format!("engine/{shards}"),
-            Backend::Dispatcher { shards, workers } => format!("dispatcher/{shards}x{workers}"),
             Backend::Runtime { workers, shards } => format!("runtime/{workers}w{shards}s"),
         }
     }
@@ -195,9 +187,6 @@ impl IncrementalProgram {
             let partial = self.partial_stream(&plans, lowering, &reran_set);
             let executed = match *backend {
                 Backend::Engine { shards } => run_on_engine(&partial, shards),
-                Backend::Dispatcher { shards, workers } => {
-                    run_on_dispatcher(&partial, shards, workers)
-                }
                 Backend::Runtime { workers, shards } => {
                     self.run_spliced_on_runtime(&plans, &partial, workers, shards)
                 }
@@ -401,10 +390,6 @@ mod tests {
     fn first_rerun_is_from_scratch_then_noop() {
         for backend in [
             Backend::Engine { shards: 2 },
-            Backend::Dispatcher {
-                shards: 2,
-                workers: 2,
-            },
             Backend::Runtime {
                 workers: 2,
                 shards: 2,

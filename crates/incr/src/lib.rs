@@ -19,9 +19,9 @@
 //! * [`IncrementalProgram`] — the editable program: apply [`Edit`]s
 //!   (initial-contents changes, task add/remove/retarget; all-or-nothing
 //!   commit), then [`rerun`](IncrementalProgram::rerun) resubmits only
-//!   the invalidated cone to any [`Backend`] (batch engine, concurrent
-//!   dispatcher, or threaded runtime — where re-run bodies compute
-//!   contents live against spliced memoized inputs). Each run reports an
+//!   the invalidated cone to a [`Backend`] (the batch engine, or the
+//!   threaded runtime — where re-run bodies compute contents live
+//!   against spliced memoized inputs). Each run reports an
 //!   [`IncrReport`] and can feed live counters into a
 //!   [`MetricsRegistry`](nexuspp_obs::MetricsRegistry).
 //!

@@ -427,10 +427,6 @@ fn combos() -> Vec<(Lowering, Backend)> {
     for lowering in [Lowering::Renamed, Lowering::Raw] {
         for backend in [
             Backend::Engine { shards: 2 },
-            Backend::Dispatcher {
-                shards: 2,
-                workers: 2,
-            },
             Backend::Runtime {
                 workers: 1,
                 shards: 2,

@@ -2,10 +2,12 @@
 //! dependency semantics equal to sequential execution. Every body runs at
 //! one resolver shard (one engine behind one lock) and at four.
 
+use nexuspp_core::testsupport::{wait_until, with_watchdog};
 use nexuspp_desim::Rng;
 use nexuspp_runtime::Runtime;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const SHARDS: [usize; 2] = [1, 4];
 
@@ -334,25 +336,33 @@ fn high_priority_overtakes_queued_tasks() {
 
 #[test]
 fn wait_on_does_not_wait_for_readers() {
-    // `wait on` blocks on producers, not on slow concurrent readers.
-    for shards in SHARDS {
-        let rt = Runtime::new(4, shards);
-        let x = rt.region(vec![7u64]);
-        let started = Arc::new(AtomicU64::new(0));
-        {
-            let (x2, s2) = (x.clone(), Arc::clone(&started));
-            rt.task().input(&x).spawn(move |t| {
-                s2.fetch_add(1, Ordering::SeqCst);
-                let _v = t.read(&x2)[0];
-                std::thread::sleep(std::time::Duration::from_millis(30));
+    // `wait on` blocks on producers, not on concurrent readers: a reader
+    // that is running and blocked on a gate only `wait_on`'s return
+    // opens must not hold `wait_on` up. (Were the probe ordered after
+    // readers, it would wait on the gate forever and the watchdog fires.)
+    with_watchdog(60, "wait_on vs a blocked reader", || {
+        for shards in SHARDS {
+            let rt = Runtime::new(4, shards);
+            let x = rt.region(vec![7u64]);
+            let started = Arc::new(AtomicU64::new(0));
+            let gate = Arc::new(AtomicBool::new(false));
+            {
+                let (x2, s2, g2) = (x.clone(), Arc::clone(&started), Arc::clone(&gate));
+                rt.task().input(&x).spawn(move |t| {
+                    let _v = t.read(&x2)[0];
+                    s2.fetch_add(1, Ordering::SeqCst);
+                    while !g2.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            // The reader runs on a worker, so the waiter cannot run it.
+            wait_until(Duration::from_secs(30), "the reader to start", || {
+                started.load(Ordering::SeqCst) == 1
             });
+            rt.wait_on(&x);
+            gate.store(true, Ordering::SeqCst);
+            rt.barrier();
         }
-        let t0 = std::time::Instant::now();
-        rt.wait_on(&x); // no outstanding writer → returns quickly
-        assert!(
-            t0.elapsed() < std::time::Duration::from_millis(25),
-            "wait_on must not block on the slow reader"
-        );
-        rt.barrier();
-    }
+    });
 }

@@ -1,43 +1,28 @@
 //! The concurrent sharded dispatcher: per-shard locks and atomic
 //! cross-shard readiness aggregation.
 //!
-//! This is the threaded form of [`ShardedEngine`](crate::ShardedEngine):
-//! each shard is a [`DependencyEngine`] behind its own
-//! [`parking_lot::Mutex`], so admits and finishes that touch different
-//! shards proceed in parallel — the centralization the single-engine
-//! runtime suffers (one global engine lock on every task completion) is
-//! gone.
+//! This is the threaded driver of the sharded protocol written down in
+//! `crates/shard/src/protocol.rs`; [`ShardedEngine`](crate::ShardedEngine)
+//! is the single-threaded one. Each shard's state sits behind its own
+//! [`parking_lot::Mutex`], so submits and finishes that touch different
+//! shards proceed in parallel, and each lock is held for one slice at a
+//! time — never two at once, so no lock-ordering discipline is needed.
+//! The remote counter is atomic: whoever performs its zero transition,
+//! the submitter or a finisher, takes the payload.
 //!
-//! ## Cross-shard readiness
-//!
-//! Each task carries an atomic **remote dependence counter** initialized
-//! to `shards_touched + 1`. Every shard slice found (or made)
-//! conflict-free decrements it; the extra `+1` is a *submission guard*
-//! released only after every slice is admitted and the task's payload is
-//! stored, so a concurrent wake can never schedule a half-submitted task.
-//! Whoever performs the transition to zero — submitter or waker — owns
-//! the payload and schedules the task, exactly once.
-//!
-//! ## Finish (one lock and a hand-off)
-//!
-//! Finishing a task locks each involved shard once, one at a time: under
-//! the lock the shard releases the slice and the home records of the
-//! sub-descriptors that release woke are collected (both read the
-//! Dependence Table). Everything wake-shaped happens **after the lock is
-//! dropped**: the remote decrement, and — on the zero transition — taking
-//! the payload and pushing `(ticket, payload)` straight into the caller's
-//! [`FinishReport`], the software form of the paper's Handle Finished
-//! block moving kicked-off tasks to the ready list. A task is woken by
-//! exactly one finisher and surfaces in that finisher's own report.
+//! Finishing a task releases each slice under its shard's lock; the
+//! remote releases, and — on the zero transition — the payload hand-off
+//! into the caller's [`FinishReport`], happen **after the lock is
+//! dropped**: the software form of the paper's Handle Finished block
+//! moving kicked-off tasks to the ready list. A task is woken by exactly
+//! one finisher and surfaces in that finisher's own report.
 
-use crate::engine::route_params;
-use nexuspp_core::{
-    duplicate_address, DependencyEngine, NexusConfig, ShardCapacity, SubmitError, TdIndex,
-};
+use crate::protocol::{route, Remote, Residency, Route, Slices};
+use nexuspp_core::{duplicate_address, NexusConfig, ShardCapacity, SubmitError, TdIndex};
 use nexuspp_obs::{EventKind, Recorder, NO_SHARD};
 use nexuspp_trace::Param;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Kept because `e2e` reads it (`crates/bench/src/bin/e2e/` passes
@@ -55,9 +40,7 @@ pub enum WakeMode {
 #[derive(Debug)]
 struct Node<P> {
     tag: u64,
-    /// Remote dependence counter: unready shard slices, plus one
-    /// submission guard released at the end of `submit`.
-    pending: AtomicU32,
+    remote: Remote,
     /// `(shard, sub-descriptor)` per involved shard; set once at the end
     /// of `submit` (readers run strictly after `submit` returns).
     parts: OnceLock<Vec<(u32, TdIndex)>>,
@@ -140,10 +123,7 @@ pub struct CapacityCounts {
 }
 
 struct ShardCell<P> {
-    state: Mutex<ShardState<P>>,
-    /// Tasks holding a residency slot here (reserved before admission,
-    /// released as each slice is finished).
-    resident: AtomicU32,
+    slices: Mutex<Slices<Arc<Node<P>>>>,
     /// Pairs with `unpark`: submitters blocked on a full shard wait here.
     park: Mutex<()>,
     unpark: Condvar,
@@ -152,19 +132,13 @@ struct ShardCell<P> {
     stall_ns: AtomicU64,
 }
 
-struct ShardState<P> {
-    engine: DependencyEngine,
-    /// Sub-descriptor index → home record of the owning task.
-    owner: Vec<Option<Arc<Node<P>>>>,
-}
-
 /// N dependency engines behind per-shard locks, aggregating readiness
 /// with atomics. `P` is the payload delivered when a task becomes ready
 /// (a closure + access grants in the runtime; `u64` tags in the stress
 /// harness).
 pub struct ShardDispatcher<P> {
     shards: Box<[ShardCell<P>]>,
-    capacity: ShardCapacity,
+    residency: Residency,
     wake_metrics: WakeMetrics,
     /// Lifecycle event sink. `None` (the default) is the zero-cost
     /// production shape: every emission site is one `Option` branch.
@@ -202,15 +176,10 @@ impl<P> ShardDispatcher<P> {
             "the dispatcher's lock-per-shard submit path cannot stall mid-admission; \
              use a growable config (bound residency via ShardCapacity)"
         );
-        capacity.validate();
         ShardDispatcher {
             shards: (0..n_shards)
                 .map(|_| ShardCell {
-                    state: Mutex::new(ShardState {
-                        engine: DependencyEngine::new(cfg),
-                        owner: Vec::new(),
-                    }),
-                    resident: AtomicU32::new(0),
+                    slices: Mutex::new(Slices::new(cfg)),
                     park: Mutex::new(()),
                     unpark: Condvar::new(),
                     stalls: AtomicU64::new(0),
@@ -218,7 +187,7 @@ impl<P> ShardDispatcher<P> {
                     stall_ns: AtomicU64::new(0),
                 })
                 .collect(),
-            capacity,
+            residency: Residency::new(n_shards, capacity),
             wake_metrics: WakeMetrics::default(),
             obs: None,
         }
@@ -260,7 +229,7 @@ impl<P> ShardDispatcher<P> {
 
     /// The per-shard residency bound this dispatcher enforces.
     pub fn capacity(&self) -> ShardCapacity {
-        self.capacity
+        self.residency.capacity()
     }
 
     /// Wake-path activity counters (see [`WakeCounts`]; exact at
@@ -278,46 +247,34 @@ impl<P> ShardDispatcher<P> {
     pub fn capacity_counts(&self) -> Vec<CapacityCounts> {
         self.shards
             .iter()
-            .map(|c| CapacityCounts {
+            .enumerate()
+            .map(|(s, c)| CapacityCounts {
                 stalls_observed: c.stalls.load(Ordering::Relaxed),
                 retries_resolved: c.retries_resolved.load(Ordering::Relaxed),
                 stall_ns: c.stall_ns.load(Ordering::Relaxed),
-                resident: c.resident.load(Ordering::Relaxed) as usize,
+                resident: self.residency.resident(s),
             })
             .collect()
     }
 
-    /// Release one residency slot on `s` and wake parked submitters.
-    /// The ordering here is the lost-wakeup guard: decrement first, then
-    /// notify under the park mutex, so a submitter that observed "full"
-    /// under that mutex is already inside `wait` when the notify lands.
-    fn release_slot(&self, s: usize) {
-        let cell = &self.shards[s];
-        cell.resident.fetch_sub(1, Ordering::AcqRel);
+    /// Wake the submitters parked on shard `s`. Callers free a slot
+    /// first; notifying under the park mutex is the lost-wakeup guard,
+    /// since a submitter that observed "full" under that mutex is already
+    /// inside `wait` when the notify lands.
+    fn unpark(&self, s: u32) {
+        let cell = &self.shards[s as usize];
         let _guard = cell.park.lock();
         cell.unpark.notify_all();
     }
 
-    /// Try to reserve one residency slot on every involved shard; on the
-    /// first full shard, roll back (waking anyone the rollback frees a
-    /// slot for) and report it.
-    fn try_reserve(&self, groups: &[(u32, Vec<Param>)]) -> Result<(), u32> {
-        for (i, (s, _)) in groups.iter().enumerate() {
-            let cell = &self.shards[*s as usize];
-            let reserved = cell
-                .resident
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| {
-                    self.capacity.admits(r as usize).then_some(r + 1)
-                })
-                .is_ok();
-            if !reserved {
-                for (t, _) in &groups[..i] {
-                    self.release_slot(*t as usize);
-                }
-                return Err(*s);
+    /// [`Residency::try_reserve`], waking anyone parked on a shard whose
+    /// slot the rollback handed back.
+    fn try_reserve(&self, route: &Route) -> Result<(), u32> {
+        self.residency.try_reserve(route).inspect_err(|&full| {
+            for (s, _) in route.iter().take_while(|(s, _)| *s != full) {
+                self.unpark(*s);
             }
-        }
-        Ok(())
+        })
     }
 
     /// Block until shard `s` has a free residency slot (the slot may be
@@ -325,48 +282,38 @@ impl<P> ShardDispatcher<P> {
     fn park_on(&self, s: u32) {
         let cell = &self.shards[s as usize];
         let mut guard = cell.park.lock();
-        while !self
-            .capacity
-            .admits(cell.resident.load(Ordering::Acquire) as usize)
-        {
+        while !self.capacity().admits(self.residency.resident(s as usize)) {
             cell.unpark.wait(&mut guard);
         }
     }
 
-    /// Submit a task. Takes each involved shard's lock once, one at a
-    /// time in first-touch parameter order — never two locks at once, so
-    /// no lock-ordering discipline is needed — and never blocks on other
-    /// tasks' *dependency* progress. Under a bounded capacity it blocks
-    /// until every involved shard grants a residency slot (stall/retry,
-    /// counted per shard); unbounded dispatchers never block at all. If
-    /// the task has no unresolved dependencies the payload comes straight
-    /// back in [`SubmitResult::ready`].
+    /// Submit a task. Never blocks on other tasks' *dependency* progress.
+    /// Under a bounded capacity it blocks until every involved shard
+    /// grants a residency slot (stall/retry, counted per shard);
+    /// unbounded dispatchers never block at all. If the task has no
+    /// unresolved dependencies the payload comes straight back in
+    /// [`SubmitResult::ready`].
     pub fn submit(&self, fptr: u64, tag: u64, params: &[Param], payload: P) -> SubmitResult<P> {
-        let groups = route_params(params, self.shards.len());
+        let route = route(params, self.shards.len());
         self.emit(
             EventKind::Submitted,
             tag,
-            groups.first().map_or(NO_SHARD, |g| g.0),
+            route.first().map_or(NO_SHARD, |g| g.0),
         );
-        if self.capacity.is_bounded() {
+        if self.capacity().is_bounded() {
             // One stall episode per submit call: counted once against the
             // first full shard, resolved once when the reservation lands,
             // with the episode's wall time accrued to that shard.
             let mut episode: Option<(u32, std::time::Instant)> = None;
-            loop {
-                match self.try_reserve(&groups) {
-                    Ok(()) => break,
-                    Err(full) => {
-                        if episode.is_none() {
-                            episode = Some((full, std::time::Instant::now()));
-                            self.shards[full as usize]
-                                .stalls
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.emit(EventKind::Stalled, tag, full);
-                        }
-                        self.park_on(full);
-                    }
+            while let Err(full) = self.try_reserve(&route) {
+                if episode.is_none() {
+                    episode = Some((full, std::time::Instant::now()));
+                    self.shards[full as usize]
+                        .stalls
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.emit(EventKind::Stalled, tag, full);
                 }
+                self.park_on(full);
             }
             if let Some((first, t0)) = episode {
                 let cell = &self.shards[first as usize];
@@ -376,7 +323,7 @@ impl<P> ShardDispatcher<P> {
                 self.emit(EventKind::Resumed, tag, first);
             }
         }
-        self.submit_reserved(fptr, tag, groups, payload)
+        self.submit_reserved(fptr, tag, route, payload)
     }
 
     /// Non-blocking [`submit`](Self::submit): where the blocking path
@@ -396,53 +343,42 @@ impl<P> ShardDispatcher<P> {
         if let Some(addr) = duplicate_address(params) {
             return Err((SubmitError::DuplicateAddress { addr }, payload));
         }
-        let groups = route_params(params, self.shards.len());
-        if let Some(limit) = self.capacity.limit() {
-            if let Err(full) = self.try_reserve(&groups) {
-                return Err((SubmitError::CapacityFull { shard: full, limit }, payload));
-            }
+        let route = route(params, self.shards.len());
+        if let Err(shard) = self.try_reserve(&route) {
+            let limit = self.capacity().limit().expect("unbounded always reserves");
+            return Err((SubmitError::CapacityFull { shard, limit }, payload));
         }
         self.emit(
             EventKind::Submitted,
             tag,
-            groups.first().map_or(NO_SHARD, |g| g.0),
+            route.first().map_or(NO_SHARD, |g| g.0),
         );
-        Ok(self.submit_reserved(fptr, tag, groups, payload))
+        Ok(self.submit_reserved(fptr, tag, route, payload))
     }
 
     /// The shared admission body: residency slots already reserved.
-    fn submit_reserved(
-        &self,
-        fptr: u64,
-        tag: u64,
-        groups: Vec<(u32, Vec<Param>)>,
-        payload: P,
-    ) -> SubmitResult<P> {
-        let first_shard = groups.first().map_or(NO_SHARD, |g| g.0);
+    /// Takes each involved shard's lock once, one at a time, in route
+    /// order.
+    fn submit_reserved(&self, fptr: u64, tag: u64, route: Route, payload: P) -> SubmitResult<P> {
+        let first_shard = route.first().map_or(NO_SHARD, |g| g.0);
         self.emit(EventKind::DepCheckStart, tag, first_shard);
         let node = Arc::new(Node {
             tag,
-            pending: AtomicU32::new(groups.len() as u32 + 1),
+            remote: Remote::new(route.len()),
             parts: OnceLock::new(),
             payload: Mutex::new(None),
         });
-        let mut parts = Vec::with_capacity(groups.len());
-        for (s, sub) in groups {
-            let mut st = self.shards[s as usize].state.lock();
-            let (td, slice_ready) = st
-                .engine
-                .submit(fptr, tag, sub)
-                .expect("growable engine cannot reject");
-            let i = td.0 as usize;
-            if i >= st.owner.len() {
-                st.owner.resize_with(i + 1, || None);
-            }
-            st.owner[i] = Some(Arc::clone(&node));
-            drop(st);
+        let mut parts = Vec::with_capacity(route.len());
+        for (s, slice) in route {
+            let (td, slice_ready, _) =
+                self.shards[s as usize]
+                    .slices
+                    .lock()
+                    .submit(fptr, tag, slice, Arc::clone(&node));
             parts.push((s, td));
             if slice_ready {
                 // Cannot reach zero: the submission guard is still held.
-                node.pending.fetch_sub(1, Ordering::AcqRel);
+                node.remote.release();
             }
         }
         node.parts.set(parts).expect("parts set exactly once");
@@ -451,14 +387,10 @@ impl<P> ShardDispatcher<P> {
         // AcqRel decrement chain makes it happen-before any waker's
         // `Ready` emission for this task, so per-task event order holds.
         self.emit(EventKind::DepCheckDone, tag, first_shard);
-        // Release the submission guard. Whoever performs the transition
-        // to zero — this thread or a concurrent waker that decremented
-        // first — takes the payload and schedules the task.
-        let ready = if node.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            Some(node.payload.lock().take().expect("payload stored above"))
-        } else {
-            None
-        };
+        let ready = node
+            .remote
+            .release()
+            .then(|| node.payload.lock().take().expect("payload stored above"));
         if ready.is_some() {
             self.emit(EventKind::Ready, tag, first_shard);
         }
@@ -469,12 +401,10 @@ impl<P> ShardDispatcher<P> {
     }
 
     /// Finish a task that ran. Takes each involved shard's lock once, one
-    /// at a time: under it the slice is released and the home records of
-    /// the sub-descriptors that release woke are collected (both read the
-    /// table). Everything wake-shaped — remote decrements, payload
-    /// hand-offs, the pushes into the report — happens after the lock is
-    /// dropped. Each finished slice releases one residency slot, the
-    /// shard's "finish report" a parked submitter resumes on.
+    /// at a time, to release the slice and collect the home records it
+    /// kicked off; the remote releases and payload hand-offs happen after
+    /// the lock is dropped. Each finished slice releases one residency
+    /// slot, the shard's "finish report" a parked submitter resumes on.
     pub fn finish(&self, ticket: TaskTicket<P>) -> FinishReport<P> {
         let node = ticket.0;
         let parts = node
@@ -486,24 +416,13 @@ impl<P> ShardDispatcher<P> {
             completed: 1,
         };
         for &(s, td) in parts {
-            let woken_nodes: Vec<Arc<Node<P>>> = {
-                let mut st = self.shards[s as usize].state.lock();
-                let fin = st.engine.finish(td);
-                st.owner[td.0 as usize] = None;
-                fin.newly_ready
-                    .iter()
-                    .map(|woken| {
-                        st.owner[woken.0 as usize]
-                            .clone()
-                            .expect("woken sub-descriptor must have an owner")
-                    })
-                    .collect()
-            };
+            let (woken_nodes, _) = self.shards[s as usize].slices.lock().release(td);
             if !woken_nodes.is_empty() {
                 self.hand_off(woken_nodes, node.tag, s, &mut report);
             }
-            if self.capacity.is_bounded() {
-                self.release_slot(s as usize);
+            if self.capacity().is_bounded() {
+                self.residency.release(s);
+                self.unpark(s);
             }
         }
         // A parameterless task has no parts: no shard held state for it.
@@ -512,11 +431,10 @@ impl<P> ShardDispatcher<P> {
         report
     }
 
-    /// The post-lock wake path of one slice release. Exactly one
-    /// decrement per woken slice, and exactly one thread — whoever
-    /// performs the transition to zero — takes the payload and reports
-    /// the task; the events carry the waker's tag, the realized
-    /// dependence edge.
+    /// The post-lock wake path of one slice release: one remote release
+    /// per woken slice; the releaser that reaches zero takes the payload
+    /// and reports the task. The events carry the waker's tag, the
+    /// realized dependence edge.
     fn hand_off(
         &self,
         woken_nodes: Vec<Arc<Node<P>>>,
@@ -527,7 +445,7 @@ impl<P> ShardDispatcher<P> {
         let before = report.woken.len();
         let t0 = std::time::Instant::now();
         for wnode in woken_nodes {
-            if wnode.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            if wnode.remote.release() {
                 let payload = wnode
                     .payload
                     .lock()
@@ -551,7 +469,7 @@ impl<P> ShardDispatcher<P> {
     pub fn sub_descriptors_in_flight(&self) -> usize {
         self.shards
             .iter()
-            .map(|c| c.state.lock().engine.in_flight())
+            .map(|c| c.slices.lock().engine().in_flight())
             .sum()
     }
 }

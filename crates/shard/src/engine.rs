@@ -1,71 +1,19 @@
 //! The sharded engine: N address-partitioned [`DependencyEngine`]s
 //! composed into one logically-equivalent resolver.
 //!
-//! ## Protocol
-//!
-//! * **Routing** — every parameter address belongs to exactly one shard,
-//!   chosen by [`shard_of_addr`] (high bits of the table's own hash
-//!   family, so the assignment is stable and statistically independent of
-//!   in-shard bucketing).
-//! * **Admit** — a task's parameter list is split into per-shard slices;
-//!   each involved shard admits a *sub-descriptor* holding its slice. The
-//!   home record (the [`TaskId`] slot here; a home-shard row in hardware)
-//!   keeps the slice list and a **remote dependence counter**: the number
-//!   of shards whose slice still has unresolved conflicts. Admission is
-//!   atomic across shards: capacities are pre-checked so a rejection
-//!   ([`PoolError::PoolFull`]) never leaves a partial admission behind.
-//! * **Check** — each shard runs the paper's Listing 2 loop over its own
-//!   slice against its own Dependence Table. A shard slice found
-//!   conflict-free decrements the remote counter. A Dependence-Table-full
-//!   stall parks the whole check exactly like the single engine's
-//!   `check_cursor` (the stall is resumable per shard *and* per
-//!   parameter).
-//! * **Finish** — every involved shard releases its slice and wakes its
-//!   local kick-off waiters; each woken sub-descriptor sends a *remote
-//!   decrement* to its task's home record; a task whose counter reaches
-//!   zero (with its check complete) is newly ready. Since wake-ups only
-//!   ever travel finish→home, the per-shard wakes of one completion
-//!   commute and the aggregate is order-insensitive.
-//!
-//! Equivalence with the single engine is structural: distinct addresses
-//! impose independent constraints in the Dependence Table, so splitting
-//! the table by address partitions both the state and the wake-up traffic
-//! without changing either. `tests/sharded_differential.rs` checks it the
-//! hard way (against the single engine *and* the oracle DAG, for
-//! N ∈ {1, 2, 4, 8}, including pool-full and table-full paths).
+//! This is the single-threaded driver of the sharded protocol written
+//! down in `crates/shard/src/protocol.rs` (route, reserve, admit and
+//! check, remote count, finish); [`ShardDispatcher`](crate::ShardDispatcher)
+//! is the threaded one. What it adds is what the timing models need:
+//! reusable [`TaskId`] home-record slots, like Task Pool indices, and the
+//! per-shard [`OpBreakdown`] cost of every operation.
 
-use nexuspp_core::engine::CheckProgress;
-use nexuspp_core::pool::PoolError;
+use crate::protocol::{route, Remote, Residency, Slices};
 use nexuspp_core::{
     shard_of_addr, DependencyEngine, NexusConfig, OpCost, ShardCapacity, Submission, SubmitError,
     TdIndex,
 };
-use nexuspp_trace::Param;
 use std::fmt;
-
-/// An admission rejection attributed to the shard that caused it, so a
-/// stalling front-end (the multi-Maestro master, the batched submitter)
-/// knows which shard's next finish report to park on.
-///
-/// This is the positional-tuple path's error type; it folds a residency
-/// rejection into `PoolFull { needed: 1, free: 0 }`. The
-/// [`Submission`]-based entry points ([`ShardedEngine::submit_task`],
-/// [`ShardedEngine::try_admit_task`]) report the richer
-/// [`SubmitError`], which keeps capacity-full distinct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRejection {
-    /// The first shard (in the task's first-touch order) that could not
-    /// hold its slice.
-    pub shard: u32,
-    /// The underlying pool/capacity error (`PoolFull` is retryable).
-    pub error: PoolError,
-}
-
-impl From<ShardRejection> for SubmitError {
-    fn from(r: ShardRejection) -> Self {
-        SubmitError::from(r.error).on_shard(r.shard)
-    }
-}
 
 /// A task's identity in the sharded engine: its home-record slot index.
 /// Slots are reused after `finish`, like Task Pool indices.
@@ -110,32 +58,11 @@ impl OpBreakdown {
     }
 }
 
-/// Progress of a (possibly resumed) sharded dependency check.
-#[derive(Debug, Clone)]
-pub enum ShardedCheck {
-    /// Every shard slice processed. `ready` is true if no slice recorded a
-    /// dependence.
-    Done {
-        /// Task has no outstanding dependencies on any shard.
-        ready: bool,
-        /// Work performed, by shard.
-        cost: OpBreakdown,
-    },
-    /// `shard`'s Dependence Table was full mid-slice; call `check` again
-    /// after a completion frees space there.
-    Stalled {
-        /// The shard that stalled.
-        shard: u32,
-        /// Work performed this attempt, by shard.
-        cost: OpBreakdown,
-    },
-}
-
 /// Result of finishing a task through the sharded engine.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedFinish {
-    /// Tasks whose remote dependence counter reached zero (check complete)
-    /// thanks to this completion, in wake order (the concatenation of
+    /// Tasks whose remote dependence counter reached zero thanks to this
+    /// completion, in wake order (the concatenation of
     /// [`wakes_by_shard`](Self::wakes_by_shard)).
     pub newly_ready: Vec<TaskId>,
     /// The same wake set attributed to the shard whose slice release
@@ -149,64 +76,22 @@ pub struct ShardedFinish {
     pub cost: OpBreakdown,
 }
 
-/// The routing policy shared by every shard consumer: split a parameter
-/// list into per-shard slices by [`shard_of_addr`], preserving parameter
-/// order inside each slice and first-touch order across shards.
-pub(crate) fn route_params(params: &[Param], n_shards: usize) -> Vec<(u32, Vec<Param>)> {
-    let mut groups: Vec<(u32, Vec<Param>)> = Vec::new();
-    for p in params {
-        let s = shard_of_addr(p.addr, n_shards) as u32;
-        match groups.iter_mut().find(|(g, _)| *g == s) {
-            Some((_, v)) => v.push(*p),
-            None => groups.push((s, vec![*p])),
-        }
-    }
-    groups
-}
-
-/// One shard slice of a task: the sub-descriptor holding the parameters
-/// this shard owns.
-#[derive(Debug, Clone, Copy)]
-struct Part {
-    shard: u32,
-    td: TdIndex,
-}
-
 /// The home record of a live task.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct TaskState {
     tag: u64,
-    parts: Vec<Part>,
-    /// Resume cursor over `parts` for stalled checks.
-    next_check: usize,
-    /// Remote dependence counter: shards whose slice is not yet
-    /// conflict-free. Decremented at slice-check completion (if already
-    /// free) or by a remote wake from the owning shard's `finish`.
-    pending: u32,
-    /// All slices checked (the cross-shard scheduling gate).
-    checked: bool,
-}
-
-#[derive(Debug, Clone)]
-enum TaskSlot {
-    Free,
-    Live(TaskState),
+    /// `(shard, sub-descriptor)` per involved shard, in route order.
+    parts: Vec<(u32, TdIndex)>,
+    remote: Remote,
 }
 
 /// N address-partitioned dependency engines behind one engine-shaped API.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ShardedEngine {
-    shards: Vec<DependencyEngine>,
-    growable: bool,
-    capacity: ShardCapacity,
-    /// Live tasks holding a residency slot on each shard (one slot per
-    /// involved shard per task, regardless of slice width).
-    resident: Vec<usize>,
-    tasks: Vec<TaskSlot>,
+    shards: Vec<Slices<TaskId>>,
+    residency: Residency,
+    tasks: Vec<Option<TaskState>>,
     free: Vec<u32>,
-    /// Per shard: sub-descriptor index → owning task (reverse map for the
-    /// remote-decrement path).
-    owner: Vec<Vec<Option<TaskId>>>,
     in_flight: usize,
 }
 
@@ -218,21 +103,23 @@ impl ShardedEngine {
         ShardedEngine::with_capacity(n_shards, cfg, ShardCapacity::Unbounded)
     }
 
-    /// Build a bounded engine: on top of `cfg`'s table capacities, each
-    /// shard holds at most `capacity` resident tasks; a submission that
-    /// would exceed that on any involved shard is rejected whole
-    /// (atomically) with the full shard identified, for stall/retry.
+    /// Build a bounded engine: each shard holds at most `capacity`
+    /// resident tasks; a submission that would exceed that on any
+    /// involved shard is rejected whole with the full shard identified,
+    /// for stall/retry. `cfg` must be growable: the residency bound is
+    /// the finite-hardware bound, the tables themselves never fill.
     pub fn with_capacity(n_shards: usize, cfg: &NexusConfig, capacity: ShardCapacity) -> Self {
         assert!(n_shards >= 1, "need at least one shard");
-        capacity.validate();
+        assert!(
+            cfg.growable,
+            "the sharded engine submits whole tasks and cannot stall mid-admission; \
+             use a growable config (bound residency via ShardCapacity)"
+        );
         ShardedEngine {
-            shards: (0..n_shards).map(|_| DependencyEngine::new(cfg)).collect(),
-            growable: cfg.growable,
-            capacity,
-            resident: vec![0; n_shards],
+            shards: (0..n_shards).map(|_| Slices::new(cfg)).collect(),
+            residency: Residency::new(n_shards, capacity),
             tasks: Vec::new(),
             free: Vec::new(),
-            owner: vec![Vec::new(); n_shards],
             in_flight: 0,
         }
     }
@@ -244,22 +131,23 @@ impl ShardedEngine {
 
     /// Read access to one shard's engine (reports, tests).
     pub fn shard(&self, i: usize) -> &DependencyEngine {
-        &self.shards[i]
+        self.shards[i].engine()
     }
 
-    /// Tasks admitted but not yet finished.
+    /// Tasks submitted but not yet finished.
     pub fn in_flight(&self) -> usize {
         self.in_flight
     }
 
     /// The per-shard residency bound this engine enforces.
     pub fn capacity(&self) -> ShardCapacity {
-        self.capacity
+        self.residency.capacity()
     }
 
-    /// Live tasks currently holding a residency slot on shard `s`.
+    /// Live tasks holding a residency slot on shard `s` (always 0 when
+    /// unbounded).
     pub fn resident_on(&self, s: usize) -> usize {
-        self.resident[s]
+        self.residency.resident(s)
     }
 
     /// Which shard owns `addr` under this engine's partition.
@@ -273,210 +161,54 @@ impl ShardedEngine {
     }
 
     fn state(&self, id: TaskId) -> &TaskState {
-        match &self.tasks[id.0 as usize] {
-            TaskSlot::Live(s) => s,
-            TaskSlot::Free => panic!("{id} is not live"),
-        }
-    }
-
-    fn state_mut(&mut self, id: TaskId) -> &mut TaskState {
-        match &mut self.tasks[id.0 as usize] {
-            TaskSlot::Live(s) => s,
-            TaskSlot::Free => panic!("{id} is not live"),
-        }
-    }
-
-    /// Split a parameter list into per-shard slices (see
-    /// [`route_params`]).
-    fn partition(&self, params: &[Param]) -> Vec<(u32, Vec<Param>)> {
-        route_params(params, self.shards.len())
+        self.tasks[id.0 as usize]
+            .as_ref()
+            .unwrap_or_else(|| panic!("{id} is not live"))
     }
 
     fn alloc_slot(&mut self) -> TaskId {
         match self.free.pop() {
             Some(i) => TaskId(i),
             None => {
-                self.tasks.push(TaskSlot::Free);
+                self.tasks.push(None);
                 TaskId(self.tasks.len() as u32 - 1)
             }
         }
     }
 
-    fn set_owner(&mut self, shard: u32, td: TdIndex, id: TaskId) {
-        let map = &mut self.owner[shard as usize];
-        let i = td.0 as usize;
-        if i >= map.len() {
-            map.resize(i + 1, None);
-        }
-        map[i] = Some(id);
-    }
-
-    /// Pre-check that every involved shard can hold its slice — table
-    /// space under a fixed `cfg`, and a residency slot under a bounded
-    /// [`ShardCapacity`] — so the multi-shard admission below never
-    /// partially commits. The rejection names the first failing shard.
-    fn capacity_check(&self, groups: &[(u32, Vec<Param>)]) -> Result<(), SubmitError> {
-        for (s, sub) in groups {
-            if !self.capacity.admits(self.resident[*s as usize]) {
-                return Err(SubmitError::CapacityFull {
-                    shard: *s,
-                    limit: self.capacity.limit().expect("unbounded always admits"),
-                });
-            }
-            if self.growable {
-                continue;
-            }
-            let pool = self.shards[*s as usize].pool();
-            let needed = pool.tds_needed(sub.len());
-            if needed > pool.capacity() {
-                return Err(SubmitError::TaskTooLarge {
-                    shard: Some(*s),
-                    needed,
-                    capacity: pool.capacity(),
-                });
-            }
-            if needed > pool.free_count() {
-                return Err(SubmitError::PoolFull {
-                    shard: Some(*s),
-                    needed,
-                    free: pool.free_count(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Downgrade a unified rejection to the positional path's
-    /// [`ShardRejection`] (residency-full folds into `PoolFull`, exactly
-    /// the legacy encoding).
-    fn downgrade(e: SubmitError) -> ShardRejection {
-        let shard = e
-            .shard()
-            .expect("capacity_check attributes every rejection");
-        let error = match e {
-            SubmitError::CapacityFull { .. } => PoolError::PoolFull { needed: 1, free: 0 },
-            SubmitError::PoolFull { needed, free, .. } => PoolError::PoolFull { needed, free },
-            SubmitError::TaskTooLarge {
-                needed, capacity, ..
-            } => PoolError::TaskTooLarge { needed, capacity },
-            SubmitError::DuplicateAddress { .. } => {
-                unreachable!("capacity_check never reports bad params")
-            }
-        };
-        ShardRejection { shard, error }
-    }
-
-    /// Admit a task: allocate a sub-descriptor on every shard that owns at
-    /// least one of its parameters. Fails retryably (and atomically — no
-    /// shard is modified) when any involved shard's pool lacks space.
-    pub fn admit(
-        &mut self,
-        fptr: u64,
-        tag: u64,
-        params: Vec<Param>,
-    ) -> Result<(TaskId, OpBreakdown), PoolError> {
-        self.try_admit(fptr, tag, params).map_err(|r| r.error)
-    }
-
-    /// [`admit`](Self::admit) with the rejecting shard identified, for
-    /// front-ends that park on a specific shard's finish stream.
-    pub fn try_admit(
-        &mut self,
-        fptr: u64,
-        tag: u64,
-        params: Vec<Param>,
-    ) -> Result<(TaskId, OpBreakdown), ShardRejection> {
-        let groups = self.partition(&params);
-        self.capacity_check(&groups).map_err(Self::downgrade)?;
-        Ok(self.admit_routed(fptr, tag, groups))
-    }
-
-    /// [`try_admit`](Self::try_admit) over the unified surface: consume a
-    /// [`Submission`] and report rejections as [`SubmitError`] —
-    /// including [`SubmitError::CapacityFull`] (which the positional path
-    /// folds into `PoolFull`) and [`SubmitError::DuplicateAddress`] for
-    /// malformed parameter lists.
-    pub fn try_admit_task(
-        &mut self,
-        sub: Submission,
-    ) -> Result<(TaskId, OpBreakdown), SubmitError> {
+    /// Submit a task: validate its parameter list, reserve a residency
+    /// slot on every involved shard (all or nothing), admit and check
+    /// every slice, then release the submission guard. Returns the task,
+    /// whether it is ready now, and the admit+check work by shard.
+    ///
+    /// The only rejections are [`SubmitError::DuplicateAddress`] and,
+    /// under a bounded capacity, the retryable
+    /// [`SubmitError::CapacityFull`] naming the first full shard; either
+    /// leaves the engine untouched.
+    pub fn submit(&mut self, sub: Submission) -> Result<(TaskId, bool, OpBreakdown), SubmitError> {
         sub.validate()?;
         let (fptr, tag, params) = sub.into_parts();
-        let groups = self.partition(&params);
-        self.capacity_check(&groups)?;
-        Ok(self.admit_routed(fptr, tag, groups))
-    }
-
-    /// The shared multi-shard admission body (capacity already cleared).
-    fn admit_routed(
-        &mut self,
-        fptr: u64,
-        tag: u64,
-        groups: Vec<(u32, Vec<Param>)>,
-    ) -> (TaskId, OpBreakdown) {
-        let id = self.alloc_slot();
-        let mut cost = OpBreakdown::default();
-        let mut parts = Vec::with_capacity(groups.len());
-        for (s, sub) in groups {
-            let (td, c) = self.shards[s as usize]
-                .admit(fptr, tag, sub)
-                .expect("capacity pre-checked");
-            self.set_owner(s, td, id);
-            self.resident[s as usize] += 1;
-            parts.push(Part { shard: s, td });
-            cost.add(s, c);
+        let route = route(&params, self.shards.len());
+        if let Err(shard) = self.residency.try_reserve(&route) {
+            let limit = self.capacity().limit().expect("unbounded always reserves");
+            return Err(SubmitError::CapacityFull { shard, limit });
         }
-        let pending = parts.len() as u32;
-        self.tasks[id.0 as usize] = TaskSlot::Live(TaskState {
-            tag,
-            parts,
-            next_check: 0,
-            pending,
-            checked: false,
-        });
-        self.in_flight += 1;
-        (id, cost)
-    }
-
-    /// Check the task's shard slices, resuming from the last stall point
-    /// if any. Slices already woken by intervening completions are
-    /// accounted through the remote counter, so resuming after a stall is
-    /// race-free even when other tasks finished in between.
-    pub fn check(&mut self, id: TaskId) -> ShardedCheck {
+        let id = self.alloc_slot();
+        let remote = Remote::new(route.len());
+        let mut parts = Vec::with_capacity(route.len());
         let mut cost = OpBreakdown::default();
-        loop {
-            let part = {
-                let st = self.state(id);
-                if st.next_check >= st.parts.len() {
-                    break;
-                }
-                st.parts[st.next_check]
-            };
-            match self.shards[part.shard as usize].check(part.td) {
-                CheckProgress::Done { ready, cost: c } => {
-                    cost.add(part.shard, c);
-                    let st = self.state_mut(id);
-                    st.next_check += 1;
-                    if ready {
-                        debug_assert!(st.pending > 0);
-                        st.pending -= 1;
-                    }
-                }
-                CheckProgress::Stalled { cost: c } => {
-                    cost.add(part.shard, c);
-                    return ShardedCheck::Stalled {
-                        shard: part.shard,
-                        cost,
-                    };
-                }
+        for (s, slice) in route {
+            let (td, slice_ready, c) = self.shards[s as usize].submit(fptr, tag, slice, id);
+            cost.add(s, c);
+            parts.push((s, td));
+            if slice_ready {
+                remote.release();
             }
         }
-        let st = self.state_mut(id);
-        st.checked = true;
-        ShardedCheck::Done {
-            ready: st.pending == 0,
-            cost,
-        }
+        let ready = remote.release();
+        self.tasks[id.0 as usize] = Some(TaskState { tag, parts, remote });
+        self.in_flight += 1;
+        Ok((id, ready, cost))
     }
 
     /// Finish a ready task: every involved shard releases its slice and
@@ -485,92 +217,54 @@ impl ShardedEngine {
     /// reported as newly ready, attributed to the shard whose slice
     /// release completed it, in slice order. Never stalls.
     pub fn finish(&mut self, id: TaskId) -> ShardedFinish {
-        let st = match std::mem::replace(&mut self.tasks[id.0 as usize], TaskSlot::Free) {
-            TaskSlot::Live(s) => s,
-            TaskSlot::Free => panic!("finish({id}) on a free slot"),
-        };
-        debug_assert!(
-            st.checked,
-            "finishing a task that never completed its check"
-        );
-        debug_assert_eq!(st.pending, 0, "finishing a task with unresolved deps");
+        let st = self.tasks[id.0 as usize]
+            .take()
+            .unwrap_or_else(|| panic!("finish({id}) on a free slot"));
+        debug_assert!(st.remote.is_zero(), "finishing a task with unresolved deps");
         let mut out = ShardedFinish {
             tag: st.tag,
             ..Default::default()
         };
-        for part in &st.parts {
-            let fin = self.shards[part.shard as usize].finish(part.td);
-            out.cost.add(part.shard, fin.cost);
-            self.owner[part.shard as usize][part.td.0 as usize] = None;
-            self.resident[part.shard as usize] -= 1;
-            let mut woken_here = Vec::new();
-            for woken in fin.newly_ready {
-                let wid = self.owner[part.shard as usize][woken.0 as usize]
-                    .expect("woken sub-descriptor must have an owner");
-                let wst = self.state_mut(wid);
-                debug_assert!(wst.pending > 0, "remote decrement below zero");
-                wst.pending -= 1;
-                if wst.pending == 0 && wst.checked {
-                    woken_here.push(wid);
-                }
-            }
+        for (s, td) in st.parts {
+            let (woken, cost) = self.shards[s as usize].release(td);
+            out.cost.add(s, cost);
+            self.residency.release(s);
+            let woken_here: Vec<TaskId> = woken
+                .into_iter()
+                .filter(|w| self.state(*w).remote.release())
+                .collect();
             if !woken_here.is_empty() {
                 out.newly_ready.extend(woken_here.iter().copied());
-                out.wakes_by_shard.push((part.shard, woken_here));
+                out.wakes_by_shard.push((s, woken_here));
             }
         }
         self.free.push(id.0);
         self.in_flight -= 1;
         out
     }
-
-    /// Convenience: admit + check in one call. With a growable
-    /// configuration this never stalls; a mid-check stall on a fixed
-    /// configuration panics — use the step-wise API with retry there.
-    pub fn submit(
-        &mut self,
-        fptr: u64,
-        tag: u64,
-        params: Vec<Param>,
-    ) -> Result<(TaskId, bool), PoolError> {
-        let (id, _) = self.admit(fptr, tag, params)?;
-        match self.check(id) {
-            ShardedCheck::Done { ready, .. } => Ok((id, ready)),
-            ShardedCheck::Stalled { shard, .. } => panic!(
-                "submit(): dependence table full on shard {shard}; \
-                 use admit()/check() with retry for fixed configs"
-            ),
-        }
-    }
-
-    /// [`submit`](Self::submit) over the unified surface: admit + check a
-    /// [`Submission`], reporting any rejection as a [`SubmitError`] with
-    /// the failing shard attributed (capacity-full, pool-full and
-    /// bad-params all surface as errors; only the fixed-config mid-check
-    /// table stall keeps the step-wise-API panic).
-    pub fn submit_task(&mut self, sub: Submission) -> Result<(TaskId, bool), SubmitError> {
-        let (id, _) = self.try_admit_task(sub)?;
-        match self.check(id) {
-            ShardedCheck::Done { ready, .. } => Ok((id, ready)),
-            ShardedCheck::Stalled { shard, .. } => panic!(
-                "submit_task(): dependence table full on shard {shard}; \
-                 use admit()/check() with retry for fixed configs"
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexuspp_core::TaskBuilder;
     use nexuspp_trace::Param;
 
     fn engine(n: usize) -> ShardedEngine {
         ShardedEngine::new(n, &NexusConfig::unbounded())
     }
 
+    fn try_submit(
+        e: &mut ShardedEngine,
+        tag: u64,
+        params: Vec<Param>,
+    ) -> Result<(TaskId, bool), SubmitError> {
+        let (id, ready, _) = e.submit(Submission::from((1, tag, params)))?;
+        Ok((id, ready))
+    }
+
     fn submit(e: &mut ShardedEngine, tag: u64, params: Vec<Param>) -> (TaskId, bool) {
-        e.submit(1, tag, params).unwrap()
+        try_submit(e, tag, params).unwrap()
     }
 
     #[test]
@@ -659,118 +353,12 @@ mod tests {
         let params = vec![Param::output(0x100, 4), Param::output(0x200, 4)];
         let shards: std::collections::BTreeSet<usize> =
             params.iter().map(|p| e.shard_of(p.addr)).collect();
-        let (id, cost) = e.admit(1, 0, params).unwrap();
+        let (id, ready, cost) = e.submit(Submission::from((1, 0, params))).unwrap();
+        assert!(ready);
         assert_eq!(cost.shards_touched(), shards.len());
         assert!(cost.total().pool_accesses >= shards.len() as u64);
-        match e.check(id) {
-            ShardedCheck::Done { ready, cost } => {
-                assert!(ready);
-                assert_eq!(cost.shards_touched(), shards.len());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
         let f = e.finish(id);
         assert_eq!(f.cost.shards_touched(), shards.len());
-    }
-
-    #[test]
-    fn admit_rejection_is_atomic_across_shards() {
-        // Shards with 2-entry pools: a task whose slices both fit
-        // individually must not partially admit when one shard is full.
-        let cfg = NexusConfig {
-            task_pool_entries: 2,
-            ..Default::default()
-        };
-        let mut e = ShardedEngine::new(2, &cfg);
-        // Fill one shard (shard of 0x0.. addresses) with single-param tasks.
-        let mut fillers = Vec::new();
-        let mut a = 0u64;
-        while fillers.len() < 2 {
-            let addr = 0x1000 + a * 64;
-            a += 1;
-            if e.shard_of(addr) == 0 {
-                fillers.push(submit(&mut e, fillers.len() as u64, vec![Param::output(addr, 4)]).0);
-            }
-        }
-        assert_eq!(e.shard(0).pool().free_count(), 0);
-        let before_s1 = e.shard(1).pool().in_use();
-        // A task with one param on each shard: shard 0 is full.
-        let mut p0 = None;
-        let mut p1 = None;
-        let mut b = 0u64;
-        while p0.is_none() || p1.is_none() {
-            let addr = 0x9000 + b * 64;
-            b += 1;
-            match e.shard_of(addr) {
-                0 if p0.is_none() => p0 = Some(Param::output(addr, 4)),
-                1 if p1.is_none() => p1 = Some(Param::output(addr, 4)),
-                _ => {}
-            }
-        }
-        let res = e.admit(1, 99, vec![p0.unwrap(), p1.unwrap()]);
-        assert!(matches!(res, Err(PoolError::PoolFull { .. })));
-        assert_eq!(
-            e.shard(1).pool().in_use(),
-            before_s1,
-            "rejected admission must not touch the other shard"
-        );
-        // Retry succeeds after a completion frees shard 0.
-        e.finish(fillers[0]);
-        assert!(e.admit(1, 99, vec![p0.unwrap(), p1.unwrap()]).is_ok());
-    }
-
-    #[test]
-    fn stalled_check_resumes_after_space_frees() {
-        // Tiny per-shard tables force a mid-check table-full stall.
-        let cfg = NexusConfig {
-            dep_table_entries: 2,
-            ..Default::default()
-        };
-        let mut e = ShardedEngine::new(2, &cfg);
-        // Two addresses on the same shard fill its 2-entry table.
-        let mut addrs = Vec::new();
-        let mut a = 0u64;
-        while addrs.len() < 3 {
-            let addr = 0x4000 + a * 64;
-            a += 1;
-            if e.shard_of(addr) == 0 {
-                addrs.push(addr);
-            }
-        }
-        let (t0, _) = e
-            .admit(
-                1,
-                0,
-                vec![Param::output(addrs[0], 4), Param::output(addrs[1], 4)],
-            )
-            .unwrap();
-        assert!(matches!(
-            e.check(t0),
-            ShardedCheck::Done { ready: true, .. }
-        ));
-        // Next task needs a third entry on the full shard → stall.
-        let (t1, _) = e
-            .admit(
-                1,
-                1,
-                vec![Param::input(addrs[0], 4), Param::output(addrs[2], 4)],
-            )
-            .unwrap();
-        match e.check(t1) {
-            ShardedCheck::Stalled { shard, .. } => assert_eq!(shard, 0),
-            other => panic!("expected stall, got {other:?}"),
-        }
-        let f = e.finish(t0);
-        assert!(
-            f.newly_ready.is_empty(),
-            "t1's check is incomplete; it must not schedule"
-        );
-        match e.check(t1) {
-            ShardedCheck::Done { ready, .. } => assert!(ready),
-            other => panic!("expected completion, got {other:?}"),
-        }
-        e.finish(t1);
-        assert_eq!(e.shard(0).table().occupied(), 0);
     }
 
     /// Find an address homed on `target` under an `n`-shard partition.
@@ -790,9 +378,7 @@ mod tests {
         let mut e =
             ShardedEngine::with_capacity(2, &NexusConfig::unbounded(), ShardCapacity::Bounded(1));
         assert_eq!(e.capacity(), ShardCapacity::Bounded(1));
-        let (t0, r0) = e
-            .submit(1, 0, vec![Param::output(addr_on(2, 0, 0), 4)])
-            .unwrap();
+        let (t0, r0) = submit(&mut e, 0, vec![Param::output(addr_on(2, 0, 0), 4)]);
         assert!(r0);
         assert_eq!(e.resident_on(0), 1);
         // Shard 0 is full; a task spanning both shards must reject whole.
@@ -800,14 +386,16 @@ mod tests {
             Param::output(addr_on(2, 0, 1), 4),
             Param::output(addr_on(2, 1, 1), 4),
         ];
-        let rej = e.try_admit(1, 1, params.clone()).unwrap_err();
-        assert_eq!(rej.shard, 0);
-        assert!(matches!(rej.error, PoolError::PoolFull { .. }));
+        assert_eq!(
+            try_submit(&mut e, 1, params.clone()),
+            Err(SubmitError::CapacityFull { shard: 0, limit: 1 })
+        );
         assert_eq!(e.resident_on(1), 0, "rejection must not touch shard 1");
+        assert_eq!(e.shard(1).pool().in_use(), 0);
         // The retry succeeds once shard 0's resident finishes.
         e.finish(t0);
         assert_eq!(e.resident_on(0), 0);
-        let (t1, r1) = e.submit(1, 1, params).unwrap();
+        let (t1, r1) = submit(&mut e, 1, params);
         assert!(r1);
         assert_eq!((e.resident_on(0), e.resident_on(1)), (1, 1));
         e.finish(t1);
@@ -825,23 +413,18 @@ mod tests {
         let mut done = Vec::new();
         let mut live: Option<TaskId> = None;
         for tag in 0..16u64 {
-            let id = loop {
-                match e.try_admit(1, tag, vec![Param::inout(cell, 4)]) {
-                    Ok((id, _)) => break id,
+            let (id, ready) = loop {
+                match try_submit(&mut e, tag, vec![Param::inout(cell, 4)]) {
+                    Ok(v) => break v,
                     Err(rej) => {
-                        assert_eq!(rej.shard, 0);
+                        assert_eq!(rej.shard(), Some(0));
                         let prev = live.take().expect("stall with nothing resident");
                         done.push(e.finish(prev).tag);
                     }
                 }
             };
-            match e.check(id) {
-                ShardedCheck::Done { ready, .. } => {
-                    // With capacity 1 the predecessor always finished first.
-                    assert!(ready, "tag {tag}");
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            // With capacity 1 the predecessor always finished first.
+            assert!(ready, "tag {tag}");
             live = Some(id);
         }
         done.push(e.finish(live.unwrap()).tag);
@@ -851,10 +434,9 @@ mod tests {
 
     #[test]
     fn unified_errors_attribute_the_shard_and_keep_capacity_distinct() {
-        use nexuspp_core::TaskBuilder;
         let mut e =
             ShardedEngine::with_capacity(2, &NexusConfig::unbounded(), ShardCapacity::Bounded(1));
-        // Bad params are a real error on the Submission path.
+        // Bad params are a real error, and reserve nothing.
         let dup = Submission {
             fptr: 1,
             tag: 0,
@@ -863,64 +445,31 @@ mod tests {
             params: vec![Param::input(0x40, 4), Param::output(0x40, 4)],
         };
         assert_eq!(
-            e.submit_task(dup),
+            e.submit(dup),
             Err(SubmitError::DuplicateAddress { addr: 0x40 })
         );
+        assert_eq!((e.resident_on(0), e.resident_on(1)), (0, 0));
         // Fill shard 0, then watch a spanning task reject as CapacityFull
-        // with the shard named — where the tuple path reports PoolFull.
+        // with the shard named.
         let a0 = addr_on(2, 0, 20);
-        let (t0, _) = e
-            .submit_task(TaskBuilder::new(1).tag(0).writes(a0, 4).build())
+        let (t0, _, _) = e
+            .submit(TaskBuilder::new(1).tag(0).writes(a0, 4).build())
             .unwrap();
         let spanning = TaskBuilder::new(1)
             .tag(1)
             .writes(addr_on(2, 0, 21), 4)
             .writes(addr_on(2, 1, 21), 4)
             .build();
-        assert_eq!(
-            e.submit_task(spanning.clone()),
-            Err(SubmitError::CapacityFull { shard: 0, limit: 1 })
-        );
-        let rej = e.try_admit(1, 1, spanning.params.clone()).unwrap_err();
-        assert!(matches!(rej.error, PoolError::PoolFull { .. }));
-        assert_eq!(SubmitError::from(rej).shard(), Some(0));
+        let rej = e.submit(spanning.clone()).unwrap_err();
+        assert_eq!(rej, SubmitError::CapacityFull { shard: 0, limit: 1 });
+        assert!(rej.is_retryable());
+        assert_eq!(rej.shard(), Some(0));
         // Retry succeeds after the resident finishes.
         e.finish(t0);
-        let (t1, ready) = e.submit_task(spanning).unwrap();
+        let (t1, ready, _) = e.submit(spanning).unwrap();
         assert!(ready);
         e.finish(t1);
         assert_eq!(e.in_flight(), 0);
-    }
-
-    #[test]
-    fn fixed_pool_rejections_surface_through_submit_task() {
-        use nexuspp_core::TaskBuilder;
-        let cfg = NexusConfig {
-            task_pool_entries: 2,
-            ..Default::default()
-        };
-        let mut e = ShardedEngine::new(1, &cfg);
-        e.submit_task(TaskBuilder::new(1).writes(0x40, 4).build())
-            .unwrap();
-        e.submit_task(TaskBuilder::new(1).writes(0x80, 4).build())
-            .unwrap();
-        match e.submit_task(TaskBuilder::new(1).writes(0xC0, 4).build()) {
-            Err(SubmitError::PoolFull {
-                shard: Some(0),
-                needed: 1,
-                ..
-            }) => {}
-            other => panic!("expected attributed PoolFull, got {other:?}"),
-        }
-        // A task larger than the whole pool is structurally rejected.
-        let mut big = TaskBuilder::new(1);
-        for i in 0..64u64 {
-            big = big.writes(0x1000 + i * 64, 4);
-        }
-        match e.try_admit_task(big.build()) {
-            Err(e) => assert!(!e.is_retryable()),
-            Ok(_) => panic!("expected TaskTooLarge"),
-        }
     }
 
     #[test]

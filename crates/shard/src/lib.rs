@@ -8,28 +8,32 @@
 //! This crate breaks that bottleneck while preserving exactly the paper's
 //! readiness semantics:
 //!
-//! * [`engine`] — [`ShardedEngine`]: N independent `DependencyEngine`
-//!   instances composed into one logically-equivalent engine. Parameters
-//!   are routed to shards by address hash (the same SplitMix64 family the
-//!   Dependence Table buckets with, via
-//!   [`shard_of_addr`](nexuspp_core::shard_of_addr)); each involved shard
-//!   holds a *sub-descriptor* with that shard's slice of the parameter
-//!   list; a per-task remote dependence counter aggregated at the home
-//!   record counts shards whose slice is not yet conflict-free. A task is
-//!   ready exactly when every shard slice is — which, because distinct
-//!   addresses impose independent constraints, is exactly the single
-//!   engine's (and the oracle's) readiness predicate. Verified
-//!   differentially in `tests/sharded_differential.rs`. (Batching — the
-//!   paper's buffered TP writes — is modeled where it is timed, in
-//!   `nexuspp_taskmachine::multimaestro`'s `flush_batch`, not here.)
-//! * [`dispatch`] — [`ShardDispatcher`]: the concurrent form. Each shard
+//! * `protocol` (crate-private, `crates/shard/src/protocol.rs`) — the
+//!   sharded protocol, written once: `route` splits a task's parameters
+//!   into per-shard slices by address hash (the same SplitMix64 family
+//!   the Dependence Table buckets with, via
+//!   [`shard_of_addr`](nexuspp_core::shard_of_addr)); `Residency`
+//!   reserves one slot per involved shard, all or nothing, under a
+//!   bounded [`ShardCapacity`](nexuspp_core::ShardCapacity); `Slices` is
+//!   one shard's engine plus its sub-descriptor → home-record map; and
+//!   `Remote` is the per-task remote dependence counter (one unit per
+//!   slice plus a submission guard) whose zero transition makes the task
+//!   ready exactly once. A task is ready exactly when every shard slice
+//!   is — which, because distinct addresses impose independent
+//!   constraints, is exactly the single engine's (and the oracle's)
+//!   readiness predicate.
+//! * [`engine`] — [`ShardedEngine`]: the single-threaded driver, with
+//!   reusable task slots and per-shard operation costs for the timing
+//!   models. Verified differentially in `tests/sharded_differential.rs`.
+//!   (Batching — the paper's buffered TP writes — is modeled where it is
+//!   timed, in `nexuspp_taskmachine::multimaestro`'s `flush_batch`, not
+//!   here.)
+//! * [`dispatch`] — [`ShardDispatcher`]: the threaded driver. Each shard
 //!   sits behind its own lock; finishing a task locks each involved
-//!   shard once to release its slice. Cross-shard readiness is
-//!   aggregated with atomic counters (a submission guard prevents
-//!   half-submitted tasks from being scheduled), and wake delivery runs
-//!   after the shard lock is dropped: the finisher decrements each woken
-//!   task's counter and hands the ones that reach zero straight to its
-//!   own finish report. This is what `Runtime` in `nexuspp-runtime`
+//!   shard once to release its slice, and wake delivery runs after the
+//!   lock is dropped: the finisher releases each woken task's remote
+//!   counter and hands the ones that reach zero straight to its own
+//!   finish report. This is what `Runtime` in `nexuspp-runtime`
 //!   executes on.
 //! * [`budget`] — [`TenantBudgets`]: per-tenant in-flight admission caps
 //!   layered above [`ShardCapacity`](nexuspp_core::ShardCapacity), the
@@ -54,10 +58,11 @@
 pub mod budget;
 pub mod dispatch;
 pub mod engine;
+mod protocol;
 pub mod stress;
 
 pub use budget::{BudgetError, BudgetLane, TenantBudgets, TenantCounts};
 pub use dispatch::{
     CapacityCounts, FinishReport, ShardDispatcher, SubmitResult, TaskTicket, WakeCounts, WakeMode,
 };
-pub use engine::{OpBreakdown, ShardRejection, ShardedCheck, ShardedEngine, ShardedFinish, TaskId};
+pub use engine::{OpBreakdown, ShardedEngine, ShardedFinish, TaskId};

@@ -1,0 +1,218 @@
+//! The sharded resolution protocol, written once. [`ShardedEngine`]
+//! (single-threaded, `&mut self`) and [`ShardDispatcher`] (per-shard
+//! locks) are two drivers of the four rules below; each supplies only
+//! its own concurrency.
+//!
+//! * **Route** ([`route`]) — every parameter address belongs to exactly
+//!   one shard, chosen by [`shard_of_addr`] (high bits of the table's own
+//!   hash family, so the assignment is stable and statistically
+//!   independent of in-shard bucketing). A task's parameter list splits
+//!   into per-shard slices, parameter order kept inside each slice and
+//!   first-touch order across shards.
+//! * **Reserve** ([`Residency`]) — under a bounded [`ShardCapacity`] a
+//!   task holds one residency slot on every shard it touches, reserved
+//!   all-or-nothing before any slice is admitted, so a rejection names
+//!   the first full shard and leaves nothing behind. Each finished slice
+//!   releases its slot: that is the shard's "finish report" a stalled
+//!   submitter resumes on, like the paper's master core on a full Task
+//!   Pool.
+//! * **Admit and check** ([`Slices`]) — each involved shard admits a
+//!   *sub-descriptor* holding its slice and runs the paper's Listing 2
+//!   loop over it against its own Dependence Table, recording which home
+//!   record owns the sub-descriptor.
+//! * **Remote count** ([`Remote`]) — the home record carries a remote
+//!   dependence counter initialized to `slices + 1`. Every slice found (or
+//!   later made) conflict-free releases one unit; the extra unit is a
+//!   *submission guard* released only after every slice is admitted, so
+//!   a task can never become ready half-submitted. Whoever performs the
+//!   transition to zero — the submitter or a finisher — owns the task and
+//!   schedules it, exactly once.
+//! * **Finish** — every involved shard releases its slice and maps the
+//!   sub-descriptors it kicked off to their home records; each is one
+//!   remote release. Wake-ups only ever travel finish → home, so the
+//!   per-shard wakes of one completion commute and the aggregate is
+//!   order-insensitive.
+//!
+//! Equivalence with the single engine is structural: distinct addresses
+//! impose independent constraints in the Dependence Table, so splitting
+//! the table by address partitions both the state and the wake-up traffic
+//! without changing either. `tests/sharded_differential.rs` and
+//! `tests/capacity_differential.rs` check it against the single engine
+//! and the oracle DAG, through both drivers.
+//!
+//! The shard engines must be growable: neither driver can resolve a
+//! mid-admission table stall by waiting (the software structures
+//! virtualize table capacity; the finite-hardware bound is
+//! [`Residency`]).
+//!
+//! [`ShardedEngine`]: crate::ShardedEngine
+//! [`ShardDispatcher`]: crate::ShardDispatcher
+
+use nexuspp_core::engine::CheckProgress;
+use nexuspp_core::{shard_of_addr, DependencyEngine, NexusConfig, OpCost, ShardCapacity, TdIndex};
+use nexuspp_trace::Param;
+use std::sync::atomic::{AtomicU32, Ordering};
+
+/// A task's per-shard slices, in first-touch order.
+pub(crate) type Route = Vec<(u32, Vec<Param>)>;
+
+/// Split a parameter list into per-shard slices by [`shard_of_addr`].
+pub(crate) fn route(params: &[Param], n_shards: usize) -> Route {
+    let mut groups: Route = Vec::new();
+    for p in params {
+        let s = shard_of_addr(p.addr, n_shards) as u32;
+        match groups.iter_mut().find(|(g, _)| *g == s) {
+            Some((_, v)) => v.push(*p),
+            None => groups.push((s, vec![*p])),
+        }
+    }
+    groups
+}
+
+/// Per-shard residency counts under a [`ShardCapacity`].
+#[derive(Debug)]
+pub(crate) struct Residency {
+    capacity: ShardCapacity,
+    resident: Box<[AtomicU32]>,
+}
+
+impl Residency {
+    pub(crate) fn new(n_shards: usize, capacity: ShardCapacity) -> Self {
+        capacity.validate();
+        Residency {
+            capacity,
+            resident: (0..n_shards).map(|_| AtomicU32::new(0)).collect(),
+        }
+    }
+
+    pub(crate) fn capacity(&self) -> ShardCapacity {
+        self.capacity
+    }
+
+    /// Tasks holding a slot on shard `s` (0 when unbounded).
+    pub(crate) fn resident(&self, s: usize) -> usize {
+        self.resident[s].load(Ordering::Acquire) as usize
+    }
+
+    /// Reserve one slot on every shard of `route`, in route order. On the
+    /// first full shard, roll back what was taken and name that shard.
+    pub(crate) fn try_reserve(&self, route: &Route) -> Result<(), u32> {
+        if !self.capacity.is_bounded() {
+            return Ok(());
+        }
+        for (i, (s, _)) in route.iter().enumerate() {
+            let reserved = self.resident[*s as usize]
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| {
+                    self.capacity.admits(r as usize).then_some(r + 1)
+                })
+                .is_ok();
+            if !reserved {
+                for (t, _) in &route[..i] {
+                    self.release(*t);
+                }
+                return Err(*s);
+            }
+        }
+        Ok(())
+    }
+
+    /// Give back shard `s`'s slot of one finished (or rolled-back) slice.
+    pub(crate) fn release(&self, s: u32) {
+        if self.capacity.is_bounded() {
+            self.resident[s as usize].fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+}
+
+/// One shard's state: its [`DependencyEngine`] plus the map from each
+/// live sub-descriptor to the home record `H` of the task that owns it.
+#[derive(Debug)]
+pub(crate) struct Slices<H> {
+    engine: DependencyEngine,
+    owner: Vec<Option<H>>,
+}
+
+impl<H: Clone> Slices<H> {
+    pub(crate) fn new(cfg: &NexusConfig) -> Self {
+        Slices {
+            engine: DependencyEngine::new(cfg),
+            owner: Vec::new(),
+        }
+    }
+
+    pub(crate) fn engine(&self) -> &DependencyEngine {
+        &self.engine
+    }
+
+    /// Admit and check one slice on behalf of `home`. Returns the
+    /// sub-descriptor, whether the slice is conflict-free, and the pool
+    /// and table work done.
+    pub(crate) fn submit(
+        &mut self,
+        fptr: u64,
+        tag: u64,
+        slice: Vec<Param>,
+        home: H,
+    ) -> (TdIndex, bool, OpCost) {
+        let (td, admit) = self
+            .engine
+            .admit(fptr, tag, slice)
+            .expect("growable engine cannot reject");
+        let CheckProgress::Done { ready, cost } = self.engine.check(td) else {
+            unreachable!("growable engine cannot stall");
+        };
+        let i = td.0 as usize;
+        if i >= self.owner.len() {
+            self.owner.resize_with(i + 1, || None);
+        }
+        self.owner[i] = Some(home);
+        (td, ready, admit + cost)
+    }
+
+    /// Finish one slice: release it in the engine, clear its owner, and
+    /// return the home records of the sub-descriptors it kicked off (one
+    /// [`Remote::release`] each is due) with the work done.
+    pub(crate) fn release(&mut self, td: TdIndex) -> (Vec<H>, OpCost) {
+        let fin = self.engine.finish(td);
+        self.owner[td.0 as usize] = None;
+        let woken = fin
+            .newly_ready
+            .iter()
+            .map(|w| {
+                self.owner[w.0 as usize]
+                    .clone()
+                    .expect("woken sub-descriptor must have an owner")
+            })
+            .collect();
+        (woken, fin.cost)
+    }
+}
+
+/// A task's remote dependence counter: its unready slices plus the
+/// submission guard.
+#[derive(Debug)]
+pub(crate) struct Remote(AtomicU32);
+
+impl Remote {
+    /// The counter of a task routed to `slices` shards, guard held.
+    pub(crate) fn new(slices: usize) -> Self {
+        Remote(AtomicU32::new(slices as u32 + 1))
+    }
+
+    /// Release one unit: a conflict-free slice, a remote wake, or the
+    /// guard. True only for the release that reaches zero — its caller
+    /// owns the task. The `AcqRel` chain orders everything every earlier
+    /// releaser did (the submitter's payload store included) before the
+    /// owner's hand-off.
+    pub(crate) fn release(&self) -> bool {
+        let before = self.0.fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(before > 0, "remote decrement below zero");
+        before == 1
+    }
+
+    /// True once every unit has been released (the task is, or was,
+    /// ready).
+    pub(crate) fn is_zero(&self) -> bool {
+        self.0.load(Ordering::Acquire) == 0
+    }
+}

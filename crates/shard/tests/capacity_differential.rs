@@ -3,6 +3,9 @@
 //! retry on full shards — must execute exactly the same task set, under
 //! exactly the same readiness constraints, as the unbounded sharded
 //! engine, the single [`DependencyEngine`], and the explicit-DAG oracle.
+//! A second arm holds the bounded *dispatcher* to the oracle the same
+//! way, through the service's call: `try_submit` → `CapacityFull` →
+//! finish a ready task → retry.
 //!
 //! Strategy: random task streams over small address sets (heavy
 //! RAW/WAW/WAR collision), submitted in program order to all four
@@ -18,18 +21,19 @@
 //!
 //! Swept: shard count N ∈ {1, 2, 4} × capacity C ∈ {1, 2, 8, ∞}. At
 //! C = 1 almost every submission stalls (the deepest interleaving); at
-//! C = ∞ the bounded engine degenerates to the unbounded one and the
+//! C = ∞ the bounded resolvers degenerate to unbounded ones and the
 //! harness doubles as a no-regression check.
 
 use nexuspp_core::oracle::OracleResolver;
-use nexuspp_core::pool::PoolError;
-use nexuspp_core::{DependencyEngine, NexusConfig, ShardCapacity, TdIndex};
+use nexuspp_core::{
+    DependencyEngine, NexusConfig, ShardCapacity, Submission, SubmitError, TdIndex,
+};
 use nexuspp_desim::Rng;
-use nexuspp_shard::{ShardedCheck, ShardedEngine, TaskId};
+use nexuspp_shard::{ShardDispatcher, ShardedEngine, TaskId, TaskTicket};
 use nexuspp_trace::normalize::normalize_params;
 use nexuspp_trace::{AccessMode, Param};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 #[derive(Debug, Clone)]
 struct GenTask {
@@ -178,11 +182,9 @@ fn run_capacity_differential(
 
     for (tag, task) in tasks.iter().enumerate() {
         let tag = tag as u64;
+        let sub = Submission::from((0xF, tag, task.params.clone()));
         // The reference resolvers ingest unconditionally.
-        let (uid, u_ready) = quad
-            .unbounded
-            .submit(0xF, tag, task.params.clone())
-            .unwrap();
+        let (uid, u_ready, _) = quad.unbounded.submit(sub.clone()).unwrap();
         quad.uid_of_tag.insert(tag, uid);
         if u_ready {
             quad.unbounded_ready.insert(tag);
@@ -196,33 +198,25 @@ fn run_capacity_differential(
         assert_eq!(oid as u64, tag);
         // The bounded engine stalls and retries: every rejection is
         // retryable, names a full shard, and resolves after completions.
-        let bid = loop {
-            match quad.bounded.try_admit(0xF, tag, task.params.clone()) {
-                Ok((id, _)) => break id,
-                Err(rej) => {
-                    assert!(
-                        matches!(rej.error, PoolError::PoolFull { .. }),
-                        "capacity rejections must be retryable: {rej:?}"
-                    );
-                    let limit = capacity.limit().expect("unbounded engines cannot stall");
+        let (bid, b_ready) = loop {
+            match quad.bounded.submit(sub.clone()) {
+                Ok((id, ready, _)) => break (id, ready),
+                Err(SubmitError::CapacityFull { shard, limit }) => {
+                    assert_eq!(Some(limit), capacity.limit());
                     assert_eq!(
-                        quad.bounded.resident_on(rej.shard as usize),
+                        quad.bounded.resident_on(shard as usize),
                         limit,
                         "rejection from a shard that is not actually full"
                     );
                     stall_resumes += 1;
                     quad.finish_one(&mut rng);
                 }
+                Err(e) => panic!("only capacity rejections are expected: {e}"),
             }
         };
         quad.bid_of_tag.insert(tag, bid);
-        match quad.bounded.check(bid) {
-            ShardedCheck::Done { ready, .. } => {
-                if ready {
-                    quad.bounded_ready.insert(tag);
-                }
-            }
-            other => panic!("growable tables cannot stall mid-check: {other:?}"),
+        if b_ready {
+            quad.bounded_ready.insert(tag);
         }
         // Stable point: every resolver has fully ingested the task.
         quad.assert_ready_sets_match(&format!(
@@ -263,6 +257,100 @@ fn run_capacity_differential(
     }
 }
 
+/// The dispatcher arm: a bounded [`ShardDispatcher`] driven in lockstep
+/// against the oracle through `try_submit`. A `CapacityFull` must name a
+/// shard that really is full; the driver then finishes a commonly-ready
+/// task and retries. Ready sets match at every stable point, and at the
+/// end nothing is resident and no stall episode was opened (`try_submit`
+/// never parks).
+fn run_dispatcher_arm(tasks: &[GenTask], n_shards: usize, capacity: ShardCapacity, seed: u64) {
+    let d = ShardDispatcher::<u64>::with_capacity(n_shards, &NexusConfig::unbounded(), capacity);
+    let mut oracle = OracleResolver::new();
+    let mut rng = Rng::new(seed);
+    // tag → ticket; the key set is the dispatcher's ready set.
+    let mut ready: BTreeMap<u64, TaskTicket<u64>> = BTreeMap::new();
+    let mut stall_resumes = 0u64;
+
+    let oracle_ready = |oracle: &OracleResolver| -> BTreeSet<u64> {
+        oracle.ready_set().into_iter().map(|i| i as u64).collect()
+    };
+    let mut finish_one = |ready: &mut BTreeMap<u64, TaskTicket<u64>>,
+                          oracle: &mut OracleResolver| {
+        let common = oracle_ready(oracle);
+        let candidates: Vec<u64> = ready
+            .keys()
+            .copied()
+            .filter(|t| common.contains(t))
+            .collect();
+        assert!(
+            !candidates.is_empty(),
+            "no commonly-ready task: the bounded dispatcher is deadlocked or diverged"
+        );
+        let pick = candidates[rng.gen_range(candidates.len() as u64) as usize];
+        let ticket = ready.remove(&pick).expect("picked from the ready set");
+        for (t, payload) in d.finish(ticket).woken {
+            assert_eq!(t.tag(), payload, "payload must travel with its task");
+            ready.insert(payload, t);
+        }
+        oracle.finish(pick as usize);
+    };
+
+    for (tag, task) in tasks.iter().enumerate() {
+        let tag = tag as u64;
+        let mut payload = tag;
+        let r = loop {
+            match d.try_submit(0xF, tag, &task.params, payload) {
+                Ok(r) => break r,
+                Err((SubmitError::CapacityFull { shard, limit }, p)) => {
+                    assert_eq!(Some(limit), capacity.limit());
+                    assert_eq!(
+                        d.capacity_counts()[shard as usize].resident,
+                        limit,
+                        "rejection from a shard that is not actually full"
+                    );
+                    payload = p;
+                    stall_resumes += 1;
+                    finish_one(&mut ready, &mut oracle);
+                }
+                Err((e, _)) => panic!("only capacity rejections are expected: {e}"),
+            }
+        };
+        if let Some(p) = r.ready {
+            ready.insert(p, r.ticket);
+        }
+        let (oid, _) = oracle.submit(&task.params);
+        assert_eq!(oid as u64, tag);
+        assert_eq!(
+            ready.keys().copied().collect::<BTreeSet<u64>>(),
+            oracle_ready(&oracle),
+            "dispatcher diverges after submitting task {tag} (N={n_shards}, C={capacity})"
+        );
+    }
+    while !ready.is_empty() {
+        finish_one(&mut ready, &mut oracle);
+        assert_eq!(
+            ready.keys().copied().collect::<BTreeSet<u64>>(),
+            oracle_ready(&oracle),
+            "dispatcher diverges during drain (N={n_shards}, C={capacity})"
+        );
+    }
+    assert!(oracle.all_done(), "oracle has unfinished tasks");
+    assert_eq!(d.sub_descriptors_in_flight(), 0);
+    for (s, c) in d.capacity_counts().iter().enumerate() {
+        assert_eq!(c.resident, 0, "shard {s} leaked residency slots");
+        assert_eq!(c.stalls_observed, 0, "try_submit opened a stall episode");
+    }
+    if capacity == ShardCapacity::Bounded(1) && tasks.len() > n_shards {
+        assert!(stall_resumes > 0, "C=1 never stalled the dispatcher");
+    }
+}
+
+/// Both bounded resolvers over one (N, C) point.
+fn run_both_arms(tasks: &[GenTask], n_shards: usize, capacity: ShardCapacity, seed: u64) {
+    run_capacity_differential(tasks, n_shards, capacity, seed);
+    run_dispatcher_arm(tasks, n_shards, capacity, seed);
+}
+
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const CAPACITIES: [ShardCapacity; 4] = [
     ShardCapacity::Bounded(1),
@@ -282,7 +370,7 @@ proptest! {
     ) {
         for n in SHARD_COUNTS {
             for c in CAPACITIES {
-                run_capacity_differential(&tasks, n, c, seed);
+                run_both_arms(&tasks, n, c, seed);
             }
         }
     }
@@ -296,7 +384,7 @@ proptest! {
     ) {
         for n in SHARD_COUNTS {
             for c in [ShardCapacity::Bounded(1), ShardCapacity::Bounded(2)] {
-                run_capacity_differential(&tasks, n, c, seed);
+                run_both_arms(&tasks, n, c, seed);
             }
         }
     }
@@ -327,7 +415,7 @@ fn soak_capacity_sweep_deterministic() {
     }
     for n in SHARD_COUNTS {
         for c in CAPACITIES {
-            run_capacity_differential(&tasks, n, c, 77);
+            run_both_arms(&tasks, n, c, 77);
         }
     }
 }

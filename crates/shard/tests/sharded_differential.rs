@@ -7,25 +7,28 @@
 //! picked randomly (seeded) among the commonly-ready tasks; the three
 //! ready sets compared order-insensitively at every stable point (after
 //! each task is fully submitted everywhere, and after every completion in
-//! the drain phase). Run once with a roomy growable configuration (pure
-//! protocol) and once with deliberately tiny fixed capacities so
-//! pool-full rejections and dependence-table-full stall/resume paths are
-//! on the hot path for both the single and the sharded engine — whichever
-//! stalls first, the stall is resolved by finishing ready tasks in *all
-//! three* resolvers, like the real machines.
+//! the drain phase). The single engine runs once with a roomy growable
+//! configuration (pure protocol) and once with deliberately tiny fixed
+//! capacities so pool-full rejections and dependence-table-full
+//! stall/resume paths are on its hot path; a stall is resolved by
+//! finishing ready tasks in *all three* resolvers, like the real
+//! machines. The sharded engine always runs growable — the sharded
+//! drivers have no fixed-table path; their finite-hardware bound is
+//! residency, which `capacity_differential.rs` sweeps.
 //!
-//! Mid-submission (while one resolver's check is stalled and completions
-//! are being used to free space) the sets may transiently differ by the
-//! in-flight task — one resolver may already consider it wakeable while
-//! the oracle has not seen it — which is why comparisons happen at stable
-//! points and completions are drawn from the intersection.
+//! Mid-submission (while the single engine's check is stalled and
+//! completions are being used to free space) the sets may transiently
+//! differ by the in-flight task — the sharded engine may already consider
+//! it ready while the oracle has not seen it — which is why comparisons
+//! happen at stable points and completions are drawn from the
+//! intersection.
 
 use nexuspp_core::engine::CheckProgress;
 use nexuspp_core::oracle::OracleResolver;
 use nexuspp_core::pool::PoolError;
-use nexuspp_core::{DependencyEngine, NexusConfig, TdIndex};
+use nexuspp_core::{DependencyEngine, NexusConfig, Submission, TdIndex};
 use nexuspp_desim::Rng;
-use nexuspp_shard::{ShardDispatcher, ShardedCheck, ShardedEngine, TaskId, TaskTicket};
+use nexuspp_shard::{ShardDispatcher, ShardedEngine, TaskId, TaskTicket};
 use nexuspp_trace::normalize::normalize_params;
 use nexuspp_trace::{AccessMode, Param};
 use proptest::prelude::*;
@@ -71,7 +74,7 @@ impl Trio {
     fn new(cfg: &NexusConfig, n_shards: usize) -> Self {
         Trio {
             single: DependencyEngine::new(cfg),
-            sharded: ShardedEngine::new(n_shards, cfg),
+            sharded: ShardedEngine::new(n_shards, &NexusConfig::unbounded()),
             oracle: OracleResolver::new(),
             td_of_tag: HashMap::new(),
             id_of_tag: HashMap::new(),
@@ -151,21 +154,19 @@ fn run_differential(tasks: &[GenTask], cfg: &NexusConfig, n_shards: usize, seed:
             }
         };
         trio.td_of_tag.insert(tag, td);
-        // Admit into the sharded engine (its per-shard pools fill at
-        // different times; retry the same way).
-        let id = loop {
-            match trio.sharded.admit(0xF, tag, task.params.clone()) {
-                Ok((id, _)) => break id,
-                Err(PoolError::PoolFull { .. }) => trio.finish_one(&mut rng),
-                Err(e @ PoolError::TaskTooLarge { .. }) => {
-                    panic!("generator produced an unexecutable task: {e:?}")
-                }
-            }
-        };
+        // The sharded engine admits and checks in one call.
+        let sub = Submission::from((0xF, tag, task.params.clone()));
+        let (id, ready, _) = trio
+            .sharded
+            .submit(sub)
+            .expect("growable engine admits all");
         trio.id_of_tag.insert(tag, id);
-        // Check both, resuming either across table-full stalls. Wake-ups
-        // that land on the in-flight task during the stall interleave are
-        // absorbed by each resolver's own ready set.
+        if ready {
+            trio.sharded_ready.insert(tag);
+        }
+        // Check the single engine, resuming across table-full stalls.
+        // Wake-ups that land on the in-flight task during the stall
+        // interleave are absorbed by each resolver's own ready set.
         loop {
             match trio.single.check(td) {
                 CheckProgress::Done { ready, .. } => {
@@ -175,17 +176,6 @@ fn run_differential(tasks: &[GenTask], cfg: &NexusConfig, n_shards: usize, seed:
                     break;
                 }
                 CheckProgress::Stalled { .. } => trio.finish_one(&mut rng),
-            }
-        }
-        loop {
-            match trio.sharded.check(id) {
-                ShardedCheck::Done { ready, .. } => {
-                    if ready {
-                        trio.sharded_ready.insert(tag);
-                    }
-                    break;
-                }
-                ShardedCheck::Stalled { .. } => trio.finish_one(&mut rng),
             }
         }
         let (oid, _) = trio.oracle.submit(&task.params);
@@ -291,9 +281,8 @@ proptest! {
     }
 
     /// Tiny fixed configuration: dummy tasks, kick-off extensions,
-    /// pool-full and table-full stall/resume on the hot path — in the
-    /// single engine and in individual shards (whose smaller partitions
-    /// stall at different points).
+    /// pool-full and table-full stall/resume on the single engine's hot
+    /// path, against the growable sharded engine.
     #[test]
     fn sharded_matches_single_and_oracle_tiny_fixed(
         tasks in prop::collection::vec(task_strategy(8, 4), 1..40),
@@ -343,9 +332,9 @@ proptest! {
     }
 }
 
-/// A long deterministic soak through the tiny fixed configuration at
-/// every shard count: thousands of tasks, heavier than the proptest
-/// cases.
+/// A long deterministic soak through the tiny fixed configuration (the
+/// single engine's) at every shard count: thousands of tasks, heavier
+/// than the proptest cases.
 #[test]
 fn soak_tiny_config_deterministic() {
     let mut rng = Rng::new(0x5AAD_BEEF);

@@ -6,7 +6,9 @@
 //! Dependence Table), this module models the scaled-out design the
 //! ROADMAP's north star asks for: **S** Maestro shards, each owning an
 //! address partition with its own Task Pool slice and Dependence Table
-//! (the semantics of [`ShardedEngine`]), fed through a **crossbar** —
+//! (the semantics of [`ShardedEngine`], the single-threaded driver of the
+//! sharded protocol the threaded dispatcher also runs), fed through a
+//! **crossbar** —
 //! per-shard round-robin arbiters over the request lines of the master
 //! core and every worker's finish stream, the same
 //! [`RoundRobinArbiter`] scan the single Maestro's `Send TDs` /
@@ -38,17 +40,18 @@
 //!   memory modeling is out of scope here (use `machine` for that).
 //!
 //! The semantic engine runs eagerly at job *generation* (the model's
-//! event order is a legal serial execution), so this mode inherits the
+//! event order is a legal serial execution): one `ShardedEngine::submit`
+//! per prepared task — a whole-task residency rejection is the master's
+//! stall — and one `finish` per completion. So this mode inherits the
 //! differentially-verified readiness semantics unchanged; only time is
 //! modeled around it.
 
-use nexuspp_core::pool::PoolError;
-use nexuspp_core::{NexusConfig, ShardCapacity};
+use nexuspp_core::{NexusConfig, ShardCapacity, Submission};
 use nexuspp_desim::clock::NEXUS_CLOCK_MHZ;
 use nexuspp_desim::stats::BusyTracker;
 use nexuspp_desim::{Clock, RoundRobinArbiter, Scheduler, SimTime};
 use nexuspp_hw::SramTiming;
-use nexuspp_shard::{ShardedCheck, ShardedEngine, TaskId};
+use nexuspp_shard::{ShardedEngine, TaskId};
 use nexuspp_trace::Trace;
 use std::collections::VecDeque;
 
@@ -439,21 +442,20 @@ impl<'t> Sim<'t> {
         self.poll_master();
     }
 
-    /// Admit the prepared trace record at `idx` into the sharded engine,
+    /// Submit the prepared trace record at `idx` into the sharded engine,
     /// or park the master on the full shard (stall episode counted once,
     /// against the first rejecting shard).
     fn ingest(&mut self, idx: usize) {
         let rec = &self.trace.tasks[idx];
-        let (id, admit_cost) = match self.engine.try_admit(rec.fptr, rec.id, rec.params.clone()) {
+        let sub = Submission::from((rec.fptr, rec.id, rec.params.clone()));
+        let (id, ready, cost) = match self.engine.submit(sub) {
             Ok(v) => v,
-            Err(rej) => {
-                debug_assert!(
-                    matches!(rej.error, PoolError::PoolFull { .. }),
-                    "residency rejections are always retryable: {rej:?}"
-                );
+            Err(e) => {
+                assert!(e.is_retryable(), "malformed trace record {}: {e}", rec.id);
+                let shard = e.shard().expect("capacity rejections name their shard");
                 if self.episode_shard.is_none() {
-                    self.episode_shard = Some(rej.shard);
-                    self.shard_stalls[rej.shard as usize] += 1;
+                    self.episode_shard = Some(shard);
+                    self.shard_stalls[shard as usize] += 1;
                 }
                 self.parked = Some(idx);
                 // The stalled master sends nothing more; ship what it
@@ -468,10 +470,6 @@ impl<'t> Sim<'t> {
             self.shard_retries_resolved[first as usize] += 1;
         }
         self.in_window += 1;
-        let (ready, check_cost) = match self.engine.check(id) {
-            ShardedCheck::Done { ready, cost } => (ready, cost),
-            ShardedCheck::Stalled { .. } => unreachable!("growable engine cannot stall"),
-        };
         if !ready {
             self.kickoffs_expected += 1;
         }
@@ -482,18 +480,12 @@ impl<'t> Sim<'t> {
             submit_done: false,
             woken: false,
         };
-        // Fold admit+check into one per-shard access tally.
-        let mut per_shard: Vec<(u32, u64)> = Vec::new();
-        for (s, c) in admit_cost
+        // One admit+check access tally per shard.
+        let per_shard: Vec<(u32, u64)> = cost
             .per_shard
             .iter()
-            .chain(check_cost.per_shard.iter())
-        {
-            match per_shard.iter_mut().find(|(g, _)| g == s) {
-                Some((_, n)) => *n += c.total(),
-                None => per_shard.push((*s, c.total())),
-            }
-        }
+            .map(|(s, c)| (*s, c.total()))
+            .collect();
         self.batch_buf.push((id, ready, per_shard));
         if self.batch_buf.len() >= self.cfg.batch {
             self.flush_batch();
