@@ -1192,8 +1192,7 @@ pub fn capacity(opts: &ExpOptions) -> Experiment {
 pub fn observe(opts: &ExpOptions) -> Experiment {
     use nexuspp_frontend::Lowering;
     use nexuspp_obs::{
-        chrome_trace, latency_breakdown, observed_critical_path, timelines, validate_json,
-        EventKind, LatencyStats, Recorder,
+        chrome_trace, validate_json, EventKind, GraphTracker, LatencyStats, Recorder,
     };
     use nexuspp_runtime::Runtime;
     use nexuspp_sched::SchedulerKind;
@@ -1250,10 +1249,11 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
     let wake = rt.wake_counts();
     let snap = rt.metrics().snapshot();
     let events = rec.drain();
+    let mut tracker = GraphTracker::new();
+    tracker.apply_batch(&events);
 
     // Table 1: per-task latency breakdown.
-    let tl = timelines(&events);
-    let breakdown = latency_breakdown(&tl);
+    let breakdown = tracker.snapshot().stages;
     let mut lat_t = TextTable::new(vec!["phase", "tasks", "mean us", "p50 us", "max us"]);
     let us = |ns: u64| f2(ns as f64 / 1e3);
     let mut lat_row = |phase: &str, s: &LatencyStats| {
@@ -1303,7 +1303,7 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
     });
 
     // Table 3: observed vs structural critical path.
-    let observed = observed_critical_path(&events);
+    let observed = tracker.critical_path();
     let mut cp_t = TextTable::new(vec!["critical path", "length (tasks)"]);
     cp_t.row(vec![
         "structural (lowered DAG)".into(),

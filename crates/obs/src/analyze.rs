@@ -1,23 +1,32 @@
-//! Event-stream analysis: per-task timelines, latency breakdowns, and
-//! the observed critical path.
+//! The shapes of event-stream analysis: per-task timelines, latency
+//! breakdowns, and the observed critical path.
 //!
-//! The observed critical path is reconstructed purely from the wake
-//! edges the runtime actually exercised: every [`EventKind::Ready`]
-//! event carries the tag of the finishing task that released it (or
-//! [`NO_TASK`] if the task was ready at submission). Chaining those
-//! edges backwards from every task gives each task a *depth* — ready
-//! at submit is depth 1, a task woken by a depth-`d` finisher is depth
-//! `d + 1` — and the maximum depth is the length of the longest
-//! realized dependence chain. On a correctly-ordered run this equals
-//! the structural critical path `parallelism_profile` computes from
-//! the task graph, which `repro -- observe` asserts for
+//! The fold that fills them is [`GraphTracker`]: one record per task,
+//! and each record's timeline is a [`TaskTimeline`]. This module keeps
+//! the result types, the one stage computation ([`breakdown`], which
+//! [`GraphTracker::snapshot`] calls) and two thin wrappers,
+//! [`timelines`] and [`latency_breakdown`], which replay a drained
+//! stream through a fresh tracker for post-mortem callers.
+//!
+//! The observed critical path ([`GraphTracker::critical_path`]) is
+//! reconstructed purely from the wake edges the runtime actually
+//! exercised: every [`EventKind::Ready`](crate::EventKind::Ready) event
+//! carries the tag of the finishing task that released it (or
+//! [`NO_TASK`](crate::NO_TASK) if the task was ready at submission).
+//! Chaining those edges backwards from every task gives each task a
+//! *depth* — ready at submit is depth 1, a task woken by a depth-`d`
+//! finisher is depth `d + 1` — and the maximum depth is the length of
+//! the longest realized dependence chain. On a correctly-ordered run
+//! this equals the structural critical path `parallelism_profile`
+//! computes from the task graph, which `repro -- observe` asserts for
 //! `version_stress`.
 
-use crate::event::{Event, EventKind, NO_TASK, NO_WORKER};
-use std::collections::{BTreeMap, HashMap};
+use crate::event::Event;
+use crate::tracker::GraphTracker;
+use std::collections::BTreeMap;
 
 /// The recorded journey of one task.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskTimeline {
     /// `ts_ns` of the task's `Submitted` event.
     pub submitted: Option<u64>,
@@ -29,41 +38,19 @@ pub struct TaskTimeline {
     pub exec_done: Option<u64>,
     /// `ts_ns` of the task's `Finished` event.
     pub finished: Option<u64>,
-    /// Worker that executed it, or [`NO_WORKER`].
+    /// Worker that executed it, or [`NO_WORKER`](crate::NO_WORKER).
     pub worker: u32,
     /// The finisher that released it, or `None` if ready at submit.
     pub waker: Option<u64>,
 }
 
 /// Fold an event batch into per-task timelines (keyed by task tag;
-/// events with `task == NO_TASK` are skipped).
+/// events with `task == NO_TASK` are skipped) by replaying it through a
+/// fresh [`GraphTracker`].
 pub fn timelines(events: &[Event]) -> BTreeMap<u64, TaskTimeline> {
-    let mut map: BTreeMap<u64, TaskTimeline> = BTreeMap::new();
-    for e in events {
-        if e.task == NO_TASK {
-            continue;
-        }
-        let t = map.entry(e.task).or_default();
-        match e.kind {
-            EventKind::Submitted => t.submitted = Some(e.ts_ns),
-            EventKind::Ready => {
-                t.ready = Some(e.ts_ns);
-                if e.aux != NO_TASK {
-                    t.waker = Some(e.aux);
-                }
-            }
-            EventKind::ExecStart => {
-                t.exec_start = Some(e.ts_ns);
-                if e.worker != NO_WORKER {
-                    t.worker = e.worker;
-                }
-            }
-            EventKind::ExecDone => t.exec_done = Some(e.ts_ns),
-            EventKind::Finished => t.finished = Some(e.ts_ns),
-            _ => {}
-        }
-    }
-    map
+    let mut tracker = GraphTracker::new();
+    tracker.apply_batch(events);
+    tracker.timelines().map(|(&task, tl)| (task, *tl)).collect()
 }
 
 /// Order statistics over one latency population.
@@ -114,22 +101,30 @@ pub struct LatencyBreakdown {
     pub done_to_finish: LatencyStats,
 }
 
-/// Compute the per-stage latency breakdown from task timelines.
-pub fn latency_breakdown(tl: &BTreeMap<u64, TaskTimeline>) -> LatencyBreakdown {
-    let stage = |f: &dyn Fn(&TaskTimeline) -> Option<(u64, u64)>| {
+/// The four stages over a set of timelines, each from the tasks that
+/// recorded both of its endpoints.
+pub(crate) fn breakdown<'a>(
+    tls: impl Iterator<Item = &'a TaskTimeline> + Clone,
+) -> LatencyBreakdown {
+    let stage = |f: fn(&TaskTimeline) -> Option<(u64, u64)>| {
         LatencyStats::from_samples(
-            tl.values()
+            tls.clone()
                 .filter_map(f)
                 .map(|(a, b)| b.saturating_sub(a))
                 .collect(),
         )
     };
     LatencyBreakdown {
-        submit_to_ready: stage(&|t| Some((t.submitted?, t.ready?))),
-        ready_to_start: stage(&|t| Some((t.ready?, t.exec_start?))),
-        start_to_done: stage(&|t| Some((t.exec_start?, t.exec_done?))),
-        done_to_finish: stage(&|t| Some((t.exec_done?, t.finished?))),
+        submit_to_ready: stage(|t| Some((t.submitted?, t.ready?))),
+        ready_to_start: stage(|t| Some((t.ready?, t.exec_start?))),
+        start_to_done: stage(|t| Some((t.exec_start?, t.exec_done?))),
+        done_to_finish: stage(|t| Some((t.exec_done?, t.finished?))),
     }
+}
+
+/// Compute the per-stage latency breakdown from task timelines.
+pub fn latency_breakdown(tl: &BTreeMap<u64, TaskTimeline>) -> LatencyBreakdown {
+    breakdown(tl.values())
 }
 
 /// The longest realized wake chain in an event stream.
@@ -141,73 +136,10 @@ pub struct ObservedCriticalPath {
     pub chain: Vec<u64>,
 }
 
-/// Extract the observed critical path from the wake edges in `events`.
-pub fn observed_critical_path(events: &[Event]) -> ObservedCriticalPath {
-    // task -> waker (None = ready at submit, or waker unknown).
-    let mut waker: HashMap<u64, Option<u64>> = HashMap::new();
-    for e in events {
-        if e.kind == EventKind::Ready && e.task != NO_TASK {
-            waker.insert(e.task, (e.aux != NO_TASK).then_some(e.aux));
-        }
-    }
-    // Each task has at most one waker, so the edges form a forest:
-    // walk each chain to its root iteratively (chains can be thousands
-    // deep), then unwind assigning depths. A malformed stream with a
-    // cyclic edge is cut rather than looped on.
-    let mut depth: HashMap<u64, usize> = HashMap::new();
-    for &start in waker.keys() {
-        if depth.contains_key(&start) {
-            continue;
-        }
-        let mut path = Vec::new();
-        let mut on_path: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut cur = start;
-        let mut base = 0usize;
-        loop {
-            if let Some(&d) = depth.get(&cur) {
-                base = d;
-                break;
-            }
-            if !on_path.insert(cur) {
-                break; // cycle: treat the repeated node's waker as depth 0
-            }
-            path.push(cur);
-            match waker.get(&cur).copied().flatten() {
-                // An unobserved waker (outside the stream) counts depth 0.
-                Some(w) if waker.contains_key(&w) => cur = w,
-                _ => break,
-            }
-        }
-        for node in path.into_iter().rev() {
-            base += 1;
-            depth.insert(node, base);
-        }
-    }
-    let Some((&deepest, &len)) = depth
-        .iter()
-        .max_by_key(|&(t, d)| (*d, std::cmp::Reverse(*t)))
-    else {
-        return ObservedCriticalPath::default();
-    };
-    let mut chain = vec![deepest];
-    let mut cur = deepest;
-    while chain.len() < len {
-        match waker.get(&cur).copied().flatten() {
-            Some(w) => {
-                chain.push(w);
-                cur = w;
-            }
-            None => break,
-        }
-    }
-    chain.reverse();
-    ObservedCriticalPath { length: len, chain }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{NO_SHARD, NO_TASK};
+    use crate::event::{EventKind, NO_SHARD, NO_TASK, NO_WORKER};
 
     fn ev(seq: u64, kind: EventKind, task: u64, aux: u64, ts_ns: u64) -> Event {
         Event {
@@ -219,6 +151,12 @@ mod tests {
             worker: 0,
             ts_ns,
         }
+    }
+
+    fn fold(events: &[Event]) -> GraphTracker {
+        let mut tracker = GraphTracker::new();
+        tracker.apply_batch(events);
+        tracker
     }
 
     #[test]
@@ -238,6 +176,10 @@ mod tests {
         assert_eq!(b.start_to_done.max_ns, 400);
         assert_eq!(b.done_to_finish.max_ns, 50);
         assert_eq!(b.start_to_done.count, 1);
+        assert_eq!(fold(&events).snapshot().stages, b);
+        // A task that never started ran on no worker.
+        let submitted_only = timelines(&events[..1]);
+        assert_eq!(submitted_only[&1].worker, NO_WORKER);
     }
 
     #[test]
@@ -249,7 +191,7 @@ mod tests {
             ev(2, EventKind::Ready, 2, 1, 10),
             ev(3, EventKind::Ready, 3, 2, 20),
         ];
-        let cp = observed_critical_path(&events);
+        let cp = fold(&events).critical_path();
         assert_eq!(cp.length, 3);
         assert_eq!(cp.chain, vec![1, 2, 3]);
     }
@@ -261,7 +203,7 @@ mod tests {
         for t in 1..n {
             events.push(ev(t, EventKind::Ready, t, t - 1, t));
         }
-        let cp = observed_critical_path(&events);
+        let cp = fold(&events).critical_path();
         assert_eq!(cp.length, n as usize);
         assert_eq!(cp.chain.len(), n as usize);
         assert_eq!(cp.chain[0], 0);
@@ -269,7 +211,7 @@ mod tests {
 
     #[test]
     fn empty_stream_has_empty_path() {
-        assert_eq!(observed_critical_path(&[]).length, 0);
+        assert_eq!(fold(&[]).critical_path().length, 0);
         assert!(timelines(&[]).is_empty());
         assert_eq!(
             latency_breakdown(&BTreeMap::new()),

@@ -4,14 +4,16 @@
 //! benchmark's output check).
 //!
 //! Execution spans become `"X"` (complete) events — one horizontal bar
-//! per task on its worker's row — and every other lifecycle event
-//! becomes an `"i"` (instant) marker on the emitting thread's row, so
-//! the full task journey is visible on one timeline. Timestamps
-//! are exported in microseconds (the format's unit) at nanosecond
-//! precision.
+//! per task on its worker's row, read from the task's
+//! [`TaskTimeline`](crate::TaskTimeline) in the
+//! [`GraphTracker`](crate::GraphTracker) fold — and every other
+//! lifecycle event becomes an `"i"` (instant) marker on the emitting
+//! thread's row, so the full task journey is visible on one timeline.
+//! Timestamps are exported in microseconds (the format's unit) at
+//! nanosecond precision.
 
+use crate::analyze::timelines;
 use crate::event::{Event, EventKind, NO_TASK, NO_WORKER};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Chrome-trace row (`tid`) for an event: workers keep their index + 1
@@ -62,31 +64,20 @@ pub fn chrome_trace(events: &[Event]) -> String {
         );
     }
 
-    // Execution spans: pair ExecStart/ExecDone per task.
-    let mut spans: BTreeMap<u64, (Option<Event>, Option<Event>)> = BTreeMap::new();
-    for e in events {
-        if e.task == NO_TASK {
-            continue;
-        }
-        match e.kind {
-            EventKind::ExecStart => spans.entry(e.task).or_default().0 = Some(*e),
-            EventKind::ExecDone => spans.entry(e.task).or_default().1 = Some(*e),
-            _ => {}
-        }
-    }
-    for (task, (start, done)) in &spans {
-        let (Some(s), Some(d)) = (start, done) else {
+    // Execution spans: one per task whose timeline has both ends.
+    for (task, tl) in &timelines(events) {
+        let (Some(start), Some(done)) = (tl.exec_start, tl.exec_done) else {
             continue;
         };
         sep(&mut out);
         let _ = write!(
             out,
             "{{\"name\":\"task {task}\",\"cat\":\"exec\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":",
-            tid(s.worker)
+            tid(tl.worker)
         );
-        push_ts(&mut out, s.ts_ns);
+        push_ts(&mut out, start);
         out.push_str(",\"dur\":");
-        push_ts(&mut out, d.ts_ns.saturating_sub(s.ts_ns));
+        push_ts(&mut out, done.saturating_sub(start));
         let _ = write!(out, ",\"args\":{{\"task\":{task}}}}}");
     }
 

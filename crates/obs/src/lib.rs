@@ -20,21 +20,27 @@
 //! 2. **A [`MetricsRegistry`]**: the layers' existing counters
 //!    (`SchedCounts`, `WakeCounts`, capacity stall/retry/stall-time)
 //!    unified behind one [`MetricsSnapshot`] type.
-//! 3. **Analysis and export**: per-task [`timelines`] and
-//!    [`latency_breakdown`] (submit→ready→start→finish), the
-//!    [`observed_critical_path`] over realized wake edges, and a
-//!    Chrome-trace JSON export ([`chrome_trace`]) for
-//!    `chrome://tracing`.
+//! 3. **One fold, and what reads it**: [`GraphTracker`] folds the
+//!    stream into one record per task (state, home shard,
+//!    [`TaskTimeline`]) and is the only per-task reader of events. Its
+//!    [`snapshot`](GraphTracker::snapshot) carries the exact
+//!    four-stage [`LatencyBreakdown`] (submit→ready→start→done→finish)
+//!    and its [`critical_path`](GraphTracker::critical_path) follows
+//!    the realized wake edges; the Chrome-trace JSON export
+//!    ([`chrome_trace`]) for `chrome://tracing` reads its execution
+//!    spans from the same records. [`timelines`] and
+//!    [`latency_breakdown`] replay a drained batch through a fresh
+//!    tracker.
 //! 4. **Online introspection**: an [`EventStream`] with cursor-based
 //!    [`Subscriber`]s drains the rings *while producers still emit*
 //!    (seq-ordered release, per-subscriber lag attribution); a
 //!    background [`Collector`] thread — attached via the runtimes'
-//!    `with_observer` constructors — feeds a live [`GraphTracker`]
-//!    (per-task state machine, wake edges, illegal-transition
-//!    detector, [`LogHistogram`]-backed stage quantiles) and a metrics
-//!    [`Sampler`] (bounded time series of [`MetricsSnapshot`]s with
-//!    rate derivation and JSONL export); [`render_dashboard`] turns a
-//!    [`TrackerSnapshot`] into the `repro -- watch` text UI.
+//!    `with_observer` constructors — feeds the same fold live (per-task
+//!    state machine, wake edges, illegal-transition detector, stage
+//!    quantiles) and a metrics [`Sampler`] (bounded time series of
+//!    [`MetricsSnapshot`]s with rate derivation and JSONL export);
+//!    [`render_dashboard`] turns a [`TrackerSnapshot`] into the
+//!    `repro -- watch` text UI.
 //!
 //! Event flow:
 //!
@@ -44,7 +50,7 @@
 //!  worker 1 ───┤  + seq.fetch_add        ├── …
 //!  …           │  + release-publish      │
 //!              └── (full ring: dropped++)┘
-//!        offline: drain() at quiescence, sort by seq → analyze/export
+//!        offline: drain() at quiescence (seq-sorted) → GraphTracker → export
 //!        online:  EventStream::pump() → seq watermark → Subscribers
 //!                 └─ Collector thread → GraphTracker + Sampler
 //! ```
@@ -66,7 +72,6 @@ mod analyze;
 mod collector;
 mod event;
 mod export;
-mod hist;
 mod recorder;
 mod registry;
 mod ring;
@@ -77,18 +82,15 @@ mod tracker;
 mod watch;
 
 pub use analyze::{
-    latency_breakdown, observed_critical_path, timelines, LatencyBreakdown, LatencyStats,
-    ObservedCriticalPath, TaskTimeline,
+    latency_breakdown, timelines, LatencyBreakdown, LatencyStats, ObservedCriticalPath,
+    TaskTimeline,
 };
 pub use collector::{Collector, CollectorConfig, CollectorReport};
 pub use event::{Event, EventKind, NO_SHARD, NO_TASK, NO_WORKER};
 pub use export::{chrome_trace, validate_json};
-pub use hist::LogHistogram;
 pub use recorder::{Recorder, DEFAULT_LANE_CAPACITY};
 pub use registry::{Counter, CounterGroup, MetricsGroup, MetricsRegistry, MetricsSnapshot};
 pub use sampler::{jsonl_line, SampledSnapshot, Sampler};
 pub use stream::{EventStream, StreamStats, Subscriber, DEFAULT_HISTORY};
-pub use tracker::{
-    GraphTracker, StageStats, TaskState, TrackerSnapshot, Violation, MAX_KEPT_VIOLATIONS,
-};
+pub use tracker::{GraphTracker, TaskState, TrackerSnapshot, Violation, MAX_KEPT_VIOLATIONS};
 pub use watch::{fmt_ns, render_dashboard};

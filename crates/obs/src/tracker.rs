@@ -6,17 +6,23 @@
 //! [`GraphTracker`] is that view for this runtime: it consumes
 //! lifecycle events *online* (typically from a
 //! [`Subscriber`](crate::Subscriber), via the background
-//! [`Collector`](crate::Collector)) and maintains, incrementally:
+//! [`Collector`](crate::Collector)) or a drained batch *post-mortem*,
+//! and it is the crate's one fold of the stream: every per-task reader
+//! ([`timelines`](crate::timelines), [`chrome_trace`](crate::chrome_trace),
+//! [`critical_path`](GraphTracker::critical_path)) reads its records.
+//! Each record is the task's current [`TaskState`], its home shard and
+//! its [`TaskTimeline`]. Incrementally it maintains:
 //!
-//! - each task's current [`TaskState`] and the live population count
-//!   per state,
-//! - the realized wake-edge set `(waker, woken)` as it is discovered,
+//! - the live population count per state,
 //! - per-shard in-flight and per-worker running counts,
-//! - online [`LogHistogram`]s for the four stage latencies
-//!   (submit→ready, ready→start, start→done, done→finish),
 //! - an **illegal-transition detector**: the per-task emission order
 //!   the differential tests assert offline becomes a runtime
 //!   invariant checked on every event.
+//!
+//! [`snapshot`](GraphTracker::snapshot) derives the rest from the
+//! records: the realized wake edges `(waker, woken)` and the exact
+//! four-stage latency breakdown (submit→ready, ready→start,
+//! start→done, done→finish).
 //!
 //! The transition table mirrors the emission sites exactly. `Stalled`
 //! covers both blocking flavors — a capacity park before the
@@ -46,9 +52,9 @@
 //! recorded) — check [`Recorder::dropped`](crate::Recorder::dropped)
 //! before reading violations as runtime bugs.
 
+use crate::analyze::{breakdown, LatencyBreakdown, ObservedCriticalPath, TaskTimeline};
 use crate::event::{Event, EventKind, NO_TASK, NO_WORKER};
-use crate::hist::LogHistogram;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Where a task currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -116,55 +122,20 @@ pub struct Violation {
 /// [`TrackerSnapshot::violations`] is never capped).
 pub const MAX_KEPT_VIOLATIONS: usize = 32;
 
-/// "This stage timestamp was never observed" (its event was dropped
-/// or the tracker attached mid-run) — the stage sample is skipped
-/// rather than computed against a bogus origin.
-const TS_UNSET: u64 = u64::MAX;
-
+/// One task's record. A timestamp its event never delivered (dropped,
+/// or the tracker attached mid-run) stays `None`, and the stages that
+/// need it skip the task rather than measure from a bogus origin.
 #[derive(Debug, Clone, Copy)]
-struct TaskInfo {
+struct TaskRecord {
     state: TaskState,
+    /// The shard of the task's first event: it owns the task's
+    /// in-flight accounting until the task finishes.
     shard: u32,
-    worker: u32,
-    submitted_ts: u64,
-    ready_ts: u64,
-    start_ts: u64,
-    done_ts: u64,
+    tl: TaskTimeline,
 }
 
-/// Mean and histogram quantiles for one lifecycle stage, derived
-/// online (quantiles are log-bucket bounds — see [`LogHistogram`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageStats {
-    /// Completed samples.
-    pub count: u64,
-    /// Mean nanoseconds.
-    pub mean_ns: f64,
-    /// Median (bucket-bound resolution).
-    pub p50_ns: u64,
-    /// 90th percentile (bucket-bound resolution).
-    pub p90_ns: u64,
-    /// 99th percentile (bucket-bound resolution).
-    pub p99_ns: u64,
-    /// Exact maximum.
-    pub max_ns: u64,
-}
-
-impl StageStats {
-    fn from_hist(h: &LogHistogram) -> StageStats {
-        StageStats {
-            count: h.count(),
-            mean_ns: h.mean(),
-            p50_ns: h.p50(),
-            p90_ns: h.p90(),
-            p99_ns: h.p99(),
-            max_ns: h.max(),
-        }
-    }
-}
-
-/// A cheap point-in-time copy of the tracker's aggregates, safe to
-/// render while the collector keeps applying events.
+/// A point-in-time copy of the tracker's aggregates, safe to render
+/// while the collector keeps applying events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrackerSnapshot {
     /// Events applied so far.
@@ -186,14 +157,8 @@ pub struct TrackerSnapshot {
     pub per_shard_inflight: Vec<(u32, u64)>,
     /// `(worker, tasks running)` for every worker seen executing.
     pub per_worker_running: Vec<(u32, u64)>,
-    /// Submission until the dependence count hit zero.
-    pub submit_to_ready: StageStats,
-    /// Ready until a worker picked the task up.
-    pub ready_to_start: StageStats,
-    /// Body execution time.
-    pub start_to_done: StageStats,
-    /// Body return until the dependence tables retired the task.
-    pub done_to_finish: StageStats,
+    /// The four stage latencies, exact, over every task seen.
+    pub stages: LatencyBreakdown,
 }
 
 impl TrackerSnapshot {
@@ -212,19 +177,14 @@ impl TrackerSnapshot {
 /// transition table.
 #[derive(Default)]
 pub struct GraphTracker {
-    tasks: BTreeMap<u64, TaskInfo>,
+    tasks: BTreeMap<u64, TaskRecord>,
     state_counts: [u64; 7],
-    edges: BTreeSet<(u64, u64)>,
     violations: u64,
     kept_violations: Vec<Violation>,
     idle_parked: u64,
     idle_park_episodes: u64,
     per_shard_inflight: BTreeMap<u32, u64>,
     per_worker_running: BTreeMap<u32, u64>,
-    submit_to_ready: LogHistogram,
-    ready_to_start: LogHistogram,
-    start_to_done: LogHistogram,
-    done_to_finish: LogHistogram,
     events_applied: u64,
 }
 
@@ -294,86 +254,68 @@ impl GraphTracker {
             }
             return;
         }
-        if e.kind == EventKind::Ready && e.aux != NO_TASK {
-            self.edges.insert((e.aux, e.task));
-        }
-        let prev = self.tasks.get(&e.task).copied();
-        if !legal(prev.map(|t| t.state), e.kind) {
+        let prev = self.tasks.get(&e.task).map(|r| r.state);
+        if !legal(prev, e.kind) {
             self.violations += 1;
             if self.kept_violations.len() < MAX_KEPT_VIOLATIONS {
                 self.kept_violations.push(Violation {
                     seq: e.seq,
                     task: e.task,
                     kind: e.kind,
-                    from: prev.map(|t| t.state),
+                    from: prev,
                 });
             }
         }
         let dest = destination(e.kind);
-        let mut info = prev.unwrap_or(TaskInfo {
+        match prev {
+            Some(s) => self.state_counts[s.index()] -= 1,
+            None => *self.per_shard_inflight.entry(e.shard).or_insert(0) += 1,
+        }
+        self.state_counts[dest.index()] += 1;
+        let r = self.tasks.entry(e.task).or_insert(TaskRecord {
             state: dest,
             shard: e.shard,
-            worker: NO_WORKER,
-            submitted_ts: TS_UNSET,
-            ready_ts: TS_UNSET,
-            start_ts: TS_UNSET,
-            done_ts: TS_UNSET,
+            tl: TaskTimeline {
+                submitted: None,
+                ready: None,
+                exec_start: None,
+                exec_done: None,
+                finished: None,
+                worker: NO_WORKER,
+                waker: None,
+            },
         });
-        match prev {
-            Some(t) => self.state_counts[t.state.index()] -= 1,
-            None => {
-                // First sighting: this shard owns the task's in-flight
-                // accounting until it finishes.
-                info.shard = e.shard;
-                *self.per_shard_inflight.entry(e.shard).or_insert(0) += 1;
-            }
-        }
-        info.state = dest;
-        self.state_counts[dest.index()] += 1;
+        r.state = dest;
+        let ts = Some(e.ts_ns);
         match e.kind {
-            EventKind::Submitted => info.submitted_ts = e.ts_ns,
+            EventKind::Submitted => r.tl.submitted = ts,
             EventKind::Ready => {
-                info.ready_ts = e.ts_ns;
-                if info.submitted_ts != TS_UNSET {
-                    self.submit_to_ready
-                        .record(e.ts_ns.saturating_sub(info.submitted_ts));
+                r.tl.ready = ts;
+                if e.aux != NO_TASK {
+                    r.tl.waker = Some(e.aux);
                 }
             }
             EventKind::ExecStart => {
-                info.start_ts = e.ts_ns;
+                r.tl.exec_start = ts;
                 if e.worker != NO_WORKER {
-                    info.worker = e.worker;
+                    r.tl.worker = e.worker;
                     *self.per_worker_running.entry(e.worker).or_insert(0) += 1;
-                }
-                if info.ready_ts != TS_UNSET {
-                    self.ready_to_start
-                        .record(e.ts_ns.saturating_sub(info.ready_ts));
                 }
             }
             EventKind::ExecDone => {
-                info.done_ts = e.ts_ns;
-                if info.worker != NO_WORKER {
-                    if let Some(c) = self.per_worker_running.get_mut(&info.worker) {
-                        *c = c.saturating_sub(1);
-                    }
-                }
-                if info.start_ts != TS_UNSET {
-                    self.start_to_done
-                        .record(e.ts_ns.saturating_sub(info.start_ts));
+                r.tl.exec_done = ts;
+                if let Some(c) = self.per_worker_running.get_mut(&r.tl.worker) {
+                    *c = c.saturating_sub(1);
                 }
             }
             EventKind::Finished => {
-                if let Some(c) = self.per_shard_inflight.get_mut(&info.shard) {
+                r.tl.finished = ts;
+                if let Some(c) = self.per_shard_inflight.get_mut(&r.shard) {
                     *c = c.saturating_sub(1);
-                }
-                if info.done_ts != TS_UNSET {
-                    self.done_to_finish
-                        .record(e.ts_ns.saturating_sub(info.done_ts));
                 }
             }
             _ => {}
         }
-        self.tasks.insert(e.task, info);
     }
 
     /// Apply a batch (a [`Subscriber::poll`](crate::Subscriber::poll)
@@ -394,9 +336,65 @@ impl GraphTracker {
         self.state_counts[s.index()]
     }
 
-    /// The realized wake edges discovered so far, `(waker, woken)`.
-    pub fn edges(&self) -> &BTreeSet<(u64, u64)> {
-        &self.edges
+    /// The realized wake edges discovered so far, `(waker, woken)`, in
+    /// woken-task order: one per task whose `Ready` named a waker.
+    pub fn edges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.tasks
+            .iter()
+            .filter_map(|(&task, r)| Some((r.tl.waker?, task)))
+    }
+
+    /// Every task's timeline, in task order.
+    pub(crate) fn timelines(&self) -> impl Iterator<Item = (&u64, &TaskTimeline)> + Clone {
+        self.tasks.iter().map(|(task, r)| (task, &r.tl))
+    }
+
+    /// The longest realized wake chain over the tasks seen `Ready`: a
+    /// task is one deeper than the waker that released it, and depth 1
+    /// when it had no waker or its waker was never seen `Ready`. Ties
+    /// go to the smallest task tag.
+    pub fn critical_path(&self) -> ObservedCriticalPath {
+        let seen_ready = |t: &u64| self.tasks.get(t).is_some_and(|r| r.tl.ready.is_some());
+        let waker = |t: u64| self.tasks.get(&t)?.tl.waker.filter(seen_ready);
+        // Each task has at most one waker, so the edges form a forest:
+        // walk each chain to its root iteratively (chains can be
+        // thousands deep), then unwind assigning depths. Nodes on the
+        // current walk hold depth 0, so a malformed stream's cyclic
+        // edge is cut there rather than looped on.
+        let mut depth: HashMap<u64, usize> = HashMap::new();
+        for &start in self.tasks.keys().filter(|t| seen_ready(t)) {
+            let mut path = Vec::new();
+            let mut cur = Some(start);
+            let mut base = 0;
+            while let Some(t) = cur {
+                if let Some(&d) = depth.get(&t) {
+                    base = d;
+                    break;
+                }
+                depth.insert(t, 0);
+                path.push(t);
+                cur = waker(t);
+            }
+            for t in path.into_iter().rev() {
+                base += 1;
+                depth.insert(t, base);
+            }
+        }
+        let Some((&deepest, &length)) = depth
+            .iter()
+            .max_by_key(|&(t, d)| (*d, std::cmp::Reverse(*t)))
+        else {
+            return ObservedCriticalPath::default();
+        };
+        let mut chain = vec![deepest];
+        while chain.len() < length {
+            let Some(w) = waker(chain[chain.len() - 1]) else {
+                break;
+            };
+            chain.push(w);
+        }
+        chain.reverse();
+        ObservedCriticalPath { length, chain }
     }
 
     /// Total illegal transitions observed.
@@ -409,13 +407,14 @@ impl GraphTracker {
         &self.kept_violations
     }
 
-    /// Cheap copy of every aggregate for rendering.
+    /// A copy of every aggregate for rendering; the stage latencies
+    /// are derived from the task records on each call.
     pub fn snapshot(&self) -> TrackerSnapshot {
         TrackerSnapshot {
             events_applied: self.events_applied,
             tasks_seen: self.tasks.len() as u64,
             state_counts: self.state_counts,
-            edges: self.edges.len() as u64,
+            edges: self.edges().count() as u64,
             violations: self.violations,
             idle_parked: self.idle_parked,
             idle_park_episodes: self.idle_park_episodes,
@@ -429,10 +428,7 @@ impl GraphTracker {
                 .iter()
                 .map(|(&w, &c)| (w, c))
                 .collect(),
-            submit_to_ready: StageStats::from_hist(&self.submit_to_ready),
-            ready_to_start: StageStats::from_hist(&self.ready_to_start),
-            start_to_done: StageStats::from_hist(&self.start_to_done),
-            done_to_finish: StageStats::from_hist(&self.done_to_finish),
+            stages: breakdown(self.tasks.values().map(|r| &r.tl)),
         }
     }
 }
@@ -474,12 +470,12 @@ mod tests {
         assert_eq!(t.violation_count(), 0);
         assert_eq!(t.count(TaskState::Finished), 2);
         assert_eq!(t.state_of(1), Some(TaskState::Finished));
-        assert_eq!(t.edges().iter().copied().collect::<Vec<_>>(), vec![(1, 2)]);
+        assert_eq!(t.edges().collect::<Vec<_>>(), vec![(1, 2)]);
         let s = t.snapshot();
         assert_eq!(s.tasks_seen, 2);
         assert_eq!(s.in_flight(), 0);
-        assert_eq!(s.start_to_done.count, 2);
-        assert_eq!(s.start_to_done.max_ns, 20);
+        assert_eq!(s.stages.start_to_done.count, 2);
+        assert_eq!(s.stages.start_to_done.max_ns, 20);
     }
 
     #[test]
@@ -518,7 +514,7 @@ mod tests {
         t.apply(&ev(6, EventKind::Stolen, 1, NO_TASK, 0));
         assert_eq!(t.state_of(1), Some(TaskState::Ready));
         assert_eq!(t.violation_count(), 0);
-        assert!(t.edges().contains(&(9, 1)));
+        assert!(t.edges().eq([(9, 1)]));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! driver (in `nexuspp-bench`) owns all terminal concerns (ANSI clear
 //! vs. plain append, frame pacing, duration bounds).
 
+use crate::analyze::LatencyStats;
 use crate::stream::StreamStats;
-use crate::tracker::{StageStats, TaskState, TrackerSnapshot};
+use crate::tracker::{TaskState, TrackerSnapshot};
 
 /// Human-scale nanoseconds: `532ns`, `1.4us`, `12.0ms`, `3.1s`.
 pub fn fmt_ns(ns: u64) -> String {
@@ -29,7 +30,7 @@ fn fmt_rate(r: f64) -> String {
     }
 }
 
-fn stage_row(out: &mut String, name: &str, s: &StageStats) {
+fn stage_row(out: &mut String, name: &str, s: &LatencyStats) {
     out.push_str(&format!(
         "  {name:<15} {:>7} {:>9} {:>9} {:>9} {:>9}\n",
         s.count,
@@ -71,10 +72,11 @@ pub fn render_dashboard(
     }
 
     out.push_str("  stage             count       p50       p90       p99       max\n");
-    stage_row(&mut out, "submit->ready", &snap.submit_to_ready);
-    stage_row(&mut out, "ready->start", &snap.ready_to_start);
-    stage_row(&mut out, "start->done", &snap.start_to_done);
-    stage_row(&mut out, "done->finish", &snap.done_to_finish);
+    let st = &snap.stages;
+    stage_row(&mut out, "submit->ready", &st.submit_to_ready);
+    stage_row(&mut out, "ready->start", &st.ready_to_start);
+    stage_row(&mut out, "start->done", &st.start_to_done);
+    stage_row(&mut out, "done->finish", &st.done_to_finish);
 
     if !snap.per_shard_inflight.is_empty() {
         out.push_str("  shard in-flight:");

@@ -10,6 +10,11 @@
 //!   intermediate states (Stalled / Ready / Running) — it is watching
 //!   the run, not summarizing it afterwards;
 //! * the state machine sees zero illegal transitions on real streams.
+//!
+//! Live ≡ replay only shows the tracker agrees with itself, so the
+//! final fold is also held to what it did not compute: its wake edges
+//! to the runtime's delivered-wake counter, each stage's sample count
+//! to the task count, and its critical path to the chain depth.
 
 use nexuspp_core::ShardCapacity;
 use nexuspp_obs::{Collector, CollectorReport, GraphTracker, Recorder, Subscriber, TaskState};
@@ -79,7 +84,13 @@ fn wait_for_mid_flight(collector: &Collector) -> u64 {
 }
 
 /// Post-run assertions shared by every configuration.
-fn verify(label: &str, report: &CollectorReport, replay_sub: &mut Subscriber, mid_flight: u64) {
+fn verify(
+    label: &str,
+    report: &CollectorReport,
+    replay_sub: &mut Subscriber,
+    mid_flight: u64,
+    delivered: u64,
+) {
     assert_eq!(
         report.stream.dropped, 0,
         "{label}: event rings must not overflow"
@@ -107,8 +118,8 @@ fn verify(label: &str, report: &CollectorReport, replay_sub: &mut Subscriber, mi
         "{label}: live tracker must agree with the quiescent replay"
     );
     assert_eq!(
-        report.tracker.edges(),
-        quiescent.edges(),
+        report.tracker.edges().collect::<Vec<_>>(),
+        quiescent.edges().collect::<Vec<_>>(),
         "{label}: edge sets"
     );
 
@@ -126,6 +137,26 @@ fn verify(label: &str, report: &CollectorReport, replay_sub: &mut Subscriber, mi
         "{label}: chain workload must produce wake edges"
     );
     assert!(mid_flight > 0, "{label}");
+
+    // Against the runtime's own counters and the workload's shape.
+    assert_eq!(
+        snap.edges, delivered,
+        "{label}: one wake edge per delivered wake"
+    );
+    let st = &snap.stages;
+    for (stage, s) in [
+        ("submit->ready", &st.submit_to_ready),
+        ("ready->start", &st.ready_to_start),
+        ("start->done", &st.start_to_done),
+        ("done->finish", &st.done_to_finish),
+    ] {
+        assert_eq!(s.count, task_count(), "{label}: {stage} samples");
+    }
+    let depth = report.tracker.critical_path().length;
+    assert!(
+        (1..=DEPTH).contains(&depth),
+        "{label}: critical path {depth} outside 1..={DEPTH}"
+    );
 }
 
 fn check(workers: usize, shards: usize) {
@@ -140,12 +171,13 @@ fn check(workers: usize, shards: usize) {
     let mid_flight = wait_for_mid_flight(&collector);
     rt.barrier();
     assert_eq!(executed.load(Ordering::Relaxed), task_count());
+    let delivered = rt.wake_counts().delivered;
     // Join the workers before stopping the collector so its final poll
     // is a complete quiescent drain (no straggler park events).
     drop(rt);
     let report = collector.finish();
 
-    verify(&label, &report, &mut replay_sub, mid_flight);
+    verify(&label, &report, &mut replay_sub, mid_flight, delivered);
 }
 
 #[test]

@@ -25,6 +25,7 @@
 //! harness doubles as a no-regression check.
 
 use nexuspp_core::oracle::OracleResolver;
+use nexuspp_core::testsupport::with_watchdog;
 use nexuspp_core::{
     DependencyEngine, NexusConfig, ShardCapacity, Submission, SubmitError, TdIndex,
 };
@@ -428,96 +429,98 @@ fn soak_capacity_sweep_deterministic() {
 /// the threaded face of the single-threaded lockstep differential in
 /// `sharded_differential.rs`.
 #[test]
-fn bounded_dispatcher_wake_modes_execute_exactly_once_under_stalls() {
-    use nexuspp_shard::{ShardDispatcher, TaskTicket};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
+fn bounded_dispatcher_executes_exactly_once_under_stalls() {
+    with_watchdog(120, "bounded dispatcher under stalls", || {
+        use nexuspp_shard::{ShardDispatcher, TaskTicket};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::{Arc, Mutex};
 
-    /// Shared ready queue: tickets with their tag payloads.
-    type ReadyQueue = Arc<Mutex<Vec<(TaskTicket<u64>, u64)>>>;
+        /// Shared ready queue: tickets with their tag payloads.
+        type ReadyQueue = Arc<Mutex<Vec<(TaskTicket<u64>, u64)>>>;
 
-    const TASKS: u64 = 400;
-    const WORKERS: usize = 4;
-    let mut rng = Rng::new(0x3A4E_5EED);
-    let stream: Vec<Vec<Param>> = (0..TASKS)
-        .map(|_| {
-            let n = 1 + rng.gen_range(3) as usize;
-            let params: Vec<Param> = (0..n)
-                .map(|_| {
-                    let addr = 0x3000 + rng.gen_range(10) * 64;
-                    let mode = match rng.gen_range(3) {
-                        0 => AccessMode::In,
-                        1 => AccessMode::Out,
-                        _ => AccessMode::InOut,
-                    };
-                    Param::new(addr, 16, mode)
-                })
-                .collect();
-            normalize_params(&params)
-        })
-        .collect();
-
-    for (shards, capacity) in [
-        (1usize, ShardCapacity::Bounded(2)),
-        (4, ShardCapacity::Bounded(1)),
-        (4, ShardCapacity::Bounded(8)),
-    ] {
-        let d = Arc::new(ShardDispatcher::<u64>::with_capacity(
-            shards,
-            &NexusConfig::unbounded(),
-            capacity,
-        ));
-        let ready: ReadyQueue = Arc::new(Mutex::new(Vec::new()));
-        let completed = Arc::new(AtomicU64::new(0));
-        let executed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let workers: Vec<_> = (0..WORKERS)
+        const TASKS: u64 = 400;
+        const WORKERS: usize = 4;
+        let mut rng = Rng::new(0x3A4E_5EED);
+        let stream: Vec<Vec<Param>> = (0..TASKS)
             .map(|_| {
-                let d = Arc::clone(&d);
-                let ready = Arc::clone(&ready);
-                let completed = Arc::clone(&completed);
-                let executed = Arc::clone(&executed);
-                std::thread::spawn(move || {
-                    while completed.load(Ordering::SeqCst) < TASKS {
-                        let next = ready.lock().unwrap().pop();
-                        let Some((ticket, tag)) = next else {
-                            std::thread::yield_now();
-                            continue;
+                let n = 1 + rng.gen_range(3) as usize;
+                let params: Vec<Param> = (0..n)
+                    .map(|_| {
+                        let addr = 0x3000 + rng.gen_range(10) * 64;
+                        let mode = match rng.gen_range(3) {
+                            0 => AccessMode::In,
+                            1 => AccessMode::Out,
+                            _ => AccessMode::InOut,
                         };
-                        executed.lock().unwrap().push(tag);
-                        let report = d.finish(ticket);
-                        completed.fetch_add(report.completed, Ordering::SeqCst);
-                        if !report.woken.is_empty() {
-                            ready.lock().unwrap().extend(report.woken);
-                        }
-                    }
-                })
+                        Param::new(addr, 16, mode)
+                    })
+                    .collect();
+                normalize_params(&params)
             })
             .collect();
-        // Program-order submitter: parks on full shards; workers'
-        // finish reports resume it.
-        for (tag, params) in stream.iter().enumerate() {
-            let r = d.submit(0xF, tag as u64, params, tag as u64);
-            if let Some(p) = r.ready {
-                ready.lock().unwrap().push((r.ticket, p));
+
+        for (shards, capacity) in [
+            (1usize, ShardCapacity::Bounded(2)),
+            (4, ShardCapacity::Bounded(1)),
+            (4, ShardCapacity::Bounded(8)),
+        ] {
+            let d = Arc::new(ShardDispatcher::<u64>::with_capacity(
+                shards,
+                &NexusConfig::unbounded(),
+                capacity,
+            ));
+            let ready: ReadyQueue = Arc::new(Mutex::new(Vec::new()));
+            let completed = Arc::new(AtomicU64::new(0));
+            let executed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    let d = Arc::clone(&d);
+                    let ready = Arc::clone(&ready);
+                    let completed = Arc::clone(&completed);
+                    let executed = Arc::clone(&executed);
+                    std::thread::spawn(move || {
+                        while completed.load(Ordering::SeqCst) < TASKS {
+                            let next = ready.lock().unwrap().pop();
+                            let Some((ticket, tag)) = next else {
+                                std::thread::yield_now();
+                                continue;
+                            };
+                            executed.lock().unwrap().push(tag);
+                            let report = d.finish(ticket);
+                            completed.fetch_add(report.completed, Ordering::SeqCst);
+                            if !report.woken.is_empty() {
+                                ready.lock().unwrap().extend(report.woken);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Program-order submitter: parks on full shards; workers'
+            // finish reports resume it.
+            for (tag, params) in stream.iter().enumerate() {
+                let r = d.submit(0xF, tag as u64, params, tag as u64);
+                if let Some(p) = r.ready {
+                    ready.lock().unwrap().push((r.ticket, p));
+                }
+            }
+            for w in workers {
+                w.join().unwrap();
+            }
+            let mut done = executed.lock().unwrap().clone();
+            done.sort_unstable();
+            assert_eq!(
+                done,
+                (0..TASKS).collect::<Vec<u64>>(),
+                "N={shards} C={capacity}: tasks lost or duplicated"
+            );
+            assert_eq!(d.sub_descriptors_in_flight(), 0);
+            for (s, c) in d.capacity_counts().iter().enumerate() {
+                assert_eq!(
+                    c.stalls_observed, c.retries_resolved,
+                    "N={shards} C={capacity} shard {s}: unresolved stall episodes"
+                );
+                assert_eq!(c.resident, 0, "shard {s} leaked residency slots");
             }
         }
-        for w in workers {
-            w.join().unwrap();
-        }
-        let mut done = executed.lock().unwrap().clone();
-        done.sort_unstable();
-        assert_eq!(
-            done,
-            (0..TASKS).collect::<Vec<u64>>(),
-            "N={shards} C={capacity}: tasks lost or duplicated"
-        );
-        assert_eq!(d.sub_descriptors_in_flight(), 0);
-        for (s, c) in d.capacity_counts().iter().enumerate() {
-            assert_eq!(
-                c.stalls_observed, c.retries_resolved,
-                "N={shards} C={capacity} shard {s}: unresolved stall episodes"
-            );
-            assert_eq!(c.resident, 0, "shard {s} leaked residency slots");
-        }
-    }
+    });
 }

@@ -11,7 +11,7 @@
 //! worker with an `exec` slice per task.
 
 use nexuspp::core::ShardCapacity;
-use nexuspp::obs::{self, Recorder};
+use nexuspp::obs::{self, GraphTracker, Recorder};
 use nexuspp::runtime::Runtime;
 use nexuspp::sched::SchedulerKind;
 use nexuspp::shard::WakeMode;
@@ -49,17 +49,18 @@ fn main() {
     }
     rt.barrier();
 
-    let mut events = rec.drain();
-    events.sort_by_key(|e| e.seq);
+    let events = rec.drain();
     println!(
         "recorded {} events ({} dropped)",
         rec.recorded(),
         rec.dropped()
     );
 
-    // Per-stage latency breakdown over every task's lifecycle.
-    let tl = obs::timelines(&events);
-    let lat = obs::latency_breakdown(&tl);
+    // One fold of the stream: per-stage latencies over every task's
+    // lifecycle, and the critical path over the recorded wake edges.
+    let mut tracker = GraphTracker::new();
+    tracker.apply_batch(&events);
+    let lat = tracker.snapshot().stages;
     for (stage, s) in [
         ("submit -> ready", &lat.submit_to_ready),
         ("ready  -> start", &lat.ready_to_start),
@@ -72,8 +73,7 @@ fn main() {
         );
     }
 
-    // The observed critical path follows the recorded wake edges.
-    let cp = obs::observed_critical_path(&events);
+    let cp = tracker.critical_path();
     println!("observed critical path: {} tasks", cp.length);
 
     // Chrome-trace export, validated before it hits disk.
