@@ -32,6 +32,9 @@
 //!   enum every `submit*` entry point reports (capacity-full, pool-full,
 //!   bad-params) and the [`TaskBuilder`]/[`Submission`] pair that is the
 //!   blessed way to construct a task,
+//! * [`EventCount`] — the one wait/notify primitive: every thread that
+//!   blocks until another publishes something (a parked submitter, an
+//!   idle worker, a barrier, the service's ingress) waits on one,
 //! * [`testsupport`] — shared watchdog/deadline-poll helpers for the
 //!   workspace's integration tests (paths that regress by *hanging*
 //!   need a watchdog, and cross-thread rendezvous needs deterministic
@@ -40,6 +43,7 @@
 pub mod config;
 pub mod cost;
 pub mod engine;
+mod eventcount;
 pub mod oracle;
 pub mod pool;
 pub mod priority;
@@ -50,6 +54,7 @@ pub mod testsupport;
 pub use config::{NexusConfig, ShardCapacity};
 pub use cost::OpCost;
 pub use engine::{CheckProgress, DependencyEngine, FinishResult};
+pub use eventcount::EventCount;
 pub use pool::{PoolError, TaskPool, TdIndex};
 pub use priority::Priority;
 pub use submit::{duplicate_address, Submission, SubmitError, TaskBuilder, TenantId};

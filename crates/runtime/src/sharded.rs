@@ -24,18 +24,24 @@
 //! a worker never holds a shard lock across wake delivery — the tasks its
 //! completion made ready are handed off after the lock is released,
 //! straight into its finish report and from there into `wake_batch`.
+//!
+//! Every thread that blocks here waits on a [`nexuspp_core::EventCount`]:
+//! idle workers on the scheduler's, a submitter stalled on a full shard
+//! on that shard's, and a [`Runtime::barrier`] (or shutdown) on the
+//! runtime's own, notified by the retirement that takes the pending
+//! count to zero.
 
 use crate::region::{Region, RegionId};
 use crate::runtime::{panic_msg, sched_counters, Grants, Job, ShutdownReport, TaskCtx};
 use crossbeam::channel::{RecvTimeoutError, TryRecvError};
-use nexuspp_core::{NexusConfig, Priority, ShardCapacity, Submission, SubmitError};
+use nexuspp_core::{EventCount, NexusConfig, Priority, ShardCapacity, Submission, SubmitError};
 use nexuspp_obs::{EventKind, MetricsRegistry, Recorder};
 use nexuspp_sched::{SchedCounts, Scheduler, SchedulerKind, WorkerHandle};
 use nexuspp_shard::{CapacityCounts, ShardDispatcher, TaskTicket, WakeCounts, WakeMode};
 use nexuspp_trace::normalize::normalize_params;
 use nexuspp_trace::{AccessMode, Param};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -101,15 +107,10 @@ struct Inner {
     submitted: AtomicU64,
     /// Tasks spawned and not yet fully retired.
     pending: AtomicU64,
-    /// Threads inside [`wait_quiescent`](Inner::wait_quiescent). A
-    /// retirement that takes `pending` to 0 notifies `quiescent` only
-    /// when this is non-zero: the count crosses 0 once per task on a
-    /// streaming workload, almost always with nobody waiting.
-    quiescent_waiters: AtomicUsize,
-    /// Waiters re-read `pending` and block under this lock; a notifier
-    /// takes it first, so it cannot slip between the two.
-    quiescent_lock: Mutex<()>,
-    quiescent: Condvar,
+    /// Notified by the retirement that takes `pending` to 0. The count
+    /// crosses 0 once per task on a streaming workload, almost always
+    /// with nobody waiting, and then the notify takes no lock.
+    quiescent: EventCount,
     /// First task panic observed (re-raised at the next barrier).
     panicked: Mutex<Option<String>>,
     /// Hard-deadline shutdown flag: once set, ready tasks cancel-finish
@@ -131,16 +132,9 @@ impl Inner {
     /// One pending task left the system: retired through the
     /// dispatcher, or rejected at admission.
     fn retire(&self) {
-        // Dekker with `wait_quiescent`, every access `SeqCst`: this side
-        // writes `pending` then reads the waiter count, a waiter writes
-        // the count then reads `pending`. One of the two reads sees the
-        // other side's write, so a waiter that missed the 0 is counted
-        // here — and is then either not yet past its re-read (it holds
-        // the lock taken below until it blocks) or already blocked.
         let before = self.pending.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(before >= 1, "retired more tasks than were pending");
-        if before == 1 && self.quiescent_waiters.load(Ordering::SeqCst) > 0 {
-            let _g = self.quiescent_lock.lock();
+        if before == 1 {
             self.quiescent.notify_all();
         }
     }
@@ -149,25 +143,20 @@ impl Inner {
     /// `false` means the limit ran out first.
     fn wait_quiescent(&self, limit: Option<Duration>) -> bool {
         let start = Instant::now();
-        self.quiescent_waiters.fetch_add(1, Ordering::SeqCst);
-        let mut g = self.quiescent_lock.lock();
-        let quiescent = loop {
+        loop {
             if self.pending.load(Ordering::SeqCst) == 0 {
-                break true;
+                return true;
             }
-            match limit {
-                None => self.quiescent.wait(&mut g),
+            let left = match limit {
+                None => None,
                 Some(d) => match d.checked_sub(start.elapsed()) {
-                    Some(left) if !left.is_zero() => {
-                        let _ = self.quiescent.wait_for(&mut g, left);
-                    }
-                    _ => break false,
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return false,
                 },
-            }
-        };
-        drop(g);
-        self.quiescent_waiters.fetch_sub(1, Ordering::SeqCst);
-        quiescent
+            };
+            self.quiescent
+                .wait(left, || self.pending.load(Ordering::SeqCst) == 0);
+        }
     }
 }
 
@@ -308,9 +297,7 @@ impl Runtime {
             next_tag: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             pending: AtomicU64::new(0),
-            quiescent_waiters: AtomicUsize::new(0),
-            quiescent_lock: Mutex::new(()),
-            quiescent: Condvar::new(),
+            quiescent: EventCount::new(),
             panicked: Mutex::new(None),
             aborting: AtomicBool::new(false),
             executed: AtomicU64::new(0),
@@ -393,10 +380,6 @@ impl Runtime {
             vec![
                 ("delivered".into(), w.delivered),
                 ("delivery_ns".into(), w.delivery_ns),
-                (
-                    "delivery_lock_acquisitions".into(),
-                    w.delivery_lock_acquisitions,
-                ),
             ]
         });
         let inner = Arc::clone(&self.inner);

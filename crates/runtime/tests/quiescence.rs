@@ -1,10 +1,11 @@
 //! The `pending` counter and its waiter-gated `quiescent` notify.
 //!
-//! A retirement that takes `pending` to 0 skips the condvar notify
-//! unless a thread is registered inside `wait_quiescent`. If that check
-//! could lose a wake, a `barrier()` would sleep forever with nothing
-//! left to retire — so these tests drive the count across 0 thousands
-//! of times with barriers racing every crossing, under a watchdog.
+//! A retirement that takes `pending` to 0 notifies the runtime's
+//! `EventCount`, which takes no lock unless a thread is counted inside
+//! its `wait`. If that check could lose a wake, a `barrier()` would
+//! sleep forever with nothing left to retire — so these tests drive the
+//! count across 0 thousands of times with barriers racing every
+//! crossing, under a watchdog.
 
 use nexuspp_core::testsupport::with_watchdog;
 use nexuspp_core::TaskBuilder;
@@ -108,7 +109,7 @@ fn hard_deadline_shutdown_releases_a_parked_barrier() {
                 }
             });
         }
-        // Two waiters share the condvar: this barrier and the shutdown.
+        // Two waiters share the eventcount: this barrier and the shutdown.
         let parked = {
             let rt = Arc::clone(&rt);
             std::thread::spawn(move || rt.barrier())

@@ -11,6 +11,7 @@
 //! predecessor must have produced (a dependency-order violation is
 //! caught at the task that observes it, not inferred from final state).
 
+use nexuspp_core::testsupport::with_watchdog;
 use nexuspp_runtime::Runtime;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -257,28 +258,34 @@ fn steal_stress_chains_record_steals_and_shut_down_cleanly() {
 
 #[test]
 fn parked_workers_wake_for_late_work_and_shut_down() {
-    for shards in SHARDS {
-        let rt = Runtime::new(8, shards);
-        let r = rt.region(vec![0u64]);
-        {
-            let r = r.clone();
-            rt.task().inout(&r).spawn(move |t| {
-                t.write(&r)[0] += 1;
-            });
-        }
-        rt.barrier();
-        // All eight workers idle and park. Late work must still be
-        // picked up.
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        {
-            let r = r.clone();
-            rt.task().inout(&r).spawn(move |t| {
-                t.write(&r)[0] += 1;
-            });
-        }
-        rt.barrier();
-        assert_eq!(rt.with_data(&r, |v| v[0]), 2);
-        assert!(rt.sched_counts().parks > 0, "idle workers should park");
-        drop(rt); // must join parked workers cleanly
-    }
+    with_watchdog(
+        30,
+        "parked_workers_wake_for_late_work_and_shut_down",
+        || {
+            for shards in SHARDS {
+                let rt = Runtime::new(8, shards);
+                let r = rt.region(vec![0u64]);
+                {
+                    let r = r.clone();
+                    rt.task().inout(&r).spawn(move |t| {
+                        t.write(&r)[0] += 1;
+                    });
+                }
+                rt.barrier();
+                // All eight workers idle and park. Late work must still be
+                // picked up.
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                {
+                    let r = r.clone();
+                    rt.task().inout(&r).spawn(move |t| {
+                        t.write(&r)[0] += 1;
+                    });
+                }
+                rt.barrier();
+                assert_eq!(rt.with_data(&r, |v| v[0]), 2);
+                assert!(rt.sched_counts().parks > 0, "idle workers should park");
+                drop(rt); // must join parked workers cleanly
+            }
+        },
+    );
 }

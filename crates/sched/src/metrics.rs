@@ -54,9 +54,11 @@ pub struct SchedCounts {
     pub high_pops: u64,
     /// Pops satisfied by stealing from another worker's deque.
     pub steals: u64,
-    /// Times a worker parked after finding no work.
+    /// Times a worker's park recheck found no work (it then blocks
+    /// unless a notify already arrived).
     pub parks: u64,
-    /// Times a producer unparked a sleeping worker.
+    /// Times a producer's `notify_one` found a worker counted in to
+    /// wake (parked, or between its recheck and its block).
     pub unparks: u64,
     /// Batched wake deliveries (one per finish report with ≥1 wake).
     pub wake_batches: u64,

@@ -13,21 +13,18 @@
 //!    workers take the *least* recently produced work, which in fan-out
 //!    workloads is the root of the largest remaining subtree.
 //!
-//! A worker that completes the sweep empty-handed parks on its own
-//! condvar. The sleeper handshake is the standard two-phase one: register
-//! in the sleeper stack, then re-run the sweep before actually blocking.
-//! Producers publish work *before* checking the sleeper count (both with
-//! sequentially consistent operations), so either the producer observes
-//! the registration and unparks, or the re-check observes the work — a
-//! wake can be spurious but never lost.
+//! A worker that completes the sweep empty-handed parks on the
+//! scheduler's one [`EventCount`], rechecking with the same sweep.
+//! Producers publish work and then `notify_one`, so either the recheck
+//! sees the work or the notify sees the worker counted in and wakes a
+//! parked one — a wake can be spurious but never lost.
 
 use crate::metrics::{SchedCounts, SchedMetrics};
 use crate::SchedulerKind;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use nexuspp_core::Priority;
+use nexuspp_core::{EventCount, Priority};
 use nexuspp_obs::{EventKind, Recorder, NO_SHARD, NO_TASK};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Per-worker-thread scheduler endpoint. Created by [`Scheduler::new`]
@@ -53,16 +50,6 @@ struct SchedObs<T> {
     tag_of: fn(&T) -> u64,
 }
 
-/// One worker's parking spot.
-#[derive(Default)]
-struct Parker {
-    /// Wake token: set by an unparker (or shutdown), consumed by the
-    /// owner. Guarded by the mutex so a wake between "decide to park"
-    /// and "wait" is never missed.
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
 /// A ready-task scheduler shared by `n` workers (plus any number of
 /// submitting threads).
 pub struct Scheduler<T> {
@@ -72,11 +59,8 @@ pub struct Scheduler<T> {
     injector: Injector<T>,
     /// Steal handles onto every worker's deque, indexed by worker id.
     stealers: Box<[Stealer<T>]>,
-    parkers: Box<[Parker]>,
-    /// Stack of currently-registered sleepers (worker ids).
-    sleepers: Mutex<Vec<usize>>,
-    /// Mirror of `sleepers.len()`, readable without the lock.
-    n_sleepers: AtomicUsize,
+    /// Where idle workers park; notified once per published task.
+    idle: EventCount,
     shutdown: AtomicBool,
     metrics: SchedMetrics,
     obs: Option<SchedObs<T>>,
@@ -102,9 +86,7 @@ impl<T: Send> Scheduler<T> {
             high: Injector::new(),
             injector: Injector::new(),
             stealers: handles.iter().map(|h| h.local.stealer()).collect(),
-            parkers: (0..n_workers).map(|_| Parker::default()).collect(),
-            sleepers: Mutex::new(Vec::with_capacity(n_workers)),
-            n_sleepers: AtomicUsize::new(0),
+            idle: EventCount::new(),
             shutdown: AtomicBool::new(false),
             metrics: SchedMetrics::default(),
             obs: None,
@@ -123,7 +105,7 @@ impl<T: Send> Scheduler<T> {
 
     /// Number of workers this scheduler was built for.
     pub fn n_workers(&self) -> usize {
-        self.parkers.len()
+        self.stealers.len()
     }
 
     /// Hand a ready task to the workers from outside worker context
@@ -206,45 +188,25 @@ impl<T: Send> Scheduler<T> {
             if self.shutdown.load(Ordering::SeqCst) {
                 return None;
             }
-            // Phase 1: register as a sleeper.
-            {
-                let mut s = self.sleepers.lock();
-                s.push(h.id);
-                self.n_sleepers.store(s.len(), Ordering::SeqCst);
-            }
-            // Phase 2: re-check. Work published before our registration
-            // is necessarily visible here; work published after it will
-            // find us in the sleeper stack and unpark us.
-            if let Some(item) = self.try_find(h) {
-                self.cancel_park(h.id);
-                return Some(item);
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                self.cancel_park(h.id);
-                return None;
-            }
-            SchedMetrics::bump(&self.metrics.parks);
-            if let Some(o) = obs {
-                o.rec.emit(EventKind::Stalled, NO_TASK, NO_SHARD);
-            }
-            {
-                let parker = &self.parkers[h.id];
-                let mut flag = parker.flag.lock();
-                while !*flag {
-                    parker.cv.wait(&mut flag);
+            let (mut found, mut stalled) = (None, false);
+            self.idle.wait(None, || {
+                found = self.try_find(h);
+                if found.is_some() || self.shutdown.load(Ordering::SeqCst) {
+                    return true;
                 }
-                *flag = false;
+                stalled = true;
+                SchedMetrics::bump(&self.metrics.parks);
+                if let Some(o) = obs {
+                    o.rec.emit(EventKind::Stalled, NO_TASK, NO_SHARD);
+                }
+                false
+            });
+            if found.is_some() {
+                return found;
             }
-            if let Some(o) = obs {
+            if let (true, Some(o)) = (stalled, obs) {
                 o.rec.emit(EventKind::Resumed, NO_TASK, NO_SHARD);
             }
-            // A wake token can be stale (an unparker that lost the
-            // `cancel_park` race on an earlier cycle), in which case our
-            // registration is still in the sleeper stack. Remove it so
-            // duplicate entries never accumulate and future unparks are
-            // not misdirected at a busy worker; a genuine wake already
-            // popped us and this is a no-op.
-            self.deregister(h.id);
         }
     }
 
@@ -312,67 +274,19 @@ impl<T: Send> Scheduler<T> {
         None
     }
 
-    /// Wake one sleeper if any are registered. Cheap when everyone is
-    /// busy: a single relaxed-path atomic load.
+    /// Wake one parked worker if any is counted in. Cheap when everyone
+    /// is busy: a fence and one atomic load.
     fn maybe_unpark(&self) {
-        if self.n_sleepers.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let id = {
-            let mut s = self.sleepers.lock();
-            let id = s.pop();
-            self.n_sleepers.store(s.len(), Ordering::SeqCst);
-            id
-        };
-        if let Some(id) = id {
+        if self.idle.notify_one() {
             SchedMetrics::bump(&self.metrics.unparks);
-            self.unpark(id);
         }
     }
 
-    /// Remove `id` from the sleeper stack if present. Returns whether it
-    /// was registered.
-    fn deregister(&self, id: usize) -> bool {
-        let mut s = self.sleepers.lock();
-        match s.iter().position(|&w| w == id) {
-            Some(at) => {
-                s.remove(at);
-                self.n_sleepers.store(s.len(), Ordering::SeqCst);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Undo a sleeper registration after the re-check found work. If an
-    /// unparker already popped us, absorb the pending wake token so the
-    /// next park does not wake spuriously. The absorption races the
-    /// unparker's flag store — a token it sets *after* this clear
-    /// survives as a stale wake, which the parked path resolves by
-    /// deregistering on wake-up.
-    fn cancel_park(&self, id: usize) {
-        if !self.deregister(id) {
-            *self.parkers[id].flag.lock() = false;
-        }
-    }
-
-    fn unpark(&self, id: usize) {
-        let parker = &self.parkers[id];
-        let mut flag = parker.flag.lock();
-        *flag = true;
-        parker.cv.notify_one();
-    }
-
-    /// Stop all workers: raise the flag, then wake all parking spots
-    /// (sleepers and not-yet-parked workers alike). Callers must have
-    /// reached quiescence (no tasks in flight); pending queue contents
-    /// are not drained.
+    /// Stop all workers: raise the flag, then wake every parked one.
+    /// Callers must have reached quiescence (no tasks in flight); pending
+    /// queue contents are not drained.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.sleepers.lock().clear();
-        self.n_sleepers.store(0, Ordering::SeqCst);
-        for id in 0..self.parkers.len() {
-            self.unpark(id);
-        }
+        self.idle.notify_all();
     }
 }

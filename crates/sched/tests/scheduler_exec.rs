@@ -3,6 +3,7 @@
 //! thread counts, with stealing observable under imbalance and clean
 //! shutdown from parked states.
 
+use nexuspp_core::testsupport::with_watchdog;
 use nexuspp_sched::stress::{run_chain_stress, ChainStressSpec};
 use nexuspp_sched::{Priority, Scheduler, SchedulerKind};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -135,95 +136,103 @@ fn high_priority_overtakes_queued_normals_in_both_kinds() {
 
 #[test]
 fn idle_workers_park_and_shut_down_cleanly() {
-    let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), 4);
-    let sched = Arc::new(sched);
-    let done = Arc::new(AtomicU64::new(0));
-    let threads: Vec<_> = handles
-        .into_iter()
-        .map(|h| {
-            let sched = Arc::clone(&sched);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                while let Some(_id) = sched.next(&h) {
-                    done.fetch_add(1, Ordering::SeqCst);
-                }
+    with_watchdog(30, "idle_workers_park_and_shut_down_cleanly", || {
+        let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), 4);
+        let sched = Arc::new(sched);
+        let done = Arc::new(AtomicU64::new(0));
+        let threads: Vec<_> = handles
+            .into_iter()
+            .map(|h| {
+                let sched = Arc::clone(&sched);
+                let done = Arc::clone(&done);
+                std::thread::spawn(move || {
+                    while let Some(_id) = sched.next(&h) {
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
             })
-        })
-        .collect();
-    // Let the idle workers park, then prove a submission still wakes one
-    // (no lost wake-up from the parked state).
-    std::thread::sleep(std::time::Duration::from_millis(30));
-    sched.submit(1, Priority::Normal);
-    let t0 = std::time::Instant::now();
-    while done.load(Ordering::SeqCst) < 1 {
+            .collect();
+        // Let the idle workers park, then prove a submission still wakes one
+        // (no lost wake-up from the parked state).
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        sched.submit(1, Priority::Normal);
+        let t0 = std::time::Instant::now();
+        while done.load(Ordering::SeqCst) < 1 {
+            assert!(
+                t0.elapsed() < std::time::Duration::from_secs(5),
+                "parked workers never woke for new work"
+            );
+            std::thread::yield_now();
+        }
+        // And shutdown must reach workers that are parked again.
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        sched.shutdown();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let counts = sched.counts();
         assert!(
-            t0.elapsed() < std::time::Duration::from_secs(5),
-            "parked workers never woke for new work"
+            counts.parks > 0,
+            "idle workers should have parked: {counts:?}"
         );
-        std::thread::yield_now();
-    }
-    // And shutdown must reach workers that are parked again.
-    std::thread::sleep(std::time::Duration::from_millis(10));
-    sched.shutdown();
-    for t in threads {
-        t.join().unwrap();
-    }
-    let counts = sched.counts();
-    assert!(
-        counts.parks > 0,
-        "idle workers should have parked: {counts:?}"
-    );
-    assert!(
-        counts.unparks > 0,
-        "the submission should have unparked a sleeper"
-    );
+        assert!(
+            counts.unparks > 0,
+            "the submission should have unparked a sleeper"
+        );
+    });
 }
 
 #[test]
 fn submissions_from_many_external_threads_all_dispatch() {
-    let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), 4);
-    let sched = Arc::new(sched);
-    let done = Arc::new(AtomicU64::new(0));
-    let workers: Vec<_> = handles
-        .into_iter()
-        .map(|h| {
-            let sched = Arc::clone(&sched);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                while sched.next(&h).is_some() {
-                    done.fetch_add(1, Ordering::SeqCst);
-                }
-            })
-        })
-        .collect();
-    const SUBMITTERS: u64 = 4;
-    const PER: u64 = 500;
-    let subs: Vec<_> = (0..SUBMITTERS)
-        .map(|s| {
-            let sched = Arc::clone(&sched);
-            std::thread::spawn(move || {
-                for i in 0..PER {
-                    let prio = if i % 16 == 0 {
-                        Priority::High
-                    } else {
-                        Priority::Normal
-                    };
-                    sched.submit(s * PER + i, prio);
-                }
-            })
-        })
-        .collect();
-    for s in subs {
-        s.join().unwrap();
-    }
-    while done.load(Ordering::SeqCst) < SUBMITTERS * PER {
-        std::thread::yield_now();
-    }
-    sched.shutdown();
-    for w in workers {
-        w.join().unwrap();
-    }
-    assert_eq!(sched.counts().dispatched(), SUBMITTERS * PER);
+    with_watchdog(
+        30,
+        "submissions_from_many_external_threads_all_dispatch",
+        || {
+            let (sched, handles) = Scheduler::<u64>::new(SchedulerKind::default(), 4);
+            let sched = Arc::new(sched);
+            let done = Arc::new(AtomicU64::new(0));
+            let workers: Vec<_> = handles
+                .into_iter()
+                .map(|h| {
+                    let sched = Arc::clone(&sched);
+                    let done = Arc::clone(&done);
+                    std::thread::spawn(move || {
+                        while sched.next(&h).is_some() {
+                            done.fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                })
+                .collect();
+            const SUBMITTERS: u64 = 4;
+            const PER: u64 = 500;
+            let subs: Vec<_> = (0..SUBMITTERS)
+                .map(|s| {
+                    let sched = Arc::clone(&sched);
+                    std::thread::spawn(move || {
+                        for i in 0..PER {
+                            let prio = if i % 16 == 0 {
+                                Priority::High
+                            } else {
+                                Priority::Normal
+                            };
+                            sched.submit(s * PER + i, prio);
+                        }
+                    })
+                })
+                .collect();
+            for s in subs {
+                s.join().unwrap();
+            }
+            while done.load(Ordering::SeqCst) < SUBMITTERS * PER {
+                std::thread::yield_now();
+            }
+            sched.shutdown();
+            for w in workers {
+                w.join().unwrap();
+            }
+            assert_eq!(sched.counts().dispatched(), SUBMITTERS * PER);
+        },
+    );
 }
 
 /// External (handle-less) draining: a thread with no WorkerHandle pops
@@ -256,35 +265,41 @@ fn external_pop_drains_a_zero_worker_scheduler() {
 /// still dispatch later work.
 #[test]
 fn workers_absorb_tokens_orphaned_by_external_pops() {
-    let (sched, mut handles) = Scheduler::<u64>::new(SchedulerKind::default(), 1);
-    let sched = Arc::new(sched);
-    let h = handles.pop().unwrap();
-    let seen = Arc::new(AtomicU64::new(0));
-    let worker = {
-        let sched = Arc::clone(&sched);
-        let seen = Arc::clone(&seen);
-        std::thread::spawn(move || {
-            while let Some(v) = sched.next(&h) {
-                seen.fetch_add(v, Ordering::SeqCst);
+    with_watchdog(
+        30,
+        "workers_absorb_tokens_orphaned_by_external_pops",
+        || {
+            let (sched, mut handles) = Scheduler::<u64>::new(SchedulerKind::default(), 1);
+            let sched = Arc::new(sched);
+            let h = handles.pop().unwrap();
+            let seen = Arc::new(AtomicU64::new(0));
+            let worker = {
+                let sched = Arc::clone(&sched);
+                let seen = Arc::clone(&seen);
+                std::thread::spawn(move || {
+                    while let Some(v) = sched.next(&h) {
+                        seen.fetch_add(v, Ordering::SeqCst);
+                    }
+                })
+            };
+            // Race external pops against the worker; whoever wins, every
+            // item must be dispatched exactly once and nothing may hang.
+            let mut external_sum = 0u64;
+            for round in 1..=50u64 {
+                sched.submit(round, Priority::Normal);
+                if let Some(v) = sched.try_next_external() {
+                    external_sum += v;
+                }
             }
-        })
-    };
-    // Race external pops against the worker; whoever wins, every
-    // item must be dispatched exactly once and nothing may hang.
-    let mut external_sum = 0u64;
-    for round in 1..=50u64 {
-        sched.submit(round, Priority::Normal);
-        if let Some(v) = sched.try_next_external() {
-            external_sum += v;
-        }
-    }
-    let expect: u64 = (1..=50).sum();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while seen.load(Ordering::SeqCst) + external_sum < expect {
-        assert!(std::time::Instant::now() < deadline, "lost items");
-        std::thread::yield_now();
-    }
-    assert_eq!(seen.load(Ordering::SeqCst) + external_sum, expect);
-    sched.shutdown();
-    worker.join().unwrap();
+            let expect: u64 = (1..=50).sum();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while seen.load(Ordering::SeqCst) + external_sum < expect {
+                assert!(std::time::Instant::now() < deadline, "lost items");
+                std::thread::yield_now();
+            }
+            assert_eq!(seen.load(Ordering::SeqCst) + external_sum, expect);
+            sched.shutdown();
+            worker.join().unwrap();
+        },
+    );
 }

@@ -37,9 +37,9 @@
 //! it.
 
 use crate::metrics::TenantMetrics;
-use crate::task::{IngressGate, IngressSignal, ServiceTask};
+use crate::task::{IngressGate, ServiceTask};
 use crossbeam::channel::{Receiver, Sender};
-use nexuspp_core::TenantId;
+use nexuspp_core::{EventCount, TenantId};
 use nexuspp_runtime::{PendingSpawn, Runtime};
 use nexuspp_shard::BudgetLane;
 use parking_lot::Mutex;
@@ -81,7 +81,7 @@ pub(crate) struct Lane {
     pub(crate) tx: Sender<ServiceTask>,
     pub(crate) metrics: TenantMetrics,
     /// Notified when a pump pops the lane: room for one more send.
-    pub(crate) space: IngressSignal,
+    pub(crate) space: EventCount,
     budget: BudgetLane,
     /// The lane lock. Held across one `pump`, so per-tenant admission
     /// order is send order whichever threads do the admitting.
@@ -129,7 +129,7 @@ impl Lane {
             shared,
             tx,
             metrics: TenantMetrics::new(),
-            space: IngressSignal::new(),
+            space: EventCount::new(),
             budget,
             slots: Mutex::new(Slots {
                 rx,
@@ -159,7 +159,7 @@ impl Lane {
             None => true,
         };
         if wants_tick || self.shared.stop.load(Ordering::SeqCst) {
-            self.shared.signal.notify();
+            self.shared.signal.notify_all();
         }
     }
 
@@ -211,7 +211,7 @@ fn pump(lane: &Arc<Lane>, slots: &mut Slots) -> Pumped {
             Some(t) => t,
             None => match slots.rx.try_recv() {
                 Ok(t) => {
-                    lane.space.notify();
+                    lane.space.notify_all();
                     t
                 }
                 Err(_) => return pumped,
@@ -263,7 +263,7 @@ pub(crate) struct IngressShared {
     pub(crate) rt: Arc<Runtime>,
     pub(crate) gate: IngressGate,
     /// The ingress thread's wake-up.
-    pub(crate) signal: IngressSignal,
+    pub(crate) signal: EventCount,
     /// Max tasks one `pump` admits before it gives the lane up
     /// (round-robin fairness quantum of the ingress sweep).
     pub(crate) sweep_batch: usize,
@@ -314,7 +314,7 @@ pub(crate) fn run(shared: &IngressShared, lanes: &[Arc<Lane>]) -> IngressStats {
             return IngressStats::default();
         }
         if !progress {
-            shared.signal.wait(TICK, || {
+            shared.signal.wait(Some(TICK), || {
                 shared.stop.load(Ordering::SeqCst) != stop || sweep(lanes).0
             });
         }

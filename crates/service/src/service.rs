@@ -3,8 +3,8 @@
 
 use crate::config::ServiceConfig;
 use crate::ingress::{self, IngressShared, IngressStats, Lane};
-use crate::task::{IngressGate, IngressSignal, SubmissionHandle};
-use nexuspp_core::TenantId;
+use crate::task::{IngressGate, SubmissionHandle};
+use nexuspp_core::{EventCount, TenantId};
 use nexuspp_obs::{Collector, MetricsRegistry, MetricsSnapshot};
 use nexuspp_runtime::{Runtime, ShutdownReport};
 use nexuspp_shard::{TenantBudgets, TenantCounts};
@@ -71,7 +71,7 @@ impl ResolverService {
         let shared = Arc::new(IngressShared {
             rt,
             gate: IngressGate::new(),
-            signal: IngressSignal::new(),
+            signal: EventCount::new(),
             sweep_batch: cfg.sweep_batch,
             stop: AtomicBool::new(false),
             deadline: Mutex::new(None),
@@ -165,7 +165,7 @@ impl ResolverService {
         // client got Ok for is visible to the ingress drain.
         self.shared.gate.seal();
         self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.signal.notify();
+        self.shared.signal.notify_all();
         let stats = {
             let joined = self.ingress.lock().take().and_then(|h| h.join().ok());
             let mut finished = self.finished.lock();

@@ -3,10 +3,8 @@
 use crate::ingress::{Lane, TICK};
 use crossbeam::channel::TrySendError;
 use nexuspp_core::{Submission, TenantId};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 
 /// One streamed task: a pre-addressed [`Submission`] (the dependence
 /// declaration) plus the closure to run when it becomes ready. Built by
@@ -74,63 +72,6 @@ impl std::fmt::Debug for IngressError {
             IngressError::Backpressure(t) => f.debug_tuple("Backpressure").field(t).finish(),
             IngressError::Closed(t) => f.debug_tuple("Closed").field(t).finish(),
         }
-    }
-}
-
-/// An eventcount: `notify` costs no kernel entry unless a thread is
-/// inside [`wait`](Self::wait). Two instances of it carry every wake
-/// the service sends: the ingress thread's (notified by a caller-side
-/// pump that leaves it work, and by shutdown) and each lane's *space*
-/// signal (notified when a pump pops the lane, for a parked
-/// [`submit_blocking`](SubmissionHandle::submit_blocking)).
-///
-/// The contract: publish a state change, then `notify`; a waiter calls
-/// `wait` with a `recheck` that looks for such a change. Either the
-/// recheck sees it or the wait is cut short. The argument is Dekker's —
-/// `wait` counts itself in, fences, then rechecks; `notify` fences,
-/// then reads the count — so one side always sees the other; and a
-/// notify that did see the waiter bumps `epoch` under the lock the
-/// waiter blocks under, so it cannot fall between the waiter's recheck
-/// and its block. Waits are bounded all the same, because two of the
-/// things the ingress thread waits for are published by nobody: the
-/// shutdown deadline passing, and shard capacity freed by a finish.
-pub(crate) struct IngressSignal {
-    waiters: AtomicUsize,
-    epoch: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl IngressSignal {
-    pub(crate) fn new() -> IngressSignal {
-        IngressSignal {
-            waiters: AtomicUsize::new(0),
-            epoch: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn notify(&self) {
-        fence(Ordering::SeqCst);
-        if self.waiters.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        *self.epoch.lock() += 1;
-        self.cv.notify_all();
-    }
-
-    /// Block for at most `timeout`, unless `recheck` returns `true` or
-    /// a `notify` has arrived since this call began.
-    pub(crate) fn wait(&self, timeout: Duration, recheck: impl FnOnce() -> bool) {
-        self.waiters.fetch_add(1, Ordering::Relaxed);
-        let seen = *self.epoch.lock();
-        fence(Ordering::SeqCst);
-        if !recheck() {
-            let mut epoch = self.epoch.lock();
-            if *epoch == seen {
-                let _ = self.cv.wait_for(&mut epoch, timeout);
-            }
-        }
-        self.waiters.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -228,73 +169,9 @@ impl SubmissionHandle {
             }
             // A seal publishes nothing here; the bound is what returns
             // a submitter parked across one to `try_submit`'s `Closed`.
-            lane.space.wait(TICK, || {
+            lane.space.wait(Some(TICK), || {
                 !lane.tx.is_full() || !lane.shared.gate.is_accepting()
             });
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Instant;
-
-    /// Far longer than any of these waits should take; a wait that
-    /// spends it lost its wake.
-    const LONG: Duration = Duration::from_secs(20);
-
-    fn returns_early(signal: &IngressSignal, recheck: impl FnOnce() -> bool) {
-        let start = Instant::now();
-        signal.wait(LONG, recheck);
-        assert!(start.elapsed() < LONG / 2, "wait spent its whole timeout");
-    }
-
-    #[test]
-    fn notify_before_the_wait_begins_is_seen_by_the_recheck() {
-        let (signal, work) = (IngressSignal::new(), AtomicBool::new(false));
-        work.store(true, Ordering::SeqCst);
-        signal.notify();
-        returns_early(&signal, || work.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn notify_between_recheck_and_block_cancels_the_block() {
-        let signal = IngressSignal::new();
-        // The recheck runs after the waiter has counted itself in and
-        // before it blocks; it notifies from inside that window, then
-        // reports having seen nothing.
-        returns_early(&signal, || {
-            signal.notify();
-            false
-        });
-    }
-
-    #[test]
-    fn notify_during_the_block_ends_it() {
-        let signal = IngressSignal::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                while signal.waiters.load(Ordering::SeqCst) == 0 {
-                    std::thread::yield_now();
-                }
-                // Most likely blocked by now; if it is still short of
-                // the block, this is the previous test's window again.
-                std::thread::sleep(Duration::from_millis(20));
-                signal.notify();
-            });
-            returns_early(&signal, || false);
-        });
-    }
-
-    #[test]
-    fn unnotified_wait_is_bounded_and_notify_without_waiter_is_free() {
-        let signal = IngressSignal::new();
-        signal.notify();
-        assert_eq!(*signal.epoch.lock(), 0, "nobody to wake: no epoch bump");
-        let start = Instant::now();
-        signal.wait(Duration::from_millis(5), || false);
-        assert!(start.elapsed() >= Duration::from_millis(5));
-        assert_eq!(signal.waiters.load(Ordering::SeqCst), 0);
     }
 }

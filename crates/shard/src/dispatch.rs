@@ -16,12 +16,20 @@
 //! dropped**: the software form of the paper's Handle Finished block
 //! moving kicked-off tasks to the ready list. A task is woken by exactly
 //! one finisher and surfaces in that finisher's own report.
+//!
+//! Under a bounded [`ShardCapacity`], a submitter that finds a shard
+//! full parks on that shard's [`EventCount`], rechecking the shard's
+//! residency; a finish notifies it after releasing each slot, and a
+//! reservation that rolled back notifies the shards it handed slots
+//! back to. A notify with nobody parked is one fence and one load.
 
 use crate::protocol::{route, Remote, Residency, Route, Slices};
-use nexuspp_core::{duplicate_address, NexusConfig, ShardCapacity, SubmitError, TdIndex};
+use nexuspp_core::{
+    duplicate_address, EventCount, NexusConfig, ShardCapacity, SubmitError, TdIndex,
+};
 use nexuspp_obs::{EventKind, Recorder, NO_SHARD};
 use nexuspp_trace::Param;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -124,9 +132,9 @@ pub struct CapacityCounts {
 
 struct ShardCell<P> {
     slices: Mutex<Slices<Arc<Node<P>>>>,
-    /// Pairs with `unpark`: submitters blocked on a full shard wait here.
-    park: Mutex<()>,
-    unpark: Condvar,
+    /// Submitters blocked on this full shard wait here; notified after
+    /// every slot this shard hands back.
+    space: EventCount,
     stalls: AtomicU64,
     retries_resolved: AtomicU64,
     stall_ns: AtomicU64,
@@ -180,8 +188,7 @@ impl<P> ShardDispatcher<P> {
             shards: (0..n_shards)
                 .map(|_| ShardCell {
                     slices: Mutex::new(Slices::new(cfg)),
-                    park: Mutex::new(()),
-                    unpark: Condvar::new(),
+                    space: EventCount::new(),
                     stalls: AtomicU64::new(0),
                     retries_resolved: AtomicU64::new(0),
                     stall_ns: AtomicU64::new(0),
@@ -257,34 +264,22 @@ impl<P> ShardDispatcher<P> {
             .collect()
     }
 
-    /// Wake the submitters parked on shard `s`. Callers free a slot
-    /// first; notifying under the park mutex is the lost-wakeup guard,
-    /// since a submitter that observed "full" under that mutex is already
-    /// inside `wait` when the notify lands.
-    fn unpark(&self, s: u32) {
-        let cell = &self.shards[s as usize];
-        let _guard = cell.park.lock();
-        cell.unpark.notify_all();
-    }
-
     /// [`Residency::try_reserve`], waking anyone parked on a shard whose
     /// slot the rollback handed back.
     fn try_reserve(&self, route: &Route) -> Result<(), u32> {
         self.residency.try_reserve(route).inspect_err(|&full| {
             for (s, _) in route.iter().take_while(|(s, _)| *s != full) {
-                self.unpark(*s);
+                self.shards[*s as usize].space.notify_all();
             }
         })
     }
 
-    /// Block until shard `s` has a free residency slot (the slot may be
-    /// taken again before the caller's retry; callers loop).
+    /// Block until shard `s` may have a free residency slot (the slot
+    /// may be taken again before the caller's retry; callers loop).
     fn park_on(&self, s: u32) {
-        let cell = &self.shards[s as usize];
-        let mut guard = cell.park.lock();
-        while !self.capacity().admits(self.residency.resident(s as usize)) {
-            cell.unpark.wait(&mut guard);
-        }
+        self.shards[s as usize].space.wait(None, || {
+            self.capacity().admits(self.residency.resident(s as usize))
+        });
     }
 
     /// Submit a task. Never blocks on other tasks' *dependency* progress.
@@ -422,7 +417,7 @@ impl<P> ShardDispatcher<P> {
             }
             if self.capacity().is_bounded() {
                 self.residency.release(s);
-                self.unpark(s);
+                self.shards[s as usize].space.notify_all();
             }
         }
         // A parameterless task has no parts: no shard held state for it.
@@ -477,6 +472,7 @@ impl<P> ShardDispatcher<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexuspp_core::testsupport::with_watchdog;
     use std::sync::atomic::AtomicU64;
 
     fn dispatcher(n: usize) -> ShardDispatcher<u64> {
@@ -608,40 +604,46 @@ mod tests {
 
     #[test]
     fn parked_submitter_resumes_on_finish_and_counts_one_episode() {
-        // One shard, capacity 2: two residents fill it; a third submission
-        // parks on another thread and resumes when a resident finishes.
-        let d = Arc::new(ShardDispatcher::<u64>::with_capacity(
-            1,
-            &NexusConfig::unbounded(),
-            ShardCapacity::Bounded(2),
-        ));
-        let r0 = d.submit(1, 0, &[Param::output(0x100, 4)], 0);
-        let r1 = d.submit(1, 1, &[Param::output(0x200, 4)], 1);
-        assert_eq!(d.capacity_counts()[0].resident, 2);
-        let parked = {
-            let d = Arc::clone(&d);
-            std::thread::spawn(move || {
-                let r = d.submit(1, 2, &[Param::output(0x300, 4)], 2);
-                let p = r.ready.expect("independent task");
-                (r.ticket, p)
-            })
-        };
-        // Deterministic rendezvous: the stall is observed before we free
-        // the slot the parked submitter needs.
-        while d.capacity_counts()[0].stalls_observed == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(d.capacity_counts()[0].retries_resolved, 0);
-        let rep = d.finish(r0.ticket);
-        assert_eq!(rep.completed, 1);
-        let (t2, p2) = parked.join().unwrap();
-        assert_eq!(p2, 2);
-        d.finish(r1.ticket);
-        d.finish(t2);
-        let c = &d.capacity_counts()[0];
-        assert_eq!(
-            (c.stalls_observed, c.retries_resolved, c.resident),
-            (1, 1, 0)
+        with_watchdog(
+            30,
+            "parked_submitter_resumes_on_finish_and_counts_one_episode",
+            || {
+                // One shard, capacity 2: two residents fill it; a third submission
+                // parks on another thread and resumes when a resident finishes.
+                let d = Arc::new(ShardDispatcher::<u64>::with_capacity(
+                    1,
+                    &NexusConfig::unbounded(),
+                    ShardCapacity::Bounded(2),
+                ));
+                let r0 = d.submit(1, 0, &[Param::output(0x100, 4)], 0);
+                let r1 = d.submit(1, 1, &[Param::output(0x200, 4)], 1);
+                assert_eq!(d.capacity_counts()[0].resident, 2);
+                let parked = {
+                    let d = Arc::clone(&d);
+                    std::thread::spawn(move || {
+                        let r = d.submit(1, 2, &[Param::output(0x300, 4)], 2);
+                        let p = r.ready.expect("independent task");
+                        (r.ticket, p)
+                    })
+                };
+                // Deterministic rendezvous: the stall is observed before we free
+                // the slot the parked submitter needs.
+                while d.capacity_counts()[0].stalls_observed == 0 {
+                    std::thread::yield_now();
+                }
+                assert_eq!(d.capacity_counts()[0].retries_resolved, 0);
+                let rep = d.finish(r0.ticket);
+                assert_eq!(rep.completed, 1);
+                let (t2, p2) = parked.join().unwrap();
+                assert_eq!(p2, 2);
+                d.finish(r1.ticket);
+                d.finish(t2);
+                let c = &d.capacity_counts()[0];
+                assert_eq!(
+                    (c.stalls_observed, c.retries_resolved, c.resident),
+                    (1, 1, 0)
+                );
+            },
         );
     }
 
@@ -687,48 +689,55 @@ mod tests {
 
     #[test]
     fn capacity_one_concurrent_churn_is_deadlock_free_and_balanced() {
-        // Four threads hammer a capacity-1 dispatcher with independent
-        // tasks: every slot conflict parks a submitter that some other
-        // thread's finish must resume. At quiescence every stall episode
-        // is resolved and every task completed exactly once.
-        for shards in [1usize, 4] {
-            let d = Arc::new(ShardDispatcher::<u64>::with_capacity(
-                shards,
-                &NexusConfig::unbounded(),
-                ShardCapacity::Bounded(1),
-            ));
-            let total = Arc::new(AtomicU64::new(0));
-            const THREADS: u64 = 4;
-            const PER_THREAD: u64 = 300;
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let d = Arc::clone(&d);
-                    let total = Arc::clone(&total);
-                    std::thread::spawn(move || {
-                        for i in 0..PER_THREAD {
-                            let tag = t * PER_THREAD + i;
-                            let addr = 0x50_0000 + tag * 64;
-                            let r = d.submit(1, tag, &[Param::output(addr, 4)], tag);
-                            let p = r.ready.expect("independent task must be ready");
-                            assert_eq!(p, tag);
-                            total.fetch_add(d.finish(r.ticket).completed, Ordering::Relaxed);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(total.load(Ordering::Relaxed), THREADS * PER_THREAD);
-            for (s, c) in d.capacity_counts().iter().enumerate() {
-                assert_eq!(
-                    c.stalls_observed, c.retries_resolved,
-                    "shards={shards} shard {s}: unresolved stall episodes"
-                );
-                assert_eq!(c.resident, 0, "shards={shards} shard {s} leaked slots");
-            }
-            assert_eq!(d.sub_descriptors_in_flight(), 0);
-        }
+        with_watchdog(
+            30,
+            "capacity_one_concurrent_churn_is_deadlock_free_and_balanced",
+            || {
+                // Four threads hammer a capacity-1 dispatcher with independent
+                // tasks: every slot conflict parks a submitter that some other
+                // thread's finish must resume. At quiescence every stall episode
+                // is resolved and every task completed exactly once.
+                for shards in [1usize, 4] {
+                    let d = Arc::new(ShardDispatcher::<u64>::with_capacity(
+                        shards,
+                        &NexusConfig::unbounded(),
+                        ShardCapacity::Bounded(1),
+                    ));
+                    let total = Arc::new(AtomicU64::new(0));
+                    const THREADS: u64 = 4;
+                    const PER_THREAD: u64 = 300;
+                    let handles: Vec<_> = (0..THREADS)
+                        .map(|t| {
+                            let d = Arc::clone(&d);
+                            let total = Arc::clone(&total);
+                            std::thread::spawn(move || {
+                                for i in 0..PER_THREAD {
+                                    let tag = t * PER_THREAD + i;
+                                    let addr = 0x50_0000 + tag * 64;
+                                    let r = d.submit(1, tag, &[Param::output(addr, 4)], tag);
+                                    let p = r.ready.expect("independent task must be ready");
+                                    assert_eq!(p, tag);
+                                    total
+                                        .fetch_add(d.finish(r.ticket).completed, Ordering::Relaxed);
+                                }
+                            })
+                        })
+                        .collect();
+                    for h in handles {
+                        h.join().unwrap();
+                    }
+                    assert_eq!(total.load(Ordering::Relaxed), THREADS * PER_THREAD);
+                    for (s, c) in d.capacity_counts().iter().enumerate() {
+                        assert_eq!(
+                            c.stalls_observed, c.retries_resolved,
+                            "shards={shards} shard {s}: unresolved stall episodes"
+                        );
+                        assert_eq!(c.resident, 0, "shards={shards} shard {s} leaked slots");
+                    }
+                    assert_eq!(d.sub_descriptors_in_flight(), 0);
+                }
+            },
+        );
     }
 
     #[test]
