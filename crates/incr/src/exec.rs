@@ -41,9 +41,8 @@ use nexuspp_core::{Priority, Submission, TaskBuilder};
 use nexuspp_frontend::exec::run_on_engine;
 use nexuspp_frontend::{LoweredProgram, Lowering, ResourceId, Version};
 use nexuspp_runtime::Runtime;
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Which execution backend a re-run resubmits invalidated tasks to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,7 +306,7 @@ impl IncrementalProgram {
                 .map(|&(r, _)| self.resource_name(r).to_string())
                 .collect();
             rt.spawn_lowered(sub, move || {
-                let mut m = map.lock();
+                let mut m = lock(&map);
                 let inputs: Vec<u64> = reads
                     .iter()
                     .map(|rv| {
@@ -318,11 +317,11 @@ impl IncrementalProgram {
                 for (&(r, v), name) in writes.iter().zip(&names) {
                     m.insert((r, v), store::task_output(fptr, name, &inputs));
                 }
-                log.lock().push(key);
+                lock(&log).push(key);
             });
         }
         rt.barrier();
-        let m = map.lock();
+        let m = lock(&map);
         for p in plans {
             let rec = self.store.record(p.key).expect("just memoized");
             for &(r, v) in &p.writes {
@@ -334,9 +333,15 @@ impl IncrementalProgram {
             }
         }
         drop(m);
-        let order = log.lock().clone();
+        let order = lock(&log).clone();
         order
     }
+}
+
+/// Take `m`, recovering it if poisoned: a task body that panics under
+/// it is re-raised by the barrier before anything reads it again.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -29,20 +29,21 @@
 //! idle workers on the scheduler's, a submitter stalled on a full shard
 //! on that shard's, and a [`Runtime::barrier`] (or shutdown) on the
 //! runtime's own, notified by the retirement that takes the pending
-//! count to zero.
+//! count to zero. [`Runtime::wait_on`] is the one exception: between
+//! the ready tasks it helps run, it blocks on a std channel its probe
+//! task sends into.
 
 use crate::region::{Region, RegionId};
 use crate::runtime::{panic_msg, sched_counters, Grants, Job, ShutdownReport, TaskCtx};
-use crossbeam::channel::{RecvTimeoutError, TryRecvError};
 use nexuspp_core::{EventCount, NexusConfig, Priority, ShardCapacity, Submission, SubmitError};
 use nexuspp_obs::{EventKind, MetricsRegistry, Recorder};
 use nexuspp_sched::{SchedCounts, Scheduler, SchedulerKind, WorkerHandle};
 use nexuspp_shard::{CapacityCounts, ShardDispatcher, TaskTicket, WakeCounts, WakeMode};
 use nexuspp_trace::normalize::normalize_params;
 use nexuspp_trace::{AccessMode, Param};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -157,6 +158,12 @@ impl Inner {
             self.quiescent
                 .wait(left, || self.pending.load(Ordering::SeqCst) == 0);
         }
+    }
+
+    /// The first-panic slot. Task bodies run outside it (under
+    /// `catch_unwind`), so a poisoned guard still holds a valid message.
+    fn panicked(&self) -> MutexGuard<'_, Option<String>> {
+        self.panicked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -526,7 +533,7 @@ impl Runtime {
     /// torn down (hard-deadline shutdown cancels the probe), the wait
     /// returns cleanly instead of panicking.
     pub fn wait_on<T>(&self, region: &Region<T>) {
-        let (tx, rx) = crossbeam::channel::bounded::<()>(1);
+        let (tx, rx) = sync_channel::<()>(1);
         self.task().input(region).high_priority().spawn(move |_| {
             let _ = tx.send(());
         });
@@ -586,7 +593,12 @@ impl Runtime {
         inner.sched.shutdown();
         // Empty after the first shutdown, so a second one (or the drop
         // that follows an explicit shutdown) joins nothing.
-        let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
+        let handles: Vec<JoinHandle<()>> = self
+            .workers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+            .collect();
         for w in handles {
             let _ = w.join();
         }
@@ -602,7 +614,8 @@ impl Runtime {
     /// barrier, the panic is re-raised here on the calling thread.
     pub fn barrier(&self) {
         self.inner.wait_quiescent(None);
-        if let Some(msg) = self.inner.panicked.lock().take() {
+        let panicked = self.inner.panicked().take();
+        if let Some(msg) = panicked {
             panic!("task panicked: {msg}");
         }
     }
@@ -650,7 +663,7 @@ fn execute_ready(
         }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (work.job)(&ctx)));
         if let Err(payload) = result {
-            inner.panicked.lock().get_or_insert(panic_msg(&*payload));
+            inner.panicked().get_or_insert(panic_msg(&*payload));
         }
         if let Some(r) = &inner.obs {
             r.emit(EventKind::ExecDone, ticket.tag(), nexuspp_obs::NO_SHARD);

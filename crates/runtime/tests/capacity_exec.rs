@@ -73,7 +73,7 @@ fn shutdown_is_clean_while_a_submitter_is_parked() {
         let rt = Arc::new(bounded(2, 1, 1));
         let gate: Region<u64> = rt.region(vec![0]);
         let other: Region<u64> = rt.region(vec![0]);
-        let (open_tx, open_rx) = crossbeam::channel::bounded::<()>(1);
+        let (open_tx, open_rx) = std::sync::mpsc::sync_channel::<()>(1);
         {
             let gate = gate.clone();
             rt.task().inout(&gate).spawn(move |t| {
@@ -144,7 +144,7 @@ fn every_spawn_flavour_goes_through_one_accounted_submission_path() {
             });
         }
         // A gate holds shard 0's only slot (blocking lowered path).
-        let (open_tx, open_rx) = crossbeam::channel::bounded::<()>(1);
+        let (open_tx, open_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let run = body();
         rt.spawn_lowered(on_shard0(100), move || {
             open_rx.recv().expect("gate signal");
@@ -162,7 +162,7 @@ fn every_spawn_flavour_goes_through_one_accounted_submission_path() {
 
         // A barrier racing further rejections must return as soon as the
         // admitted tasks retire: a rejected task is never pending.
-        let (at_barrier_tx, at_barrier_rx) = crossbeam::channel::bounded::<()>(1);
+        let (at_barrier_tx, at_barrier_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let barrier = {
             let rt = Arc::clone(&rt);
             std::thread::spawn(move || {

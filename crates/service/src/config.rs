@@ -3,23 +3,24 @@
 use nexuspp_core::{ShardCapacity, TenantId};
 
 /// Everything a [`ResolverService`](crate::ResolverService) is built
-/// from: the wrapped runtime's shape plus the tenant roster.
+/// from: the wrapped runtime's shape plus the tenant roster. The builder
+/// methods are the one way to set a field, so their clamps hold.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads in the wrapped runtime.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Dependency-resolution shards.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Per-shard residency bound. Bounded capacity is what makes the
     /// ingress retry slot earn its keep; unbounded never rejects.
-    pub capacity: ShardCapacity,
+    pub(crate) capacity: ShardCapacity,
     /// Bound of each tenant's ingress lane (queued, not yet admitted).
     /// A full lane is client-visible backpressure.
-    pub lane_capacity: usize,
+    pub(crate) lane_capacity: usize,
     /// Max tasks one admission pass takes from a lane before giving
     /// the lane up — for the ingress thread, before moving to the next
     /// lane (round-robin fairness quantum).
-    pub sweep_batch: usize,
+    pub(crate) sweep_batch: usize,
     pub(crate) tenants: Vec<(TenantId, u64)>,
 }
 
@@ -53,13 +54,13 @@ impl ServiceConfig {
         self
     }
 
-    /// Bound each tenant's ingress lane.
+    /// Bound each tenant's ingress lane (at least 1).
     pub fn lane_capacity(mut self, cap: usize) -> Self {
         self.lane_capacity = cap.max(1);
         self
     }
 
-    /// Set the per-lane fairness quantum.
+    /// Set the per-lane fairness quantum (at least 1).
     pub fn sweep_batch(mut self, batch: usize) -> Self {
         self.sweep_batch = batch.max(1);
         self

@@ -1,7 +1,7 @@
 //! Caller-runs admission: one [`pump`], three callers, program order
 //! per tenant.
 //!
-//! A lane is a bounded channel plus two one-task slots, and admitting
+//! A lane is a bounded queue plus two one-task slots, and admitting
 //! from it — `pump` — runs under the lane's lock on whichever thread
 //! has a reason to: the client that just sent into the lane, the worker
 //! that just retired one of the lane's tasks and so freed budget
@@ -38,13 +38,12 @@
 
 use crate::metrics::TenantMetrics;
 use crate::task::{IngressGate, ServiceTask};
-use crossbeam::channel::{Receiver, Sender};
 use nexuspp_core::{EventCount, TenantId};
 use nexuspp_runtime::{PendingSpawn, Runtime};
 use nexuspp_shard::BudgetLane;
-use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// The longest the ingress thread, or a parked `submit_blocking`,
@@ -78,19 +77,24 @@ impl Drop for CreditGuard {
 pub(crate) struct Lane {
     pub(crate) tenant: TenantId,
     pub(crate) shared: Arc<IngressShared>,
-    pub(crate) tx: Sender<ServiceTask>,
     pub(crate) metrics: TenantMetrics,
     /// Notified when a pump pops the lane: room for one more send.
     pub(crate) space: EventCount,
     budget: BudgetLane,
+    /// Sent and not yet popped. Its own lock, taken only briefly, so a
+    /// client's send never waits for a pump; a pump takes it under the
+    /// lane lock, never the reverse.
+    queue: Mutex<VecDeque<ServiceTask>>,
+    /// The queue's bound: a send that finds `cap` tasks queued is
+    /// backpressure.
+    cap: usize,
     /// The lane lock. Held across one `pump`, so per-tenant admission
     /// order is send order whichever threads do the admitting.
     slots: Mutex<Slots>,
 }
 
-/// What the lane lock owns: the receive side and the two parked slots.
+/// What the lane lock owns: the two parked slots.
 struct Slots {
-    rx: Receiver<ServiceTask>,
     /// Popped but budget-denied: admitted before anything newer.
     hold: Option<ServiceTask>,
     /// Budget-charged but capacity-rejected: resubmitted before
@@ -99,12 +103,6 @@ struct Slots {
     /// Set by the hard-deadline path once it has emptied the lane: no
     /// pump admits afterwards.
     discard: bool,
-}
-
-impl Slots {
-    fn has_backlog(&self) -> bool {
-        self.retry.is_some() || self.hold.is_some() || !self.rx.is_empty()
-    }
 }
 
 /// What one [`pump`] did.
@@ -121,18 +119,17 @@ impl Lane {
         tenant: TenantId,
         shared: Arc<IngressShared>,
         budget: BudgetLane,
-        capacity: usize,
+        cap: usize,
     ) -> Lane {
-        let (tx, rx) = crossbeam::channel::bounded(capacity);
         Lane {
             tenant,
             shared,
-            tx,
             metrics: TenantMetrics::new(),
             space: EventCount::new(),
             budget,
+            queue: Mutex::new(VecDeque::new()),
+            cap,
             slots: Mutex::new(Slots {
-                rx,
                 hold: None,
                 retry: None,
                 discard: false,
@@ -151,7 +148,12 @@ impl Lane {
     /// lock race (the holder may already be past the queue), work only
     /// a tick resolves, or a drain waiting to see this lane empty.
     pub(crate) fn try_pump(self: &Arc<Self>, budget_freed: bool) {
-        let wants_tick = match self.slots.try_lock() {
+        let slots = match self.slots.try_lock() {
+            Ok(slots) => Some(slots),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
+        let wants_tick = match slots {
             // A held task is budget-blocked, and a submit frees no
             // budget: re-charging would only count another denial.
             Some(slots) if !budget_freed && slots.hold.is_some() => false,
@@ -163,19 +165,50 @@ impl Lane {
         }
     }
 
+    /// Queue `task` unless the lane is full; a full lane hands it back.
+    pub(crate) fn try_send(&self, task: ServiceTask) -> Result<(), ServiceTask> {
+        let mut queue = self.queue();
+        if queue.len() >= self.cap {
+            return Err(task);
+        }
+        queue.push_back(task);
+        Ok(())
+    }
+
+    /// Whether a send would be accepted right now.
+    pub(crate) fn has_space(&self) -> bool {
+        self.queue().len() < self.cap
+    }
+
+    /// Whether anything still waits for admission. The caller holds the
+    /// lane lock (`slots`).
+    fn has_backlog(&self, slots: &Slots) -> bool {
+        slots.retry.is_some() || slots.hold.is_some() || !self.queue().is_empty()
+    }
+
     /// Hard deadline: empty the lane un-admitted and close it to every
     /// later pump. Returns how many accepted tasks were dropped.
     fn discard(&self) -> u64 {
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots();
         slots.discard = true;
         let held = slots.hold.take();
-        let queued = std::iter::from_fn(|| slots.rx.try_recv().ok());
+        let queued = std::mem::take(&mut *self.queue());
         let dropped = held.into_iter().chain(queued).count() as u64;
         self.metrics.dropped.add(dropped);
         // The retry slot was budget-charged already; dropping it
         // settles through its CreditGuard (as cancelled).
         slots.retry.take();
         dropped
+    }
+
+    // Poisoning is recovered, as for the shard locks below the lane: no
+    // task body runs under either of these.
+    fn slots(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn queue(&self) -> MutexGuard<'_, VecDeque<ServiceTask>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -209,13 +242,13 @@ fn pump(lane: &Arc<Lane>, slots: &mut Slots) -> Pumped {
     for _ in 0..shared.sweep_batch {
         let task = match slots.hold.take() {
             Some(t) => t,
-            None => match slots.rx.try_recv() {
-                Ok(t) => {
-                    lane.space.notify_all();
-                    t
-                }
-                Err(_) => return pumped,
-            },
+            None => {
+                let Some(t) = lane.queue().pop_front() else {
+                    return pumped;
+                };
+                lane.space.notify_all();
+                t
+            }
         };
         // A pump that has just spent budget looks before it charges
         // again: at the cap the task is held without a refused attempt
@@ -253,7 +286,7 @@ fn pump(lane: &Arc<Lane>, slots: &mut Slots) -> Pumped {
         pumped.progress = true;
     }
     // Quota spent with the lane still flowing: the rest is the tick's.
-    pumped.wants_tick = !slots.rx.is_empty();
+    pumped.wants_tick = !lane.queue().is_empty();
     pumped
 }
 
@@ -286,9 +319,9 @@ pub(crate) struct IngressStats {
 fn sweep(lanes: &[Arc<Lane>]) -> (bool, bool) {
     let (mut progress, mut backlog) = (false, false);
     for lane in lanes {
-        let mut slots = lane.slots.lock();
+        let mut slots = lane.slots();
         progress |= pump(lane, &mut slots).progress;
-        backlog |= slots.has_backlog();
+        backlog |= lane.has_backlog(&slots);
     }
     (progress, backlog)
 }
@@ -304,7 +337,13 @@ fn sweep(lanes: &[Arc<Lane>]) -> (bool, bool) {
 pub(crate) fn run(shared: &IngressShared, lanes: &[Arc<Lane>]) -> IngressStats {
     loop {
         let stop = shared.stop.load(Ordering::SeqCst);
-        if stop && shared.deadline.lock().is_some_and(|d| Instant::now() >= d) {
+        if stop
+            && shared
+                .deadline
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .is_some_and(|d| Instant::now() >= d)
+        {
             return IngressStats {
                 dropped: lanes.iter().map(|lane| lane.discard()).sum(),
             };

@@ -13,7 +13,7 @@
 //! The moving parts:
 //!
 //! * [`SubmissionHandle`] — a tenant's cheaply-clonable ingress
-//!   endpoint: a bounded channel into the service. A full lane surfaces
+//!   endpoint: a bounded queue into the service. A full lane surfaces
 //!   as a **retryable** [`IngressError::Backpressure`] carrying the
 //!   task back to the caller; `try_submit` never parks a client.
 //! * Admission — caller-runs: one routine, run under a per-lane lock by

@@ -8,10 +8,9 @@ use nexuspp_core::{EventCount, TenantId};
 use nexuspp_obs::{Collector, MetricsRegistry, MetricsSnapshot};
 use nexuspp_runtime::{Runtime, ShutdownReport};
 use nexuspp_shard::{TenantBudgets, TenantCounts};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -159,7 +158,7 @@ impl ResolverService {
     fn shutdown_with(&self, deadline: Option<Duration>) -> ServiceReport {
         let start = Instant::now();
         if let Some(d) = deadline {
-            *self.shared.deadline.lock() = Some(start + d);
+            *lock(&self.shared.deadline) = Some(start + d);
         }
         // Phase 1: seal + drain. After seal() returns, every send a
         // client got Ok for is visible to the ingress drain.
@@ -167,8 +166,8 @@ impl ResolverService {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.signal.notify_all();
         let stats = {
-            let joined = self.ingress.lock().take().and_then(|h| h.join().ok());
-            let mut finished = self.finished.lock();
+            let joined = lock(&self.ingress).take().and_then(|h| h.join().ok());
+            let mut finished = lock(&self.finished);
             if let Some(s) = joined {
                 *finished = Some(s);
             }
@@ -196,8 +195,14 @@ impl Drop for ResolverService {
     fn drop(&mut self) {
         // Equivalent to an explicit graceful shutdown; a no-op beyond
         // the runtime's own Drop if one already ran.
-        if self.ingress.lock().is_some() {
+        if lock(&self.ingress).is_some() {
             let _ = self.shutdown();
         }
     }
+}
+
+/// Take `m`, recovering it if poisoned: each of this file's locks
+/// guards an `Option` that one store or `take` updates.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -1,7 +1,6 @@
 //! The client-facing ingress surface: tasks, errors, handles.
 
 use crate::ingress::{Lane, TICK};
-use crossbeam::channel::TrySendError;
 use nexuspp_core::{Submission, TenantId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -142,14 +141,11 @@ impl SubmissionHandle {
                 return Err(IngressError::Closed(task));
             }
             task.sub.tenant = lane.tenant;
-            match lane.tx.try_send(task) {
-                Ok(()) => lane.metrics.submitted.inc(),
-                Err(TrySendError::Full(t)) => {
-                    lane.metrics.backpressured.inc();
-                    return Err(IngressError::Backpressure(t));
-                }
-                Err(TrySendError::Disconnected(t)) => return Err(IngressError::Closed(t)),
+            if let Err(t) = lane.try_send(task) {
+                lane.metrics.backpressured.inc();
+                return Err(IngressError::Backpressure(t));
             }
+            lane.metrics.submitted.inc();
         }
         lane.try_pump(false);
         Ok(())
@@ -170,7 +166,7 @@ impl SubmissionHandle {
             // A seal publishes nothing here; the bound is what returns
             // a submitter parked across one to `try_submit`'s `Closed`.
             lane.space.wait(Some(TICK), || {
-                !lane.tx.is_full() || !lane.shared.gate.is_accepting()
+                lane.has_space() || !lane.shared.gate.is_accepting()
             });
         }
     }

@@ -565,6 +565,28 @@ fn collector_samples_per_tenant_groups_live() {
 }
 
 #[test]
+fn zero_sweep_batch_and_lane_capacity_are_clamped_and_drain() {
+    with_watchdog(20, "zero-sized lane and quantum", || {
+        // A quantum of 0 would admit nothing and a bound of 0 would
+        // refuse every send; the builder clamps both to 1, and the
+        // builder is the only way to set them.
+        let svc = ResolverService::start(
+            ServiceConfig::new(1, 2)
+                .tenant(TenantId(1), 8)
+                .sweep_batch(0)
+                .lane_capacity(0),
+        );
+        let h = svc.handle(TenantId(1)).unwrap();
+        for i in 0..4u64 {
+            h.submit_blocking(task(1, i % 2, i, || {})).unwrap();
+        }
+        let report = svc.shutdown();
+        assert!(report.graceful);
+        assert_eq!(report.runtime.executed, 4);
+    });
+}
+
+#[test]
 fn unknown_tenant_has_no_handle() {
     let svc = ResolverService::start(ServiceConfig::new(1, 2).tenant(TenantId(1), 8));
     assert!(svc.handle(TenantId(9)).is_none());

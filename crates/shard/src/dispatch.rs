@@ -4,7 +4,7 @@
 //! This is the threaded driver of the sharded protocol written down in
 //! `crates/shard/src/protocol.rs`; [`ShardedEngine`](crate::ShardedEngine)
 //! is the single-threaded one. Each shard's state sits behind its own
-//! [`parking_lot::Mutex`], so submits and finishes that touch different
+//! [`std::sync::Mutex`], so submits and finishes that touch different
 //! shards proceed in parallel, and each lock is held for one slice at a
 //! time — never two at once, so no lock-ordering discipline is needed.
 //! The remote counter is atomic: whoever performs its zero transition,
@@ -29,9 +29,8 @@ use nexuspp_core::{
 };
 use nexuspp_obs::{EventKind, Recorder, NO_SHARD};
 use nexuspp_trace::Param;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Kept because `e2e` reads it (`crates/bench/src/bin/e2e/` passes
 /// `WakeMode::default()` to the runtime's `with_recorder`); there is one
@@ -54,6 +53,14 @@ struct Node<P> {
     parts: OnceLock<Vec<(u32, TdIndex)>>,
     /// The caller's payload, surrendered to whoever makes the task ready.
     payload: Mutex<Option<P>>,
+}
+
+impl<P> Node<P> {
+    /// A store or a `take`, nothing else, runs under this lock: a
+    /// poisoned guard still holds the payload or nothing.
+    fn payload(&self) -> MutexGuard<'_, Option<P>> {
+        self.payload.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Handle to a submitted task; required (and consumed) by
@@ -138,6 +145,15 @@ struct ShardCell<P> {
     stalls: AtomicU64,
     retries_resolved: AtomicU64,
     stall_ns: AtomicU64,
+}
+
+impl<P> ShardCell<P> {
+    /// The shard lock, recovered if poisoned: a panicking engine call
+    /// (a protocol assertion) has already failed its caller, and later
+    /// calls see the state it left.
+    fn lock(&self) -> MutexGuard<'_, Slices<Arc<Node<P>>>> {
+        self.slices.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// N dependency engines behind per-shard locks, aggregating readiness
@@ -367,7 +383,6 @@ impl<P> ShardDispatcher<P> {
         for (s, slice) in route {
             let (td, slice_ready, _) =
                 self.shards[s as usize]
-                    .slices
                     .lock()
                     .submit(fptr, tag, slice, Arc::clone(&node));
             parts.push((s, td));
@@ -377,7 +392,7 @@ impl<P> ShardDispatcher<P> {
             }
         }
         node.parts.set(parts).expect("parts set exactly once");
-        *node.payload.lock() = Some(payload);
+        *node.payload() = Some(payload);
         // DepCheckDone is emitted before the guard release: the guard's
         // AcqRel decrement chain makes it happen-before any waker's
         // `Ready` emission for this task, so per-task event order holds.
@@ -385,7 +400,7 @@ impl<P> ShardDispatcher<P> {
         let ready = node
             .remote
             .release()
-            .then(|| node.payload.lock().take().expect("payload stored above"));
+            .then(|| node.payload().take().expect("payload stored above"));
         if ready.is_some() {
             self.emit(EventKind::Ready, tag, first_shard);
         }
@@ -411,7 +426,7 @@ impl<P> ShardDispatcher<P> {
             completed: 1,
         };
         for &(s, td) in parts {
-            let (woken_nodes, _) = self.shards[s as usize].slices.lock().release(td);
+            let (woken_nodes, _) = self.shards[s as usize].lock().release(td);
             if !woken_nodes.is_empty() {
                 self.hand_off(woken_nodes, node.tag, s, &mut report);
             }
@@ -442,8 +457,7 @@ impl<P> ShardDispatcher<P> {
         for wnode in woken_nodes {
             if wnode.remote.release() {
                 let payload = wnode
-                    .payload
-                    .lock()
+                    .payload()
                     .take()
                     .expect("ready task must hold its payload");
                 self.emit_edge(EventKind::Ready, wnode.tag, waker, s);
@@ -464,7 +478,7 @@ impl<P> ShardDispatcher<P> {
     pub fn sub_descriptors_in_flight(&self) -> usize {
         self.shards
             .iter()
-            .map(|c| c.slices.lock().engine().in_flight())
+            .map(|c| c.lock().engine().in_flight())
             .sum()
     }
 }

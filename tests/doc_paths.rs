@@ -24,10 +24,15 @@ fn read(rel: &str) -> String {
     std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
 }
 
-/// The `crates/**.rs` and `examples/*.rs` paths `text` mentions.
+/// The `crates/**.rs`, `examples/*.rs` and `vendor/**.rs` paths `text`
+/// mentions.
 fn cited_paths(text: &str) -> Vec<&str> {
     text.split(|c: char| !(c.is_ascii_alphanumeric() || "_/.-".contains(c)))
-        .filter(|t| t.starts_with("crates/") || t.starts_with("examples/"))
+        .filter(|t| {
+            ["crates/", "examples/", "vendor/"]
+                .iter()
+                .any(|d| t.starts_with(d))
+        })
         .filter(|t| t.ends_with(".rs"))
         .collect()
 }
@@ -80,6 +85,11 @@ fn cited_source_paths_exist() {
             panic!("{doc}:{line}: cite a path and a symbol, not a `path.rs:NNN` line anchor");
         }
     }
+    // The scan itself: vendored sources are citations too.
+    assert_eq!(
+        cited_paths("`vendor/a/src/b.rs`, (examples/c.rs) vendor/ crates/d.rs"),
+        ["vendor/a/src/b.rs", "examples/c.rs", "crates/d.rs"]
+    );
 }
 
 #[test]
