@@ -20,9 +20,9 @@
 
 use crate::config::NexusConfig;
 use crate::cost::OpCost;
-use crate::pool::{PoolError, TaskPool, TdIndex};
+use crate::pool::{PoolError, TaskPool, TdEntry, TdIndex};
 use crate::submit::{Submission, SubmitError};
-use crate::table::{CheckParamOutcome, DepTable, TableFull};
+use crate::table::{CheckParamOutcome, DepTable, TableFull, Waiter};
 use nexuspp_trace::Param;
 
 /// Progress of a (possibly resumed) dependency check.
@@ -58,6 +58,8 @@ pub struct DependencyEngine {
     checked: Vec<bool>,
     /// Tasks currently in flight (admitted, not yet finished).
     in_flight: usize,
+    /// The waiters one parameter release wakes, reused across releases.
+    woken: Vec<Waiter>,
 }
 
 impl DependencyEngine {
@@ -68,6 +70,7 @@ impl DependencyEngine {
             table: DepTable::new(cfg),
             checked: vec![false; cfg.task_pool_entries],
             in_flight: 0,
+            woken: Vec::new(),
         }
     }
 
@@ -188,6 +191,24 @@ impl DependencyEngine {
     /// `Handle Finished`: release the task's parameters, wake waiters,
     /// retire the descriptor chain. Never stalls.
     pub fn finish(&mut self, td: TdIndex) -> FinishResult {
+        let mut result = FinishResult::default();
+        let (cost, entry) = self.finish_into(td, &mut result.newly_ready);
+        result.cost = cost;
+        result.tag = entry.tag;
+        result
+    }
+
+    /// [`finish`](Self::finish), appending the newly ready to
+    /// `newly_ready` instead of returning a fresh list. Returns the
+    /// pool+table accesses and the retired descriptor, whose parameter
+    /// list the caller may keep for its next admission. Allocates nothing
+    /// once the caller's buffer and the engine have grown to the stream's
+    /// widest wake.
+    pub fn finish_into(
+        &mut self,
+        td: TdIndex,
+        newly_ready: &mut Vec<TdIndex>,
+    ) -> (OpCost, TdEntry) {
         debug_assert!(
             self.is_checked(td),
             "finishing a task that never completed its check"
@@ -197,29 +218,30 @@ impl DependencyEngine {
             0,
             "finishing a task with unresolved deps"
         );
-        let mut result = FinishResult::default();
-        // Read the descriptor's I/O list (walking its dummy chain).
-        result.cost += self.pool.read_params_cost(td);
-        let params = self.pool.get(td).params.clone();
+        // Read the descriptor's I/O list (walking its dummy chain). The
+        // descriptor retires below, so its list is borrowed, not copied.
+        let mut cost = self.pool.read_params_cost(td);
+        let params = std::mem::take(&mut self.pool.get_mut(td).params);
+        let mut woken = std::mem::take(&mut self.woken);
         for p in &params {
-            let wake = self.table.finish_param(p.addr, p.mode);
-            result.cost += wake.cost;
-            for w in wake.woken {
+            woken.clear();
+            cost += self.table.finish_param_into(p.addr, p.mode, &mut woken).1;
+            for w in &woken {
                 let e = self.pool.get_mut(w.td);
                 debug_assert!(e.dc > 0, "waking a task with DC == 0");
                 e.dc -= 1;
-                result.cost += OpCost::pool(1);
+                cost += OpCost::pool(1);
                 if e.dc == 0 && self.is_checked(w.td) {
-                    result.newly_ready.push(w.td);
+                    newly_ready.push(w.td);
                 }
             }
         }
-        let (entry, cost) = self.pool.retire(td);
+        self.woken = woken;
+        self.pool.get_mut(td).params = params;
+        let (entry, retire_cost) = self.pool.retire(td);
         self.set_checked(td, false);
-        result.cost += cost;
-        result.tag = entry.tag;
         self.in_flight -= 1;
-        result
+        (cost + retire_cost, entry)
     }
 
     /// Convenience for the threaded runtime and for tests: admit + check in

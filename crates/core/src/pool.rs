@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// A task's identity inside Nexus++: its Task Pool index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TdIndex(pub u32);
 
 impl fmt::Display for TdIndex {

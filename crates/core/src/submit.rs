@@ -225,8 +225,25 @@ pub struct Submission {
 
 /// The precondition every resolver relies on, stated once: no address
 /// may appear twice in a parameter list. Returns the smallest address
-/// that does.
+/// that does. A list that fits one Task Descriptor is scanned pairwise,
+/// in place; a longer one is sorted in a copy.
 pub fn duplicate_address(params: &[Param]) -> Option<u64> {
+    if params.len() > PAIRWISE_MAX {
+        return duplicate_address_sorted(params);
+    }
+    params
+        .iter()
+        .enumerate()
+        .filter(|&(i, p)| params[..i].iter().any(|q| q.addr == p.addr))
+        .map(|(_, p)| p.addr)
+        .min()
+}
+
+/// The longest list [`duplicate_address`] scans pairwise (at most 28
+/// comparisons): a Task Descriptor's width in the paper's Table IV.
+const PAIRWISE_MAX: usize = 8;
+
+fn duplicate_address_sorted(params: &[Param]) -> Option<u64> {
     let mut addrs: Vec<u64> = params.iter().map(|p| p.addr).collect();
     addrs.sort_unstable();
     addrs.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
@@ -388,6 +405,20 @@ impl TaskBuilder {
 mod tests {
     use super::*;
     use nexuspp_trace::AccessMode;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The pairwise scan and the sort agree on the smallest duplicate,
+        /// below and above the cutoff (addresses drawn from a small space,
+        /// so most long lists repeat one).
+        #[test]
+        fn pairwise_and_sorted_scans_name_the_same_duplicate(
+            addrs in prop::collection::vec(0u64..24, 0..2 * PAIRWISE_MAX),
+        ) {
+            let params: Vec<Param> = addrs.iter().map(|&a| Param::input(a * 8, 4)).collect();
+            prop_assert_eq!(duplicate_address(&params), duplicate_address_sorted(&params));
+        }
+    }
 
     #[test]
     fn builder_normalizes_duplicate_addresses() {

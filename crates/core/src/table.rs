@@ -159,6 +159,11 @@ pub struct DepTable {
     /// directly as chain heads); `pop_free` skips those lazily, keeping
     /// every operation O(1) amortized.
     free: Vec<u32>,
+    /// Emptied Kick-Off Lists of removed entries, reused by the next
+    /// entries inserted, so a list's storage outlives the tasks queued
+    /// in it as a hardware entry's does. At most one per entry that ever
+    /// had a waiter at the peak.
+    spare_kicks: Vec<VecDeque<Waiter>>,
     occupied: usize,
     stats: TableStats,
 }
@@ -230,6 +235,7 @@ impl DepTable {
             growable: cfg.growable,
             slots: vec![Slot::Free; n],
             free: (0..n as u32).rev().collect(),
+            spare_kicks: Vec::new(),
             occupied: 0,
             stats: TableStats::default(),
         }
@@ -392,10 +398,21 @@ impl DepTable {
     }
 
     fn release_slot(&mut self, idx: u32) {
-        debug_assert!(!matches!(self.slots[idx as usize], Slot::Free));
-        self.slots[idx as usize] = Slot::Free;
+        match std::mem::replace(&mut self.slots[idx as usize], Slot::Free) {
+            Slot::Parent(p) => self.keep_kick(p.kick),
+            Slot::Ext(_) => {}
+            Slot::Free => debug_assert!(false, "releasing free slot {idx}"),
+        }
         self.free.push(idx);
         self.occupied -= 1;
+    }
+
+    /// Keep a drained Kick-Off List's storage for the next entry.
+    fn keep_kick(&mut self, kick: VecDeque<Waiter>) {
+        debug_assert!(kick.is_empty(), "recycling a list with waiters");
+        if kick.capacity() > 0 {
+            self.spare_kicks.push(kick);
+        }
     }
 
     /// Move the node at `from` into the free slot `to`, repairing all links
@@ -484,7 +501,8 @@ impl DepTable {
                     node.rdrs = p.rdrs;
                     node.ww = p.ww;
                     node.waiters = p.waiters;
-                    node.kick = p.kick;
+                    let spare = std::mem::replace(&mut node.kick, p.kick);
+                    self.keep_kick(spare);
                 }
             }
         }
@@ -504,49 +522,38 @@ impl DepTable {
         tail: Option<u32>,
     ) -> Result<(u32, OpCost), TableFull> {
         let home = self.bucket(addr);
-        let fresh = |prev: Option<u32>| ParentNode {
+        let (slot, prev, cost) = if let Some(tail) = tail {
+            // Chain exists at home: append at the tail.
+            let slot = self.pop_free()?;
+            self.parent_mut(tail).next = Some(slot);
+            (slot, Some(tail), OpCost::table(2))
+        } else if matches!(self.slots[home as usize], Slot::Free) {
+            // Home free: become the chain head there (the slot's stale
+            // entry in the free vector is skipped lazily later).
+            (home, None, OpCost::table(1))
+        } else {
+            // Home occupied by a foreign node: relocate it, then claim
+            // the home slot as this bucket's head.
+            let spare = self.pop_free()?;
+            (home, None, self.relocate(home, spare) + OpCost::table(1))
+        };
+        self.note_occupied();
+        self.slots[slot as usize] = Slot::Parent(ParentNode {
             addr,
             size,
             is_out: false,
             rdrs: 0,
             ww: false,
-            kick: VecDeque::new(),
+            kick: self.spare_kicks.pop().unwrap_or_default(),
             next: None,
             prev,
             ext_head: None,
             ext_last: None,
             ext_count: 0,
             waiters: 0,
-        };
-        if let Some(tail) = tail {
-            // Chain exists at home: append at the tail.
-            let slot = self.pop_free()?;
-            self.note_occupied();
-            self.parent_mut(tail).next = Some(slot);
-            self.slots[slot as usize] = Slot::Parent(fresh(Some(tail)));
-            self.stats.inserts += 1;
-            return Ok((slot, OpCost::table(2)));
-        }
-        match &self.slots[home as usize] {
-            Slot::Free => {
-                // Home free: become the chain head there (the slot's stale
-                // entry in the free vector is skipped lazily later).
-                self.note_occupied();
-                self.slots[home as usize] = Slot::Parent(fresh(None));
-                self.stats.inserts += 1;
-                Ok((home, OpCost::table(1)))
-            }
-            _ => {
-                // Home occupied by a foreign node: relocate it, then claim
-                // the home slot as this bucket's head.
-                let spare = self.pop_free()?;
-                self.note_occupied();
-                let cost = self.relocate(home, spare);
-                self.slots[home as usize] = Slot::Parent(fresh(None));
-                self.stats.inserts += 1;
-                Ok((home, cost + OpCost::table(1)))
-            }
-        }
+        });
+        self.stats.inserts += 1;
+        Ok((slot, cost))
     }
 
     /// Remove the parent at `idx` (kick list must be drained). Maintains
@@ -577,7 +584,11 @@ impl DepTable {
                     None => self.release_slot(idx),
                     Some(nx) => {
                         // Pull the successor into the home slot.
-                        self.slots[idx as usize] = Slot::Free;
+                        if let Slot::Parent(p) =
+                            std::mem::replace(&mut self.slots[idx as usize], Slot::Free)
+                        {
+                            self.keep_kick(p.kick);
+                        }
                         let mut node =
                             match std::mem::replace(&mut self.slots[nx as usize], Slot::Free) {
                                 Slot::Parent(p) => p,
@@ -782,14 +793,33 @@ impl DepTable {
     }
 
     /// Release one parameter of a finished task — the `Handle Finished`
-    /// narrative of §III-B. Never allocates, so it never stalls.
+    /// narrative of §III-B. Never stalls: a release claims no table
+    /// entry. It allocates the returned `woken` list whenever it wakes
+    /// anyone; [`DependencyEngine::finish_into`] releases through one
+    /// reused buffer instead.
+    ///
+    /// [`DependencyEngine::finish_into`]: crate::DependencyEngine::finish_into
     pub fn finish_param(&mut self, addr: u64, mode: AccessMode) -> WakeResult {
+        let mut wake = WakeResult::default();
+        (wake.deleted, wake.cost) = self.finish_param_into(addr, mode, &mut wake.woken);
+        wake
+    }
+
+    /// [`finish_param`](Self::finish_param), appending the woken to
+    /// `woken`. Returns whether the entry was removed, and the table
+    /// accesses performed.
+    pub(crate) fn finish_param_into(
+        &mut self,
+        addr: u64,
+        mode: AccessMode,
+        woken: &mut Vec<Waiter>,
+    ) -> (bool, OpCost) {
         let probe = self.probe_recorded(addr);
         let mut cost = OpCost::table(probe.hops);
         let idx = probe
             .found
             .unwrap_or_else(|| panic!("finish_param: address {addr:#x} not tracked"));
-        let mut woken = Vec::new();
+        let first = woken.len();
         let mut deleted = false;
 
         if mode.is_read_only() {
@@ -846,7 +876,7 @@ impl DepTable {
                         }
                         Some(w) => {
                             // A writer heads the queue.
-                            if woken.is_empty() {
+                            if woken.len() == first {
                                 // No intervening readers: hand over directly.
                                 let (popped, c2) = self.kick_pop(idx);
                                 cost += c2;
@@ -866,7 +896,7 @@ impl DepTable {
                         None => {
                             // All waiters were readers.
                             let p = self.parent_mut(idx);
-                            debug_assert!(!woken.is_empty());
+                            debug_assert!(woken.len() > first);
                             p.is_out = false;
                             p.ww = false;
                             cost += OpCost::table(1);
@@ -877,11 +907,7 @@ impl DepTable {
             }
         }
         self.debug_check_entry(addr);
-        WakeResult {
-            woken,
-            deleted,
-            cost,
-        }
+        (deleted, cost)
     }
 
     /// Debug invariant: a live entry is writer-owned or has readers; an

@@ -5,11 +5,12 @@
 use crate::region::{ReadGuard, Region, RegionId, WriteGuard};
 use nexuspp_sched::SchedCounts;
 use nexuspp_trace::AccessMode;
-use std::sync::Arc;
 
 pub(crate) type Job = Box<dyn FnOnce(&TaskCtx) + Send + 'static>;
-/// Access grants attached to a task (region, declared mode).
-pub(crate) type Grants = Arc<Vec<(RegionId, AccessMode)>>;
+/// Access grants attached to a task (region, declared mode). Moved from
+/// the spawn into the task's context, never shared; empty for a lowered
+/// spawn, whose body sees no context.
+pub(crate) type Grants = Vec<(RegionId, AccessMode)>;
 
 /// What an explicit [`Runtime::shutdown`](crate::Runtime::shutdown)
 /// hands back: whether the drain stayed graceful, and the

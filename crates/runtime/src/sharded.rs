@@ -38,7 +38,9 @@ use crate::runtime::{panic_msg, sched_counters, Grants, Job, ShutdownReport, Tas
 use nexuspp_core::{EventCount, NexusConfig, Priority, ShardCapacity, Submission, SubmitError};
 use nexuspp_obs::{EventKind, MetricsRegistry, Recorder};
 use nexuspp_sched::{SchedCounts, Scheduler, SchedulerKind, WorkerHandle};
-use nexuspp_shard::{CapacityCounts, ShardDispatcher, TaskTicket, WakeCounts, WakeMode};
+use nexuspp_shard::{
+    CapacityCounts, FinishReport, ShardDispatcher, TaskTicket, WakeCounts, WakeMode,
+};
 use nexuspp_trace::normalize::normalize_params;
 use nexuspp_trace::{AccessMode, Param};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,9 +74,14 @@ pub struct PendingSpawn {
 }
 
 impl PendingSpawn {
-    fn new(fptr: u64, tag: u64, params: Vec<Param>, prio: Priority, job: Job) -> Self {
-        // Grants mirror the (normalized) parameter list.
-        let grants: Grants = Arc::new(params.iter().map(|p| (RegionId(p.addr), p.mode)).collect());
+    fn new(
+        fptr: u64,
+        tag: u64,
+        params: Vec<Param>,
+        prio: Priority,
+        grants: Grants,
+        job: Job,
+    ) -> Self {
         PendingSpawn {
             fptr,
             tag,
@@ -88,7 +95,8 @@ impl PendingSpawn {
     fn lowered(sub: Submission, f: impl FnOnce() + Send + 'static) -> Self {
         let prio = sub.priority;
         let (fptr, tag, params) = sub.into_parts();
-        PendingSpawn::new(fptr, tag, params, prio, Box::new(move |_ctx| f()))
+        let job = Box::new(move |_: &TaskCtx| f());
+        PendingSpawn::new(fptr, tag, params, prio, Grants::new(), job)
     }
 
     /// The caller tag of the rejected submission.
@@ -215,10 +223,12 @@ impl<'rt> TaskBuilder<'rt> {
             .map(|(id, m)| Param::new(id.0, 1, *m))
             .collect();
         let params = normalize_params(&params);
+        // Grants mirror the (normalized) parameter list.
+        let grants = params.iter().map(|p| (RegionId(p.addr), p.mode)).collect();
         let tag = self.rt.inner.next_tag.fetch_add(1, Ordering::Relaxed) + 1;
         let prio = Priority::from_high_flag(self.high_priority);
         self.rt
-            .submit_blocking(PendingSpawn::new(0, tag, params, prio, Box::new(f)));
+            .submit_blocking(PendingSpawn::new(0, tag, params, prio, grants, Box::new(f)));
     }
 }
 
@@ -537,6 +547,7 @@ impl Runtime {
         self.task().input(region).high_priority().spawn(move |_| {
             let _ = tx.send(());
         });
+        let mut report = FinishReport::default();
         loop {
             match rx.try_recv() {
                 Ok(()) => return,
@@ -549,7 +560,7 @@ impl Runtime {
             // Help: run one ready task (any task — policy order) rather
             // than sleeping on the probe.
             if let Some((ticket, work)) = self.inner.sched.try_next_external() {
-                execute_ready(&self.inner, ticket, work, None);
+                execute_ready(&self.inner, ticket, work, None, &mut report);
             } else {
                 match rx.recv_timeout(Duration::from_millis(1)) {
                     Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
@@ -633,21 +644,27 @@ impl Runtime {
     }
 }
 
+/// A worker owns the one finish report its completions are retired
+/// into, so the wake path reuses its storage instead of allocating per
+/// finish.
 fn worker_loop(inner: &Arc<Inner>, h: &WorkerHandle<Ready>) {
     Recorder::set_thread_worker(h.id() as u32);
+    let mut report = FinishReport::default();
     while let Some((ticket, work)) = inner.sched.next(h) {
-        execute_ready(inner, ticket, work, Some(h));
+        execute_ready(inner, ticket, work, Some(h), &mut report);
     }
 }
 
-/// Run (or, when aborting, cancel) one ready unit and retire it. Shared
-/// by the worker loop and scheduler-aware waiters (`h == None` — wakes
-/// then go through the external scheduling path).
+/// Run (or, when aborting, cancel) one ready unit and retire it through
+/// `report`, which is left empty. Shared by the worker loop and
+/// scheduler-aware waiters (`h == None` — wakes then go through the
+/// external scheduling path).
 fn execute_ready(
     inner: &Arc<Inner>,
     ticket: TaskTicket<Work>,
     work: Work,
     h: Option<&WorkerHandle<Ready>>,
+    report: &mut FinishReport<Work>,
 ) {
     if inner.aborting.load(Ordering::SeqCst) {
         // Hard-deadline shutdown: drop the body unexecuted (releasing
@@ -674,16 +691,11 @@ fn execute_ready(
     // task touched are locked (for table access; wake delivery runs
     // outside the locks). The whole wake set is delivered as one
     // batched scheduling operation.
-    let woken: Vec<(Ready, Priority)> = inner
-        .dispatcher
-        .finish(ticket)
-        .woken
-        .into_iter()
-        .map(|(ticket, work)| {
-            let prio = work.prio;
-            ((ticket, work), prio)
-        })
-        .collect();
+    inner.dispatcher.finish_into(ticket, report);
+    let woken = report.woken.drain(..).map(|(ticket, work)| {
+        let prio = work.prio;
+        ((ticket, work), prio)
+    });
     match h {
         Some(h) => inner.sched.wake_batch(h, woken),
         None => inner.sched.wake_batch_external(woken),

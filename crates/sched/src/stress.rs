@@ -94,9 +94,8 @@ pub fn run_chain_stress(spec: &ChainStressSpec) -> ChainStressReport {
                     if id == 0 {
                         // The imbalanced burst: one worker wakes every
                         // chain head in a single batched delivery.
-                        let heads = (0..chains)
-                            .map(|c| (chain_head(c, chain_len), Priority::Normal))
-                            .collect();
+                        let heads =
+                            (0..chains).map(|c| (chain_head(c, chain_len), Priority::Normal));
                         sched.wake_batch(&h, heads);
                     } else {
                         let step = (id - 1) % chain_len as u64;

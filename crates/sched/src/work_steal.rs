@@ -130,12 +130,14 @@ impl<T: Send> Scheduler<T> {
     }
 
     /// Deliver a whole finish report's wakes in one scheduling operation:
-    /// a run of local deque pushes with at most one unpark per item.
-    pub fn wake_batch(&self, h: &WorkerHandle<T>, items: Vec<(T, Priority)>) {
-        if items.is_empty() {
-            return;
+    /// a run of local deque pushes with at most one unpark per item. A
+    /// non-empty batch counts one `wake_batches`; an empty one counts
+    /// nothing.
+    pub fn wake_batch(&self, h: &WorkerHandle<T>, items: impl IntoIterator<Item = (T, Priority)>) {
+        let mut items = items.into_iter().peekable();
+        if items.peek().is_some() {
+            SchedMetrics::bump(&self.metrics.wake_batches);
         }
-        SchedMetrics::bump(&self.metrics.wake_batches);
         for (item, prio) in items {
             self.wake(h, item, prio);
         }
@@ -143,12 +145,13 @@ impl<T: Send> Scheduler<T> {
 
     /// Deliver a finish report's wakes from outside worker context (an
     /// external helper has no [`WorkerHandle`], so the items land on the
-    /// shared queues instead of a local deque).
-    pub fn wake_batch_external(&self, items: Vec<(T, Priority)>) {
-        if items.is_empty() {
-            return;
+    /// shared queues instead of a local deque). Counted as
+    /// [`wake_batch`](Self::wake_batch) is.
+    pub fn wake_batch_external(&self, items: impl IntoIterator<Item = (T, Priority)>) {
+        let mut items = items.into_iter().peekable();
+        if items.peek().is_some() {
+            SchedMetrics::bump(&self.metrics.wake_batches);
         }
-        SchedMetrics::bump(&self.metrics.wake_batches);
         for (item, prio) in items {
             self.push_external(item, prio);
         }

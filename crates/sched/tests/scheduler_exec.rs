@@ -235,6 +235,26 @@ fn submissions_from_many_external_threads_all_dispatch() {
     );
 }
 
+/// `sched.wake_batch_size` is local pushes per `wake_batches`, so an
+/// iterator-fed batch counts once if it yields anything and not at all
+/// if it is empty.
+#[test]
+fn iterator_fed_wake_batches_count_once_each_and_never_when_empty() {
+    let (sched, mut handles) = Scheduler::<u64>::new(SchedulerKind::default(), 1);
+    let h = handles.remove(0);
+    sched.wake_batch(&h, (0..3).map(|i| (i, Priority::Normal)));
+    sched.wake_batch(&h, std::iter::empty());
+    sched.wake_batch(&h, [(3, Priority::High)]);
+    sched.wake_batch_external(std::iter::empty());
+    sched.wake_batch_external((4..6).map(|i| (i, Priority::Normal)));
+    let c = sched.counts();
+    assert_eq!((c.wake_batches, c.local_pushes), (3, 3));
+    let mut got: Vec<u64> = (0..6).filter_map(|_| sched.next(&h)).collect();
+    got.sort_unstable();
+    assert_eq!(got, (0..6).collect::<Vec<_>>());
+    sched.shutdown();
+}
+
 /// External (handle-less) draining: a thread with no WorkerHandle pops
 /// everything a 0-worker scheduler holds, including wakes it delivers
 /// itself — the shape a scheduler-aware waiter relies on.

@@ -15,7 +15,10 @@
 //! into the caller's [`FinishReport`], happen **after the lock is
 //! dropped**: the software form of the paper's Handle Finished block
 //! moving kicked-off tasks to the ready list. A task is woken by exactly
-//! one finisher and surfaces in that finisher's own report.
+//! one finisher and surfaces in that finisher's own report. A finisher
+//! that keeps one report across finishes
+//! ([`finish_into`](ShardDispatcher::finish_into)) allocates nothing on
+//! this path once the report has grown to its widest wake.
 //!
 //! Under a bounded [`ShardCapacity`], a submitter that finds a shard
 //! full parks on that shard's [`EventCount`], rechecking the shard's
@@ -23,7 +26,7 @@
 //! reservation that rolled back notifies the shards it handed slots
 //! back to. A notify with nobody parked is one fence and one load.
 
-use crate::protocol::{route, Remote, Residency, Route, Slices};
+use crate::protocol::{Few, Remote, Residency, Route, Slices};
 use nexuspp_core::{
     duplicate_address, EventCount, NexusConfig, ShardCapacity, SubmitError, TdIndex,
 };
@@ -50,7 +53,7 @@ struct Node<P> {
     remote: Remote,
     /// `(shard, sub-descriptor)` per involved shard; set once at the end
     /// of `submit` (readers run strictly after `submit` returns).
-    parts: OnceLock<Vec<(u32, TdIndex)>>,
+    parts: OnceLock<Few<(u32, TdIndex)>>,
     /// The caller's payload, surrendered to whoever makes the task ready.
     payload: Mutex<Option<P>>,
 }
@@ -86,15 +89,29 @@ pub struct SubmitResult<P> {
     pub ready: Option<P>,
 }
 
-/// Outcome of a finish call.
+/// Outcome of a finish call, or of several consecutive
+/// [`finish_into`](ShardDispatcher::finish_into) calls into one report.
 #[derive(Debug)]
 pub struct FinishReport<P> {
-    /// Tasks this completion made ready, with their payloads. May contain
-    /// tasks submitted by other threads.
+    /// Tasks these completions made ready, with their payloads. May
+    /// contain tasks submitted by other threads.
     pub woken: Vec<(TaskTicket<P>, P)>,
-    /// Tasks retired by this call. Kept because `e2e` reads it (its
-    /// replay sums it); always 1.
+    /// Tasks retired into this report. Kept because `e2e` reads it (its
+    /// replay sums it); always 1 from [`finish`](ShardDispatcher::finish).
     pub completed: u64,
+    /// The home records one slice release kicked off, between the shard
+    /// lock and the hand-off; empty between calls.
+    kicked: Vec<Arc<Node<P>>>,
+}
+
+impl<P> Default for FinishReport<P> {
+    fn default() -> Self {
+        FinishReport {
+            woken: Vec::new(),
+            completed: 0,
+            kicked: Vec::new(),
+        }
+    }
 }
 
 /// Wake-path activity counters, aggregated across shards (Relaxed
@@ -284,8 +301,8 @@ impl<P> ShardDispatcher<P> {
     /// slot the rollback handed back.
     fn try_reserve(&self, route: &Route) -> Result<(), u32> {
         self.residency.try_reserve(route).inspect_err(|&full| {
-            for (s, _) in route.iter().take_while(|(s, _)| *s != full) {
-                self.shards[*s as usize].space.notify_all();
+            for s in route.shards().take_while(|&s| s != full) {
+                self.shards[s as usize].space.notify_all();
             }
         })
     }
@@ -305,11 +322,11 @@ impl<P> ShardDispatcher<P> {
     /// unresolved dependencies the payload comes straight back in
     /// [`SubmitResult::ready`].
     pub fn submit(&self, fptr: u64, tag: u64, params: &[Param], payload: P) -> SubmitResult<P> {
-        let route = route(params, self.shards.len());
+        let route = Route::new(params, self.shards.len());
         self.emit(
             EventKind::Submitted,
             tag,
-            route.first().map_or(NO_SHARD, |g| g.0),
+            route.shards().next().unwrap_or(NO_SHARD),
         );
         if self.capacity().is_bounded() {
             // One stall episode per submit call: counted once against the
@@ -334,7 +351,7 @@ impl<P> ShardDispatcher<P> {
                 self.emit(EventKind::Resumed, tag, first);
             }
         }
-        self.submit_reserved(fptr, tag, route, payload)
+        self.submit_reserved(fptr, tag, &route, payload)
     }
 
     /// Non-blocking [`submit`](Self::submit): where the blocking path
@@ -354,7 +371,7 @@ impl<P> ShardDispatcher<P> {
         if let Some(addr) = duplicate_address(params) {
             return Err((SubmitError::DuplicateAddress { addr }, payload));
         }
-        let route = route(params, self.shards.len());
+        let route = Route::new(params, self.shards.len());
         if let Err(shard) = self.try_reserve(&route) {
             let limit = self.capacity().limit().expect("unbounded always reserves");
             return Err((SubmitError::CapacityFull { shard, limit }, payload));
@@ -362,16 +379,16 @@ impl<P> ShardDispatcher<P> {
         self.emit(
             EventKind::Submitted,
             tag,
-            route.first().map_or(NO_SHARD, |g| g.0),
+            route.shards().next().unwrap_or(NO_SHARD),
         );
-        Ok(self.submit_reserved(fptr, tag, route, payload))
+        Ok(self.submit_reserved(fptr, tag, &route, payload))
     }
 
     /// The shared admission body: residency slots already reserved.
     /// Takes each involved shard's lock once, one at a time, in route
     /// order.
-    fn submit_reserved(&self, fptr: u64, tag: u64, route: Route, payload: P) -> SubmitResult<P> {
-        let first_shard = route.first().map_or(NO_SHARD, |g| g.0);
+    fn submit_reserved(&self, fptr: u64, tag: u64, route: &Route, payload: P) -> SubmitResult<P> {
+        let first_shard = route.shards().next().unwrap_or(NO_SHARD);
         self.emit(EventKind::DepCheckStart, tag, first_shard);
         let node = Arc::new(Node {
             tag,
@@ -379,12 +396,12 @@ impl<P> ShardDispatcher<P> {
             parts: OnceLock::new(),
             payload: Mutex::new(None),
         });
-        let mut parts = Vec::with_capacity(route.len());
-        for (s, slice) in route {
+        let mut parts = Few::default();
+        for s in route.shards() {
             let (td, slice_ready, _) =
                 self.shards[s as usize]
                     .lock()
-                    .submit(fptr, tag, slice, Arc::clone(&node));
+                    .submit(fptr, tag, route.slice(s), Arc::clone(&node));
             parts.push((s, td));
             if slice_ready {
                 // Cannot reach zero: the submission guard is still held.
@@ -416,45 +433,53 @@ impl<P> ShardDispatcher<P> {
     /// the lock is dropped. Each finished slice releases one residency
     /// slot, the shard's "finish report" a parked submitter resumes on.
     pub fn finish(&self, ticket: TaskTicket<P>) -> FinishReport<P> {
+        let mut report = FinishReport::default();
+        self.finish_into(ticket, &mut report);
+        report
+    }
+
+    /// [`finish`](Self::finish) into a report the caller keeps: the
+    /// tasks this completion made ready are appended to `report.woken`,
+    /// and `report.completed` counts one more.
+    pub fn finish_into(&self, ticket: TaskTicket<P>, report: &mut FinishReport<P>) {
         let node = ticket.0;
         let parts = node
             .parts
             .get()
             .expect("finish called before submit completed");
-        let mut report = FinishReport {
-            woken: Vec::new(),
-            completed: 1,
-        };
-        for &(s, td) in parts {
-            let (woken_nodes, _) = self.shards[s as usize].lock().release(td);
-            if !woken_nodes.is_empty() {
-                self.hand_off(woken_nodes, node.tag, s, &mut report);
+        let mut last_shard = NO_SHARD;
+        for (s, td) in parts.iter() {
+            {
+                // Admissions and releases here run on different threads,
+                // so a released list is kept for the shard's next
+                // admission rather than freed away from the thread that
+                // allocated it.
+                let mut shard = self.shards[s as usize].lock();
+                let (_, list) = shard.release(td, &mut report.kicked);
+                shard.recycle(list);
+            }
+            if !report.kicked.is_empty() {
+                self.hand_off(node.tag, s, report);
             }
             if self.capacity().is_bounded() {
                 self.residency.release(s);
                 self.shards[s as usize].space.notify_all();
             }
+            last_shard = s;
         }
+        report.completed += 1;
         // A parameterless task has no parts: no shard held state for it.
-        let last_shard = parts.last().map_or(NO_SHARD, |p| p.0);
         self.emit(EventKind::Finished, node.tag, last_shard);
-        report
     }
 
     /// The post-lock wake path of one slice release: one remote release
-    /// per woken slice; the releaser that reaches zero takes the payload
-    /// and reports the task. The events carry the waker's tag, the
-    /// realized dependence edge.
-    fn hand_off(
-        &self,
-        woken_nodes: Vec<Arc<Node<P>>>,
-        waker: u64,
-        s: u32,
-        report: &mut FinishReport<P>,
-    ) {
+    /// per home record in `report.kicked`; the releaser that reaches zero
+    /// takes the payload and reports the task. The events carry the
+    /// waker's tag, the realized dependence edge.
+    fn hand_off(&self, waker: u64, s: u32, report: &mut FinishReport<P>) {
         let before = report.woken.len();
         let t0 = std::time::Instant::now();
-        for wnode in woken_nodes {
+        for wnode in report.kicked.drain(..) {
             if wnode.remote.release() {
                 let payload = wnode
                     .payload()
@@ -525,6 +550,45 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2]);
         assert_eq!(d.sub_descriptors_in_flight(), 0);
         assert_eq!(d.wake_counts().delivered, 2, "two dependents woken");
+    }
+
+    #[test]
+    fn one_report_carries_wakes_from_two_shards_across_finishes() {
+        use nexuspp_core::nth_addr_on_shard;
+        let d = dispatcher(4);
+        let (a, b) = (nth_addr_on_shard(0, 4, 0), nth_addr_on_shard(1, 4, 0));
+        let pa = d.submit(1, 0, &[Param::output(a, 4)], 0);
+        let pb = d.submit(1, 1, &[Param::output(b, 4)], 1);
+        // Readers of `a`, of `b`, and of both (woken by the second finish).
+        for tag in 2..12u64 {
+            let params = match tag % 3 {
+                0 => vec![Param::input(a, 4)],
+                1 => vec![Param::input(b, 4)],
+                _ => vec![Param::input(a, 4), Param::input(b, 4)],
+            };
+            assert!(d.submit(1, tag, &params, tag).ready.is_none());
+        }
+        let mut report = FinishReport::default();
+        d.finish_into(pa.ticket, &mut report);
+        let from_a = report.woken.len();
+        d.finish_into(pb.ticket, &mut report);
+        assert!(
+            from_a > 0 && report.woken.len() > from_a,
+            "each shard woke some"
+        );
+        assert_eq!(report.completed, 2);
+        let mut tags: Vec<u64> = report.woken.iter().map(|&(_, tag)| tag).collect();
+        tags.sort_unstable();
+        assert_eq!(tags, (2..12).collect::<Vec<_>>(), "each woken exactly once");
+        assert_eq!(d.wake_counts().delivered, 10);
+        // The same report retires the readers, which wake nothing.
+        let readers: Vec<_> = report.woken.drain(..).collect();
+        for (ticket, _) in readers {
+            d.finish_into(ticket, &mut report);
+        }
+        assert!(report.woken.is_empty());
+        assert_eq!(report.completed, 12);
+        assert_eq!(d.sub_descriptors_in_flight(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! reusable [`TaskId`] home-record slots, like Task Pool indices, and the
 //! per-shard [`OpBreakdown`] cost of every operation.
 
-use crate::protocol::{route, Remote, Residency, Slices};
+use crate::protocol::{Remote, Residency, Route, Slices};
 use nexuspp_core::{
     shard_of_addr, DependencyEngine, NexusConfig, OpCost, ShardCapacity, Submission, SubmitError,
     TdIndex,
@@ -188,7 +188,7 @@ impl ShardedEngine {
     pub fn submit(&mut self, sub: Submission) -> Result<(TaskId, bool, OpBreakdown), SubmitError> {
         sub.validate()?;
         let (fptr, tag, params) = sub.into_parts();
-        let route = route(&params, self.shards.len());
+        let route = Route::new(&params, self.shards.len());
         if let Err(shard) = self.residency.try_reserve(&route) {
             let limit = self.capacity().limit().expect("unbounded always reserves");
             return Err(SubmitError::CapacityFull { shard, limit });
@@ -197,8 +197,9 @@ impl ShardedEngine {
         let remote = Remote::new(route.len());
         let mut parts = Vec::with_capacity(route.len());
         let mut cost = OpBreakdown::default();
-        for (s, slice) in route {
-            let (td, slice_ready, c) = self.shards[s as usize].submit(fptr, tag, slice, id);
+        for s in route.shards() {
+            let (td, slice_ready, c) =
+                self.shards[s as usize].submit(fptr, tag, route.slice(s), id);
             cost.add(s, c);
             parts.push((s, td));
             if slice_ready {
@@ -225,12 +226,16 @@ impl ShardedEngine {
             tag: st.tag,
             ..Default::default()
         };
+        let mut woken = Vec::new();
         for (s, td) in st.parts {
-            let (woken, cost) = self.shards[s as usize].release(td);
+            // Single-threaded: the list is freed here, still in cache,
+            // rather than kept for a later admission (a drain that submits
+            // everything first would only free it cold at drop).
+            let (cost, _) = self.shards[s as usize].release(td, &mut woken);
             out.cost.add(s, cost);
             self.residency.release(s);
             let woken_here: Vec<TaskId> = woken
-                .into_iter()
+                .drain(..)
                 .filter(|w| self.state(*w).remote.release())
                 .collect();
             if !woken_here.is_empty() {

@@ -3,7 +3,7 @@
 //! locks) are two drivers of the four rules below; each supplies only
 //! its own concurrency.
 //!
-//! * **Route** ([`route`]) — every parameter address belongs to exactly
+//! * **Route** ([`Route`]) — every parameter address belongs to exactly
 //!   one shard, chosen by [`shard_of_addr`] (high bits of the table's own
 //!   hash family, so the assignment is stable and statistically
 //!   independent of in-shard bucketing). A task's parameter list splits
@@ -45,6 +45,12 @@
 //! virtualize table capacity; the finite-hardware bound is
 //! [`Residency`]).
 //!
+//! A route reads its slices off the caller's parameter list, and each
+//! admission copies its slice into a list of the shard's own: one kept
+//! from a released slice when the dispatcher recycles them, a fresh one
+//! of the slice's length otherwise. A release reports the woken into the
+//! caller's buffer.
+//!
 //! [`ShardedEngine`]: crate::ShardedEngine
 //! [`ShardDispatcher`]: crate::ShardDispatcher
 
@@ -53,20 +59,84 @@ use nexuspp_core::{shard_of_addr, DependencyEngine, NexusConfig, OpCost, ShardCa
 use nexuspp_trace::Param;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// A task's per-shard slices, in first-touch order.
-pub(crate) type Route = Vec<(u32, Vec<Param>)>;
+/// How many items a [`Few`] holds in place: a task routed over at most
+/// this many shards needs no heap block for its route or its parts.
+const INLINE: usize = 4;
 
-/// Split a parameter list into per-shard slices by [`shard_of_addr`].
-pub(crate) fn route(params: &[Param], n_shards: usize) -> Route {
-    let mut groups: Route = Vec::new();
-    for p in params {
-        let s = shard_of_addr(p.addr, n_shards) as u32;
-        match groups.iter_mut().find(|(g, _)| *g == s) {
-            Some((_, v)) => v.push(*p),
-            None => groups.push((s, vec![*p])),
+/// A short list kept in place, spilling to a `Vec` past [`INLINE`]
+/// items, as the Task Pool chains a dummy descriptor past a full one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Few<T> {
+    len: usize,
+    inline: [T; INLINE],
+    spill: Vec<T>,
+}
+
+impl<T: Copy> Few<T> {
+    pub(crate) fn push(&mut self, item: T) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = item,
+            None => self.spill.push(item),
+        }
+        self.len += 1;
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.inline[..self.len.min(INLINE)]
+            .iter()
+            .chain(&self.spill)
+            .copied()
+    }
+}
+
+/// A task's parameter list split by shard without copying it: the
+/// shards it touches in first-touch order, found in one pass, and each
+/// shard's slice read off the list when that shard admits it.
+pub(crate) struct Route<'p> {
+    params: &'p [Param],
+    n_shards: usize,
+    shards: Few<u32>,
+}
+
+impl<'p> Route<'p> {
+    pub(crate) fn new(params: &'p [Param], n_shards: usize) -> Self {
+        let mut shards = Few::default();
+        for p in params {
+            let s = shard_of_addr(p.addr, n_shards) as u32;
+            if !shards.iter().any(|g| g == s) {
+                shards.push(s);
+            }
+        }
+        Route {
+            params,
+            n_shards,
+            shards,
         }
     }
-    groups
+
+    /// The shards touched, in first-touch order.
+    pub(crate) fn shards(&self) -> impl Iterator<Item = u32> + '_ {
+        self.shards.iter()
+    }
+
+    /// How many shards the task touches.
+    pub(crate) fn len(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Shard `s`'s slice, in parameter order (the whole list when the
+    /// task touches one shard).
+    pub(crate) fn slice(&self, s: u32) -> impl Iterator<Item = Param> + Clone + '_ {
+        let whole = self.len() == 1;
+        self.params
+            .iter()
+            .filter(move |p| whole || shard_of_addr(p.addr, self.n_shards) as u32 == s)
+            .copied()
+    }
 }
 
 /// Per-shard residency counts under a [`ShardCapacity`].
@@ -100,17 +170,17 @@ impl Residency {
         if !self.capacity.is_bounded() {
             return Ok(());
         }
-        for (i, (s, _)) in route.iter().enumerate() {
-            let reserved = self.resident[*s as usize]
+        for (i, s) in route.shards().enumerate() {
+            let reserved = self.resident[s as usize]
                 .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| {
                     self.capacity.admits(r as usize).then_some(r + 1)
                 })
                 .is_ok();
             if !reserved {
-                for (t, _) in &route[..i] {
-                    self.release(*t);
+                for t in route.shards().take(i) {
+                    self.release(t);
                 }
-                return Err(*s);
+                return Err(s);
             }
         }
         Ok(())
@@ -130,6 +200,13 @@ impl Residency {
 pub(crate) struct Slices<H> {
     engine: DependencyEngine,
     owner: Vec<Option<H>>,
+    /// The sub-descriptors one release made ready, reused across
+    /// releases.
+    ready: Vec<TdIndex>,
+    /// Emptied parameter lists of released slices, handed back through
+    /// [`recycle`](Self::recycle): at most one per sub-descriptor live
+    /// at the shard's peak.
+    spare: Vec<Vec<Param>>,
 }
 
 impl<H: Clone> Slices<H> {
@@ -137,6 +214,8 @@ impl<H: Clone> Slices<H> {
         Slices {
             engine: DependencyEngine::new(cfg),
             owner: Vec::new(),
+            ready: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -151,12 +230,17 @@ impl<H: Clone> Slices<H> {
         &mut self,
         fptr: u64,
         tag: u64,
-        slice: Vec<Param>,
+        slice: impl Iterator<Item = Param> + Clone,
         home: H,
     ) -> (TdIndex, bool, OpCost) {
+        let mut list = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(slice.clone().count()));
+        list.extend(slice);
         let (td, admit) = self
             .engine
-            .admit(fptr, tag, slice)
+            .admit(fptr, tag, list)
             .expect("growable engine cannot reject");
         let CheckProgress::Done { ready, cost } = self.engine.check(td) else {
             unreachable!("growable engine cannot stall");
@@ -170,21 +254,24 @@ impl<H: Clone> Slices<H> {
     }
 
     /// Finish one slice: release it in the engine, clear its owner, and
-    /// return the home records of the sub-descriptors it kicked off (one
-    /// [`Remote::release`] each is due) with the work done.
-    pub(crate) fn release(&mut self, td: TdIndex) -> (Vec<H>, OpCost) {
-        let fin = self.engine.finish(td);
+    /// append to `woken` the home records of the sub-descriptors it
+    /// kicked off (one [`Remote::release`] each is due). Returns the work
+    /// done and the slice's parameter list.
+    pub(crate) fn release(&mut self, td: TdIndex, woken: &mut Vec<H>) -> (OpCost, Vec<Param>) {
+        let (cost, entry) = self.engine.finish_into(td, &mut self.ready);
         self.owner[td.0 as usize] = None;
-        let woken = fin
-            .newly_ready
-            .iter()
-            .map(|w| {
-                self.owner[w.0 as usize]
-                    .clone()
-                    .expect("woken sub-descriptor must have an owner")
-            })
-            .collect();
-        (woken, fin.cost)
+        woken.extend(self.ready.drain(..).map(|w| {
+            self.owner[w.0 as usize]
+                .clone()
+                .expect("woken sub-descriptor must have an owner")
+        }));
+        (cost, entry.params)
+    }
+
+    /// Keep a released slice's parameter list for a later admission.
+    pub(crate) fn recycle(&mut self, mut list: Vec<Param>) {
+        list.clear();
+        self.spare.push(list);
     }
 }
 
