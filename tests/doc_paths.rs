@@ -3,14 +3,14 @@
 //! File citations are `path` + symbol name; `path.rs:NNN` line anchors
 //! rot on the next edit above them and are rejected. Subcommand
 //! citations are checked against the table `repro` itself dispatches on.
-//! The current ISSUE.md is checked too, so an issue cannot set an
-//! acceptance check on a missing file or a retired subcommand; it may
-//! cite neither.
+//! Further repo-relative files named in `DOC_PATHS_EXTRA` (whitespace
+//! separated) are checked as both docs and `repro` citers; they may cite
+//! neither.
 
 use nexuspp_bench::experiments::EXPERIMENTS;
 use std::path::Path;
 
-const DOCS: [&str; 3] = ["ARCHITECTURE.md", "README.md", "ISSUE.md"];
+const DOCS: [&str; 2] = ["ARCHITECTURE.md", "README.md"];
 
 /// The docs that always cite something, so an empty scan means the scan
 /// itself broke.
@@ -19,13 +19,22 @@ const ALWAYS_CITING: [&str; 2] = ["ARCHITECTURE.md", "README.md"];
 /// Everything that tells a reader to run `repro <name>`: the docs, CI,
 /// and `repro`'s own module doc (its `usage()` is built from
 /// [`EXPERIMENTS`] and cannot drift).
-const REPRO_CITERS: [&str; 5] = [
+const REPRO_CITERS: [&str; 4] = [
     "ARCHITECTURE.md",
     "README.md",
-    "ISSUE.md",
     ".github/workflows/ci.yml",
     "crates/bench/src/bin/repro.rs",
 ];
+
+/// `fixed` plus the files named in `DOC_PATHS_EXTRA`.
+fn with_extra(fixed: &[&str]) -> Vec<String> {
+    let extra = std::env::var("DOC_PATHS_EXTRA").unwrap_or_default();
+    fixed
+        .iter()
+        .map(|s| s.to_string())
+        .chain(extra.split_whitespace().map(String::from))
+        .collect()
+}
 
 fn read(rel: &str) -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -78,7 +87,8 @@ fn cited_subcommands(text: &str) -> Vec<&str> {
 #[test]
 fn cited_source_paths_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for doc in DOCS {
+    for doc in with_extra(&DOCS) {
+        let doc = doc.as_str();
         let text = read(doc);
         let paths = cited_paths(&text);
         assert!(
@@ -108,7 +118,8 @@ fn cited_repro_subcommands_are_live() {
     let live = |name: &str| {
         name == "all" || name == "watch" || EXPERIMENTS.iter().any(|(n, _)| *n == name)
     };
-    for file in REPRO_CITERS {
+    for file in with_extra(&REPRO_CITERS) {
+        let file = file.as_str();
         let text = read(file);
         let names = cited_subcommands(&text);
         assert!(
