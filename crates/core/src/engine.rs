@@ -218,15 +218,21 @@ impl DependencyEngine {
             0,
             "finishing a task with unresolved deps"
         );
-        // Read the descriptor's I/O list (walking its dummy chain). The
-        // descriptor retires below, so its list is borrowed, not copied.
-        let mut cost = self.pool.read_params_cost(td);
-        let params = std::mem::take(&mut self.pool.get_mut(td).params);
-        let mut woken = std::mem::take(&mut self.woken);
-        for p in &params {
-            woken.clear();
-            cost += self.table.finish_param_into(p.addr, p.mode, &mut woken).1;
-            for w in &woken {
+        // Read the descriptor's I/O list (walking its dummy chain) and
+        // retire it: nothing is admitted before this call returns, so the
+        // list is read off the retired entry rather than copied.
+        let read_cost = self.pool.read_params_cost(td);
+        let (entry, retire_cost) = self.pool.retire(td);
+        self.set_checked(td, false);
+        self.in_flight -= 1;
+        let mut cost = read_cost + retire_cost;
+        for p in &entry.params {
+            self.woken.clear();
+            cost += self
+                .table
+                .finish_param_into(p.addr, p.mode, &mut self.woken)
+                .1;
+            for w in &self.woken {
                 let e = self.pool.get_mut(w.td);
                 debug_assert!(e.dc > 0, "waking a task with DC == 0");
                 e.dc -= 1;
@@ -236,12 +242,7 @@ impl DependencyEngine {
                 }
             }
         }
-        self.woken = woken;
-        self.pool.get_mut(td).params = params;
-        let (entry, retire_cost) = self.pool.retire(td);
-        self.set_checked(td, false);
-        self.in_flight -= 1;
-        (cost + retire_cost, entry)
+        (cost, entry)
     }
 
     /// Convenience for the threaded runtime and for tests: admit + check in

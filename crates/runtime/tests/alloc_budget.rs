@@ -10,18 +10,20 @@
 //! amortized growth of the scheduler's deques and of those structures on
 //! top of the two blocks.
 //!
-//! One block per task is left outside the budget and reported beside it:
-//! the node the scheduler's injector (a Michael–Scott queue) allocates
-//! for every task that is ready at submission. How many tasks that is
-//! depends on how far the submitter runs ahead of the workers, not on
-//! the resolution path.
+//! The count is raw: every block allocated during the round is held
+//! against the budget. That includes the node the scheduler's injector
+//! (a Michael–Scott queue) allocates for each task ready at submission,
+//! one block per such task. How many tasks are ready at submission
+//! depends on how far the workers keep up with the submitter, anywhere
+//! up to all of them in a free-running round. So every round holds every
+//! worker until the whole stream is submitted: then only the shape's
+//! roots are ready at submission, and the injector's share is fixed by
+//! the shape. It is reported beside each row.
 //!
-//! Each shape runs a warm-up round, then counts a second round of the
-//! same stream through the same runtime. The warm-up holds every worker
-//! until the whole stream is submitted, so it takes each structure to the
-//! stream's peak occupancy (every task in flight at once); the counted
-//! round then pays for no growth the warm-up could have paid for, however
-//! far its own submitter runs ahead.
+//! Each shape runs a warm-up round, then counts a second, identical round
+//! through the same runtime. Holding the workers takes each structure to
+//! the stream's peak occupancy (every task in flight at once), so the
+//! counted round pays for no growth the warm-up did not already pay for.
 
 use nexuspp_core::Submission;
 use nexuspp_runtime::Runtime;
@@ -110,19 +112,10 @@ fn tagged(params: Vec<Vec<Param>>) -> Vec<Submission> {
         .collect()
 }
 
-/// Submit `subs` with a body that captures its tag.
-fn spawn_all(rt: &Runtime, subs: Vec<Submission>) {
-    for sub in subs {
-        let tag = sub.tag;
-        rt.spawn_lowered(sub, move || {
-            black_box(tag);
-        });
-    }
-}
-
-/// One round of `subs` with every worker held by a parameterless task
-/// until the last submission is in.
-fn warm_up(rt: &Runtime, subs: Vec<Submission>) {
+/// One round of `subs`, each with a body that captures its tag, with
+/// every worker held by a parameterless task until the last submission
+/// is in.
+fn held_round(rt: &Runtime, subs: Vec<Submission>) {
     static HOLD: AtomicBool = AtomicBool::new(false);
     HOLD.store(true, Relaxed);
     for _ in 0..WORKERS {
@@ -132,19 +125,23 @@ fn warm_up(rt: &Runtime, subs: Vec<Submission>) {
             }
         });
     }
-    spawn_all(rt, subs);
+    for sub in subs {
+        let tag = sub.tag;
+        rt.spawn_lowered(sub, move || {
+            black_box(tag);
+        });
+    }
     HOLD.store(false, Relaxed);
     rt.barrier();
 }
 
-/// Allocations per task over one round of `subs` (built before the count
-/// starts), and the share of them that were injector nodes.
+/// Allocations per task over one held round of `subs` (built before the
+/// count starts), and how many of them per task were injector nodes.
 fn counted_round(rt: &Runtime, subs: Vec<Submission>) -> (f64, f64) {
     let n = subs.len() as f64;
     let injected = rt.sched_counts().submitted;
     let before = ALLOCATIONS.load(Relaxed);
-    spawn_all(rt, subs);
-    rt.barrier();
+    held_round(rt, subs);
     let allocations = ALLOCATIONS.load(Relaxed) - before;
     let injected = rt.sched_counts().submitted - injected;
     (allocations as f64 / n, injected as f64 / n)
@@ -161,7 +158,7 @@ fn each_task_allocates_only_its_body_box_and_its_home_record() {
     for shards in [1, 4] {
         for (name, shape) in shapes {
             let rt = Runtime::new(WORKERS, shards);
-            warm_up(&rt, shape());
+            held_round(&rt, shape());
             let subs = shape();
             rows.push((name, shards, counted_round(&rt, subs)));
         }
@@ -177,8 +174,7 @@ fn each_task_allocates_only_its_body_box_and_its_home_record() {
         .collect();
     println!("{report}");
     assert!(
-        rows.iter()
-            .all(|&(_, _, (per_task, injected))| per_task - injected <= BUDGET),
+        rows.iter().all(|&(_, _, (per_task, _))| per_task <= BUDGET),
         "over the {BUDGET} budget:\n{report}"
     );
 }

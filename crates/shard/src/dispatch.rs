@@ -397,11 +397,11 @@ impl<P> ShardDispatcher<P> {
             payload: Mutex::new(None),
         });
         let mut parts = Few::default();
-        for s in route.shards() {
+        for (s, len, slice) in route.slices() {
             let (td, slice_ready, _) =
                 self.shards[s as usize]
                     .lock()
-                    .submit(fptr, tag, route.slice(s), Arc::clone(&node));
+                    .submit(fptr, tag, len, slice, Arc::clone(&node));
             parts.push((s, td));
             if slice_ready {
                 // Cannot reach zero: the submission guard is still held.

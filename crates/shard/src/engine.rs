@@ -197,9 +197,8 @@ impl ShardedEngine {
         let remote = Remote::new(route.len());
         let mut parts = Vec::with_capacity(route.len());
         let mut cost = OpBreakdown::default();
-        for s in route.shards() {
-            let (td, slice_ready, c) =
-                self.shards[s as usize].submit(fptr, tag, route.slice(s), id);
+        for (s, len, slice) in route.slices() {
+            let (td, slice_ready, c) = self.shards[s as usize].submit(fptr, tag, len, slice, id);
             cost.add(s, c);
             parts.push((s, td));
             if slice_ready {

@@ -59,20 +59,35 @@ use nexuspp_core::{shard_of_addr, DependencyEngine, NexusConfig, OpCost, ShardCa
 use nexuspp_trace::Param;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// How many items a [`Few`] holds in place: a task routed over at most
-/// this many shards needs no heap block for its route or its parts.
+/// How many items a [`Few`] holds in place by default: a task routed over
+/// at most this many shards needs no heap block for its route or its
+/// parts.
 const INLINE: usize = 4;
 
-/// A short list kept in place, spilling to a `Vec` past [`INLINE`]
-/// items, as the Task Pool chains a dummy descriptor past a full one.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Few<T> {
+/// How many parameters a [`Route`] records in place: a Task Descriptor's
+/// width in the paper's Table IV.
+const TD_WIDTH: usize = 8;
+
+/// A short list kept in place, spilling to a `Vec` past `N` items, as
+/// the Task Pool chains a dummy descriptor past a full one.
+#[derive(Debug, Clone)]
+pub(crate) struct Few<T, const N: usize = INLINE> {
     len: usize,
-    inline: [T; INLINE],
+    inline: [T; N],
     spill: Vec<T>,
 }
 
-impl<T: Copy> Few<T> {
+impl<T: Copy + Default, const N: usize> Default for Few<T, N> {
+    fn default() -> Self {
+        Few {
+            len: 0,
+            inline: [T::default(); N],
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> Few<T, N> {
     pub(crate) fn push(&mut self, item: T) {
         match self.inline.get_mut(self.len) {
             Some(slot) => *slot = item,
@@ -86,41 +101,55 @@ impl<T: Copy> Few<T> {
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        self.inline[..self.len.min(INLINE)]
+        self.inline[..self.len.min(N)]
             .iter()
             .chain(&self.spill)
             .copied()
     }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.inline[..self.len.min(N)]
+            .iter_mut()
+            .chain(&mut self.spill)
+    }
 }
 
-/// A task's parameter list split by shard without copying it: the
-/// shards it touches in first-touch order, found in one pass, and each
-/// shard's slice read off the list when that shard admits it.
+/// A task's parameter list split by shard without copying it, in one
+/// pass that hashes each address once: the shards it touches in
+/// first-touch order with their slice lengths, and each parameter's
+/// shard, from which a slice is read off the list when its shard admits
+/// it.
 pub(crate) struct Route<'p> {
     params: &'p [Param],
-    n_shards: usize,
-    shards: Few<u32>,
+    /// Each touched shard and the length of its slice.
+    shards: Few<(u32, usize)>,
+    /// Each parameter's shard, in parameter order.
+    shard_of: Few<u32, TD_WIDTH>,
 }
 
 impl<'p> Route<'p> {
     pub(crate) fn new(params: &'p [Param], n_shards: usize) -> Self {
-        let mut shards = Few::default();
+        let mut shards: Few<(u32, usize)> = Few::default();
+        let mut shard_of = Few::default();
         for p in params {
             let s = shard_of_addr(p.addr, n_shards) as u32;
-            if !shards.iter().any(|g| g == s) {
-                shards.push(s);
+            shard_of.push(s);
+            let seen = shards.iter_mut().find(|(g, _)| *g == s);
+            match seen {
+                Some((_, len)) => *len += 1,
+                None => shards.push((s, 1)),
             }
         }
         Route {
             params,
-            n_shards,
             shards,
+            shard_of,
         }
     }
 
     /// The shards touched, in first-touch order.
     pub(crate) fn shards(&self) -> impl Iterator<Item = u32> + '_ {
-        self.shards.iter()
+        self.shards.iter().map(|(s, _)| s)
     }
 
     /// How many shards the task touches.
@@ -128,14 +157,20 @@ impl<'p> Route<'p> {
         self.shards.len()
     }
 
-    /// Shard `s`'s slice, in parameter order (the whole list when the
-    /// task touches one shard).
-    pub(crate) fn slice(&self, s: u32) -> impl Iterator<Item = Param> + Clone + '_ {
-        let whole = self.len() == 1;
-        self.params
-            .iter()
-            .filter(move |p| whole || shard_of_addr(p.addr, self.n_shards) as u32 == s)
-            .copied()
+    /// Each touched shard in first-touch order, with its slice: the
+    /// slice's length and its parameters in parameter order.
+    pub(crate) fn slices(
+        &self,
+    ) -> impl Iterator<Item = (u32, usize, impl Iterator<Item = Param> + '_)> + '_ {
+        self.shards.iter().map(move |(s, len)| {
+            let slice = self
+                .params
+                .iter()
+                .zip(self.shard_of.iter())
+                .filter(move |&(_, g)| g == s)
+                .map(|(p, _)| *p);
+            (s, len, slice)
+        })
     }
 }
 
@@ -223,20 +258,18 @@ impl<H: Clone> Slices<H> {
         &self.engine
     }
 
-    /// Admit and check one slice on behalf of `home`. Returns the
-    /// sub-descriptor, whether the slice is conflict-free, and the pool
-    /// and table work done.
+    /// Admit and check one slice of `len` parameters on behalf of
+    /// `home`. Returns the sub-descriptor, whether the slice is
+    /// conflict-free, and the pool and table work done.
     pub(crate) fn submit(
         &mut self,
         fptr: u64,
         tag: u64,
-        slice: impl Iterator<Item = Param> + Clone,
+        len: usize,
+        slice: impl Iterator<Item = Param>,
         home: H,
     ) -> (TdIndex, bool, OpCost) {
-        let mut list = self
-            .spare
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(slice.clone().count()));
+        let mut list = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(len));
         list.extend(slice);
         let (td, admit) = self
             .engine

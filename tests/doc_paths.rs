@@ -3,38 +3,28 @@
 //! File citations are `path` + symbol name; `path.rs:NNN` line anchors
 //! rot on the next edit above them and are rejected. Subcommand
 //! citations are checked against the table `repro` itself dispatches on.
-//! Further repo-relative files named in `DOC_PATHS_EXTRA` (whitespace
-//! separated) are checked as both docs and `repro` citers; they may cite
-//! neither.
+//! ISSUE.md is checked like the docs, so an issue cannot cite a missing
+//! file or a retired subcommand either.
 
 use nexuspp_bench::experiments::EXPERIMENTS;
 use std::path::Path;
 
-const DOCS: [&str; 2] = ["ARCHITECTURE.md", "README.md"];
+/// The one checked file that may cite nothing, so an empty scan of it
+/// proves nothing; every other file's empty scan means the scan broke.
+const ISSUE: &str = "ISSUE.md";
 
-/// The docs that always cite something, so an empty scan means the scan
-/// itself broke.
-const ALWAYS_CITING: [&str; 2] = ["ARCHITECTURE.md", "README.md"];
+const DOCS: [&str; 3] = ["ARCHITECTURE.md", "README.md", ISSUE];
 
 /// Everything that tells a reader to run `repro <name>`: the docs, CI,
 /// and `repro`'s own module doc (its `usage()` is built from
 /// [`EXPERIMENTS`] and cannot drift).
-const REPRO_CITERS: [&str; 4] = [
+const REPRO_CITERS: [&str; 5] = [
     "ARCHITECTURE.md",
     "README.md",
+    ISSUE,
     ".github/workflows/ci.yml",
     "crates/bench/src/bin/repro.rs",
 ];
-
-/// `fixed` plus the files named in `DOC_PATHS_EXTRA`.
-fn with_extra(fixed: &[&str]) -> Vec<String> {
-    let extra = std::env::var("DOC_PATHS_EXTRA").unwrap_or_default();
-    fixed
-        .iter()
-        .map(|s| s.to_string())
-        .chain(extra.split_whitespace().map(String::from))
-        .collect()
-}
 
 fn read(rel: &str) -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -87,12 +77,11 @@ fn cited_subcommands(text: &str) -> Vec<&str> {
 #[test]
 fn cited_source_paths_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for doc in with_extra(&DOCS) {
-        let doc = doc.as_str();
+    for doc in DOCS {
         let text = read(doc);
         let paths = cited_paths(&text);
         assert!(
-            !paths.is_empty() || !ALWAYS_CITING.contains(&doc),
+            !paths.is_empty() || doc == ISSUE,
             "{doc}: the scan found no citations"
         );
         for p in paths {
@@ -118,12 +107,11 @@ fn cited_repro_subcommands_are_live() {
     let live = |name: &str| {
         name == "all" || name == "watch" || EXPERIMENTS.iter().any(|(n, _)| *n == name)
     };
-    for file in with_extra(&REPRO_CITERS) {
-        let file = file.as_str();
+    for file in REPRO_CITERS {
         let text = read(file);
         let names = cited_subcommands(&text);
         assert!(
-            !names.is_empty() || !ALWAYS_CITING.contains(&file),
+            !names.is_empty() || file == ISSUE,
             "{file}: the scan found no `repro` call"
         );
         for name in names {
