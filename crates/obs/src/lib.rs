@@ -67,6 +67,7 @@
 //! (`stream_differential.rs`).
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod analyze;
 mod collector;

@@ -40,9 +40,12 @@ pub(crate) struct EventRing {
     dropped: AtomicU64,
 }
 
-// Slots are handed between threads purely through the seq protocol.
+// SAFETY: every field but the slot values is an atomic or immutable. A
+// slot's value is touched only by the one producer whose CAS on `head`
+// claimed the slot (before its release store of `seq`) and then by the
+// one consumer that acquired that `seq` (before recycling it), so no two
+// threads ever access a value at once.
 unsafe impl Sync for EventRing {}
-unsafe impl Send for EventRing {}
 
 impl EventRing {
     /// `capacity` is rounded up to a power of two, minimum 8.
@@ -94,6 +97,8 @@ impl EventRing {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
+                        // SAFETY: the CAS claimed position `pos`; until the
+                        // `seq` store below, no other thread touches the slot.
                         unsafe { (*slot.val.get()).write(build()) };
                         slot.seq.store(pos + 1, Ordering::Release);
                         self.recorded.fetch_add(1, Ordering::Relaxed);
@@ -119,6 +124,9 @@ impl EventRing {
         if slot.seq.load(Ordering::Acquire) != pos + 1 {
             return None;
         }
+        // SAFETY: `seq == pos + 1` (acquired) means a producer published
+        // an initialized event here, and only this sole consumer reads it
+        // before the slot is recycled.
         let ev = unsafe { (*slot.val.get()).assume_init_read() };
         slot.seq.store(pos + self.mask + 1, Ordering::Release);
         self.tail.store(pos + 1, Ordering::Relaxed);

@@ -53,6 +53,7 @@
 //! under which `spawn` blocks while a shard is full.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod region;
 mod runtime;

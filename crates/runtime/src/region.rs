@@ -28,9 +28,11 @@ pub(crate) struct RegionCell<T> {
     access: AtomicI32,
 }
 
-// Safety: the dependency engine serializes writers against everything;
-// the `access` counter asserts that property at run time.
-unsafe impl<T: Send> Send for RegionCell<T> {}
+// SAFETY: `id` and `len` are immutable and `access` is atomic. `data` is
+// reached only through a `ReadGuard` or a `WriteGuard`, and `access`
+// admits either readers (shared `&[T]`, hence `T: Sync`) or one writer
+// (hence `T: Send`), never both; the dependency engine serializes
+// writers against everything, and `access` asserts it.
 unsafe impl<T: Send + Sync> Sync for RegionCell<T> {}
 
 /// A shared handle to a typed data region.
@@ -127,8 +129,8 @@ pub struct ReadGuard<'a, T> {
 impl<T> std::ops::Deref for ReadGuard<'_, T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        // Safety: `access` ≥ 1 (no writer); the engine guarantees no
-        // writer task runs concurrently.
+        // SAFETY: `access` ≥ 1 while this guard lives, so no writer holds
+        // the data; the engine guarantees no writer task runs concurrently.
         unsafe { &*self.region.cell.data.get() }
     }
 }
@@ -147,13 +149,16 @@ pub struct WriteGuard<'a, T> {
 impl<T> std::ops::Deref for WriteGuard<'_, T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
+        // SAFETY: `access` == −1 while this guard lives: it is the only
+        // accessor, and the borrow is tied to `&self`.
         unsafe { &*self.region.cell.data.get() }
     }
 }
 
 impl<T> std::ops::DerefMut for WriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut [T] {
-        // Safety: `access` == −1: we are the only accessor.
+        // SAFETY: `access` == −1 while this guard lives: it is the only
+        // accessor, and the borrow is tied to `&mut self`.
         unsafe { &mut *self.region.cell.data.get() }
     }
 }

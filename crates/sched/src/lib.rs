@@ -6,9 +6,10 @@
 //! bottleneck (Álvarez et al., *Advanced Synchronization Techniques for
 //! Task-based Runtime Systems*, arXiv:2105.07902; the Nanos6/CppSs
 //! lineage of StarSs). Per-worker Chase–Lev deques (LIFO owner pop, FIFO
-//! steal), a lock-free global injector for spawns, a global
-//! high-priority queue, and parking so idle workers hold no CPU. A worker
-//! that wakes dependent tasks keeps them local; idle workers steal
+//! steal), a global injector for spawns and a global high-priority
+//! queue (each a locked FIFO, as the Task Maestro's ready queue is one
+//! plain FIFO), and parking so idle workers hold no CPU. A worker that
+//! wakes dependent tasks keeps them local; idle workers steal
 //! oldest-first.
 //!
 //! Workers interact through a per-thread [`WorkerHandle`]; spawning
@@ -48,8 +49,11 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
+mod deque;
 mod metrics;
+mod queue;
 pub mod stress;
 mod work_steal;
 
@@ -62,7 +66,7 @@ pub use work_steal::{Scheduler, WorkerHandle};
 /// scheduler and the value selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Per-worker work-stealing deques with a lock-free injector.
+    /// Per-worker work-stealing deques with a locked FIFO injector.
     #[default]
     WorkStealing,
 }

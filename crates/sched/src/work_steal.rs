@@ -1,5 +1,5 @@
-//! The work-stealing scheduler: per-worker Chase–Lev deques, lock-free
-//! global injectors, and parking for idle workers.
+//! The work-stealing scheduler: per-worker Chase–Lev deques, two locked
+//! global FIFOs, and parking for idle workers.
 //!
 //! Scheduling policy (the classic work-first discipline):
 //!
@@ -8,7 +8,8 @@
 //! 2. the worker's **own deque**, newest-first (LIFO) — a worker that
 //!    wakes a chain of dependent tasks keeps executing that chain with
 //!    hot caches and zero shared-state traffic,
-//! 3. the global **injector**, oldest-first — externally spawned tasks,
+//! 3. the global **injector**, oldest-first — externally spawned tasks
+//!    (a locked FIFO, like the high-priority queue),
 //! 4. **stealing** from sibling deques, oldest-first (FIFO) — idle
 //!    workers take the *least* recently produced work, which in fan-out
 //!    workloads is the root of the largest remaining subtree.
@@ -17,11 +18,14 @@
 //! scheduler's one [`EventCount`], rechecking with the same sweep.
 //! Producers publish work and then `notify_one`, so either the recheck
 //! sees the work or the notify sees the worker counted in and wakes a
-//! parked one — a wake can be spurious but never lost.
+//! parked one — a wake can be spurious but never lost. A FIFO publishes
+//! its length before the pusher's `notify_one` fence, and the recheck
+//! reads that length without the lock.
 
+use crate::deque::{Steal, Stealer, Worker};
 use crate::metrics::{SchedCounts, SchedMetrics};
+use crate::queue::Fifo;
 use crate::SchedulerKind;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use nexuspp_core::{EventCount, Priority};
 use nexuspp_obs::{EventKind, Recorder, NO_SHARD, NO_TASK};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -54,9 +58,9 @@ struct SchedObs<T> {
 /// submitting threads).
 pub struct Scheduler<T> {
     /// Global high-priority queue, checked before any normal source.
-    high: Injector<T>,
+    high: Fifo<T>,
     /// Global entry point for externally submitted normal tasks.
-    injector: Injector<T>,
+    injector: Fifo<T>,
     /// Steal handles onto every worker's deque, indexed by worker id.
     stealers: Box<[Stealer<T>]>,
     /// Where idle workers park; notified once per published task.
@@ -83,8 +87,8 @@ impl<T: Send> Scheduler<T> {
             })
             .collect();
         let sched = Scheduler {
-            high: Injector::new(),
-            injector: Injector::new(),
+            high: Fifo::new(),
+            injector: Fifo::new(),
             stealers: handles.iter().map(|h| h.local.stealer()).collect(),
             idle: EventCount::new(),
             shutdown: AtomicBool::new(false),
@@ -215,7 +219,7 @@ impl<T: Send> Scheduler<T> {
 
     /// One full sweep over every source, in policy order.
     fn try_find(&self, h: &WorkerHandle<T>) -> Option<T> {
-        if let Steal::Success(item) = self.high.steal() {
+        if let Some(item) = self.high.pop() {
             SchedMetrics::bump(&self.metrics.high_pops);
             return Some(item);
         }
@@ -223,7 +227,7 @@ impl<T: Send> Scheduler<T> {
             SchedMetrics::bump(&self.metrics.local_pops);
             return Some(item);
         }
-        if let Steal::Success(item) = self.injector.steal() {
+        if let Some(item) = self.injector.pop() {
             SchedMetrics::bump(&self.metrics.injector_pops);
             return Some(item);
         }
@@ -241,11 +245,11 @@ impl<T: Send> Scheduler<T> {
     /// `None` when no ready task is currently visible — which is not
     /// quiescence; a running task may publish more work.
     pub fn try_next_external(&self) -> Option<T> {
-        if let Steal::Success(item) = self.high.steal() {
+        if let Some(item) = self.high.pop() {
             SchedMetrics::bump(&self.metrics.high_pops);
             return Some(item);
         }
-        if let Steal::Success(item) = self.injector.steal() {
+        if let Some(item) = self.injector.pop() {
             SchedMetrics::bump(&self.metrics.injector_pops);
             return Some(item);
         }

@@ -54,7 +54,7 @@ fn run_tree(workers: usize, fanout_until: u64) -> Vec<u32> {
 }
 
 #[test]
-fn both_kinds_dispatch_every_task_exactly_once_across_thread_counts() {
+fn every_task_dispatches_exactly_once_across_thread_counts() {
     for workers in [1usize, 2, 4, 8] {
         let seen = run_tree(workers, 2000);
         let bad: Vec<_> = seen
@@ -71,7 +71,7 @@ fn both_kinds_dispatch_every_task_exactly_once_across_thread_counts() {
 }
 
 #[test]
-fn work_stealing_and_mutex_execute_identical_task_sets_on_chains() {
+fn chains_execute_every_task_exactly_once() {
     // The same property over the steal-stress workload: the DAG runs to
     // completion with every task executed exactly once.
     let spec = ChainStressSpec {
@@ -115,9 +115,10 @@ fn imbalanced_chains_force_steals() {
 }
 
 #[test]
-fn high_priority_overtakes_queued_normals_in_both_kinds() {
+fn high_priority_overtakes_queued_normals_in_fifo_order() {
     // Single worker, started only after the queue is preloaded, so
-    // the pop order is exactly the scheduling policy.
+    // the pop order is exactly the scheduling policy: the high-priority
+    // task, then the injector oldest-first.
     let (sched, mut handles) = Scheduler::<u64>::new(SchedulerKind::default(), 1);
     for id in 1..=8u64 {
         sched.submit(id, Priority::Normal);
@@ -126,10 +127,8 @@ fn high_priority_overtakes_queued_normals_in_both_kinds() {
     let h = handles.remove(0);
     let first = sched.next(&h).unwrap();
     assert_eq!(first, 99, "the high-priority task must be dispatched first");
-    // Drain the rest, then shut down.
-    for _ in 0..8 {
-        assert!(sched.next(&h).unwrap() < 99);
-    }
+    let rest: Vec<u64> = (0..8).map(|_| sched.next(&h).unwrap()).collect();
+    assert_eq!(rest, (1..=8).collect::<Vec<_>>(), "the injector is FIFO");
     sched.shutdown();
     assert!(sched.next(&h).is_none());
 }

@@ -33,7 +33,7 @@
 //!   lock-free bounded rings, a metrics registry over every layer's
 //!   counters, Chrome-trace export and critical-path analysis,
 //! * [`sched`] — the ready-task scheduling layer: per-worker
-//!   work-stealing deques with a lock-free injector,
+//!   work-stealing deques with a locked FIFO injector,
 //! * [`runtime`] — a real threaded StarSs-like runtime built on the same
 //!   resolution semantics ([`runtime::Runtime`]: any number of resolver
 //!   shards, one being the single-engine case), scheduling through
