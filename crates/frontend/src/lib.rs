@@ -28,9 +28,12 @@
 //!   each resource to one address (the hand-addressed encoding the
 //!   version chains would otherwise serialize through).
 //! * [`exec`] — drains a [`LoweredProgram`] through the batch
-//!   [`ShardedEngine`](nexuspp_shard::ShardedEngine), returning the
-//!   executed order for differential checking. The crate depends only on
-//!   core, shard and trace: the threaded runtime is driven from above
+//!   [`ShardedEngine`](nexuspp_shard::ShardedEngine) the way the master
+//!   core feeds the hardware: at most a Task Pool of tasks (Table IV's
+//!   1024) in flight, retiring ready tasks whenever the window is full,
+//!   with no heap allocation per task. It returns the executed order for
+//!   differential checking. The crate depends only on core, shard and
+//!   trace: the threaded runtime is driven from above
 //!   (`nexuspp_incr`'s `Backend::Runtime`) and from this crate's tests.
 //! * [`rand_prog`] — seeded random programs for differential tests and
 //!   benchmarks.

@@ -26,7 +26,7 @@
 use crate::program::{FrontendError, Program, ResourceId, Version};
 use nexuspp_core::{Submission, TaskBuilder};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 /// First physical address the frontend assigns. High above anything the
 /// examples/workloads hand-address (and the `Region` id counter, which
@@ -95,7 +95,8 @@ pub struct LoweredProgram {
     /// graph, ready for any `submit`-shaped consumer.
     pub tasks: Vec<Submission>,
     /// The true RAW edges as (producer tag, consumer tag) pairs —
-    /// the graph both lowerings must respect.
+    /// the graph both lowerings must respect — by producer, then
+    /// consumer, each in declaration order.
     pub edges: Vec<(u64, u64)>,
 }
 
@@ -123,32 +124,37 @@ impl Program {
     pub fn lower(&self, lowering: Lowering) -> Result<LoweredProgram, FrontendError> {
         let decls = self.tasks();
         let n = decls.len();
-        // Who mints each (resource, version)?
-        let mut producer: HashMap<(ResourceId, Version), usize> = HashMap::new();
+        // Who mints each (resource, version)? Writes mint versions 1, 2,
+        // ... of a resource in declaration order, so version `v`'s
+        // producer is entry `v - 1` of the resource's list.
+        let mut producer: Vec<Vec<usize>> = vec![Vec::new(); self.resource_count()];
         for (i, t) in decls.iter().enumerate() {
             for &(r, v) in &t.writes {
-                producer.insert((r, v), i);
+                let minted = &mut producer[r.0 as usize];
+                minted.push(i);
+                debug_assert_eq!(minted.len(), v as usize, "versions are minted densely");
             }
         }
         // True RAW edges: minter of the read version → reader. Version 0
         // is initial contents (no producer); a task's read of a version
-        // it mints itself is not an edge.
+        // it mints itself is not an edge. Readers are visited in
+        // declaration order, so a reader's duplicate edges to one
+        // producer are adjacent in that producer's list.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indeg: Vec<usize> = vec![0; n];
-        let mut edge_set: HashSet<(usize, usize)> = HashSet::new();
         for (i, t) in decls.iter().enumerate() {
             for &(r, v) in &t.reads {
                 if v == 0 {
                     continue;
                 }
-                let &p = producer
-                    .get(&(r, v))
-                    .ok_or_else(|| FrontendError::UnknownProducer {
+                let &p = producer[r.0 as usize].get(v as usize - 1).ok_or_else(|| {
+                    FrontendError::UnknownProducer {
                         resource: self.resource_name(r).to_string(),
                         version: v,
                         reader: t.tag,
-                    })?;
-                if p != i && edge_set.insert((p, i)) {
+                    }
+                })?;
+                if p != i && adj[p].last() != Some(&i) {
                     adj[p].push(i);
                     indeg[i] += 1;
                 }
@@ -199,8 +205,10 @@ impl Program {
                 b.build()
             })
             .collect();
-        let edges = edge_set
-            .into_iter()
+        let edges = adj
+            .iter()
+            .enumerate()
+            .flat_map(|(p, consumers)| consumers.iter().map(move |&c| (p, c)))
             .map(|(p, c)| (decls[p].tag, decls[c].tag))
             .collect();
         Ok(LoweredProgram {
@@ -313,6 +321,33 @@ mod tests {
         let lp = p.lower(Lowering::Renamed).unwrap();
         assert_eq!(lp.tasks.len(), 1);
         assert!(lp.edges.is_empty());
+    }
+
+    #[test]
+    fn edges_come_out_by_producer_then_consumer_on_every_lowering() {
+        // A 16-cell halo stencil advanced 10 steps: 160 tasks, each
+        // reading the previous version of its cell and its neighbours.
+        let mut p = Program::new();
+        let cells: Vec<String> = (0..16).map(|i| format!("c{i}")).collect();
+        for name in &cells {
+            p.resource(name);
+        }
+        for step in 1..=10 {
+            for i in 0..cells.len() {
+                let mut t = p.task(1);
+                for name in &cells[i.saturating_sub(1)..(i + 2).min(cells.len())] {
+                    t = t.reads_version(name, step - 1);
+                }
+                t.writes(&cells[i]).submit().unwrap();
+            }
+        }
+        let first = p.lower(Lowering::Renamed).unwrap().edges;
+        assert_eq!(first.len(), 9 * (16 * 3 - 2));
+        assert_eq!(p.lower(Lowering::Renamed).unwrap().edges, first);
+        assert_eq!(p.lower(Lowering::Raw).unwrap().edges, first);
+        let mut sorted = first.clone();
+        sorted.sort_unstable();
+        assert_eq!(first, sorted, "tags are declaration indices here");
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn run_on_engine_bounded(
     let mut order = Vec::with_capacity(lp.tasks.len());
     for sub in &lp.tasks {
         loop {
-            match eng.submit(sub.clone()) {
+            match eng.submit(sub) {
                 Ok((id, is_ready, _)) => {
                     if is_ready {
                         ready.push_back(id);
@@ -225,15 +225,14 @@ fn assert_engine_matches_oracle(lp: &LoweredProgram) {
     let mut oracle_ready: BTreeSet<u64> = BTreeSet::new();
     let mut id_of_tag = HashMap::new();
     let mut oid_of_tag = HashMap::new();
-    for sub in lp.tasks.iter().cloned() {
+    for sub in &lp.tasks {
         let tag = sub.tag;
-        let params = sub.params.clone();
         let (id, ready, _) = eng.submit(sub).expect("unbounded admits all");
         id_of_tag.insert(tag, id);
         if ready {
             eng_ready.insert(tag);
         }
-        let (oid, oready) = oracle.submit(&params);
+        let (oid, oready) = oracle.submit(&sub.params);
         oid_of_tag.insert(tag, oid);
         if oready {
             oracle_ready.insert(tag);
@@ -272,6 +271,7 @@ proptest! {
         // RAW edges the independent encoding derives.
         let frontend_edges: BTreeSet<(u64, u64)> = lp.edges.iter().copied().collect();
         prop_assert_eq!(&frontend_edges, &hand.edges);
+        prop_assert_eq!(lp.edges.len(), hand.edges.len(), "each edge listed once");
 
         // Engine ≡ oracle on the lowered stream, round for round.
         assert_engine_matches_oracle(&lp);

@@ -449,15 +449,9 @@ impl<P> ShardDispatcher<P> {
             .expect("finish called before submit completed");
         let mut last_shard = NO_SHARD;
         for (s, td) in parts.iter() {
-            {
-                // Admissions and releases here run on different threads,
-                // so a released list is kept for the shard's next
-                // admission rather than freed away from the thread that
-                // allocated it.
-                let mut shard = self.shards[s as usize].lock();
-                let (_, list) = shard.release(td, &mut report.kicked);
-                shard.recycle(list);
-            }
+            self.shards[s as usize]
+                .lock()
+                .release(td, &mut report.kicked);
             if !report.kicked.is_empty() {
                 self.hand_off(node.tag, s, report);
             }

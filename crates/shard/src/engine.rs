@@ -8,7 +8,7 @@
 //! reusable [`TaskId`] home-record slots, like Task Pool indices, and the
 //! per-shard [`OpBreakdown`] cost of every operation.
 
-use crate::protocol::{Remote, Residency, Route, Slices};
+use crate::protocol::{Few, Remote, Residency, Route, Slices};
 use nexuspp_core::{
     shard_of_addr, DependencyEngine, NexusConfig, OpCost, ShardCapacity, Submission, SubmitError,
     TdIndex,
@@ -29,27 +29,32 @@ impl fmt::Display for TaskId {
 /// Per-shard cost breakdown of one sharded operation. Shards can service
 /// their portions concurrently, so the modeled latency of the operation
 /// is the *maximum* per-shard cost while the energy/occupancy is the sum
-/// ([`OpBreakdown::total`]).
+/// ([`OpBreakdown::total`]). The shards are held in place: a breakdown
+/// of an operation on at most four shards needs no heap block.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpBreakdown {
-    /// `(shard, cost)` for every shard the operation touched.
-    pub per_shard: Vec<(u32, OpCost)>,
+    per_shard: Few<(u32, OpCost)>,
 }
 
 impl OpBreakdown {
     /// Accumulate `cost` against `shard`.
     pub fn add(&mut self, shard: u32, cost: OpCost) {
-        match self.per_shard.iter_mut().find(|(s, _)| *s == shard) {
+        let seen = self.per_shard.iter_mut().find(|(s, _)| *s == shard);
+        match seen {
             Some((_, c)) => *c += cost,
             None => self.per_shard.push((shard, cost)),
         }
     }
 
+    /// `(shard, cost)` for every shard the operation touched, in the
+    /// order it first touched them.
+    pub fn per_shard(&self) -> impl Iterator<Item = (u32, OpCost)> + '_ {
+        self.per_shard.iter()
+    }
+
     /// Total accesses across all shards (the serialized-equivalent work).
     pub fn total(&self) -> OpCost {
-        self.per_shard
-            .iter()
-            .fold(OpCost::ZERO, |acc, (_, c)| acc + *c)
+        self.per_shard().fold(OpCost::ZERO, |acc, (_, c)| acc + c)
     }
 
     /// Number of distinct shards touched.
@@ -58,22 +63,37 @@ impl OpBreakdown {
     }
 }
 
-/// Result of finishing a task through the sharded engine.
+/// Result of finishing a task through the sharded engine. A caller that
+/// keeps one across finishes ([`ShardedEngine::finish_into`]) allocates
+/// nothing once its buffers have grown to the widest wake set.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedFinish {
     /// Tasks whose remote dependence counter reached zero thanks to this
     /// completion, in wake order (the concatenation of
     /// [`wakes_by_shard`](Self::wakes_by_shard)).
     pub newly_ready: Vec<TaskId>,
-    /// The same wake set attributed to the shard whose slice release
-    /// completed each task. The timing models treat each entry as one
-    /// shard's kick-off FIFO traffic
-    /// (`nexuspp_taskmachine::multimaestro`).
-    pub wakes_by_shard: Vec<(u32, Vec<TaskId>)>,
+    /// `(shard, count)` runs over `newly_ready`, one per shard whose
+    /// slice release woke any.
+    wake_runs: Vec<(u32, usize)>,
     /// The finished task's caller tag.
     pub tag: u64,
     /// Work performed, by shard.
     pub cost: OpBreakdown,
+}
+
+impl ShardedFinish {
+    /// The wake set attributed to the shard whose slice release
+    /// completed each task, in slice order; shards that woke nothing are
+    /// left out. The timing models treat each entry as one shard's
+    /// kick-off FIFO traffic (`nexuspp_taskmachine::multimaestro`).
+    pub fn wakes_by_shard(&self) -> impl Iterator<Item = (u32, &[TaskId])> + '_ {
+        let mut rest = self.newly_ready.as_slice();
+        self.wake_runs.iter().map(move |&(s, n)| {
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
+            (s, run)
+        })
+    }
 }
 
 /// The home record of a live task.
@@ -81,7 +101,7 @@ pub struct ShardedFinish {
 struct TaskState {
     tag: u64,
     /// `(shard, sub-descriptor)` per involved shard, in route order.
-    parts: Vec<(u32, TdIndex)>,
+    parts: Few<(u32, TdIndex)>,
     remote: Remote,
 }
 
@@ -93,6 +113,9 @@ pub struct ShardedEngine {
     tasks: Vec<Option<TaskState>>,
     free: Vec<u32>,
     in_flight: usize,
+    /// The home records one slice release kicked off, reused across
+    /// finishes; empty between calls.
+    woken: Vec<TaskId>,
 }
 
 impl ShardedEngine {
@@ -121,6 +144,7 @@ impl ShardedEngine {
             tasks: Vec::new(),
             free: Vec::new(),
             in_flight: 0,
+            woken: Vec::new(),
         }
     }
 
@@ -179,26 +203,28 @@ impl ShardedEngine {
     /// Submit a task: validate its parameter list, reserve a residency
     /// slot on every involved shard (all or nothing), admit and check
     /// every slice, then release the submission guard. Returns the task,
-    /// whether it is ready now, and the admit+check work by shard.
+    /// whether it is ready now, and the admit+check work by shard. The
+    /// parameter list is read in place; a rejected submission can be
+    /// retried as it is.
     ///
     /// The only rejections are [`SubmitError::DuplicateAddress`] and,
     /// under a bounded capacity, the retryable
     /// [`SubmitError::CapacityFull`] naming the first full shard; either
     /// leaves the engine untouched.
-    pub fn submit(&mut self, sub: Submission) -> Result<(TaskId, bool, OpBreakdown), SubmitError> {
+    pub fn submit(&mut self, sub: &Submission) -> Result<(TaskId, bool, OpBreakdown), SubmitError> {
         sub.validate()?;
-        let (fptr, tag, params) = sub.into_parts();
-        let route = Route::new(&params, self.shards.len());
+        let route = Route::new(&sub.params, self.shards.len());
         if let Err(shard) = self.residency.try_reserve(&route) {
             let limit = self.capacity().limit().expect("unbounded always reserves");
             return Err(SubmitError::CapacityFull { shard, limit });
         }
         let id = self.alloc_slot();
         let remote = Remote::new(route.len());
-        let mut parts = Vec::with_capacity(route.len());
+        let mut parts = Few::default();
         let mut cost = OpBreakdown::default();
         for (s, len, slice) in route.slices() {
-            let (td, slice_ready, c) = self.shards[s as usize].submit(fptr, tag, len, slice, id);
+            let (td, slice_ready, c) =
+                self.shards[s as usize].submit(sub.fptr, sub.tag, len, slice, id);
             cost.add(s, c);
             parts.push((s, td));
             if slice_ready {
@@ -206,7 +232,11 @@ impl ShardedEngine {
             }
         }
         let ready = remote.release();
-        self.tasks[id.0 as usize] = Some(TaskState { tag, parts, remote });
+        self.tasks[id.0 as usize] = Some(TaskState {
+            tag: sub.tag,
+            parts,
+            remote,
+        });
         self.in_flight += 1;
         Ok((id, ready, cost))
     }
@@ -217,34 +247,42 @@ impl ShardedEngine {
     /// reported as newly ready, attributed to the shard whose slice
     /// release completed it, in slice order. Never stalls.
     pub fn finish(&mut self, id: TaskId) -> ShardedFinish {
+        let mut out = ShardedFinish::default();
+        self.finish_into(id, &mut out);
+        out
+    }
+
+    /// [`finish`](Self::finish) into a report the caller keeps: `out` is
+    /// overwritten, its buffers reused.
+    pub fn finish_into(&mut self, id: TaskId, out: &mut ShardedFinish) {
         let st = self.tasks[id.0 as usize]
             .take()
             .unwrap_or_else(|| panic!("finish({id}) on a free slot"));
         debug_assert!(st.remote.is_zero(), "finishing a task with unresolved deps");
-        let mut out = ShardedFinish {
-            tag: st.tag,
-            ..Default::default()
-        };
-        let mut woken = Vec::new();
-        for (s, td) in st.parts {
-            // Single-threaded: the list is freed here, still in cache,
-            // rather than kept for a later admission (a drain that submits
-            // everything first would only free it cold at drop).
-            let (cost, _) = self.shards[s as usize].release(td, &mut woken);
+        out.newly_ready.clear();
+        out.wake_runs.clear();
+        out.tag = st.tag;
+        out.cost.per_shard.clear();
+        for (s, td) in st.parts.iter() {
+            let cost = self.shards[s as usize].release(td, &mut self.woken);
             out.cost.add(s, cost);
             self.residency.release(s);
-            let woken_here: Vec<TaskId> = woken
-                .drain(..)
-                .filter(|w| self.state(*w).remote.release())
-                .collect();
-            if !woken_here.is_empty() {
-                out.newly_ready.extend(woken_here.iter().copied());
-                out.wakes_by_shard.push((s, woken_here));
+            let before = out.newly_ready.len();
+            for w in self.woken.drain(..) {
+                let home = self.tasks[w.0 as usize]
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{w} is not live"));
+                if home.remote.release() {
+                    out.newly_ready.push(w);
+                }
+            }
+            let woke = out.newly_ready.len() - before;
+            if woke > 0 {
+                out.wake_runs.push((s, woke));
             }
         }
         self.free.push(id.0);
         self.in_flight -= 1;
-        out
     }
 }
 
@@ -263,7 +301,7 @@ mod tests {
         tag: u64,
         params: Vec<Param>,
     ) -> Result<(TaskId, bool), SubmitError> {
-        let (id, ready, _) = e.submit(Submission::from((1, tag, params)))?;
+        let (id, ready, _) = e.submit(&Submission::from((1, tag, params)))?;
         Ok((id, ready))
     }
 
@@ -357,7 +395,7 @@ mod tests {
         let params = vec![Param::output(0x100, 4), Param::output(0x200, 4)];
         let shards: std::collections::BTreeSet<usize> =
             params.iter().map(|p| e.shard_of(p.addr)).collect();
-        let (id, ready, cost) = e.submit(Submission::from((1, 0, params))).unwrap();
+        let (id, ready, cost) = e.submit(&Submission::from((1, 0, params))).unwrap();
         assert!(ready);
         assert_eq!(cost.shards_touched(), shards.len());
         assert!(cost.total().pool_accesses >= shards.len() as u64);
@@ -449,7 +487,7 @@ mod tests {
             params: vec![Param::input(0x40, 4), Param::output(0x40, 4)],
         };
         assert_eq!(
-            e.submit(dup),
+            e.submit(&dup),
             Err(SubmitError::DuplicateAddress { addr: 0x40 })
         );
         assert_eq!((e.resident_on(0), e.resident_on(1)), (0, 0));
@@ -457,23 +495,71 @@ mod tests {
         // with the shard named.
         let a0 = addr_on(2, 0, 20);
         let (t0, _, _) = e
-            .submit(TaskBuilder::new(1).tag(0).writes(a0, 4).build())
+            .submit(&TaskBuilder::new(1).tag(0).writes(a0, 4).build())
             .unwrap();
         let spanning = TaskBuilder::new(1)
             .tag(1)
             .writes(addr_on(2, 0, 21), 4)
             .writes(addr_on(2, 1, 21), 4)
             .build();
-        let rej = e.submit(spanning.clone()).unwrap_err();
+        let rej = e.submit(&spanning).unwrap_err();
         assert_eq!(rej, SubmitError::CapacityFull { shard: 0, limit: 1 });
         assert!(rej.is_retryable());
         assert_eq!(rej.shard(), Some(0));
         // Retry succeeds after the resident finishes.
         e.finish(t0);
-        let (t1, ready, _) = e.submit(spanning).unwrap();
+        let (t1, ready, _) = e.submit(&spanning).unwrap();
         assert!(ready);
         e.finish(t1);
         assert_eq!(e.in_flight(), 0);
+    }
+
+    #[test]
+    fn finish_into_a_kept_report_reads_like_finish() {
+        // Two engines fed the same fan-out/fan-in stream over 4 shards:
+        // one retires through `finish`, the other through one report
+        // reused by every `finish_into`. Every report must agree.
+        let (mut a, mut b) = (engine(4), engine(4));
+        let mut live = Vec::new();
+        let mut ready = std::collections::VecDeque::new();
+        for tag in 0..64u64 {
+            let cell = |i: u64| 0x1000 + 0x40 * (i % 24);
+            let params = if tag % 8 == 0 {
+                (0..6).map(|i| Param::output(cell(tag + i), 4)).collect()
+            } else {
+                vec![Param::input(cell(tag), 4), Param::inout(cell(tag + 5), 4)]
+            };
+            let sub = Submission::from((1, tag, params));
+            let (ia, ra, ca) = a.submit(&sub).unwrap();
+            let (ib, rb, cb) = b.submit(&sub).unwrap();
+            assert_eq!((ia, ra, &ca), (ib, rb, &cb), "tag {tag}");
+            live.push(ia);
+            if ra {
+                ready.push_back(ia);
+            }
+        }
+        let mut kept = ShardedFinish::default();
+        let mut finished = 0;
+        let mut wakes_seen = 0;
+        while let Some(id) = ready.pop_front() {
+            let fresh = a.finish(id);
+            b.finish_into(id, &mut kept);
+            assert_eq!(kept.tag, fresh.tag);
+            assert_eq!(kept.newly_ready, fresh.newly_ready, "task {id}");
+            assert_eq!(kept.cost, fresh.cost);
+            let runs = |f: &ShardedFinish| -> Vec<(u32, Vec<TaskId>)> {
+                f.wakes_by_shard().map(|(s, w)| (s, w.to_vec())).collect()
+            };
+            assert_eq!(runs(&kept), runs(&fresh));
+            let concat: Vec<TaskId> = runs(&kept).into_iter().flat_map(|(_, w)| w).collect();
+            assert_eq!(concat, kept.newly_ready, "runs cover newly_ready in order");
+            wakes_seen += kept.newly_ready.len();
+            ready.extend(fresh.newly_ready);
+            finished += 1;
+        }
+        assert_eq!(finished, live.len());
+        assert!(wakes_seen > 0, "the stream must exercise wakes");
+        assert_eq!((a.in_flight(), b.in_flight()), (0, 0));
     }
 
     #[test]

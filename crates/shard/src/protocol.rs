@@ -47,9 +47,10 @@
 //!
 //! A route reads its slices off the caller's parameter list, and each
 //! admission copies its slice into a list of the shard's own: one kept
-//! from a released slice when the dispatcher recycles them, a fresh one
-//! of the slice's length otherwise. A release reports the woken into the
-//! caller's buffer.
+//! from a released slice, a fresh one of the slice's length when none is
+//! spare. Both drivers recycle alike, since a release keeps its slice's
+//! list for the shard's next admission. A release reports the woken into
+//! the caller's buffer.
 //!
 //! [`ShardedEngine`]: crate::ShardedEngine
 //! [`ShardDispatcher`]: crate::ShardDispatcher
@@ -57,6 +58,7 @@
 use nexuspp_core::engine::CheckProgress;
 use nexuspp_core::{shard_of_addr, DependencyEngine, NexusConfig, OpCost, ShardCapacity, TdIndex};
 use nexuspp_trace::Param;
+use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// How many items a [`Few`] holds in place by default: a task routed over
@@ -70,7 +72,7 @@ const TD_WIDTH: usize = 8;
 
 /// A short list kept in place, spilling to a `Vec` past `N` items, as
 /// the Task Pool chains a dummy descriptor past a full one.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub(crate) struct Few<T, const N: usize = INLINE> {
     len: usize,
     inline: [T; N],
@@ -107,12 +109,32 @@ impl<T: Copy, const N: usize> Few<T, N> {
             .copied()
     }
 
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.inline[..self.len.min(N)]
             .iter_mut()
             .chain(&mut self.spill)
     }
+
+    /// Empty the list, keeping the spill's storage.
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
 }
+
+impl<T: Copy + fmt::Debug, const N: usize> fmt::Debug for Few<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<T: Copy + PartialEq, const N: usize> PartialEq for Few<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Copy + Eq, const N: usize> Eq for Few<T, N> {}
 
 /// A task's parameter list split by shard without copying it, in one
 /// pass that hashes each address once: the shards it touches in
@@ -238,9 +260,9 @@ pub(crate) struct Slices<H> {
     /// The sub-descriptors one release made ready, reused across
     /// releases.
     ready: Vec<TdIndex>,
-    /// Emptied parameter lists of released slices, handed back through
-    /// [`recycle`](Self::recycle): at most one per sub-descriptor live
-    /// at the shard's peak.
+    /// Emptied parameter lists of released slices, kept for later
+    /// admissions: at most one per sub-descriptor live at the shard's
+    /// peak.
     spare: Vec<Vec<Param>>,
 }
 
@@ -286,11 +308,11 @@ impl<H: Clone> Slices<H> {
         (td, ready, admit + cost)
     }
 
-    /// Finish one slice: release it in the engine, clear its owner, and
-    /// append to `woken` the home records of the sub-descriptors it
-    /// kicked off (one [`Remote::release`] each is due). Returns the work
-    /// done and the slice's parameter list.
-    pub(crate) fn release(&mut self, td: TdIndex, woken: &mut Vec<H>) -> (OpCost, Vec<Param>) {
+    /// Finish one slice: release it in the engine, clear its owner, keep
+    /// its parameter list for a later admission, and append to `woken`
+    /// the home records of the sub-descriptors it kicked off (one
+    /// [`Remote::release`] each is due). Returns the work done.
+    pub(crate) fn release(&mut self, td: TdIndex, woken: &mut Vec<H>) -> OpCost {
         let (cost, entry) = self.engine.finish_into(td, &mut self.ready);
         self.owner[td.0 as usize] = None;
         woken.extend(self.ready.drain(..).map(|w| {
@@ -298,13 +320,10 @@ impl<H: Clone> Slices<H> {
                 .clone()
                 .expect("woken sub-descriptor must have an owner")
         }));
-        (cost, entry.params)
-    }
-
-    /// Keep a released slice's parameter list for a later admission.
-    pub(crate) fn recycle(&mut self, mut list: Vec<Param>) {
+        let mut list = entry.params;
         list.clear();
         self.spare.push(list);
+        cost
     }
 }
 

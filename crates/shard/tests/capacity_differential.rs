@@ -185,7 +185,7 @@ fn run_capacity_differential(
         let tag = tag as u64;
         let sub = Submission::from((0xF, tag, task.params.clone()));
         // The reference resolvers ingest unconditionally.
-        let (uid, u_ready, _) = quad.unbounded.submit(sub.clone()).unwrap();
+        let (uid, u_ready, _) = quad.unbounded.submit(&sub).unwrap();
         quad.uid_of_tag.insert(tag, uid);
         if u_ready {
             quad.unbounded_ready.insert(tag);
@@ -200,7 +200,7 @@ fn run_capacity_differential(
         // The bounded engine stalls and retries: every rejection is
         // retryable, names a full shard, and resolves after completions.
         let (bid, b_ready) = loop {
-            match quad.bounded.submit(sub.clone()) {
+            match quad.bounded.submit(&sub) {
                 Ok((id, ready, _)) => break (id, ready),
                 Err(SubmitError::CapacityFull { shard, limit }) => {
                     assert_eq!(Some(limit), capacity.limit());

@@ -158,7 +158,7 @@ fn run_differential(tasks: &[GenTask], cfg: &NexusConfig, n_shards: usize, seed:
         let sub = Submission::from((0xF, tag, task.params.clone()));
         let (id, ready, _) = trio
             .sharded
-            .submit(sub)
+            .submit(&sub)
             .expect("growable engine admits all");
         trio.id_of_tag.insert(tag, id);
         if ready {

@@ -51,7 +51,7 @@ use nexuspp_desim::clock::NEXUS_CLOCK_MHZ;
 use nexuspp_desim::stats::BusyTracker;
 use nexuspp_desim::{Clock, RoundRobinArbiter, Scheduler, SimTime};
 use nexuspp_hw::SramTiming;
-use nexuspp_shard::{ShardedEngine, TaskId};
+use nexuspp_shard::{OpBreakdown, ShardedEngine, TaskId};
 use nexuspp_trace::Trace;
 use std::collections::VecDeque;
 
@@ -235,7 +235,7 @@ enum Ev {
 
 /// A buffered submission awaiting its batch flush: home record, its
 /// readiness verdict, and the admit+check access tally per shard.
-type BufferedSubmit = (TaskId, bool, Vec<(u32, u64)>);
+type BufferedSubmit = (TaskId, bool, OpBreakdown);
 
 /// What completing a phase (all of an operation's per-shard jobs) means.
 #[derive(Debug)]
@@ -448,7 +448,7 @@ impl<'t> Sim<'t> {
     fn ingest(&mut self, idx: usize) {
         let rec = &self.trace.tasks[idx];
         let sub = Submission::from((rec.fptr, rec.id, rec.params.clone()));
-        let (id, ready, cost) = match self.engine.submit(sub) {
+        let (id, ready, cost) = match self.engine.submit(&sub) {
             Ok(v) => v,
             Err(e) => {
                 assert!(e.is_retryable(), "malformed trace record {}: {e}", rec.id);
@@ -480,13 +480,7 @@ impl<'t> Sim<'t> {
             submit_done: false,
             woken: false,
         };
-        // One admit+check access tally per shard.
-        let per_shard: Vec<(u32, u64)> = cost
-            .per_shard
-            .iter()
-            .map(|(s, c)| (*s, c.total()))
-            .collect();
-        self.batch_buf.push((id, ready, per_shard));
+        self.batch_buf.push((id, ready, cost));
         if self.batch_buf.len() >= self.cfg.batch {
             self.flush_batch();
         }
@@ -507,8 +501,9 @@ impl<'t> Sim<'t> {
         let members: Vec<(TaskId, bool)> =
             self.batch_buf.iter().map(|(id, r, _)| (*id, *r)).collect();
         let mut shard_accesses: Vec<(u32, u64)> = Vec::new();
-        for (_, _, per_shard) in self.batch_buf.drain(..) {
-            for (s, n) in per_shard {
+        for (_, _, cost) in self.batch_buf.drain(..) {
+            // One admit+check access tally per shard.
+            for (s, n) in cost.per_shard().map(|(s, c)| (s, c.total())) {
                 match shard_accesses.iter_mut().find(|(g, _)| *g == s) {
                     Some((_, t)) => *t += n,
                     None => shard_accesses.push((s, n)),
@@ -654,18 +649,21 @@ impl<'t> Sim<'t> {
         self.free_workers.push(w);
         let fin = self.engine.finish(id);
         let phase = self.alloc_phase(Phase {
-            jobs_left: fin.cost.per_shard.len() as u32,
+            jobs_left: fin.cost.shards_touched() as u32,
             kind: PhaseKind::Finish {
-                wakes: fin.wakes_by_shard,
+                wakes: fin
+                    .wakes_by_shard()
+                    .map(|(s, woken)| (s, woken.to_vec()))
+                    .collect(),
             },
         });
-        if fin.cost.per_shard.is_empty() {
+        if fin.cost.shards_touched() == 0 {
             // Parameterless task: completes without touching any shard.
             self.complete_phase(phase);
         } else {
             let base = self.cfg.finish_base;
             let source = 1 + w as usize;
-            for (s, c) in fin.cost.per_shard {
+            for (s, c) in fin.cost.per_shard() {
                 let dur = self.job_time(base, c.total());
                 self.enqueue(s, source, Job { phase, dur });
             }
