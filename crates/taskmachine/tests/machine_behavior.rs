@@ -385,3 +385,57 @@ fn progress_curve_shows_wavefront_ramp() {
         assert!(w[0].0 <= w[1].0 && w[0].1 < w[1].1);
     }
 }
+
+/// Exact simulated results on fixed traces. The simulators are pure
+/// functions of their inputs, so any change to the event order, the
+/// arbitration, the table probe or a block's timing shows here as a
+/// different number; a change that only makes the host faster must leave
+/// every one of them as it is.
+#[test]
+fn simulated_results_are_pinned() {
+    use nexuspp_core::ShardCapacity;
+    use nexuspp_taskmachine::{simulate_sharded, MultiMaestroConfig};
+    use nexuspp_workloads::{GaussianSpec, VideoSpec};
+
+    let video = VideoSpec::new(2).generate();
+    assert_eq!(video.len(), 16_320);
+    let r = simulate_trace(MachineConfig::with_workers(16), &video).unwrap();
+    assert_eq!(r.makespan.ps(), 13_774_730_995);
+    assert_eq!(r.events, 163_200);
+    assert_eq!(r.master_stalls, 13_475);
+
+    let free = simulate_sharded(MultiMaestroConfig::with_shards(4), &video);
+    assert_eq!(free.makespan.ps(), 24_309_385_587);
+    assert_eq!(free.crossbar_grants, 80_610);
+    let bounded = simulate_sharded(
+        MultiMaestroConfig::with_capacity(4, ShardCapacity::Bounded(4)),
+        &video,
+    );
+    assert_eq!(bounded.makespan.ps(), 181_833_515_248);
+    assert_eq!(bounded.master_capacity_stalls, 13_156);
+
+    // A tight machine: small pool, a Dependence Table whose length is
+    // not a power of two, and 2-slot Kick-Off Lists that chain dummy
+    // entries.
+    let mut tight = MachineConfig::with_workers(8);
+    tight.nexus = NexusConfig {
+        task_pool_entries: 64,
+        dep_table_entries: 96,
+        kickoff_entries: 2,
+        ..NexusConfig::default()
+    };
+    let r = simulate_trace(tight, &video).unwrap();
+    assert_eq!(r.makespan.ps(), 151_048_291_703);
+    assert_eq!(r.check_deps.stalls, 16_138);
+
+    let gauss = GaussianSpec::new(60).trace();
+    assert_eq!(gauss.len(), 1_829);
+    let r = simulate_trace(MachineConfig::with_workers(16), &gauss).unwrap();
+    assert_eq!(r.makespan.ps(), 116_678_500);
+    assert_eq!(r.events, 18_290);
+    let m = simulate_sharded(MultiMaestroConfig::with_shards(4), &gauss);
+    assert_eq!(m.makespan.ps(), 55_084_500);
+    assert_eq!(m.crossbar_grants, 4_012);
+    assert_eq!(m.shard_wake_peak, [10, 9, 9, 13]);
+    assert_eq!(m.shard_wakes_delivered, [101, 72, 52, 140]);
+}
