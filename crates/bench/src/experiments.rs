@@ -525,6 +525,19 @@ pub fn fig8(opts: &ExpOptions) -> Experiment {
     }
 
     let mut e = Experiment::new("fig8", "Gaussian elimination speedup per matrix size");
+    for (n, col) in sizes.iter().zip(&cols) {
+        for (i, (&w, &speedup)) in counts.iter().zip(col).enumerate() {
+            e.check(speedup <= w as f64 * 1.001, || {
+                format!("n={n}: {speedup:.2}× on {w} cores beats linear")
+            });
+            // Round-robin placement may shift a hair with more cores, but
+            // more cores never cost real time.
+            let fewer = i.checked_sub(1).map(|j| col[j]).unwrap_or(0.0);
+            e.check(speedup >= fewer * 0.97, || {
+                format!("n={n}: {speedup:.2}× on {w} cores falls below {fewer:.2}× on fewer")
+            });
+        }
+    }
     e.table("Figure 8 (literal memory model, contention on)", t);
     e.table(format!("n={biggest}: memory-contention sensitivity"), cf);
     e.note("paper: n=5000 reaches 45× at 64 cores; n=250 reaches 2.3× at 4 cores and stays flat");
@@ -816,6 +829,7 @@ pub fn ablate(opts: &ExpOptions) -> Experiment {
 pub fn video(opts: &ExpOptions) -> Experiment {
     let frames_list: &[u32] = if opts.quick { &[1, 2] } else { &[1, 2, 4, 8] };
     let cores = if opts.quick { 16 } else { 32 };
+    let mut checks = Vec::new();
     let mut t = TextTable::new(vec![
         "frames",
         "tasks",
@@ -831,6 +845,7 @@ pub fn video(opts: &ExpOptions) -> Experiment {
         let base = simulate_trace(MachineConfig::with_workers(1), &trace).expect("video base");
         let r = simulate_trace(MachineConfig::with_workers(cores), &trace).expect("video run");
         let speedup = base.makespan / r.makespan;
+        checks.push((f, speedup));
         t.row(vec![
             f.to_string(),
             trace.len().to_string(),
@@ -844,6 +859,19 @@ pub fn video(opts: &ExpOptions) -> Experiment {
         "video",
         "Extension: multi-frame H.264 decode (P-frame pipelining)",
     );
+    for (i, &(f, speedup)) in checks.iter().enumerate() {
+        e.check(speedup > 1.0 && speedup <= cores as f64, || {
+            format!("{f} frames: speedup {speedup:.2}× outside (1, {cores}]")
+        });
+        if let Some(&(fewer, before)) = i.checked_sub(1).map(|j| &checks[j]) {
+            e.check(speedup >= before, || {
+                format!(
+                    "{f} frames recover less parallelism than {fewer}: \
+                     {speedup:.2}× < {before:.2}×"
+                )
+            });
+        }
+    }
     e.table("Frames vs recovered parallelism", t);
     e.note(
         "with inter-frame references, frame f+1's wavefront starts as soon as its \

@@ -270,9 +270,19 @@ impl DepTable {
         &self.stats
     }
 
+    /// `addr`'s home slot. A power-of-two length (every growable table,
+    /// and Table IV's 4096 entries) takes the low hash bits by mask; any
+    /// other length by remainder, which picks the same slot the mask
+    /// would where both apply.
     #[inline]
     fn bucket(&self, addr: u64) -> u32 {
-        (mix(addr) % self.slots.len() as u64) as u32
+        let n = self.slots.len() as u64;
+        let h = mix(addr);
+        if n.is_power_of_two() {
+            (h & (n - 1)) as u32
+        } else {
+            (h % n) as u32
+        }
     }
 
     fn parent(&self, idx: u32) -> &ParentNode {
@@ -296,12 +306,20 @@ impl DepTable {
         }
     }
 
-    /// Walk the chain rooted at `addr`'s home slot.
+    /// Walk the chain rooted at `addr`'s home slot. A parent in the home
+    /// slot with no predecessor heads some bucket's chain, and invariant 1
+    /// puts that chain's head in its own home slot: the resident's bucket
+    /// is `home`, so it is not rehashed to tell.
     fn probe(&self, addr: u64) -> Probe {
         let home = self.bucket(addr);
         let mut hops = 1u64;
         match &self.slots[home as usize] {
-            Slot::Parent(p) if self.bucket(p.addr) == home && p.prev.is_none() => {
+            Slot::Parent(p) if p.prev.is_none() => {
+                debug_assert_eq!(
+                    self.bucket(p.addr),
+                    home,
+                    "a chain head outside its home slot (invariant 1)"
+                );
                 let mut idx = home;
                 loop {
                     let node = self.parent(idx);

@@ -12,12 +12,12 @@
 //! * [`SimTime`] — picosecond-resolution simulation time (integer, no
 //!   floating-point drift),
 //! * [`Scheduler`] — a deterministic event queue (ties broken by insertion
-//!   order),
+//!   order, time and sequence packed into one integer key),
 //! * [`Fifo`] — bounded FIFO lists with occupancy statistics and
 //!   backpressure helpers (the paper's `TDs Sizes`, `New Tasks`,
 //!   `Global Ready Tasks`, … lists),
 //! * [`RoundRobinArbiter`] — the scan order used by the `Send TDs` and
-//!   `Handle Finished` blocks,
+//!   `Handle Finished` blocks, over a bitset of request lines,
 //! * [`SlotPool`] — a counting resource with FIFO admission, used for the
 //!   32-bank off-chip memory contention model,
 //! * [`Clock`] — clock-domain helpers (cores at 2 GHz, Nexus++ at 500 MHz),

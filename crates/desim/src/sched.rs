@@ -1,19 +1,15 @@
 //! Deterministic event scheduler.
 //!
-//! A binary-heap event queue keyed by `(time, sequence)`. The sequence
+//! A binary-heap event queue ordered by `(time, sequence)`. The sequence
 //! number makes simultaneous events pop in insertion order, so a simulation
 //! run is a pure function of its inputs — the determinism requirement the
-//! paper's SystemC model gets from SystemC's fixed evaluation order.
+//! paper's SystemC model gets from SystemC's fixed evaluation order. Both
+//! halves are packed into one `u128` key, time in the high 64 bits, so
+//! ordering two pending events is a single integer comparison.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct Key {
-    at: SimTime,
-    seq: u64,
-}
 
 /// The event scheduler. `E` is the model's event type (typically a small
 /// enum). The model drives the simulation with a `while let Some((t, ev)) =
@@ -22,29 +18,41 @@ struct Key {
 pub struct Scheduler<E> {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Reverse<(Key, EventSlot<E>)>>,
+    heap: BinaryHeap<Pending<E>>,
     processed: u64,
 }
 
-/// Wrapper that keeps `BinaryHeap` ordering independent of `E` (events are
-/// never compared; the key decides).
+/// A queued event under its packed key, `(at << 64) | seq`. The heap is a
+/// max-heap, so the order is reversed: the smallest key is the greatest
+/// entry. Events themselves are never compared.
 #[derive(Debug)]
-struct EventSlot<E>(E);
+struct Pending<E> {
+    key: u128,
+    ev: E,
+}
 
-impl<E> PartialEq for EventSlot<E> {
-    fn eq(&self, _: &Self) -> bool {
-        true
+impl<E> Pending<E> {
+    #[inline]
+    fn at(&self) -> SimTime {
+        SimTime::from_ps((self.key >> 64) as u64)
     }
 }
-impl<E> Eq for EventSlot<E> {}
-impl<E> PartialOrd for EventSlot<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+
+impl<E> PartialEq for Pending<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl<E> Eq for Pending<E> {}
+impl<E> PartialOrd for Pending<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for EventSlot<E> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
+impl<E> Ord for Pending<E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
     }
 }
 
@@ -103,9 +111,9 @@ impl<E> Scheduler<E> {
             "scheduling into the past: {at} < {}",
             self.now
         );
-        let key = Key { at, seq: self.seq };
+        let key = (u128::from(at.ps()) << 64) | u128::from(self.seq);
         self.seq += 1;
-        self.heap.push(Reverse((key, EventSlot(ev))));
+        self.heap.push(Pending { key, ev });
     }
 
     /// Schedule `ev` to fire "now" (after all already-queued events at the
@@ -118,17 +126,18 @@ impl<E> Scheduler<E> {
     /// Pop the next event, advancing the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse((key, EventSlot(ev))) = self.heap.pop()?;
-        debug_assert!(key.at >= self.now);
-        self.now = key.at;
+        let pending = self.heap.pop()?;
+        let at = pending.at();
+        debug_assert!(at >= self.now);
+        self.now = at;
         self.processed += 1;
-        Some((key.at, ev))
+        Some((at, pending.ev))
     }
 
     /// Timestamp of the next pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((k, _))| k.at)
+        self.heap.peek().map(Pending::at)
     }
 }
 

@@ -48,8 +48,8 @@ enum Ev {
 enum MasterState {
     Idle,
     Prepping(TaskRecord),
-    /// Prep done but the `TDs Sizes` list is full — "the Master Core
-    /// stalls and stops sending new Task Descriptors".
+    /// Prep done but the `TDs Sizes` list or the `TDs Buffer` is full —
+    /// "the Master Core stalls and stops sending new Task Descriptors".
     WaitSubmit(TaskRecord),
     Submitting(TaskRecord),
     Done,
@@ -126,9 +126,17 @@ pub struct TaskMachine<'s> {
     schedule: BusyTracker,
     send_busy: Option<(u32, TdIndex)>,
     send_tds: BusyTracker,
+    /// Request lines: core `c` is raised while its `CxRdyTasks` list is
+    /// non-empty.
     send_arb: RoundRobinArbiter,
-    fin_busy: Option<(u32, Vec<TdIndex>)>,
+    /// The core whose finish `Handle Finished` is processing.
+    fin_busy: Option<u32>,
+    /// The tasks that finish made ready, pushed to `Global Ready Tasks`
+    /// when the block completes. Kept across finishes.
+    fin_ready: Vec<TdIndex>,
     handle_fin: BusyTracker,
+    /// Notification lines: core `c` is raised while its 1-bit
+    /// task-finished signal is up (`fin_signal > 0`).
     fin_arb: RoundRobinArbiter,
     /// Incremented whenever `Handle Finished` frees table/pool space
     /// (wake-up edge for parked `Check Deps` / `Write TP`).
@@ -201,6 +209,7 @@ impl<'s> TaskMachine<'s> {
             send_tds: BusyTracker::new(),
             send_arb: RoundRobinArbiter::new(workers),
             fin_busy: None,
+            fin_ready: Vec::new(),
             handle_fin: BusyTracker::new(),
             fin_arb: RoundRobinArbiter::new(workers),
             free_pulse: 0,
@@ -298,8 +307,8 @@ impl<'s> TaskMachine<'s> {
         self.poll_master();
     }
 
-    /// Re-poll a master stalled on a full `TDs Sizes` list (called when
-    /// `Write TP` drains it).
+    /// Re-poll a master stalled on a full `TDs Sizes` list or `TDs Buffer`
+    /// (called when `Write TP` drains them).
     fn wake_master(&mut self) {
         if matches!(self.master, MasterState::WaitSubmit(_))
             && !self.tds_sizes.is_full()
@@ -338,8 +347,11 @@ impl<'s> TaskMachine<'s> {
             return; // re-polled on HandleFinDone
         }
         self.tds_sizes.pop();
-        let rec = self.tds_buffer.pop().expect("peeked above");
-        let (td, cost) = match self.engine.admit(rec.fptr, rec.id, rec.params.clone()) {
+        let mut rec = self.tds_buffer.pop().expect("peeked above");
+        // The parameter list moves into the Task Pool: the Task Controller
+        // stages read only the record's `exec`, `read` and `write`.
+        let params = std::mem::take(&mut rec.params);
+        let (td, cost) = match self.engine.admit(rec.fptr, rec.id, params) {
             Ok(v) => v,
             Err(PoolError::PoolFull { .. } | PoolError::TaskTooLarge { .. }) => {
                 unreachable!("capacity checked above")
@@ -457,6 +469,7 @@ impl<'s> TaskMachine<'s> {
     fn on_schedule_done(&mut self) {
         let (td, core) = self.sched_busy.take().expect("ScheduleDone while idle");
         self.rdy_lists[core as usize].push_expect(td);
+        self.send_arb.raise(core as usize);
         self.poll_send_tds();
         self.poll_schedule();
     }
@@ -469,11 +482,13 @@ impl<'s> TaskMachine<'s> {
         if self.send_busy.is_some() {
             return;
         }
-        let rdy = &self.rdy_lists;
-        let Some(core) = self.send_arb.grant(|c| !rdy[c].is_empty()) else {
+        let Some(core) = self.send_arb.grant() else {
             return;
         };
         let td = self.rdy_lists[core].pop().expect("granted on non-empty");
+        if self.rdy_lists[core].is_empty() {
+            self.send_arb.lower(core);
+        }
         let read_cost = self.engine.pool().read_params_cost(td);
         let n_params = self.engine.pool().get(td).params.len();
         let transfer = self
@@ -508,31 +523,34 @@ impl<'s> TaskMachine<'s> {
         if self.fin_busy.is_some() {
             return;
         }
-        let tcs = &self.tcs;
-        let Some(core) = self.fin_arb.grant(|c| tcs[c].fin_signal > 0) else {
+        let Some(core) = self.fin_arb.grant() else {
             return;
         };
         self.tcs[core].fin_signal -= 1;
+        if self.tcs[core].fin_signal == 0 {
+            self.fin_arb.lower(core);
+        }
         let td = self.fin_lists[core]
             .pop()
             .expect("finished signal without FinTasks entry");
-        let fin = self.engine.finish(td);
+        debug_assert!(self.fin_ready.is_empty());
+        let (cost, _) = self.engine.finish_into(td, &mut self.fin_ready);
         self.free_pulse += 1;
         let dur = self.cfg.nexus_clock.cycles(self.cfg.blocks.handle_fin_base)
-            + self.cfg.sram.access_time(fin.cost.total());
+            + self.cfg.sram.access_time(cost.total());
         self.handle_fin.record_busy(dur);
-        self.fin_busy = Some((core as u32, fin.newly_ready));
+        self.fin_busy = Some(core as u32);
         self.sched.schedule(dur, Ev::HandleFinDone);
     }
 
     fn on_handle_fin_done(&mut self) {
-        let (core, newly_ready) = self.fin_busy.take().expect("HandleFinDone while idle");
+        let core = self.fin_busy.take().expect("HandleFinDone while idle");
         self.completed += 1;
         self.last_completion = self.sched.now();
         if self.completed.is_multiple_of(PROGRESS_STRIDE) {
             self.progress.push((self.last_completion, self.completed));
         }
-        for td in newly_ready {
+        for td in self.fin_ready.drain(..) {
             self.global_ready.push_expect(td);
         }
         self.worker_ids.push_expect(core);
@@ -647,8 +665,7 @@ impl<'s> TaskMachine<'s> {
             };
             let dur = self.mem_duration(rec.write);
             if dur.is_zero() {
-                self.tcs[core].fin_signal += 1;
-                self.poll_handle_fin();
+                self.raise_fin_signal(core);
                 continue;
             }
             let st = StageTask {
@@ -661,6 +678,14 @@ impl<'s> TaskMachine<'s> {
             self.tcs[core].write_stage = Some(st);
             break;
         }
+    }
+
+    /// Count one more completed task on `core`'s task-finished signal and
+    /// poke `Handle Finished`.
+    fn raise_fin_signal(&mut self, core: usize) {
+        self.tcs[core].fin_signal += 1;
+        self.fin_arb.raise(core);
+        self.poll_handle_fin();
     }
 
     fn on_tc_read_done(&mut self, core: usize) {
@@ -688,8 +713,7 @@ impl<'s> TaskMachine<'s> {
             .expect("write done on empty stage");
         debug_assert!(!st.waiting);
         self.release_mem();
-        self.tcs[core].fin_signal += 1;
-        self.poll_handle_fin();
+        self.raise_fin_signal(core);
         self.poll_tc(core);
     }
 
@@ -733,6 +757,11 @@ impl<'s> TaskMachine<'s> {
             });
         }
         let fifo_peaks = vec![
+            (
+                self.tds_buffer.name(),
+                self.tds_buffer.high_water(),
+                self.tds_buffer.capacity(),
+            ),
             (
                 self.tds_sizes.name(),
                 self.tds_sizes.high_water(),

@@ -51,7 +51,7 @@ use nexuspp_desim::clock::NEXUS_CLOCK_MHZ;
 use nexuspp_desim::stats::BusyTracker;
 use nexuspp_desim::{Clock, RoundRobinArbiter, Scheduler, SimTime};
 use nexuspp_hw::SramTiming;
-use nexuspp_shard::{OpBreakdown, ShardedEngine, TaskId};
+use nexuspp_shard::{OpBreakdown, ShardedEngine, ShardedFinish, TaskId};
 use nexuspp_trace::Trace;
 use std::collections::VecDeque;
 
@@ -238,21 +238,32 @@ enum Ev {
 type BufferedSubmit = (TaskId, bool, OpBreakdown);
 
 /// What completing a phase (all of an operation's per-shard jobs) means.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PhaseKind {
     /// A submission batch: release each member that checked ready.
-    Submit { members: Vec<(TaskId, bool)> },
+    Submit,
     /// A task completion: count it at phase completion. Its wake-ups do
     /// not wait for the phase — each involved shard's slice-release
-    /// wakes (`wakes`, per shard) enter that shard's kick-off FIFO the
-    /// moment *that shard's* finish job completes.
-    Finish { wakes: Vec<(u32, Vec<TaskId>)> },
+    /// wakes enter that shard's kick-off FIFO the moment *that shard's*
+    /// finish job completes.
+    Finish,
 }
 
-#[derive(Debug)]
+/// One operation in flight at the shards. A slot is reused, lists and
+/// all, once its phase completes, so the slots stop allocating when the
+/// most phases ever in flight at once have grown their lists.
+#[derive(Debug, Default)]
 struct Phase {
+    /// `None` while the slot is free.
+    kind: Option<PhaseKind>,
     jobs_left: u32,
-    kind: PhaseKind,
+    /// `Submit`: each batch member and whether it checked ready.
+    members: Vec<(TaskId, bool)>,
+    /// `Finish`: the engine's report, whose per-shard wake sets are
+    /// posted as each involved shard's job completes.
+    fin: ShardedFinish,
+    /// `Finish`: wake sets posted so far.
+    posted: usize,
 }
 
 /// One unit of shard service: part of a phase, with a service time.
@@ -278,7 +289,12 @@ struct Sim<'t> {
     // Master.
     cursor: usize,
     prepping: bool,
+    /// The submission handed to the engine, refilled from each trace
+    /// record in turn.
+    sub: Submission,
     batch_buf: Vec<BufferedSubmit>,
+    /// Accesses per involved shard of the operation being shipped.
+    shard_tally: Vec<(u32, u64)>,
     in_window: usize,
     /// Trace index of a prepared task whose admission found a shard
     /// full: the master is stalled and sends nothing until a finish
@@ -289,10 +305,14 @@ struct Sim<'t> {
     shard_stalls: Vec<u64>,
     shard_retries_resolved: Vec<u64>,
     // Phases.
-    phases: Vec<Option<Phase>>,
+    phases: Vec<Phase>,
     free_phases: Vec<usize>,
     // Crossbar: per shard, one queue per source (0 = master, 1+w = worker w).
     queues: Vec<Vec<VecDeque<Job>>>,
+    /// Jobs queued on each shard, over all its sources.
+    backlog: Vec<usize>,
+    /// Per shard, a source's request line is raised while its queue is
+    /// non-empty.
     arbs: Vec<RoundRobinArbiter>,
     current: Vec<Option<Job>>,
     busy: Vec<BusyTracker>,
@@ -327,7 +347,9 @@ impl<'t> Sim<'t> {
             sched: Scheduler::new(),
             cursor: 0,
             prepping: false,
+            sub: Submission::from((0, 0, Vec::new())),
             batch_buf: Vec::new(),
+            shard_tally: Vec::new(),
             in_window: 0,
             parked: None,
             episode_shard: None,
@@ -338,6 +360,7 @@ impl<'t> Sim<'t> {
             queues: (0..s)
                 .map(|_| (0..sources).map(|_| VecDeque::new()).collect())
                 .collect(),
+            backlog: vec![0; s],
             arbs: (0..s).map(|_| RoundRobinArbiter::new(sources)).collect(),
             current: vec![None; s],
             busy: (0..s).map(|_| BusyTracker::new()).collect(),
@@ -367,17 +390,17 @@ impl<'t> Sim<'t> {
         &mut self.meta[i]
     }
 
-    fn alloc_phase(&mut self, phase: Phase) -> usize {
-        match self.free_phases.pop() {
-            Some(i) => {
-                self.phases[i] = Some(phase);
-                i
-            }
-            None => {
-                self.phases.push(Some(phase));
-                self.phases.len() - 1
-            }
-        }
+    /// Claim a phase slot for an operation of `kind`; the caller fills
+    /// its jobs and lists.
+    fn alloc_phase(&mut self, kind: PhaseKind) -> usize {
+        let i = self.free_phases.pop().unwrap_or_else(|| {
+            self.phases.push(Phase::default());
+            self.phases.len() - 1
+        });
+        let phase = &mut self.phases[i];
+        debug_assert!(phase.kind.is_none(), "claimed a live phase slot");
+        phase.kind = Some(kind);
+        i
     }
 
     fn job_time(&self, base: u64, accesses: u64) -> SimTime {
@@ -388,9 +411,10 @@ impl<'t> Sim<'t> {
     fn enqueue(&mut self, shard: u32, source: usize, job: Job) {
         let s = shard as usize;
         self.queues[s][source].push_back(job);
-        let backlog: usize = self.queues[s].iter().map(|q| q.len()).sum();
-        if backlog > self.peak_queue {
-            self.peak_queue = backlog;
+        self.arbs[s].raise(source);
+        self.backlog[s] += 1;
+        if self.backlog[s] > self.peak_queue {
+            self.peak_queue = self.backlog[s];
         }
         self.poll_shard(s);
     }
@@ -400,11 +424,15 @@ impl<'t> Sim<'t> {
         if self.current[s].is_some() {
             return;
         }
-        let queues = &self.queues[s];
-        let Some(src) = self.arbs[s].grant(|i| !queues[i].is_empty()) else {
+        let Some(src) = self.arbs[s].grant() else {
             return;
         };
-        let job = self.queues[s][src].pop_front().expect("granted non-empty");
+        let queue = &mut self.queues[s][src];
+        let job = queue.pop_front().expect("granted non-empty");
+        if queue.is_empty() {
+            self.arbs[s].lower(src);
+        }
+        self.backlog[s] -= 1;
         self.busy[s].record_busy(job.dur);
         self.current[s] = Some(job);
         self.sched.schedule(job.dur, Ev::ShardDone(s as u32));
@@ -446,9 +474,13 @@ impl<'t> Sim<'t> {
     /// or park the master on the full shard (stall episode counted once,
     /// against the first rejecting shard).
     fn ingest(&mut self, idx: usize) {
-        let rec = &self.trace.tasks[idx];
-        let sub = Submission::from((rec.fptr, rec.id, rec.params.clone()));
-        let (id, ready, cost) = match self.engine.submit(&sub) {
+        let trace = self.trace;
+        let rec = &trace.tasks[idx];
+        self.sub.fptr = rec.fptr;
+        self.sub.tag = rec.id;
+        self.sub.params.clear();
+        self.sub.params.extend_from_slice(&rec.params);
+        let (id, ready, cost) = match self.engine.submit(&self.sub) {
             Ok(v) => v,
             Err(e) => {
                 assert!(e.is_retryable(), "malformed trace record {}: {e}", rec.id);
@@ -498,32 +530,35 @@ impl<'t> Sim<'t> {
     /// Ship the buffered submissions: one job per involved shard, paying
     /// one base per shard for the whole batch (buffered TP writes).
     fn flush_batch(&mut self) {
-        let members: Vec<(TaskId, bool)> =
-            self.batch_buf.iter().map(|(id, r, _)| (*id, *r)).collect();
-        let mut shard_accesses: Vec<(u32, u64)> = Vec::new();
+        let phase = self.alloc_phase(PhaseKind::Submit);
+        let p = &mut self.phases[phase];
+        p.members.clear();
+        p.members
+            .extend(self.batch_buf.iter().map(|(id, r, _)| (*id, *r)));
+        self.shard_tally.clear();
         for (_, _, cost) in self.batch_buf.drain(..) {
             // One admit+check access tally per shard.
-            for (s, n) in cost.per_shard().map(|(s, c)| (s, c.total())) {
-                match shard_accesses.iter_mut().find(|(g, _)| *g == s) {
-                    Some((_, t)) => *t += n,
-                    None => shard_accesses.push((s, n)),
-                }
+            for (s, c) in cost.per_shard() {
+                tally(&mut self.shard_tally, s, c.total());
             }
         }
         self.batches += 1;
-        let phase = self.alloc_phase(Phase {
-            jobs_left: shard_accesses.len() as u32,
-            kind: PhaseKind::Submit { members },
-        });
-        if shard_accesses.is_empty() {
-            // Batch of parameterless tasks: no shard work at all.
+        self.ship(phase, 0, self.cfg.submit_base);
+    }
+
+    /// Enqueue one job per shard in the tally for `phase`, from `source`,
+    /// each paying `base` cycles plus its accesses — or complete the
+    /// phase at once if it touches no shard (parameterless tasks).
+    fn ship(&mut self, phase: usize, source: usize, base: u64) {
+        self.phases[phase].jobs_left = self.shard_tally.len() as u32;
+        if self.shard_tally.is_empty() {
             self.complete_phase(phase);
             return;
         }
-        let base = self.cfg.submit_base;
-        for (s, accesses) in shard_accesses {
+        for i in 0..self.shard_tally.len() {
+            let (s, accesses) = self.shard_tally[i];
             let dur = self.job_time(base, accesses);
-            self.enqueue(s, 0, Job { phase, dur });
+            self.enqueue(s, source, Job { phase, dur });
         }
     }
 
@@ -533,23 +568,20 @@ impl<'t> Sim<'t> {
 
     fn on_shard_done(&mut self, s: usize) {
         let job = self.current[s].take().expect("ShardDone while idle");
-        let (kickoff, done) = {
-            let phase = self.phases[job.phase].as_mut().expect("live phase");
-            phase.jobs_left -= 1;
+        let phase = &mut self.phases[job.phase];
+        let kind = phase.kind.expect("live phase");
+        phase.jobs_left -= 1;
+        let done = phase.jobs_left == 0;
+        if kind == PhaseKind::Finish {
             // A finish job's completion is the moment this shard's slice
             // release lands: its wakes enter the kick-off FIFO now, not
             // at whole-phase completion.
-            let kickoff = match &mut phase.kind {
-                PhaseKind::Finish { wakes } => wakes
-                    .iter()
-                    .position(|(g, _)| *g as usize == s)
-                    .map(|i| wakes.swap_remove(i).1),
-                PhaseKind::Submit { .. } => None,
-            };
-            (kickoff, phase.jobs_left == 0)
-        };
-        if let Some(wakes) = kickoff {
-            self.post_kickoff(s, wakes);
+            let fin = std::mem::take(&mut phase.fin);
+            if let Some((_, wakes)) = fin.wakes_by_shard().find(|&(g, _)| g as usize == s) {
+                self.post_kickoff(s, wakes);
+                self.phases[job.phase].posted += 1;
+            }
+            self.phases[job.phase].fin = fin;
         }
         if done {
             self.complete_phase(job.phase);
@@ -560,7 +592,7 @@ impl<'t> Sim<'t> {
     /// Queue `wakes` on shard `s`'s kick-off FIFO and start its serial
     /// drain if idle. The FIFO is non-arbitrated: posting costs no shard
     /// or crossbar time, only the per-wake drain latency.
-    fn post_kickoff(&mut self, s: usize, wakes: Vec<TaskId>) {
+    fn post_kickoff(&mut self, s: usize, wakes: &[TaskId]) {
         if wakes.is_empty() {
             return;
         }
@@ -600,23 +632,28 @@ impl<'t> Sim<'t> {
     }
 
     fn complete_phase(&mut self, idx: usize) {
-        let phase = self.phases[idx].take().expect("phase completed twice");
+        let kind = self.phases[idx].kind.take().expect("phase completed twice");
         self.free_phases.push(idx);
-        match phase.kind {
-            PhaseKind::Submit { members } => {
-                for (id, ready) in members {
+        match kind {
+            PhaseKind::Submit => {
+                let members = std::mem::take(&mut self.phases[idx].members);
+                for &(id, ready) in &members {
                     let m = self.meta_mut(id);
                     m.submit_done = true;
                     if ready || m.woken {
                         self.ready.push_back(id);
                     }
                 }
+                self.phases[idx].members = members;
             }
-            PhaseKind::Finish { wakes } => {
-                debug_assert!(
-                    wakes.is_empty(),
+            PhaseKind::Finish => {
+                let phase = &mut self.phases[idx];
+                debug_assert_eq!(
+                    phase.posted,
+                    phase.fin.wakes_by_shard().count(),
                     "every involved shard's job completion must have posted its wakes"
                 );
+                phase.posted = 0;
                 self.completed += 1;
                 self.in_window -= 1;
                 self.makespan = self.sched.now();
@@ -647,27 +684,14 @@ impl<'t> Sim<'t> {
             .take()
             .expect("ExecDone while idle");
         self.free_workers.push(w);
-        let fin = self.engine.finish(id);
-        let phase = self.alloc_phase(Phase {
-            jobs_left: fin.cost.shards_touched() as u32,
-            kind: PhaseKind::Finish {
-                wakes: fin
-                    .wakes_by_shard()
-                    .map(|(s, woken)| (s, woken.to_vec()))
-                    .collect(),
-            },
-        });
-        if fin.cost.shards_touched() == 0 {
-            // Parameterless task: completes without touching any shard.
-            self.complete_phase(phase);
-        } else {
-            let base = self.cfg.finish_base;
-            let source = 1 + w as usize;
-            for (s, c) in fin.cost.per_shard() {
-                let dur = self.job_time(base, c.total());
-                self.enqueue(s, source, Job { phase, dur });
-            }
+        let phase = self.alloc_phase(PhaseKind::Finish);
+        let fin = &mut self.phases[phase].fin;
+        self.engine.finish_into(id, fin);
+        self.shard_tally.clear();
+        for (s, c) in fin.cost.per_shard() {
+            tally(&mut self.shard_tally, s, c.total());
         }
+        self.ship(phase, 1 + w as usize, self.cfg.finish_base);
         self.poll_workers();
     }
 
@@ -721,6 +745,14 @@ impl<'t> Sim<'t> {
             shard_wake_peak: self.wake_peak,
             shard_wakes_delivered: self.wakes_delivered,
         }
+    }
+}
+
+/// Add `accesses` to `shard`'s entry in `tally`, opening one if absent.
+fn tally(tally: &mut Vec<(u32, u64)>, shard: u32, accesses: u64) {
+    match tally.iter_mut().find(|(g, _)| *g == shard) {
+        Some((_, t)) => *t += accesses,
+        None => tally.push((shard, accesses)),
     }
 }
 

@@ -102,7 +102,8 @@ pub struct Report {
     pub events: u64,
     /// Master-core busy time (prep + submission).
     pub master_busy: SimTime,
-    /// Master-core submission stalls (TDs Sizes list full).
+    /// Master-core submission stalls (`TDs Sizes` list or `TDs Buffer`
+    /// full; both are listed in [`fifo_peaks`](Self::fifo_peaks)).
     pub master_stalls: u64,
     /// `Write TP` block activity.
     pub write_tp: BlockReport,
@@ -124,7 +125,8 @@ pub struct Report {
     pub pool: PoolStats,
     /// Dependence Table statistics snapshot.
     pub table: TableStats,
-    /// High-water marks of the maestro FIFOs (name, peak, capacity).
+    /// High-water marks of the maestro FIFOs (name, peak, capacity),
+    /// including both lists a full one of which stalls the master.
     pub fifo_peaks: Vec<(&'static str, usize, usize)>,
     /// Sampled (time, completed-count) progress curve (every 64
     /// completions) — shows the wavefront ramp as achieved throughput.
