@@ -526,15 +526,19 @@ pub fn fig8(opts: &ExpOptions) -> Experiment {
 
     let mut e = Experiment::new("fig8", "Gaussian elimination speedup per matrix size");
     for (n, col) in sizes.iter().zip(&cols) {
-        for (i, (&w, &speedup)) in counts.iter().zip(col).enumerate() {
+        for (&w, &speedup) in counts.iter().zip(col) {
             e.check(speedup <= w as f64 * 1.001, || {
                 format!("n={n}: {speedup:.2}× on {w} cores beats linear")
             });
-            // Round-robin placement may shift a hair with more cores, but
-            // more cores never cost real time.
-            let fewer = i.checked_sub(1).map(|j| col[j]).unwrap_or(0.0);
-            e.check(speedup >= fewer * 0.97, || {
-                format!("n={n}: {speedup:.2}× on {w} cores falls below {fewer:.2}× on fewer")
+        }
+        // More cores may shift round-robin placement a little, and so the
+        // makespan, but never by much.
+        for (c, s) in counts.windows(2).zip(col.windows(2)) {
+            e.check(s[1] >= s[0] * 0.97, || {
+                format!(
+                    "n={n}: {:.2}× on {} cores falls below {:.2}× on {}",
+                    s[1], c[1], s[0], c[0]
+                )
             });
         }
     }
@@ -829,7 +833,7 @@ pub fn ablate(opts: &ExpOptions) -> Experiment {
 pub fn video(opts: &ExpOptions) -> Experiment {
     let frames_list: &[u32] = if opts.quick { &[1, 2] } else { &[1, 2, 4, 8] };
     let cores = if opts.quick { 16 } else { 32 };
-    let mut checks = Vec::new();
+    let mut speedups = Vec::new();
     let mut t = TextTable::new(vec![
         "frames",
         "tasks",
@@ -845,7 +849,7 @@ pub fn video(opts: &ExpOptions) -> Experiment {
         let base = simulate_trace(MachineConfig::with_workers(1), &trace).expect("video base");
         let r = simulate_trace(MachineConfig::with_workers(cores), &trace).expect("video run");
         let speedup = base.makespan / r.makespan;
-        checks.push((f, speedup));
+        speedups.push(speedup);
         t.row(vec![
             f.to_string(),
             trace.len().to_string(),
@@ -859,18 +863,18 @@ pub fn video(opts: &ExpOptions) -> Experiment {
         "video",
         "Extension: multi-frame H.264 decode (P-frame pipelining)",
     );
-    for (i, &(f, speedup)) in checks.iter().enumerate() {
+    for (f, &speedup) in frames_list.iter().zip(&speedups) {
         e.check(speedup > 1.0 && speedup <= cores as f64, || {
             format!("{f} frames: speedup {speedup:.2}× outside (1, {cores}]")
         });
-        if let Some(&(fewer, before)) = i.checked_sub(1).map(|j| &checks[j]) {
-            e.check(speedup >= before, || {
-                format!(
-                    "{f} frames recover less parallelism than {fewer}: \
-                     {speedup:.2}× < {before:.2}×"
-                )
-            });
-        }
+    }
+    for (f, s) in frames_list.windows(2).zip(speedups.windows(2)) {
+        e.check(s[1] >= s[0], || {
+            format!(
+                "{} frames recover less parallelism than {}: {:.2}× < {:.2}×",
+                f[1], f[0], s[1], s[0]
+            )
+        });
     }
     e.table("Frames vs recovered parallelism", t);
     e.note(

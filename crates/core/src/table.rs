@@ -270,10 +270,9 @@ impl DepTable {
         &self.stats
     }
 
-    /// `addr`'s home slot. A power-of-two length (every growable table,
-    /// and Table IV's 4096 entries) takes the low hash bits by mask; any
-    /// other length by remainder, which picks the same slot the mask
-    /// would where both apply.
+    /// `addr`'s home slot: the hash modulo the table length. A
+    /// power-of-two length (every growable table, and Table IV's 4096
+    /// entries) takes it by mask, which picks the same slot.
     #[inline]
     fn bucket(&self, addr: u64) -> u32 {
         let n = self.slots.len() as u64;

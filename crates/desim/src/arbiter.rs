@@ -62,12 +62,6 @@ impl RoundRobinArbiter {
         self.raised[i / 64] &= !(1 << (i % 64));
     }
 
-    /// True if request line `i` is raised.
-    #[inline]
-    pub fn is_raised(&self, i: usize) -> bool {
-        self.raised[i / 64] & (1 << (i % 64)) != 0
-    }
-
     /// Grant the first raised line after the last grantee, wrapping
     /// around. Returns the granted line, advancing the scan position, or
     /// `None` if no line is raised. The granted line stays raised: the
@@ -149,9 +143,7 @@ mod tests {
     #[test]
     fn lowering_withdraws_a_request() {
         let mut a = with_raised(3, &[0, 1]);
-        assert!(a.is_raised(1));
         a.lower(1);
-        assert!(!a.is_raised(1));
         assert_eq!(a.grant(), Some(0));
         assert_eq!(a.grant(), Some(0));
     }

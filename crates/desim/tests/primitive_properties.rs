@@ -166,7 +166,6 @@ proptest! {
                     prop_assert_eq!(arb.grant(), expected);
                 }
             }
-            prop_assert_eq!(arb.is_raised(i), flags[i]);
         }
         prop_assert_eq!(arb.grants(), grants);
     }

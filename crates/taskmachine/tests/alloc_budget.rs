@@ -7,9 +7,9 @@
 //! allocates for one. The single-Maestro machine moves each trace
 //! record's parameter list into the Task Pool and keeps one buffer for
 //! `Handle Finished`'s wake list. The multi-Maestro model refills one kept
-//! submission and finishes into one kept report, and it recycles each
-//! phase's member and wake lists. What is left is each run's setup and
-//! the growth of its queues, spread over the stream.
+//! submission, and each phase slot keeps its member list and its finish
+//! report for the next operation it holds. What is left is each run's
+//! setup and the growth of its tables and queues, spread over the stream.
 
 use nexuspp_taskmachine::{simulate, simulate_sharded, MachineConfig, MultiMaestroConfig};
 use nexuspp_trace::Trace;

@@ -445,20 +445,17 @@ fn master_stalls_show_in_the_fifo_peaks() {
     // The master stalls on a full `TDs Sizes` list or a full `TDs
     // Buffer`, so a run that stalled it must report one of the two at
     // capacity. (`Worker Cores IDs` starts full, so it proves nothing.)
-    use nexuspp_workloads::VideoSpec;
-    let video = VideoSpec::new(1).generate();
-    let mut small_sizes = MachineConfig::with_workers(16);
-    small_sizes.lists.tds_sizes = 4;
-    for cfg in [MachineConfig::with_workers(16), small_sizes] {
-        let r = simulate_trace(cfg, &video).unwrap();
-        assert!(r.master_stalls > 0, "the video stream outruns the Maestro");
-        assert!(
-            r.fifo_peaks
-                .iter()
-                .any(|&(name, peak, cap)| name.starts_with("TDs") && peak == cap),
-            "{} master stalls but no listed TDs list filled: {:?}",
-            r.master_stalls,
-            r.fifo_peaks
-        );
-    }
+    // On the video stream the 16-entry buffer fills long before the
+    // 1024-entry sizes list.
+    let video = nexuspp_workloads::VideoSpec::new(1).generate();
+    let r = simulate_trace(MachineConfig::with_workers(16), &video).unwrap();
+    assert!(r.master_stalls > 0, "the video stream outruns the Maestro");
+    assert!(
+        r.fifo_peaks
+            .iter()
+            .any(|&(name, peak, cap)| name.starts_with("TDs") && peak == cap),
+        "{} master stalls but no listed TDs list filled: {:?}",
+        r.master_stalls,
+        r.fifo_peaks
+    );
 }
