@@ -26,23 +26,34 @@
 //! # The live splice proof
 //!
 //! The [`Backend::Runtime`] path does not just schedule dummy bodies:
-//! every resubmitted task's closure *computes its outputs* from a
-//! shared content map seeded with the spliced memoized inputs, on the
-//! runtime's worker threads, ordered only by the engines' dependency
-//! tracking. After the barrier, the concurrently computed contents must
-//! equal the memoized plan — a live end-to-end check that splicing
-//! cached outputs under partial resubmission preserves the dataflow.
-//! The validation walk itself holds **no shard locks**: it runs
-//! entirely on the caller's thread before anything is submitted.
+//! every resubmitted task's closure *computes its outputs* on the
+//! runtime's worker threads. Each write in the partial stream owns one
+//! write-once slot; before anything is spawned, each read is resolved
+//! either to a spliced memoized content or to the slot of its producer
+//! in the stream. A body reads its producers' slots and fills its own,
+//! ordered only by the engines' dependency tracking (the `OnceLock` and
+//! the runtime's dependency edge carry the happens-before). After the
+//! barrier, the concurrently computed contents must equal the memoized
+//! plan — a live end-to-end check that splicing cached outputs under
+//! partial resubmission preserves the dataflow. The validation walk
+//! itself holds **no shard locks**: it runs entirely on the caller's
+//! thread before anything is submitted.
+//!
+//! The program keeps the runtime it last ran on (rebuilt only when the
+//! backend's `(workers, shards)` changes), so a re-run pays for its cone
+//! and the runtime's per-task cost, not for starting and joining
+//! workers.
 
 use crate::program::IncrementalProgram;
 use crate::store::{self, TaskRecord};
-use nexuspp_core::{Priority, Submission, TaskBuilder};
+use nexuspp_core::{Submission, TaskBuilder};
 use nexuspp_frontend::exec::run_on_engine;
-use nexuspp_frontend::{LoweredProgram, Lowering, ResourceId, Version};
+use nexuspp_frontend::{LoweredProgram, Lowering, ResourceId, TaskDecl, Version};
 use nexuspp_runtime::Runtime;
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Which execution backend a re-run resubmits invalidated tasks to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,17 +107,81 @@ pub struct IncrReport {
     pub executed: Vec<u64>,
 }
 
-/// One invalidated task, fully planned (inputs resolved, outputs
-/// recomputed) before anything touches a backend.
-struct Plan {
+/// One invalidated task, planned (inputs resolved, outputs recomputed)
+/// before anything touches a backend.
+struct Plan<'a> {
+    decl: &'a TaskDecl,
+    /// The task's resolved reads, as a range of the run's read list.
+    /// Self-reads of the task's own mints are excluded (their content
+    /// is the task's own output — circular, and never an edge in the
+    /// frontend either).
+    reads: Range<usize>,
+}
+
+/// Where a re-run task's input comes from.
+#[derive(Clone, Copy)]
+enum Input {
+    /// Spliced: the memoized content of a clean producer, or initial
+    /// contents.
+    Memo(u64),
+    /// Produced in this stream: the index of its producer's slot.
+    Slot(usize),
+}
+
+/// One spawned body's share of a [`Splice`].
+struct SpliceTask {
     key: u64,
     fptr: u64,
-    priority: Priority,
-    /// Resolved reads, self-reads of the task's own mints excluded
-    /// (their content is the task's own output — circular, and never
-    /// an edge in the frontend either).
-    reads: Vec<(ResourceId, Version)>,
-    writes: Vec<(ResourceId, Version)>,
+    inputs: Range<usize>,
+    slots: Range<usize>,
+}
+
+/// Everything the bodies of one live splice run share.
+struct Splice {
+    tasks: Vec<SpliceTask>,
+    inputs: Vec<Input>,
+    /// Name hash of the resource each slot holds.
+    slot_names: Vec<u64>,
+    /// One write-once content per write in the partial stream.
+    slots: Vec<OnceLock<u64>>,
+    /// Task keys in the order their bodies ran. `ran` only hands out
+    /// indices; publication is the `OnceLock`'s and the barrier's.
+    executed: Vec<OnceLock<u64>>,
+    ran: AtomicUsize,
+}
+
+impl Splice {
+    /// The body of task `i`: read its inputs, fill its slots, log it.
+    fn run(&self, i: usize) {
+        let t = &self.tasks[i];
+        let inputs = &self.inputs[t.inputs.clone()];
+        let value = |&input: &Input| match input {
+            Input::Memo(c) => c,
+            Input::Slot(j) => *self.slots[j]
+                .get()
+                .expect("input available: spliced or produced by a predecessor"),
+        };
+        for s in t.slots.clone() {
+            let out = task_output(self.slot_names[s], t.fptr, inputs.iter().map(value));
+            self.slots[s].set(out).expect("each slot is written once");
+        }
+        if t.slots.is_empty() {
+            // A task that writes nothing still needs its inputs present.
+            inputs.iter().for_each(|i| {
+                value(i);
+            });
+        }
+        let n = self.ran.fetch_add(1, Ordering::Relaxed);
+        self.executed[n].set(t.key).expect("each task runs once");
+    }
+}
+
+/// [`store::task_output`] from the written resource's interned name
+/// hash: the same value, bit for bit, without hashing the name again.
+fn task_output(name_hash: u64, fptr: u64, inputs: impl IntoIterator<Item = u64>) -> u64 {
+    inputs
+        .into_iter()
+        .fold(store::hash_mix(name_hash, fptr), store::hash_mix)
 }
 
 impl IncrementalProgram {
@@ -124,41 +199,47 @@ impl IncrementalProgram {
         let total = self.len();
         let mut cone = self.dirty_cone();
         let dirtied = cone.len();
-        cone.sort_by_key(|&k| self.topo().ord(k).expect("cone keys are declared tasks"));
+        cone.sort_by_cached_key(|&k| self.topo.ord(k).expect("cone keys are declared tasks"));
 
         // Phase 1 (caller thread, no locks): validate the cone in
         // dependency order, recompute what changed, refresh memos.
-        let mut plans: Vec<Plan> = Vec::new();
+        let mut plans: Vec<Plan<'_>> = Vec::new();
+        let mut reads: Vec<(ResourceId, Version)> = Vec::new();
+        let (mut inputs, mut read_pairs, mut write_hashes) = (Vec::new(), Vec::new(), Vec::new());
         for &key in &cone {
-            let d = self.resolved[&key].clone();
-            let reads: Vec<(ResourceId, Version)> = d
-                .reads
-                .iter()
-                .copied()
-                .filter(|rv| self.producers.get(rv) != Some(&key))
-                .collect();
-            let inputs: Vec<u64> = reads.iter().map(|&(r, v)| self.content_of(r, v)).collect();
-            let read_pairs: Vec<(u64, u64)> = reads
-                .iter()
-                .zip(&inputs)
-                .map(|(&(r, _), &c)| (self.name_hashes[r.0 as usize], c))
-                .collect();
-            let write_hashes: Vec<u64> = d
-                .writes
-                .iter()
-                .map(|&(r, _)| self.name_hashes[r.0 as usize])
-                .collect();
+            let d = &self.resolved[&key];
+            let start = reads.len();
+            reads.extend(
+                d.reads
+                    .iter()
+                    .copied()
+                    .filter(|rv| self.producers.get(rv) != Some(&key)),
+            );
+            inputs.clear();
+            inputs.extend(reads[start..].iter().map(|&(r, v)| self.content_of(r, v)));
+            read_pairs.clear();
+            read_pairs.extend(
+                reads[start..]
+                    .iter()
+                    .zip(&inputs)
+                    .map(|(&(r, _), &c)| (self.name_hashes[r.0 as usize], c)),
+            );
+            write_hashes.clear();
+            write_hashes.extend(
+                d.writes
+                    .iter()
+                    .map(|&(r, _)| self.name_hashes[r.0 as usize]),
+            );
             let fp = store::fingerprint(d.fptr, d.priority, &read_pairs, &write_hashes);
             if self.store.record(key).map(|rec| rec.fingerprint) == Some(fp) {
+                reads.truncate(start);
                 continue; // early cutoff: the memo stands
             }
             let outputs: Vec<(ResourceId, u64)> = d
                 .writes
                 .iter()
-                .map(|&(r, _)| {
-                    let name = self.resource_name(r);
-                    (r, store::task_output(d.fptr, name, &inputs))
-                })
+                .zip(&write_hashes)
+                .map(|(&(r, _), &h)| (r, task_output(h, d.fptr, inputs.iter().copied())))
                 .collect();
             self.store.put(
                 key,
@@ -168,30 +249,34 @@ impl IncrementalProgram {
                 },
             );
             plans.push(Plan {
-                key,
-                fptr: d.fptr,
-                priority: d.priority,
-                reads,
-                writes: d.writes.clone(),
+                decl: d,
+                reads: start..reads.len(),
             });
         }
 
         // Phase 2: resubmit the invalidated tasks as a partial lowered
         // stream (already in maintained topological order).
-        let reran_keys: Vec<u64> = plans.iter().map(|p| p.key).collect();
-        let reran_set: BTreeSet<u64> = reran_keys.iter().copied().collect();
+        let mut reran_keys: Vec<u64> = plans.iter().map(|p| p.decl.tag).collect();
+        reran_keys.sort_unstable();
         let executed = if plans.is_empty() {
             Vec::new()
         } else {
-            let partial = self.partial_stream(&plans, lowering, &reran_set);
+            let mut partial = self.partial_stream(&plans, &reads, lowering, &reran_keys);
             let executed = match *backend {
                 Backend::Engine { shards } => run_on_engine(&partial, shards),
                 Backend::Runtime { workers, shards } => {
-                    self.run_spliced_on_runtime(&plans, &partial, workers, shards)
+                    if !matches!(&self.runtime, Some((dims, _)) if *dims == (workers, shards)) {
+                        // Join the old workers before starting new ones.
+                        self.runtime = None;
+                        self.runtime = Some(((workers, shards), Runtime::new(workers, shards)));
+                    }
+                    let tasks = std::mem::take(&mut partial.tasks);
+                    self.run_spliced_on_runtime(&plans, &reads, tasks)
                 }
             };
-            let got: BTreeSet<u64> = executed.iter().copied().collect();
-            assert_eq!(got, reran_set, "backend ran exactly the invalidated tasks");
+            let mut got = executed.clone();
+            got.sort_unstable();
+            assert_eq!(got, reran_keys, "backend ran exactly the invalidated tasks");
             assert!(
                 partial.order_respects_edges(&executed),
                 "partial resubmission respected every true edge among reran tasks"
@@ -206,11 +291,7 @@ impl IncrementalProgram {
             reran: plans.len(),
             reused: total - plans.len(),
             order_maintenance_ops: ops_total - self.ops_reported,
-            reran_keys: {
-                let mut v = reran_keys;
-                v.sort_unstable();
-                v
-            },
+            reran_keys,
             executed,
         };
         self.ops_reported = ops_total;
@@ -233,31 +314,34 @@ impl IncrementalProgram {
 
     /// Build the partial lowered stream for the invalidated tasks: one
     /// submission per plan under the frontend's public address mapping,
-    /// plus the true edges *among* reran tasks (for order checking).
+    /// plus the true edges *among* reran tasks (for order checking),
+    /// found by one range query per reran producer.
     fn partial_stream(
         &self,
-        plans: &[Plan],
+        plans: &[Plan<'_>],
+        reads: &[(ResourceId, Version)],
         lowering: Lowering,
-        reran: &BTreeSet<u64>,
+        reran: &[u64],
     ) -> LoweredProgram {
         let tasks: Vec<Submission> = plans
             .iter()
             .map(|p| {
-                let mut b = TaskBuilder::new(p.fptr).tag(p.key).priority(p.priority);
-                for &(r, v) in &p.reads {
+                let d = p.decl;
+                let mut b = TaskBuilder::new(d.fptr).tag(d.tag).priority(d.priority);
+                for &(r, v) in &reads[p.reads.clone()] {
                     b = b.reads(lowering.address(r, v), self.program.resource_size(r));
                 }
-                for &(r, v) in &p.writes {
+                for &(r, v) in &d.writes {
                     b = b.writes(lowering.address(r, v), self.program.resource_size(r));
                 }
                 b.build()
             })
             .collect();
-        let edges: Vec<(u64, u64)> = self
-            .edges
+        let edges: Vec<(u64, u64)> = reran
             .iter()
+            .flat_map(|&f| self.edges.range((f, 0)..=(f, u64::MAX)))
             .copied()
-            .filter(|(f, t)| reran.contains(f) && reran.contains(t))
+            .filter(|(_, t)| reran.binary_search(t).is_ok())
             .collect();
         LoweredProgram {
             lowering,
@@ -266,88 +350,80 @@ impl IncrementalProgram {
         }
     }
 
-    /// The live splice run (see the [module docs](self)): spawn every
-    /// invalidated task on the threaded runtime with a body that
-    /// computes its outputs from a shared content map seeded with the
-    /// memoized inputs of clean producers, then assert the concurrent
-    /// result equals the memoized plan.
+    /// The live splice run (see the [module docs](self)) on the kept
+    /// runtime: give every write a slot, resolve every read to a memo
+    /// or a slot, spawn each submission with a body that fills its
+    /// slots, then assert the concurrent result equals the memoized
+    /// plan. Returns the keys in the order their bodies ran.
     fn run_spliced_on_runtime(
         &self,
-        plans: &[Plan],
-        partial: &LoweredProgram,
-        workers: usize,
-        shards: usize,
+        plans: &[Plan<'_>],
+        reads: &[(ResourceId, Version)],
+        tasks: Vec<Submission>,
     ) -> Vec<u64> {
-        // Seed the map with every input *not* produced within this
-        // partial stream — the splice of memoized contents.
-        let produced: HashSet<(ResourceId, Version)> = plans
-            .iter()
-            .flat_map(|p| p.writes.iter().copied())
-            .collect();
-        let mut seed: HashMap<(ResourceId, Version), u64> = HashMap::new();
+        let (_, rt) = self.runtime.as_ref().expect("runtime started");
+        let writes: usize = plans.iter().map(|p| p.decl.writes.len()).sum();
+        let mut slot_of: HashMap<(ResourceId, Version), usize> = HashMap::with_capacity(writes);
+        let mut slot_names = Vec::with_capacity(writes);
+        let mut splice_tasks = Vec::with_capacity(plans.len());
         for p in plans {
-            for &(r, v) in &p.reads {
-                if !produced.contains(&(r, v)) {
-                    seed.insert((r, v), self.content_of(r, v));
-                }
+            let first = slot_names.len();
+            for &(r, v) in &p.decl.writes {
+                slot_of.insert((r, v), slot_names.len());
+                slot_names.push(self.name_hashes[r.0 as usize]);
             }
-        }
-        let map = Arc::new(Mutex::new(seed));
-        let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(plans.len())));
-        let rt = Runtime::new(workers, shards);
-        for (p, sub) in plans.iter().zip(partial.tasks.iter().cloned()) {
-            let (map, log) = (Arc::clone(&map), Arc::clone(&log));
-            let (key, fptr) = (p.key, p.fptr);
-            let reads = p.reads.clone();
-            let writes = p.writes.clone();
-            let names: Vec<String> = p
-                .writes
-                .iter()
-                .map(|&(r, _)| self.resource_name(r).to_string())
-                .collect();
-            rt.spawn_lowered(sub, move || {
-                let mut m = lock(&map);
-                let inputs: Vec<u64> = reads
-                    .iter()
-                    .map(|rv| {
-                        *m.get(rv)
-                            .expect("input available: spliced or produced by a predecessor")
-                    })
-                    .collect();
-                for (&(r, v), name) in writes.iter().zip(&names) {
-                    m.insert((r, v), store::task_output(fptr, name, &inputs));
-                }
-                lock(&log).push(key);
+            splice_tasks.push(SpliceTask {
+                key: p.decl.tag,
+                fptr: p.decl.fptr,
+                inputs: p.reads.clone(),
+                slots: first..slot_names.len(),
             });
         }
+        // Splice: every input *not* produced within this partial stream
+        // is the memoized content.
+        let inputs = reads
+            .iter()
+            .map(|&(r, v)| match slot_of.get(&(r, v)) {
+                Some(&s) => Input::Slot(s),
+                None => Input::Memo(self.content_of(r, v)),
+            })
+            .collect();
+        let splice = Arc::new(Splice {
+            tasks: splice_tasks,
+            inputs,
+            slot_names,
+            slots: (0..writes).map(|_| OnceLock::new()).collect(),
+            executed: (0..plans.len()).map(|_| OnceLock::new()).collect(),
+            ran: AtomicUsize::new(0),
+        });
+        for (i, sub) in tasks.into_iter().enumerate() {
+            let splice = Arc::clone(&splice);
+            rt.spawn_lowered(sub, move || splice.run(i));
+        }
         rt.barrier();
-        let m = lock(&map);
-        for p in plans {
-            let rec = self.store.record(p.key).expect("just memoized");
-            for &(r, v) in &p.writes {
+        for (p, t) in plans.iter().zip(&splice.tasks) {
+            let rec = self.store.record(t.key).expect("just memoized");
+            for (&(r, v), s) in p.decl.writes.iter().zip(t.slots.clone()) {
                 assert_eq!(
-                    m.get(&(r, v)).copied(),
+                    splice.slots[s].get().copied(),
                     rec.output(r),
                     "live spliced run diverged from the memoized plan at ({r:?}, v{v})"
                 );
             }
         }
-        drop(m);
-        let order = lock(&log).clone();
-        order
+        splice
+            .executed
+            .iter()
+            .filter_map(|k| k.get().copied())
+            .collect()
     }
-}
-
-/// Take `m`, recovering it if poisoned: a task body that panics under
-/// it is re-raised by the barrier before anything reads it again.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{Access, Edit};
+    use nexuspp_core::Priority;
 
     fn add(key: u64, fptr: u64, accesses: Vec<Access>) -> Edit {
         Edit::AddTask {
@@ -516,6 +592,60 @@ mod tests {
         let rf = inc.rerun(Lowering::Renamed, &Backend::Engine { shards: 2 });
         assert_eq!(rf.reran, 5);
         assert_eq!(inc.final_contents(), scratch.final_contents());
+    }
+
+    #[test]
+    fn interned_task_output_matches_the_store_hash() {
+        for (name, fptr, inputs) in [("a", 0x10, vec![]), ("cell7", 0x5030, vec![1, 2, 3])] {
+            assert_eq!(
+                task_output(
+                    store::hash_bytes(name.as_bytes()),
+                    fptr,
+                    inputs.iter().copied()
+                ),
+                store::task_output(fptr, name, &inputs)
+            );
+        }
+    }
+
+    #[test]
+    fn the_runtime_is_kept_until_its_shape_changes() {
+        let small = Backend::Runtime {
+            workers: 1,
+            shards: 1,
+        };
+        let mut ip = diamond();
+        ip.rerun(Lowering::Renamed, &small);
+        for seed in [1, 2] {
+            ip.edit(Edit::SetInitial {
+                resource: "in".into(),
+                seed,
+            })
+            .unwrap();
+            ip.rerun(Lowering::Renamed, &small);
+        }
+        let submitted = |ip: &IncrementalProgram| ip.runtime.as_ref().map(|(_, rt)| rt.submitted());
+        assert_eq!(submitted(&ip), Some(12), "three runs on one runtime");
+        ip.edit(Edit::SetInitial {
+            resource: "in".into(),
+            seed: 3,
+        })
+        .unwrap();
+        ip.rerun(Lowering::Renamed, &Backend::Engine { shards: 2 });
+        assert_eq!(submitted(&ip), Some(12), "an engine run leaves it alone");
+        ip.edit(Edit::SetInitial {
+            resource: "in".into(),
+            seed: 4,
+        })
+        .unwrap();
+        ip.rerun(
+            Lowering::Renamed,
+            &Backend::Runtime {
+                workers: 1,
+                shards: 2,
+            },
+        );
+        assert_eq!(submitted(&ip), Some(4), "a new shape starts a new runtime");
     }
 
     #[test]

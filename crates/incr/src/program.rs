@@ -38,6 +38,7 @@ use crate::store::{self, Store};
 use nexuspp_core::Priority;
 use nexuspp_frontend::{Program, ResourceId, TaskDecl, Version};
 use nexuspp_obs::{CounterGroup, MetricsRegistry};
+use nexuspp_runtime::Runtime;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -231,6 +232,10 @@ pub struct IncrementalProgram {
     pub(crate) metrics: Option<Arc<CounterGroup>>,
     /// `topo.ops()` as of the last report (for per-run deltas).
     pub(crate) ops_reported: u64,
+    /// The runtime the last `Backend::Runtime` re-run used, with its
+    /// `(workers, shards)`; its workers are joined when it is replaced
+    /// or the program is dropped.
+    pub(crate) runtime: Option<((usize, usize), Runtime)>,
 }
 
 impl Default for IncrementalProgram {
@@ -263,6 +268,7 @@ impl IncrementalProgram {
             touched: BTreeSet::new(),
             metrics: None,
             ops_reported: 0,
+            runtime: None,
         }
     }
 
@@ -408,20 +414,6 @@ impl IncrementalProgram {
     /// Apply one [`Edit`]. On error, **nothing** changed — see the
     /// [module docs](self) for the staged-commit discipline.
     pub fn edit(&mut self, edit: Edit) -> Result<(), IncrError> {
-        if let Edit::SetInitial { resource, seed } = edit {
-            // Fast path: no structural change, no replay. Dirty every
-            // current reader of the initial contents.
-            let r = self.intern(&resource);
-            self.seeds[r.0 as usize] = seed;
-            let readers: Vec<u64> = self
-                .resolved
-                .values()
-                .filter(|d| d.reads.contains(&(r, 0)))
-                .map(|d| d.tag)
-                .collect();
-            self.touched.extend(readers);
-            return Ok(());
-        }
         self.edit_batch([edit])
     }
 
@@ -434,14 +426,20 @@ impl IncrementalProgram {
     /// Later edits in the batch see earlier ones: an `AddTask` may
     /// reuse a key a preceding `RemoveTask` freed.
     pub fn edit_batch(&mut self, edits: impl IntoIterator<Item = Edit>) -> Result<(), IncrError> {
+        let edits: Vec<Edit> = edits.into_iter().collect();
+        if edits.iter().all(|e| matches!(e, Edit::SetInitial { .. })) {
+            // Seed-only batch: no replay and no copy of the declarations;
+            // the current resolution stays valid.
+            self.set_initial(edits.into_iter().filter_map(|e| match e {
+                Edit::SetInitial { resource, seed } => Some((resource, seed)),
+                _ => None,
+            }));
+            return Ok(());
+        }
         let mut scratch = self.decls.clone();
         let mut edited_keys: Vec<u64> = Vec::new();
         let mut seed_updates: Vec<(String, u64)> = Vec::new();
-        let mut structural = false;
         for edit in edits {
-            if !matches!(edit, Edit::SetInitial { .. }) {
-                structural = true;
-            }
             match edit {
                 Edit::SetInitial { resource, seed } => {
                     seed_updates.push((resource, seed));
@@ -477,22 +475,6 @@ impl IncrementalProgram {
                     edited_keys.push(key);
                 }
             }
-        }
-        if !structural {
-            // Seed-only batch: no replay needed, the current resolution
-            // stays valid. Same fast path as a single `SetInitial`.
-            for (name, seed) in seed_updates {
-                let r = self.intern(&name);
-                self.seeds[r.0 as usize] = seed;
-                let readers: Vec<u64> = self
-                    .resolved
-                    .values()
-                    .filter(|d| d.reads.contains(&(r, 0)))
-                    .map(|d| d.tag)
-                    .collect();
-                self.touched.extend(readers);
-            }
-            return Ok(());
         }
         self.commit_structural(scratch, edited_keys, seed_updates)
     }
@@ -568,18 +550,6 @@ impl IncrementalProgram {
         // binding changed, and nothing else; evict removed memos.
         self.touched
             .extend(edited_keys.iter().copied().filter(|k| new_keys.contains(k)));
-        for (name, seed) in seed_updates {
-            let r = self.intern(&name);
-            self.seeds[r.0 as usize] = seed;
-            // Dirty the v0-readers *as rebound by this replay*.
-            self.touched.extend(
-                replay
-                    .resolved
-                    .values()
-                    .filter(|d| d.reads.contains(&(r, 0)))
-                    .map(|d| d.tag),
-            );
-        }
         for d in &scratch {
             let new = &replay.resolved[&d.key];
             match self.resolved.get(&d.key) {
@@ -598,7 +568,32 @@ impl IncrementalProgram {
         self.resolved = replay.resolved;
         self.producers = replay.producers;
         self.edges = replay.edges;
+        // Seeds last, so they dirty the v0-readers *as rebound by this
+        // replay*.
+        self.set_initial(seed_updates);
         Ok(())
+    }
+
+    /// Set initial-contents seeds, then dirty every current reader of an
+    /// edited resource's version 0 in one pass over the declarations.
+    fn set_initial(&mut self, seeds: impl IntoIterator<Item = (String, u64)>) {
+        let edited: Vec<ResourceId> = seeds
+            .into_iter()
+            .map(|(name, seed)| {
+                let r = self.intern(&name);
+                self.seeds[r.0 as usize] = seed;
+                r
+            })
+            .collect();
+        if edited.is_empty() {
+            return;
+        }
+        self.touched.extend(
+            self.resolved
+                .values()
+                .filter(|d| d.reads.iter().any(|&(r, v)| v == 0 && edited.contains(&r)))
+                .map(|d| d.tag),
+        );
     }
 
     /// Replay a declaration list through a fresh frontend [`Program`]
