@@ -3,11 +3,13 @@
 //! Library backing the `repro` binary: one function per table/figure of
 //! the paper (plus the model-side studies), each returning an
 //! [`experiments::Experiment`] — tables, self-checks, CSV — that the
-//! binary renders and whose failed checks set its exit status. The unit
-//! tests call the same functions, so "the experiment reproduces" is a
-//! tested property, not a claim. Timing the threaded layers is the job
-//! of the `e2e` binary in this package (`src/bin/e2e/`, the
-//! repository's benchmark), not of this library.
+//! binary renders and whose failed checks set its exit status. Every
+//! paper claim is one entry of [`experiments::CLAIMS`] (paper value,
+//! band, configuration), evaluated by its experiment in every mode.
+//! Tier-1 runs every experiment at quick scale, so "the experiment
+//! reproduces" is a tested property, not a claim. Timing the threaded
+//! layers is the job of the `e2e` binary in this package
+//! (`src/bin/e2e/`, the repository's benchmark), not of this library.
 //!
 //! | Artefact | Function | Binary command |
 //! |---|---|---|

@@ -9,6 +9,8 @@ use nexuspp::hw::MemoryConfig;
 use nexuspp::taskmachine::{simulate_trace, MachineConfig, SimError};
 use nexuspp::trace::{format, MemCost, Param, TaskRecord, Trace};
 use nexuspp::workloads::{GridPattern, GridSpec};
+use nexuspp_bench::experiments::rts;
+use nexuspp_bench::ExpOptions;
 
 /// The overlapped ideal scheduler lower-bounds the hardware model's
 /// makespan on every workload: perfect prefetching hides all memory time,
@@ -44,23 +46,16 @@ fn ideal_lower_bounds_machine() {
 }
 
 /// Hardware task management beats the software RTS wherever the software
-/// master is the bottleneck (the reason Nexus/Nexus++ exist).
+/// master is the bottleneck (the reason Nexus/Nexus++ exist): the
+/// registry's `rts.sw-over-hw16` and `rts.sw-over-hw64` claims.
 #[test]
 fn hardware_beats_software_rts() {
-    let trace = GridSpec::default().generate(GridPattern::Independent);
-    let cfg = SoftwareRtsConfig::default();
-    let mem = MemoryConfig::default();
-    for cores in [16usize, 64] {
-        let mut src = trace.clone().into_source();
-        let sw = simulate_software_rts(&mut src, cores, &cfg, &mem);
-        let hw = simulate_trace(MachineConfig::with_workers(cores), &trace)
-            .unwrap()
-            .makespan;
-        assert!(
-            sw > hw * 2,
-            "at {cores} cores the software RTS ({sw}) must trail hardware ({hw})"
-        );
-    }
+    let e = rts(&ExpOptions {
+        quick: true,
+        ..ExpOptions::default()
+    });
+    assert!(e.failures.is_empty(), "{:#?}", e.failures);
+    assert!(e.unevaluated().is_empty(), "{:?}", e.unevaluated());
 }
 
 /// A serial dependency chain bounds every model identically: makespan ≥

@@ -4,9 +4,10 @@
 //! rot on the next edit above them and are rejected. Subcommand
 //! citations are checked against the table `repro` itself dispatches on.
 //! ISSUE.md is checked like the docs, so an issue cannot cite a missing
-//! file or a retired subcommand either.
+//! file or a retired subcommand either. README's claim ids are checked
+//! against the claim registry in both directions.
 
-use nexuspp_bench::experiments::EXPERIMENTS;
+use nexuspp_bench::experiments::{CLAIMS, EXPERIMENTS};
 use std::path::Path;
 
 /// The one checked file that may cite nothing, so an empty scan of it
@@ -72,6 +73,40 @@ fn cited_subcommands(text: &str) -> Vec<&str> {
             .filter_map(|l| l.trim_start_matches("//!").split_whitespace().next()),
     );
     names
+}
+
+/// The claim ids `text` names: backticked `<experiment>.<name>` words
+/// whose `<experiment>` is a `repro` subcommand.
+fn cited_claims(text: &str) -> Vec<&str> {
+    text.split('`')
+        .filter(|w| {
+            w.split_once('.').is_some_and(|(exp, name)| {
+                EXPERIMENTS.iter().any(|(n, _)| *n == exp)
+                    && !name.is_empty()
+                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-')
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn readme_names_every_claim_and_no_other() {
+    let text = read("README.md");
+    let cited = cited_claims(&text);
+    for c in CLAIMS {
+        assert!(cited.contains(&c.id), "README.md omits claim {}", c.id);
+    }
+    for id in cited {
+        assert!(
+            CLAIMS.iter().any(|c| c.id == id),
+            "README.md names `{id}`, which is not in the claim registry"
+        );
+    }
+    // The scan itself: only backticked ids of live experiments count.
+    assert_eq!(
+        cited_claims("`fig8.n250-4`, `e2e.rs`, `fig8`, fig8.x, `rts.a b`, `nexus-vs.y`"),
+        ["fig8.n250-4", "nexus-vs.y"]
+    );
 }
 
 #[test]
