@@ -21,12 +21,14 @@
 //! trace export with its events-vs-counters differential (`observe`).
 
 use crate::table::{f1, f2, TextTable};
-use nexuspp_baseline::{classic::classic_check_trace, ClassicLimits};
-use nexuspp_baseline::{ideal_makespan, simulate_software_rts, SoftwareRtsConfig};
 use nexuspp_core::NexusConfig;
 use nexuspp_desim::SimTime;
-use nexuspp_hw::storage::{StorageBudget, StorageParams, TASK_SUPERSCALAR_BYTES};
-use nexuspp_hw::{BusConfig, MemoryConfig};
+use nexuspp_taskmachine::baseline::{
+    classic_check_trace, ideal_makespan, simulate_software_rts, ClassicLimits, SoftwareRtsConfig,
+};
+use nexuspp_taskmachine::hw::{
+    BusConfig, MemoryConfig, StorageBudget, StorageParams, TASK_SUPERSCALAR_BYTES,
+};
 use nexuspp_taskmachine::{simulate, simulate_trace, MachineConfig};
 use nexuspp_trace::TraceSource;
 use nexuspp_workloads::analysis::parallelism_profile;
@@ -49,7 +51,7 @@ pub struct ExpOptions {
 
 /// The interval a measured quantity must fall in, as [`RangeBounds`]
 /// reads a pair of bounds.
-pub type Band = (Bound<f64>, Bound<f64>);
+pub(crate) type Band = (Bound<f64>, Bound<f64>);
 
 /// One checkable statement of the paper.
 #[derive(Debug, Clone, Copy)]
@@ -796,7 +798,7 @@ pub fn headline(_opts: &ExpOptions) -> Experiment {
 
 /// §I/§III-B: which workloads classic Nexus can run, and the lookup-count
 /// comparison.
-pub fn nexus_vs(opts: &ExpOptions) -> Experiment {
+pub(crate) fn nexus_vs(opts: &ExpOptions) -> Experiment {
     let limits = ClassicLimits::default();
     let mut t = TextTable::new(vec![
         "workload",
@@ -1549,7 +1551,7 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
 }
 
 /// What every experiment is: options in, tables and self-checks out.
-pub type ExperimentFn = fn(&ExpOptions) -> Experiment;
+pub(crate) type ExperimentFn = fn(&ExpOptions) -> Experiment;
 
 /// Every experiment under the name `repro` runs it by, in `repro all`
 /// order.

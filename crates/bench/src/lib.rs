@@ -20,7 +20,7 @@
 //! | Figure 7 (pattern speedups) | [`experiments::fig7`] | `repro fig7` |
 //! | Figure 8 (Gaussian speedups) | [`experiments::fig8`] | `repro fig8` |
 //! | §V headline (54×/143×/221×) | [`experiments::headline`] | `repro headline` |
-//! | §III-B efficiency vs Nexus | [`experiments::nexus_vs`] | `repro nexus-vs` |
+//! | §III-B efficiency vs Nexus | `experiments::nexus_vs` | `repro nexus-vs` |
 //! | §I motivation (software RTS) | [`experiments::rts`] | `repro rts` |
 //! | design ablations | [`experiments::ablate`] | `repro ablate` |
 //! | multi-frame pipelining (extension) | [`experiments::video`] | `repro video` |
@@ -29,6 +29,8 @@
 //! | kick-off FIFO depths (extension) | [`experiments::wakes`] | `repro wakes` |
 //! | trace export, events vs counters (extension) | [`experiments::observe`] | `repro observe` |
 //! | live dashboard | [`watch::run_watch`] | `repro watch` |
+
+#![deny(missing_docs)]
 
 pub mod experiments;
 pub mod table;

@@ -67,7 +67,7 @@ impl TextTable {
     }
 
     /// Render as CSV (RFC-4180-ish; quotes cells containing commas).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let esc = |s: &String| -> String {
             if s.contains(',') || s.contains('"') || s.contains('\n') {
                 format!("\"{}\"", s.replace('"', "\"\""))
@@ -102,7 +102,7 @@ pub fn f2(v: f64) -> String {
 }
 
 /// Format a float with one decimal.
-pub fn f1(v: f64) -> String {
+pub(crate) fn f1(v: f64) -> String {
     format!("{v:.1}")
 }
 

@@ -28,12 +28,19 @@ use nexuspp_trace::Param;
 /// Progress of a (possibly resumed) dependency check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckProgress {
-    /// All parameters processed. `ready` is true if the task has no
-    /// outstanding dependencies and can be scheduled.
-    Done { ready: bool, cost: OpCost },
+    /// All parameters processed.
+    Done {
+        /// The task has no outstanding dependencies and can be scheduled.
+        ready: bool,
+        /// Table and pool accesses of this attempt.
+        cost: OpCost,
+    },
     /// The Dependence Table was full mid-check; call `check` again after a
-    /// completion frees space. `cost` covers the work done this attempt.
-    Stalled { cost: OpCost },
+    /// completion frees space.
+    Stalled {
+        /// Table and pool accesses of the work done this attempt.
+        cost: OpCost,
+    },
 }
 
 /// Result of finishing a task.
@@ -100,7 +107,7 @@ impl DependencyEngine {
     /// True once `check` has processed every parameter of `td` (the
     /// scheduling gate: a task whose Dependence Counter reaches zero
     /// mid-check must not run until the check completes).
-    pub fn is_checked(&self, td: TdIndex) -> bool {
+    pub(crate) fn is_checked(&self, td: TdIndex) -> bool {
         self.checked.get(td.0 as usize).copied().unwrap_or(false)
     }
 
@@ -112,7 +119,8 @@ impl DependencyEngine {
     }
 
     /// Unresolved dependence count of a live descriptor.
-    pub fn dc_of(&self, td: TdIndex) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn dc_of(&self, td: TdIndex) -> u32 {
         self.pool.get(td).dc
     }
 

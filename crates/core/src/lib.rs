@@ -40,6 +40,8 @@
 //!   need a watchdog, and cross-thread rendezvous needs deterministic
 //!   polling instead of sleeps).
 
+#![deny(missing_docs)]
+
 pub mod config;
 pub mod cost;
 pub mod engine;
@@ -58,4 +60,4 @@ pub use eventcount::EventCount;
 pub use pool::{PoolError, TaskPool, TdIndex};
 pub use priority::Priority;
 pub use submit::{duplicate_address, Submission, SubmitError, TaskBuilder, TenantId};
-pub use table::{address_hash, nth_addr_on_shard, shard_of_addr, DepTable, TableFull};
+pub use table::{nth_addr_on_shard, shard_of_addr, DepTable};

@@ -16,7 +16,7 @@ use nexuspp_trace::Param;
 use std::collections::{BTreeSet, HashMap};
 
 /// Oracle-side task identity (submission order index).
-pub type OracleId = usize;
+pub(crate) type OracleId = usize;
 
 #[derive(Debug, Default, Clone)]
 struct AddrState {

@@ -82,7 +82,7 @@ pub struct TdEntry {
 
 impl TdEntry {
     /// Number of chained dummy descriptors (the `nD` column).
-    pub fn n_dummies(&self) -> usize {
+    pub(crate) fn n_dummies(&self) -> usize {
         self.dummies.len()
     }
 }
@@ -247,7 +247,8 @@ impl TaskPool {
     }
 
     /// True if `td` currently names a primary descriptor.
-    pub fn is_live(&self, td: TdIndex) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_live(&self, td: TdIndex) -> bool {
         matches!(self.slots.get(td.0 as usize), Some(Slot::Primary(_)))
     }
 
@@ -280,7 +281,8 @@ impl TaskPool {
     }
 
     /// Iterate live primary descriptors (diagnostics).
-    pub fn iter_live(&self) -> impl Iterator<Item = (TdIndex, &TdEntry)> {
+    #[cfg(test)]
+    pub(crate) fn iter_live(&self) -> impl Iterator<Item = (TdIndex, &TdEntry)> {
         self.slots.iter().enumerate().filter_map(|(i, s)| match s {
             Slot::Primary(e) => Some((TdIndex(i as u32), e)),
             _ => None,

@@ -64,9 +64,9 @@ pub enum SubmitError {
 }
 
 impl SubmitError {
-    /// Attach/override shard attribution (used by the sharded layers when
-    /// they re-raise a per-shard [`PoolError`]).
-    pub fn on_shard(self, shard: u32) -> Self {
+    /// Attach or override shard attribution.
+    #[cfg(test)]
+    pub(crate) fn on_shard(self, shard: u32) -> Self {
         match self {
             SubmitError::CapacityFull { limit, .. } => SubmitError::CapacityFull { shard, limit },
             SubmitError::PoolFull { needed, free, .. } => SubmitError::PoolFull {

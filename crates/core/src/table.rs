@@ -45,14 +45,14 @@ use std::collections::VecDeque;
 /// The table has no free entry for a required allocation; the requesting
 /// Maestro block must stall and retry after `Handle Finished` frees space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableFull;
+pub(crate) struct TableFull;
 
 /// A task waiting in a Kick-Off List, with the access mode it wants for
 /// the address (the hardware re-reads the mode from the Task Pool; storing
 /// it alongside the ID is equivalent bookkeeping and is charged as the same
 /// access).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Waiter {
+pub(crate) struct Waiter {
     /// The waiting task.
     pub td: TdIndex,
     /// Its access mode for this address.
@@ -62,7 +62,7 @@ pub struct Waiter {
 /// Outcome of checking one parameter of a new task against the table
 /// (one iteration of the Listing 2 loop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckParamOutcome {
+pub(crate) enum CheckParamOutcome {
     /// Access granted immediately; no dependence recorded.
     NoDependency,
     /// The task was queued in the address's Kick-Off List; its Dependence
@@ -72,7 +72,8 @@ pub enum CheckParamOutcome {
 
 /// Outcome of releasing one parameter of a finished task.
 #[derive(Debug, Clone, Default)]
-pub struct WakeResult {
+#[cfg(test)]
+pub(crate) struct WakeResult {
     /// Tasks granted access by this release (each one's Dependence Counter
     /// must be decremented).
     pub woken: Vec<Waiter>,
@@ -172,7 +173,7 @@ pub struct DepTable {
 /// that partitions addresses over it (the sharded engine): the SplitMix64
 /// finalizer — cheap, well-distributed, a plausible h().
 #[inline]
-pub fn address_hash(addr: u64) -> u64 {
+pub(crate) fn address_hash(addr: u64) -> u64 {
     let mut z = addr.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -251,14 +252,10 @@ impl DepTable {
         self.occupied
     }
 
-    /// Free slots.
-    pub fn free_slots(&self) -> usize {
-        self.slots.len() - self.occupied
-    }
-
     /// Number of live address entries (parents only). O(capacity);
     /// diagnostics only.
-    pub fn live_addresses(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_addresses(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| matches!(s, Slot::Parent(_)))
@@ -367,18 +364,21 @@ impl DepTable {
     }
 
     /// Reader count for `addr` (diagnostics; `None` if absent).
-    pub fn readers_of(&self, addr: u64) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn readers_of(&self, addr: u64) -> Option<u32> {
         self.probe(addr).found.map(|i| self.parent(i).rdrs)
     }
 
     /// Writer-owned flag for `addr` (diagnostics; `None` if absent).
-    pub fn is_written(&self, addr: u64) -> Option<bool> {
+    #[cfg(test)]
+    pub(crate) fn is_written(&self, addr: u64) -> Option<bool> {
         self.probe(addr).found.map(|i| self.parent(i).is_out)
     }
 
     /// Number of queued waiters for `addr` including extension entries
     /// (diagnostics; `None` if absent).
-    pub fn waiters_of(&self, addr: u64) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn waiters_of(&self, addr: u64) -> Option<usize> {
         let idx = self.probe(addr).found?;
         let p = self.parent(idx);
         let mut n = p.kick.len();
@@ -732,7 +732,7 @@ impl DepTable {
     /// Check one parameter of a new task against the table — one iteration
     /// of the Listing 2 loop. On `Dependent`, the caller increments the
     /// task's Dependence Counter.
-    pub fn check_param(
+    pub(crate) fn check_param(
         &mut self,
         td: TdIndex,
         addr: u64,
@@ -809,21 +809,18 @@ impl DepTable {
         }
     }
 
-    /// Release one parameter of a finished task — the `Handle Finished`
-    /// narrative of §III-B. Never stalls: a release claims no table
-    /// entry. It allocates the returned `woken` list whenever it wakes
-    /// anyone; [`DependencyEngine::finish_into`] releases through one
-    /// reused buffer instead.
-    ///
-    /// [`DependencyEngine::finish_into`]: crate::DependencyEngine::finish_into
-    pub fn finish_param(&mut self, addr: u64, mode: AccessMode) -> WakeResult {
+    /// [`finish_param_into`](Self::finish_param_into) into a fresh
+    /// [`WakeResult`].
+    #[cfg(test)]
+    pub(crate) fn finish_param(&mut self, addr: u64, mode: AccessMode) -> WakeResult {
         let mut wake = WakeResult::default();
         (wake.deleted, wake.cost) = self.finish_param_into(addr, mode, &mut wake.woken);
         wake
     }
 
-    /// [`finish_param`](Self::finish_param), appending the woken to
-    /// `woken`. Returns whether the entry was removed, and the table
+    /// Release one parameter of a finished task — the `Handle Finished`
+    /// narrative of §III-B — appending the woken to `woken`. Never
+    /// stalls: a release claims no table entry. Returns whether the entry was removed, and the table
     /// accesses performed.
     pub(crate) fn finish_param_into(
         &mut self,

@@ -46,24 +46,8 @@ impl Clock {
     pub fn cycles(&self, n: u64) -> SimTime {
         self.period * n
     }
-
-    /// The number of whole cycles needed to cover `t` (ceiling division) —
-    /// how a hardware block quantizes an analog duration.
-    #[inline]
-    pub fn cycles_ceil(&self, t: SimTime) -> u64 {
-        t.ps().div_ceil(self.period.ps())
-    }
-
-    /// Align `t` up to the next clock edge (identity if already aligned).
-    #[inline]
-    pub fn align_up(&self, t: SimTime) -> SimTime {
-        let p = self.period.ps();
-        SimTime::from_ps(t.ps().div_ceil(p) * p)
-    }
 }
 
-/// The paper's worker-core clock: 2 GHz.
-pub const CORE_CLOCK_MHZ: u64 = 2_000;
 /// The paper's Nexus++ clock: 500 MHz (2 ns cycle).
 pub const NEXUS_CLOCK_MHZ: u64 = 500;
 
@@ -77,10 +61,7 @@ mod tests {
             Clock::from_mhz(NEXUS_CLOCK_MHZ).period(),
             SimTime::from_ns(2)
         );
-        assert_eq!(
-            Clock::from_mhz(CORE_CLOCK_MHZ).period(),
-            SimTime::from_ps(500)
-        );
+        assert_eq!(Clock::from_mhz(2_000).period(), SimTime::from_ps(500));
     }
 
     #[test]
@@ -92,17 +73,6 @@ mod tests {
         // 10 cycles = 20 ns, an 8-parameter one 14 cycles = 28 ns.
         assert_eq!(c.cycles(10), SimTime::from_ns(20));
         assert_eq!(c.cycles(14), SimTime::from_ns(28));
-    }
-
-    #[test]
-    fn ceil_and_align() {
-        let c = Clock::from_mhz(500); // 2 ns
-        assert_eq!(c.cycles_ceil(SimTime::from_ns(3)), 2);
-        assert_eq!(c.cycles_ceil(SimTime::from_ns(4)), 2);
-        assert_eq!(c.cycles_ceil(SimTime::from_ps(1)), 1);
-        assert_eq!(c.align_up(SimTime::from_ns(3)), SimTime::from_ns(4));
-        assert_eq!(c.align_up(SimTime::from_ns(4)), SimTime::from_ns(4));
-        assert_eq!(c.align_up(SimTime::ZERO), SimTime::ZERO);
     }
 
     #[test]

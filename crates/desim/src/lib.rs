@@ -32,6 +32,8 @@
 //! This keeps the hot path free of dynamic dispatch and makes the whole
 //! simulation a single-threaded, deterministic state machine.
 
+#![deny(missing_docs)]
+
 pub mod arbiter;
 pub mod clock;
 pub mod fifo;

@@ -78,16 +78,10 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn gen_f64_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(hi >= lo);
-        lo + self.gen_f64() * (hi - lo)
-    }
-
     /// Standard normal sample (Box–Muller; one value per call, the pair's
     /// second value is discarded to keep the state machine simple and the
     /// stream position predictable: exactly two `next_u64` per sample).
-    pub fn gen_normal(&mut self) -> f64 {
+    pub(crate) fn gen_normal(&mut self) -> f64 {
         // Avoid ln(0) by nudging u1 away from zero.
         let u1 = (self.gen_f64()).max(f64::MIN_POSITIVE);
         let u2 = self.gen_f64();

@@ -116,10 +116,11 @@ impl<E> Scheduler<E> {
         self.heap.push(Pending { key, ev });
     }
 
-    /// Schedule `ev` to fire "now" (after all already-queued events at the
-    /// current timestamp — used for poll-on-change activations).
+    /// Schedule `ev` to fire "now", after all already-queued events at the
+    /// current timestamp.
     #[inline]
-    pub fn schedule_now(&mut self, ev: E) {
+    #[cfg(test)]
+    pub(crate) fn schedule_now(&mut self, ev: E) {
         self.schedule_at(self.now, ev);
     }
 

@@ -1,10 +1,9 @@
-//! Simulation statistics: counters, histograms, time-weighted values and
-//! busy-time (utilization) trackers.
+//! Simulation statistics: counters, value summaries and busy-time
+//! (utilization) trackers.
 //!
 //! The evaluation reports need more than makespans: per-block utilization
-//! explains *which* pipeline stage bottlenecks the Maestro, occupancy
-//! high-water marks justify the Table IV structure sizes, and chain-length
-//! histograms reproduce the third series of Figure 6.
+//! explains *which* pipeline stage bottlenecks the Maestro, and
+//! chain-length summaries reproduce the third series of Figure 6.
 
 use crate::time::SimTime;
 
@@ -104,58 +103,6 @@ impl Summary {
     }
 }
 
-/// A power-of-two bucketed histogram of `u64` samples; bucket `i` counts
-/// samples in `[2^(i-1)+1 ..= 2^i]` with bucket 0 counting zeros and ones.
-/// Compact, allocation-free after construction, good enough for chain-length
-/// and queue-depth distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    summary: Summary,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            summary: Summary::new(),
-        }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        let b = if v <= 1 {
-            0
-        } else {
-            64 - (v - 1).leading_zeros() as usize
-        };
-        self.buckets[b] += 1;
-        self.summary.record(v);
-    }
-
-    /// The min/max/mean summary of everything recorded.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// Iterate `(bucket_upper_bound, count)` over non-empty buckets.
-    pub fn iter_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i >= 64 { u64::MAX } else { 1u64 << i }, c))
-    }
-}
-
 /// Tracks the fraction of simulated time a block was busy, and how often it
 /// was stalled waiting for a full downstream FIFO.
 #[derive(Debug, Clone, Default)]
@@ -209,46 +156,6 @@ impl BusyTracker {
     }
 }
 
-/// High-water-mark tracker for an occupancy-style value.
-#[derive(Debug, Clone, Default)]
-pub struct HighWater {
-    current: usize,
-    peak: usize,
-}
-
-impl HighWater {
-    /// A zeroed tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increase occupancy by `n`.
-    #[inline]
-    pub fn add(&mut self, n: usize) {
-        self.current += n;
-        if self.current > self.peak {
-            self.peak = self.current;
-        }
-    }
-
-    /// Decrease occupancy by `n`.
-    #[inline]
-    pub fn sub(&mut self, n: usize) {
-        debug_assert!(self.current >= n, "occupancy underflow");
-        self.current -= n;
-    }
-
-    /// Current occupancy.
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
-    /// Peak occupancy.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,21 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 5, 8, 9, 1000] {
-            h.record(v);
-        }
-        let buckets: Vec<_> = h.iter_buckets().collect();
-        // 0,1 → bucket 1; 2 → 2; 3,4 → 4; 5,8 → 8; 9 → 16; 1000 → 1024
-        assert_eq!(
-            buckets,
-            vec![(1, 2), (2, 1), (4, 2), (8, 2), (16, 1), (1024, 1)]
-        );
-        assert_eq!(h.summary().max(), Some(1000));
-    }
-
-    #[test]
     fn busy_tracker_utilization() {
         let mut b = BusyTracker::new();
         b.record_busy(SimTime::from_ns(30));
@@ -301,16 +193,5 @@ mod tests {
         assert_eq!(b.stalls(), 1);
         assert!((b.utilization(SimTime::from_ns(100)) - 0.5).abs() < 1e-12);
         assert_eq!(b.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn high_water() {
-        let mut hw = HighWater::new();
-        hw.add(3);
-        hw.add(2);
-        hw.sub(4);
-        hw.add(1);
-        assert_eq!(hw.current(), 2);
-        assert_eq!(hw.peak(), 5);
     }
 }

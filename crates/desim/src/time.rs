@@ -21,15 +21,6 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
     /// The largest representable time (used as "never").
     pub const MAX: SimTime = SimTime(u64::MAX);
-
-    /// One picosecond.
-    pub const PS: SimTime = SimTime(1);
-    /// One nanosecond.
-    pub const NS: SimTime = SimTime(1_000);
-    /// One microsecond.
-    pub const US: SimTime = SimTime(1_000_000);
-    /// One millisecond.
-    pub const MS: SimTime = SimTime(1_000_000_000);
     /// One second.
     pub const S: SimTime = SimTime(1_000_000_000_000);
 
@@ -80,7 +71,7 @@ impl SimTime {
 
     /// Time as floating-point milliseconds (for reporting only).
     #[inline]
-    pub fn as_ms_f64(self) -> f64 {
+    pub(crate) fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
@@ -88,12 +79,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition, `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
-        self.0.checked_add(rhs.0).map(SimTime)
     }
 
     /// The larger of two times.
@@ -218,7 +203,7 @@ mod tests {
     fn construction_and_units() {
         assert_eq!(SimTime::from_ns(12).ps(), 12_000);
         assert_eq!(SimTime::from_us(3).ps(), 3_000_000);
-        assert_eq!(SimTime::NS.times(12), SimTime::from_ns(12));
+        assert_eq!(SimTime::from_ns(1).times(12), SimTime::from_ns(12));
         assert_eq!(SimTime::from_ns_f64(11.8).ps(), 11_800);
         assert_eq!(SimTime::from_ns_f64(0.5).ps(), 500);
     }
@@ -239,11 +224,15 @@ mod tests {
 
     #[test]
     fn sum_and_compare() {
-        let total: SimTime = [SimTime::NS, SimTime::US, SimTime::from_ns(1)]
-            .into_iter()
-            .sum();
+        let total: SimTime = [
+            SimTime::from_ns(1),
+            SimTime::from_us(1),
+            SimTime::from_ns(1),
+        ]
+        .into_iter()
+        .sum();
         assert_eq!(total.ps(), 1_000 + 1_000_000 + 1_000);
-        assert!(SimTime::NS < SimTime::US);
+        assert!(SimTime::from_ns(1) < SimTime::from_us(1));
     }
 
     #[test]

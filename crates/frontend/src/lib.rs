@@ -35,8 +35,6 @@
 //!   differential checking. The crate depends only on core, shard and
 //!   trace: the threaded runtime is driven from above
 //!   (`nexuspp_incr`'s `Backend::Runtime`) and from this crate's tests.
-//! * [`rand_prog`] — seeded random programs for differential tests and
-//!   benchmarks.
 //!
 //! ```
 //! use nexuspp_frontend::{Lowering, Program};
@@ -62,8 +60,6 @@
 pub mod exec;
 pub mod lower;
 pub mod program;
-pub mod rand_prog;
 
 pub use lower::{LoweredProgram, Lowering};
 pub use program::{FrontendError, Program, ResourceId, TaskDecl, Version};
-pub use rand_prog::RandProgramSpec;

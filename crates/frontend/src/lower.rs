@@ -31,14 +31,14 @@ use std::collections::{BinaryHeap, HashMap};
 /// First physical address the frontend assigns. High above anything the
 /// examples/workloads hand-address (and the `Region` id counter, which
 /// starts at 0x1000), so lowered streams never collide with them.
-pub const ADDRESS_BASE: u64 = 1 << 40;
+pub(crate) const ADDRESS_BASE: u64 = 1 << 40;
 
 /// Address block reserved per resource (bounds versions per resource).
-pub const RESOURCE_STRIDE: u64 = 1 << 20;
+pub(crate) const RESOURCE_STRIDE: u64 = 1 << 20;
 
 /// Address stride between versions inside a resource block (a cache
 /// line, matching the paper's per-parameter granularity).
-pub const VERSION_STRIDE: u64 = 64;
+pub(crate) const VERSION_STRIDE: u64 = 64;
 
 /// How logical versions map onto physical addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +70,8 @@ impl Lowering {
     /// # Panics
     ///
     /// Panics if `v` exceeds the per-resource version budget
-    /// ([`RESOURCE_STRIDE`]` / `[`VERSION_STRIDE`] versions).
+    /// (2^14 versions: a 1 MiB address block per resource, one 64-byte
+    /// line per version).
     pub fn address(self, r: ResourceId, v: Version) -> u64 {
         assert!(
             (v as u64) < RESOURCE_STRIDE / VERSION_STRIDE,

@@ -144,7 +144,7 @@ impl Program {
 
     /// Register a resource with an explicit payload size in bytes (the
     /// size carried on every lowered parameter naming it).
-    pub fn resource_sized(&mut self, name: &str, size: u32) -> ResourceId {
+    pub(crate) fn resource_sized(&mut self, name: &str, size: u32) -> ResourceId {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
@@ -175,7 +175,7 @@ impl Program {
     }
 
     /// Number of registered resources.
-    pub fn resource_count(&self) -> usize {
+    pub(crate) fn resource_count(&self) -> usize {
         self.resources.len()
     }
 

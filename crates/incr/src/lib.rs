@@ -74,7 +74,7 @@ pub mod store;
 
 pub use exec::{Backend, IncrReport};
 pub use order::{DynamicTopo, OrderError};
-pub use program::{Access, Edit, IncrError, IncrementalProgram, METRIC_NAMES};
+pub use program::{Access, Edit, IncrError, IncrementalProgram};
 pub use store::{Store, TaskRecord};
 
 // Re-exported so doctests and downstream callers can name the id type

@@ -243,7 +243,7 @@ impl<K: Copy + Ord + Hash + fmt::Debug> DynamicTopo<K> {
     }
 
     /// The current order index of `k` (comparable, not dense).
-    pub fn ord(&self, k: K) -> Option<u64> {
+    pub(crate) fn ord(&self, k: K) -> Option<u64> {
         self.ord.get(&k).copied()
     }
 

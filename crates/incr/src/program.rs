@@ -37,7 +37,7 @@ use crate::order::{DynamicTopo, OrderError};
 use crate::store::{self, Store};
 use nexuspp_core::Priority;
 use nexuspp_frontend::{Program, ResourceId, TaskDecl, Version};
-use nexuspp_obs::{CounterGroup, MetricsRegistry};
+use nexuspp_obs::CounterGroup;
 use nexuspp_runtime::Runtime;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -227,8 +227,7 @@ pub struct IncrementalProgram {
     pub(crate) store: Store,
     /// Keys dirtied by edits since the last re-run.
     pub(crate) touched: BTreeSet<u64>,
-    /// Live counters, if attached via
-    /// [`register_metrics`](Self::register_metrics).
+    /// Live counters, if attached.
     pub(crate) metrics: Option<Arc<CounterGroup>>,
     /// `topo.ops()` as of the last report (for per-run deltas).
     pub(crate) ops_reported: u64,
@@ -247,7 +246,9 @@ impl Default for IncrementalProgram {
 /// Counter names in the group [`register_metrics`] registers.
 ///
 /// [`register_metrics`]: IncrementalProgram::register_metrics
-pub const METRIC_NAMES: [&str; 6] = ["runs", "total", "dirtied", "reran", "reused", "order_ops"];
+#[cfg(test)]
+pub(crate) const METRIC_NAMES: [&str; 6] =
+    ["runs", "total", "dirtied", "reran", "reused", "order_ops"];
 
 impl IncrementalProgram {
     /// An empty program with an empty memo store (so the first re-run
@@ -302,7 +303,7 @@ impl IncrementalProgram {
     }
 
     /// The maintained topological order (read-only).
-    pub fn topo(&self) -> &DynamicTopo<u64> {
+    pub(crate) fn topo(&self) -> &DynamicTopo<u64> {
         &self.topo
     }
 
@@ -339,7 +340,12 @@ impl IncrementalProgram {
     /// Create the live counter group ([`METRIC_NAMES`]) and register it
     /// in `reg` under `group`. Each re-run adds that run's totals, so
     /// snapshots taken mid-session show the cumulative reuse funnel.
-    pub fn register_metrics(&mut self, reg: &MetricsRegistry, group: &str) -> Arc<CounterGroup> {
+    #[cfg(test)]
+    pub(crate) fn register_metrics(
+        &mut self,
+        reg: &nexuspp_obs::MetricsRegistry,
+        group: &str,
+    ) -> Arc<CounterGroup> {
         let g = self
             .metrics
             .get_or_insert_with(|| Arc::new(CounterGroup::new(&METRIC_NAMES)))
@@ -364,11 +370,6 @@ impl IncrementalProgram {
     /// The interned name of `r`.
     pub fn resource_name(&self, r: ResourceId) -> &str {
         &self.interner[r.0 as usize]
-    }
-
-    /// All interned resource names, in [`ResourceId`] order.
-    pub fn resource_names(&self) -> &[String] {
-        &self.interner
     }
 
     /// The simulated content of `(r, v)` as memoized: initial contents

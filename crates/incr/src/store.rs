@@ -48,7 +48,7 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// Fold one more 64-bit word into a running hash.
-pub fn hash_mix(h: u64, word: u64) -> u64 {
+pub(crate) fn hash_mix(h: u64, word: u64) -> u64 {
     let mut h = h;
     for b in word.to_le_bytes() {
         h ^= u64::from(b);
@@ -152,7 +152,7 @@ impl Store {
 
     /// Drop the record for `key` (the task was removed or must re-run
     /// unconditionally). Returns `true` if a record existed.
-    pub fn evict(&mut self, key: u64) -> bool {
+    pub(crate) fn evict(&mut self, key: u64) -> bool {
         self.records.remove(&key).is_some()
     }
 

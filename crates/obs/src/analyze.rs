@@ -38,7 +38,7 @@ pub struct TaskTimeline {
     pub exec_done: Option<u64>,
     /// `ts_ns` of the task's `Finished` event.
     pub finished: Option<u64>,
-    /// Worker that executed it, or [`NO_WORKER`](crate::NO_WORKER).
+    /// Worker that executed it, or `u32::MAX` if none did.
     pub worker: u32,
     /// The finisher that released it, or `None` if ready at submit.
     pub waker: Option<u64>,

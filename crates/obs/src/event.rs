@@ -20,7 +20,7 @@ pub const NO_SHARD: u32 = u32::MAX;
 
 /// Sentinel for "no worker": events emitted by a thread that never
 /// registered as a worker (the submitting master thread).
-pub const NO_WORKER: u32 = u32::MAX;
+pub(crate) const NO_WORKER: u32 = u32::MAX;
 
 /// What happened. See the variant docs for who emits each kind and
 /// what `task`/`aux` mean for it.
@@ -64,7 +64,8 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in lifecycle order.
-    pub const ALL: [EventKind; 12] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [EventKind; 12] = [
         EventKind::Submitted,
         EventKind::DepCheckStart,
         EventKind::DepCheckDone,
@@ -118,7 +119,8 @@ pub struct Event {
     pub aux: u64,
     /// Home shard of the address group involved, or [`NO_SHARD`].
     pub shard: u32,
-    /// Worker index of the emitting thread, or [`NO_WORKER`].
+    /// Worker index of the emitting thread, or `u32::MAX` for a thread
+    /// that registered none.
     pub worker: u32,
     /// Nanoseconds since the recorder's epoch (monotonic clock).
     pub ts_ns: u64,

@@ -87,11 +87,11 @@ pub use analyze::{
     TaskTimeline,
 };
 pub use collector::{Collector, CollectorConfig, CollectorReport};
-pub use event::{Event, EventKind, NO_SHARD, NO_TASK, NO_WORKER};
+pub use event::{Event, EventKind, NO_SHARD, NO_TASK};
 pub use export::{chrome_trace, validate_json};
-pub use recorder::{Recorder, DEFAULT_LANE_CAPACITY};
+pub use recorder::Recorder;
 pub use registry::{Counter, CounterGroup, MetricsGroup, MetricsRegistry, MetricsSnapshot};
-pub use sampler::{jsonl_line, SampledSnapshot, Sampler};
-pub use stream::{EventStream, StreamStats, Subscriber, DEFAULT_HISTORY};
-pub use tracker::{GraphTracker, TaskState, TrackerSnapshot, Violation, MAX_KEPT_VIOLATIONS};
-pub use watch::{fmt_ns, render_dashboard};
+pub use sampler::{SampledSnapshot, Sampler};
+pub use stream::{EventStream, StreamStats, Subscriber};
+pub use tracker::{GraphTracker, TaskState, TrackerSnapshot, Violation};
+pub use watch::render_dashboard;

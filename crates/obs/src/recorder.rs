@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Default events buffered per lane before drops begin.
-pub const DEFAULT_LANE_CAPACITY: usize = 1 << 15;
+pub(crate) const DEFAULT_LANE_CAPACITY: usize = 1 << 15;
 
 static NEXT_LANE_SEED: AtomicUsize = AtomicUsize::new(0);
 
@@ -62,7 +62,7 @@ impl std::fmt::Debug for Recorder {
 
 impl Recorder {
     /// An enabled recorder sized for `workers` worker threads (plus the
-    /// submitting thread), [`DEFAULT_LANE_CAPACITY`] events per lane.
+    /// submitting thread), 2^15 events per lane.
     pub fn new(workers: usize) -> Recorder {
         Recorder::with_capacity(workers + 2, DEFAULT_LANE_CAPACITY)
     }
@@ -97,12 +97,6 @@ impl Recorder {
     /// top of each worker loop.
     pub fn set_thread_worker(w: u32) {
         WORKER.with(|c| c.set(w));
-    }
-
-    /// The worker index the calling thread registered, or
-    /// [`NO_WORKER`].
-    pub fn current_worker() -> u32 {
-        WORKER.with(|c| c.get())
     }
 
     /// Record an event with no causal companion (`aux = NO_TASK`).

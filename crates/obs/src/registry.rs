@@ -81,11 +81,6 @@ impl Counter {
         self.add(1);
     }
 
-    /// Raise to `v` if `v` is larger (high-water marks).
-    pub fn record_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Overwrite with `v` (gauges).
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
@@ -223,8 +218,7 @@ mod tests {
         assert!(group.counter("missing").is_none());
         submitted.inc();
         submitted.add(2);
-        peak.record_max(5);
-        peak.record_max(3);
+        peak.set(5);
         let snap = reg.snapshot();
         assert_eq!(snap.get("tenant1", "submitted"), Some(3));
         assert_eq!(snap.get("tenant1", "rejected"), Some(0));

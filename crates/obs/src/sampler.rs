@@ -139,7 +139,7 @@ impl Sampler {
 }
 
 /// One snapshot as a single-line JSON object (no trailing newline).
-pub fn jsonl_line(s: &SampledSnapshot) -> String {
+pub(crate) fn jsonl_line(s: &SampledSnapshot) -> String {
     let mut line = format!("{{\"ts_ns\": {}, \"groups\": {{", s.ts_ns);
     for (gi, g) in s.snap.groups.iter().enumerate() {
         if gi > 0 {

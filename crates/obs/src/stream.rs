@@ -42,7 +42,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Default number of released events kept for lagging subscribers.
-pub const DEFAULT_HISTORY: usize = 1 << 16;
+pub(crate) const DEFAULT_HISTORY: usize = 1 << 16;
 
 /// Heap entry ordered by sequence number alone.
 struct BySeq(Event);
@@ -124,7 +124,7 @@ impl std::fmt::Debug for EventStream {
 }
 
 impl EventStream {
-    /// A stream over `rec` keeping [`DEFAULT_HISTORY`] released events
+    /// A stream over `rec` keeping 2^16 released events
     /// for lagging subscribers.
     pub fn new(rec: Arc<Recorder>) -> EventStream {
         EventStream::with_history(rec, DEFAULT_HISTORY)

@@ -77,7 +77,7 @@ pub enum TaskState {
 
 impl TaskState {
     /// Every state, in lifecycle order.
-    pub const ALL: [TaskState; 7] = [
+    pub(crate) const ALL: [TaskState; 7] = [
         TaskState::Submitted,
         TaskState::Checking,
         TaskState::Stalled,
@@ -120,7 +120,7 @@ pub struct Violation {
 
 /// How many violations are kept with full context (the count in
 /// [`TrackerSnapshot::violations`] is never capped).
-pub const MAX_KEPT_VIOLATIONS: usize = 32;
+pub(crate) const MAX_KEPT_VIOLATIONS: usize = 32;
 
 /// One task's record. A timestamp its event never delivered (dropped,
 /// or the tracker attached mid-run) stays `None`, and the stages that
@@ -142,7 +142,8 @@ pub struct TrackerSnapshot {
     pub events_applied: u64,
     /// Distinct tasks seen.
     pub tasks_seen: u64,
-    /// Live population per state, indexed like [`TaskState::ALL`].
+    /// Live population per state, indexed in [`TaskState`]'s
+    /// declaration order.
     pub state_counts: [u64; 7],
     /// Realized wake edges discovered so far.
     pub edges: u64,
@@ -327,7 +328,8 @@ impl GraphTracker {
     }
 
     /// The current state of one task, if it has been seen.
-    pub fn state_of(&self, task: u64) -> Option<TaskState> {
+    #[cfg(test)]
+    pub(crate) fn state_of(&self, task: u64) -> Option<TaskState> {
         self.tasks.get(&task).map(|t| t.state)
     }
 
@@ -398,11 +400,12 @@ impl GraphTracker {
     }
 
     /// Total illegal transitions observed.
-    pub fn violation_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn violation_count(&self) -> u64 {
         self.violations
     }
 
-    /// The first [`MAX_KEPT_VIOLATIONS`] violations, with context.
+    /// The first 32 violations, with context.
     pub fn violations(&self) -> &[Violation] {
         &self.kept_violations
     }

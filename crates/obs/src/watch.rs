@@ -11,7 +11,7 @@ use crate::stream::StreamStats;
 use crate::tracker::{TaskState, TrackerSnapshot};
 
 /// Human-scale nanoseconds: `532ns`, `1.4us`, `12.0ms`, `3.1s`.
-pub fn fmt_ns(ns: u64) -> String {
+pub(crate) fn fmt_ns(ns: u64) -> String {
     match ns {
         0..=999 => format!("{ns}ns"),
         1_000..=999_999 => format!("{:.1}us", ns as f64 / 1e3),

@@ -107,11 +107,6 @@ impl<T: Send> Scheduler<T> {
         self.obs = Some(SchedObs { rec, tag_of });
     }
 
-    /// Number of workers this scheduler was built for.
-    pub fn n_workers(&self) -> usize {
-        self.stealers.len()
-    }
-
     /// Hand a ready task to the workers from outside worker context
     /// (task spawns, wait-on probes).
     pub fn submit(&self, item: T, prio: Priority) {

@@ -133,11 +133,6 @@ impl ResolverService {
         self.registry.snapshot()
     }
 
-    /// Per-tenant budget ledgers, sorted by tenant.
-    pub fn tenant_counts(&self) -> Vec<(TenantId, TenantCounts)> {
-        self.budgets.all_counts()
-    }
-
     /// Graceful two-phase shutdown: seal ingress (new `try_submit`s
     /// refuse with `Closed`), drain every lane through admission, then
     /// quiesce the runtime and join its workers. Blocks until done;

@@ -114,10 +114,8 @@ pub struct TenantCounts {
 /// the single-tenant/embedded path, which predates tenancy.
 pub struct TenantBudgets {
     lanes: HashMap<TenantId, Arc<Lane>>,
-    /// Cap applied to tenants with no registered lane; `None` refuses
-    /// them outright.
-    default_cap: Option<u64>,
-    /// Shared lane for unregistered tenants when `default_cap` is set.
+    /// Shared lane for unregistered tenants; `None` refuses them
+    /// outright.
     /// Collapsing them into one lane keeps the map immutable; the
     /// default lane is a catch-all, not per-tenant isolation.
     default_lane: Option<Arc<Lane>>,
@@ -155,8 +153,7 @@ impl BudgetLane {
 
 impl TenantBudgets {
     /// Build a ledger from `(tenant, cap)` pairs. Unregistered tenants
-    /// are refused ([`BudgetError::UnknownTenant`]); see
-    /// [`with_default_cap`](Self::with_default_cap) to admit them. A cap
+    /// are refused ([`BudgetError::UnknownTenant`]). A cap
     /// of 0 registers a tenant that is always denied (administrative
     /// suspension).
     pub fn new(caps: impl IntoIterator<Item = (TenantId, u64)>) -> TenantBudgets {
@@ -165,19 +162,18 @@ impl TenantBudgets {
                 .into_iter()
                 .map(|(t, cap)| (t, Arc::new(Lane::new(cap))))
                 .collect(),
-            default_cap: None,
             default_lane: None,
         }
     }
 
     /// As [`new`](Self::new), but tenants without a registered lane
     /// share one catch-all lane capped at `cap`.
-    pub fn with_default_cap(
+    #[cfg(test)]
+    pub(crate) fn with_default_cap(
         caps: impl IntoIterator<Item = (TenantId, u64)>,
         cap: u64,
     ) -> TenantBudgets {
         let mut b = TenantBudgets::new(caps);
-        b.default_cap = Some(cap);
         b.default_lane = Some(Arc::new(Lane::new(cap)));
         b
     }

@@ -10,8 +10,7 @@
 
 use crate::protocol::{Few, Remote, Residency, Route, Slices};
 use nexuspp_core::{
-    shard_of_addr, DependencyEngine, NexusConfig, OpCost, ShardCapacity, Submission, SubmitError,
-    TdIndex,
+    DependencyEngine, NexusConfig, OpCost, ShardCapacity, Submission, SubmitError, TdIndex,
 };
 use std::fmt;
 
@@ -58,7 +57,8 @@ impl OpBreakdown {
     }
 
     /// Number of distinct shards touched.
-    pub fn shards_touched(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shards_touched(&self) -> usize {
         self.per_shard.len()
     }
 }
@@ -175,8 +175,9 @@ impl ShardedEngine {
     }
 
     /// Which shard owns `addr` under this engine's partition.
-    pub fn shard_of(&self, addr: u64) -> usize {
-        shard_of_addr(addr, self.shards.len())
+    #[cfg(test)]
+    pub(crate) fn shard_of(&self, addr: u64) -> usize {
+        nexuspp_core::shard_of_addr(addr, self.shards.len())
     }
 
     /// Caller tag of a live task.
@@ -289,7 +290,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexuspp_core::TaskBuilder;
+    use nexuspp_core::{shard_of_addr, TaskBuilder};
     use nexuspp_trace::Param;
 
     fn engine(n: usize) -> ShardedEngine {

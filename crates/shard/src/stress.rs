@@ -46,7 +46,8 @@ pub struct WakeStressSpec {
 impl WakeStressSpec {
     /// A spec sized for `finishers` concurrent finisher threads with a
     /// wake burst of `consumers_per` per completion.
-    pub fn for_finishers(finishers: usize, producers: u32, consumers_per: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn for_finishers(finishers: usize, producers: u32, consumers_per: u32) -> Self {
         WakeStressSpec {
             finishers,
             producers,

@@ -16,8 +16,8 @@
 //! the same system model must tell the same story.
 
 use crate::config::MachineConfig;
+use crate::memory::MemoryMode;
 use nexuspp_desim::SimTime;
-use nexuspp_hw::MemoryMode;
 use nexuspp_trace::{MemCost, Trace};
 
 /// Mean per-task demands extracted from a workload.
@@ -35,7 +35,7 @@ pub struct TaskDemand {
 
 impl TaskDemand {
     /// Extract mean demands from a trace under a machine's memory model.
-    pub fn from_trace(trace: &Trace, cfg: &MachineConfig) -> TaskDemand {
+    pub(crate) fn from_trace(trace: &Trace, cfg: &MachineConfig) -> TaskDemand {
         let n = trace.len().max(1) as u64;
         let mem_time = |c: MemCost| match c {
             MemCost::None => SimTime::ZERO,

@@ -62,13 +62,13 @@ impl BusConfig {
 
     /// Submission delay, in bus cycles, for a task with `n_params`
     /// parameters.
-    pub fn submission_cycles(&self, n_params: usize) -> u64 {
+    pub(crate) fn submission_cycles(&self, n_params: usize) -> u64 {
         self.handshake_cycles + self.header_cycles + self.cycles_per_param * n_params as u64
     }
 
     /// Submission delay as simulated time under `clk` (the Nexus++ clock in
     /// the paper).
-    pub fn submission_time(&self, n_params: usize, clk: Clock) -> SimTime {
+    pub(crate) fn submission_time(&self, n_params: usize, clk: Clock) -> SimTime {
         clk.cycles(self.submission_cycles(n_params))
     }
 
@@ -77,12 +77,12 @@ impl BusConfig {
     /// one word per parameter, at the same per-word rate (no handshake — the
     /// request/grant protocol is the TC's one-bit request line, which the
     /// paper treats as free).
-    pub fn td_transfer_cycles(&self, n_params: usize) -> u64 {
+    pub(crate) fn td_transfer_cycles(&self, n_params: usize) -> u64 {
         self.header_cycles + self.cycles_per_param * n_params as u64
     }
 
     /// [`td_transfer_cycles`](Self::td_transfer_cycles) as simulated time.
-    pub fn td_transfer_time(&self, n_params: usize, clk: Clock) -> SimTime {
+    pub(crate) fn td_transfer_time(&self, n_params: usize, clk: Clock) -> SimTime {
         clk.cycles(self.td_transfer_cycles(n_params))
     }
 }

@@ -84,7 +84,7 @@ impl ClassicVerdict {
 /// Execution order matters for waiter-count peaks; a seeded random order
 /// with a bounded in-flight window approximates the windowed execution of
 /// the real machine. `window` bounds in-flight tasks (the Task Pool size).
-pub fn classic_check(
+pub(crate) fn classic_check(
     source: &mut dyn TraceSource,
     limits: ClassicLimits,
     window: usize,

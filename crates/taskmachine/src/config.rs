@@ -7,10 +7,12 @@
 //! Pool, 4K-entry Dependence Table, double buffering, 30 ns task
 //! preparation on the master core.
 
+use crate::bus::BusConfig;
+use crate::memory::{MemoryConfig, MemoryMode};
+use crate::sram::SramTiming;
 use nexuspp_core::NexusConfig;
 use nexuspp_desim::clock::NEXUS_CLOCK_MHZ;
 use nexuspp_desim::{Clock, SimTime};
-use nexuspp_hw::{BusConfig, MemoryConfig, SramTiming};
 
 /// Master-core modeling parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +169,7 @@ impl MachineConfig {
     /// Contention-free-memory variant (the 143×/221× experiments).
     pub fn contention_free(mut self) -> Self {
         self.memory = MemoryConfig {
-            mode: nexuspp_hw::MemoryMode::ContentionFree,
+            mode: MemoryMode::ContentionFree,
             ..self.memory
         };
         self

@@ -9,11 +9,11 @@
 //! explains why the speedup gain decreases faster for the H.264
 //! benchmark").
 
+use crate::memory::MemoryConfig;
 use nexuspp_core::engine::CheckProgress;
 use nexuspp_core::pool::TdIndex;
 use nexuspp_core::{DependencyEngine, NexusConfig};
 use nexuspp_desim::{Scheduler, SimTime};
-use nexuspp_hw::MemoryConfig;
 use nexuspp_trace::{MemCost, TraceSource};
 use std::collections::VecDeque;
 

@@ -18,12 +18,12 @@
 //! the one-operation-at-a-time behaviour of the hardware blocks.
 
 use crate::config::MachineConfig;
+use crate::memory::MemoryMode;
 use crate::report::{BlockReport, Report, SimError};
 use nexuspp_core::engine::{CheckProgress, DependencyEngine};
 use nexuspp_core::pool::{PoolError, TdIndex};
 use nexuspp_desim::stats::BusyTracker;
 use nexuspp_desim::{Fifo, RoundRobinArbiter, Scheduler, SimTime, SlotGrant, SlotPool};
-use nexuspp_hw::MemoryMode;
 use nexuspp_trace::{MemCost, TaskRecord, TraceSource};
 use std::collections::VecDeque;
 
@@ -93,7 +93,7 @@ struct Tc {
 }
 
 /// The simulator.
-pub struct TaskMachine<'s> {
+pub(crate) struct TaskMachine<'s> {
     cfg: MachineConfig,
     source: &'s mut dyn TraceSource,
     sched: Scheduler<Ev>,

@@ -25,7 +25,10 @@ use nexuspp_desim::SimTime;
 pub enum MemoryMode {
     /// At most `slots` concurrent accessors; excess requesters queue FIFO.
     /// The paper's default (32 banks × 1 port).
-    Contended { slots: usize },
+    Contended {
+        /// Transfers in flight at once (one per bank port).
+        slots: usize,
+    },
     /// Idealized memory: transfers never queue ("assuming contention-free
     /// memory" in the 143×/221× experiments).
     ContentionFree,
@@ -71,7 +74,7 @@ impl MemoryConfig {
 
     /// Uncontended transfer time for `bytes` bytes: whole chunks, ceiling.
     /// Zero bytes take zero time.
-    pub fn transfer_time(&self, bytes: u64) -> SimTime {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> SimTime {
         if bytes == 0 {
             return SimTime::ZERO;
         }

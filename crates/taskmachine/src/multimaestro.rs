@@ -46,11 +46,11 @@
 //! differentially-verified readiness semantics unchanged; only time is
 //! modeled around it.
 
+use crate::sram::SramTiming;
 use nexuspp_core::{NexusConfig, ShardCapacity, Submission};
 use nexuspp_desim::clock::NEXUS_CLOCK_MHZ;
 use nexuspp_desim::stats::BusyTracker;
 use nexuspp_desim::{Clock, RoundRobinArbiter, Scheduler, SimTime};
-use nexuspp_hw::SramTiming;
 use nexuspp_shard::{OpBreakdown, ShardedEngine, ShardedFinish, TaskId};
 use nexuspp_trace::Trace;
 use std::collections::VecDeque;

@@ -15,11 +15,11 @@
 //! 4–5× speedup the Nexus work reports for a software runtime at 16
 //! cores, giving the motivating curve Nexus and Nexus++ improve on.
 
+use crate::memory::MemoryConfig;
 use nexuspp_core::engine::CheckProgress;
 use nexuspp_core::pool::TdIndex;
 use nexuspp_core::{DependencyEngine, NexusConfig};
 use nexuspp_desim::{Scheduler, SimTime};
-use nexuspp_hw::MemoryConfig;
 use nexuspp_trace::{MemCost, TaskRecord, TraceSource};
 use std::collections::VecDeque;
 

@@ -31,7 +31,7 @@ impl Default for SramTiming {
 impl SramTiming {
     /// Total time for `accesses` table touches.
     #[inline]
-    pub fn access_time(&self, accesses: u64) -> SimTime {
+    pub(crate) fn access_time(&self, accesses: u64) -> SimTime {
         self.access * accesses
     }
 }

@@ -3,7 +3,7 @@
 
 use nexuspp_core::NexusConfig;
 use nexuspp_desim::SimTime;
-use nexuspp_hw::{MemoryConfig, MemoryMode};
+use nexuspp_taskmachine::hw::{MemoryConfig, MemoryMode};
 use nexuspp_taskmachine::{simulate_trace, MachineConfig, SimError};
 use nexuspp_trace::{MemCost, Param, TaskRecord, Trace};
 

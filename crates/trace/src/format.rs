@@ -16,6 +16,7 @@
 use crate::trace::Trace;
 use crate::types::{AccessMode, MemCost, Param, TaskRecord};
 use nexuspp_desim::SimTime;
+use std::collections::HashSet;
 use std::io::{self, BufRead, Write};
 
 /// Errors produced when reading an `.ntr` stream.
@@ -24,7 +25,12 @@ pub enum ParseError {
     /// Underlying I/O failure.
     Io(io::Error),
     /// Malformed content, with line number and description.
-    Syntax { line: usize, msg: String },
+    Syntax {
+        /// 1-based line number of the offending line.
+        line: usize,
+        /// What is wrong with it.
+        msg: String,
+    },
 }
 
 impl std::fmt::Display for ParseError {
@@ -113,6 +119,7 @@ pub fn read_trace(input: &mut impl BufRead) -> Result<Trace, ParseError> {
     let name = hdr.next().unwrap_or("").to_string();
 
     let mut trace = Trace::new(name);
+    let mut task_addrs = HashSet::new();
     for (idx, line) in lines {
         let lineno = idx + 1;
         let line = line?;
@@ -150,6 +157,7 @@ pub fn read_trace(input: &mut impl BufRead) -> Result<Trace, ParseError> {
                     'w',
                     lineno,
                 )?;
+                task_addrs.clear();
                 trace.tasks.push(TaskRecord {
                     id,
                     fptr,
@@ -177,6 +185,15 @@ pub fn read_trace(input: &mut impl BufRead) -> Result<Trace, ParseError> {
                 let mode =
                     AccessMode::parse(toks.next().ok_or_else(|| syntax(lineno, "missing mode"))?)
                         .ok_or_else(|| syntax(lineno, "bad access mode"))?;
+                // One entry per address per task is the hardware model's
+                // precondition (see `normalize`); a repeat would otherwise
+                // surface much later as a simulated deadlock.
+                if !task_addrs.insert(addr) {
+                    return Err(syntax(
+                        lineno,
+                        format!("address {addr:x} repeats in task {}", task.id),
+                    ));
+                }
                 task.params.push(Param { addr, size, mode });
             }
             Some(other) => return Err(syntax(lineno, format!("unknown record `{other}`"))),

@@ -17,6 +17,8 @@
 //! * [`normalize`] — parameter-list hygiene (duplicate-address merging and
 //!   validation) applied before descriptors reach the hardware model.
 
+#![deny(missing_docs)]
+
 pub mod format;
 pub mod normalize;
 pub mod trace;

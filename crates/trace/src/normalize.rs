@@ -6,10 +6,10 @@
 //! Real StarSs code can legally pass the same block as both `input` and
 //! `output`; a source-to-source compiler canonicalizes that to `inout`.
 //! [`normalize_params`] performs that canonicalization, preserving first-
-//! occurrence order; [`validate_task`] reports structural problems a
-//! generator could produce.
+//! occurrence order. A trace file that repeats an address within one
+//! task is rejected by [`read_trace`](crate::format::read_trace).
 
-use crate::types::{Param, TaskRecord};
+use crate::types::Param;
 
 /// Merge duplicate addresses in a parameter list into single entries with
 /// the most conservative access mode. Order of first occurrence is kept;
@@ -28,44 +28,10 @@ pub fn normalize_params(params: &[Param]) -> Vec<Param> {
     out
 }
 
-/// Problems detected in a task record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaskIssue {
-    /// The same address appears more than once in the parameter list.
-    DuplicateAddress { addr: u64 },
-    /// A parameter has zero size (legal, but usually a generator bug).
-    ZeroSizeParam { addr: u64 },
-}
-
-/// Validate one task record, returning all issues found.
-pub fn validate_task(task: &TaskRecord) -> Vec<TaskIssue> {
-    let mut issues = Vec::new();
-    for (i, p) in task.params.iter().enumerate() {
-        if task.params[..i].iter().any(|q| q.addr == p.addr) {
-            issues.push(TaskIssue::DuplicateAddress { addr: p.addr });
-        }
-        if p.size == 0 {
-            issues.push(TaskIssue::ZeroSizeParam { addr: p.addr });
-        }
-    }
-    issues
-}
-
-/// Normalize a whole task in place (params deduplicated/merged).
-pub fn normalize_task(task: &mut TaskRecord) {
-    if validate_task(task)
-        .iter()
-        .any(|i| matches!(i, TaskIssue::DuplicateAddress { .. }))
-    {
-        task.params = normalize_params(&task.params);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::AccessMode;
-    use nexuspp_desim::SimTime;
 
     #[test]
     fn dedupes_and_merges_modes() {
@@ -86,34 +52,5 @@ mod tests {
     fn preserves_order_without_duplicates() {
         let params = vec![Param::input(3, 4), Param::input(1, 4), Param::input(2, 4)];
         assert_eq!(normalize_params(&params), params);
-    }
-
-    #[test]
-    fn validation_finds_issues() {
-        let t = TaskRecord::compute_only(
-            0,
-            vec![Param::input(5, 4), Param::input(5, 4), Param::output(6, 0)],
-            SimTime::NS,
-        );
-        let issues = validate_task(&t);
-        assert!(issues.contains(&TaskIssue::DuplicateAddress { addr: 5 }));
-        assert!(issues.contains(&TaskIssue::ZeroSizeParam { addr: 6 }));
-    }
-
-    #[test]
-    fn normalize_task_only_rewrites_when_needed() {
-        let clean = TaskRecord::compute_only(0, vec![Param::input(1, 4)], SimTime::NS);
-        let mut t = clean.clone();
-        normalize_task(&mut t);
-        assert_eq!(t, clean);
-
-        let mut dup = TaskRecord::compute_only(
-            0,
-            vec![Param::input(1, 4), Param::output(1, 4)],
-            SimTime::NS,
-        );
-        normalize_task(&mut dup);
-        assert_eq!(dup.params.len(), 1);
-        assert_eq!(dup.params[0].mode, AccessMode::InOut);
     }
 }

@@ -158,7 +158,8 @@ impl TraceStats {
     }
 
     /// Mean parameters per task.
-    pub fn mean_params(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_params(&self) -> f64 {
         if self.tasks == 0 {
             0.0
         } else {

@@ -157,7 +157,8 @@ pub struct TaskRecord {
 
 impl TaskRecord {
     /// A task with no memory traffic (useful in unit tests).
-    pub fn compute_only(id: u64, params: Vec<Param>, exec: SimTime) -> Self {
+    #[cfg(test)]
+    pub(crate) fn compute_only(id: u64, params: Vec<Param>, exec: SimTime) -> Self {
         TaskRecord {
             id,
             fptr: 0xABCD,

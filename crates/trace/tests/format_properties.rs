@@ -1,8 +1,9 @@
-//! Property tests of the `.ntr` serialization: every representable trace
-//! round-trips exactly.
+//! Property tests of the `.ntr` serialization: every trace the format
+//! accepts (one entry per address per task) round-trips exactly, and a
+//! task that names one address twice is rejected at its repeated line.
 
 use nexuspp_desim::SimTime;
-use nexuspp_trace::format::{trace_from_str, trace_to_string};
+use nexuspp_trace::format::{trace_from_str, trace_to_string, ParseError};
 use nexuspp_trace::{AccessMode, MemCost, Param, TaskRecord, Trace};
 use proptest::prelude::*;
 
@@ -34,11 +35,13 @@ prop_compose! {
         read in cost_strategy(),
         write in cost_strategy(),
     ) -> TaskRecord {
+        let mut seen = std::collections::HashSet::new();
         TaskRecord {
             id,
             fptr,
             params: params
                 .into_iter()
+                .filter(|&(a, _, _)| seen.insert(a))
                 .map(|(a, s, m)| Param::new(a, s, m))
                 .collect(),
             exec: SimTime::from_ps(exec_ps),
@@ -46,6 +49,29 @@ prop_compose! {
             write,
         }
     }
+}
+
+/// The hardware model takes one entry per address per task. A trace that
+/// repeats one used to parse and then run as a simulated deadlock; the
+/// parser now names the repeated line and address.
+#[test]
+fn repeated_address_in_one_task_is_a_syntax_error() {
+    let text = "ntr 1 dup\n\
+                t 0 1 e1000 r- w-\n\
+                p 1000 64 in\n\
+                p 1000 64 out\n\
+                t 1 1 e1000 r- w-\n\
+                p 1000 64 in\n";
+    match trace_from_str(text) {
+        Err(ParseError::Syntax { line, msg }) => {
+            assert_eq!(line, 4, "the second `p 1000` line");
+            assert!(msg.contains("1000"), "names the address: {msg}");
+        }
+        other => panic!("expected a syntax error, got {other:?}"),
+    }
+    // The same address in two different tasks is a dependence, not an error.
+    let ok = "ntr 1 dep\nt 0 1 e1000 r- w-\np 1000 64 out\nt 1 1 e1000 r- w-\np 1000 64 in\n";
+    assert_eq!(trace_from_str(ok).unwrap().tasks.len(), 2);
 }
 
 proptest! {

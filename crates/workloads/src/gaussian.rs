@@ -63,7 +63,7 @@ impl GaussianSpec {
 
     /// Weight of task `T_ji` in FLOPs (Formula 1 of the paper; 1-based
     /// `i`, `j`).
-    pub fn weight(&self, j: u32, i: u32) -> u64 {
+    pub(crate) fn weight(&self, j: u32, i: u32) -> u64 {
         debug_assert!(i >= 1 && j >= i && j <= self.n);
         let n = self.n as u64;
         if i == j {
@@ -74,7 +74,7 @@ impl GaussianSpec {
     }
 
     /// Sum of all task weights in FLOPs.
-    pub fn total_flops(&self) -> u64 {
+    pub(crate) fn total_flops(&self) -> u64 {
         let n = self.n as u64;
         // Pivots i = 1..n-1: Σ (n+1−i); updates per i: (n−i)·(n−i).
         (1..n).map(|i| (n + 1 - i) + (n - i) * (n - i)).sum()
@@ -92,7 +92,7 @@ impl GaussianSpec {
     }
 
     /// Address of column `j` (1-based).
-    pub fn col_addr(&self, j: u32) -> u64 {
+    pub(crate) fn col_addr(&self, j: u32) -> u64 {
         debug_assert!(j >= 1 && j <= self.n);
         self.base_addr + (j as u64 - 1) * (self.n as u64 * self.elem_bytes as u64)
     }

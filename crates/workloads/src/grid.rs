@@ -106,7 +106,7 @@ impl GridSpec {
     }
 
     /// Address of macroblock `X[i][j]`.
-    pub fn block_addr(&self, i: u32, j: u32) -> u64 {
+    pub(crate) fn block_addr(&self, i: u32, j: u32) -> u64 {
         debug_assert!(i < self.rows && j < self.cols);
         self.base_addr + (i as u64 * self.cols as u64 + j as u64) * self.block_bytes as u64
     }

@@ -65,7 +65,7 @@ impl IncrStencilSpec {
     /// The edit list that declares the whole stencil, step-major: the
     /// task for `(i, t)` pins version `t - 1` of its halo neighbours
     /// and writes cell `i` (minting version `t`).
-    pub fn decl_edits(&self) -> Vec<Edit> {
+    pub(crate) fn decl_edits(&self) -> Vec<Edit> {
         let mut edits = Vec::with_capacity(self.task_count() as usize);
         for t in 1..=self.steps {
             for i in 0..self.cells {

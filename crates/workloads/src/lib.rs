@@ -17,10 +17,10 @@
 //! * [`stress`] — synthetic stressors for the dummy-task (many-parameter)
 //!   and `ww`-flag (write-after-read) mechanisms that the paper's own
 //!   benchmarks do not reach,
-//! * [`sharded_stress`] — shard-aware address streams with tunable shard
+//! * [`ShardedStressSpec`] — shard-aware address streams with tunable shard
 //!   skew and hot-key ratio, driving the sharded resolver's balanced best
 //!   case and its pathological single-hot-shard case,
-//! * [`capacity_stress`] — deep serial `inout` chains fanned out wider
+//! * [`CapacityStressSpec`] — deep serial `inout` chains fanned out wider
 //!   than any bounded shard table, the stall/retry stressor for the
 //!   fixed-capacity resolvers (`ShardCapacity`),
 //! * [`steal_stress`] — the imbalanced fan-out (one root releasing many
@@ -42,13 +42,15 @@
 //! * [`analysis`] — task-graph analytics (parallelism profile, critical
 //!   path) used to regenerate Figure 4's ramp-effect illustration.
 
+#![deny(missing_docs)]
+
 pub mod analysis;
-pub mod capacity_stress;
+mod capacity_stress;
 pub mod gaussian;
 pub mod grid;
 pub mod incr_edits;
 pub mod random;
-pub mod sharded_stress;
+mod sharded_stress;
 pub mod steal_stress;
 pub mod stress;
 pub mod timing;

@@ -74,7 +74,8 @@ impl ShardedStressSpec {
 
     /// Balanced addresses plus a contended hot key read by `hot_ratio` of
     /// the tasks.
-    pub fn hot_key(n_tasks: u32, shards: u32, hot_ratio: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn hot_key(n_tasks: u32, shards: u32, hot_ratio: f64) -> Self {
         ShardedStressSpec {
             hot_ratio,
             ..Self::balanced(n_tasks, shards)

@@ -35,7 +35,8 @@ pub struct StealStressSpec {
 impl StealStressSpec {
     /// A spec sized so `workers` workers stay fed once chains distribute
     /// (two chains per worker).
-    pub fn for_workers(workers: u32, chain_len: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn for_workers(workers: u32, chain_len: u32) -> Self {
         StealStressSpec {
             chains: 2 * workers.max(1),
             chain_len,
@@ -49,12 +50,12 @@ impl StealStressSpec {
     }
 
     /// The root's seed address.
-    pub fn root_addr(&self) -> u64 {
+    pub(crate) fn root_addr(&self) -> u64 {
         0xD000_0000
     }
 
     /// Chain `c`'s cell address.
-    pub fn chain_addr(&self, c: u32) -> u64 {
+    pub(crate) fn chain_addr(&self, c: u32) -> u64 {
         0xD100_0000 + c as u64 * 0x100
     }
 

@@ -4,11 +4,12 @@
 //!   validating the **dummy task** chain in the Task Pool (the paper's own
 //!   benchmarks have ≤ 3 parameters per task under our workload models;
 //!   the mechanism is motivated by §II-C but only synthetic tasks hit it),
-//! * [`fan_out`] — one producer feeding `k` consumers, the minimal
-//!   Kick-Off-List overflow case,
-//! * [`war_chain`] — alternating reader groups and writers on one address,
-//!   exercising the `ww` ("a writer waits") flag and the drain-readers-
-//!   until-writer wake-up that the paper describes as a WAR/WAW safeguard.
+//! * `fan_out` (unit tests only) — one producer feeding `k` consumers,
+//!   the minimal Kick-Off-List overflow case,
+//! * `war_chain` (unit tests only) — alternating reader groups and
+//!   writers on one address, exercising the `ww` ("a writer waits") flag
+//!   and the drain-readers-until-writer wake-up that the paper describes
+//!   as a WAR/WAW safeguard.
 
 use nexuspp_desim::SimTime;
 use nexuspp_trace::{MemCost, Param, TaskRecord, Trace};
@@ -51,7 +52,8 @@ pub fn wide_params(n_tasks: u32, n_params: u32, exec_ns: u64) -> Trace {
 /// One producer writing a block, then `k` consumers each reading it: the
 /// producer's Kick-Off List must hold `k` waiters (dummy entries beyond
 /// the hardware list size).
-pub fn fan_out(k: u32, exec_ns: u64) -> Trace {
+#[cfg(test)]
+pub(crate) fn fan_out(k: u32, exec_ns: u64) -> Trace {
     let addr = 0x9000_0000;
     let mut tasks = vec![task(0, vec![Param::output(addr, 64)], exec_ns)];
     for c in 1..=k as u64 {
@@ -68,7 +70,8 @@ pub fn fan_out(k: u32, exec_ns: u64) -> Trace {
 /// followed by one writer of it. Every round after the first exercises the
 /// RAW wake-up; every writer exercises the WAR (`ww`) path against the
 /// round's readers.
-pub fn war_chain(rounds: u32, readers: u32, exec_ns: u64) -> Trace {
+#[cfg(test)]
+pub(crate) fn war_chain(rounds: u32, readers: u32, exec_ns: u64) -> Trace {
     let shared = 0xA000_0000u64;
     let mut tasks = Vec::new();
     let mut id = 0u64;

@@ -101,7 +101,8 @@ impl H264Timing {
     }
 
     /// Mean total memory time implied by the model (read + write means).
-    pub fn mean_mem_ns(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_mem_ns(&self) -> f64 {
         self.read.mean + self.write.mean
     }
 }

@@ -16,7 +16,6 @@
 //! pipeline recovers.
 
 use crate::grid::GridSpec;
-use crate::timing::H264Timing;
 use nexuspp_core::TaskBuilder;
 use nexuspp_desim::Rng;
 use nexuspp_trace::{MemCost, Trace};
@@ -59,7 +58,7 @@ impl VideoSpec {
 
     /// Address of macroblock `(frame, i, j)` — each frame gets its own
     /// buffer region.
-    pub fn block_addr(&self, frame: u32, i: u32, j: u32) -> u64 {
+    pub(crate) fn block_addr(&self, frame: u32, i: u32, j: u32) -> u64 {
         debug_assert!(frame < self.frames);
         let frame_bytes = self.grid.task_count() * self.grid.block_bytes as u64;
         self.grid.base_addr
@@ -104,11 +103,6 @@ impl VideoSpec {
             ),
             tasks,
         )
-    }
-
-    /// Timing model accessor (for overrides in tests).
-    pub fn timing_mut(&mut self) -> &mut H264Timing {
-        &mut self.grid.timing
     }
 }
 

@@ -6,7 +6,6 @@
 //! names so applications can depend on a single crate:
 //!
 //! * [`desim`] — discrete-event simulation kernel (SystemC substitute),
-//! * [`hw`] — memory/bus/SRAM timing models and storage budgets,
 //! * [`trace`] — task descriptor and trace data model,
 //! * [`workloads`] — the paper's benchmark generators,
 //! * [`core`] — the Nexus++ task pool, dependence table and resolution
@@ -29,6 +28,8 @@
 //!   shards, like the real hardware tables),
 //! * [`taskmachine`] — the full-system "Task Machine" simulator, plus the
 //!   multi-Maestro sharded variant,
+//! * [`hw`] — the Task Machine's memory/bus/SRAM timing models and
+//!   storage budgets,
 //! * [`obs`] — the observability layer: lifecycle event tracing with
 //!   lock-free bounded rings, a metrics registry over every layer's
 //!   counters, Chrome-trace export and critical-path analysis,
@@ -42,8 +43,9 @@
 //!   multi-tenant ingress ([`service::ResolverService`]) with bounded
 //!   per-tenant lanes, admission budgets, live per-tenant metrics, and
 //!   two-phase graceful shutdown,
-//! * [`baseline`] — the original-Nexus limits model and a software-RTS
-//!   timing model.
+//! * [`baseline`] — the Task Machine's comparison systems: the
+//!   original-Nexus limits model, a software-RTS timing model and the
+//!   ideal scheduler bound.
 //!
 //! See `README.md` for the workspace layout and verify commands.
 //!
@@ -200,11 +202,9 @@
 //! assert_eq!(svc.metrics_snapshot().get("tenant1", "executed"), Some(16));
 //! ```
 
-pub use nexuspp_baseline as baseline;
 pub use nexuspp_core as core;
 pub use nexuspp_desim as desim;
 pub use nexuspp_frontend as frontend;
-pub use nexuspp_hw as hw;
 pub use nexuspp_incr as incr;
 pub use nexuspp_obs as obs;
 pub use nexuspp_runtime as runtime;
@@ -212,5 +212,6 @@ pub use nexuspp_sched as sched;
 pub use nexuspp_service as service;
 pub use nexuspp_shard as shard;
 pub use nexuspp_taskmachine as taskmachine;
+pub use nexuspp_taskmachine::{baseline, hw};
 pub use nexuspp_trace as trace;
 pub use nexuspp_workloads as workloads;
