@@ -14,7 +14,7 @@
 //! time-series window to `DIR/metrics.jsonl` at exit.
 
 use nexuspp_core::ShardCapacity;
-use nexuspp_obs::{render_dashboard, Collector, CollectorConfig, Recorder};
+use nexuspp_obs::{render_dashboard, Collector, Recorder};
 use nexuspp_runtime::Runtime;
 use std::io::Write;
 use std::path::PathBuf;
@@ -109,11 +109,7 @@ fn submit_burst(rt: &Runtime) {
 /// Run a watch session, rendering frames into `out`. Factored off the
 /// binary so tests drive it against a buffer.
 pub fn run_watch(opts: &WatchOptions, out: &mut dyn Write) -> std::io::Result<WatchSummary> {
-    let cfg = CollectorConfig {
-        interval: Duration::from_millis(2),
-        ..CollectorConfig::default()
-    };
-    let collector = Collector::spawn(Arc::new(Recorder::new(opts.workers)), cfg);
+    let collector = Collector::new(Arc::new(Recorder::new(opts.workers)));
     let rt = Runtime::with_observer(opts.workers, 4, ShardCapacity::Unbounded, &collector);
 
     let mut live_frames = 0u32;

@@ -296,19 +296,6 @@ impl IncrementalProgram {
         };
         self.ops_reported = ops_total;
         self.touched.clear();
-        if let Some(g) = &self.metrics {
-            let bump = |name: &str, v: u64| {
-                if let Some(c) = g.counter(name) {
-                    c.add(v);
-                }
-            };
-            bump("runs", 1);
-            bump("total", report.total as u64);
-            bump("dirtied", report.dirtied as u64);
-            bump("reran", report.reran as u64);
-            bump("reused", report.reused as u64);
-            bump("order_ops", report.order_maintenance_ops);
-        }
         report
     }
 
@@ -646,27 +633,5 @@ mod tests {
             },
         );
         assert_eq!(submitted(&ip), Some(4), "a new shape starts a new runtime");
-    }
-
-    #[test]
-    fn metrics_funnel_adds_up() {
-        use nexuspp_obs::MetricsRegistry;
-        let reg = MetricsRegistry::new();
-        let mut ip = diamond();
-        ip.register_metrics(&reg, "incr");
-        ip.rerun(Lowering::Renamed, &Backend::Engine { shards: 2 });
-        ip.edit(Edit::SetInitial {
-            resource: "in".into(),
-            seed: 3,
-        })
-        .unwrap();
-        ip.rerun(Lowering::Renamed, &Backend::Engine { shards: 2 });
-        let snap = reg.snapshot();
-        assert_eq!(snap.get("incr", "runs"), Some(2));
-        assert_eq!(
-            snap.get("incr", "reran").unwrap() + snap.get("incr", "reused").unwrap(),
-            snap.get("incr", "total").unwrap(),
-            "reran + reused == total, cumulatively"
-        );
     }
 }

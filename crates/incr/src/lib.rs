@@ -22,8 +22,7 @@
 //!   the invalidated cone to a [`Backend`] (the batch engine, or the
 //!   threaded runtime — where re-run bodies compute contents live
 //!   against spliced memoized inputs). Each run reports an
-//!   [`IncrReport`] and can feed live counters into a
-//!   [`MetricsRegistry`](nexuspp_obs::MetricsRegistry).
+//!   [`IncrReport`].
 //!
 //! A from-scratch execution is just the degenerate case: an empty store
 //! dirties everything, so the very first `rerun` runs the whole

@@ -37,11 +37,9 @@ use crate::order::{DynamicTopo, OrderError};
 use crate::store::{self, Store};
 use nexuspp_core::Priority;
 use nexuspp_frontend::{Program, ResourceId, TaskDecl, Version};
-use nexuspp_obs::CounterGroup;
 use nexuspp_runtime::Runtime;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 /// One declared access in an [`Edit`] — the name-based form the
 /// frontend's builder accepts, kept symbolic so declarations can be
@@ -227,8 +225,6 @@ pub struct IncrementalProgram {
     pub(crate) store: Store,
     /// Keys dirtied by edits since the last re-run.
     pub(crate) touched: BTreeSet<u64>,
-    /// Live counters, if attached.
-    pub(crate) metrics: Option<Arc<CounterGroup>>,
     /// `topo.ops()` as of the last report (for per-run deltas).
     pub(crate) ops_reported: u64,
     /// The runtime the last `Backend::Runtime` re-run used, with its
@@ -242,13 +238,6 @@ impl Default for IncrementalProgram {
         Self::new()
     }
 }
-
-/// Counter names in the group [`register_metrics`] registers.
-///
-/// [`register_metrics`]: IncrementalProgram::register_metrics
-#[cfg(test)]
-pub(crate) const METRIC_NAMES: [&str; 6] =
-    ["runs", "total", "dirtied", "reran", "reused", "order_ops"];
 
 impl IncrementalProgram {
     /// An empty program with an empty memo store (so the first re-run
@@ -267,7 +256,6 @@ impl IncrementalProgram {
             topo: DynamicTopo::new(),
             store: Store::new(),
             touched: BTreeSet::new(),
-            metrics: None,
             ops_reported: 0,
             runtime: None,
         }
@@ -335,23 +323,6 @@ impl IncrementalProgram {
     pub fn invalidate_all(&mut self) {
         self.store.clear();
         self.touched.extend(self.resolved.keys().copied());
-    }
-
-    /// Create the live counter group ([`METRIC_NAMES`]) and register it
-    /// in `reg` under `group`. Each re-run adds that run's totals, so
-    /// snapshots taken mid-session show the cumulative reuse funnel.
-    #[cfg(test)]
-    pub(crate) fn register_metrics(
-        &mut self,
-        reg: &nexuspp_obs::MetricsRegistry,
-        group: &str,
-    ) -> Arc<CounterGroup> {
-        let g = self
-            .metrics
-            .get_or_insert_with(|| Arc::new(CounterGroup::new(&METRIC_NAMES)))
-            .clone();
-        g.register_in(reg, group);
-        g
     }
 
     /// Intern `name`, returning its stable [`ResourceId`].

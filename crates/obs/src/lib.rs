@@ -31,16 +31,16 @@
 //!    spans from the same records. [`timelines`] and
 //!    [`latency_breakdown`] replay a drained batch through a fresh
 //!    tracker.
-//! 4. **Online introspection**: an [`EventStream`] with cursor-based
-//!    [`Subscriber`]s drains the rings *while producers still emit*
-//!    (seq-ordered release, per-subscriber lag attribution); a
-//!    background [`Collector`] thread — attached via the runtimes'
-//!    `with_observer` constructors — feeds the same fold live (per-task
-//!    state machine, wake edges, illegal-transition detector, stage
-//!    quantiles) and a metrics [`Sampler`] (bounded time series of
-//!    [`MetricsSnapshot`]s with rate derivation and JSONL export);
-//!    [`render_dashboard`] turns a [`TrackerSnapshot`] into the
-//!    `repro -- watch` text UI.
+//! 4. **Online introspection**: a background [`Collector`] thread —
+//!    attached via the runtimes' `with_observer` constructors — is the
+//!    one live reader of the rings. It drains them *while producers
+//!    still emit*, releases events in strict `seq` order through a
+//!    watermark, and applies each one straight to the same fold
+//!    (per-task state machine, wake edges, illegal-transition
+//!    detector, stage quantiles); it also ticks a metrics [`Sampler`]
+//!    (bounded time series of [`MetricsSnapshot`]s with rate derivation
+//!    and JSONL export). [`render_dashboard`] turns a
+//!    [`TrackerSnapshot`] into the `repro -- watch` text UI.
 //!
 //! Event flow:
 //!
@@ -51,20 +51,20 @@
 //!  …           │  + release-publish      │
 //!              └── (full ring: dropped++)┘
 //!        offline: drain() at quiescence (seq-sorted) → GraphTracker → export
-//!        online:  EventStream::pump() → seq watermark → Subscribers
-//!                 └─ Collector thread → GraphTracker + Sampler
+//!        online:  Collector thread: drain() → seq watermark → GraphTracker
+//!                                   + Sampler tick
 //! ```
 //!
 //! The accounting invariant the wraparound tests hold the rings to:
 //! `recorded() + dropped()` equals the number of `emit` calls, always —
 //! and because `seq` is allocated only *after* a slot claim succeeds,
-//! the published sequence space is dense, so the stream can release in
-//! strict `seq` order without stalling on gaps that will never fill.
+//! the published sequence space is dense, so the collector can release
+//! in strict `seq` order without stalling on gaps that will never fill.
 //! The differential tests in `nexuspp-runtime` go further: at
 //! quiescence, event-derived totals must equal every legacy counter
-//! (`obs_differential.rs`), and the live tracker's final state must
-//! equal a quiescent replay of the same stream
-//! (`stream_differential.rs`).
+//! (`obs_differential.rs`), and the live tracker must apply every
+//! recorded event while a quiescent drain folds to the same state
+//! whether it arrives whole or in chunks (`stream_differential.rs`).
 
 #![deny(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -77,7 +77,6 @@ mod recorder;
 mod registry;
 mod ring;
 mod sampler;
-mod stream;
 mod sync;
 mod tracker;
 mod watch;
@@ -86,12 +85,11 @@ pub use analyze::{
     latency_breakdown, timelines, LatencyBreakdown, LatencyStats, ObservedCriticalPath,
     TaskTimeline,
 };
-pub use collector::{Collector, CollectorConfig, CollectorReport};
+pub use collector::{Collector, CollectorReport, StreamStats};
 pub use event::{Event, EventKind, NO_SHARD, NO_TASK};
 pub use export::{chrome_trace, validate_json};
 pub use recorder::Recorder;
 pub use registry::{Counter, CounterGroup, MetricsGroup, MetricsRegistry, MetricsSnapshot};
 pub use sampler::{SampledSnapshot, Sampler};
-pub use stream::{EventStream, StreamStats, Subscriber};
 pub use tracker::{GraphTracker, TaskState, TrackerSnapshot, Violation};
 pub use watch::render_dashboard;

@@ -126,14 +126,6 @@ impl CounterGroup {
             .map(|(n, c)| (n.clone(), c.get()))
             .collect()
     }
-
-    /// Register this group in `reg` under `group`; the registered
-    /// source reads the same atomics the handles write, so snapshots
-    /// stay live.
-    pub fn register_in(self: &Arc<Self>, reg: &MetricsRegistry, group: &str) {
-        let me = Arc::clone(self);
-        reg.register(group, move || me.snapshot());
-    }
 }
 
 /// One group of counters within a [`MetricsSnapshot`].
@@ -212,7 +204,8 @@ mod tests {
     fn counter_groups_register_live_handles() {
         let reg = MetricsRegistry::new();
         let group = Arc::new(CounterGroup::new(&["submitted", "rejected", "peak"]));
-        group.register_in(&reg, "tenant1");
+        let g = Arc::clone(&group);
+        reg.register("tenant1", move || g.snapshot());
         let submitted = group.counter("submitted").unwrap();
         let peak = group.counter("peak").unwrap();
         assert!(group.counter("missing").is_none());

@@ -79,11 +79,11 @@ impl EventRing {
     /// succeeds, so anything it allocates from a shared counter (the
     /// recorder's global sequence number) is allocated exactly for
     /// events that will be published — a rejected push consumes
-    /// nothing. That density is what lets a live [`EventStream`] release
+    /// nothing. That density is what lets the live [`Collector`] release
     /// events in strict sequence order without stalling on a sequence
     /// number that was allocated and then dropped.
     ///
-    /// [`EventStream`]: crate::EventStream
+    /// [`Collector`]: crate::Collector
     pub(crate) fn push_with(&self, build: impl FnOnce() -> Event) -> bool {
         let mut pos = self.head.load(Ordering::Relaxed);
         loop {

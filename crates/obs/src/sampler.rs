@@ -5,9 +5,9 @@
 //! turns that into a bounded history of timestamped snapshots so a
 //! live consumer can ask the questions a single snapshot can't —
 //! how fast are tasks finishing, is wake traffic accelerating, did
-//! steals spike. The ring is bounded (oldest snapshots are evicted and
-//! counted, mirroring the event rings' drop accounting), so a
-//! long-lived service can sample forever in constant memory.
+//! steals spike. The window is bounded at 256 snapshots (the oldest is
+//! evicted), so a long-lived service can sample forever in constant
+//! memory.
 //!
 //! Rates are derived between the two most recent snapshots: counters
 //! here are monotonically increasing totals, so
@@ -34,34 +34,31 @@ pub struct SampledSnapshot {
     pub snap: MetricsSnapshot,
 }
 
+/// Snapshots a [`Sampler`] retains.
+const WINDOW: usize = 256;
+
 /// A bounded time series of [`MetricsRegistry`] snapshots.
 pub struct Sampler {
     reg: Arc<MetricsRegistry>,
     epoch: Instant,
     window: VecDeque<SampledSnapshot>,
-    capacity: usize,
-    evicted: u64,
 }
 
 impl std::fmt::Debug for Sampler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sampler")
             .field("samples", &self.window.len())
-            .field("evicted", &self.evicted)
             .finish()
     }
 }
 
 impl Sampler {
-    /// A sampler over `reg` retaining the most recent `capacity`
-    /// snapshots (minimum 2, so rates are always derivable).
-    pub fn new(reg: Arc<MetricsRegistry>, capacity: usize) -> Sampler {
+    /// A sampler over `reg` retaining the most recent 256 snapshots.
+    pub fn new(reg: Arc<MetricsRegistry>) -> Sampler {
         Sampler {
             reg,
             epoch: Instant::now(),
-            window: VecDeque::new(),
-            capacity: capacity.max(2),
-            evicted: 0,
+            window: VecDeque::with_capacity(WINDOW),
         }
     }
 
@@ -71,17 +68,11 @@ impl Sampler {
             ts_ns: self.epoch.elapsed().as_nanos() as u64,
             snap: self.reg.snapshot(),
         };
-        if self.window.len() == self.capacity {
+        if self.window.len() == WINDOW {
             self.window.pop_front();
-            self.evicted += 1;
         }
         self.window.push_back(s);
         self.window.back().expect("just pushed")
-    }
-
-    /// Retained snapshots, oldest first.
-    pub fn window(&self) -> impl Iterator<Item = &SampledSnapshot> {
-        self.window.iter()
     }
 
     /// Number of retained snapshots.
@@ -92,11 +83,6 @@ impl Sampler {
     /// Whether no snapshot has been taken yet.
     pub fn is_empty(&self) -> bool {
         self.window.is_empty()
-    }
-
-    /// Snapshots evicted from the bounded window so far.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
     }
 
     /// The most recent snapshot.
@@ -186,25 +172,31 @@ mod tests {
     }
 
     #[test]
-    fn window_is_bounded_and_evictions_counted() {
-        let (reg, _n) = counting_registry();
-        let mut s = Sampler::new(reg, 3);
-        for _ in 0..10 {
+    fn window_is_bounded_and_keeps_the_newest() {
+        let (reg, n) = counting_registry();
+        let mut s = Sampler::new(reg);
+        for i in 0..WINDOW as u64 + 7 {
+            n.store(i, Ordering::Relaxed);
             s.tick();
         }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.evicted(), 7);
+        assert_eq!(s.len(), WINDOW);
+        // The seven oldest were evicted, the rest kept in tick order.
+        assert_eq!(s.window[0].snap.get("tasks", "done"), Some(7));
         assert!(s
-            .window()
-            .collect::<Vec<_>>()
-            .windows(2)
-            .all(|w| w[0].ts_ns <= w[1].ts_ns));
+            .window
+            .iter()
+            .zip(s.window.iter().skip(1))
+            .all(|(a, b)| a.ts_ns <= b.ts_ns));
+        assert_eq!(
+            s.latest().unwrap().snap.get("tasks", "done"),
+            Some(WINDOW as u64 + 6)
+        );
     }
 
     #[test]
     fn rates_reflect_counter_deltas() {
         let (reg, n) = counting_registry();
-        let mut s = Sampler::new(reg, 8);
+        let mut s = Sampler::new(reg);
         assert!(s.rates().is_empty());
         s.tick();
         assert!(s.rates().is_empty());
@@ -223,7 +215,7 @@ mod tests {
     fn jsonl_lines_are_valid_json() {
         let (reg, n) = counting_registry();
         reg.register("odd \"names\"", || vec![("a\\b".to_string(), 7)]);
-        let mut s = Sampler::new(reg, 4);
+        let mut s = Sampler::new(reg);
         n.store(3, Ordering::Relaxed);
         s.tick();
         s.tick();

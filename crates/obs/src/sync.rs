@@ -1,7 +1,7 @@
 //! Poison-tolerant locking for the observability layer.
 //!
 //! Observability must never turn one failure into two: a task body (or a
-//! metrics source) that panics while a collector/stream lock is held
+//! metrics source) that panics while a collector lock is held
 //! poisons that `std::sync::Mutex`, and a bare `.lock().unwrap()` then
 //! re-panics in whoever touches it next — including `Drop` impls, where
 //! a second panic aborts the process. Every lock in this crate goes

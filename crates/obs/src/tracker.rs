@@ -4,10 +4,10 @@
 //! TEMANEJO-style introspection (arXiv:1112.4604) watches a StarSs run
 //! as a graph whose nodes change color while the run is in flight.
 //! [`GraphTracker`] is that view for this runtime: it consumes
-//! lifecycle events *online* (typically from a
-//! [`Subscriber`](crate::Subscriber), via the background
-//! [`Collector`](crate::Collector)) or a drained batch *post-mortem*,
-//! and it is the crate's one fold of the stream: every per-task reader
+//! lifecycle events *online* (from the background
+//! [`Collector`](crate::Collector), in strict `seq` order) or a drained
+//! batch *post-mortem*, and it is the crate's one fold of the stream:
+//! every per-task reader
 //! ([`timelines`](crate::timelines), [`chrome_trace`](crate::chrome_trace),
 //! [`critical_path`](GraphTracker::critical_path)) reads its records.
 //! Each record is the task's current [`TaskState`], its home shard and
@@ -319,8 +319,8 @@ impl GraphTracker {
         }
     }
 
-    /// Apply a batch (a [`Subscriber::poll`](crate::Subscriber::poll)
-    /// result).
+    /// Apply a batch (a [`Recorder::drain`](crate::Recorder::drain)
+    /// result, or a slice of one).
     pub fn apply_batch(&mut self, events: &[Event]) {
         for e in events {
             self.apply(e);

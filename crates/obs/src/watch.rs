@@ -7,7 +7,7 @@
 //! vs. plain append, frame pacing, duration bounds).
 
 use crate::analyze::LatencyStats;
-use crate::stream::StreamStats;
+use crate::collector::StreamStats;
 use crate::tracker::{TaskState, TrackerSnapshot};
 
 /// Human-scale nanoseconds: `532ns`, `1.4us`, `12.0ms`, `3.1s`.
@@ -143,7 +143,6 @@ mod tests {
             pending: 2,
             recorded: 52,
             dropped: 0,
-            history_len: 50,
         };
         let frame = render_dashboard(7, &snap, &rates, &stats);
         for s in TaskState::ALL {

@@ -1,7 +1,8 @@
 //! Online ≡ offline: the `Collector`'s live `GraphTracker` — fed
 //! incrementally by the background thread while workers are still
-//! executing — must end in exactly the state a fresh tracker reaches
-//! when replaying the same stream from a quiescent drain.
+//! executing — must apply every event the run recorded, and a fold of
+//! the same workload's quiescent drain must not depend on how the
+//! stream was cut into batches.
 //!
 //! Covered matrix: one resolver shard (a single engine) and four,
 //! {1, 4} workers. Each configuration also asserts the properties that make the live view *live*:
@@ -11,14 +12,20 @@
 //!   the run, not summarizing it afterwards;
 //! * the state machine sees zero illegal transitions on real streams.
 //!
-//! Live ≡ replay only shows the tracker agrees with itself, so the
-//! final fold is also held to what it did not compute: its wake edges
+//! A second run of the workload records into a plain `Recorder` and is
+//! drained at quiescence; folding that stream in chunks of 1, 7 and 64
+//! events must give the snapshot and edge list of folding it whole, so
+//! the collector's per-poll batches cannot change what it computes.
+//! Agreement alone only shows the tracker agrees with itself, so the
+//! live fold is also held to what it did not compute: its wake edges
 //! to the runtime's delivered-wake counter, each stage's sample count
 //! to the task count, and its critical path to the chain depth.
 
 use nexuspp_core::ShardCapacity;
-use nexuspp_obs::{Collector, CollectorReport, GraphTracker, Recorder, Subscriber, TaskState};
+use nexuspp_obs::{Collector, CollectorReport, GraphTracker, Recorder, TaskState};
 use nexuspp_runtime::Runtime;
+use nexuspp_sched::SchedulerKind;
+use nexuspp_shard::WakeMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,46 +91,20 @@ fn wait_for_mid_flight(collector: &Collector) -> u64 {
 }
 
 /// Post-run assertions shared by every configuration.
-fn verify(
-    label: &str,
-    report: &CollectorReport,
-    replay_sub: &mut Subscriber,
-    mid_flight: u64,
-    delivered: u64,
-) {
+fn verify(label: &str, report: &CollectorReport, mid_flight: u64, delivered: u64) {
     assert_eq!(
         report.stream.dropped, 0,
         "{label}: event rings must not overflow"
     );
+    // The one live reader applied everything the rings recorded.
+    assert_eq!(report.stream.pending, 0, "{label}: nothing held back");
     assert_eq!(
-        report.missed, 0,
-        "{label}: the collector's subscriber must never lag off history"
+        report.tracker.snapshot().events_applied,
+        report.stream.recorded,
+        "{label}: every recorded event applied live"
     );
 
-    // Offline replay of the same released stream.
-    let events = replay_sub.poll();
-    assert_eq!(
-        replay_sub.missed(),
-        0,
-        "{label}: history must hold the whole run"
-    );
-    assert_eq!(events.len() as u64, report.stream.released);
-    let mut quiescent = GraphTracker::new();
-    quiescent.apply_batch(&events);
-
-    // The acceptance bar: live == offline, exactly.
-    assert_eq!(
-        report.tracker.snapshot(),
-        quiescent.snapshot(),
-        "{label}: live tracker must agree with the quiescent replay"
-    );
-    assert_eq!(
-        report.tracker.edges().collect::<Vec<_>>(),
-        quiescent.edges().collect::<Vec<_>>(),
-        "{label}: edge sets"
-    );
-
-    // And the final state is the one a finished run must have.
+    // The final state is the one a finished run must have.
     let snap = report.tracker.snapshot();
     assert_eq!(snap.count(TaskState::Finished), task_count(), "{label}");
     assert_eq!(snap.in_flight(), 0, "{label}");
@@ -159,13 +140,55 @@ fn verify(
     );
 }
 
+/// Record the workload into a plain recorder, drain it at quiescence,
+/// and fold it whole and in chunks: every cut must give the same state.
+fn check_chunked_fold(label: &str, workers: usize, shards: usize) {
+    let rec = Arc::new(Recorder::new(workers));
+    let rt = Runtime::with_recorder(
+        workers,
+        shards,
+        SchedulerKind::default(),
+        ShardCapacity::Unbounded,
+        WakeMode::default(),
+        Arc::clone(&rec),
+    );
+    let executed = spawn_workload(&rt);
+    rt.barrier();
+    assert_eq!(executed.load(Ordering::Relaxed), task_count());
+    drop(rt);
+    let events = rec.drain();
+    assert_eq!(rec.dropped(), 0, "{label}: event rings must not overflow");
+    assert_eq!(events.len() as u64, rec.recorded());
+
+    let mut whole = GraphTracker::new();
+    whole.apply_batch(&events);
+    assert_eq!(whole.snapshot().violations, 0, "{label}");
+    assert_eq!(
+        whole.snapshot().count(TaskState::Finished),
+        task_count(),
+        "{label}"
+    );
+    for chunk in [1, 7, 64] {
+        let mut cut = GraphTracker::new();
+        for batch in events.chunks(chunk) {
+            cut.apply_batch(batch);
+        }
+        assert_eq!(
+            cut.snapshot(),
+            whole.snapshot(),
+            "{label}: chunks of {chunk} must fold like the whole stream"
+        );
+        assert_eq!(
+            cut.edges().collect::<Vec<_>>(),
+            whole.edges().collect::<Vec<_>>(),
+            "{label}: edge lists, chunks of {chunk}"
+        );
+    }
+}
+
 fn check(workers: usize, shards: usize) {
     let label = format!("{shards} shards/{workers}w");
     let collector = Collector::new(Arc::new(Recorder::new(workers)));
-    // A second subscriber on the same stream: after the collector's
-    // final poll it replays the exact released sequence quiescently.
-    let mut replay_sub = collector.stream().clone().subscribe();
-
     let rt = Runtime::with_observer(workers, shards, ShardCapacity::Unbounded, &collector);
     let executed = spawn_workload(&rt);
     let mid_flight = wait_for_mid_flight(&collector);
@@ -177,7 +200,8 @@ fn check(workers: usize, shards: usize) {
     drop(rt);
     let report = collector.finish();
 
-    verify(&label, &report, &mut replay_sub, mid_flight, delivered);
+    verify(&label, &report, mid_flight, delivered);
+    check_chunked_fold(&label, workers, shards);
 }
 
 #[test]

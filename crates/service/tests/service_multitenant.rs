@@ -518,10 +518,7 @@ fn collector_samples_per_tenant_groups_live() {
     with_watchdog(60, "live tenant metrics", || {
         let collector = nexuspp_obs::Collector::spawn(
             Arc::new(nexuspp_obs::Recorder::with_capacity(4, 1 << 14)),
-            nexuspp_obs::CollectorConfig {
-                interval: Duration::from_millis(1),
-                ..nexuspp_obs::CollectorConfig::default()
-            },
+            Duration::from_millis(1),
         );
         let svc = ResolverService::with_observer(
             ServiceConfig::new(2, 2)
@@ -550,6 +547,21 @@ fn collector_samples_per_tenant_groups_live() {
             assert!(Instant::now() < deadline, "sampler never saw tenant1");
             std::thread::sleep(Duration::from_millis(1));
         }
+        // The service attaches its registry after the runtime attached
+        // its own; the second attach must keep the full window. Wait
+        // for ten 1 ms ticks (or a second of sampling), then the window
+        // must hold more than the two snapshots rates need.
+        let held = loop {
+            let (len, ts_ns) = collector
+                .with_sampler(|s| (s.len(), s.latest().map_or(0, |l| l.ts_ns)))
+                .unwrap_or((0, 0));
+            if len >= 10 || ts_ns >= 1_000_000_000 {
+                break len;
+            }
+            assert!(Instant::now() < deadline, "sampler stopped ticking");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(held > 2, "sampler window holds only {held} snapshots");
         let report = svc.shutdown();
         assert!(report.graceful);
         let obs_report = collector.finish();

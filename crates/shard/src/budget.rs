@@ -30,8 +30,7 @@ pub enum BudgetError {
         /// The cap that was hit.
         cap: u64,
     },
-    /// The tenant was never registered and the ledger was built without
-    /// a default lane. Not retryable.
+    /// The tenant was never registered. Not retryable.
     UnknownTenant,
 }
 
@@ -114,11 +113,6 @@ pub struct TenantCounts {
 /// the single-tenant/embedded path, which predates tenancy.
 pub struct TenantBudgets {
     lanes: HashMap<TenantId, Arc<Lane>>,
-    /// Shared lane for unregistered tenants; `None` refuses them
-    /// outright.
-    /// Collapsing them into one lane keeps the map immutable; the
-    /// default lane is a catch-all, not per-tenant isolation.
-    default_lane: Option<Arc<Lane>>,
 }
 
 /// One tenant's lane of a [`TenantBudgets`] ledger, resolved once by
@@ -162,30 +156,16 @@ impl TenantBudgets {
                 .into_iter()
                 .map(|(t, cap)| (t, Arc::new(Lane::new(cap))))
                 .collect(),
-            default_lane: None,
         }
     }
 
-    /// As [`new`](Self::new), but tenants without a registered lane
-    /// share one catch-all lane capped at `cap`.
-    #[cfg(test)]
-    pub(crate) fn with_default_cap(
-        caps: impl IntoIterator<Item = (TenantId, u64)>,
-        cap: u64,
-    ) -> TenantBudgets {
-        let mut b = TenantBudgets::new(caps);
-        b.default_lane = Some(Arc::new(Lane::new(cap)));
-        b
-    }
-
     fn lane(&self, tenant: TenantId) -> Option<&Arc<Lane>> {
-        self.lanes.get(&tenant).or(self.default_lane.as_ref())
+        self.lanes.get(&tenant)
     }
 
     /// Resolve `tenant`'s lane once, for callers that charge and credit
-    /// the same tenant per task. An unregistered tenant resolves to the
-    /// catch-all lane if there is one and is refused otherwise, exactly
-    /// as [`charge`](Self::charge) would refuse it.
+    /// the same tenant per task. An unregistered tenant is refused,
+    /// exactly as [`charge`](Self::charge) would refuse it.
     pub fn lane_of(&self, tenant: TenantId) -> Result<BudgetLane, BudgetError> {
         if !tenant.is_tenant() {
             return Ok(BudgetLane(None));
@@ -225,7 +205,7 @@ impl TenantBudgets {
         self.lane(tenant).map(|lane| lane.counts())
     }
 
-    /// Snapshot every registered lane (excludes the catch-all).
+    /// Snapshot every registered lane.
     pub fn all_counts(&self) -> Vec<(TenantId, TenantCounts)> {
         let mut v: Vec<(TenantId, TenantCounts)> = self
             .lanes
@@ -250,7 +230,7 @@ mod tests {
 
     #[test]
     fn resolved_lane_shares_the_ledger_with_lookups_by_id() {
-        let b = TenantBudgets::with_default_cap([(TenantId(1), 2)], 1);
+        let b = TenantBudgets::new([(TenantId(1), 2), (TenantId(7), 1)]);
         let lane = b.lane_of(TenantId(1)).unwrap();
         assert!(lane.charge().is_ok());
         assert!(b.charge(TenantId(1)).is_ok());
@@ -260,15 +240,15 @@ mod tests {
         assert!(!lane.at_cap());
         let c = b.counts(TenantId(1)).unwrap();
         assert_eq!((c.in_flight, c.denied), (1, 1), "a look is not a denial");
-        // NONE stays unmetered; a stranger lands on the catch-all lane.
+        // NONE stays unmetered; another tenant's lane is its own ledger
+        // whichever way it is reached; a stranger is refused.
         let none = b.lane_of(TenantId::NONE).unwrap();
         assert!((0..10).all(|_| none.charge().is_ok() && !none.at_cap()));
         none.credit();
         assert!(b.lane_of(TenantId(7)).unwrap().charge().is_ok());
-        assert_eq!(b.charge(TenantId(8)), Err(BudgetError::AtCap { cap: 1 }));
-        let strict = TenantBudgets::new([(TenantId(1), 1)]);
+        assert_eq!(b.charge(TenantId(7)), Err(BudgetError::AtCap { cap: 1 }));
         assert!(matches!(
-            strict.lane_of(TenantId(9)),
+            b.lane_of(TenantId(9)),
             Err(BudgetError::UnknownTenant)
         ));
     }
@@ -305,17 +285,6 @@ mod tests {
         }
         assert_eq!(b.charge(TenantId(9)), Err(BudgetError::UnknownTenant));
         assert!(b.counts(TenantId(9)).is_none());
-    }
-
-    #[test]
-    fn default_cap_admits_unregistered_tenants() {
-        let b = TenantBudgets::with_default_cap([(TenantId(1), 1)], 2);
-        assert!(b.charge(TenantId(7)).is_ok());
-        assert!(b.charge(TenantId(8)).is_ok());
-        // The catch-all is one shared lane, so a third stranger is denied.
-        assert_eq!(b.charge(TenantId(9)), Err(BudgetError::AtCap { cap: 2 }));
-        b.credit(TenantId(7));
-        assert!(b.charge(TenantId(9)).is_ok());
     }
 
     #[test]

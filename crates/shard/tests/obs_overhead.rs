@@ -18,7 +18,7 @@
 //!    rather than a pure counter race.
 
 use nexuspp_core::testsupport::with_watchdog;
-use nexuspp_obs::{Collector, CollectorConfig, Recorder};
+use nexuspp_obs::{Collector, Recorder};
 use nexuspp_shard::stress::{run_wake_stress_with, WakeStressSpec};
 use std::sync::Arc;
 use std::time::Duration;
@@ -99,10 +99,7 @@ fn live_collector_overhead_within_ten_percent_of_quiescent_recording() {
         // updates across the run.
         let collector = Collector::spawn(
             Arc::new(Recorder::with_capacity(8, 1 << 17)),
-            CollectorConfig {
-                interval: Duration::from_millis(5),
-                ..CollectorConfig::default()
-            },
+            Duration::from_millis(5),
         );
         let run = run_wake_stress_with(&spec, Some(collector.recorder()));
         let report = collector.finish();
