@@ -19,10 +19,14 @@
 //!   declaratively: reading an undeclared name fails at
 //!   [`submit`](program::TaskDeclBuilder::submit); version pins that
 //!   name a producerless version or form a cycle fail at
-//!   [`lower`](Program::lower).
-//! * [`lower`](Program::lower) — derives the true-dependency edges,
-//!   orders tasks topologically (stable in declaration order), and
-//!   assigns physical addresses under a chosen [`Lowering`]:
+//!   [`graph`](Program::graph).
+//! * [`graph`](Program::graph) — the one place dependency order is
+//!   computed: it derives the true-dependency edges, orders tasks
+//!   topologically (stable in declaration order) and rejects a cycle.
+//!   The incremental layer (`nexuspp_incr`) takes its edges, order and
+//!   cycle verdict from it at every structural commit.
+//! * [`lower`](Program::lower) — takes that graph and assigns physical
+//!   addresses under a chosen [`Lowering`]:
 //!   **`Renamed`** gives each version its own address (false
 //!   dependencies vanish, like register renaming); **`Raw`** collapses
 //!   each resource to one address (the hand-addressed encoding the

@@ -14,14 +14,14 @@
 //!   (`ww`) and anti-dependence tracking.
 //!
 //! Both lowerings emit tasks in the same **stable topological order**
-//! of the true-dependency graph (Kahn's algorithm, ties broken by
-//! declaration index). Submission order matters: the engines resolve
-//! dependencies by submission-order address matching, so producers must
-//! be submitted before consumers — and under the raw lowering, the
-//! serialization each version chain adds is then a *superset* of the
-//! true edges, which keeps the two encodings semantically equivalent
-//! (same tasks, every true edge respected) while differing hugely in
-//! available parallelism.
+//! of the true-dependency graph ([`Program::graph`]: Kahn's algorithm,
+//! ties broken by declaration index). Submission order matters: the
+//! engines resolve dependencies by submission-order address matching,
+//! so producers must be submitted before consumers — and under the raw
+//! lowering, the serialization each version chain adds is then a
+//! *superset* of the true edges, which keeps the two encodings
+//! semantically equivalent (same tasks, every true edge respected)
+//! while differing hugely in available parallelism.
 
 use crate::program::{FrontendError, Program, ResourceId, Version};
 use nexuspp_core::{Submission, TaskBuilder};
@@ -114,15 +114,19 @@ impl LoweredProgram {
 }
 
 impl Program {
-    /// Lower the program: infer the true-dependency edges from version
-    /// production/consumption, order tasks topologically (stable in
-    /// declaration order), assign physical addresses per `lowering`,
-    /// and emit one [`Submission`] per task.
+    /// The program's dependency graph — the one place the workspace
+    /// derives true edges, orders tasks and rejects a cycle. Returns
+    /// the declaration indices in stable topological order (Kahn's
+    /// algorithm, ties broken by declaration index) and, per
+    /// declaration, the indices of its consumers in declaration order:
+    /// the minter of each read version → its reader. Version 0 is
+    /// initial contents (no producer), and a task's read of a version
+    /// it mints itself is not an edge.
     ///
     /// Fails with [`FrontendError::UnknownProducer`] if a pinned read
     /// names a version no task mints, or [`FrontendError::Cycle`] if
     /// version pins loop.
-    pub fn lower(&self, lowering: Lowering) -> Result<LoweredProgram, FrontendError> {
+    pub fn graph(&self) -> Result<(Vec<usize>, Vec<Vec<usize>>), FrontendError> {
         let decls = self.tasks();
         let n = decls.len();
         // Who mints each (resource, version)? Writes mint versions 1, 2,
@@ -136,11 +140,9 @@ impl Program {
                 debug_assert_eq!(minted.len(), v as usize, "versions are minted densely");
             }
         }
-        // True RAW edges: minter of the read version → reader. Version 0
-        // is initial contents (no producer); a task's read of a version
-        // it mints itself is not an edge. Readers are visited in
-        // declaration order, so a reader's duplicate edges to one
-        // producer are adjacent in that producer's list.
+        // Readers are visited in declaration order, so a reader's
+        // duplicate edges to one producer are adjacent in that
+        // producer's list.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indeg: Vec<usize> = vec![0; n];
         for (i, t) in decls.iter().enumerate() {
@@ -162,8 +164,8 @@ impl Program {
             }
         }
         // Kahn's algorithm, always popping the smallest declaration
-        // index: the emitted order is deterministic and follows program
-        // order wherever dependencies permit.
+        // index: the order is deterministic and follows program order
+        // wherever dependencies permit.
         let mut ready: BinaryHeap<Reverse<usize>> = indeg
             .iter()
             .enumerate()
@@ -181,14 +183,25 @@ impl Program {
             }
         }
         if order.len() < n {
-            let on_cycle: Vec<u64> = indeg
+            let unordered: Vec<u64> = indeg
                 .iter()
                 .enumerate()
                 .filter(|(_, &d)| d > 0)
                 .map(|(i, _)| decls[i].tag)
                 .collect();
-            return Err(FrontendError::Cycle { tags: on_cycle });
+            return Err(FrontendError::Cycle { tags: unordered });
         }
+        Ok((order, adj))
+    }
+
+    /// Lower the program: take the true-dependency edges and the stable
+    /// topological order from [`graph`](Self::graph), assign physical
+    /// addresses per `lowering`, and emit one [`Submission`] per task.
+    ///
+    /// Fails as [`graph`](Self::graph) does.
+    pub fn lower(&self, lowering: Lowering) -> Result<LoweredProgram, FrontendError> {
+        let decls = self.tasks();
+        let (order, consumers) = self.graph()?;
         // Emit. Under Raw, a read and a write of the same resource
         // collapse to one address; TaskBuilder's normalization merges
         // them into a single inout parameter.
@@ -206,10 +219,10 @@ impl Program {
                 b.build()
             })
             .collect();
-        let edges = adj
+        let edges = consumers
             .iter()
             .enumerate()
-            .flat_map(|(p, consumers)| consumers.iter().map(move |&c| (p, c)))
+            .flat_map(|(p, cs)| cs.iter().map(move |&c| (p, c)))
             .map(|(p, c)| (decls[p].tag, decls[c].tag))
             .collect();
         Ok(LoweredProgram {

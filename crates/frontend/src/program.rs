@@ -46,7 +46,8 @@ pub enum FrontendError {
     },
     /// Version pins form a dependency cycle; no valid schedule exists.
     Cycle {
-        /// Tags of the tasks on the cycle (in declaration order).
+        /// Tags of the tasks Kahn's algorithm left unordered — those on
+        /// a cycle and those downstream of one — in declaration order.
         tags: Vec<u64>,
     },
 }

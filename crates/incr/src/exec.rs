@@ -1,18 +1,19 @@
 //! Re-running an [`IncrementalProgram`] on the Nexus++ backends.
 //!
 //! [`IncrementalProgram::rerun`] is the tentpole operation: walk the
-//! dirty cone in the maintained dependency order, validate each member
-//! against its memo (content fingerprints, so renumbered-but-equal
-//! bindings cut off early), and resubmit **only the invalidated tasks**
-//! as a *partial* lowered stream to the chosen [`Backend`] — the batch
-//! engine or the threaded runtime. Cached
+//! dirty cone in the last structural commit's dependency order (the
+//! frontend's order, recomputed at each structural commit), validate
+//! each member against its memo (content fingerprints, so
+//! renumbered-but-equal bindings cut off early), and resubmit **only
+//! the invalidated tasks** as a *partial* lowered stream to the chosen
+//! [`Backend`] — the batch engine or the threaded runtime. Cached
 //! outputs of clean producers are spliced in as already-available
 //! inputs, so a re-run's cost scales with the edit, not the program.
 //!
 //! # Why partial streams are safe
 //!
 //! The engines resolve dependencies by submission-order address
-//! matching. A partial stream emitted in (maintained) topological order
+//! matching. A partial stream emitted in the frontend's topological order
 //! preserves every true edge *between resubmitted tasks*: producers
 //! precede consumers, and their (resource, version) addresses — the
 //! frontend's public [`Lowering::address`] contract — match exactly.
@@ -96,9 +97,9 @@ pub struct IncrReport {
     /// Tasks spliced from the memo store (`reused + reran == total`,
     /// always).
     pub reused: usize,
-    /// Pearce–Kelly maintenance work (nodes visited + shifted) spent by
-    /// the edits since the previous report — the online-ordering cost
-    /// of this round of edits.
+    /// Tasks + edges ordered by the structural commits since the
+    /// previous report: each commit orders the whole program through
+    /// the frontend's graph step. 0 when only seeds changed.
     pub order_maintenance_ops: u64,
     /// Keys of the re-executed tasks, sorted.
     pub reran_keys: Vec<u64>,
@@ -191,7 +192,8 @@ impl IncrementalProgram {
     /// from-scratch run; with no pending edits it is a no-op that
     /// touches no backend at all.
     ///
-    /// The walk proceeds in the maintained topological order, so every
+    /// The walk proceeds in the last structural commit's topological
+    /// order, so every
     /// task's inputs are resolved (memoized or just recomputed) before
     /// the task itself is validated. Store mutation happens here, on
     /// the caller's thread, under `&mut self` — the single-writer rule.
@@ -199,7 +201,7 @@ impl IncrementalProgram {
         let total = self.len();
         let mut cone = self.dirty_cone();
         let dirtied = cone.len();
-        cone.sort_by_cached_key(|&k| self.topo.ord(k).expect("cone keys are declared tasks"));
+        cone.sort_by_cached_key(|k| self.rank[k]);
 
         // Phase 1 (caller thread, no locks): validate the cone in
         // dependency order, recompute what changed, refresh memos.
@@ -255,7 +257,7 @@ impl IncrementalProgram {
         }
 
         // Phase 2: resubmit the invalidated tasks as a partial lowered
-        // stream (already in maintained topological order).
+        // stream (already in topological order).
         let mut reran_keys: Vec<u64> = plans.iter().map(|p| p.decl.tag).collect();
         reran_keys.sort_unstable();
         let executed = if plans.is_empty() {
@@ -284,19 +286,16 @@ impl IncrementalProgram {
             executed
         };
 
-        let ops_total = self.topo().ops();
-        let report = IncrReport {
+        self.touched.clear();
+        IncrReport {
             total,
             dirtied,
             reran: plans.len(),
             reused: total - plans.len(),
-            order_maintenance_ops: ops_total - self.ops_reported,
+            order_maintenance_ops: std::mem::take(&mut self.ordered),
             reran_keys,
             executed,
-        };
-        self.ops_reported = ops_total;
-        self.touched.clear();
-        report
+        }
     }
 
     /// Build the partial lowered stream for the invalidated tasks: one
@@ -579,6 +578,31 @@ mod tests {
         let rf = inc.rerun(Lowering::Renamed, &Backend::Engine { shards: 2 });
         assert_eq!(rf.reran, 5);
         assert_eq!(inc.final_contents(), scratch.final_contents());
+    }
+
+    #[test]
+    fn order_ops_count_the_tasks_and_edges_a_commit_ordered() {
+        let mut ip = diamond();
+        let engine = Backend::Engine { shards: 2 };
+        ip.rerun(Lowering::Renamed, &engine);
+        ip.edit(Edit::SetInitial {
+            resource: "in".into(),
+            seed: 1,
+        })
+        .unwrap();
+        assert_eq!(
+            ip.rerun(Lowering::Renamed, &engine).order_maintenance_ops,
+            0
+        );
+        ip.edit(add(
+            4,
+            0x20,
+            vec![Access::Read("out".into()), Access::Write("post".into())],
+        ))
+        .unwrap();
+        let r = ip.rerun(Lowering::Renamed, &engine);
+        assert_eq!((ip.len(), ip.edges().len()), (5, 5));
+        assert_eq!(r.order_maintenance_ops, 10);
     }
 
     #[test]

@@ -11,18 +11,18 @@
 //!   accident. The hash primitives ([`store::initial_contents`],
 //!   [`store::task_output`], [`store::fingerprint`]) are public — they
 //!   are the contract the differential-test oracle shares.
-//! * [`DynamicTopo`] — a Pearce–Kelly **dynamic topological order** over
-//!   the task graph: edits insert and delete nodes/edges online, paying
-//!   only for the affected region, with cycle-creating insertions
-//!   detected and rejected *at declaration time* before any state
-//!   mutates. The full order is never recomputed.
 //! * [`IncrementalProgram`] — the editable program: apply [`Edit`]s
 //!   (initial-contents changes, task add/remove/retarget; all-or-nothing
-//!   commit), then [`rerun`](IncrementalProgram::rerun) resubmits only
-//!   the invalidated cone to a [`Backend`] (the batch engine, or the
-//!   threaded runtime — where re-run bodies compute contents live
-//!   against spliced memoized inputs). Each run reports an
-//!   [`IncrReport`].
+//!   commit). Its dependency order is the frontend's order, recomputed
+//!   at each structural commit: edges, topological order and the
+//!   cycle verdict come from
+//!   [`Program::graph`](nexuspp_frontend::Program::graph), so a
+//!   cycle-creating edit is rejected *at declaration time* before any
+//!   state is assigned. Then [`rerun`](IncrementalProgram::rerun)
+//!   resubmits only the invalidated cone to a [`Backend`] (the batch
+//!   engine, or the threaded runtime — where re-run bodies compute
+//!   contents live against spliced memoized inputs). Each run reports
+//!   an [`IncrReport`].
 //!
 //! A from-scratch execution is just the degenerate case: an empty store
 //! dirties everything, so the very first `rerun` runs the whole
@@ -67,12 +67,10 @@
 #![deny(missing_docs)]
 
 pub mod exec;
-pub mod order;
 pub mod program;
 pub mod store;
 
 pub use exec::{Backend, IncrReport};
-pub use order::{DynamicTopo, OrderError};
 pub use program::{Access, Edit, IncrError, IncrementalProgram};
 pub use store::{Store, TaskRecord};
 

@@ -13,15 +13,17 @@
 //! Every structural edit is staged: the new declaration list is
 //! **replayed** through a fresh frontend [`Program`] (reusing its
 //! binding-resolution logic verbatim — reads bind to
-//! latest-at-declaration, writes mint versions), the new
-//! true-dependency edge set is diffed against the old one, and the diff
-//! is fed *incrementally* to the Pearce–Kelly order maintainer
-//! ([`DynamicTopo`]). Only if every inserted edge is acyclic does the
-//! edit commit; a cycle-creating edit is rejected at declaration time
-//! with [`IncrError::Cycle`] and **every** piece of state — the
-//! declarations, the memo store, and the maintained order — rolled back
-//! untouched. The full topological order is never recomputed: an edit
-//! pays only for the affected region (see [`crate::order`]).
+//! latest-at-declaration, writes mint versions), and
+//! [`Program::graph`] returns the true-dependency edges, the
+//! topological order the next re-run walks in, and the verdict. The
+//! dependency order is the frontend's order, recomputed at each
+//! structural commit: a commit replays the whole declaration list
+//! anyway, so a second, online order would save nothing. A
+//! cycle-creating edit is rejected at declaration time with
+//! [`IncrError::Cycle`]. Nothing is assigned until the graph step
+//! succeeds, so a rejected edit leaves the declarations, the memo
+//! store, the edges and the order as they were; only the interner
+//! (below) may have grown.
 //!
 //! # Resource identity
 //!
@@ -33,10 +35,9 @@
 //! version 0, the resource's initial contents (a deliberate divergence
 //! from the bare frontend, where a never-mentioned name is an error).
 
-use crate::order::{DynamicTopo, OrderError};
 use crate::store::{self, Store};
 use nexuspp_core::Priority;
-use nexuspp_frontend::{Program, ResourceId, TaskDecl, Version};
+use nexuspp_frontend::{FrontendError, Program, ResourceId, TaskDecl, Version};
 use nexuspp_runtime::Runtime;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -50,7 +51,7 @@ pub enum Access {
     Read(String),
     /// Read a pinned version (0 = initial contents; pins may name
     /// versions minted by later tasks, which is how edits can create —
-    /// and the order maintainer must reject — cycles).
+    /// and a commit must reject — cycles).
     ReadVersion(String, Version),
     /// Write the resource, minting a fresh version.
     Write(String),
@@ -110,8 +111,8 @@ pub enum Edit {
 }
 
 /// Errors surfaced when an [`Edit`] is applied. A failed edit commits
-/// **nothing**: declarations, memo store, and maintained order are
-/// exactly as before.
+/// **nothing**: declarations, memo store, edges and order are exactly
+/// as before.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IncrError {
     /// `AddTask` reused a key that is already declared.
@@ -128,12 +129,11 @@ pub enum IncrError {
         reader: u64,
     },
     /// The edit would close a dependency cycle; rejected at declaration
-    /// time by the online order maintainer.
+    /// time by the frontend's graph step.
     Cycle {
-        /// Producer end of the rejected edge.
-        from: u64,
-        /// Consumer end of the rejected edge.
-        to: u64,
+        /// Keys Kahn's algorithm left unordered — those on a cycle and
+        /// those downstream of one — in declaration order.
+        tags: Vec<u64>,
     },
 }
 
@@ -150,10 +150,12 @@ impl fmt::Display for IncrError {
                 f,
                 "task {reader} reads {resource:?} version {version}, which no task produces"
             ),
-            IncrError::Cycle { from, to } => write!(
-                f,
-                "edit would close a dependency cycle through edge {from} -> {to}"
-            ),
+            IncrError::Cycle { tags } => {
+                write!(
+                    f,
+                    "edit would close a dependency cycle through tasks {tags:?}"
+                )
+            }
         }
     }
 }
@@ -175,10 +177,11 @@ pub(crate) struct Replay {
     pub(crate) resolved: HashMap<u64, TaskDecl>,
     pub(crate) producers: HashMap<(ResourceId, Version), u64>,
     pub(crate) edges: BTreeSet<(u64, u64)>,
+    pub(crate) rank: HashMap<u64, usize>,
 }
 
 /// An editable, memoized program of resource-declaring tasks. See the
-/// [module docs](self) for the commit/rollback discipline and
+/// [module docs](self) for the commit discipline and
 /// [`crate::exec`] for re-running it on a backend.
 ///
 /// ```
@@ -218,15 +221,16 @@ pub struct IncrementalProgram {
     pub(crate) producers: HashMap<(ResourceId, Version), u64>,
     /// Current true-dependency edges, by key.
     pub(crate) edges: BTreeSet<(u64, u64)>,
-    /// The incrementally maintained topological order over task keys.
-    pub(crate) topo: DynamicTopo<u64>,
+    /// key → position in the current replay's topological order.
+    pub(crate) rank: HashMap<u64, usize>,
     /// The memo store (single writer: this struct, on the caller's
     /// thread).
     pub(crate) store: Store,
     /// Keys dirtied by edits since the last re-run.
     pub(crate) touched: BTreeSet<u64>,
-    /// `topo.ops()` as of the last report (for per-run deltas).
-    pub(crate) ops_reported: u64,
+    /// Tasks + edges ordered by structural commits since the last
+    /// report.
+    pub(crate) ordered: u64,
     /// The runtime the last `Backend::Runtime` re-run used, with its
     /// `(workers, shards)`; its workers are joined when it is replaced
     /// or the program is dropped.
@@ -253,10 +257,10 @@ impl IncrementalProgram {
             resolved: HashMap::new(),
             producers: HashMap::new(),
             edges: BTreeSet::new(),
-            topo: DynamicTopo::new(),
+            rank: HashMap::new(),
             store: Store::new(),
             touched: BTreeSet::new(),
-            ops_reported: 0,
+            ordered: 0,
             runtime: None,
         }
     }
@@ -288,11 +292,6 @@ impl IncrementalProgram {
     /// edits).
     pub fn store(&self) -> &Store {
         &self.store
-    }
-
-    /// The maintained topological order (read-only).
-    pub(crate) fn topo(&self) -> &DynamicTopo<u64> {
-        &self.topo
     }
 
     /// Keys currently dirtied by edits plus their forward closure over
@@ -390,7 +389,7 @@ impl IncrementalProgram {
     }
 
     /// Apply several [`Edit`]s as one all-or-nothing transaction with a
-    /// **single** replay and one order-maintenance diff — the bulk path
+    /// **single** replay and one graph step — the bulk path
     /// for ingesting whole programs (building an n-task program through
     /// one-at-a-time [`edit`](Self::edit) calls replays n times, which
     /// is quadratic). On any error the whole batch is rolled back.
@@ -451,9 +450,10 @@ impl IncrementalProgram {
         self.commit_structural(scratch, edited_keys, seed_updates)
     }
 
-    /// Stage a structural change: replay, diff edges, feed the diff to
-    /// the order maintainer (rolling it back on a cycle), then commit
-    /// declarations + replay + seeds + dirty marks atomically.
+    /// Stage a structural change: replay the new declarations and take
+    /// edges, order and verdict from the frontend's graph step, then
+    /// commit declarations + replay + seeds + dirty marks. Nothing is
+    /// assigned before the replay succeeds.
     fn commit_structural(
         &mut self,
         scratch: Vec<DeclSpec>,
@@ -470,58 +470,13 @@ impl IncrementalProgram {
         }
         let replay = Self::replay(&self.interner, &scratch)?;
 
-        // Diff the node and edge sets, feed the diff to Pearce–Kelly.
-        let old_keys: BTreeSet<u64> = self.decls.iter().map(|d| d.key).collect();
-        let new_keys: BTreeSet<u64> = scratch.iter().map(|d| d.key).collect();
-        let removed_nodes: Vec<u64> = old_keys.difference(&new_keys).copied().collect();
-        let added_nodes: Vec<u64> = new_keys.difference(&old_keys).copied().collect();
-        let removed_edges: Vec<(u64, u64)> =
-            self.edges.difference(&replay.edges).copied().collect();
-        let added_edges: Vec<(u64, u64)> = replay.edges.difference(&self.edges).copied().collect();
-
-        for &(f, t) in &removed_edges {
-            self.topo.remove_edge(f, t);
-        }
-        for &n in &removed_nodes {
-            self.topo.remove_node(n);
-        }
-        for &n in &added_nodes {
-            self.topo.add_node(n);
-        }
-        for (i, &(f, t)) in added_edges.iter().enumerate() {
-            match self.topo.add_edge(f, t) {
-                Ok(_) => {}
-                Err(OrderError::Cycle { from, to }) => {
-                    // Roll back in reverse: drop what we added, restore
-                    // what we removed. Restoring edges that were valid
-                    // before cannot cycle (the graph is a subgraph of
-                    // the old one at that point).
-                    for &(f2, t2) in &added_edges[..i] {
-                        self.topo.remove_edge(f2, t2);
-                    }
-                    for &n in &added_nodes {
-                        self.topo.remove_node(n);
-                    }
-                    for &n in &removed_nodes {
-                        self.topo.add_node(n);
-                    }
-                    for &(f2, t2) in &removed_edges {
-                        self.topo
-                            .add_edge(f2, t2)
-                            .expect("restoring previously valid edges cannot cycle");
-                    }
-                    return Err(IncrError::Cycle { from, to });
-                }
-                Err(OrderError::MissingNode(_)) => {
-                    unreachable!("edge endpoints are declared tasks")
-                }
-            }
-        }
-
         // Committed. Dirty the edited tasks, every task whose resolved
         // binding changed, and nothing else; evict removed memos.
-        self.touched
-            .extend(edited_keys.iter().copied().filter(|k| new_keys.contains(k)));
+        self.touched.extend(
+            edited_keys
+                .into_iter()
+                .filter(|k| replay.resolved.contains_key(k)),
+        );
         for d in &scratch {
             let new = &replay.resolved[&d.key];
             match self.resolved.get(&d.key) {
@@ -531,15 +486,19 @@ impl IncrementalProgram {
                 }
             }
         }
-        for &k in &removed_nodes {
-            self.store.evict(k);
-            self.touched.remove(&k);
+        for k in self.resolved.keys() {
+            if !replay.resolved.contains_key(k) {
+                self.store.evict(*k);
+                self.touched.remove(k);
+            }
         }
+        self.ordered += (scratch.len() + replay.edges.len()) as u64;
         self.decls = scratch;
         self.program = replay.program;
         self.resolved = replay.resolved;
         self.producers = replay.producers;
         self.edges = replay.edges;
+        self.rank = replay.rank;
         // Seeds last, so they dirty the v0-readers *as rebound by this
         // replay*.
         self.set_initial(seed_updates);
@@ -570,8 +529,9 @@ impl IncrementalProgram {
 
     /// Replay a declaration list through a fresh frontend [`Program`]
     /// (pre-registering the whole interner so ids stay stable and
-    /// never-written reads legally bind to version 0), resolve
-    /// producers, and derive the true-dependency edge set.
+    /// never-written reads legally bind to version 0), take edges,
+    /// order and verdict from [`Program::graph`], and resolve
+    /// producers.
     pub(crate) fn replay(interner: &[String], decls: &[DeclSpec]) -> Result<Replay, IncrError> {
         let mut p = Program::new();
         for name in interner {
@@ -589,37 +549,44 @@ impl IncrementalProgram {
             }
             b.submit().expect("every name pre-interned");
         }
+        let (order, consumers) = p.graph().map_err(|e| match e {
+            FrontendError::UnknownProducer {
+                resource,
+                version,
+                reader,
+            } => IncrError::UnknownProducer {
+                resource,
+                version,
+                reader,
+            },
+            FrontendError::Cycle { tags } => IncrError::Cycle { tags },
+            FrontendError::UnknownResource { .. } => unreachable!("names resolve at submit"),
+        })?;
+        let tasks = p.tasks();
         let mut resolved = HashMap::with_capacity(decls.len());
         let mut producers = HashMap::new();
-        for t in p.tasks() {
+        for t in tasks {
             for &(r, v) in &t.writes {
                 producers.insert((r, v), t.tag);
             }
             resolved.insert(t.tag, t.clone());
         }
-        let mut edges = BTreeSet::new();
-        for t in p.tasks() {
-            for &(r, v) in &t.reads {
-                if v == 0 {
-                    continue;
-                }
-                let &prod = producers
-                    .get(&(r, v))
-                    .ok_or_else(|| IncrError::UnknownProducer {
-                        resource: p.resource_name(r).to_string(),
-                        version: v,
-                        reader: t.tag,
-                    })?;
-                if prod != t.tag {
-                    edges.insert((prod, t.tag));
-                }
-            }
-        }
+        let edges = consumers
+            .iter()
+            .enumerate()
+            .flat_map(|(p, cs)| cs.iter().map(move |&c| (tasks[p].tag, tasks[c].tag)))
+            .collect();
+        let rank = order
+            .iter()
+            .enumerate()
+            .map(|(pos, &i)| (tasks[i].tag, pos))
+            .collect();
         Ok(Replay {
             program: p,
             resolved,
             producers,
             edges,
+            rank,
         })
     }
 }
@@ -638,6 +605,8 @@ fn decl_changed(old: &TaskDecl, new: &TaskDecl) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Backend;
+    use nexuspp_frontend::Lowering;
 
     fn add(key: u64, fptr: u64, accesses: Vec<Access>) -> Edit {
         Edit::AddTask {
@@ -660,7 +629,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(ip.edges(), vec![(1, 2)]);
-        assert!(ip.topo().is_before(1, 2));
+        assert!(ip.rank[&1] < ip.rank[&2]);
         assert_eq!(
             ip.edit(add(1, 0x12, vec![])).unwrap_err(),
             IncrError::DuplicateKey(1)
@@ -670,28 +639,33 @@ mod tests {
 
     #[test]
     fn cycle_creating_edit_rolls_back_completely() {
-        let mut ip = IncrementalProgram::new();
-        // t1 mints a v1 reading a pinned future b v1; t2 would mint b
-        // v1 reading a v1 — a two-task cycle through version pins.
-        ip.edit(add(
-            1,
-            0x10,
-            vec![
-                Access::ReadVersion("b".into(), 1),
-                Access::Write("a".into()),
-            ],
-        ))
-        .unwrap_err(); // b v1 has no producer yet
-        ip.edit(add(1, 0x10, vec![Access::Write("a".into())]))
+        // in -> t1 -> a -> t2 -> b, run once, then "in" edited: a
+        // non-empty store and a pending cone.
+        let build = || {
+            let mut ip = IncrementalProgram::new();
+            ip.edit(add(
+                1,
+                0x10,
+                vec![Access::Read("in".into()), Access::Write("a".into())],
+            ))
             .unwrap();
-        ip.edit(add(
-            2,
-            0x11,
-            vec![Access::Read("a".into()), Access::Write("b".into())],
-        ))
-        .unwrap();
-        let edges = ip.edges();
-        let order = ip.topo().topo_order();
+            ip.edit(add(
+                2,
+                0x11,
+                vec![Access::Read("a".into()), Access::Write("b".into())],
+            ))
+            .unwrap();
+            ip.rerun(Lowering::Renamed, &Backend::Engine { shards: 2 });
+            ip.edit(Edit::SetInitial {
+                resource: "in".into(),
+                seed: 3,
+            })
+            .unwrap();
+            ip
+        };
+        let (mut ip, mut twin) = (build(), build());
+        // t1 would read the b v1 that t2 mints from t1's a v1: a
+        // two-task cycle through a version pin.
         let err = ip
             .edit(Edit::Retarget {
                 key: 1,
@@ -701,12 +675,17 @@ mod tests {
                 ],
             })
             .unwrap_err();
-        assert!(matches!(err, IncrError::Cycle { .. }));
-        // Declarations, edges, order, store: all untouched.
-        assert_eq!(ip.edges(), edges);
-        assert_eq!(ip.topo().topo_order(), order);
-        assert_eq!(ip.len(), 2);
-        assert!(ip.topo().is_valid());
+        assert_eq!(err, IncrError::Cycle { tags: vec![1, 2] });
+        assert_eq!(ip.keys(), twin.keys());
+        assert_eq!(ip.edges(), twin.edges());
+        assert_eq!(ip.dirty_cone(), vec![1, 2]);
+        assert_eq!(ip.dirty_cone(), twin.dirty_cone());
+        assert_eq!(ip.store().len(), twin.store().len());
+        let backend = Backend::Engine { shards: 2 };
+        assert_eq!(
+            ip.rerun(Lowering::Renamed, &backend),
+            twin.rerun(Lowering::Renamed, &backend)
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! runs it from scratch, then applies a sequence of edits — a changed
 //! input, a retargeted task, a removed stage — and shows per edit what
 //! the incremental layer re-executed versus spliced from the memo
-//! store, and what the Pearce–Kelly order maintainer paid to keep the
-//! topological order valid. Finishes with the 1000-task stencil the
+//! store, and how many tasks + edges the structural commits ordered
+//! (the frontend's order, recomputed at each structural commit; 0 for
+//! a seed-only edit). Finishes with the 1000-task stencil the
 //! benchmarks use, contrasting from-scratch and 1-edit wall clock.
 //!
 //! ```sh
@@ -19,7 +20,7 @@ use std::time::Instant;
 
 fn report(label: &str, rep: &nexuspp::incr::IncrReport) {
     println!(
-        "  {label:<28} reran {:>3} | reused {:>3} | cone {:>3} | order ops {}",
+        "  {label:<28} reran {:>3} | reused {:>3} | cone {:>3} | ordered {}",
         rep.reran, rep.reused, rep.dirtied, rep.order_maintenance_ops
     );
 }

@@ -18,9 +18,9 @@
 //!   the hardware ever sees them,
 //! * [`incr`] — the incremental re-execution layer: an editable,
 //!   memoized task program ([`incr::IncrementalProgram`]) over the
-//!   frontend — apply edits, and a Pearce–Kelly dynamic topological
-//!   order plus a content-hash memo store re-run only the invalidated
-//!   cone on any backend,
+//!   frontend — apply edits, and the frontend's order, recomputed at
+//!   each structural commit, plus a content-hash memo store re-run only
+//!   the invalidated cone on any backend,
 //! * [`shard`] — sharded resolution: N address-partitioned engines
 //!   composed into one logically-equivalent resolver, with a batched
 //!   submission front-end, a per-shard-locked concurrent dispatcher,

@@ -5,7 +5,8 @@
 //! citations are checked against the table `repro` itself dispatches on.
 //! ISSUE.md is checked like the docs, so an issue cannot cite a missing
 //! file or a retired subcommand either. README's claim ids are checked
-//! against the claim registry in both directions.
+//! against the claim registry in both directions, and every test its
+//! retired-instrument table cites must be defined somewhere.
 
 use nexuspp_bench::experiments::{CLAIMS, EXPERIMENTS};
 use std::path::Path;
@@ -87,6 +88,70 @@ fn cited_claims(text: &str) -> Vec<&str> {
             })
         })
         .collect()
+}
+
+/// The test names in the "test that proves the behaviour" column of
+/// README's retired-instrument table: backticked snake_case words, bare
+/// or qualified (`exec::tests::name`), reduced to the bare name.
+fn cited_test_names(text: &str) -> Vec<&str> {
+    const HEADER: &str = "test that proves the behaviour";
+    let mut rows = text.lines().skip_while(|l| !l.contains(HEADER));
+    let Some(header) = rows.next() else {
+        return Vec::new();
+    };
+    let column = header
+        .split('|')
+        .position(|c| c.trim() == HEADER)
+        .expect("the header names the column");
+    rows.skip(1) // the |---| separator
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.split('|').nth(column))
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .filter(|w| {
+            w.contains('_')
+                && w.chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "_:".contains(c))
+        })
+        .map(|w| w.rsplit("::").next().unwrap_or(w))
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(std::fs::read_to_string(&path).unwrap());
+        }
+    }
+}
+
+#[test]
+fn cited_test_names_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    let readme = read("README.md");
+    let names = cited_test_names(&readme);
+    assert!(!names.is_empty(), "README.md: the scan found no test names");
+    for name in names {
+        let def = format!("fn {name}(");
+        assert!(
+            sources.iter().any(|s| s.contains(&def)),
+            "README.md cites test `{name}`, which no .rs file under crates/, src/ or tests/ defines"
+        );
+    }
+    // The scan itself: only the proof column, only snake_case names.
+    let table = "| q | `e2e_metric` | test that proves the behaviour |\n\
+                 |---|---|---|\n\
+                 | `a_b` | `x_y` | `crates/c.rs` (`bare_name`), `m::tests::qualified_name`, \
+                 `repro wakes`, `Type`, `a + b == c` |\n\
+                 after the table | `not_cited` |";
+    assert_eq!(cited_test_names(table), ["bare_name", "qualified_name"]);
 }
 
 #[test]
