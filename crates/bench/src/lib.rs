@@ -30,6 +30,7 @@
 //! | trace export, events vs counters (extension) | [`experiments::observe`] | `repro observe` |
 //! | live dashboard | [`watch::run_watch`] | `repro watch` |
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod experiments;

@@ -40,6 +40,7 @@
 //!   need a watchdog, and cross-thread rendezvous needs deterministic
 //!   polling instead of sleeps).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod config;

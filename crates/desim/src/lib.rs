@@ -32,6 +32,7 @@
 //! This keeps the hot path free of dynamic dispatch and makes the whole
 //! simulation a single-threaded, deterministic state machine.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod arbiter;

@@ -59,6 +59,7 @@
 //! assert!(lowered.order_respects_edges(&order));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod exec;

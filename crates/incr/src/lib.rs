@@ -64,6 +64,7 @@
 //! assert_eq!((third.reran, third.reused), (0, 2));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod exec;

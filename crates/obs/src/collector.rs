@@ -1,22 +1,24 @@
 //! The background [`Collector`]: the one live reader of a
-//! [`Recorder`]'s rings, keeping the online view current while a run is
+//! [`Recorder`]'s lanes, keeping the online view current while a run is
 //! in flight.
 //!
 //! The recorder's own `drain()` hands back whatever happens to be
 //! published, sorted — fine at quiescence, but a poll mid-run sees gaps
-//! (a lane's pop stalls at a slot another producer has claimed but not
-//! yet published). The collector's thread closes them with a **sequence
-//! watermark**: because the recorder allocates the global sequence
-//! number inside the ring's slot claim, a dropped event never consumes
-//! one, so the published sequence space is dense. Drained events wait
-//! in a buffer until every smaller `seq` has arrived and are then
-//! applied, in strict `seq` order, straight to the [`GraphTracker`] — a
-//! missing number is always *late*, never lost, so nothing the
-//! collector drained is ever skipped.
+//! (a drain visits the lanes one at a time, so an event pushed to a
+//! lane already visited can carry a smaller `seq` than one taken from a
+//! lane visited later). The collector's thread closes them with a
+//! **sequence watermark**: because the recorder allocates the global
+//! sequence number under the lane lock and only when the lane has
+//! room, a dropped event never consumes one, so the published sequence
+//! space is dense. Drained events wait in a buffer until every smaller
+//! `seq` has arrived and are then applied, in strict `seq` order,
+//! straight to the [`GraphTracker`] — a missing number is always
+//! *late*, never lost, so nothing the collector drained is ever
+//! skipped.
 //!
 //! The same thread ticks the [`Sampler`] on a fixed interval, so the
-//! runtimes' hot paths stay untouched (producers only ever CAS into
-//! their lanes; the collector only ever takes the consumer side). A
+//! runtimes' hot paths stay untouched (producers only ever push into
+//! their lanes; the collector only ever drains them). A
 //! runtime attaches via `Runtime::with_observer`, which hands the
 //! collector's recorder to every layer and registers the runtime's
 //! metrics for sampling. The collector is the recorder's sole consumer:
@@ -48,9 +50,9 @@ pub struct StreamStats {
     /// Out-of-order arrivals buffered, waiting for earlier sequence
     /// numbers still in flight.
     pub pending: u64,
-    /// Events the recorder's rings accepted (includes not-yet-drained).
+    /// Events the recorder's lanes accepted (includes not-yet-drained).
     pub recorded: u64,
-    /// Events the recorder's rings rejected (full lane).
+    /// Events the recorder's lanes rejected (full lane).
     pub dropped: u64,
 }
 
@@ -397,9 +399,10 @@ mod tests {
 
     #[test]
     fn dropped_events_do_not_stall_the_watermark() {
-        // One tiny lane: pushes past capacity are dropped. With
-        // seq-after-claim the drops consume no sequence numbers, so
-        // the watermark still releases a dense prefix.
+        // One tiny lane: pushes past capacity are dropped. A seq is
+        // allocated only when the lane has room, so the drops consume
+        // no sequence numbers and the watermark still releases a dense
+        // prefix.
         let rec = Recorder::with_capacity(1, 8);
         let mut wm = Watermark::default();
         let mut seqs = Vec::new();
@@ -409,7 +412,7 @@ mod tests {
         wm.release(rec.drain(), |e| seqs.push(e.seq));
         assert_eq!(seqs, (0..8).collect::<Vec<u64>>());
         assert_eq!(rec.dropped(), 42);
-        // The ring drained: new emissions flow and stay contiguous.
+        // The lane drained: new emissions flow and stay contiguous.
         for t in 50..55 {
             rec.emit(EventKind::Ready, t, NO_SHARD);
         }

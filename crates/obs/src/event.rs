@@ -45,7 +45,7 @@ pub enum EventKind {
     /// finishing task whose completion released it, or [`NO_TASK`] if
     /// the task was ready at submission.
     Ready,
-    /// A worker stole the task from another worker's deque.
+    /// A worker stole the task from another worker's queue.
     Stolen,
     /// A worker began executing the task's body.
     ExecStart,

@@ -12,11 +12,10 @@
 //!    `WakePosted/WakeDelivered`, `Finished`), each stamped with task
 //!    tag, shard, worker, a monotonic timestamp, and a global sequence
 //!    number. The runtimes, the sharded dispatcher, and the scheduler
-//!    all emit into one [`Recorder`]: per-lane lock-free bounded rings
-//!    (claim-by-CAS, publish-by-sequence-store)
-//!    drained by a collector, with a [`Recorder::disabled`] path that
-//!    returns before reading the clock so production runs pay one
-//!    branch.
+//!    all emit into one [`Recorder`]: per-lane bounded queues, each
+//!    behind its own mutex, drained by a collector, with a
+//!    [`Recorder::disabled`] path that returns before reading the clock
+//!    so production runs pay one branch.
 //! 2. **A [`MetricsRegistry`]**: the layers' existing counters
 //!    (`SchedCounts`, `WakeCounts`, capacity stall/retry/stall-time)
 //!    unified behind one [`MetricsSnapshot`] type.
@@ -33,7 +32,7 @@
 //!    tracker.
 //! 4. **Online introspection**: a background [`Collector`] thread —
 //!    attached via the runtimes' `with_observer` constructors — is the
-//!    one live reader of the rings. It drains them *while producers
+//!    one live reader of the lanes. It drains them *while producers
 //!    still emit*, releases events in strict `seq` order through a
 //!    watermark, and applies each one straight to the same fold
 //!    (per-task state machine, wake edges, illegal-transition
@@ -45,20 +44,20 @@
 //! Event flow:
 //!
 //! ```text
-//!  submitter ──┐                         ┌── Recorder lane 0 (ring)
-//!  worker 0 ───┤  emit(): CAS-claim slot ├── Recorder lane 1 (ring)
+//!  submitter ──┐                         ┌── Recorder lane 0
+//!  worker 0 ───┤  emit(): lock lane      ├── Recorder lane 1
 //!  worker 1 ───┤  + seq.fetch_add        ├── …
-//!  …           │  + release-publish      │
-//!              └── (full ring: dropped++)┘
+//!  …           │  + push_back            │
+//!              └── (full lane: dropped++)┘
 //!        offline: drain() at quiescence (seq-sorted) → GraphTracker → export
 //!        online:  Collector thread: drain() → seq watermark → GraphTracker
 //!                                   + Sampler tick
 //! ```
 //!
-//! The accounting invariant the wraparound tests hold the rings to:
+//! The accounting invariant the wraparound tests hold the lanes to:
 //! `recorded() + dropped()` equals the number of `emit` calls, always —
-//! and because `seq` is allocated only *after* a slot claim succeeds,
-//! the published sequence space is dense, so the collector can release
+//! and because `seq` is allocated under the lane lock, only when the
+//! lane has room, the published sequence space is dense, so the collector can release
 //! in strict `seq` order without stalling on gaps that will never fill.
 //! The differential tests in `nexuspp-runtime` go further: at
 //! quiescence, event-derived totals must equal every legacy counter
@@ -66,8 +65,8 @@
 //! recorded event while a quiescent drain folds to the same state
 //! whether it arrives whole or in chunks (`stream_differential.rs`).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod analyze;
 mod collector;

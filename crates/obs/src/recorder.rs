@@ -1,28 +1,26 @@
 //! The [`Recorder`]: the one object the runtimes talk to.
 //!
-//! An enabled recorder owns a small array of [`EventRing`] *lanes*.
+//! An enabled recorder owns a small array of [`Lane`] *lanes*.
 //! Each emitting thread is assigned a lane once (a thread-local seed
 //! modulo the lane count — workers effectively get private lanes,
-//! occasional collisions are harmless because the rings accept
-//! multiple producers), so the hot path is: read two thread-locals,
-//! one `fetch_add` for the global sequence number, one monotonic clock
-//! read, one CAS-claim + release-store into the lane. No locks are
-//! ever taken by `emit`.
+//! occasional collisions are harmless because a lane accepts multiple
+//! producers), so the hot path is: read two thread-locals, one
+//! monotonic clock read, then under the lane's mutex one `fetch_add`
+//! for the global sequence number and one push. The lane lock is
+//! contended only by a colliding thread or a drain.
 //!
 //! The disabled recorder ([`Recorder::disabled`]) carries no lanes at
 //! all: `emit` checks one `Option` discriminant and returns — before
 //! reading the clock — which is what the ≤ 5 % `wake_stress` overhead
 //! gate in `nexuspp-shard` holds it to.
 //!
-//! Draining is the collector's job and is deliberately cold: a mutex
-//! (contended only by concurrent drainers, never by producers)
-//! serializes consumers, each lane is popped dry, and the batch is
+//! Draining is the collector's job and is deliberately cold: each lane
+//! is emptied under one acquisition of its lock, and the batch is
 //! sorted by sequence number.
 
 use crate::event::{Event, EventKind, NO_TASK, NO_WORKER};
-use crate::ring::EventRing;
+use crate::ring::Lane;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Default events buffered per lane before drops begin.
@@ -40,9 +38,7 @@ std::thread_local! {
 struct Inner {
     epoch: Instant,
     seq: AtomicU64,
-    lanes: Box<[EventRing]>,
-    /// Serializes collectors; producers never touch it.
-    drain: Mutex<()>,
+    lanes: Box<[Lane]>,
 }
 
 /// Collects lifecycle [`Event`]s from every runtime layer.
@@ -76,8 +72,7 @@ impl Recorder {
             inner: Some(Inner {
                 epoch: Instant::now(),
                 seq: AtomicU64::new(0),
-                lanes: (0..lanes).map(|_| EventRing::new(capacity)).collect(),
-                drain: Mutex::new(()),
+                lanes: (0..lanes).map(|_| Lane::new(capacity)).collect(),
             }),
         }
     }
@@ -108,16 +103,15 @@ impl Recorder {
     /// Record an event carrying a causal companion tag in `aux` (the
     /// waker for `Ready`/`WakePosted`).
     ///
-    /// The global sequence number is allocated *inside* the ring's
-    /// slot claim: a rejected push (full lane) never consumes a
-    /// sequence number, so the published sequence space is dense —
-    /// every value in `0..seq` is (or is about to be) visible in some
-    /// lane. Live subscribers rely on that to release events in strict
-    /// sequence order without stalling forever on a gap left by a
-    /// dropped event. Causal ordering is unaffected: both the claim
-    /// and the `fetch_add` happen inside `emit_edge`, so any
-    /// happens-before edge between two emissions still orders their
-    /// sequence numbers.
+    /// The global sequence number is allocated under the lane lock and
+    /// only when the lane has room: a rejected push (full lane) never
+    /// consumes a sequence number, so the published sequence space is
+    /// dense — every value in `0..seq` is (or is about to be) visible
+    /// in some lane. The collector relies on that to release events in
+    /// strict sequence order without stalling forever on a gap left by
+    /// a dropped event. Causal ordering is unaffected: the `fetch_add`
+    /// happens inside `emit_edge`, so any happens-before edge between
+    /// two emissions still orders their sequence numbers.
     #[inline]
     pub fn emit_edge(&self, kind: EventKind, task: u64, aux: u64, shard: u32) {
         let Some(inner) = self.inner.as_ref() else {
@@ -153,20 +147,16 @@ impl Recorder {
     }
 
     /// Drain every lane and return the batch sorted by sequence
-    /// number. Concurrent drains are serialized; producers are never
-    /// blocked by a drain.
+    /// number. Each lane is emptied under one acquisition of its lock,
+    /// so a producer on that lane waits at most for one lane's move.
     pub fn drain(&self) -> Vec<Event> {
         let Some(inner) = self.inner.as_ref() else {
             return Vec::new();
         };
-        let _guard = crate::sync::lock_unpoisoned(&inner.drain);
         let mut out = Vec::new();
         for lane in inner.lanes.iter() {
-            while let Some(ev) = lane.pop() {
-                out.push(ev);
-            }
+            lane.drain_into(&mut out);
         }
-        drop(_guard);
         out.sort_by_key(|e| e.seq);
         out
     }
@@ -227,7 +217,7 @@ mod tests {
         let evs = r.drain();
         assert_eq!(evs.len() as u64, r.recorded());
         assert_eq!(r.recorded() + r.dropped(), threads * per);
-        assert!(r.dropped() > 0, "tiny rings must have wrapped");
+        assert!(r.dropped() > 0, "tiny lanes must have dropped");
         // seq values are unique.
         let mut seqs: Vec<u64> = evs.iter().map(|e| e.seq).collect();
         seqs.dedup();

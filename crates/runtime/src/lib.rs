@@ -52,8 +52,8 @@
 //! `(workers, shards)`: a per-shard residency bound ([`ShardCapacity`])
 //! under which `spawn` blocks while a shard is full.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod region;
 mod runtime;

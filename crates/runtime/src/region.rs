@@ -6,11 +6,12 @@
 //! [`write`](crate::runtime::TaskCtx::write) guards that verify — at run
 //! time — that the running task actually declared that access, and — in
 //! all builds — that the dependency engine never granted conflicting
-//! access (a shared reader count / exclusive writer flag per region).
+//! access: the buffer sits behind an `RwLock` that is only ever *tried*,
+//! so an acquisition that would block is a dependency violation and
+//! panics instead of waiting.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError, TryLockResult};
 
 /// Unique identity of a region: plays the role of the parameter's base
 /// memory address in the Dependence Table.
@@ -19,31 +20,20 @@ pub struct RegionId(pub u64);
 
 static NEXT_REGION: AtomicU64 = AtomicU64::new(0x1000);
 
-pub(crate) struct RegionCell<T> {
-    pub(crate) id: RegionId,
-    data: UnsafeCell<Box<[T]>>,
-    /// Element count (immutable: regions never reallocate).
-    len: usize,
-    /// Concurrency checker: >0 = active readers, −1 = active writer.
-    access: AtomicI32,
-}
-
-// SAFETY: `id` and `len` are immutable and `access` is atomic. `data` is
-// reached only through a `ReadGuard` or a `WriteGuard`, and `access`
-// admits either readers (shared `&[T]`, hence `T: Sync`) or one writer
-// (hence `T: Send`), never both; the dependency engine serializes
-// writers against everything, and `access` asserts it.
-unsafe impl<T: Send + Sync> Sync for RegionCell<T> {}
-
 /// A shared handle to a typed data region.
 pub struct Region<T> {
-    pub(crate) cell: Arc<RegionCell<T>>,
+    id: RegionId,
+    /// Element count (regions never reallocate).
+    len: usize,
+    data: Arc<RwLock<Box<[T]>>>,
 }
 
 impl<T> Clone for Region<T> {
     fn clone(&self) -> Self {
         Region {
-            cell: Arc::clone(&self.cell),
+            id: self.id,
+            len: self.len,
+            data: Arc::clone(&self.data),
         }
     }
 }
@@ -61,25 +51,21 @@ impl<T> Region<T> {
         // Region ids are spaced so they behave like distinct base
         // addresses under the engine's hash.
         let id = RegionId(NEXT_REGION.fetch_add(64, Ordering::Relaxed));
-        let len = data.len();
         Region {
-            cell: Arc::new(RegionCell {
-                id,
-                data: UnsafeCell::new(data.into_boxed_slice()),
-                len,
-                access: AtomicI32::new(0),
-            }),
+            id,
+            len: data.len(),
+            data: Arc::new(RwLock::new(data.into_boxed_slice())),
         }
     }
 
     /// The region's dependency-resolution identity.
     pub fn id(&self) -> RegionId {
-        self.cell.id
+        self.id
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.cell.len
+        self.len
     }
 
     /// True if the region holds no elements.
@@ -88,85 +74,59 @@ impl<T> Region<T> {
     }
 
     pub(crate) fn begin_read(&self) -> ReadGuard<'_, T> {
-        // CAS loop so a rejected acquisition leaves the counter untouched
-        // (the panic unwinds through other guards' Drops).
-        let mut cur = self.cell.access.load(Ordering::Acquire);
-        loop {
-            assert!(
-                cur >= 0,
-                "dependency violation: reader admitted while a writer is active"
-            );
-            match self.cell.access.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return ReadGuard { region: self },
-                Err(actual) => cur = actual,
-            }
-        }
+        ReadGuard(self.admit(
+            self.data.try_read(),
+            "reader admitted while a writer is active",
+        ))
     }
 
     pub(crate) fn begin_write(&self) -> WriteGuard<'_, T> {
-        let swapped = self
-            .cell
-            .access
-            .compare_exchange(0, -1, Ordering::AcqRel, Ordering::Acquire);
-        assert!(
-            swapped.is_ok(),
-            "dependency violation: writer admitted while region is in use"
-        );
-        WriteGuard { region: self }
+        WriteGuard(self.admit(
+            self.data.try_write(),
+            "writer admitted while region is in use",
+        ))
+    }
+
+    fn admit<G>(&self, tried: TryLockResult<G>, violation: &str) -> G {
+        match tried {
+            Ok(guard) => guard,
+            // A body that panicked while writing poisoned the lock. The
+            // engine ordered its access like any other, so what it wrote
+            // is the region's state and the next task proceeds from it.
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                panic!(
+                    "dependency violation: {violation} (region {:#x})",
+                    self.id.0
+                )
+            }
+        }
     }
 }
 
 /// Shared read access to a region's data for the duration of a task.
-pub struct ReadGuard<'a, T> {
-    region: &'a Region<T>,
-}
+pub struct ReadGuard<'a, T>(RwLockReadGuard<'a, Box<[T]>>);
 
 impl<T> std::ops::Deref for ReadGuard<'_, T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        // SAFETY: `access` ≥ 1 while this guard lives, so no writer holds
-        // the data; the engine guarantees no writer task runs concurrently.
-        unsafe { &*self.region.cell.data.get() }
-    }
-}
-
-impl<T> Drop for ReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.region.cell.access.fetch_sub(1, Ordering::Release);
+        &self.0
     }
 }
 
 /// Exclusive write access to a region's data for the duration of a task.
-pub struct WriteGuard<'a, T> {
-    region: &'a Region<T>,
-}
+pub struct WriteGuard<'a, T>(RwLockWriteGuard<'a, Box<[T]>>);
 
 impl<T> std::ops::Deref for WriteGuard<'_, T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        // SAFETY: `access` == −1 while this guard lives: it is the only
-        // accessor, and the borrow is tied to `&self`.
-        unsafe { &*self.region.cell.data.get() }
+        &self.0
     }
 }
 
 impl<T> std::ops::DerefMut for WriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut [T] {
-        // SAFETY: `access` == −1 while this guard lives: it is the only
-        // accessor, and the borrow is tied to `&mut self`.
-        unsafe { &mut *self.region.cell.data.get() }
-    }
-}
-
-impl<T> Drop for WriteGuard<'_, T> {
-    fn drop(&mut self) {
-        let prev = self.region.cell.access.swap(0, Ordering::Release);
-        debug_assert_eq!(prev, -1);
+        &mut self.0
     }
 }
 

@@ -18,7 +18,7 @@
 //! Ready tasks are handed to workers through the work-stealing
 //! [`nexuspp_sched::Scheduler`]. A finish report's wakes are delivered
 //! as **one** batched scheduling operation: the whole burst lands on the
-//! finishing worker's own deque and idle workers steal it back out.
+//! finishing worker's own queue and idle workers steal it back out.
 //!
 //! Between the shards and the scheduler sits the dispatcher's wake path:
 //! a worker never holds a shard lock across wake delivery — the tasks its
@@ -647,7 +647,7 @@ impl Runtime {
 /// A worker owns the one finish report its completions are retired
 /// into, so the wake path reuses its storage instead of allocating per
 /// finish.
-fn worker_loop(inner: &Arc<Inner>, h: &WorkerHandle<Ready>) {
+fn worker_loop(inner: &Arc<Inner>, h: &WorkerHandle) {
     Recorder::set_thread_worker(h.id() as u32);
     let mut report = FinishReport::default();
     while let Some((ticket, work)) = inner.sched.next(h) {
@@ -663,7 +663,7 @@ fn execute_ready(
     inner: &Arc<Inner>,
     ticket: TaskTicket<Work>,
     work: Work,
-    h: Option<&WorkerHandle<Ready>>,
+    h: Option<&WorkerHandle>,
     report: &mut FinishReport<Work>,
 ) {
     if inner.aborting.load(Ordering::SeqCst) {

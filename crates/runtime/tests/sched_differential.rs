@@ -202,7 +202,7 @@ proptest! {
 fn steal_stress_chains_record_steals_and_shut_down_cleanly() {
     // The imbalanced shape at 4 workers over 4 shards: the
     // worker that retires the root wakes every chain head onto its own
-    // deque, so other workers can only contribute by stealing. Task
+    // queue, so other workers can only contribute by stealing. Task
     // bodies busy-spin long enough that the run spans many OS quanta
     // (required for sibling workers to be scheduled at all on a
     // single-CPU host). Retried because steal timing is inherently OS

@@ -71,6 +71,34 @@ fn panic_in_task_is_reraised_at_barrier() {
 }
 
 #[test]
+fn panic_while_writing_leaves_region_usable() {
+    // A body that panics while holding a write guard must not turn the
+    // region into a violation for the next task: its write stands and
+    // the successor builds on it.
+    let rt = Runtime::new(2, 2);
+    let r = rt.region(vec![0u64]);
+    {
+        let r = r.clone();
+        rt.task().output(&r).spawn(move |t| {
+            let mut w = t.write(&r);
+            w[0] = 7;
+            panic!("writer boom");
+        });
+    }
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.barrier()));
+    assert!(err.is_err(), "barrier must re-raise the task panic");
+    {
+        let r = r.clone();
+        rt.task().inout(&r).spawn(move |t| {
+            let seen = t.read(&r)[0];
+            t.write(&r)[0] = seen * 10 + 1;
+        });
+    }
+    rt.barrier();
+    assert_eq!(rt.with_data(&r, |v| v[0]), 71);
+}
+
+#[test]
 fn high_priority_probe_overtakes_backlog() {
     // Functional smoke: a high-priority probe on an idle region returns
     // promptly even with a backlog of queued normal tasks.

@@ -5,12 +5,12 @@
 //! task-based runtimes converged on once resolution stopped being the
 //! bottleneck (Álvarez et al., *Advanced Synchronization Techniques for
 //! Task-based Runtime Systems*, arXiv:2105.07902; the Nanos6/CppSs
-//! lineage of StarSs). Per-worker Chase–Lev deques (LIFO owner pop, FIFO
+//! lineage of StarSs). Per-worker local queues (LIFO owner pop, FIFO
 //! steal), a global injector for spawns and a global high-priority
-//! queue (each a locked FIFO, as the Task Maestro's ready queue is one
-//! plain FIFO), and parking so idle workers hold no CPU. A worker that
-//! wakes dependent tasks keeps them local; idle workers steal
-//! oldest-first.
+//! queue — every one a locked `VecDeque`, as the Task Maestro's ready
+//! queue is one plain FIFO — and parking so idle workers hold no CPU. A
+//! worker that wakes dependent tasks keeps them local; idle workers
+//! steal oldest-first.
 //!
 //! Workers interact through a per-thread [`WorkerHandle`]; spawning
 //! threads use [`Scheduler::submit`]. Wakes produced by a finish report
@@ -48,10 +48,9 @@
 //! assert_eq!(total, 55);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
 
-mod deque;
 mod metrics;
 mod queue;
 pub mod stress;
@@ -66,7 +65,7 @@ pub use work_steal::{Scheduler, WorkerHandle};
 /// scheduler and the value selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Per-worker work-stealing deques with a locked FIFO injector.
+    /// Per-worker work-stealing queues with a locked FIFO injector.
     #[default]
     WorkStealing,
 }

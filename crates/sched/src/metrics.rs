@@ -44,15 +44,15 @@ impl SchedMetrics {
 pub struct SchedCounts {
     /// Tasks handed to the scheduler from outside a worker (spawns).
     pub submitted: u64,
-    /// Wakes pushed onto the waking worker's own deque.
+    /// Wakes pushed onto the waking worker's own queue.
     pub local_pushes: u64,
-    /// Pops satisfied from the worker's own deque.
+    /// Pops satisfied from the worker's own queue.
     pub local_pops: u64,
     /// Pops satisfied from the global injector.
     pub injector_pops: u64,
     /// Pops satisfied from the high-priority queue.
     pub high_pops: u64,
-    /// Pops satisfied by stealing from another worker's deque.
+    /// Pops satisfied by stealing from another worker's queue.
     pub steals: u64,
     /// Times a worker's park recheck found no work (it then blocks
     /// unless a notify already arrived).

@@ -1,30 +1,31 @@
-//! The work-stealing scheduler: per-worker Chase–Lev deques, two locked
+//! The work-stealing scheduler: per-worker locked queues, two locked
 //! global FIFOs, and parking for idle workers.
 //!
 //! Scheduling policy (the classic work-first discipline):
 //!
 //! 1. the global **high-priority** queue — StarSs `highpriority` tasks
 //!    overtake everything, whichever worker they land on,
-//! 2. the worker's **own deque**, newest-first (LIFO) — a worker that
+//! 2. the worker's **own queue**, newest-first (LIFO) — a worker that
 //!    wakes a chain of dependent tasks keeps executing that chain with
-//!    hot caches and zero shared-state traffic,
-//! 3. the global **injector**, oldest-first — externally spawned tasks
-//!    (a locked FIFO, like the high-priority queue),
-//! 4. **stealing** from sibling deques, oldest-first (FIFO) — idle
+//!    hot caches,
+//! 3. the global **injector**, oldest-first — externally spawned tasks,
+//! 4. **stealing** from sibling queues, oldest-first (FIFO) — idle
 //!    workers take the *least* recently produced work, which in fan-out
 //!    workloads is the root of the largest remaining subtree.
+//!
+//! Every queue is the one [`Queue`] type of `queue.rs`: a worker's own
+//! queue is popped at the back by its owner and at the front by thieves.
 //!
 //! A worker that completes the sweep empty-handed parks on the
 //! scheduler's one [`EventCount`], rechecking with the same sweep.
 //! Producers publish work and then `notify_one`, so either the recheck
 //! sees the work or the notify sees the worker counted in and wakes a
-//! parked one — a wake can be spurious but never lost. A FIFO publishes
-//! its length before the pusher's `notify_one` fence, and the recheck
-//! reads that length without the lock.
+//! parked one — a wake can be spurious but never lost. A queue stores
+//! its length under its lock, before the pusher's `notify_one` fence,
+//! and the recheck reads that length without the lock.
 
-use crate::deque::{Steal, Stealer, Worker};
 use crate::metrics::{SchedCounts, SchedMetrics};
-use crate::queue::Fifo;
+use crate::queue::Queue;
 use crate::SchedulerKind;
 use nexuspp_core::{EventCount, Priority};
 use nexuspp_obs::{EventKind, Recorder, NO_SHARD, NO_TASK};
@@ -32,14 +33,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Per-worker-thread scheduler endpoint. Created by [`Scheduler::new`]
-/// and moved into the worker thread; identifies the worker and owns its
-/// deque.
-pub struct WorkerHandle<T> {
+/// and moved into the worker thread; identifies the worker whose local
+/// queue it pops.
+pub struct WorkerHandle {
     id: usize,
-    local: Worker<T>,
 }
 
-impl<T> WorkerHandle<T> {
+impl WorkerHandle {
     /// This worker's index in `0..n_workers`.
     pub fn id(&self) -> usize {
         self.id
@@ -58,11 +58,11 @@ struct SchedObs<T> {
 /// submitting threads).
 pub struct Scheduler<T> {
     /// Global high-priority queue, checked before any normal source.
-    high: Fifo<T>,
+    high: Queue<T>,
     /// Global entry point for externally submitted normal tasks.
-    injector: Fifo<T>,
-    /// Steal handles onto every worker's deque, indexed by worker id.
-    stealers: Box<[Stealer<T>]>,
+    injector: Queue<T>,
+    /// Every worker's local queue, indexed by worker id.
+    locals: Box<[Queue<T>]>,
     /// Where idle workers park; notified once per published task.
     idle: EventCount,
     shutdown: AtomicBool,
@@ -79,17 +79,12 @@ impl<T: Send> Scheduler<T> {
     /// ever calls [`next`](Self::next) — every queued task must then be
     /// drained through [`try_next_external`](Self::try_next_external)
     /// (the scheduler-aware-waiter configuration).
-    pub fn new(_kind: SchedulerKind, n_workers: usize) -> (Self, Vec<WorkerHandle<T>>) {
-        let handles: Vec<WorkerHandle<T>> = (0..n_workers)
-            .map(|id| WorkerHandle {
-                id,
-                local: Worker::new_lifo(),
-            })
-            .collect();
+    pub fn new(_kind: SchedulerKind, n_workers: usize) -> (Self, Vec<WorkerHandle>) {
+        let handles = (0..n_workers).map(|id| WorkerHandle { id }).collect();
         let sched = Scheduler {
-            high: Fifo::new(),
-            injector: Fifo::new(),
-            stealers: handles.iter().map(|h| h.local.stealer()).collect(),
+            high: Queue::new(),
+            injector: Queue::new(),
+            locals: (0..n_workers).map(|_| Queue::new()).collect(),
             idle: EventCount::new(),
             shutdown: AtomicBool::new(false),
             metrics: SchedMetrics::default(),
@@ -115,24 +110,24 @@ impl<T: Send> Scheduler<T> {
     }
 
     /// Deliver one wake from worker `h` (a task it completed released
-    /// `item`): normal wakes stay on the worker's own deque (work-first),
+    /// `item`): normal wakes stay on the worker's own queue (work-first),
     /// high-priority wakes go global so any worker picks them up next.
     /// Prefer [`wake_batch`](Self::wake_batch) for whole finish reports.
-    pub fn wake(&self, h: &WorkerHandle<T>, item: T, prio: Priority) {
+    pub fn wake(&self, h: &WorkerHandle, item: T, prio: Priority) {
         if prio.is_high() {
             self.high.push(item);
         } else {
-            h.local.push(item);
+            self.locals[h.id].push(item);
             SchedMetrics::bump(&self.metrics.local_pushes);
         }
         self.maybe_unpark();
     }
 
     /// Deliver a whole finish report's wakes in one scheduling operation:
-    /// a run of local deque pushes with at most one unpark per item. A
+    /// a run of local queue pushes with at most one unpark per item. A
     /// non-empty batch counts one `wake_batches`; an empty one counts
     /// nothing.
-    pub fn wake_batch(&self, h: &WorkerHandle<T>, items: impl IntoIterator<Item = (T, Priority)>) {
+    pub fn wake_batch(&self, h: &WorkerHandle, items: impl IntoIterator<Item = (T, Priority)>) {
         let mut items = items.into_iter().peekable();
         if items.peek().is_some() {
             SchedMetrics::bump(&self.metrics.wake_batches);
@@ -144,7 +139,7 @@ impl<T: Send> Scheduler<T> {
 
     /// Deliver a finish report's wakes from outside worker context (an
     /// external helper has no [`WorkerHandle`], so the items land on the
-    /// shared queues instead of a local deque). Counted as
+    /// shared queues instead of a local queue). Counted as
     /// [`wake_batch`](Self::wake_batch) is.
     pub fn wake_batch_external(&self, items: impl IntoIterator<Item = (T, Priority)>) {
         let mut items = items.into_iter().peekable();
@@ -173,7 +168,7 @@ impl<T: Send> Scheduler<T> {
 
     /// Blocking pop for worker `h`: the next task to execute, or `None`
     /// once the scheduler shut down and a full sweep found no work.
-    pub fn next(&self, h: &WorkerHandle<T>) -> Option<T> {
+    pub fn next(&self, h: &WorkerHandle) -> Option<T> {
         let obs = self.obs.as_ref();
         loop {
             // Two sweeps with a yield between them: on a saturated host
@@ -213,12 +208,12 @@ impl<T: Send> Scheduler<T> {
     }
 
     /// One full sweep over every source, in policy order.
-    fn try_find(&self, h: &WorkerHandle<T>) -> Option<T> {
+    fn try_find(&self, h: &WorkerHandle) -> Option<T> {
         if let Some(item) = self.high.pop() {
             SchedMetrics::bump(&self.metrics.high_pops);
             return Some(item);
         }
-        if let Some(item) = h.local.pop() {
+        if let Some(item) = self.locals[h.id].pop_back() {
             SchedMetrics::bump(&self.metrics.local_pops);
             return Some(item);
         }
@@ -227,7 +222,7 @@ impl<T: Send> Scheduler<T> {
             return Some(item);
         }
         // Steal, starting past our own id so victims spread out.
-        let n = self.stealers.len();
+        let n = self.locals.len();
         self.steal_from((1..n).map(|k| (h.id + k) % n))
     }
 
@@ -235,8 +230,8 @@ impl<T: Send> Scheduler<T> {
     /// for scheduler-aware waiters (a blocked `wait_on` caller executing
     /// ready tasks until its probe completes) and 0-worker runtimes.
     /// Sweeps the shared sources in policy order: the high-priority
-    /// queue, the injector, then steals from every worker deque (safe
-    /// from any thread: stealing is the deques' MPMC side). Returns
+    /// queue, the injector, then steals from every worker queue (safe
+    /// from any thread: every queue is behind its own lock). Returns
     /// `None` when no ready task is currently visible — which is not
     /// quiescence; a running task may publish more work.
     pub fn try_next_external(&self) -> Option<T> {
@@ -248,32 +243,17 @@ impl<T: Send> Scheduler<T> {
             SchedMetrics::bump(&self.metrics.injector_pops);
             return Some(item);
         }
-        self.steal_from(0..self.stealers.len())
+        self.steal_from(0..self.locals.len())
     }
 
-    /// Try each victim's deque in order. Retry a bounded number of passes
-    /// on CAS races, then give up (`next` re-sweeps before parking).
-    fn steal_from(&self, victims: impl Iterator<Item = usize> + Clone) -> Option<T> {
-        for _pass in 0..2 {
-            let mut contended = false;
-            for victim in victims.clone() {
-                match self.stealers[victim].steal() {
-                    Steal::Success(item) => {
-                        SchedMetrics::bump(&self.metrics.steals);
-                        if let Some(o) = &self.obs {
-                            o.rec.emit(EventKind::Stolen, (o.tag_of)(&item), NO_SHARD);
-                        }
-                        return Some(item);
-                    }
-                    Steal::Retry => contended = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !contended {
-                break;
-            }
+    /// Take the oldest item of the first non-empty victim queue.
+    fn steal_from(&self, mut victims: impl Iterator<Item = usize>) -> Option<T> {
+        let item = victims.find_map(|victim| self.locals[victim].pop())?;
+        SchedMetrics::bump(&self.metrics.steals);
+        if let Some(o) = &self.obs {
+            o.rec.emit(EventKind::Stolen, (o.tag_of)(&item), NO_SHARD);
         }
-        None
+        Some(item)
     }
 
     /// Wake one parked worker if any is counted in. Cheap when everyone

@@ -90,7 +90,7 @@ fn imbalanced_chains_force_steals() {
     // One worker wakes every chain head; with 4 workers the others can
     // only make progress by stealing. Per-task busy-work stretches the
     // run across many OS quanta so sibling workers provably get CPU time
-    // while the producer's deque still holds unstarted chains — without
+    // while the producer's queue still holds unstarted chains — without
     // it, a single-CPU host can let the producer drain everything alone.
     let spec = ChainStressSpec {
         workers: 4,

@@ -44,6 +44,7 @@
 //!   Either way the [`ServiceReport`] accounts for every accepted task
 //!   exactly once: executed, cancelled, or dropped-at-ingress.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod config;

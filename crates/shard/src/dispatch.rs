@@ -183,8 +183,9 @@ pub struct ShardDispatcher<P> {
     wake_metrics: WakeMetrics,
     /// Lifecycle event sink. `None` (the default) is the zero-cost
     /// production shape: every emission site is one `Option` branch.
-    /// Recording itself is lock-free (see `nexuspp_obs::Recorder`), so
-    /// attaching an enabled recorder adds zero shard-lock acquisitions.
+    /// Recording takes only the emitting thread's lane lock (see
+    /// `nexuspp_obs::Recorder`), so attaching an enabled recorder adds
+    /// zero shard-lock acquisitions.
     obs: Option<Arc<Recorder>>,
 }
 

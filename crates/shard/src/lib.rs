@@ -53,6 +53,7 @@
 //! Algorithms* (arXiv:1401.4441) — centralized dependency handling
 //! serializes otherwise-parallel workloads.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod budget;

@@ -26,6 +26,7 @@
 //!   Nexus, a software runtime on the master core, and a zero-overhead
 //!   list scheduler.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod analytic;

@@ -17,6 +17,7 @@
 //! * [`normalize`] — parameter-list hygiene (duplicate-address merging and
 //!   validation) applied before descriptors reach the hardware model.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod format;

@@ -42,6 +42,7 @@
 //! * [`analysis`] — task-graph analytics (parallelism profile, critical
 //!   path) used to regenerate Figure 4's ramp-effect illustration.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod analysis;

@@ -9,8 +9,8 @@
 //! at once — followed by long runs of one-wakes-one tasks.
 //!
 //! Under a centralized ready queue the burst and every subsequent wake
-//! funnel through the same lock; under per-worker deques the burst lands
-//! on the finishing worker's deque and other workers must steal chains to
+//! funnel through the same lock; under per-worker queues the burst lands
+//! on the finishing worker's queue and other workers must steal chains to
 //! contribute — which is exactly what `nexuspp_sched`'s stealing path
 //! optimizes for and what its steal counters make visible. The same DAG
 //! is generated here as an address trace so the dependency engines, the

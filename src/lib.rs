@@ -31,10 +31,10 @@
 //! * [`hw`] — the Task Machine's memory/bus/SRAM timing models and
 //!   storage budgets,
 //! * [`obs`] — the observability layer: lifecycle event tracing with
-//!   lock-free bounded rings, a metrics registry over every layer's
+//!   bounded per-worker event lanes, a metrics registry over every layer's
 //!   counters, Chrome-trace export and critical-path analysis,
 //! * [`sched`] — the ready-task scheduling layer: per-worker
-//!   work-stealing deques with a locked FIFO injector,
+//!   work-stealing queues with a locked FIFO injector,
 //! * [`runtime`] — a real threaded StarSs-like runtime built on the same
 //!   resolution semantics ([`runtime::Runtime`]: any number of resolver
 //!   shards, one being the single-engine case), scheduling through
@@ -201,6 +201,8 @@
 //! assert_eq!(ran.load(Ordering::Acquire), 32);
 //! assert_eq!(svc.metrics_snapshot().get("tenant1", "executed"), Some(16));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use nexuspp_core as core;
 pub use nexuspp_desim as desim;
