@@ -39,7 +39,7 @@ use crate::store::{self, Store};
 use nexuspp_core::Priority;
 use nexuspp_frontend::{FrontendError, Program, ResourceId, TaskDecl, Version};
 use nexuspp_runtime::Runtime;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 /// One declared access in an [`Edit`] — the name-based form the
@@ -408,6 +408,8 @@ impl IncrementalProgram {
             return Ok(());
         }
         let mut scratch = self.decls.clone();
+        // The scratch list's keys, so each edit's key check is one probe.
+        let mut keys: HashSet<u64> = scratch.iter().map(|d| d.key).collect();
         let mut edited_keys: Vec<u64> = Vec::new();
         let mut seed_updates: Vec<(String, u64)> = Vec::new();
         for edit in edits {
@@ -421,7 +423,7 @@ impl IncrementalProgram {
                     priority,
                     accesses,
                 } => {
-                    if scratch.iter().any(|d| d.key == key) {
+                    if !keys.insert(key) {
                         return Err(IncrError::DuplicateKey(key));
                     }
                     scratch.push(DeclSpec {
@@ -433,16 +435,17 @@ impl IncrementalProgram {
                     edited_keys.push(key);
                 }
                 Edit::RemoveTask { key } => {
-                    if !scratch.iter().any(|d| d.key == key) {
+                    if !keys.remove(&key) {
                         return Err(IncrError::UnknownKey(key));
                     }
                     scratch.retain(|d| d.key != key);
                 }
                 Edit::Retarget { key, accesses } => {
-                    let Some(i) = scratch.iter().position(|d| d.key == key) else {
+                    if !keys.contains(&key) {
                         return Err(IncrError::UnknownKey(key));
-                    };
-                    scratch[i].accesses = accesses;
+                    }
+                    let d = scratch.iter_mut().find(|d| d.key == key);
+                    d.expect("every key in the set is in the list").accesses = accesses;
                     edited_keys.push(key);
                 }
             }
@@ -735,6 +738,48 @@ mod tests {
             ip.edit(Edit::RemoveTask { key: 2 }).unwrap_err(),
             IncrError::UnknownKey(2)
         );
+    }
+
+    #[test]
+    fn a_batch_may_remove_a_key_and_add_it_again() {
+        let mut ip = IncrementalProgram::new();
+        ip.edit(add(1, 0x10, vec![Access::Write("x".into())]))
+            .unwrap();
+        ip.edit(add(2, 0x11, vec![Access::Read("x".into())]))
+            .unwrap();
+        // The re-added task 1 reads what it used to write; the later
+        // retarget of 1 sees the re-added declaration, not the removed one.
+        ip.edit_batch([
+            Edit::RemoveTask { key: 1 },
+            add(1, 0x12, vec![Access::Read("x".into())]),
+            Edit::Retarget {
+                key: 1,
+                accesses: vec![Access::Write("x".into())],
+            },
+        ])
+        .unwrap();
+        let order: Vec<(u64, u64)> = ip.decls.iter().map(|d| (d.key, d.fptr)).collect();
+        assert_eq!(order, vec![(2, 0x11), (1, 0x12)]);
+        // Task 2 now comes first, so it reads x's initial contents and
+        // task 1 writes x after it: no true edge is left.
+        assert!(ip.edges().is_empty());
+    }
+
+    #[test]
+    fn a_batch_that_adds_a_key_twice_is_rejected_whole() {
+        let mut ip = IncrementalProgram::new();
+        ip.edit(add(1, 0x10, vec![Access::Write("x".into())]))
+            .unwrap();
+        let (keys, edges) = (ip.keys(), ip.edges());
+        let err = ip
+            .edit_batch([
+                add(5, 0x11, vec![Access::Read("x".into())]),
+                add(5, 0x12, vec![Access::Write("y".into())]),
+            ])
+            .unwrap_err();
+        assert_eq!(err, IncrError::DuplicateKey(5));
+        assert_eq!((ip.keys(), ip.edges()), (keys, edges));
+        assert_eq!(ip.len(), 1);
     }
 
     #[test]

@@ -48,9 +48,12 @@
 //!
 //! Ready tasks reach the workers through the `nexuspp-sched`
 //! work-stealing scheduler, and wakes leave the shards in the finisher's
-//! own report, outside the shard lock. [`Runtime::with_capacity`] adds the one setting beyond
-//! `(workers, shards)`: a per-shard residency bound ([`ShardCapacity`])
-//! under which `spawn` blocks while a shard is full.
+//! own report, outside the shard lock. Every shard holds at most a
+//! per-shard residency bound ([`ShardCapacity`]) of tasks: Table IV's
+//! 1024-entry Task Pool under [`Runtime::new`], any bound (or
+//! [`ShardCapacity::Unbounded`]) under [`Runtime::with_capacity`]. A
+//! `spawn` that finds a shard full runs ready tasks on the spawning
+//! thread, and blocks only while none is visible.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

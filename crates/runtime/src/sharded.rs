@@ -25,13 +25,18 @@
 //! completion made ready are handed off after the lock is released,
 //! straight into its finish report and from there into `wake_batch`.
 //!
+//! Each shard admits at most a Task Pool's worth of resident tasks
+//! (Table IV's 1024 by default). A submitter that finds a shard full
+//! *helps*: it runs one ready task itself and retries, and parks only
+//! when no ready task is visible.
+//!
 //! Every thread that blocks here waits on a [`nexuspp_core::EventCount`]:
 //! idle workers on the scheduler's, a submitter stalled on a full shard
-//! on that shard's, and a [`Runtime::barrier`] (or shutdown) on the
-//! runtime's own, notified by the retirement that takes the pending
-//! count to zero. [`Runtime::wait_on`] is the one exception: between
-//! the ready tasks it helps run, it blocks on a std channel its probe
-//! task sends into.
+//! with nothing to help on that shard's, and a [`Runtime::barrier`] (or
+//! shutdown) on the runtime's own, notified by the retirement that takes
+//! the pending count to zero. [`Runtime::wait_on`] is the one exception:
+//! between the ready tasks it helps run, it blocks on a std channel its
+//! probe task sends into.
 
 use crate::region::{Region, RegionId};
 use crate::runtime::{panic_msg, sched_counters, Grants, Job, ShutdownReport, TaskCtx};
@@ -135,6 +140,12 @@ struct Inner {
     /// its own clone for the resolution/wake phases. `None` when the
     /// runtime was built without one.
     obs: Option<Arc<Recorder>>,
+    /// The finish report of the threads that help — a stalled spawn or
+    /// a `wait_on` running ready tasks between retries — kept here so
+    /// its storage is reused across helped tasks. Taken with `try_lock`:
+    /// a second helper (or a nested one, when a helped body spawns)
+    /// uses a fresh report instead of waiting.
+    help_report: Mutex<FinishReport<Work>>,
 }
 
 impl Inner {
@@ -175,6 +186,20 @@ impl Inner {
     }
 }
 
+/// Run one ready task on the calling thread, if any is visible to a
+/// thread outside the pool; `false` if none was. The help step of a
+/// spawn stalled on a full shard and of [`Runtime::wait_on`].
+fn help(inner: &Arc<Inner>) -> bool {
+    let Some((ticket, work)) = inner.sched.try_next_external() else {
+        return false;
+    };
+    match inner.help_report.try_lock() {
+        Ok(mut report) => execute_ready(inner, ticket, work, None, &mut report),
+        Err(_) => execute_ready(inner, ticket, work, None, &mut FinishReport::default()),
+    }
+    true
+}
+
 /// Declarative task builder (the embedded-DSL equivalent of a
 /// `#pragma css task input(...) output(...) inout(...)` annotation).
 pub struct TaskBuilder<'rt> {
@@ -209,13 +234,14 @@ impl<'rt> TaskBuilder<'rt> {
         self
     }
 
-    /// Submit the task. It runs as soon as its dependencies allow. Under
-    /// a bounded [`ShardCapacity`] this **blocks the submitting thread**
-    /// while any involved shard is full, resuming on that shard's next
-    /// finish report — the software form of the paper's master-core
-    /// stall — so spawn tasks in dependency order (producers first),
-    /// which this builder yields naturally from a single submitting
-    /// thread.
+    /// Submit the task. It runs as soon as its dependencies allow. While
+    /// any involved shard is at its [`ShardCapacity`] bound this **blocks
+    /// the submitting thread** — the software form of the paper's
+    /// master-core stall — which meanwhile runs ready tasks (any task,
+    /// in scheduling order) and parks only when none is visible, resuming
+    /// on the full shard's next finish. So spawn tasks in dependency
+    /// order (producers first), which this builder yields naturally from
+    /// a single submitting thread.
     pub fn spawn(self, f: impl FnOnce(&TaskCtx) + Send + 'static) {
         let params: Vec<Param> = self
             .accesses
@@ -245,15 +271,30 @@ pub type ShardedRuntime = Runtime;
 
 impl Runtime {
     /// Start a runtime with `n` worker threads resolving dependencies
-    /// across `shards` engines (`1` = one engine behind one lock), with
-    /// unbounded shards.
+    /// across `shards` engines (`1` = one engine behind one lock), each
+    /// holding at most a Table IV Task Pool of resident tasks
+    /// (`NexusConfig::default().task_pool_entries`, 1024): a shard is one
+    /// engine, one Maestro's Task Pool. A spawn that finds a shard full
+    /// runs ready tasks on the spawning thread until a slot frees (see
+    /// [`spawn`](TaskBuilder::spawn)).
+    ///
+    /// One program shape can wait forever under the bound: a task body
+    /// that spawns more than a shard's bound of tasks which wait on that
+    /// body's own output. They stay resident until the body finishes,
+    /// and the body cannot finish until they leave. Such a program must
+    /// ask for [`ShardCapacity::Unbounded`] through
+    /// [`with_capacity`](Self::with_capacity).
     pub fn new(n: usize, shards: usize) -> Self {
-        Runtime::with_capacity(n, shards, ShardCapacity::Unbounded)
+        let pool = NexusConfig::default().task_pool_entries;
+        Runtime::with_capacity(n, shards, ShardCapacity::Bounded(pool))
     }
 
     /// Start a runtime with the per-shard residency bound `capacity` (a
     /// bounded runtime blocks [`spawn`](TaskBuilder::spawn) while a shard
-    /// is full).
+    /// is full, running ready tasks meanwhile). Under a bound, a task
+    /// body that spawns more than the bound's worth of tasks waiting on
+    /// its own output can wait forever; such a program must pass
+    /// [`ShardCapacity::Unbounded`].
     pub fn with_capacity(n: usize, shards: usize, capacity: ShardCapacity) -> Self {
         Runtime::build(n, shards, capacity, None)
     }
@@ -320,6 +361,7 @@ impl Runtime {
             executed: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             obs,
+            help_report: Mutex::new(FinishReport::default()),
         });
         let workers = handles
             .into_iter()
@@ -364,12 +406,6 @@ impl Runtime {
     /// quiescent — call after [`barrier`](Self::barrier)).
     pub fn sched_counts(&self) -> SchedCounts {
         self.inner.sched.counts()
-    }
-
-    /// The lifecycle-event recorder this runtime stamps into, if built
-    /// with [`with_recorder`](Self::with_recorder).
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.inner.obs.as_ref()
     }
 
     /// Build a [`MetricsRegistry`] over every counter surface this
@@ -489,14 +525,17 @@ impl Runtime {
     /// The one submission path: count the task pending, admit it through
     /// the dispatcher and schedule it if nothing blocks it. `block`
     /// is the only difference between the spawn flavours — a full shard
-    /// parks the caller (`dispatcher.submit`, never rejects) or hands the
-    /// task back (`dispatcher.try_submit`).
+    /// stalls the caller, which helps run ready tasks meanwhile
+    /// (`dispatcher.submit_helping`, never rejects), or hands the task
+    /// back (`dispatcher.try_submit`).
     fn submit(&self, p: PendingSpawn, block: bool) -> Result<(), (SubmitError, PendingSpawn)> {
         let prio = p.work.prio;
         let inner = &self.inner;
         inner.pending.fetch_add(1, Ordering::SeqCst);
         let admitted = if block {
-            Ok(inner.dispatcher.submit(p.fptr, p.tag, &p.params, p.work))
+            Ok(inner
+                .dispatcher
+                .submit_helping(p.fptr, p.tag, &p.params, p.work, || help(inner)))
         } else {
             inner
                 .dispatcher
@@ -547,7 +586,6 @@ impl Runtime {
         self.task().input(region).high_priority().spawn(move |_| {
             let _ = tx.send(());
         });
-        let mut report = FinishReport::default();
         loop {
             match rx.try_recv() {
                 Ok(()) => return,
@@ -559,9 +597,7 @@ impl Runtime {
             }
             // Help: run one ready task (any task — policy order) rather
             // than sleeping on the probe.
-            if let Some((ticket, work)) = self.inner.sched.try_next_external() {
-                execute_ready(&self.inner, ticket, work, None, &mut report);
-            } else {
+            if !help(&self.inner) {
                 match rx.recv_timeout(Duration::from_millis(1)) {
                     Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
                     Err(RecvTimeoutError::Timeout) => {}
@@ -656,9 +692,9 @@ fn worker_loop(inner: &Arc<Inner>, h: &WorkerHandle) {
 }
 
 /// Run (or, when aborting, cancel) one ready unit and retire it through
-/// `report`, which is left empty. Shared by the worker loop and
-/// scheduler-aware waiters (`h == None` — wakes then go through the
-/// external scheduling path).
+/// `report`, which is left empty. Shared by the worker loop and the
+/// help step of stalled spawns and waiters (`h == None` — wakes then go
+/// through the external scheduling path).
 fn execute_ready(
     inner: &Arc<Inner>,
     ticket: TaskTicket<Work>,

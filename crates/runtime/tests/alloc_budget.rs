@@ -17,9 +17,11 @@
 //! rounds through the same runtime:
 //!
 //! * a **held** round holds every worker until the whole stream is
-//!   submitted, so every task is in flight at once and each structure
-//!   reaches the stream's peak occupancy (the warm-up, also held, has
-//!   already paid for that growth);
+//!   submitted. The runtime admits at most a Task Pool (1024 tasks) per
+//!   shard, so the stream cannot be resident all at once: the window
+//!   fills, stays full, and the submitter, stalled on a full shard, runs
+//!   the rest of the stream itself one ready task at a time (the
+//!   warm-up, also held, has already paid for the window's growth);
 //! * a **free-running** round lets the workers keep up with the
 //!   submitter, so anywhere up to every task is ready at submission and
 //!   goes through the injector.
@@ -32,7 +34,7 @@ use nexuspp_runtime::Runtime;
 use nexuspp_trace::Param;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// The system allocator, counting every block it hands out (a `realloc`
 /// counts as one).
@@ -116,17 +118,25 @@ fn tagged(params: Vec<Vec<Param>>) -> Vec<Submission> {
 
 /// One round of `subs`, each with a body that captures its tag. With
 /// `hold`, every worker is held by a parameterless task until the last
-/// submission is in.
+/// submission is in. The stream starts only once every worker has taken
+/// its hold task, so a stalled submitter never runs one itself (it would
+/// wait for its own last submission).
 fn round(rt: &Runtime, subs: Vec<Submission>, hold: bool) {
     static HOLD: AtomicBool = AtomicBool::new(false);
+    static HELD: AtomicUsize = AtomicUsize::new(0);
     HOLD.store(hold, Relaxed);
     if hold {
+        HELD.store(0, Relaxed);
         for _ in 0..WORKERS {
             rt.spawn_lowered(Submission::from((1, 0, Vec::new())), || {
+                HELD.fetch_add(1, Relaxed);
                 while HOLD.load(Relaxed) {
                     std::thread::yield_now();
                 }
             });
+        }
+        while HELD.load(Relaxed) < WORKERS {
+            std::thread::yield_now();
         }
     }
     for sub in subs {

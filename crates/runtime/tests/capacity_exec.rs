@@ -1,9 +1,9 @@
 //! Bounded-capacity execution tests for [`Runtime`]: the
 //! capacity-stress DAG (deep `inout` chains fanned out wider than the
 //! shard tables) must drain deadlock-free at capacity 1 for every worker
-//! count, under a watchdog; stall accounting must balance at quiescence;
-//! and shutdown must be clean while a submitter is parked on a full
-//! shard.
+//! count, under a watchdog; stall accounting must balance at quiescence,
+//! whether the stalled submitter helped or parked; and shutdown must be
+//! clean while a submitter is parked on a full shard.
 
 use nexuspp_core::testsupport::with_watchdog;
 use nexuspp_runtime::stress::drive_capacity_stress;
@@ -26,10 +26,12 @@ fn capacity_one_stress_is_deadlock_free_for_every_worker_count() {
                 drive_capacity_stress(&rt, 8, 40);
                 let counts = rt.capacity_counts();
                 let total_stalls: u64 = counts.iter().map(|c| c.stalls_observed).sum();
+                // A stalled submitter helps before it parks; either way
+                // the stall is one counted episode.
                 assert!(
                     total_stalls > 0,
                     "{workers} workers: a 8-chain fan-out through capacity-1 shards \
-                     must park the submitter"
+                     must stall the submitter"
                 );
                 for (s, c) in counts.iter().enumerate() {
                     assert_eq!(
@@ -56,7 +58,10 @@ fn capacity_two_stress_survives_wider_tables_and_more_chains() {
 
 #[test]
 fn unbounded_runtime_reports_zero_stalls() {
-    let rt = Runtime::new(4, 4);
+    // The default runtime is bounded at Table IV's Task Pool; unbounded
+    // shards are asked for explicitly.
+    assert_eq!(Runtime::new(1, 1).capacity(), ShardCapacity::Bounded(1024));
+    let rt = Runtime::with_capacity(4, 4, ShardCapacity::Unbounded);
     assert_eq!(rt.capacity(), ShardCapacity::Unbounded);
     drive_capacity_stress(&rt, 8, 20);
     for (s, c) in rt.capacity_counts().iter().enumerate() {

@@ -236,6 +236,43 @@ fn tasks_can_spawn_tasks() {
     }
 }
 
+/// One body spawns twice the default per-shard bound of independent
+/// readers of one region, so every child lands on that region's shard.
+/// The body holds the only worker: its spawns stall on the full shard
+/// and run ready children themselves until slots free, and the barrier
+/// returns.
+fn body_spawns_past_the_default_bound(shards: usize) {
+    let rt = Arc::new(Runtime::new(1, shards));
+    let bound = rt.capacity().limit().expect("bounded by default") as u64;
+    let src = rt.region(vec![7u64]);
+    let sum = Arc::new(AtomicU64::new(0));
+    {
+        let (rt2, src2, sum) = (Arc::clone(&rt), src.clone(), Arc::clone(&sum));
+        rt.task().spawn(move |_| {
+            for _ in 0..2 * bound {
+                let (src3, sum) = (src2.clone(), Arc::clone(&sum));
+                rt2.task().input(&src2).spawn(move |t| {
+                    sum.fetch_add(t.read(&src3)[0], Ordering::SeqCst);
+                });
+            }
+        });
+    }
+    // The children are pending before their parent retires, so one
+    // barrier waits for them all.
+    rt.barrier();
+    assert_eq!(sum.load(Ordering::SeqCst), 7 * 2 * bound);
+    let stalls: u64 = rt.capacity_counts().iter().map(|c| c.stalls_observed).sum();
+    assert!(stalls > 0, "the children overflowed their shard");
+}
+
+#[test]
+fn a_body_may_spawn_past_the_default_bound() {
+    for shards in SHARDS {
+        let name = format!("{shards}-shard spawn past the bound");
+        with_watchdog(60, name, move || body_spawns_past_the_default_bound(shards));
+    }
+}
+
 #[test]
 fn barrier_on_idle_runtime_returns() {
     for shards in SHARDS {

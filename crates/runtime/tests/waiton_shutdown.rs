@@ -8,7 +8,9 @@
 //!    hard-deadline shutdown cancels the probe.
 //! 2. **Worker starvation** — the waiter used to block on a channel
 //!    instead of helping. It is now scheduler-aware: a graph completes
-//!    at `workers == 0` with a single waiter executing everything.
+//!    at `workers == 0` with a single waiter executing everything, and
+//!    so does a graph longer than the default per-shard bound, whose
+//!    stalled spawns help the same way.
 //!
 //! Plus: explicit `shutdown()` reports every task executed, and
 //! `shutdown_deadline()` past its deadline cancel-finishes queued
@@ -56,6 +58,30 @@ fn waiter_executes_the_graph_at_zero_workers_single_engine() {
 #[test]
 fn waiter_executes_the_graph_at_zero_workers_sharded() {
     waiter_executes_the_graph_at_zero_workers(4);
+}
+
+/// A zero-worker runtime at its default per-shard bound: a chain three
+/// times the bound long fills its one shard, so every spawn past the
+/// bound stalls, and the spawning thread must run the chain's head to
+/// free a slot. Then the waiter runs the rest.
+#[test]
+fn spawns_past_the_default_bound_help_at_zero_workers() {
+    with_watchdog(60, "zero-worker chain past the bound".to_string(), || {
+        let rt = Runtime::new(0, 1);
+        let bound = rt.capacity().limit().expect("bounded by default") as u64;
+        let region = rt.region(vec![0u64]);
+        let ran = spawn_chain(&rt, &region, 3 * bound);
+        assert!(
+            ran.load(Ordering::SeqCst) >= 2 * bound,
+            "the spawner ran the overflow"
+        );
+        rt.wait_on(&region);
+        assert_eq!(ran.load(Ordering::SeqCst), 3 * bound);
+        assert_eq!(rt.with_data(&region, |v| v[0]), 3 * bound);
+        let c = &rt.capacity_counts()[0];
+        assert!(c.stalls_observed > 0);
+        assert_eq!(c.stalls_observed, c.retries_resolved);
+    });
 }
 
 #[test]

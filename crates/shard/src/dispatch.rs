@@ -21,10 +21,12 @@
 //! this path once the report has grown to its widest wake.
 //!
 //! Under a bounded [`ShardCapacity`], a submitter that finds a shard
-//! full parks on that shard's [`EventCount`], rechecking the shard's
-//! residency; a finish notifies it after releasing each slot, and a
-//! reservation that rolled back notifies the shards it handed slots
-//! back to. A notify with nobody parked is one fence and one load.
+//! full first takes its caller's help step (the runtime runs one ready
+//! task) and retries; with nothing to run, it parks on that shard's
+//! [`EventCount`], rechecking the shard's residency. A finish notifies
+//! it after releasing each slot, and a reservation that rolled back
+//! notifies the shards it handed slots back to. A notify with nobody
+//! parked is one fence and one load.
 
 use crate::protocol::{Few, Remote, Residency, Route, Slices};
 use nexuspp_core::{
@@ -208,9 +210,11 @@ impl<P> ShardDispatcher<P> {
     ///
     /// Deadlock contract: a task's producers must be submitted before it
     /// (StarSs program order) and completions must be driven from other
-    /// threads (the runtime's workers); then the protocol is deadlock-free
-    /// down to capacity 1, because a parked submitter holds no slots and
-    /// every resident task can eventually run.
+    /// threads (the runtime's workers) or by the submitter's own help
+    /// step ([`submit_helping`](Self::submit_helping)); then the
+    /// protocol is deadlock-free down to capacity 1, because a parked
+    /// submitter holds no slots and every resident task can eventually
+    /// run.
     pub fn with_capacity(n_shards: usize, cfg: &NexusConfig, capacity: ShardCapacity) -> Self {
         assert!(n_shards >= 1, "need at least one shard");
         assert!(
@@ -242,11 +246,6 @@ impl<P> ShardDispatcher<P> {
     pub fn with_recorder(mut self, obs: Arc<Recorder>) -> Self {
         self.obs = Some(obs);
         self
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.obs.as_ref()
     }
 
     #[inline]
@@ -321,8 +320,28 @@ impl<P> ShardDispatcher<P> {
     /// grants a residency slot (stall/retry, counted per shard);
     /// unbounded dispatchers never block at all. If the task has no
     /// unresolved dependencies the payload comes straight back in
-    /// [`SubmitResult::ready`].
+    /// [`SubmitResult::ready`]. Completions must be driven by other
+    /// threads; a submitter that can drive them itself uses
+    /// [`submit_helping`](Self::submit_helping).
     pub fn submit(&self, fptr: u64, tag: u64, params: &[Param], payload: P) -> SubmitResult<P> {
+        self.submit_helping(fptr, tag, params, payload, || false)
+    }
+
+    /// [`submit`](Self::submit) with a help step: while a shard is full,
+    /// each retry is preceded by one call to `help`. A submitter that
+    /// can drive completions itself runs one ready task and returns
+    /// `true`, and the reservation is retried at once; `false` means
+    /// there was nothing to run, and the submitter parks on the full
+    /// shard until its next finish. Helped or parked, the loop is one
+    /// stall episode.
+    pub fn submit_helping(
+        &self,
+        fptr: u64,
+        tag: u64,
+        params: &[Param],
+        payload: P,
+        mut help: impl FnMut() -> bool,
+    ) -> SubmitResult<P> {
         let route = Route::new(params, self.shards.len());
         self.emit(
             EventKind::Submitted,
@@ -342,7 +361,9 @@ impl<P> ShardDispatcher<P> {
                         .fetch_add(1, Ordering::Relaxed);
                     self.emit(EventKind::Stalled, tag, full);
                 }
-                self.park_on(full);
+                if !help() {
+                    self.park_on(full);
+                }
             }
             if let Some((first, t0)) = episode {
                 let cell = &self.shards[first as usize];

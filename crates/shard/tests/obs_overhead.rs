@@ -16,14 +16,25 @@
 //!    introspection relative to post-mortem recording. Measured with
 //!    nonzero per-finish spin so the workload models real task bodies
 //!    rather than a pure counter race.
+//!
+//! The tests of this file run one at a time (see `serial`): each one
+//! is a multi-threaded storm, and two side by side on a small host time
+//! each other's load instead of the recorder.
 
 use nexuspp_core::testsupport::with_watchdog;
 use nexuspp_obs::{Collector, Recorder};
 use nexuspp_shard::stress::{run_wake_stress_with, WakeStressSpec};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 const ROUNDS: usize = 5;
+
+/// Held for the whole of every test in this file, so the harness's
+/// parallel test threads never run two storms at once.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn spec() -> WakeStressSpec {
     WakeStressSpec {
@@ -43,6 +54,7 @@ fn timed(rec: Option<Arc<Recorder>>) -> Duration {
 
 #[test]
 fn disabled_recorder_overhead_within_five_percent() {
+    let _serial = serial();
     let spec_check = spec();
     assert_eq!(spec_check.finishers, 4, "the gate is defined at 4 workers");
     // Warm-up: fault in both code paths before timing anything (the
@@ -74,6 +86,7 @@ fn disabled_recorder_overhead_within_five_percent() {
 
 #[test]
 fn live_collector_overhead_within_ten_percent_of_quiescent_recording() {
+    let _serial = serial();
     // Real task bodies: each finish spins for 25 µs, so the run is
     // dominated by work the collector cannot perturb and the bound
     // measures streaming overhead, not scheduler jitter amplified
@@ -139,6 +152,7 @@ fn live_collector_overhead_within_ten_percent_of_quiescent_recording() {
 
 #[test]
 fn enabled_recording_drops_no_event() {
+    let _serial = serial();
     with_watchdog(120, "recorded wake-stress storm", || {
         // Oversized rings: the submitting thread alone emits ~3 events
         // per task into one lane, and the gate below requires zero drops.
