@@ -29,7 +29,7 @@ use nexuspp_taskmachine::baseline::{
 use nexuspp_taskmachine::hw::{
     BusConfig, MemoryConfig, StorageBudget, StorageParams, TASK_SUPERSCALAR_BYTES,
 };
-use nexuspp_taskmachine::{simulate, simulate_trace, MachineConfig};
+use nexuspp_taskmachine::{simulate, simulate_trace, MachineConfig, NEXUS_CLOCK_PERIOD};
 use nexuspp_trace::TraceSource;
 use nexuspp_workloads::analysis::parallelism_profile;
 use nexuspp_workloads::{stress, GaussianSpec, GridPattern, GridSpec, VideoSpec};
@@ -361,7 +361,7 @@ pub fn table4(_opts: &ExpOptions) -> Experiment {
         ("Cores clock freq.", "2.0 GHz".to_string()),
         (
             "Nexus++ clock freq.",
-            format!("{} (500 MHz)", cfg.nexus_clock.period()),
+            format!("{NEXUS_CLOCK_PERIOD} (500 MHz)"),
         ),
         ("On-chip access time", cfg.sram.access.to_string()),
         (

@@ -38,7 +38,6 @@
 use crate::config::NexusConfig;
 use crate::cost::OpCost;
 use crate::pool::TdIndex;
-use nexuspp_desim::stats::Summary;
 use nexuspp_trace::AccessMode;
 use std::collections::VecDeque;
 
@@ -139,8 +138,9 @@ pub struct TableStats {
     pub full_rejections: u64,
     /// Peak occupied slots (parents + extensions).
     pub peak_occupancy: usize,
-    /// Distribution of hash-chain lengths observed at probes.
-    pub chain_lengths: Summary,
+    /// Hash-chain slots visited, summed over every recorded probe (one
+    /// lookup per slot, the home slot included).
+    pub probe_hops: u64,
     /// Longest hash chain ever observed.
     pub max_chain_len: u64,
     /// Longest kick-off chain (1 + extensions) ever observed for an entry.
@@ -351,7 +351,7 @@ impl DepTable {
 
     fn probe_recorded(&mut self, addr: u64) -> Probe {
         let p = self.probe(addr);
-        self.stats.chain_lengths.record(p.hops);
+        self.stats.probe_hops += p.hops;
         if p.hops > self.stats.max_chain_len {
             self.stats.max_chain_len = p.hops;
         }

@@ -207,3 +207,50 @@ fn every_spawn_flavour_goes_through_one_accounted_submission_path() {
         drop(rt);
     });
 }
+
+#[test]
+fn a_body_that_panics_on_the_help_path_is_reraised_once() {
+    with_watchdog(60, "panicking body on the help path", || {
+        // No workers and one slot: every body runs on the spawning thread,
+        // through the help step of a blocking spawn or through `wait_on`.
+        let rt = bounded(0, 1, 1);
+        let cell: Region<u64> = rt.region(vec![1]);
+        rt.task().inout(&cell).spawn(|_| panic!("first link fails"));
+        for step in [2u64, 3] {
+            let cell2 = cell.clone();
+            rt.task().inout(&cell).spawn(move |t| {
+                t.write(&cell2)[0] = step;
+            });
+        }
+        rt.wait_on(&cell);
+        // The later links found the slot taken and ran the ready link
+        // before them: the first body panicked inside a spawn.
+        let c = &rt.capacity_counts()[0];
+        assert!(c.stalls_observed >= 2, "{c:?}");
+        assert_eq!(c.stalls_observed, c.retries_resolved);
+
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.barrier()))
+            .expect_err("the barrier re-raises the body's panic");
+        let msg = raised
+            .downcast_ref::<String>()
+            .expect("re-raised with a formatted message");
+        assert!(msg.contains("first link fails"), "{msg}");
+        rt.barrier(); // re-raised once, not again
+
+        // The chain's value survives the failed link, and the runtime
+        // still admits and runs a task on it.
+        let cell2 = cell.clone();
+        rt.task().inout(&cell).spawn(move |t| {
+            t.write(&cell2)[0] *= 10;
+        });
+        rt.wait_on(&cell);
+        assert_eq!(rt.with_data(&cell, |v| v[0]), 30);
+
+        let report = rt.shutdown();
+        assert!(report.graceful);
+        assert_eq!(report.cancelled, 0);
+        // Four tasks and the two `wait_on` probes.
+        assert_eq!(report.executed, rt.submitted());
+        assert_eq!(report.executed, 6);
+    });
+}

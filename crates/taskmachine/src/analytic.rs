@@ -15,7 +15,7 @@
 //! a strong internal-consistency check: two independent implementations of
 //! the same system model must tell the same story.
 
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, NEXUS_CLOCK};
 use crate::memory::MemoryMode;
 use nexuspp_desim::SimTime;
 use nexuspp_trace::{MemCost, Trace};
@@ -82,10 +82,10 @@ impl Prediction {
     /// Build a prediction for `demand` on `cfg`.
     pub fn new(demand: &TaskDemand, cfg: &MachineConfig) -> Prediction {
         let params = demand.params.ceil() as usize;
-        let clk = cfg.nexus_clock;
+        let clk = NEXUS_CLOCK;
         let words = 1 + params as u64;
         let master = cfg.master.prep_time
-            + cfg.bus.submission_time(params, clk)
+            + cfg.bus.submission_time(params)
             + clk.cycles(cfg.blocks.getds_cycles_per_word * words);
         // Rough per-block service estimates: base cycles + one SRAM access
         // per parameter (insert or release) — the same constants the
@@ -96,7 +96,7 @@ impl Prediction {
         let schedule = clk.cycles(cfg.blocks.schedule_cycles);
         let send = clk.cycles(cfg.blocks.send_tds_base)
             + cfg.sram.access_time(1)
-            + cfg.bus.td_transfer_time(params, clk);
+            + cfg.bus.td_transfer_time(params);
         let fin = clk.cycles(cfg.blocks.handle_fin_base) + per_param * 3;
         let maestro = [write_tp, check, schedule, send, fin]
             .into_iter()

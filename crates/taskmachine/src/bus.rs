@@ -19,7 +19,8 @@
 //! [`BusConfig::prose_model`]. Both are expressed through the same three
 //! constants so design-space sweeps can explore either.
 
-use nexuspp_desim::{Clock, SimTime};
+use crate::config::NEXUS_CLOCK;
+use nexuspp_desim::SimTime;
 
 /// On-chip bus cost model, in Nexus++ clock cycles (500 MHz, 2 ns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,10 +67,9 @@ impl BusConfig {
         self.handshake_cycles + self.header_cycles + self.cycles_per_param * n_params as u64
     }
 
-    /// Submission delay as simulated time under `clk` (the Nexus++ clock in
-    /// the paper).
-    pub(crate) fn submission_time(&self, n_params: usize, clk: Clock) -> SimTime {
-        clk.cycles(self.submission_cycles(n_params))
+    /// Submission delay as simulated time on the Nexus++ clock.
+    pub(crate) fn submission_time(&self, n_params: usize) -> SimTime {
+        NEXUS_CLOCK.cycles(self.submission_cycles(n_params))
     }
 
     /// Transfer delay for sending a Task Descriptor from the Maestro to a
@@ -82,26 +82,24 @@ impl BusConfig {
     }
 
     /// [`td_transfer_cycles`](Self::td_transfer_cycles) as simulated time.
-    pub(crate) fn td_transfer_time(&self, n_params: usize, clk: Clock) -> SimTime {
-        clk.cycles(self.td_transfer_cycles(n_params))
+    pub(crate) fn td_transfer_time(&self, n_params: usize) -> SimTime {
+        NEXUS_CLOCK.cycles(self.td_transfer_cycles(n_params))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexuspp_desim::clock::NEXUS_CLOCK_MHZ;
 
     #[test]
     fn worked_example_from_paper() {
         let bus = BusConfig::default();
-        let clk = Clock::from_mhz(NEXUS_CLOCK_MHZ);
         // "a task with 4 parameters takes 10 cycles (20 ns)"
         assert_eq!(bus.submission_cycles(4), 10);
-        assert_eq!(bus.submission_time(4, clk), SimTime::from_ns(20));
+        assert_eq!(bus.submission_time(4), SimTime::from_ns(20));
         // "an 8-parameters task takes 14 cycles (28 ns)"
         assert_eq!(bus.submission_cycles(8), 14);
-        assert_eq!(bus.submission_time(8, clk), SimTime::from_ns(28));
+        assert_eq!(bus.submission_time(8), SimTime::from_ns(28));
     }
 
     #[test]
@@ -121,9 +119,8 @@ mod tests {
     #[test]
     fn td_transfer_scales_with_params() {
         let bus = BusConfig::default();
-        let clk = Clock::from_mhz(NEXUS_CLOCK_MHZ);
         assert_eq!(bus.td_transfer_cycles(0), 1);
         assert_eq!(bus.td_transfer_cycles(8), 9);
-        assert_eq!(bus.td_transfer_time(8, clk), SimTime::from_ns(18));
+        assert_eq!(bus.td_transfer_time(8), SimTime::from_ns(18));
     }
 }

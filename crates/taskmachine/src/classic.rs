@@ -168,7 +168,7 @@ pub(crate) fn classic_check(
             limits.kickoff_entries
         ));
     }
-    let nexuspp_accesses = engine.table().stats().chain_lengths.total()
+    let nexuspp_accesses = engine.table().stats().probe_hops
         + engine.table().stats().inserts
         + engine.table().stats().deletes
         + engine.table().stats().ext_allocs;

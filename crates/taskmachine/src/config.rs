@@ -8,11 +8,19 @@
 //! preparation on the master core.
 
 use crate::bus::BusConfig;
+use crate::clock::Clock;
 use crate::memory::{MemoryConfig, MemoryMode};
 use crate::sram::SramTiming;
 use nexuspp_core::NexusConfig;
-use nexuspp_desim::clock::NEXUS_CLOCK_MHZ;
-use nexuspp_desim::{Clock, SimTime};
+use nexuspp_desim::SimTime;
+
+/// The Nexus++ clock: 500 MHz ("Nexus++ is simulated assuming a clock
+/// cycle time of 2 ns"). Every Maestro block, the bus and the sharded
+/// model count their service times in its cycles.
+pub(crate) const NEXUS_CLOCK: Clock = Clock::from_mhz(500);
+
+/// The Nexus++ clock period, 2 ns (Table IV's 500 MHz).
+pub const NEXUS_CLOCK_PERIOD: SimTime = NEXUS_CLOCK.period();
 
 /// Master-core modeling parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,8 +122,6 @@ pub struct MachineConfig {
     pub memory: MemoryConfig,
     /// On-chip SRAM timing.
     pub sram: SramTiming,
-    /// Nexus++ clock (500 MHz).
-    pub nexus_clock: Clock,
     /// Master-core model.
     pub master: MasterConfig,
     /// FIFO capacities.
@@ -147,7 +153,6 @@ impl Default for MachineConfig {
             bus: BusConfig::prose_model(),
             memory: MemoryConfig::default(),
             sram: SramTiming::default(),
-            nexus_clock: Clock::from_mhz(NEXUS_CLOCK_MHZ),
             master: MasterConfig::default(),
             lists: ListConfig::default(),
             blocks: BlockTimings::default(),
@@ -204,7 +209,7 @@ mod tests {
         assert_eq!(c.nexus.dep_table_entries, 4096);
         assert_eq!(c.buffering_depth, 2);
         assert_eq!(c.master.prep_time, SimTime::from_ns(30));
-        assert_eq!(c.nexus_clock.period(), SimTime::from_ns(2));
+        assert_eq!(NEXUS_CLOCK_PERIOD, SimTime::from_ns(2));
         assert_eq!(c.sram.access, SimTime::from_ns(2));
         assert_eq!(c.memory.chunk_time, SimTime::from_ns(12));
         c.validate();

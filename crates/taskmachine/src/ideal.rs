@@ -10,10 +10,11 @@
 //! benchmark").
 
 use crate::memory::MemoryConfig;
+use crate::sched::Scheduler;
 use nexuspp_core::engine::CheckProgress;
 use nexuspp_core::pool::TdIndex;
 use nexuspp_core::{DependencyEngine, NexusConfig};
-use nexuspp_desim::{Scheduler, SimTime};
+use nexuspp_desim::SimTime;
 use nexuspp_trace::{MemCost, TraceSource};
 use std::collections::VecDeque;
 

@@ -2,7 +2,14 @@
 //!
 //! "Nexus++ was simulated using the Task Machine, a SystemC simulator of a
 //! task-based, trace-driven multicore system." This crate is that
-//! simulator, rebuilt on the [`nexuspp_desim`] event kernel:
+//! simulator, rebuilt on its own discrete-event kernel (the role SystemC
+//! plays in the paper, kept crate-private under `src/sim/`): a
+//! deterministic event scheduler, bounded FIFO lists, round-robin arbiters
+//! over a bitset of request lines, a FIFO-admission slot pool for the
+//! memory banks, the 500 MHz Nexus++ clock and per-block busy trackers.
+//! Models own their state and drive the scheduler from a plain
+//! `while let Some(..) = sched.pop()` loop, so a run is a single-threaded
+//! pure function of its inputs. The crate's modules:
 //!
 //! * [`config`] — every Table IV parameter, plus the variants used in §V
 //!   (contention-free memory, zero task-prep delay, buffering-depth and
@@ -34,6 +41,24 @@ pub mod config;
 pub mod machine;
 pub mod multimaestro;
 pub mod report;
+
+// The event kernel, crate-private: its files are grouped under `sim/`,
+// and its modules sit at the crate root beside the models that drive it.
+#[path = "sim/arbiter.rs"]
+mod arbiter;
+#[path = "sim/clock.rs"]
+mod clock;
+#[path = "sim/fifo.rs"]
+mod fifo;
+#[cfg(test)]
+#[path = "sim/primitive_properties.rs"]
+mod primitive_properties;
+#[path = "sim/sched.rs"]
+mod sched;
+#[path = "sim/slots.rs"]
+mod slots;
+#[path = "sim/stats.rs"]
+mod stats;
 
 // The implementations behind `hw` and `baseline` below.
 mod bus;
@@ -99,7 +124,7 @@ pub mod baseline {
     }
 }
 
-pub use config::{BlockTimings, ListConfig, MachineConfig, MasterConfig};
+pub use config::{BlockTimings, ListConfig, MachineConfig, MasterConfig, NEXUS_CLOCK_PERIOD};
 pub use machine::{simulate, simulate_trace};
 pub use multimaestro::{simulate_sharded, MultiMaestroConfig, MultiMaestroReport};
 pub use report::{BlockReport, Report, SimError};

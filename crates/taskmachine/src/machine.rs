@@ -17,13 +17,17 @@
 //! FIFOs happen at operation *end* (the block's service time), matching
 //! the one-operation-at-a-time behaviour of the hardware blocks.
 
-use crate::config::MachineConfig;
+use crate::arbiter::RoundRobinArbiter;
+use crate::config::{MachineConfig, NEXUS_CLOCK};
+use crate::fifo::Fifo;
 use crate::memory::MemoryMode;
 use crate::report::{BlockReport, Report, SimError};
+use crate::sched::Scheduler;
+use crate::slots::{SlotGrant, SlotPool};
+use crate::stats::BusyTracker;
 use nexuspp_core::engine::{CheckProgress, DependencyEngine};
 use nexuspp_core::pool::{PoolError, TdIndex};
-use nexuspp_desim::stats::BusyTracker;
-use nexuspp_desim::{Fifo, RoundRobinArbiter, Scheduler, SimTime, SlotGrant, SlotPool};
+use nexuspp_desim::SimTime;
 use nexuspp_trace::{MemCost, TaskRecord, TraceSource};
 use std::collections::VecDeque;
 
@@ -280,14 +284,8 @@ impl<'s> TaskMachine<'s> {
         // Bus transfer plus the Get TDs block staging the descriptor into
         // the TDs Buffer; the master's transaction spans both.
         let words = 1 + rec.params.len() as u64;
-        let dur = self
-            .cfg
-            .bus
-            .submission_time(rec.params.len(), self.cfg.nexus_clock)
-            + self
-                .cfg
-                .nexus_clock
-                .cycles(self.cfg.blocks.getds_cycles_per_word * words);
+        let dur = self.cfg.bus.submission_time(rec.params.len())
+            + NEXUS_CLOCK.cycles(self.cfg.blocks.getds_cycles_per_word * words);
         self.master_busy += dur;
         let delay = self.bus_occupy(dur);
         self.master = MasterState::Submitting(rec);
@@ -358,7 +356,7 @@ impl<'s> TaskMachine<'s> {
             }
         };
         self.records[td.0 as usize] = Some(rec);
-        let dur = self.cfg.nexus_clock.cycles(self.cfg.blocks.write_tp_base)
+        let dur = NEXUS_CLOCK.cycles(self.cfg.blocks.write_tp_base)
             + self.cfg.sram.access_time(cost.total());
         self.write_tp.record_busy(dur);
         self.write_tp_busy = Some(td);
@@ -411,7 +409,7 @@ impl<'s> TaskMachine<'s> {
                 (CheckOutcome::Stalled, cost)
             }
         };
-        let dur = self.cfg.nexus_clock.cycles(self.cfg.blocks.check_deps_base)
+        let dur = NEXUS_CLOCK.cycles(self.cfg.blocks.check_deps_base)
             + self.cfg.sram.access_time(cost.total());
         self.check_deps.record_busy(dur);
         self.check_busy = Some((td, outcome));
@@ -460,7 +458,7 @@ impl<'s> TaskMachine<'s> {
         }
         let td = self.global_ready.pop().expect("checked");
         let core = self.worker_ids.pop().expect("checked");
-        let dur = self.cfg.nexus_clock.cycles(self.cfg.blocks.schedule_cycles);
+        let dur = NEXUS_CLOCK.cycles(self.cfg.blocks.schedule_cycles);
         self.schedule.record_busy(dur);
         self.sched_busy = Some((td, core));
         self.sched.schedule(dur, Ev::ScheduleDone);
@@ -491,11 +489,8 @@ impl<'s> TaskMachine<'s> {
         }
         let read_cost = self.engine.pool().read_params_cost(td);
         let n_params = self.engine.pool().get(td).params.len();
-        let transfer = self
-            .cfg
-            .bus
-            .td_transfer_time(n_params, self.cfg.nexus_clock);
-        let dur = self.cfg.nexus_clock.cycles(self.cfg.blocks.send_tds_base)
+        let transfer = self.cfg.bus.td_transfer_time(n_params);
+        let dur = NEXUS_CLOCK.cycles(self.cfg.blocks.send_tds_base)
             + self.cfg.sram.access_time(read_cost.total())
             + self.bus_occupy(transfer);
         self.send_tds.record_busy(dur);
@@ -536,7 +531,7 @@ impl<'s> TaskMachine<'s> {
         debug_assert!(self.fin_ready.is_empty());
         let (cost, _) = self.engine.finish_into(td, &mut self.fin_ready);
         self.free_pulse += 1;
-        let dur = self.cfg.nexus_clock.cycles(self.cfg.blocks.handle_fin_base)
+        let dur = NEXUS_CLOCK.cycles(self.cfg.blocks.handle_fin_base)
             + self.cfg.sram.access_time(cost.total());
         self.handle_fin.record_busy(dur);
         self.fin_busy = Some(core as u32);

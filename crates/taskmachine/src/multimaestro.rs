@@ -11,7 +11,7 @@
 //! **crossbar** —
 //! per-shard round-robin arbiters over the request lines of the master
 //! core and every worker's finish stream, the same
-//! [`RoundRobinArbiter`] scan the single Maestro's `Send TDs` /
+//! `RoundRobinArbiter` scan the single Maestro's `Send TDs` /
 //! `Handle Finished` blocks use.
 //!
 //! Timing model (deliberately coarser than `machine`, focused on the
@@ -46,11 +46,13 @@
 //! differentially-verified readiness semantics unchanged; only time is
 //! modeled around it.
 
+use crate::arbiter::RoundRobinArbiter;
+use crate::config::NEXUS_CLOCK;
+use crate::sched::Scheduler;
 use crate::sram::SramTiming;
+use crate::stats::BusyTracker;
 use nexuspp_core::{NexusConfig, ShardCapacity, Submission};
-use nexuspp_desim::clock::NEXUS_CLOCK_MHZ;
-use nexuspp_desim::stats::BusyTracker;
-use nexuspp_desim::{Clock, RoundRobinArbiter, Scheduler, SimTime};
+use nexuspp_desim::SimTime;
 use nexuspp_shard::{OpBreakdown, ShardedEngine, ShardedFinish, TaskId};
 use nexuspp_trace::Trace;
 use std::collections::VecDeque;
@@ -79,8 +81,6 @@ pub struct MultiMaestroConfig {
     pub kickoff_cycles: u64,
     /// Per-shard SRAM timing.
     pub sram: SramTiming,
-    /// Nexus++ clock domain.
-    pub clock: Clock,
     /// Per-shard engine capacities. Must be growable (software tables
     /// virtualize in-shard storage); the *finite-hardware* bound is
     /// [`capacity`](Self::capacity).
@@ -107,7 +107,6 @@ impl Default for MultiMaestroConfig {
             finish_base: 6,
             kickoff_cycles: 1,
             sram: SramTiming::default(),
-            clock: Clock::from_mhz(NEXUS_CLOCK_MHZ),
             nexus: NexusConfig::unbounded(),
             capacity: ShardCapacity::Unbounded,
         }
@@ -404,7 +403,7 @@ impl<'t> Sim<'t> {
     }
 
     fn job_time(&self, base: u64, accesses: u64) -> SimTime {
-        self.cfg.clock.cycles(base) + self.cfg.sram.access_time(accesses)
+        NEXUS_CLOCK.cycles(base) + self.cfg.sram.access_time(accesses)
     }
 
     /// Enqueue one job on `shard` from `source` and poke the crossbar.
@@ -604,7 +603,7 @@ impl<'t> Sim<'t> {
         if !self.wake_busy[s] {
             self.wake_busy[s] = true;
             self.sched.schedule(
-                self.cfg.clock.cycles(self.cfg.kickoff_cycles),
+                NEXUS_CLOCK.cycles(self.cfg.kickoff_cycles),
                 Ev::WakeDone(s as u32),
             );
         }
@@ -624,7 +623,7 @@ impl<'t> Sim<'t> {
             self.wake_busy[s] = false;
         } else {
             self.sched.schedule(
-                self.cfg.clock.cycles(self.cfg.kickoff_cycles),
+                NEXUS_CLOCK.cycles(self.cfg.kickoff_cycles),
                 Ev::WakeDone(s as u32),
             );
         }

@@ -13,7 +13,7 @@
 
 /// A round-robin scanner over `n` request lines.
 #[derive(Debug, Clone)]
-pub struct RoundRobinArbiter {
+pub(crate) struct RoundRobinArbiter {
     n: usize,
     /// Raised request lines, line `i` at bit `i % 64` of word `i / 64`.
     /// Bits at or past `n` are never set.
@@ -26,7 +26,7 @@ pub struct RoundRobinArbiter {
 impl RoundRobinArbiter {
     /// An arbiter over `n` lines, all lowered. The first scan starts at
     /// line 0.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0, "arbiter needs at least one line");
         RoundRobinArbiter {
             n,
@@ -36,28 +36,22 @@ impl RoundRobinArbiter {
         }
     }
 
-    /// Number of lines.
-    #[inline]
-    pub fn lines(&self) -> usize {
-        self.n
-    }
-
     /// Total grants issued.
     #[inline]
-    pub fn grants(&self) -> u64 {
+    pub(crate) fn grants(&self) -> u64 {
         self.grants
     }
 
     /// Raise request line `i` (idempotent).
     #[inline]
-    pub fn raise(&mut self, i: usize) {
+    pub(crate) fn raise(&mut self, i: usize) {
         assert!(i < self.n, "line {i} out of range 0..{}", self.n);
         self.raised[i / 64] |= 1 << (i % 64);
     }
 
     /// Lower request line `i` (idempotent).
     #[inline]
-    pub fn lower(&mut self, i: usize) {
+    pub(crate) fn lower(&mut self, i: usize) {
         assert!(i < self.n, "line {i} out of range 0..{}", self.n);
         self.raised[i / 64] &= !(1 << (i % 64));
     }
@@ -66,7 +60,7 @@ impl RoundRobinArbiter {
     /// around. Returns the granted line, advancing the scan position, or
     /// `None` if no line is raised. The granted line stays raised: the
     /// model lowers it when its request is gone.
-    pub fn grant(&mut self) -> Option<usize> {
+    pub(crate) fn grant(&mut self) -> Option<usize> {
         let start = if self.last + 1 == self.n {
             0
         } else {

@@ -2,33 +2,27 @@
 //!
 //! The modeled system has two clock domains: worker cores at 2 GHz and the
 //! Nexus++ logic at 500 MHz ("Nexus++ is simulated assuming a clock cycle
-//! time of 2 ns"). [`Clock`] converts cycle counts to [`SimTime`] and aligns
-//! event times up to clock edges, keeping all block service times quantized
-//! to whole cycles like the SystemC model.
+//! time of 2 ns"). [`Clock`] converts cycle counts to [`SimTime`], keeping
+//! all block service times quantized to whole cycles like the SystemC
+//! model. The Nexus++ clock is [`NEXUS_CLOCK`](crate::config::NEXUS_CLOCK).
 
-use crate::time::SimTime;
+use nexuspp_desim::SimTime;
 
 /// A clock domain defined by its period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Clock {
+pub(crate) struct Clock {
     period: SimTime,
 }
 
 impl Clock {
-    /// A clock with the given period.
-    pub const fn from_period(period: SimTime) -> Self {
-        Clock { period }
-    }
-
     /// A clock from a frequency in MHz (must divide 1e6 ps evenly for an
     /// exact period; 500 MHz → 2000 ps, 2000 MHz → 500 ps).
-    pub fn from_mhz(mhz: u64) -> Self {
-        assert!(mhz > 0);
+    pub(crate) const fn from_mhz(mhz: u64) -> Self {
+        assert!(mhz > 0, "a clock needs a non-zero frequency");
         let ps = 1_000_000 / mhz;
-        assert_eq!(
-            ps * mhz,
-            1_000_000,
-            "{mhz} MHz does not have an integral picosecond period"
+        assert!(
+            ps * mhz == 1_000_000,
+            "the frequency does not have an integral picosecond period"
         );
         Clock {
             period: SimTime::from_ps(ps),
@@ -37,36 +31,31 @@ impl Clock {
 
     /// The clock period.
     #[inline]
-    pub const fn period(&self) -> SimTime {
+    pub(crate) const fn period(&self) -> SimTime {
         self.period
     }
 
     /// Duration of `n` cycles.
     #[inline]
-    pub fn cycles(&self, n: u64) -> SimTime {
+    pub(crate) fn cycles(&self, n: u64) -> SimTime {
         self.period * n
     }
 }
 
-/// The paper's Nexus++ clock: 500 MHz (2 ns cycle).
-pub const NEXUS_CLOCK_MHZ: u64 = 500;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NEXUS_CLOCK;
 
     #[test]
     fn paper_clock_periods() {
-        assert_eq!(
-            Clock::from_mhz(NEXUS_CLOCK_MHZ).period(),
-            SimTime::from_ns(2)
-        );
+        assert_eq!(NEXUS_CLOCK.period(), SimTime::from_ns(2));
         assert_eq!(Clock::from_mhz(2_000).period(), SimTime::from_ps(500));
     }
 
     #[test]
     fn cycles_to_time() {
-        let c = Clock::from_mhz(500);
+        let c = NEXUS_CLOCK;
         assert_eq!(c.cycles(0), SimTime::ZERO);
         assert_eq!(c.cycles(5), SimTime::from_ns(10));
         // Worked example from the paper: a 4-parameter submission takes

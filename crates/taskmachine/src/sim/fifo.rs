@@ -5,89 +5,75 @@
 //! per-core `CiRdyTasks`/`CiFinTasks`). A full list stalls its producer —
 //! e.g. "If this list is full, the Master Core stalls and stops sending new
 //! Task Descriptors". [`Fifo`] models exactly that: a capacity-bounded queue
-//! whose `push` fails (returning the item) when full, plus high-water and
-//! throughput statistics used in the evaluation reports.
+//! whose `push` fails (returning the item) when full, plus the high-water
+//! mark the evaluation reports print.
 
 use std::collections::VecDeque;
 
 /// Error returned by [`Fifo::push`] when the list is full; carries the
 /// rejected item back to the caller so it can retry after a wake-up.
 #[derive(Debug, PartialEq, Eq)]
-pub struct FifoFull<T>(pub T);
+pub(crate) struct FifoFull<T>(pub(crate) T);
 
-/// A bounded FIFO with statistics.
+/// A bounded FIFO with a high-water mark.
 #[derive(Debug, Clone)]
-pub struct Fifo<T> {
+pub(crate) struct Fifo<T> {
     name: &'static str,
     cap: usize,
     q: VecDeque<T>,
     /// Largest occupancy ever observed.
     high_water: usize,
-    /// Total number of successful pushes.
-    pushes: u64,
-    /// Number of rejected pushes (producer stalls).
-    rejects: u64,
 }
 
 impl<T> Fifo<T> {
     /// A new FIFO holding at most `cap` items. `name` labels statistics.
-    pub fn new(name: &'static str, cap: usize) -> Self {
+    pub(crate) fn new(name: &'static str, cap: usize) -> Self {
         assert!(cap > 0, "FIFO {name} must have non-zero capacity");
         Fifo {
             name,
             cap,
             q: VecDeque::with_capacity(cap.min(4096)),
             high_water: 0,
-            pushes: 0,
-            rejects: 0,
         }
     }
 
     /// The list's label.
     #[inline]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
     /// Capacity in items.
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.cap
     }
 
     /// Current occupancy.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.q.len()
     }
 
     /// True if empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.q.is_empty()
     }
 
     /// True if at capacity (producer must stall).
     #[inline]
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.q.len() >= self.cap
-    }
-
-    /// Remaining free slots.
-    #[inline]
-    pub fn free(&self) -> usize {
-        self.cap - self.q.len()
     }
 
     /// Append `item`, or return it in `FifoFull` if the list is full.
     #[inline]
-    pub fn push(&mut self, item: T) -> Result<(), FifoFull<T>> {
+    pub(crate) fn push(&mut self, item: T) -> Result<(), FifoFull<T>> {
         if self.is_full() {
-            self.rejects += 1;
             return Err(FifoFull(item));
         }
         self.q.push_back(item);
-        self.pushes += 1;
         if self.q.len() > self.high_water {
             self.high_water = self.q.len();
         }
@@ -98,7 +84,7 @@ impl<T> Fifo<T> {
     /// structurally unable to overflow them (e.g. `TP Free indices`, which
     /// can never hold more than `Task Pool` entries).
     #[inline]
-    pub fn push_expect(&mut self, item: T) {
+    pub(crate) fn push_expect(&mut self, item: T) {
         if self.push(item).is_err() {
             panic!("FIFO {} overflow (cap {})", self.name, self.cap);
         }
@@ -106,42 +92,20 @@ impl<T> Fifo<T> {
 
     /// Remove and return the head item.
     #[inline]
-    pub fn pop(&mut self) -> Option<T> {
+    pub(crate) fn pop(&mut self) -> Option<T> {
         self.q.pop_front()
     }
 
     /// Peek at the head item.
     #[inline]
-    pub fn peek(&self) -> Option<&T> {
+    pub(crate) fn peek(&self) -> Option<&T> {
         self.q.front()
-    }
-
-    /// Iterate items from head to tail (diagnostics only).
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.q.iter()
     }
 
     /// Largest occupancy ever observed.
     #[inline]
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Number of successful pushes.
-    #[inline]
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Number of rejected pushes (each represents a producer stall attempt).
-    #[inline]
-    pub fn rejects(&self) -> u64 {
-        self.rejects
-    }
-
-    /// Drop all contents (statistics retained).
-    pub fn clear(&mut self) {
-        self.q.clear();
     }
 }
 
@@ -168,7 +132,7 @@ mod tests {
         f.push(11).unwrap();
         assert!(f.is_full());
         assert_eq!(f.push(12), Err(FifoFull(12)));
-        assert_eq!(f.rejects(), 1);
+        assert_eq!(f.len(), 2);
         f.pop();
         f.push(12).unwrap();
         assert_eq!(f.pop(), Some(11));
@@ -183,10 +147,17 @@ mod tests {
         }
         f.pop();
         f.push(9).unwrap();
-        assert_eq!(f.high_water(), 3);
-        assert_eq!(f.pushes(), 4);
-        assert_eq!(f.free(), 1);
-        assert_eq!(f.peek(), Some(&1));
+        f.pop();
+        f.pop();
+        assert_eq!(
+            f.high_water(),
+            3,
+            "the mark is a maximum, not the occupancy"
+        );
+        let accepted = (10..15).filter(|&i| f.push(i).is_ok()).count();
+        assert_eq!(accepted, 3, "one item held, three slots free");
+        assert_eq!(f.high_water(), f.capacity());
+        assert_eq!(f.peek(), Some(&9));
     }
 
     #[test]

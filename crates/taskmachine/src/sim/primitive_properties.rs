@@ -1,8 +1,12 @@
-//! Property tests of the simulation primitives: scheduler ordering laws,
-//! FIFO conservation, arbiter fairness and equivalence to a plain scan,
-//! and slot-pool conservation under arbitrary operation sequences.
+//! Property tests of the event kernel: scheduler ordering laws, FIFO
+//! conservation, arbiter fairness and equivalence to a plain scan, and
+//! slot-pool conservation under arbitrary operation sequences.
 
-use nexuspp_desim::{Fifo, RoundRobinArbiter, Scheduler, SimTime, SlotGrant, SlotPool};
+use crate::arbiter::RoundRobinArbiter;
+use crate::fifo::Fifo;
+use crate::sched::Scheduler;
+use crate::slots::{SlotGrant, SlotPool};
+use nexuspp_desim::SimTime;
 use proptest::prelude::*;
 
 /// Line counts the arbiter is checked at: one line, either side of a
@@ -67,12 +71,14 @@ proptest! {
         for (i, &t) in times.iter().enumerate() {
             s.schedule_at(SimTime::from_ps(t), i);
         }
-        prop_assert_eq!(s.peek_time(), times.iter().min().map(|&t| SimTime::from_ps(t)));
         let mut expected: Vec<usize> = (0..times.len()).collect();
         expected.sort_by_key(|&i| (times[i], i));
         let mut popped = Vec::new();
         while let Some((t, id)) = s.pop() {
             prop_assert_eq!(t.ps(), times[id]);
+            if popped.is_empty() {
+                prop_assert_eq!(Some(t.ps()), times.iter().min().copied());
+            }
             prop_assert_eq!(s.now(), t);
             popped.push(id);
         }
@@ -171,7 +177,9 @@ proptest! {
     }
 
     /// Slot pool: grants + queue handoffs conserve slots; waiters release
-    /// in FIFO order.
+    /// in FIFO order. The pool's own answers are checked against a model
+    /// of held slots and queued waiters: it grants exactly while a slot is
+    /// free, and hands a released slot to the oldest waiter.
     #[test]
     fn slot_pool_conservation(
         slots in 1usize..8,
@@ -181,6 +189,7 @@ proptest! {
         let mut held = 0usize; // grants outstanding (incl. handoffs)
         let mut queued: std::collections::VecDeque<u64> = Default::default();
         let mut next = 0u64;
+        let (mut queued_total, mut peak_waiters) = (0u64, 0usize);
         for acquire in ops {
             if acquire {
                 match p.acquire(next) {
@@ -191,6 +200,8 @@ proptest! {
                     SlotGrant::Queued => {
                         prop_assert_eq!(held, slots);
                         queued.push_back(next);
+                        queued_total += 1;
+                        peak_waiters = peak_waiters.max(queued.len());
                     }
                 }
                 next += 1;
@@ -206,8 +217,8 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(p.in_use(), held);
-            prop_assert_eq!(p.waiting(), queued.len());
         }
+        prop_assert_eq!(p.queued_total(), queued_total);
+        prop_assert_eq!(p.high_water_waiters(), peak_waiters);
     }
 }

@@ -7,7 +7,7 @@
 //! halves are packed into one `u128` key, time in the high 64 bits, so
 //! ordering two pending events is a single integer comparison.
 
-use crate::time::SimTime;
+use nexuspp_desim::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 /// enum). The model drives the simulation with a `while let Some((t, ev)) =
 /// sched.pop()` loop.
 #[derive(Debug)]
-pub struct Scheduler<E> {
+pub(crate) struct Scheduler<E> {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Pending<E>>,
@@ -56,15 +56,9 @@ impl<E> Ord for Pending<E> {
     }
 }
 
-impl<E> Default for Scheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> Scheduler<E> {
     /// A new scheduler at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
             seq: 0,
@@ -75,37 +69,25 @@ impl<E> Scheduler<E> {
 
     /// Current simulation time (the timestamp of the last popped event).
     #[inline]
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of events executed so far.
     #[inline]
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedule `ev` to fire `delay` after the current time.
     #[inline]
-    pub fn schedule(&mut self, delay: SimTime, ev: E) {
+    pub(crate) fn schedule(&mut self, delay: SimTime, ev: E) {
         self.schedule_at(self.now + delay, ev);
     }
 
     /// Schedule `ev` at an absolute time `at` (must not be in the past).
     #[inline]
-    pub fn schedule_at(&mut self, at: SimTime, ev: E) {
+    pub(crate) fn schedule_at(&mut self, at: SimTime, ev: E) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
@@ -126,19 +108,13 @@ impl<E> Scheduler<E> {
 
     /// Pop the next event, advancing the clock to its timestamp.
     #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let pending = self.heap.pop()?;
         let at = pending.at();
         debug_assert!(at >= self.now);
         self.now = at;
         self.processed += 1;
         Some((at, pending.ev))
-    }
-
-    /// Timestamp of the next pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(Pending::at)
     }
 }
 
@@ -194,12 +170,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_time() {
+    fn next_pop_is_the_earliest_pending_time() {
         let mut s = Scheduler::new();
-        assert_eq!(s.peek_time(), None);
-        s.schedule(SimTime::from_ns(9), ());
-        s.schedule(SimTime::from_ns(4), ());
-        assert_eq!(s.peek_time(), Some(SimTime::from_ns(4)));
+        assert_eq!(s.pop(), None);
+        s.schedule(SimTime::from_ns(9), 'b');
+        s.schedule(SimTime::from_ns(4), 'a');
+        assert_eq!(s.pop(), Some((SimTime::from_ns(4), 'a')));
+        assert_eq!(s.now(), SimTime::from_ns(4));
     }
 
     #[test]

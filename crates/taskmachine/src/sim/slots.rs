@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 /// Result of a successful slot acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotGrant {
+pub(crate) enum SlotGrant {
     /// A slot was free; the requester may proceed immediately.
     Granted,
     /// All slots are busy; the requester was queued and will be returned by
@@ -25,80 +25,48 @@ pub enum SlotGrant {
 /// Waiters are opaque `u64` tokens chosen by the model (e.g. a worker-core
 /// id or an event key); the pool never interprets them.
 #[derive(Debug, Clone)]
-pub struct SlotPool {
+pub(crate) struct SlotPool {
     name: &'static str,
     total: usize,
     in_use: usize,
     waiters: VecDeque<u64>,
     // statistics
-    grants: u64,
     queued: u64,
     high_water_waiters: usize,
 }
 
 impl SlotPool {
     /// A pool of `total` slots.
-    pub fn new(name: &'static str, total: usize) -> Self {
+    pub(crate) fn new(name: &'static str, total: usize) -> Self {
         assert!(total > 0, "slot pool {name} needs at least one slot");
         SlotPool {
             name,
             total,
             in_use: 0,
             waiters: VecDeque::new(),
-            grants: 0,
             queued: 0,
             high_water_waiters: 0,
         }
     }
 
-    /// The pool's label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Total number of slots.
-    #[inline]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Slots currently held.
-    #[inline]
-    pub fn in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Requesters currently queued.
-    #[inline]
-    pub fn waiting(&self) -> usize {
-        self.waiters.len()
-    }
-
-    /// Total immediate grants.
-    #[inline]
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
     /// Total requests that had to queue (a direct measure of contention).
     #[inline]
-    pub fn queued_total(&self) -> u64 {
+    pub(crate) fn queued_total(&self) -> u64 {
         self.queued
     }
 
     /// Largest waiter-queue length observed.
     #[inline]
-    pub fn high_water_waiters(&self) -> usize {
+    pub(crate) fn high_water_waiters(&self) -> usize {
         self.high_water_waiters
     }
 
     /// Request a slot for `waiter`. Returns [`SlotGrant::Granted`] if a slot
     /// was free (the caller now holds it), or [`SlotGrant::Queued`] if the
     /// waiter joined the FIFO queue.
-    pub fn acquire(&mut self, waiter: u64) -> SlotGrant {
+    pub(crate) fn acquire(&mut self, waiter: u64) -> SlotGrant {
         if self.in_use < self.total {
             self.in_use += 1;
-            self.grants += 1;
             SlotGrant::Granted
         } else {
             self.waiters.push_back(waiter);
@@ -112,11 +80,10 @@ impl SlotPool {
 
     /// Release a held slot. If waiters are queued, the oldest one is granted
     /// the slot and returned — the model must then resume that waiter.
-    pub fn release(&mut self) -> Option<u64> {
+    pub(crate) fn release(&mut self) -> Option<u64> {
         debug_assert!(self.in_use > 0, "release on idle pool {}", self.name);
         if let Some(w) = self.waiters.pop_front() {
             // Slot passes directly to the waiter; `in_use` is unchanged.
-            self.grants += 1;
             Some(w)
         } else {
             self.in_use -= 1;
@@ -136,9 +103,8 @@ mod tests {
         assert_eq!(p.acquire(2), SlotGrant::Granted);
         assert_eq!(p.acquire(3), SlotGrant::Queued);
         assert_eq!(p.acquire(4), SlotGrant::Queued);
-        assert_eq!(p.in_use(), 2);
-        assert_eq!(p.waiting(), 2);
         assert_eq!(p.queued_total(), 2);
+        assert_eq!(p.high_water_waiters(), 2);
     }
 
     #[test]
@@ -150,7 +116,9 @@ mod tests {
         assert_eq!(p.release(), Some(11));
         assert_eq!(p.release(), Some(12));
         assert_eq!(p.release(), None);
-        assert_eq!(p.in_use(), 0);
+        // The pool is idle again: the next request is granted at once.
+        assert_eq!(p.acquire(13), SlotGrant::Granted);
+        assert_eq!(p.queued_total(), 2);
     }
 
     #[test]
@@ -160,13 +128,18 @@ mod tests {
             assert_eq!(p.acquire(i), SlotGrant::Granted);
         }
         assert_eq!(p.acquire(99), SlotGrant::Queued);
-        // Handoff keeps in_use at the cap.
+        // Handoff keeps every slot held: the next request still queues.
         assert_eq!(p.release(), Some(99));
-        assert_eq!(p.in_use(), 3);
+        assert_eq!(p.acquire(100), SlotGrant::Queued);
+        assert_eq!(p.release(), Some(100));
         for _ in 0..3 {
             assert_eq!(p.release(), None);
         }
-        assert_eq!(p.in_use(), 0);
+        // All three slots are free again, and no more than three.
+        for i in 0..3 {
+            assert_eq!(p.acquire(i), SlotGrant::Granted);
+        }
+        assert_eq!(p.acquire(3), SlotGrant::Queued);
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! cores, giving the motivating curve Nexus and Nexus++ improve on.
 
 use crate::memory::MemoryConfig;
+use crate::sched::Scheduler;
 use nexuspp_core::engine::CheckProgress;
 use nexuspp_core::pool::TdIndex;
 use nexuspp_core::{DependencyEngine, NexusConfig};
-use nexuspp_desim::{Scheduler, SimTime};
+use nexuspp_desim::SimTime;
 use nexuspp_trace::{MemCost, TaskRecord, TraceSource};
 use std::collections::VecDeque;
 

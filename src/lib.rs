@@ -5,7 +5,8 @@
 //! Workshops 2012). It re-exports the workspace crates under stable module
 //! names so applications can depend on a single crate:
 //!
-//! * [`desim`] — discrete-event simulation kernel (SystemC substitute),
+//! * [`desim`] — simulated time ([`desim::SimTime`]) and the seeded
+//!   [`desim::Rng`],
 //! * [`trace`] — task descriptor and trace data model,
 //! * [`workloads`] — the paper's benchmark generators,
 //! * [`core`] — the Nexus++ task pool, dependence table and resolution
@@ -26,7 +27,8 @@
 //!   submission front-end, a per-shard-locked concurrent dispatcher,
 //!   and an optional finite per-shard capacity (stall/retry on full
 //!   shards, like the real hardware tables),
-//! * [`taskmachine`] — the full-system "Task Machine" simulator, plus the
+//! * [`taskmachine`] — the full-system "Task Machine" simulator on its
+//!   own discrete-event kernel (the SystemC substitute), plus the
 //!   multi-Maestro sharded variant,
 //! * [`hw`] — the Task Machine's memory/bus/SRAM timing models and
 //!   storage budgets,
