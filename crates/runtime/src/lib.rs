@@ -53,7 +53,9 @@
 //! 1024-entry Task Pool under [`Runtime::new`], any bound (or
 //! [`ShardCapacity::Unbounded`]) under [`Runtime::with_capacity`]. A
 //! `spawn` that finds a shard full runs ready tasks on the spawning
-//! thread, and blocks only while none is visible.
+//! thread, and blocks only while none is visible. A task's home record
+//! is a reused slot of its home shard's slab, so a spawn allocates only
+//! its body box.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -28,7 +28,10 @@
 //! Each shard admits at most a Task Pool's worth of resident tasks
 //! (Table IV's 1024 by default). A submitter that finds a shard full
 //! *helps*: it runs one ready task itself and retries, and parks only
-//! when no ready task is visible.
+//! when no ready task is visible. A task's home record is a slot of its
+//! home shard's slab, sized once at that bound, so the only block a
+//! spawn allocates is its body box; the ticket a ready task travels with
+//! names the slot and carries what its finish needs.
 //!
 //! Every thread that blocks here waits on a [`nexuspp_core::EventCount`]:
 //! idle workers on the scheduler's, a submitter stalled on a full shard
@@ -61,7 +64,8 @@ struct Work {
     prio: Priority,
 }
 
-/// A scheduled unit: the dispatcher ticket plus the work to run.
+/// A scheduled unit: the dispatcher ticket (the task's home slot and
+/// its per-shard parts, no heap block) plus the work to run.
 type Ready = (TaskTicket<Work>, Work);
 
 /// A task ready to hand to the dispatcher: every spawn flavour builds

@@ -10,6 +10,16 @@
 //! The remote counter is atomic: whoever performs its zero transition,
 //! the submitter or a finisher, takes the payload.
 //!
+//! A task's home record is a slot of its home shard's slab (the home
+//! shard is the first of its route): the submitter takes the slot under
+//! the lock its first slice takes anyway, and the finish frees it under
+//! that same lock, before the shard's residency slot. A bounded shard's
+//! slab is allocated once at its capacity, which a shard's homed tasks
+//! can never exceed, since each holds a residency slot there. A ticket
+//! and a kicked reference name the slot by `(shard, slot, generation)`;
+//! the thread that makes a task ready copies its parts into the ticket,
+//! so the finish reads nothing from the slot but frees it.
+//!
 //! Finishing a task releases each slice under its shard's lock; the
 //! remote releases, and — on the zero transition — the payload hand-off
 //! into the caller's [`FinishReport`], happen **after the lock is
@@ -28,12 +38,13 @@
 //! notifies the shards it handed slots back to. A notify with nobody
 //! parked is one fence and one load.
 
-use crate::protocol::{Few, Remote, Residency, Route, Slices};
+use crate::protocol::{Few, Home, HomeRef, Residency, Route, Slices, Stale};
 use nexuspp_core::{
     duplicate_address, EventCount, NexusConfig, ShardCapacity, SubmitError, TdIndex,
 };
 use nexuspp_obs::{EventKind, Recorder, NO_SHARD};
 use nexuspp_trace::Param;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -48,35 +59,161 @@ pub enum WakeMode {
     LockFree,
 }
 
-/// The home record of a task in flight.
+/// What a task not ready at submission leaves in its home slot for
+/// whoever makes it ready: everything its ticket needs, and its payload.
 #[derive(Debug)]
-struct Node<P> {
+struct Parked<P> {
     tag: u64,
-    remote: Remote,
-    /// `(shard, sub-descriptor)` per involved shard; set once at the end
-    /// of `submit` (readers run strictly after `submit` returns).
-    parts: OnceLock<Few<(u32, TdIndex)>>,
-    /// The caller's payload, surrendered to whoever makes the task ready.
-    payload: Mutex<Option<P>>,
+    parts: Few<(u32, TdIndex)>,
+    payload: P,
 }
 
-impl<P> Node<P> {
+/// One home-record slot of a shard's slab.
+#[derive(Debug)]
+struct Slot<P> {
+    home: Home,
+    parked: Mutex<Option<Parked<P>>>,
+}
+
+impl<P> Default for Slot<P> {
+    fn default() -> Self {
+        Slot {
+            home: Home::default(),
+            parked: Mutex::new(None),
+        }
+    }
+}
+
+impl<P> Slot<P> {
     /// A store or a `take`, nothing else, runs under this lock: a
-    /// poisoned guard still holds the payload or nothing.
-    fn payload(&self) -> MutexGuard<'_, Option<P>> {
-        self.payload.lock().unwrap_or_else(PoisonError::into_inner)
+    /// poisoned guard still holds the parked task or nothing.
+    fn parked(&self) -> MutexGuard<'_, Option<Parked<P>>> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Segments a slab can grow to: enough for every `u32` slot index of an
+/// unbounded slab (a bounded one never grows).
+const SEGMENTS: usize = 32;
+
+/// Slots in an unbounded slab's first segment.
+const UNBOUNDED_FIRST: usize = 64;
+
+/// One shard's home-record slots, in segments that never move: segment
+/// `k` holds `first << k` slots. A bounded shard's slab is its first
+/// segment, allocated once at the shard's capacity; an unbounded one
+/// adds a segment, twice the last, whenever the shard's high-water mark
+/// crosses into it, and keeps it. Segments are added under the shard
+/// lock; a reader holding a [`HomeRef`] takes no lock.
+struct Slab<P> {
+    first: usize,
+    /// False for a bounded shard's slab, which never grows.
+    grows: bool,
+    segments: [OnceLock<Box<[Slot<P>]>>; SEGMENTS],
+}
+
+impl<P> Slab<P> {
+    fn new(capacity: ShardCapacity) -> Self {
+        let first = capacity.limit().unwrap_or(UNBOUNDED_FIRST);
+        let slab = Slab {
+            first,
+            grows: !capacity.is_bounded(),
+            segments: std::array::from_fn(|_| OnceLock::new()),
+        };
+        slab.grow(0);
+        slab
+    }
+
+    /// The segment of slot `i`, and the slot's offset in it.
+    fn locate(&self, i: u32) -> (usize, usize) {
+        let i = i as usize;
+        if i < self.first {
+            return (0, i);
+        }
+        let k = (i / self.first + 1).ilog2() as usize;
+        (k, i - self.first * ((1 << k) - 1))
+    }
+
+    fn get(&self, i: u32) -> &Slot<P> {
+        let (k, off) = self.locate(i);
+        &self.segments[k]
+            .get()
+            .expect("slot past the high-water mark")[off]
+    }
+
+    /// Make slot `i`, the shard's next never-used slot, exist. Runs under
+    /// the shard lock.
+    fn grow(&self, i: u32) {
+        let (k, off) = self.locate(i);
+        debug_assert!(
+            self.grows || k == 0,
+            "a bounded shard homed more tasks than its residency slots"
+        );
+        if off == 0 {
+            self.segments[k]
+                .get_or_init(|| (0..self.first << k).map(|_| Slot::default()).collect());
+        }
+    }
+}
+
+/// What one shard lock guards: the shard's slices and the free list of
+/// its slab.
+struct Locked {
+    slices: Slices<HomeRef>,
+    /// Freed slots, reused last in, first out.
+    free: Vec<u32>,
+    /// Slots ever taken: the slab's high-water mark.
+    taken: u32,
+}
+
+impl Locked {
+    /// Take a slot of `slab`, shard `shard`'s, for a task routed to
+    /// `slices` shards.
+    fn take_slot<P>(&mut self, shard: u32, slab: &Slab<P>, slices: usize) -> HomeRef {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let i = self.taken;
+            self.taken += 1;
+            slab.grow(i);
+            i
+        });
+        let gen = slab.get(slot).home.occupy(slices);
+        HomeRef { shard, slot, gen }
+    }
+
+    /// Free the slot `at` of `slab`: its references go stale.
+    fn free_slot<P>(&mut self, slab: &Slab<P>, at: HomeRef) {
+        slab.get(at.slot).home.vacate(at.gen);
+        self.free.push(at.slot);
     }
 }
 
 /// Handle to a submitted task; required (and consumed) by
-/// [`ShardDispatcher::finish`].
+/// [`ShardDispatcher::finish`]. It names the task's home slot and
+/// carries what its finish needs, so the finish reads nothing from the
+/// slot but frees it.
 #[derive(Debug)]
-pub struct TaskTicket<P>(Arc<Node<P>>);
+pub struct TaskTicket<P> {
+    tag: u64,
+    at: HomeRef,
+    /// `(shard, sub-descriptor)` per involved shard, in route order; the
+    /// first is the home shard.
+    parts: Few<(u32, TdIndex)>,
+    payload: PhantomData<fn() -> P>,
+}
 
 impl<P> TaskTicket<P> {
+    fn new(tag: u64, at: HomeRef, parts: Few<(u32, TdIndex)>) -> Self {
+        TaskTicket {
+            tag,
+            at,
+            parts,
+            payload: PhantomData,
+        }
+    }
+
     /// The caller tag the task was submitted with.
     pub fn tag(&self) -> u64 {
-        self.0.tag
+        self.tag
     }
 }
 
@@ -101,9 +238,9 @@ pub struct FinishReport<P> {
     /// Tasks retired into this report. Kept because `e2e` reads it (its
     /// replay sums it); always 1 from [`finish`](ShardDispatcher::finish).
     pub completed: u64,
-    /// The home records one slice release kicked off, between the shard
+    /// The home slots one slice release kicked off, between the shard
     /// lock and the hand-off; empty between calls.
-    kicked: Vec<Arc<Node<P>>>,
+    kicked: Vec<HomeRef>,
 }
 
 impl<P> Default for FinishReport<P> {
@@ -157,7 +294,9 @@ pub struct CapacityCounts {
 }
 
 struct ShardCell<P> {
-    slices: Mutex<Slices<Arc<Node<P>>>>,
+    state: Mutex<Locked>,
+    /// The home records of the tasks homed here.
+    slab: Slab<P>,
     /// Submitters blocked on this full shard wait here; notified after
     /// every slot this shard hands back.
     space: EventCount,
@@ -170,8 +309,8 @@ impl<P> ShardCell<P> {
     /// The shard lock, recovered if poisoned: a panicking engine call
     /// (a protocol assertion) has already failed its caller, and later
     /// calls see the state it left.
-    fn lock(&self) -> MutexGuard<'_, Slices<Arc<Node<P>>>> {
-        self.slices.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Locked> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -222,17 +361,24 @@ impl<P> ShardDispatcher<P> {
             "the dispatcher's lock-per-shard submit path cannot stall mid-admission; \
              use a growable config (bound residency via ShardCapacity)"
         );
+        // Validates the capacity before a slab is sized by it.
+        let residency = Residency::new(n_shards, capacity);
         ShardDispatcher {
             shards: (0..n_shards)
                 .map(|_| ShardCell {
-                    slices: Mutex::new(Slices::new(cfg)),
+                    state: Mutex::new(Locked {
+                        slices: Slices::new(cfg),
+                        free: Vec::with_capacity(capacity.limit().unwrap_or(0)),
+                        taken: 0,
+                    }),
+                    slab: Slab::new(capacity),
                     space: EventCount::new(),
                     stalls: AtomicU64::new(0),
                     retries_resolved: AtomicU64::new(0),
                     stall_ns: AtomicU64::new(0),
                 })
                 .collect(),
-            residency: Residency::new(n_shards, capacity),
+            residency,
             wake_metrics: WakeMetrics::default(),
             obs: None,
         }
@@ -406,52 +552,78 @@ impl<P> ShardDispatcher<P> {
         Ok(self.submit_reserved(fptr, tag, &route, payload))
     }
 
+    fn slot(&self, at: HomeRef) -> &Slot<P> {
+        self.shards[at.shard as usize].slab.get(at.slot)
+    }
+
     /// The shared admission body: residency slots already reserved.
     /// Takes each involved shard's lock once, one at a time, in route
-    /// order.
+    /// order; the first, the home shard's, also hands out the task's
+    /// home slot.
     fn submit_reserved(&self, fptr: u64, tag: u64, route: &Route, payload: P) -> SubmitResult<P> {
         let first_shard = route.shards().next().unwrap_or(NO_SHARD);
         self.emit(EventKind::DepCheckStart, tag, first_shard);
-        let node = Arc::new(Node {
-            tag,
-            remote: Remote::new(route.len()),
-            parts: OnceLock::new(),
-            payload: Mutex::new(None),
-        });
+        let mut home = None;
         let mut parts = Few::default();
         for (s, len, slice) in route.slices() {
-            let (td, slice_ready, _) =
-                self.shards[s as usize]
-                    .lock()
-                    .submit(fptr, tag, len, slice, Arc::clone(&node));
+            let cell = &self.shards[s as usize];
+            let mut locked = cell.lock();
+            let at = *home.get_or_insert_with(|| locked.take_slot(s, &cell.slab, route.len()));
+            let (td, slice_ready, _) = locked.slices.submit(fptr, tag, len, slice, at);
+            drop(locked);
             parts.push((s, td));
             if slice_ready {
                 // Cannot reach zero: the submission guard is still held.
-                node.remote.release();
+                self.slot(at)
+                    .home
+                    .release(at.gen)
+                    .expect("the submitter's slot cannot turn over under its guard");
             }
         }
-        node.parts.set(parts).expect("parts set exactly once");
-        *node.payload() = Some(payload);
         // DepCheckDone is emitted before the guard release: the guard's
         // AcqRel decrement chain makes it happen-before any waker's
         // `Ready` emission for this task, so per-task event order holds.
         self.emit(EventKind::DepCheckDone, tag, first_shard);
-        let ready = node
-            .remote
-            .release()
-            .then(|| node.payload().take().expect("payload stored above"));
+        let ready = match home {
+            // A parameterless task: ready, and no shard refers to it, so
+            // it takes no slot.
+            None => Some(payload),
+            Some(at) => {
+                let slot = self.slot(at);
+                if slot.home.only_guard_left() {
+                    Some(payload)
+                } else {
+                    *slot.parked() = Some(Parked {
+                        tag,
+                        parts: parts.clone(),
+                        payload,
+                    });
+                    let zero = slot
+                        .home
+                        .release(at.gen)
+                        .expect("the submitter's slot cannot turn over under its guard");
+                    zero.then(|| slot.parked().take().expect("parked above").payload)
+                }
+            }
+        };
         if ready.is_some() {
             self.emit(EventKind::Ready, tag, first_shard);
         }
+        let at = home.unwrap_or(HomeRef {
+            shard: NO_SHARD,
+            slot: 0,
+            gen: 0,
+        });
         SubmitResult {
-            ticket: TaskTicket(node),
+            ticket: TaskTicket::new(tag, at, parts),
             ready,
         }
     }
 
     /// Finish a task that ran. Takes each involved shard's lock once, one
-    /// at a time, to release the slice and collect the home records it
-    /// kicked off; the remote releases and payload hand-offs happen after
+    /// at a time, to release the slice and collect the home slots it
+    /// kicked off; under the home shard's lock it also frees the task's
+    /// own slot. The remote releases and payload hand-offs happen after
     /// the lock is dropped. Each finished slice releases one residency
     /// slot, the shard's "finish report" a parked submitter resumes on.
     pub fn finish(&self, ticket: TaskTicket<P>) -> FinishReport<P> {
@@ -464,47 +636,69 @@ impl<P> ShardDispatcher<P> {
     /// tasks this completion made ready are appended to `report.woken`,
     /// and `report.completed` counts one more.
     pub fn finish_into(&self, ticket: TaskTicket<P>, report: &mut FinishReport<P>) {
-        let node = ticket.0;
-        let parts = node
-            .parts
-            .get()
-            .expect("finish called before submit completed");
         let mut last_shard = NO_SHARD;
-        for (s, td) in parts.iter() {
-            self.shards[s as usize]
-                .lock()
-                .release(td, &mut report.kicked);
+        for (s, td) in ticket.parts.iter() {
+            let cell = &self.shards[s as usize];
+            {
+                let mut locked = cell.lock();
+                locked.slices.release(td, &mut report.kicked);
+                if s == ticket.at.shard {
+                    // Before the residency slot below: a submitter that
+                    // reserves it finds this slot free.
+                    locked.free_slot(&cell.slab, ticket.at);
+                }
+            }
             if !report.kicked.is_empty() {
-                self.hand_off(node.tag, s, report);
+                self.hand_off(ticket.tag, s, report);
             }
             if self.capacity().is_bounded() {
                 self.residency.release(s);
-                self.shards[s as usize].space.notify_all();
+                cell.space.notify_all();
             }
             last_shard = s;
         }
         report.completed += 1;
         // A parameterless task has no parts: no shard held state for it.
-        self.emit(EventKind::Finished, node.tag, last_shard);
+        self.emit(EventKind::Finished, ticket.tag, last_shard);
     }
 
-    /// The post-lock wake path of one slice release: one remote release
-    /// per home record in `report.kicked`; the releaser that reaches zero
+    /// One remote release for the task homed at `at`: the task and its
+    /// payload if this release made it ready, or [`Stale`] — nothing
+    /// released — if the slot was freed since `at` was taken.
+    fn kick(&self, at: HomeRef) -> Result<Option<(TaskTicket<P>, P)>, Stale> {
+        let slot = self.slot(at);
+        if !slot.home.release(at.gen)? {
+            return Ok(None);
+        }
+        let Parked {
+            tag,
+            parts,
+            payload,
+        } = slot
+            .parked()
+            .take()
+            .expect("ready task must hold its payload");
+        Ok(Some((TaskTicket::new(tag, at, parts), payload)))
+    }
+
+    /// The post-lock wake path of one slice release: one [`kick`] per
+    /// home slot in `report.kicked`; the releaser that reaches zero
     /// takes the payload and reports the task. The events carry the
     /// waker's tag, the realized dependence edge.
+    ///
+    /// [`kick`]: Self::kick
     fn hand_off(&self, waker: u64, s: u32, report: &mut FinishReport<P>) {
         let before = report.woken.len();
         let t0 = std::time::Instant::now();
-        for wnode in report.kicked.drain(..) {
-            if wnode.remote.release() {
-                let payload = wnode
-                    .payload()
-                    .take()
-                    .expect("ready task must hold its payload");
-                self.emit_edge(EventKind::Ready, wnode.tag, waker, s);
-                self.emit_edge(EventKind::WakePosted, wnode.tag, waker, s);
-                self.emit(EventKind::WakeDelivered, wnode.tag, s);
-                report.woken.push((TaskTicket(wnode), payload));
+        for at in report.kicked.drain(..) {
+            let woken = self
+                .kick(at)
+                .expect("a kicked task is still waiting, so its slot cannot have turned over");
+            if let Some((ticket, payload)) = woken {
+                self.emit_edge(EventKind::Ready, ticket.tag, waker, s);
+                self.emit_edge(EventKind::WakePosted, ticket.tag, waker, s);
+                self.emit(EventKind::WakeDelivered, ticket.tag, s);
+                report.woken.push((ticket, payload));
             }
         }
         let m = &self.wake_metrics;
@@ -519,7 +713,7 @@ impl<P> ShardDispatcher<P> {
     pub fn sub_descriptors_in_flight(&self) -> usize {
         self.shards
             .iter()
-            .map(|c| c.lock().engine().in_flight())
+            .map(|c| c.lock().slices.engine().in_flight())
             .sum()
     }
 }
@@ -605,6 +799,70 @@ mod tests {
         assert!(report.woken.is_empty());
         assert_eq!(report.completed, 12);
         assert_eq!(d.sub_descriptors_in_flight(), 0);
+    }
+
+    #[test]
+    fn a_stale_release_is_rejected_and_leaves_the_slots_next_occupant_alone() {
+        // One shard, so every task is homed on it and slots are reused
+        // last in, first out.
+        let d = dispatcher(1);
+        let producer = d.submit(1, 0, &[Param::output(0x100, 4)], 0);
+        let first = d.submit(1, 1, &[Param::output(0x200, 4)], 1);
+        assert_eq!(first.ready, Some(1));
+        let stale = first.ticket.at;
+        d.finish(first.ticket);
+        // The next submission takes the freed slot and parks behind the
+        // producer: one unit left, its slice's.
+        let next = d.submit(1, 2, &[Param::input(0x100, 4)], 2);
+        assert!(next.ready.is_none());
+        let at = next.ticket.at;
+        assert_eq!(
+            (at.shard, at.slot),
+            (stale.shard, stale.slot),
+            "slot reused"
+        );
+        assert_ne!(at.gen, stale.gen);
+        assert_eq!(d.slot(at).home.units(), 1);
+        // The old reference's remote release arrives late.
+        assert!(matches!(d.kick(stale), Err(Stale)));
+        assert_eq!(d.slot(at).home.units(), 1, "the new occupant was released");
+        // The real release still wakes the occupant, exactly once.
+        let rep = d.finish(producer.ticket);
+        let woken: Vec<u64> = rep.woken.iter().map(|&(_, p)| p).collect();
+        assert_eq!(woken, vec![2]);
+        for (ticket, _) in rep.woken {
+            d.finish(ticket);
+        }
+        assert_eq!(d.sub_descriptors_in_flight(), 0);
+    }
+
+    #[test]
+    fn an_unbounded_slab_grows_in_segments_that_keep_their_slots() {
+        let slab = Slab::<u64>::new(ShardCapacity::Unbounded);
+        let first = UNBOUNDED_FIRST as u32;
+        assert_eq!(slab.locate(first - 1), (0, first as usize - 1));
+        assert_eq!(slab.locate(first), (1, 0));
+        assert_eq!(slab.locate(3 * first - 1), (1, 2 * first as usize - 1));
+        assert_eq!(slab.locate(3 * first), (2, 0));
+        assert!(
+            slab.locate(u32::MAX).0 < SEGMENTS,
+            "every slot index has a segment"
+        );
+        // A thousand tasks resident at once on one shard, each parked
+        // with its payload, then woken and retired.
+        let d = dispatcher(1);
+        let producer = d.submit(1, 0, &[Param::output(0x100, 4)], 0);
+        for tag in 1..=1000u64 {
+            let r = d.submit(1, tag, &[Param::input(0x100, 4)], tag);
+            assert!(r.ready.is_none());
+            assert_eq!(r.ticket.at.slot, tag as u32);
+        }
+        let (completed, mut order) = drain(&d, vec![(producer.ticket, 0)]);
+        assert_eq!(completed, 1001);
+        order.sort_unstable();
+        assert_eq!(order, (0..=1000).collect::<Vec<_>>());
+        let locked = d.shards[0].lock();
+        assert_eq!((locked.taken, locked.free.len()), (1001, 1001));
     }
 
     #[test]

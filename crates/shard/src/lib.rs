@@ -18,7 +18,9 @@
 //!   one shard's engine plus its sub-descriptor → home-record map; and
 //!   `Remote` is the per-task remote dependence counter (one unit per
 //!   slice plus a submission guard) whose zero transition makes the task
-//!   ready exactly once. A task is ready exactly when every shard slice
+//!   ready exactly once. `Home` holds that counter in a reusable slot
+//!   with a generation, and its `release` is the one check that rejects
+//!   a reference taken before the slot was freed. A task is ready exactly when every shard slice
 //!   is — which, because distinct addresses impose independent
 //!   constraints, is exactly the single engine's (and the oracle's)
 //!   readiness predicate.
@@ -33,8 +35,11 @@
 //!   shard once to release its slice, and wake delivery runs after the
 //!   lock is dropped: the finisher releases each woken task's remote
 //!   counter and hands the ones that reach zero straight to its own
-//!   finish report. This is what `Runtime` in `nexuspp-runtime`
-//!   executes on.
+//!   finish report. A task's home record is a slot of its home shard's
+//!   slab, taken and freed under locks the path holds anyway, and a
+//!   [`TaskTicket`] names it by `(shard, slot, generation)`, so a task
+//!   costs the dispatcher no heap block. This is what `Runtime` in
+//!   `nexuspp-runtime` executes on.
 //! * [`budget`] — [`TenantBudgets`]: per-tenant in-flight admission caps
 //!   layered above [`ShardCapacity`](nexuspp_core::ShardCapacity), the
 //!   accounting a multi-tenant ingress (`nexuspp-service`) meters

@@ -26,7 +26,10 @@
 //!   *submission guard* released only after every slice is admitted, so
 //!   a task can never become ready half-submitted. Whoever performs the
 //!   transition to zero — the submitter or a finisher — owns the task and
-//!   schedules it, exactly once.
+//!   schedules it, exactly once. Where home records are reused slots
+//!   ([`Home`], the threaded driver's), a reference carries the slot's
+//!   generation ([`HomeRef`]) and [`Home::release`] rejects one taken
+//!   before the slot was last freed, leaving the next occupant alone.
 //! * **Finish** — every involved shard releases its slice and maps the
 //!   sub-descriptors it kicked off to their home records; each is one
 //!   remote release. Wake-ups only ever travel finish → home, so the
@@ -329,7 +332,7 @@ impl<H: Clone> Slices<H> {
 
 /// A task's remote dependence counter: its unready slices plus the
 /// submission guard.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Remote(AtomicU32);
 
 impl Remote {
@@ -353,5 +356,77 @@ impl Remote {
     /// ready).
     pub(crate) fn is_zero(&self) -> bool {
         self.0.load(Ordering::Acquire) == 0
+    }
+}
+
+/// Where a task's home record lives: a slot of its home shard (the first
+/// shard of its route) and the slot's generation when the task took it.
+/// Tickets and kick-off references carry one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HomeRef {
+    pub(crate) shard: u32,
+    pub(crate) slot: u32,
+    pub(crate) gen: u32,
+}
+
+/// A [`HomeRef`] whose slot was freed after the reference was taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stale;
+
+/// The shared half of a reusable home-record slot: the occupant's
+/// [`Remote`] counter and the slot's generation, which every free
+/// advances. Occupying and freeing run under the lock of the slot's
+/// shard; releases come from any thread, holding only a [`HomeRef`].
+#[derive(Debug, Default)]
+pub(crate) struct Home {
+    gen: AtomicU32,
+    remote: Remote,
+}
+
+impl Home {
+    /// Take the slot for a task routed to `slices` shards, guard held,
+    /// and return the generation its references must carry. The caller
+    /// holds the slot's shard lock.
+    pub(crate) fn occupy(&self, slices: usize) -> u32 {
+        self.remote.0.store(slices as u32 + 1, Ordering::Relaxed);
+        self.gen.load(Ordering::Relaxed)
+    }
+
+    /// Free the slot of the occupant that took it at `gen`: every
+    /// reference to it is stale from now on. The caller holds the slot's
+    /// shard lock, so only loads and stores are needed.
+    pub(crate) fn vacate(&self, gen: u32) {
+        debug_assert_eq!(
+            self.gen.load(Ordering::Relaxed),
+            gen,
+            "freeing a slot its ticket does not hold"
+        );
+        self.gen.store(gen.wrapping_add(1), Ordering::Release);
+    }
+
+    /// [`Remote::release`] on behalf of a reference taken at `gen`, or
+    /// [`Stale`] — and the counter untouched — if the slot has been
+    /// freed since. The one generation check. A reference that passes it
+    /// cannot turn stale before its release lands: a holder of a live
+    /// reference holds one of the occupant's units, so the occupant
+    /// cannot become ready, run, finish and free the slot first.
+    pub(crate) fn release(&self, gen: u32) -> Result<bool, Stale> {
+        if self.gen.load(Ordering::Acquire) != gen {
+            return Err(Stale);
+        }
+        Ok(self.remote.release())
+    }
+
+    /// True if only the submission guard is left: every slice released
+    /// its unit, so no other thread will touch the slot again, and the
+    /// submitter owns the task without releasing the guard.
+    pub(crate) fn only_guard_left(&self) -> bool {
+        self.remote.0.load(Ordering::Acquire) == 1
+    }
+
+    /// Units the occupant is still waiting for, guard included.
+    #[cfg(test)]
+    pub(crate) fn units(&self) -> u32 {
+        self.remote.0.load(Ordering::Acquire)
     }
 }
