@@ -2,30 +2,30 @@
 //! sample link layout, and print a verdict per (workload, metric).
 //!
 //! ```text
-//! pairs --parent DIR --change DIR [--layouts K] [--pairs N] [--seed N]
-//!       [--seconds S] [--workload W]... [--trace 0|1] [--out DIR]
+//! pairs --parent DIR --change DIR [--seed N] [--seconds S]
+//!       [--workload W]... [--trace 0|1] [--out DIR]
 //! ```
 //!
 //! `DIR` is a source tree of this workspace (a `git archive` of a commit,
-//! say). For each side it builds `K` (default 4) `e2e` binaries that
-//! differ only in link layout: `cargo rustc --release -p nexuspp-bench
-//! --bin e2e` relinks just the binary with
+//! say). For each side it builds [`LAYOUTS`] `e2e` binaries that differ
+//! only in link layout: `cargo rustc --release -p nexuspp-bench --bin
+//! e2e` relinks just the binary with
 //! `-C link-arg=-Wl,--shuffle-sections=*=<seed>`, the parent with layout
-//! seeds `1..=K` and the change with `K+1..=2K`, so even two identical
-//! trees are compared across different layouts. It then runs `N`
-//! (default 10) pairs per workload, one run of each side, alternating
-//! which side goes first and cycling through the layouts, for the
-//! change's `BENCHMARK.json` `run_seconds` (or `--seconds`). The samples
-//! of all layouts are pooled.
+//! seeds `1..=4` and the change with `5..=8`, so even two identical trees
+//! are compared across different layouts. It then runs [`PAIRS`] pairs
+//! per workload, one run of each side, alternating which side goes first
+//! and cycling through the layouts, for the change's `BENCHMARK.json`
+//! `run_seconds` (or `--seconds`). The samples of all layouts are pooled.
 //!
-//! A (workload, metric) is a **claim** when the change is better in at
-//! least nine of ten pairs and its median beats the parent's by more
-//! than the parent's inter-quartile range; **regressed** is the same rule
-//! the other way; anything else is **unresolved**. A tie counts for
-//! neither side. Beside each verdict it prints the workload's layout
-//! noise floor: how far apart the parent's per-layout medians lie, as a
-//! share of its median. The metrics and their directions are
-//! `BENCHMARK.json`'s `end_to_end` list (`per_layer` with `--trace 1`).
+//! Each workload's metric has a **layout floor**: how far apart the
+//! parent's per-layout medians lie, as a share of its median — what
+//! relinking alone moves it. A (workload, metric) is a **claim** when the
+//! change is better in at least nine of ten pairs and its median beats
+//! the parent's by more than both the parent's inter-quartile range and
+//! the layout floor; **regressed** is the same rule the other way;
+//! anything else is **unresolved**. A tie counts for neither side. The
+//! metrics and their directions are `BENCHMARK.json`'s `end_to_end` list
+//! (`per_layer` with `--trace 1`).
 //!
 //! Every run's output goes to `<out>/runs.log`.
 //!
@@ -39,6 +39,12 @@ mod stats;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
+
+/// Pairs run per workload: the fewest the nine-of-ten rule can judge.
+const PAIRS: usize = 10;
+
+/// Link layouts built per side.
+const LAYOUTS: usize = 4;
 
 /// What a (workload, metric) reads after its pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,12 +73,13 @@ fn gain(parent: f64, change: f64, higher_is_better: bool) -> f64 {
     }
 }
 
-/// The verdict on `pairs` of `(parent, change)` samples of one metric.
-/// The change wins a pair when its sample is better, loses it when worse;
-/// a tie counts for neither. A side that wins at least nine pairs in ten
-/// and whose median is better than the other's by more than the
-/// parent's inter-quartile range decides the verdict.
-fn verdict(pairs: &[(f64, f64)], higher_is_better: bool) -> Verdict {
+/// The verdict on `pairs` of `(parent, change)` samples of one metric
+/// whose layout floor is `floor` (a share of the parent's median). The
+/// change wins a pair when its sample is better, loses it when worse; a
+/// tie counts for neither. A side that wins at least nine pairs in ten
+/// and whose median is better than the other's by more than both the
+/// parent's inter-quartile range and the floor decides the verdict.
+fn verdict(pairs: &[(f64, f64)], higher_is_better: bool, floor: f64) -> Verdict {
     let n = pairs.len();
     if n == 0 {
         return Verdict::Unresolved;
@@ -89,10 +96,11 @@ fn verdict(pairs: &[(f64, f64)], higher_is_better: bool) -> Verdict {
     let change: Vec<f64> = pairs.iter().map(|&(_, c)| c).collect();
     let [q1, parent_median, q3] = stats::quartiles(&parent);
     let median_gain = gain(parent_median, stats::median(&change), higher_is_better);
+    let margin = (q3 - q1).max(floor * parent_median.abs());
     let decisive = |count: usize| count * 10 >= n * 9;
-    if decisive(wins) && median_gain > q3 - q1 {
+    if decisive(wins) && median_gain > margin {
         Verdict::Claim
-    } else if decisive(losses) && -median_gain > q3 - q1 {
+    } else if decisive(losses) && -median_gain > margin {
         Verdict::Regressed
     } else {
         Verdict::Unresolved
@@ -205,8 +213,6 @@ fn metric_in(line: &str, name: &str) -> Option<f64> {
 struct Config {
     parent: PathBuf,
     change: PathBuf,
-    layouts: usize,
-    pairs: usize,
     seed: u64,
     seconds: Option<f64>,
     workloads: Vec<String>,
@@ -218,8 +224,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
     let mut cfg = Config {
         parent: PathBuf::new(),
         change: PathBuf::new(),
-        layouts: 4,
-        pairs: 10,
         seed: 1,
         seconds: None,
         workloads: Vec::new(),
@@ -233,8 +237,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
         match flag.as_str() {
             "--parent" => cfg.parent = PathBuf::from(value),
             "--change" => cfg.change = PathBuf::from(value),
-            "--layouts" => cfg.layouts = value.parse().map_err(|_| number("a count"))?,
-            "--pairs" => cfg.pairs = value.parse().map_err(|_| number("a count"))?,
             "--seed" => cfg.seed = value.parse().map_err(|_| number("a seed"))?,
             "--seconds" => cfg.seconds = Some(value.parse().map_err(|_| number("seconds"))?),
             "--workload" => cfg.workloads.push(value.clone()),
@@ -245,9 +247,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
     }
     if cfg.parent.as_os_str().is_empty() || cfg.change.as_os_str().is_empty() {
         return Err("--parent and --change are required".into());
-    }
-    if cfg.layouts == 0 || cfg.pairs == 0 {
-        return Err("--layouts and --pairs must be at least 1".into());
     }
     // Runs start in `out`, so the binaries' paths must not be relative.
     cfg.out = std::path::absolute(&cfg.out).map_err(|e| format!("--out: {e}"))?;
@@ -376,8 +375,8 @@ fn main() -> ExitCode {
         eprintln!("pairs: {}: {e}", cfg.out.display());
         return ExitCode::from(2);
     }
-    let parent_seeds: Vec<usize> = (1..=cfg.layouts).collect();
-    let change_seeds: Vec<usize> = (cfg.layouts + 1..=2 * cfg.layouts).collect();
+    let parent_seeds: Vec<usize> = (1..=LAYOUTS).collect();
+    let change_seeds: Vec<usize> = (LAYOUTS + 1..=2 * LAYOUTS).collect();
     let built = build_side(&cfg, "parent", &cfg.parent, &parent_seeds)
         .and_then(|p| Ok((p, build_side(&cfg, "change", &cfg.change, &change_seeds)?)));
     let (parent_bins, change_bins) = match built {
@@ -396,8 +395,8 @@ fn main() -> ExitCode {
     for w in &workloads {
         // lines[i] = (layout, parent line, change line) of pair i.
         let mut lines = Vec::new();
-        for i in 0..cfg.pairs {
-            let layout = i % cfg.layouts;
+        for i in 0..PAIRS {
+            let layout = i % LAYOUTS;
             let (p_bin, c_bin) = (&parent_bins[layout], &change_bins[layout]);
             let (p, c) = if i % 2 == 0 {
                 let p = run(&cfg, p_bin, w, seconds);
@@ -406,7 +405,7 @@ fn main() -> ExitCode {
                 let c = run(&cfg, c_bin, w, seconds);
                 (run(&cfg, p_bin, w, seconds), c)
             };
-            eprintln!("pairs: {w} pair {}/{} done", i + 1, cfg.pairs);
+            eprintln!("pairs: {w} pair {}/{PAIRS} done", i + 1);
             match (p, c) {
                 (Some(p), Some(c)) => lines.push((layout, p, c)),
                 _ => ok = false,
@@ -437,7 +436,7 @@ fn main() -> ExitCode {
                 .iter()
                 .filter(|&&(p, c)| gain(p, c, m.higher_is_better) > 0.0)
                 .count();
-            let v = verdict(&pairs, m.higher_is_better);
+            let v = verdict(&pairs, m.higher_is_better, floor);
             ok &= v != Verdict::Regressed;
             println!(
                 "| {w} | {} | {} | {} | {} | {delta:+.1} % | {}/{} | {:.1} % | {} |",
@@ -478,27 +477,27 @@ mod tests {
     fn nine_wins_and_a_median_gain_past_the_parent_iqr_is_a_claim() {
         let mut pairs = scaled(1.10);
         pairs[3].1 = pairs[3].0 - 1.0; // one lost pair of ten
-        assert_eq!(verdict(&pairs, true), Verdict::Claim);
+        assert_eq!(verdict(&pairs, true, 0.0), Verdict::Claim);
         // Lower is better: the same samples read the other way.
-        assert_eq!(verdict(&pairs, false), Verdict::Regressed);
+        assert_eq!(verdict(&pairs, false, 0.0), Verdict::Regressed);
     }
 
     #[test]
     fn wins_without_a_median_gain_past_the_iqr_are_unresolved() {
         // Every pair won, by 1 %: about one unit against an IQR of 4.5.
-        assert_eq!(verdict(&scaled(1.01), true), Verdict::Unresolved);
+        assert_eq!(verdict(&scaled(1.01), true, 0.0), Verdict::Unresolved);
         // A large median gain in only eight pairs of ten.
         let mut pairs = scaled(1.20);
         pairs[0].1 = 50.0;
         pairs[1].1 = 50.0;
-        assert_eq!(verdict(&pairs, true), Verdict::Unresolved);
+        assert_eq!(verdict(&pairs, true, 0.0), Verdict::Unresolved);
     }
 
     #[test]
     fn nine_losses_past_the_iqr_are_a_regression() {
-        assert_eq!(verdict(&scaled(0.90), true), Verdict::Regressed);
-        assert_eq!(verdict(&scaled(1.10), false), Verdict::Regressed);
-        assert_eq!(verdict(&scaled(0.90), false), Verdict::Claim);
+        assert_eq!(verdict(&scaled(0.90), true, 0.0), Verdict::Regressed);
+        assert_eq!(verdict(&scaled(1.10), false, 0.0), Verdict::Regressed);
+        assert_eq!(verdict(&scaled(0.90), false, 0.0), Verdict::Claim);
     }
 
     #[test]
@@ -508,11 +507,22 @@ mod tests {
         let mut pairs = scaled(1.20);
         pairs[0].1 = pairs[0].0;
         pairs[1].1 = pairs[1].0;
-        assert_eq!(verdict(&pairs, true), Verdict::Unresolved);
-        assert_eq!(verdict(&pairs, false), Verdict::Unresolved);
+        assert_eq!(verdict(&pairs, true, 0.0), Verdict::Unresolved);
+        assert_eq!(verdict(&pairs, false, 0.0), Verdict::Unresolved);
         // Identical runs decide nothing.
-        assert_eq!(verdict(&scaled(1.0), true), Verdict::Unresolved);
-        assert_eq!(verdict(&[], true), Verdict::Unresolved);
+        assert_eq!(verdict(&scaled(1.0), true, 0.0), Verdict::Unresolved);
+        assert_eq!(verdict(&[], true, 0.0), Verdict::Unresolved);
+    }
+
+    #[test]
+    fn a_gain_inside_the_layout_floor_is_unresolved() {
+        // Every pair won, the median 10 % up against an IQR of 4.5 %:
+        // a claim, unless relinking alone moves the metric by 12 %.
+        assert_eq!(verdict(&scaled(1.10), true, 0.05), Verdict::Claim);
+        assert_eq!(verdict(&scaled(1.10), true, 0.12), Verdict::Unresolved);
+        // The floor holds a regression back the same way.
+        assert_eq!(verdict(&scaled(0.90), true, 0.05), Verdict::Regressed);
+        assert_eq!(verdict(&scaled(0.90), true, 0.12), Verdict::Unresolved);
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! A task's home record is a slot of its home shard's slab (the home
 //! shard is the first of its route): the submitter takes the slot under
 //! the lock its first slice takes anyway, and the finish frees it under
-//! that same lock, before the shard's residency slot. A bounded shard's
-//! slab is allocated once at its capacity, which a shard's homed tasks
-//! can never exceed, since each holds a residency slot there. A ticket
-//! and a kicked reference name the slot by `(shard, slot, generation)`;
-//! the thread that makes a task ready copies its parts into the ticket,
-//! so the finish reads nothing from the slot but frees it.
+//! that same lock, before the shard's residency slot. A slab grows in
+//! segments that never move, up to the shard's high-water mark; a
+//! bounded shard's never passes its capacity, since each task homed there
+//! holds a residency slot. A ticket and a kicked reference name the slot
+//! by `(shard, slot, generation)`; a task that parks leaves its parts in
+//! the slot, the thread that makes it ready moves them into the ticket,
+//! and the finish reads nothing from the slot but frees it.
 //!
 //! Finishing a task releases each slice under its shard's lock; the
 //! remote releases, and — on the zero transition — the payload hand-off
@@ -92,50 +93,41 @@ impl<P> Slot<P> {
     }
 }
 
-/// Segments a slab can grow to: enough for every `u32` slot index of an
-/// unbounded slab (a bounded one never grows).
+/// Segments a slab can grow to: enough for every `u32` slot index.
 const SEGMENTS: usize = 32;
 
-/// Slots in an unbounded slab's first segment.
-const UNBOUNDED_FIRST: usize = 64;
+/// Slots in a slab's first segment (fewer if the shard's capacity is
+/// smaller).
+const FIRST_SEGMENT: usize = 64;
 
 /// One shard's home-record slots, in segments that never move: segment
-/// `k` holds `first << k` slots. A bounded shard's slab is its first
-/// segment, allocated once at the shard's capacity; an unbounded one
-/// adds a segment, twice the last, whenever the shard's high-water mark
-/// crosses into it, and keeps it. Segments are added under the shard
-/// lock; a reader holding a [`HomeRef`] takes no lock.
+/// `k` holds `FIRST_SEGMENT << k` slots, the last cut short at a bounded
+/// shard's capacity. A segment is added, under the shard lock, when the
+/// shard's high-water mark crosses into it, and kept; a reader holding a
+/// [`HomeRef`] takes no lock. A bounded slab never needs more slots than
+/// its capacity, since each task homed there holds a residency slot.
 struct Slab<P> {
-    first: usize,
-    /// False for a bounded shard's slab, which never grows.
-    grows: bool,
+    /// The shard's capacity; `usize::MAX` if unbounded.
+    limit: usize,
     segments: [OnceLock<Box<[Slot<P>]>>; SEGMENTS],
 }
 
 impl<P> Slab<P> {
     fn new(capacity: ShardCapacity) -> Self {
-        let first = capacity.limit().unwrap_or(UNBOUNDED_FIRST);
-        let slab = Slab {
-            first,
-            grows: !capacity.is_bounded(),
+        Slab {
+            limit: capacity.limit().unwrap_or(usize::MAX),
             segments: std::array::from_fn(|_| OnceLock::new()),
-        };
-        slab.grow(0);
-        slab
+        }
     }
 
     /// The segment of slot `i`, and the slot's offset in it.
-    fn locate(&self, i: u32) -> (usize, usize) {
-        let i = i as usize;
-        if i < self.first {
-            return (0, i);
-        }
-        let k = (i / self.first + 1).ilog2() as usize;
-        (k, i - self.first * ((1 << k) - 1))
+    fn locate(i: u32) -> (usize, usize) {
+        let k = (i as usize / FIRST_SEGMENT + 1).ilog2() as usize;
+        (k, i as usize - FIRST_SEGMENT * ((1 << k) - 1))
     }
 
     fn get(&self, i: u32) -> &Slot<P> {
-        let (k, off) = self.locate(i);
+        let (k, off) = Self::locate(i);
         &self.segments[k]
             .get()
             .expect("slot past the high-water mark")[off]
@@ -144,14 +136,10 @@ impl<P> Slab<P> {
     /// Make slot `i`, the shard's next never-used slot, exist. Runs under
     /// the shard lock.
     fn grow(&self, i: u32) {
-        let (k, off) = self.locate(i);
-        debug_assert!(
-            self.grows || k == 0,
-            "a bounded shard homed more tasks than its residency slots"
-        );
+        let (k, off) = Self::locate(i);
         if off == 0 {
-            self.segments[k]
-                .get_or_init(|| (0..self.first << k).map(|_| Slot::default()).collect());
+            let len = (FIRST_SEGMENT << k).min(self.limit.saturating_sub(i as usize));
+            self.segments[k].get_or_init(|| (0..len).map(|_| Slot::default()).collect());
         }
     }
 }
@@ -190,7 +178,10 @@ impl Locked {
 /// Handle to a submitted task; required (and consumed) by
 /// [`ShardDispatcher::finish`]. It names the task's home slot and
 /// carries what its finish needs, so the finish reads nothing from the
-/// slot but frees it.
+/// slot but frees it. Finish the ticket that came with the payload: the
+/// one of a task that parked at submission is a receipt without parts,
+/// and the task's finishable ticket surfaces with its payload in a
+/// [`FinishReport::woken`].
 #[derive(Debug)]
 pub struct TaskTicket<P> {
     tag: u64,
@@ -220,7 +211,8 @@ impl<P> TaskTicket<P> {
 /// Outcome of a submission.
 #[derive(Debug)]
 pub struct SubmitResult<P> {
-    /// Handle for the eventual [`ShardDispatcher::finish`] call.
+    /// Handle for the eventual [`ShardDispatcher::finish`] call if the
+    /// task is ready; a receipt if it parked (see [`TaskTicket`]).
     pub ticket: TaskTicket<P>,
     /// The payload, handed back if the task is ready to run right now;
     /// `None` if the task parked waiting on dependencies (its payload
@@ -361,14 +353,12 @@ impl<P> ShardDispatcher<P> {
             "the dispatcher's lock-per-shard submit path cannot stall mid-admission; \
              use a growable config (bound residency via ShardCapacity)"
         );
-        // Validates the capacity before a slab is sized by it.
-        let residency = Residency::new(n_shards, capacity);
         ShardDispatcher {
             shards: (0..n_shards)
                 .map(|_| ShardCell {
                     state: Mutex::new(Locked {
                         slices: Slices::new(cfg),
-                        free: Vec::with_capacity(capacity.limit().unwrap_or(0)),
+                        free: Vec::new(),
                         taken: 0,
                     }),
                     slab: Slab::new(capacity),
@@ -378,7 +368,7 @@ impl<P> ShardDispatcher<P> {
                     stall_ns: AtomicU64::new(0),
                 })
                 .collect(),
-            residency,
+            residency: Residency::new(n_shards, capacity),
             wake_metrics: WakeMetrics::default(),
             obs: None,
         }
@@ -593,16 +583,22 @@ impl<P> ShardDispatcher<P> {
                 if slot.home.only_guard_left() {
                     Some(payload)
                 } else {
+                    // The parts move into the slot: whoever makes the
+                    // task ready hands them on in the ticket it reports.
                     *slot.parked() = Some(Parked {
                         tag,
-                        parts: parts.clone(),
+                        parts: std::mem::take(&mut parts),
                         payload,
                     });
                     let zero = slot
                         .home
                         .release(at.gen)
                         .expect("the submitter's slot cannot turn over under its guard");
-                    zero.then(|| slot.parked().take().expect("parked above").payload)
+                    zero.then(|| {
+                        let parked = slot.parked().take().expect("parked above");
+                        parts = parked.parts;
+                        parked.payload
+                    })
                 }
             }
         };
@@ -636,6 +632,10 @@ impl<P> ShardDispatcher<P> {
     /// tasks this completion made ready are appended to `report.woken`,
     /// and `report.completed` counts one more.
     pub fn finish_into(&self, ticket: TaskTicket<P>, report: &mut FinishReport<P>) {
+        debug_assert!(
+            ticket.parts.len() > 0 || ticket.at.shard == NO_SHARD,
+            "finished the receipt of a task that parked at submission"
+        );
         let mut last_shard = NO_SHARD;
         for (s, td) in ticket.parts.iter() {
             let cell = &self.shards[s as usize];
@@ -838,14 +838,14 @@ mod tests {
 
     #[test]
     fn an_unbounded_slab_grows_in_segments_that_keep_their_slots() {
-        let slab = Slab::<u64>::new(ShardCapacity::Unbounded);
-        let first = UNBOUNDED_FIRST as u32;
-        assert_eq!(slab.locate(first - 1), (0, first as usize - 1));
-        assert_eq!(slab.locate(first), (1, 0));
-        assert_eq!(slab.locate(3 * first - 1), (1, 2 * first as usize - 1));
-        assert_eq!(slab.locate(3 * first), (2, 0));
+        let locate = Slab::<u64>::locate;
+        let first = FIRST_SEGMENT as u32;
+        assert_eq!(locate(first - 1), (0, first as usize - 1));
+        assert_eq!(locate(first), (1, 0));
+        assert_eq!(locate(3 * first - 1), (1, 2 * first as usize - 1));
+        assert_eq!(locate(3 * first), (2, 0));
         assert!(
-            slab.locate(u32::MAX).0 < SEGMENTS,
+            locate(u32::MAX).0 < SEGMENTS,
             "every slot index has a segment"
         );
         // A thousand tasks resident at once on one shard, each parked
@@ -863,6 +863,37 @@ mod tests {
         assert_eq!(order, (0..=1000).collect::<Vec<_>>());
         let locked = d.shards[0].lock();
         assert_eq!((locked.taken, locked.free.len()), (1001, 1001));
+    }
+
+    #[test]
+    fn a_bounded_slab_grows_only_as_far_as_its_capacity() {
+        let slab = Slab::<u64>::new(ShardCapacity::Bounded(100));
+        let lens = |slab: &Slab<u64>| -> Vec<usize> {
+            slab.segments
+                .iter()
+                .map_while(|seg| seg.get().map(|slots| slots.len()))
+                .collect()
+        };
+        assert!(lens(&slab).is_empty(), "nothing allocated up front");
+        for i in 0..100 {
+            slab.grow(i);
+        }
+        // The second segment is cut short at the capacity.
+        assert_eq!(lens(&slab), vec![FIRST_SEGMENT, 100 - FIRST_SEGMENT]);
+        let small = Slab::<u64>::new(ShardCapacity::Bounded(2));
+        small.grow(0);
+        assert_eq!(lens(&small), vec![2]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "receipt")]
+    fn finishing_the_receipt_of_a_parked_task_is_caught() {
+        let d = dispatcher(1);
+        let _producer = d.submit(1, 0, &[Param::output(0x100, 4)], 0);
+        let parked = d.submit(1, 1, &[Param::input(0x100, 4)], 1);
+        assert!(parked.ready.is_none());
+        d.finish(parked.ticket);
     }
 
     #[test]
