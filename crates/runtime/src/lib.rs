@@ -54,8 +54,8 @@
 //! [`ShardCapacity::Unbounded`]) under [`Runtime::with_capacity`]. A
 //! `spawn` that finds a shard full runs ready tasks on the spawning
 //! thread, and blocks only while none is visible. A task's home record
-//! is a reused slot of its home shard's slab, so a spawn allocates only
-//! its body box.
+//! is the slot of its home slice's Task Pool index, so a spawn allocates
+//! only its body box.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

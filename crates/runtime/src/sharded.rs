@@ -28,10 +28,11 @@
 //! Each shard admits at most a Task Pool's worth of resident tasks
 //! (Table IV's 1024 by default). A submitter that finds a shard full
 //! *helps*: it runs one ready task itself and retries, and parks only
-//! when no ready task is visible. A task's home record is a slot of its
-//! home shard's slab, which never grows past that bound, so the only
-//! block a spawn allocates is its body box; the ticket a ready task
-//! travels with names the slot and carries what its finish needs.
+//! when no ready task is visible. A task's home record is the slot of
+//! its home slice's Task Pool index in its home shard's slab, which
+//! follows that pool's growth, so the only block a spawn allocates is
+//! its body box; the ticket a ready task travels with names the slot and
+//! carries what its finish needs.
 //!
 //! Every thread that blocks here waits on a [`nexuspp_core::EventCount`]:
 //! idle workers on the scheduler's, a submitter stalled on a full shard

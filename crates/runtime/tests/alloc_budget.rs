@@ -3,12 +3,12 @@
 //! test: a second test running beside it would be counted too).
 //!
 //! A task on the threaded path allocates its body box and nothing else.
-//! Its home record is a slot of its home shard's slab, which grows in
-//! segments up to the shard's Task Pool bound; the parameter storage,
-//! the route, the kick-off lists and every finish-side buffer live in
-//! structures that outlive the task (the shard's recycled slice lists,
-//! the Dependence Table, the engine, the worker's finish report). The
-//! slab's growth, like theirs, is paid in the warm-up round. A task ready at
+//! Its home record is the slot of its home slice's Task Pool index, in a
+//! slab that grows with that pool; the parameter storage, the route, the
+//! kick-off lists and every finish-side buffer live in structures that
+//! outlive the task (the shard's recycled slice lists, the Dependence
+//! Table, the engine, the worker's finish report). The slab's growth,
+//! like theirs, is paid in the warm-up round. A task ready at
 //! submission goes through the scheduler's injector, a locked FIFO over
 //! a `VecDeque`, which allocates nothing per task. The budget adds
 //! amortized growth of the scheduler's queues and of those structures on

@@ -11,15 +11,14 @@
 //! the submitter or a finisher, takes the payload.
 //!
 //! A task's home record is a slot of its home shard's slab (the home
-//! shard is the first of its route): the submitter takes the slot under
-//! the lock its first slice takes anyway, and the finish frees it under
-//! that same lock, before the shard's residency slot. A slab grows in
-//! segments that never move, up to the shard's high-water mark; a
-//! bounded shard's never passes its capacity, since each task homed there
-//! holds a residency slot. A ticket and a kicked reference name the slot
-//! by `(shard, slot, generation)`; a task that parks leaves its parts in
-//! the slot, the thread that makes it ready moves them into the ticket,
-//! and the finish reads nothing from the slot but frees it.
+//! shard is the first of its route), and the slot is the Task Pool index
+//! of its home slice: one index space and one free list per shard, the
+//! pool's. The home slice's admission occupies the slot and its release
+//! vacates it, each under the shard lock that admission or release takes
+//! anyway. A ticket and a kicked reference name the slot by `(shard,
+//! slot, generation)`; a task that parks leaves its parts in the slot,
+//! the thread that makes it ready moves them into the ticket, and the
+//! finish reads nothing from the slot but vacates it.
 //!
 //! Finishing a task releases each slice under its shard's lock; the
 //! remote releases, and — on the zero transition — the payload hand-off
@@ -93,92 +92,59 @@ impl<P> Slot<P> {
     }
 }
 
-/// Segments a slab can grow to: enough for every `u32` slot index.
+/// Segments a slab can grow to: enough for every `u32` index of a pool
+/// of at least 2 entries.
 const SEGMENTS: usize = 32;
 
-/// Slots in a slab's first segment (fewer if the shard's capacity is
-/// smaller).
-const FIRST_SEGMENT: usize = 64;
-
-/// One shard's home-record slots, in segments that never move: segment
-/// `k` holds `FIRST_SEGMENT << k` slots, the last cut short at a bounded
-/// shard's capacity. A segment is added, under the shard lock, when the
-/// shard's high-water mark crosses into it, and kept; a reader holding a
-/// [`HomeRef`] takes no lock. A bounded slab never needs more slots than
-/// its capacity, since each task homed there holds a residency slot.
+/// One shard's home-record slots, one per index of the shard's Task
+/// Pool, in segments that never move and follow the pool's growth:
+/// segment 0 holds the pool's initial entries, segment `k > 0` what its
+/// `k`-th doubling adds. A segment is allocated, under the shard lock,
+/// when the first home slice lands in it, and kept; a reader holding a
+/// [`HomeRef`] takes no lock.
 struct Slab<P> {
-    /// The shard's capacity; `usize::MAX` if unbounded.
-    limit: usize,
+    /// The pool's initial entries: segment 0's length.
+    entries: usize,
     segments: [OnceLock<Box<[Slot<P>]>>; SEGMENTS],
 }
 
 impl<P> Slab<P> {
-    fn new(capacity: ShardCapacity) -> Self {
+    fn new(entries: usize) -> Self {
         Slab {
-            limit: capacity.limit().unwrap_or(usize::MAX),
+            entries,
             segments: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
     /// The segment of slot `i`, and the slot's offset in it.
-    fn locate(i: u32) -> (usize, usize) {
-        let k = (i as usize / FIRST_SEGMENT + 1).ilog2() as usize;
-        (k, i as usize - FIRST_SEGMENT * ((1 << k) - 1))
+    fn locate(&self, i: u32) -> (usize, usize) {
+        let i = i as usize;
+        match (i / self.entries).checked_ilog2() {
+            None => (0, i),
+            Some(b) => (b as usize + 1, i - (self.entries << b)),
+        }
     }
 
     fn get(&self, i: u32) -> &Slot<P> {
-        let (k, off) = Self::locate(i);
+        let (k, off) = self.locate(i);
         &self.segments[k]
             .get()
-            .expect("slot past the high-water mark")[off]
+            .expect("no home slice has landed in this segment")[off]
     }
 
-    /// Make slot `i`, the shard's next never-used slot, exist. Runs under
-    /// the shard lock.
-    fn grow(&self, i: u32) {
-        let (k, off) = Self::locate(i);
-        if off == 0 {
-            let len = (FIRST_SEGMENT << k).min(self.limit.saturating_sub(i as usize));
-            self.segments[k].get_or_init(|| (0..len).map(|_| Slot::default()).collect());
-        }
-    }
-}
-
-/// What one shard lock guards: the shard's slices and the free list of
-/// its slab.
-struct Locked {
-    slices: Slices<HomeRef>,
-    /// Freed slots, reused last in, first out.
-    free: Vec<u32>,
-    /// Slots ever taken: the slab's high-water mark.
-    taken: u32,
-}
-
-impl Locked {
-    /// Take a slot of `slab`, shard `shard`'s, for a task routed to
-    /// `slices` shards.
-    fn take_slot<P>(&mut self, shard: u32, slab: &Slab<P>, slices: usize) -> HomeRef {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            let i = self.taken;
-            self.taken += 1;
-            slab.grow(i);
-            i
-        });
-        let gen = slab.get(slot).home.occupy(slices);
-        HomeRef { shard, slot, gen }
-    }
-
-    /// Free the slot `at` of `slab`: its references go stale.
-    fn free_slot<P>(&mut self, slab: &Slab<P>, at: HomeRef) {
-        slab.get(at.slot).home.vacate(at.gen);
-        self.free.push(at.slot);
+    /// Slot `i`, its segment allocated if this is the first home slice
+    /// to land in it. Runs under the shard lock.
+    fn occupy(&self, i: u32) -> &Slot<P> {
+        let (k, off) = self.locate(i);
+        let len = self.entries << k.saturating_sub(1);
+        &self.segments[k].get_or_init(|| (0..len).map(|_| Slot::default()).collect())[off]
     }
 }
 
 /// Handle to a submitted task; required (and consumed) by
 /// [`ShardDispatcher::finish`]. It names the task's home slot and
 /// carries what its finish needs, so the finish reads nothing from the
-/// slot but frees it. Finish the ticket that came with the payload: the
+/// slot but vacates it. Finish the ticket that came with the payload: the
 /// one of a task that parked at submission is a receipt without parts,
 /// and the task's finishable ticket surfaces with its payload in a
 /// [`FinishReport::woken`].
@@ -286,7 +252,7 @@ pub struct CapacityCounts {
 }
 
 struct ShardCell<P> {
-    state: Mutex<Locked>,
+    slices: Mutex<Slices<HomeRef>>,
     /// The home records of the tasks homed here.
     slab: Slab<P>,
     /// Submitters blocked on this full shard wait here; notified after
@@ -301,8 +267,8 @@ impl<P> ShardCell<P> {
     /// The shard lock, recovered if poisoned: a panicking engine call
     /// (a protocol assertion) has already failed its caller, and later
     /// calls see the state it left.
-    fn lock(&self) -> MutexGuard<'_, Locked> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Slices<HomeRef>> {
+        self.slices.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -356,12 +322,8 @@ impl<P> ShardDispatcher<P> {
         ShardDispatcher {
             shards: (0..n_shards)
                 .map(|_| ShardCell {
-                    state: Mutex::new(Locked {
-                        slices: Slices::new(cfg),
-                        free: Vec::new(),
-                        taken: 0,
-                    }),
-                    slab: Slab::new(capacity),
+                    slices: Mutex::new(Slices::new(cfg)),
+                    slab: Slab::new(cfg.task_pool_entries),
                     space: EventCount::new(),
                     stalls: AtomicU64::new(0),
                     retries_resolved: AtomicU64::new(0),
@@ -548,8 +510,8 @@ impl<P> ShardDispatcher<P> {
 
     /// The shared admission body: residency slots already reserved.
     /// Takes each involved shard's lock once, one at a time, in route
-    /// order; the first, the home shard's, also hands out the task's
-    /// home slot.
+    /// order; under the first, the home shard's, the home slice's Task
+    /// Pool index names the task's home slot, which it occupies.
     fn submit_reserved(&self, fptr: u64, tag: u64, route: &Route, payload: P) -> SubmitResult<P> {
         let first_shard = route.shards().next().unwrap_or(NO_SHARD);
         self.emit(EventKind::DepCheckStart, tag, first_shard);
@@ -557,10 +519,14 @@ impl<P> ShardDispatcher<P> {
         let mut parts = Few::default();
         for (s, len, slice) in route.slices() {
             let cell = &self.shards[s as usize];
-            let mut locked = cell.lock();
-            let at = *home.get_or_insert_with(|| locked.take_slot(s, &cell.slab, route.len()));
-            let (td, slice_ready, _) = locked.slices.submit(fptr, tag, len, slice, at);
-            drop(locked);
+            let (td, slice_ready, _) = cell.lock().submit(fptr, tag, len, slice, |td| {
+                *home.get_or_insert_with(|| HomeRef {
+                    shard: s,
+                    slot: td.0,
+                    gen: cell.slab.occupy(td.0).home.occupy(route.len()),
+                })
+            });
+            let at = home.expect("the home slice was admitted first");
             parts.push((s, td));
             if slice_ready {
                 // Cannot reach zero: the submission guard is still held.
@@ -618,7 +584,7 @@ impl<P> ShardDispatcher<P> {
 
     /// Finish a task that ran. Takes each involved shard's lock once, one
     /// at a time, to release the slice and collect the home slots it
-    /// kicked off; under the home shard's lock it also frees the task's
+    /// kicked off; under the home shard's lock it also vacates the task's
     /// own slot. The remote releases and payload hand-offs happen after
     /// the lock is dropped. Each finished slice releases one residency
     /// slot, the shard's "finish report" a parked submitter resumes on.
@@ -640,12 +606,12 @@ impl<P> ShardDispatcher<P> {
         for (s, td) in ticket.parts.iter() {
             let cell = &self.shards[s as usize];
             {
-                let mut locked = cell.lock();
-                locked.slices.release(td, &mut report.kicked);
+                let mut slices = cell.lock();
+                slices.release(td, &mut report.kicked);
                 if s == ticket.at.shard {
-                    // Before the residency slot below: a submitter that
-                    // reserves it finds this slot free.
-                    locked.free_slot(&cell.slab, ticket.at);
+                    // The pool has just taken `td` back; the home slice
+                    // that gets it next finds its slot vacated.
+                    cell.slab.get(td.0).home.vacate(ticket.at.gen);
                 }
             }
             if !report.kicked.is_empty() {
@@ -664,7 +630,7 @@ impl<P> ShardDispatcher<P> {
 
     /// One remote release for the task homed at `at`: the task and its
     /// payload if this release made it ready, or [`Stale`] — nothing
-    /// released — if the slot was freed since `at` was taken.
+    /// released — if the slot was vacated since `at` was taken.
     fn kick(&self, at: HomeRef) -> Result<Option<(TaskTicket<P>, P)>, Stale> {
         let slot = self.slot(at);
         if !slot.home.release(at.gen)? {
@@ -713,7 +679,7 @@ impl<P> ShardDispatcher<P> {
     pub fn sub_descriptors_in_flight(&self) -> usize {
         self.shards
             .iter()
-            .map(|c| c.lock().slices.engine().in_flight())
+            .map(|c| c.lock().engine().in_flight())
             .sum()
     }
 }
@@ -729,11 +695,15 @@ mod tests {
     }
 
     /// Run a ready task set to completion single-threadedly, returning
-    /// completion count and the order tags became ready.
+    /// completion count and the order tags became ready. Checks that each
+    /// ticket's home slot is its home slice's Task Pool index.
     fn drain(d: &ShardDispatcher<u64>, mut ready: Vec<(TaskTicket<u64>, u64)>) -> (u64, Vec<u64>) {
         let mut completed = 0;
         let mut order = Vec::new();
         while let Some((ticket, tag)) = ready.pop() {
+            if let Some((home, td)) = ticket.parts.iter().next() {
+                assert_eq!((ticket.at.shard, ticket.at.slot), (home, td.0));
+            }
             order.push(tag);
             let rep = d.finish(ticket);
             completed += rep.completed;
@@ -803,33 +773,39 @@ mod tests {
 
     #[test]
     fn a_stale_release_is_rejected_and_leaves_the_slots_next_occupant_alone() {
-        // One shard, so every task is homed on it and slots are reused
-        // last in, first out.
+        // One shard, so every task is homed on it and its slot comes
+        // round again only after the pool's FIFO has handed out every
+        // other free index.
         let d = dispatcher(1);
         let producer = d.submit(1, 0, &[Param::output(0x100, 4)], 0);
         let first = d.submit(1, 1, &[Param::output(0x200, 4)], 1);
         assert_eq!(first.ready, Some(1));
         let stale = first.ticket.at;
         d.finish(first.ticket);
-        // The next submission takes the freed slot and parks behind the
-        // producer: one unit left, its slice's.
-        let next = d.submit(1, 2, &[Param::input(0x100, 4)], 2);
-        assert!(next.ready.is_none());
+        // Readers of the producer's output park, each holding its index,
+        // until one takes the freed slot: one unit left, its slice's.
+        let mut tag = 2;
+        let next = loop {
+            let r = d.submit(1, tag, &[Param::input(0x100, 4)], tag);
+            assert!(r.ready.is_none());
+            if r.ticket.at.slot == stale.slot {
+                break r;
+            }
+            assert!(tag < 1024, "the freed index never came round");
+            tag += 1;
+        };
         let at = next.ticket.at;
-        assert_eq!(
-            (at.shard, at.slot),
-            (stale.shard, stale.slot),
-            "slot reused"
-        );
+        assert_eq!(at.shard, stale.shard);
         assert_ne!(at.gen, stale.gen);
         assert_eq!(d.slot(at).home.units(), 1);
         // The old reference's remote release arrives late.
         assert!(matches!(d.kick(stale), Err(Stale)));
         assert_eq!(d.slot(at).home.units(), 1, "the new occupant was released");
-        // The real release still wakes the occupant, exactly once.
+        // The real release still wakes every reader, each exactly once.
         let rep = d.finish(producer.ticket);
-        let woken: Vec<u64> = rep.woken.iter().map(|&(_, p)| p).collect();
-        assert_eq!(woken, vec![2]);
+        let mut woken: Vec<u64> = rep.woken.iter().map(|&(_, p)| p).collect();
+        woken.sort_unstable();
+        assert_eq!(woken, (2..=tag).collect::<Vec<_>>());
         for (ticket, _) in rep.woken {
             d.finish(ticket);
         }
@@ -838,15 +814,12 @@ mod tests {
 
     #[test]
     fn an_unbounded_slab_grows_in_segments_that_keep_their_slots() {
-        let locate = Slab::<u64>::locate;
-        let first = FIRST_SEGMENT as u32;
-        assert_eq!(locate(first - 1), (0, first as usize - 1));
-        assert_eq!(locate(first), (1, 0));
-        assert_eq!(locate(3 * first - 1), (1, 2 * first as usize - 1));
-        assert_eq!(locate(3 * first), (2, 0));
+        let slab = Slab::<u64>::new(256);
+        let at = [255, 256, 511, 512, 1023, 1024].map(|i| slab.locate(i));
+        assert_eq!(at, [(0, 255), (1, 0), (1, 255), (2, 0), (2, 511), (3, 0)]);
         assert!(
-            locate(u32::MAX).0 < SEGMENTS,
-            "every slot index has a segment"
+            Slab::<u64>::new(2).locate(u32::MAX).0 < SEGMENTS,
+            "every slot index of the smallest pool has a segment"
         );
         // A thousand tasks resident at once on one shard, each parked
         // with its payload, then woken and retired.
@@ -861,28 +834,37 @@ mod tests {
         assert_eq!(completed, 1001);
         order.sort_unstable();
         assert_eq!(order, (0..=1000).collect::<Vec<_>>());
-        let locked = d.shards[0].lock();
-        assert_eq!((locked.taken, locked.free.len()), (1001, 1001));
     }
 
     #[test]
-    fn a_bounded_slab_grows_only_as_far_as_its_capacity() {
-        let slab = Slab::<u64>::new(ShardCapacity::Bounded(100));
-        let lens = |slab: &Slab<u64>| -> Vec<usize> {
-            slab.segments
-                .iter()
-                .map_while(|seg| seg.get().map(|slots| slots.len()))
-                .collect()
-        };
-        assert!(lens(&slab).is_empty(), "nothing allocated up front");
-        for i in 0..100 {
-            slab.grow(i);
+    fn a_home_slot_is_its_home_slices_pool_index_and_the_slab_stays_within_the_pool() {
+        use nexuspp_core::nth_addr_on_shard;
+        let held = |s: u64| nth_addr_on_shard(s as usize % 4, 4, 0);
+        for capacity in [ShardCapacity::Bounded(600), ShardCapacity::Unbounded] {
+            let d = ShardDispatcher::with_capacity(4, &NexusConfig::unbounded(), capacity);
+            // One writer per shard, held while 1000 readers of two
+            // shards' addresses park behind them: 501 sub-descriptors
+            // per shard, past the pool's initial 256. `drain` checks
+            // every ticket's home slot.
+            let writers = (0..4)
+                .map(|s| (d.submit(1, s, &[Param::output(held(s), 4)], s).ticket, s))
+                .collect();
+            for tag in 4..1004 {
+                let params = [Param::input(held(tag), 4), Param::input(held(tag + 1), 4)];
+                assert!(d.submit(1, tag, &params, tag).ready.is_none());
+            }
+            assert_eq!(drain(&d, writers).0, 1004);
+            for cell in d.shards.iter() {
+                let segments = cell.slab.segments.iter().filter_map(OnceLock::get);
+                let slots: usize = segments.map(|s| s.len()).sum();
+                let pool = cell.lock().engine().pool().capacity();
+                assert!(pool > 256, "{capacity:?}: the pool grew");
+                assert!(
+                    (1..=pool).contains(&slots),
+                    "{capacity:?}: {slots} slots, pool {pool}"
+                );
+            }
         }
-        // The second segment is cut short at the capacity.
-        assert_eq!(lens(&slab), vec![FIRST_SEGMENT, 100 - FIRST_SEGMENT]);
-        let small = Slab::<u64>::new(ShardCapacity::Bounded(2));
-        small.grow(0);
-        assert_eq!(lens(&small), vec![2]);
     }
 
     #[cfg(debug_assertions)]

@@ -225,7 +225,7 @@ impl ShardedEngine {
         let mut cost = OpBreakdown::default();
         for (s, len, slice) in route.slices() {
             let (td, slice_ready, c) =
-                self.shards[s as usize].submit(sub.fptr, sub.tag, len, slice, id);
+                self.shards[s as usize].submit(sub.fptr, sub.tag, len, slice, |_| id);
             cost.add(s, c);
             parts.push((s, td));
             if slice_ready {

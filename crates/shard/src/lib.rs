@@ -35,10 +35,10 @@
 //!   shard once to release its slice, and wake delivery runs after the
 //!   lock is dropped: the finisher releases each woken task's remote
 //!   counter and hands the ones that reach zero straight to its own
-//!   finish report. A task's home record is a slot of its home shard's
-//!   slab, taken and freed under locks the path holds anyway, and a
-//!   [`TaskTicket`] names it by `(shard, slot, generation)`, so a task
-//!   costs the dispatcher no heap block. This is what `Runtime` in
+//!   finish report. A task's home record is the slab slot of its home
+//!   slice's Task Pool index, occupied and vacated under locks the path
+//!   holds anyway, and a [`TaskTicket`] names it by `(shard, slot,
+//!   generation)`, so a task costs the dispatcher no heap block. This is what `Runtime` in
 //!   `nexuspp-runtime` executes on.
 //! * [`budget`] — [`TenantBudgets`]: per-tenant in-flight admission caps
 //!   layered above [`ShardCapacity`](nexuspp_core::ShardCapacity), the

@@ -26,10 +26,11 @@
 //!   *submission guard* released only after every slice is admitted, so
 //!   a task can never become ready half-submitted. Whoever performs the
 //!   transition to zero — the submitter or a finisher — owns the task and
-//!   schedules it, exactly once. Where home records are reused slots
-//!   ([`Home`], the threaded driver's), a reference carries the slot's
-//!   generation ([`HomeRef`]) and [`Home::release`] rejects one taken
-//!   before the slot was last freed, leaving the next occupant alone.
+//!   schedules it, exactly once. Where a home record is the slot of its
+//!   home slice's Task Pool index ([`Home`], the threaded driver's), the
+//!   index is reused, so a reference carries the slot's generation
+//!   ([`HomeRef`]) and [`Home::release`] rejects one taken before the
+//!   slot was last freed, leaving the next occupant alone.
 //! * **Finish** — every involved shard releases its slice and maps the
 //!   sub-descriptors it kicked off to their home records; each is one
 //!   remote release. Wake-ups only ever travel finish → home, so the
@@ -283,16 +284,17 @@ impl<H: Clone> Slices<H> {
         &self.engine
     }
 
-    /// Admit and check one slice of `len` parameters on behalf of
-    /// `home`. Returns the sub-descriptor, whether the slice is
-    /// conflict-free, and the pool and table work done.
+    /// Admit and check one slice of `len` parameters on behalf of the
+    /// home record `home` names, given the slice's sub-descriptor.
+    /// Returns the sub-descriptor, whether the slice is conflict-free,
+    /// and the pool and table work done.
     pub(crate) fn submit(
         &mut self,
         fptr: u64,
         tag: u64,
         len: usize,
         slice: impl Iterator<Item = Param>,
-        home: H,
+        home: impl FnOnce(TdIndex) -> H,
     ) -> (TdIndex, bool, OpCost) {
         let mut list = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(len));
         list.extend(slice);
@@ -307,7 +309,7 @@ impl<H: Clone> Slices<H> {
         if i >= self.owner.len() {
             self.owner.resize_with(i + 1, || None);
         }
-        self.owner[i] = Some(home);
+        self.owner[i] = Some(home(td));
         (td, ready, admit + cost)
     }
 
@@ -359,9 +361,10 @@ impl Remote {
     }
 }
 
-/// Where a task's home record lives: a slot of its home shard (the first
-/// shard of its route) and the slot's generation when the task took it.
-/// Tickets and kick-off references carry one.
+/// Where a task's home record lives: its home shard (the first shard of
+/// its route), the slot there, which is its home slice's Task Pool
+/// index, and the slot's generation when the task took it. Tickets and
+/// kick-off references carry one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct HomeRef {
     pub(crate) shard: u32,
