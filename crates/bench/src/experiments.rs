@@ -1452,6 +1452,10 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
         });
     }
     rt.barrier();
+    // Join the workers before reading either record: a worker that goes
+    // idle after the barrier records its park, which would otherwise land
+    // between the counter snapshot and the drain.
+    rt.shutdown();
     let sched = rt.sched_counts();
     let woken = rt.wake_counts().delivered;
     let snap = rt.metrics().snapshot();

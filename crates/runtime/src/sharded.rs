@@ -44,7 +44,9 @@
 
 use crate::region::{Region, RegionId};
 use crate::runtime::{panic_msg, sched_counters, Grants, Job, ShutdownReport, TaskCtx};
-use nexuspp_core::{EventCount, NexusConfig, Priority, ShardCapacity, Submission, SubmitError};
+use nexuspp_core::{
+    EventCount, NexusConfig, Priority, ShardCapacity, Submission, SubmitError, TenantId,
+};
 use nexuspp_obs::{EventKind, MetricsRegistry, Recorder};
 use nexuspp_sched::{SchedCounts, Scheduler, SchedulerKind, WorkerHandle};
 use nexuspp_shard::{
@@ -58,12 +60,20 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Payload delivered when a task becomes ready.
+/// Payload delivered when a task becomes ready. The tenant rides in
+/// the padding after `prio`: 48 bytes, a test pins it.
 struct Work {
     grants: Grants,
     job: Job,
     prio: Priority,
+    /// The submission's tenant, handed to the [`Settle`] call at
+    /// retirement; [`TenantId::NONE`] for a builder spawn.
+    tenant: TenantId,
 }
+
+/// What [`Runtime::on_retire`] installs: called once per retired task
+/// with its tenant and whether its body ran.
+type Settle = Arc<dyn Fn(TenantId, bool) + Send + Sync>;
 
 /// A scheduled unit: the dispatcher ticket (the task's home slot and
 /// its per-shard parts, no heap block) plus the work to run.
@@ -84,29 +94,27 @@ pub struct PendingSpawn {
 }
 
 impl PendingSpawn {
-    fn new(
-        fptr: u64,
-        tag: u64,
-        params: Vec<Param>,
-        prio: Priority,
-        grants: Grants,
-        job: Job,
-    ) -> Self {
+    fn new(fptr: u64, tag: u64, params: Vec<Param>, work: Work) -> Self {
         PendingSpawn {
             fptr,
             tag,
             params,
-            work: Work { grants, job, prio },
+            work,
         }
     }
 
     /// A pre-addressed submission: the addresses *are* the
-    /// dependence-table keys, so `f` receives no data context.
-    fn lowered(sub: Submission, f: impl FnOnce() + Send + 'static) -> Self {
-        let prio = sub.priority;
+    /// dependence-table keys, so `job` ignores its (empty) context.
+    fn lowered(sub: Submission, job: Job) -> Self {
+        let (prio, tenant) = (sub.priority, sub.tenant);
         let (fptr, tag, params) = sub.into_parts();
-        let job = Box::new(move |_: &TaskCtx| f());
-        PendingSpawn::new(fptr, tag, params, prio, Grants::new(), job)
+        let work = Work {
+            grants: Grants::new(),
+            job,
+            prio,
+            tenant,
+        };
+        PendingSpawn::new(fptr, tag, params, work)
     }
 
     /// The caller tag of the rejected submission.
@@ -151,6 +159,9 @@ struct Inner {
     /// a second helper (or a nested one, when a helped body spawns)
     /// uses a fresh report instead of waiting.
     help_report: Mutex<FinishReport<Work>>,
+    /// The [`Runtime::on_retire`] call, if one is installed. A worker
+    /// clones it once; a helping thread takes the lock per helped task.
+    settle: Mutex<Option<Settle>>,
 }
 
 impl Inner {
@@ -189,18 +200,26 @@ impl Inner {
     fn panicked(&self) -> MutexGuard<'_, Option<String>> {
         self.panicked.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// The installed [`Runtime::on_retire`] call. No task runs under its
+    /// lock, so a poisoned one still holds a valid value.
+    fn settle(&self) -> MutexGuard<'_, Option<Settle>> {
+        self.settle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Run one ready task on the calling thread, if any is visible to a
 /// thread outside the pool; `false` if none was. The help step of a
 /// spawn stalled on a full shard and of [`Runtime::wait_on`].
 fn help(inner: &Arc<Inner>) -> bool {
-    let Some((ticket, work)) = inner.sched.try_next_external() else {
+    let Some(ready) = inner.sched.try_next_external() else {
         return false;
     };
+    let settle = inner.settle().clone();
+    let settle = settle.as_ref();
     match inner.help_report.try_lock() {
-        Ok(mut report) => execute_ready(inner, ticket, work, None, &mut report),
-        Err(_) => execute_ready(inner, ticket, work, None, &mut FinishReport::default()),
+        Ok(mut report) => execute_ready(inner, ready, None, &mut report, settle),
+        Err(_) => execute_ready(inner, ready, None, &mut FinishReport::default(), settle),
     }
     true
 }
@@ -257,9 +276,14 @@ impl<'rt> TaskBuilder<'rt> {
         // Grants mirror the (normalized) parameter list.
         let grants = params.iter().map(|p| (RegionId(p.addr), p.mode)).collect();
         let tag = self.rt.inner.next_tag.fetch_add(1, Ordering::Relaxed) + 1;
-        let prio = Priority::from_high_flag(self.high_priority);
+        let work = Work {
+            grants,
+            job: Box::new(f),
+            prio: Priority::from_high_flag(self.high_priority),
+            tenant: TenantId::NONE,
+        };
         self.rt
-            .submit_blocking(PendingSpawn::new(0, tag, params, prio, grants, Box::new(f)));
+            .submit_blocking(PendingSpawn::new(0, tag, params, work));
     }
 }
 
@@ -367,6 +391,7 @@ impl Runtime {
             cancelled: AtomicU64::new(0),
             obs,
             help_report: Mutex::new(FinishReport::default()),
+            settle: Mutex::new(None),
         });
         let workers = handles
             .into_iter()
@@ -501,7 +526,8 @@ impl Runtime {
     /// submissions are always valid.
     pub fn spawn_lowered(&self, sub: Submission, f: impl FnOnce() + Send + 'static) {
         sub.validate().expect("invalid lowered submission");
-        self.submit_blocking(PendingSpawn::lowered(sub, f));
+        let job = Box::new(move |_: &TaskCtx| f());
+        self.submit_blocking(PendingSpawn::lowered(sub, job));
     }
 
     /// Non-blocking form of [`spawn_lowered`](Self::spawn_lowered): a
@@ -513,12 +539,32 @@ impl Runtime {
     /// [`try_respawn`](Self::try_respawn) after a finish frees slots.
     /// Validation failures (duplicate addresses) surface the same way
     /// with a non-retryable error.
+    ///
+    /// `job` is the body box the task is stored and run as, so a caller
+    /// that boxed its body already pays no second block; a lowered body
+    /// ignores its (empty) [`TaskCtx`].
     pub fn try_spawn_lowered(
         &self,
         sub: Submission,
-        f: impl FnOnce() + Send + 'static,
+        job: Box<dyn FnOnce(&TaskCtx) + Send + 'static>,
     ) -> Result<(), (SubmitError, PendingSpawn)> {
-        self.submit(PendingSpawn::lowered(sub, f), false)
+        self.submit(PendingSpawn::lowered(sub, job), false)
+    }
+
+    /// Have every retirement call `settle(tenant, executed)` once: for a
+    /// body that ran (or panicked) `executed` is `true`, for a
+    /// cancel-finish `false`, and `tenant` is the submission's
+    /// ([`TenantId::NONE`] for a [`spawn`](TaskBuilder::spawn)). The call
+    /// comes after the task's finish and wake delivery, with no shard or
+    /// scheduler lock held, and before the task stops counting as
+    /// pending, so a quiescent runtime has settled every task. This is
+    /// how a service gives a tenant's budget back at retirement.
+    ///
+    /// Install it before the first spawn: a worker reads it once, when
+    /// it takes its first task. [`shutdown`](Self::shutdown) drops it
+    /// after joining the workers, so `settle` may own this runtime.
+    pub fn on_retire(&self, settle: impl Fn(TenantId, bool) + Send + Sync + 'static) {
+        *self.inner.settle() = Some(Arc::new(settle));
     }
 
     /// Resubmit a spawn previously rejected by
@@ -654,6 +700,10 @@ impl Runtime {
         for w in handles {
             let _ = w.join();
         }
+        // What the settle call owns may own this runtime: drop it here,
+        // not with the runtime.
+        let settle = self.inner.settle().take();
+        drop(settle);
         ShutdownReport {
             graceful,
             executed: inner.executed.load(Ordering::Relaxed),
@@ -687,27 +737,39 @@ impl Runtime {
 
 /// A worker owns the one finish report its completions are retired
 /// into, so the wake path reuses its storage instead of allocating per
-/// finish.
+/// finish, and its own clone of the settle call, read at its first task
+/// (the call is installed before anything is spawned), so retiring
+/// touches no shared count to reach it.
 fn worker_loop(inner: &Arc<Inner>, h: &WorkerHandle) {
     Recorder::set_thread_worker(h.id() as u32);
     let mut report = FinishReport::default();
-    while let Some((ticket, work)) = inner.sched.next(h) {
-        execute_ready(inner, ticket, work, Some(h), &mut report);
+    let Some(mut ready) = inner.sched.next(h) else {
+        return;
+    };
+    let settle = inner.settle().clone();
+    loop {
+        execute_ready(inner, ready, Some(h), &mut report, settle.as_ref());
+        match inner.sched.next(h) {
+            Some(next) => ready = next,
+            None => return,
+        }
     }
 }
 
-/// Run (or, when aborting, cancel) one ready unit and retire it through
-/// `report`, which is left empty. Shared by the worker loop and the
-/// help step of stalled spawns and waiters (`h == None` — wakes then go
-/// through the external scheduling path).
+/// Run (or, when aborting, cancel) one ready unit, retire it through
+/// `report`, which is left empty, and settle it. Shared by the worker
+/// loop and the help step of stalled spawns and waiters (`h == None` —
+/// wakes then go through the external scheduling path).
 fn execute_ready(
     inner: &Arc<Inner>,
-    ticket: TaskTicket<Work>,
-    work: Work,
+    (ticket, work): Ready,
     h: Option<&WorkerHandle>,
     report: &mut FinishReport<Work>,
+    settle: Option<&Settle>,
 ) {
-    if inner.aborting.load(Ordering::SeqCst) {
+    let tenant = work.tenant;
+    let executed = !inner.aborting.load(Ordering::SeqCst);
+    if !executed {
         // Hard-deadline shutdown: drop the body unexecuted (releasing
         // its captures — e.g. a wait_on probe's sender, which is how
         // parked waiters learn the runtime is gone) but still retire the
@@ -741,6 +803,9 @@ fn execute_ready(
         Some(h) => inner.sched.wake_batch(h, woken),
         None => inner.sched.wake_batch_external(woken),
     }
+    if let Some(settle) = settle {
+        settle(tenant, executed);
+    }
     inner.retire();
 }
 
@@ -750,5 +815,20 @@ impl Drop for Runtime {
         // not panic); only stops the scheduler again if an explicit
         // shutdown already ran.
         self.shutdown_inner(None);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A parked task's `Work` lives in its home slab slot, and the slab
+    /// has a slot per Task Pool index, so this size is per-slot memory:
+    /// the body box stays one fat pointer and the tenant rides in the
+    /// padding after `prio`.
+    #[test]
+    fn work_stays_48_bytes() {
+        assert_eq!(std::mem::size_of::<Job>(), 16);
+        assert_eq!(std::mem::size_of::<Work>(), 48);
     }
 }

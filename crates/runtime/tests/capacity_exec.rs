@@ -7,7 +7,7 @@
 
 use nexuspp_core::testsupport::with_watchdog;
 use nexuspp_runtime::stress::drive_capacity_stress;
-use nexuspp_runtime::{Region, Runtime, ShardCapacity};
+use nexuspp_runtime::{Region, Runtime, ShardCapacity, TaskCtx};
 use std::sync::Arc;
 
 fn bounded(workers: usize, shards: usize, limit: usize) -> Runtime {
@@ -159,7 +159,9 @@ fn every_spawn_flavour_goes_through_one_accounted_submission_path() {
 
         // Non-blocking path against the full shard: handed back intact,
         // retryable, and not counted.
-        let Err((e, mut pending)) = rt.try_spawn_lowered(on_shard0(101), body()) else {
+        let run = body();
+        let job = Box::new(move |_: &TaskCtx| run());
+        let Err((e, mut pending)) = rt.try_spawn_lowered(on_shard0(101), job) else {
             panic!("shard 0 is full: the submission must be rejected");
         };
         assert!(e.is_retryable() && e.shard() == Some(0), "{e:?}");

@@ -1,6 +1,6 @@
 //! Service construction parameters.
 
-use nexuspp_core::{ShardCapacity, TenantId};
+use nexuspp_core::{NexusConfig, ShardCapacity, TenantId};
 
 /// Everything a [`ResolverService`](crate::ResolverService) is built
 /// from: the wrapped runtime's shape plus the tenant roster. The builder
@@ -11,8 +11,9 @@ pub struct ServiceConfig {
     pub(crate) workers: usize,
     /// Dependency-resolution shards.
     pub(crate) shards: usize,
-    /// Per-shard residency bound. Bounded capacity is what makes the
-    /// ingress retry slot earn its keep; unbounded never rejects.
+    /// Per-shard residency bound: Table IV's Task Pool unless set. A
+    /// submission that finds a shard full parks in its lane's retry
+    /// slot.
     pub(crate) capacity: ShardCapacity,
     /// Bound of each tenant's ingress lane (queued, not yet admitted).
     /// A full lane is client-visible backpressure.
@@ -25,14 +26,16 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with `workers` workers and `shards` shards, unbounded
-    /// shard capacity, and no tenants yet (add with
-    /// [`tenant`](Self::tenant)).
+    /// A config with `workers` workers and `shards` shards, each shard
+    /// holding at most a Table IV Task Pool of resident tasks
+    /// (`NexusConfig::default().task_pool_entries`, 1024, as
+    /// [`Runtime::new`](nexuspp_runtime::Runtime::new)), and no tenants
+    /// yet (add with [`tenant`](Self::tenant)).
     pub fn new(workers: usize, shards: usize) -> ServiceConfig {
         ServiceConfig {
             workers,
             shards,
-            capacity: ShardCapacity::Unbounded,
+            capacity: ShardCapacity::Bounded(NexusConfig::default().task_pool_entries),
             lane_capacity: 256,
             sweep_batch: 32,
             tenants: Vec::new(),
@@ -47,8 +50,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Bound each shard's resident tasks (exercises the capacity-retry
-    /// ingress path).
+    /// Set each shard's residency bound ([`ShardCapacity::Unbounded`]
+    /// never rejects a submission).
     pub fn capacity(mut self, cap: ShardCapacity) -> Self {
         self.capacity = cap;
         self
@@ -67,7 +70,7 @@ impl ServiceConfig {
     }
 
     /// The registered tenants, in registration order.
-    pub fn tenants(&self) -> impl Iterator<Item = (TenantId, u64)> + '_ {
+    pub(crate) fn tenants(&self) -> impl Iterator<Item = (TenantId, u64)> + '_ {
         self.tenants.iter().copied()
     }
 }

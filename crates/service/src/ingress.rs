@@ -4,12 +4,13 @@
 //! A lane is a bounded queue plus two one-task slots, and admitting
 //! from it — `pump` — runs under the lane's lock on whichever thread
 //! has a reason to: the client that just sent into the lane, the worker
-//! that just retired one of the lane's tasks and so freed budget
-//! ([`CreditGuard`]'s `Drop`) — both through [`Lane::try_pump`] — or
-//! the ingress thread ([`run`]). The first two never block on the lock;
-//! losing it, or leaving work they cannot finish, they notify the
-//! ingress thread, which otherwise sleeps. In steady state a task goes
-//! from its client straight to a worker.
+//! that just retired one of the lane's tasks and so freed its budget and
+//! shard slots (the runtime's settle call, [`settle_on_retire`]) — both
+//! through [`Lane::try_pump`] — or the ingress thread ([`run`]). The
+//! first two never block on the lock; losing it, or leaving work they
+//! cannot finish, they notify the ingress thread, which otherwise
+//! sleeps. In steady state a task goes from its client straight to a
+//! worker.
 //!
 //! `pump` is the only caller of the runtime's non-blocking submission
 //! API, which keeps the two backpressure layers composable without ever
@@ -24,17 +25,17 @@
 //! 2. **Capacity** — the runtime's retryable
 //!    [`SubmitError`](nexuspp_core::SubmitError) hands the lowered task
 //!    back as a [`PendingSpawn`]; it parks in the lane's *retry slot*
-//!    until a finish frees shard slots. That happens in the
-//!    dispatcher's `finish`, *after* the finishing task's guard has
-//!    dropped and pumped, so nothing caller-side observes it: the
-//!    ingress thread's tick is what resubmits a parked retry slot.
+//!    until a finish frees shard slots. The settle call comes after the
+//!    finish, so a lane's own retirement resubmits it; a slot freed by
+//!    another lane's finish waits for the ingress thread's tick.
 //!
 //! Both slots block only their own lane, which is exactly the isolation
-//! property the multi-tenant tests assert. Every admission wraps the
-//! client job in a [`CreditGuard`] whose `Drop` credits the budget and
-//! classifies the outcome (executed vs cancelled) — dropping a job
-//! unexecuted on the abort path settles the ledger exactly like running
-//! it.
+//! property the multi-tenant tests assert. The credit is data, not a
+//! closure: the client's body box is the runtime's, the task carries its
+//! tenant, and the runtime settles it once at retirement — executed or
+//! cancel-finished. A charged task that never reaches the runtime (an
+//! invalid submission, a retry slot the hard deadline discards) is
+//! settled where it is dropped.
 
 use crate::metrics::TenantMetrics;
 use crate::task::{IngressGate, ServiceTask};
@@ -50,30 +51,27 @@ use std::time::{Duration, Instant};
 /// sleeps between looks.
 pub(crate) const TICK: Duration = Duration::from_millis(1);
 
-/// Settles one admitted task's ledger entry from `Drop`, so the
-/// accounting holds on every exit path: normal completion, a panicking
-/// body, or a cancel-finish that drops the job unexecuted.
-struct CreditGuard {
-    lane: Arc<Lane>,
-    ran: bool,
-}
-
-impl Drop for CreditGuard {
-    fn drop(&mut self) {
-        let lane = &self.lane;
-        if self.ran {
-            lane.metrics.executed.inc();
-        } else {
-            lane.metrics.cancelled.inc();
+/// Install the runtime's settle call for `lanes`: a retired task is
+/// settled on its tenant's lane, which is then pumped from the retiring
+/// thread — the freed budget and shard slots are what a held or parked
+/// task waits for. A tenant no lane has (a task spawned around the
+/// ingress) is not settled.
+///
+/// The call owns the lanes, which own the runtime; the runtime drops it
+/// at shutdown, which breaks that cycle.
+pub(crate) fn settle_on_retire(rt: &Runtime, lanes: &[Arc<Lane>]) {
+    let mut lanes = lanes.to_vec();
+    lanes.sort_by_key(|lane| lane.tenant);
+    rt.on_retire(move |tenant, executed| {
+        if let Ok(i) = lanes.binary_search_by_key(&tenant, |lane| lane.tenant) {
+            lanes[i].settle(executed);
+            lanes[i].try_pump(true);
         }
-        lane.budget.credit();
-        // The freed budget is what a held task waits for: admit it
-        // from here.
-        lane.try_pump(true);
-    }
+    });
 }
 
-/// One tenant's lane. Handles and guards reach everything through it.
+/// One tenant's lane. Handles and the settle call reach everything
+/// through it.
 pub(crate) struct Lane {
     pub(crate) tenant: TenantId,
     pub(crate) shared: Arc<IngressShared>,
@@ -139,15 +137,13 @@ impl Lane {
 
     /// Caller-runs admission: pump the lane on this thread if its lock
     /// is free. The client calls this after its send (`budget_freed`
-    /// false), a [`CreditGuard`] after its credit (`true`). `try_lock`,
-    /// never `lock`: a guard can drop inside a pump of its own lane (a
-    /// discarded retry slot, an invalid submission), under the lock it
-    /// would wait for.
+    /// false), the settle call after a retirement (`true`). `try_lock`,
+    /// never `lock`: neither a client nor a worker waits for a lane.
     ///
     /// Wakes the ingress thread if that leaves it something: a lost
     /// lock race (the holder may already be past the queue), work only
     /// a tick resolves, or a drain waiting to see this lane empty.
-    pub(crate) fn try_pump(self: &Arc<Self>, budget_freed: bool) {
+    pub(crate) fn try_pump(&self, budget_freed: bool) {
         let slots = match self.slots.try_lock() {
             Ok(slots) => Some(slots),
             Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
@@ -163,6 +159,17 @@ impl Lane {
         if wants_tick || self.shared.stop.load(Ordering::SeqCst) {
             self.shared.signal.notify_all();
         }
+    }
+
+    /// Settle one charged task: count how it ended and give its budget
+    /// back.
+    fn settle(&self, executed: bool) {
+        if executed {
+            self.metrics.executed.inc();
+        } else {
+            self.metrics.cancelled.inc();
+        }
+        self.budget.credit();
     }
 
     /// Queue `task` unless the lane is full; a full lane hands it back.
@@ -195,9 +202,11 @@ impl Lane {
         let queued = std::mem::take(&mut *self.queue());
         let dropped = held.into_iter().chain(queued).count() as u64;
         self.metrics.dropped.add(dropped);
-        // The retry slot was budget-charged already; dropping it
-        // settles through its CreditGuard (as cancelled).
-        slots.retry.take();
+        // The retry slot was budget-charged already: settle it as
+        // cancelled.
+        if slots.retry.take().is_some() {
+            self.settle(false);
+        }
         dropped
     }
 
@@ -214,7 +223,7 @@ impl Lane {
 
 /// Admit from `lane`, in lane order, until it is empty, blocked or
 /// `sweep_batch` tasks are in. The caller holds the lane lock (`slots`).
-fn pump(lane: &Arc<Lane>, slots: &mut Slots) -> Pumped {
+fn pump(lane: &Lane, slots: &mut Slots) -> Pumped {
     let shared = &lane.shared;
     let mut pumped = Pumped {
         progress: false,
@@ -261,17 +270,8 @@ fn pump(lane: &Arc<Lane>, slots: &mut Slots) -> Pumped {
             slots.hold = Some(task);
             return pumped;
         }
-        let guard = CreditGuard {
-            lane: Arc::clone(lane),
-            ran: false,
-        };
         let ServiceTask { sub, job } = task;
-        let wrapped = move || {
-            let mut guard = guard;
-            guard.ran = true;
-            job();
-        };
-        match shared.rt.try_spawn_lowered(sub, wrapped) {
+        match shared.rt.try_spawn_lowered(sub, job) {
             Ok(()) => lane.metrics.admitted.inc(),
             Err((e, p)) if e.is_retryable() => {
                 lane.metrics.capacity_retries.inc();
@@ -279,9 +279,9 @@ fn pump(lane: &Arc<Lane>, slots: &mut Slots) -> Pumped {
                 pumped.wants_tick = true;
                 return pumped;
             }
-            // Non-retryable (invalid submission): discard; the guard
-            // settles it as cancelled.
-            Err((_e, p)) => drop(p),
+            // Non-retryable (invalid submission): discarded, settled as
+            // cancelled.
+            Err(_) => lane.settle(false),
         }
         pumped.progress = true;
     }
@@ -357,5 +357,113 @@ pub(crate) fn run(shared: &IngressShared, lanes: &[Arc<Lane>]) -> IngressStats {
                 shared.stop.load(Ordering::SeqCst) != stop || sweep(lanes).0
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::task::SubmissionHandle;
+    use nexuspp_core::testsupport::{wait_until, with_watchdog};
+    use nexuspp_core::{ShardCapacity, TaskBuilder};
+    use nexuspp_shard::TenantBudgets;
+
+    /// One worker and one shard holding one resident task, so a second
+    /// task is always refused while the first is in, and lanes for
+    /// `tenants` with their settle call installed, but no ingress
+    /// thread: nothing pumps a lane but its clients, its retirements,
+    /// and an explicit [`sweep`].
+    fn lanes_without_ingress(tenants: &[u32]) -> (Arc<Runtime>, Vec<Arc<Lane>>) {
+        let rt = Arc::new(Runtime::with_capacity(1, 1, ShardCapacity::Bounded(1)));
+        let budgets = TenantBudgets::new(tenants.iter().map(|&t| (TenantId(t), 8)));
+        let shared = Arc::new(IngressShared {
+            rt: Arc::clone(&rt),
+            gate: IngressGate::new(),
+            signal: EventCount::new(),
+            sweep_batch: 32,
+            stop: AtomicBool::new(false),
+            deadline: Mutex::new(None),
+        });
+        let lanes: Vec<_> = tenants
+            .iter()
+            .map(|&t| {
+                let budget = budgets.lane_of(TenantId(t)).expect("registered");
+                Arc::new(Lane::new(TenantId(t), Arc::clone(&shared), budget, 64))
+            })
+            .collect();
+        settle_on_retire(&rt, &lanes);
+        (rt, lanes)
+    }
+
+    /// Send a task on `addr` through `lane`'s handle path; `open` (if
+    /// any) holds its body until it is set.
+    fn send(lane: &Arc<Lane>, tag: u64, addr: u64, open: Option<Arc<AtomicBool>>) {
+        let sub = TaskBuilder::new(1).tag(tag).read_writes(addr, 8).build();
+        let job = move || {
+            while open.as_ref().is_some_and(|o| !o.load(Ordering::Relaxed)) {
+                std::thread::yield_now();
+            }
+        };
+        let handle = SubmissionHandle {
+            lane: Arc::clone(lane),
+        };
+        handle
+            .try_submit(ServiceTask::new(sub, job))
+            .expect("the lane holds every send");
+    }
+
+    #[test]
+    fn a_lanes_own_credit_resubmits_its_retry_slot() {
+        with_watchdog(60, "own-credit retry", || {
+            const TASKS: u64 = 40;
+            let (rt, lanes) = lanes_without_ingress(&[1]);
+            let lane = &lanes[0];
+            // The first task holds the shard's one slot; the second is
+            // refused into the retry slot, the rest queue behind it.
+            let open = Arc::new(AtomicBool::new(false));
+            send(lane, 0, 0x100, Some(Arc::clone(&open)));
+            for tag in 1..TASKS {
+                send(lane, tag, 0x100, None);
+            }
+            assert_eq!(lane.metrics.capacity_retries.get(), 1);
+            // From here only the lane's retirements pump it. Each one
+            // settles after its finish has freed the slot, resubmits the
+            // retry slot, and parks the next task, which the one worker
+            // cannot have finished yet.
+            open.store(true, Ordering::Relaxed);
+            wait_until(Duration::from_secs(30), "the lane drains", || {
+                lane.metrics.executed.get() == TASKS
+            });
+            rt.barrier();
+            assert_eq!(lane.metrics.admitted.get(), TASKS);
+            assert_eq!(lane.metrics.capacity_retries.get(), TASKS - 1);
+            assert!(!lane.has_backlog(&lane.slots()));
+            assert_eq!(rt.shutdown().executed, TASKS);
+        });
+    }
+
+    #[test]
+    fn a_retry_slot_freed_by_another_lanes_finish_waits_for_the_tick() {
+        with_watchdog(60, "cross-lane retry", || {
+            let (rt, lanes) = lanes_without_ingress(&[1, 2]);
+            let (a, b) = (&lanes[0], &lanes[1]);
+            let open = Arc::new(AtomicBool::new(false));
+            send(b, 0, 0x200, Some(Arc::clone(&open)));
+            send(a, 1, 0x100, None);
+            assert_eq!(a.metrics.capacity_retries.get(), 1);
+            // B's finish frees the slot, but its settle pumps B only.
+            open.store(true, Ordering::Relaxed);
+            rt.barrier();
+            assert_eq!(b.metrics.executed.get(), 1);
+            assert_eq!(a.metrics.admitted.get(), 0);
+            assert!(a.slots().retry.is_some());
+            // The ingress thread's sweep is what resubmits it.
+            assert!(sweep(&lanes).0);
+            wait_until(Duration::from_secs(30), "A's task runs", || {
+                a.metrics.executed.get() == 1
+            });
+            rt.barrier();
+            assert_eq!(rt.shutdown().executed, 2);
+        });
     }
 }

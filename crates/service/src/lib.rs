@@ -23,9 +23,12 @@
 //!   tenant's [`TenantBudgets`](nexuspp_shard::TenantBudgets) lane
 //!   before it may occupy runtime state, and absorbing the runtime's
 //!   retryable [`SubmitError`](nexuspp_core::SubmitError) capacity
-//!   rejections into a per-lane retry slot. A saturating tenant
-//!   therefore stalls *its own lane only*: its queue fills, its clients
-//!   see backpressure, and every other lane keeps flowing.
+//!   rejections into a per-lane retry slot. The client's body box is
+//!   the runtime's, and the runtime settles the tenant's credit at
+//!   retirement ([`Runtime::on_retire`](nexuspp_runtime::Runtime::on_retire)).
+//!   A saturating tenant therefore stalls *its own lane only*: its
+//!   queue fills, its clients see backpressure, and every other lane
+//!   keeps flowing.
 //! * Metrics — a per-tenant
 //!   [`CounterGroup`](nexuspp_obs::CounterGroup) (submitted,
 //!   backpressured, admitted, executed, …) merged with the live budget

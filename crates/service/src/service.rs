@@ -92,6 +92,7 @@ impl ResolverService {
             lanes.push(Arc::clone(&lane));
             handles.insert(tenant, SubmissionHandle { lane });
         }
+        ingress::settle_on_retire(&shared.rt, &lanes);
         if let Some(c) = collector {
             c.attach_registry(Arc::clone(&registry));
         }

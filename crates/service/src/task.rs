@@ -2,6 +2,7 @@
 
 use crate::ingress::{Lane, TICK};
 use nexuspp_core::{Submission, TenantId};
+use nexuspp_runtime::TaskCtx;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -10,7 +11,8 @@ use std::sync::{Arc, RwLock};
 /// clients, carried through a tenant lane, admitted in lane order.
 pub struct ServiceTask {
     pub(crate) sub: Submission,
-    pub(crate) job: Box<dyn FnOnce() + Send + 'static>,
+    /// Boxed once, here, as the runtime stores and runs it.
+    pub(crate) job: Box<dyn FnOnce(&TaskCtx) + Send + 'static>,
 }
 
 impl ServiceTask {
@@ -20,7 +22,7 @@ impl ServiceTask {
     pub fn new(sub: Submission, job: impl FnOnce() + Send + 'static) -> ServiceTask {
         ServiceTask {
             sub,
-            job: Box::new(job),
+            job: Box::new(move |_: &TaskCtx| job()),
         }
     }
 

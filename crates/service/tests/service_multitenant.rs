@@ -1,11 +1,14 @@
 //! Multi-tenant service behavior: admission isolation, client-visible
-//! backpressure, both shutdown phases' exactly-once accounting, and
+//! backpressure, both shutdown phases' exactly-once accounting,
 //! caller-runs admission with client-side, worker-side and
-//! ingress-thread pumps racing on every lane.
+//! ingress-thread pumps racing on every lane, one settlement per
+//! admitted task on every exit path, and a service that frees its
+//! runtime once it is shut down and dropped.
 
 use nexuspp_core::testsupport::with_watchdog;
-use nexuspp_core::{ShardCapacity, TaskBuilder};
+use nexuspp_core::{Submission, TaskBuilder};
 use nexuspp_service::{IngressError, ResolverService, ServiceConfig, ServiceTask, TenantId};
+use nexuspp_trace::Param;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -369,63 +372,6 @@ fn racing_pumps_admit_each_clients_tasks_in_send_order_exactly_once() {
 }
 
 #[test]
-fn parked_capacity_retry_drains_on_the_tick_alone() {
-    with_watchdog(60, "capacity retry slot", || {
-        const TASKS: u64 = 40;
-        // One resident task per shard, and every task touches the same
-        // four addresses: while one is resident the next is rejected by
-        // the runtime, not by the budget, and parks in the retry slot.
-        let svc = ResolverService::start(
-            ServiceConfig::new(2, 2)
-                .capacity(ShardCapacity::Bounded(1))
-                .tenant(TenantId(1), 8)
-                .lane_capacity(TASKS as usize),
-        );
-        let h = svc.handle(TenantId(1)).unwrap();
-        let gate = Arc::new(AtomicBool::new(false));
-        let ran: Arc<Vec<AtomicU32>> = Arc::new((0..TASKS).map(|_| AtomicU32::new(0)).collect());
-        for tag in 0..TASKS {
-            let (gate, ran) = (Arc::clone(&gate), Arc::clone(&ran));
-            let mut sub = TaskBuilder::new(1).tag(tag);
-            for slot in 0..4 {
-                sub = sub.read_writes(addr(1, slot), 8);
-            }
-            let job = move || {
-                while !gate.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                ran[tag as usize].fetch_add(1, Ordering::SeqCst);
-            };
-            h.try_submit(ServiceTask::new(sub.build(), job))
-                .expect("lane holds them all");
-        }
-        // Last submit made. A finish frees shard slots only after the
-        // finishing task's guard has pumped, so from here on nothing but
-        // the ingress thread's tick can resubmit the retry slot.
-        gate.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while svc.metrics_snapshot().get("tenant1", "executed") != Some(TASKS) {
-            assert!(
-                Instant::now() < deadline,
-                "a parked retry slot never drained"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let report = svc.shutdown();
-        assert!(report.graceful);
-        assert_eq!(report.runtime.executed, TASKS);
-        assert_eq!(report.runtime.cancelled + report.dropped_ingress, 0);
-        for (tag, cell) in ran.iter().enumerate() {
-            assert_eq!(cell.load(Ordering::SeqCst), 1, "task {tag}");
-        }
-        let snap = svc.metrics_snapshot();
-        assert!(snap.get("tenant1", "capacity_retries").unwrap() > 0);
-        assert_eq!(snap.get("tenant1", "admitted"), Some(TASKS));
-        assert_eq!(report.tenants[0].1.in_flight, 0);
-    });
-}
-
-#[test]
 fn hard_deadline_with_pumps_in_flight_accounts_exactly_once() {
     with_watchdog(120, "deadline vs racing pumps", || {
         const TENANTS: u32 = 2;
@@ -603,4 +549,90 @@ fn unknown_tenant_has_no_handle() {
     let svc = ResolverService::start(ServiceConfig::new(1, 2).tenant(TenantId(1), 8));
     assert!(svc.handle(TenantId(9)).is_none());
     assert!(svc.handle(TenantId(1)).is_some());
+}
+
+#[test]
+fn a_panicking_body_is_settled_as_executed_and_the_lane_keeps_admitting() {
+    with_watchdog(60, "panicking body settles", || {
+        // Budget 1: the lane admits the next task only once the panicking
+        // one has given its credit back.
+        let svc = ResolverService::start(ServiceConfig::new(2, 2).tenant(TenantId(1), 1));
+        let h = svc.handle(TenantId(1)).unwrap();
+        h.submit_blocking(task(1, 0, 0, || panic!("body panics on purpose")))
+            .expect("accepted");
+        let ran = Arc::new(AtomicU32::new(0));
+        for tag in 1..=20u64 {
+            let ran = Arc::clone(&ran);
+            h.submit_blocking(task(1, 0, tag, move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }))
+            .expect("accepted");
+        }
+        let report = svc.shutdown();
+        assert!(report.graceful);
+        assert_eq!(ran.load(Ordering::SeqCst), 20);
+        assert_eq!((report.runtime.executed, report.runtime.cancelled), (21, 0));
+        let snap = svc.metrics_snapshot();
+        assert_eq!(snap.get("tenant1", "executed"), Some(21));
+        assert_eq!(snap.get("tenant1", "cancelled"), Some(0));
+        assert_eq!(report.tenants[0].1.in_flight, 0);
+    });
+}
+
+#[test]
+fn an_invalid_submission_through_a_handle_is_settled_as_cancelled() {
+    with_watchdog(60, "invalid submission settles", || {
+        let svc = ResolverService::start(ServiceConfig::new(1, 2).tenant(TenantId(1), 1));
+        let h = svc.handle(TenantId(1)).unwrap();
+        // The same address twice: the runtime refuses it for good, after
+        // the lane charged its budget.
+        let a = addr(1, 0);
+        let duplicate = Submission::from((1, 0, vec![Param::inout(a, 8), Param::input(a, 8)]));
+        h.submit_blocking(ServiceTask::new(duplicate, || {
+            unreachable!("never admitted")
+        }))
+        .expect("accepted into the lane");
+        // Budget 1 again: this one is admitted only if that credit came
+        // back.
+        h.submit_blocking(task(1, 0, 1, || {})).expect("accepted");
+        let report = svc.shutdown();
+        assert!(report.graceful);
+        assert_eq!((report.runtime.executed, report.runtime.cancelled), (1, 0));
+        let snap = svc.metrics_snapshot();
+        let get = |counter| snap.get("tenant1", counter).unwrap();
+        assert_eq!(
+            (get("admitted"), get("executed"), get("cancelled")),
+            (1, 1, 1)
+        );
+        assert_eq!(report.tenants[0].1.in_flight, 0);
+    });
+}
+
+#[test]
+fn a_shut_down_service_frees_its_runtime_once_it_and_its_handles_are_dropped() {
+    with_watchdog(60, "no ownership cycle", || {
+        let svc = ResolverService::start(
+            ServiceConfig::new(2, 2)
+                .tenant(TenantId(1), 4)
+                .tenant(TenantId(2), 4),
+        );
+        let handles: Vec<_> = [1, 2]
+            .map(|t| svc.handle(TenantId(t)).unwrap())
+            .into_iter()
+            .collect();
+        for (t, h) in (1..).zip(&handles) {
+            for i in 0..50u64 {
+                h.submit_blocking(task(t, i % 3, i, || {}))
+                    .expect("accepted");
+            }
+        }
+        let runtime = Arc::downgrade(svc.runtime());
+        assert_eq!(svc.shutdown().runtime.executed, 100);
+        drop(handles);
+        drop(svc);
+        assert!(
+            runtime.upgrade().is_none(),
+            "something the service built still owns its runtime"
+        );
+    });
 }
