@@ -10,6 +10,14 @@
 //! outputs of clean producers are spliced in as already-available
 //! inputs, so a re-run's cost scales with the edit, not the program.
 //!
+//! The walk addresses tasks by position (see the
+//! [program docs](crate::program)): the cone is the dirty marks closed
+//! over the consumer lists, collected in one pass over the order; each
+//! input is read through its producer's position, bound at the last
+//! commit; a re-executed task's memo is rewritten in place; and the
+//! re-executed tasks are numbered by *plan index*, their place in the
+//! partial stream, which is what the splice and the order checks index.
+//!
 //! # Why partial streams are safe
 //!
 //! The engines resolve dependencies by submission-order address
@@ -45,16 +53,20 @@
 //! and the runtime's per-task cost, not for starting and joining
 //! workers.
 
-use crate::program::IncrementalProgram;
-use crate::store::{self, TaskRecord};
-use nexuspp_core::{Submission, TaskBuilder};
+use crate::program::{IncrementalProgram, Source};
+use crate::store;
+use nexuspp_core::{Submission, TenantId};
 use nexuspp_frontend::exec::run_on_engine;
-use nexuspp_frontend::{LoweredProgram, Lowering, ResourceId, TaskDecl, Version};
+use nexuspp_frontend::{LoweredProgram, Lowering};
 use nexuspp_runtime::Runtime;
-use std::collections::HashMap;
+use nexuspp_trace::normalize::normalize_params;
+use nexuspp_trace::Param;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// `plan_of`'s entry for a position this re-run does not re-execute.
+const UNPLANNED: usize = usize::MAX;
 
 /// Which execution backend a re-run resubmits invalidated tasks to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +106,7 @@ pub struct IncrReport {
     pub dirtied: usize,
     /// Tasks whose fingerprint changed: re-executed on the backend.
     pub reran: usize,
-    /// Tasks spliced from the memo store (`reused + reran == total`,
-    /// always).
+    /// Tasks spliced from the memo (`reused + reran == total`, always).
     pub reused: usize,
     /// Tasks + edges ordered by the structural commits since the
     /// previous report: each commit orders the whole program through
@@ -106,17 +117,6 @@ pub struct IncrReport {
     /// Backend execution order of the re-executed tasks (tags, in the
     /// order they actually ran).
     pub executed: Vec<u64>,
-}
-
-/// One invalidated task, planned (inputs resolved, outputs recomputed)
-/// before anything touches a backend.
-struct Plan<'a> {
-    decl: &'a TaskDecl,
-    /// The task's resolved reads, as a range of the run's read list.
-    /// Self-reads of the task's own mints are excluded (their content
-    /// is the task's own output — circular, and never an edge in the
-    /// frontend either).
-    reads: Range<usize>,
 }
 
 /// Where a re-run task's input comes from.
@@ -131,7 +131,6 @@ enum Input {
 
 /// One spawned body's share of a [`Splice`].
 struct SpliceTask {
-    key: u64,
     fptr: u64,
     inputs: Range<usize>,
     slots: Range<usize>,
@@ -145,9 +144,9 @@ struct Splice {
     slot_names: Vec<u64>,
     /// One write-once content per write in the partial stream.
     slots: Vec<OnceLock<u64>>,
-    /// Task keys in the order their bodies ran. `ran` only hands out
-    /// indices; publication is the `OnceLock`'s and the barrier's.
-    executed: Vec<OnceLock<u64>>,
+    /// Plan indices in the order their bodies ran. `ran` only hands out
+    /// places; publication is the `OnceLock`'s and the barrier's.
+    executed: Vec<OnceLock<usize>>,
     ran: AtomicUsize,
 }
 
@@ -173,7 +172,7 @@ impl Splice {
             });
         }
         let n = self.ran.fetch_add(1, Ordering::Relaxed);
-        self.executed[n].set(t.key).expect("each task runs once");
+        self.executed[n].set(i).expect("each task runs once");
     }
 }
 
@@ -188,108 +187,104 @@ fn task_output(name_hash: u64, fptr: u64, inputs: impl IntoIterator<Item = u64>)
 impl IncrementalProgram {
     /// Validate the dirty cone and re-execute exactly the invalidated
     /// tasks on `backend`, splicing memoized outputs for everything
-    /// else. With an empty memo store this degenerates to a full
-    /// from-scratch run; with no pending edits it is a no-op that
-    /// touches no backend at all.
+    /// else. With an empty memo this degenerates to a full from-scratch
+    /// run; with no pending edits it is a no-op that touches no backend
+    /// at all.
     ///
     /// The walk proceeds in the last structural commit's topological
-    /// order, so every
-    /// task's inputs are resolved (memoized or just recomputed) before
-    /// the task itself is validated. Store mutation happens here, on
-    /// the caller's thread, under `&mut self` — the single-writer rule.
+    /// order, so every task's inputs are resolved (memoized or just
+    /// recomputed) before the task itself is validated. The memo is
+    /// mutated here, on the caller's thread, under `&mut self` — the
+    /// single-writer rule.
     pub fn rerun(&mut self, lowering: Lowering, backend: &Backend) -> IncrReport {
         let total = self.len();
-        let mut cone = self.dirty_cone();
-        let dirtied = cone.len();
-        cone.sort_by_cached_key(|k| self.rank[k]);
+        let mut marks = std::mem::take(&mut self.touched);
+        self.replay.close(&mut marks);
+        let cone: Vec<usize> = self
+            .replay
+            .order
+            .iter()
+            .copied()
+            .filter(|&p| marks[p])
+            .collect();
+        marks.fill(false);
+        self.touched = marks;
 
         // Phase 1 (caller thread, no locks): validate the cone in
-        // dependency order, recompute what changed, refresh memos.
-        let mut plans: Vec<Plan<'_>> = Vec::new();
-        let mut reads: Vec<(ResourceId, Version)> = Vec::new();
+        // dependency order, recompute what changed, rewrite its memo.
+        let mut plans: Vec<usize> = Vec::new();
         let (mut inputs, mut read_pairs, mut write_hashes) = (Vec::new(), Vec::new(), Vec::new());
-        for &key in &cone {
-            let d = &self.resolved[&key];
-            let start = reads.len();
-            reads.extend(
-                d.reads
-                    .iter()
-                    .copied()
-                    .filter(|rv| self.producers.get(rv) != Some(&key)),
-            );
+        for &p in &cone {
+            let t = self.replay.task(p);
+            let reads = self.replay.reads(p);
             inputs.clear();
-            inputs.extend(reads[start..].iter().map(|&(r, v)| self.content_of(r, v)));
+            inputs.extend(reads.iter().map(|rd| self.content(rd.r, rd.from)));
             read_pairs.clear();
             read_pairs.extend(
-                reads[start..]
+                reads
                     .iter()
                     .zip(&inputs)
-                    .map(|(&(r, _), &c)| (self.name_hashes[r.0 as usize], c)),
+                    .map(|(rd, &c)| (self.name_hashes[rd.r.0 as usize], c)),
             );
             write_hashes.clear();
             write_hashes.extend(
-                d.writes
+                t.writes
                     .iter()
                     .map(|&(r, _)| self.name_hashes[r.0 as usize]),
             );
-            let fp = store::fingerprint(d.fptr, d.priority, &read_pairs, &write_hashes);
-            if self.store.record(key).map(|rec| rec.fingerprint) == Some(fp) {
-                reads.truncate(start);
+            let fp = store::fingerprint(t.fptr, t.priority, &read_pairs, &write_hashes);
+            if self.fingerprints[p] == Some(fp) {
                 continue; // early cutoff: the memo stands
             }
-            let outputs: Vec<(ResourceId, u64)> = d
-                .writes
-                .iter()
-                .zip(&write_hashes)
-                .map(|(&(r, _), &h)| (r, task_output(h, d.fptr, inputs.iter().copied())))
-                .collect();
-            self.store.put(
-                key,
-                TaskRecord {
-                    fingerprint: fp,
-                    outputs,
-                },
-            );
-            plans.push(Plan {
-                decl: d,
-                reads: start..reads.len(),
-            });
+            self.fingerprints[p] = Some(fp);
+            for (w, &h) in self.replay.writes(p).zip(&write_hashes) {
+                self.outputs[w] = task_output(h, t.fptr, inputs.iter().copied());
+            }
+            plans.push(p);
         }
 
         // Phase 2: resubmit the invalidated tasks as a partial lowered
         // stream (already in topological order).
-        let mut reran_keys: Vec<u64> = plans.iter().map(|p| p.decl.tag).collect();
+        let keys: Vec<u64> = plans.iter().map(|&p| self.replay.task(p).tag).collect();
+        let mut reran_keys = keys.clone();
         reran_keys.sort_unstable();
         let executed = if plans.is_empty() {
             Vec::new()
         } else {
-            let mut partial = self.partial_stream(&plans, &reads, lowering, &reran_keys);
-            let executed = match *backend {
-                Backend::Engine { shards } => run_on_engine(&partial, shards),
+            let mut plan_of = vec![UNPLANNED; total];
+            for (i, &p) in plans.iter().enumerate() {
+                plan_of[p] = i;
+            }
+            let tasks = self.partial_stream(&plans, lowering);
+            let ran = match *backend {
+                Backend::Engine { shards } => {
+                    let stream = LoweredProgram {
+                        lowering,
+                        tasks,
+                        edges: Vec::new(),
+                    };
+                    let index = &self.replay.index;
+                    run_on_engine(&stream, shards)
+                        .iter()
+                        .map(|k| index.get(k).map_or(UNPLANNED, |&p| plan_of[p]))
+                        .collect()
+                }
                 Backend::Runtime { workers, shards } => {
                     if !matches!(&self.runtime, Some((dims, _)) if *dims == (workers, shards)) {
                         // Join the old workers before starting new ones.
                         self.runtime = None;
                         self.runtime = Some(((workers, shards), Runtime::new(workers, shards)));
                     }
-                    let tasks = std::mem::take(&mut partial.tasks);
-                    self.run_spliced_on_runtime(&plans, &reads, tasks)
+                    self.run_spliced_on_runtime(&plans, &plan_of, tasks)
                 }
             };
-            let mut got = executed.clone();
-            got.sort_unstable();
-            assert_eq!(got, reran_keys, "backend ran exactly the invalidated tasks");
-            assert!(
-                partial.order_respects_edges(&executed),
-                "partial resubmission respected every true edge among reran tasks"
-            );
-            executed
+            self.check_order(&plans, &plan_of, &ran);
+            ran.iter().map(|&i| keys[i]).collect()
         };
 
-        self.touched.clear();
         IncrReport {
             total,
-            dirtied,
+            dirtied: cone.len(),
             reran: plans.len(),
             reused: total - plans.len(),
             order_maintenance_ops: std::mem::take(&mut self.ordered),
@@ -298,82 +293,109 @@ impl IncrementalProgram {
         }
     }
 
-    /// Build the partial lowered stream for the invalidated tasks: one
-    /// submission per plan under the frontend's public address mapping,
-    /// plus the true edges *among* reran tasks (for order checking),
-    /// found by one range query per reran producer.
-    fn partial_stream(
-        &self,
-        plans: &[Plan<'_>],
-        reads: &[(ResourceId, Version)],
-        lowering: Lowering,
-        reran: &[u64],
-    ) -> LoweredProgram {
-        let tasks: Vec<Submission> = plans
+    /// The partial lowered stream for the invalidated tasks: one
+    /// submission per plan, under the frontend's public address mapping.
+    fn partial_stream(&self, plans: &[usize], lowering: Lowering) -> Vec<Submission> {
+        let size = |r| self.replay.program.resource_size(r);
+        let mut params = Vec::new();
+        plans
             .iter()
-            .map(|p| {
-                let d = p.decl;
-                let mut b = TaskBuilder::new(d.fptr).tag(d.tag).priority(d.priority);
-                for &(r, v) in &reads[p.reads.clone()] {
-                    b = b.reads(lowering.address(r, v), self.program.resource_size(r));
+            .map(|&p| {
+                let t = self.replay.task(p);
+                params.clear();
+                params.extend(
+                    self.replay
+                        .reads(p)
+                        .iter()
+                        .map(|rd| Param::input(lowering.address(rd.r, rd.v), size(rd.r))),
+                );
+                params.extend(
+                    t.writes
+                        .iter()
+                        .map(|&(r, v)| Param::output(lowering.address(r, v), size(r))),
+                );
+                Submission {
+                    fptr: t.fptr,
+                    tag: t.tag,
+                    priority: t.priority,
+                    tenant: TenantId::NONE,
+                    params: normalize_params(&params),
                 }
-                for &(r, v) in &d.writes {
-                    b = b.writes(lowering.address(r, v), self.program.resource_size(r));
-                }
-                b.build()
             })
-            .collect();
-        let edges: Vec<(u64, u64)> = reran
-            .iter()
-            .flat_map(|&f| self.edges.range((f, 0)..=(f, u64::MAX)))
-            .copied()
-            .filter(|(_, t)| reran.binary_search(t).is_ok())
-            .collect();
-        LoweredProgram {
-            lowering,
-            tasks,
-            edges,
+            .collect()
+    }
+
+    /// The backend ran every plan exactly once (`ran` lists plan
+    /// indices, [`UNPLANNED`] for a task outside the plan), in an order
+    /// that respects every true edge among them.
+    fn check_order(&self, plans: &[usize], plan_of: &[usize], ran: &[usize]) {
+        let mut at = vec![UNPLANNED; plans.len()];
+        for (step, &i) in ran.iter().enumerate() {
+            assert!(
+                at.get(i) == Some(&UNPLANNED),
+                "backend ran exactly the invalidated tasks"
+            );
+            at[i] = step;
         }
+        assert_eq!(
+            ran.len(),
+            plans.len(),
+            "backend ran exactly the invalidated tasks"
+        );
+        let respected = plans.iter().enumerate().all(|(i, &p)| {
+            self.replay.consumers[p]
+                .iter()
+                .all(|&c| plan_of[c] == UNPLANNED || at[i] < at[plan_of[c]])
+        });
+        assert!(
+            respected,
+            "partial resubmission respected every true edge among reran tasks"
+        );
     }
 
     /// The live splice run (see the [module docs](self)) on the kept
     /// runtime: give every write a slot, resolve every read to a memo
     /// or a slot, spawn each submission with a body that fills its
     /// slots, then assert the concurrent result equals the memoized
-    /// plan. Returns the keys in the order their bodies ran.
+    /// plan. Returns the plan indices in the order their bodies ran.
     fn run_spliced_on_runtime(
         &self,
-        plans: &[Plan<'_>],
-        reads: &[(ResourceId, Version)],
+        plans: &[usize],
+        plan_of: &[usize],
         tasks: Vec<Submission>,
-    ) -> Vec<u64> {
+    ) -> Vec<usize> {
         let (_, rt) = self.runtime.as_ref().expect("runtime started");
-        let writes: usize = plans.iter().map(|p| p.decl.writes.len()).sum();
-        let mut slot_of: HashMap<(ResourceId, Version), usize> = HashMap::with_capacity(writes);
+        let replay = &self.replay;
+        let writes: usize = plans.iter().map(|&p| replay.writes(p).len()).sum();
+        let reads: usize = plans.iter().map(|&p| replay.reads(p).len()).sum();
+        let mut inputs = Vec::with_capacity(reads);
         let mut slot_names = Vec::with_capacity(writes);
-        let mut splice_tasks = Vec::with_capacity(plans.len());
-        for p in plans {
-            let first = slot_names.len();
-            for &(r, v) in &p.decl.writes {
-                slot_of.insert((r, v), slot_names.len());
-                slot_names.push(self.name_hashes[r.0 as usize]);
-            }
+        let mut splice_tasks: Vec<SpliceTask> = Vec::with_capacity(plans.len());
+        for &p in plans {
+            let t = replay.task(p);
+            // Splice: an input produced within this partial stream is its
+            // producer's slot (a producer is planned before its
+            // consumers); every other input is the memoized content.
+            let first = inputs.len();
+            inputs.extend(replay.reads(p).iter().map(|rd| match rd.from {
+                Source::Write { task, write } if plan_of[task] != UNPLANNED => {
+                    let producer = &splice_tasks[plan_of[task]];
+                    Input::Slot(producer.slots.start + write - replay.writes(task).start)
+                }
+                from => Input::Memo(self.content(rd.r, from)),
+            }));
+            let slots = slot_names.len()..slot_names.len() + t.writes.len();
+            slot_names.extend(
+                t.writes
+                    .iter()
+                    .map(|&(r, _)| self.name_hashes[r.0 as usize]),
+            );
             splice_tasks.push(SpliceTask {
-                key: p.decl.tag,
-                fptr: p.decl.fptr,
-                inputs: p.reads.clone(),
-                slots: first..slot_names.len(),
+                fptr: t.fptr,
+                inputs: first..inputs.len(),
+                slots,
             });
         }
-        // Splice: every input *not* produced within this partial stream
-        // is the memoized content.
-        let inputs = reads
-            .iter()
-            .map(|&(r, v)| match slot_of.get(&(r, v)) {
-                Some(&s) => Input::Slot(s),
-                None => Input::Memo(self.content_of(r, v)),
-            })
-            .collect();
         let splice = Arc::new(Splice {
             tasks: splice_tasks,
             inputs,
@@ -387,12 +409,12 @@ impl IncrementalProgram {
             rt.spawn_lowered(sub, move || splice.run(i));
         }
         rt.barrier();
-        for (p, t) in plans.iter().zip(&splice.tasks) {
-            let rec = self.store.record(t.key).expect("just memoized");
-            for (&(r, v), s) in p.decl.writes.iter().zip(t.slots.clone()) {
+        for (t, &p) in splice.tasks.iter().zip(plans) {
+            let writes = replay.task(p).writes.iter().zip(replay.writes(p));
+            for ((&(r, v), w), s) in writes.zip(t.slots.clone()) {
                 assert_eq!(
                     splice.slots[s].get().copied(),
-                    rec.output(r),
+                    Some(self.outputs[w]),
                     "live spliced run diverged from the memoized plan at ({r:?}, v{v})"
                 );
             }
@@ -400,7 +422,7 @@ impl IncrementalProgram {
         splice
             .executed
             .iter()
-            .filter_map(|k| k.get().copied())
+            .filter_map(|i| i.get().copied())
             .collect()
     }
 }
@@ -657,5 +679,71 @@ mod tests {
             },
         );
         assert_eq!(submitted(&ip), Some(4), "a new shape starts a new runtime");
+    }
+
+    #[test]
+    fn memos_follow_their_tasks_when_positions_shift() {
+        // 0 writes a; 1 writes b; 2 reads b, writes c; 3 reads a,
+        // writes d; 4 reads c, writes e.
+        let decls = || {
+            vec![
+                add(0, 0x10, vec![Access::Write("a".into())]),
+                add(1, 0x11, vec![Access::Write("b".into())]),
+                add(
+                    2,
+                    0x12,
+                    vec![Access::Read("b".into()), Access::Write("c".into())],
+                ),
+                add(
+                    3,
+                    0x13,
+                    vec![Access::Read("a".into()), Access::Write("d".into())],
+                ),
+                add(
+                    4,
+                    0x14,
+                    vec![Access::Read("c".into()), Access::Write("e".into())],
+                ),
+            ]
+        };
+        let sorted = |ip: &IncrementalProgram| {
+            let mut contents = ip.final_contents();
+            contents.sort();
+            contents
+        };
+        // The same declarations, from scratch: the contents to match.
+        let scratch = |edits: Vec<Edit>| {
+            let mut ip = IncrementalProgram::new();
+            ip.edit_batch(edits).unwrap();
+            ip.rerun(Lowering::Renamed, &Backend::Engine { shards: 2 });
+            sorted(&ip)
+        };
+        let engine = Backend::Engine { shards: 2 };
+        let mut ip = IncrementalProgram::new();
+        ip.edit_batch(decls()).unwrap();
+        ip.rerun(Lowering::Renamed, &engine);
+
+        // Removing the first-declared task shifts every later position;
+        // only its reader 3 rebinds (to a's initial contents).
+        ip.edit(Edit::RemoveTask { key: 0 }).unwrap();
+        let r = ip.rerun(Lowering::Renamed, &engine);
+        assert_eq!(r.reran_keys, vec![3]);
+        assert_eq!((r.reran, r.reused), (1, 3));
+        let mut rest = decls();
+        rest.remove(0);
+        assert_eq!(sorted(&ip), scratch(rest.clone()));
+
+        // Removing and re-adding 2 in one batch moves it last: 4 now
+        // reads c's initial contents, while 2 still reads 1's b and
+        // keeps its memo at its new position.
+        let readd = rest.remove(1);
+        ip.edit_batch([Edit::RemoveTask { key: 2 }, readd.clone()])
+            .unwrap();
+        assert_eq!(ip.dirty_cone(), vec![2, 4]);
+        let r = ip.rerun(Lowering::Renamed, &engine);
+        assert_eq!(r.reran_keys, vec![4]);
+        assert_eq!((r.reran, r.reused), (1, 3));
+        rest.push(readd);
+        assert_eq!(sorted(&ip), scratch(rest));
     }
 }

@@ -5,12 +5,14 @@
 //! paying for the parts that didn't change. It is a PIE-style
 //! memoized-build layer grafted onto the resource-versioning frontend:
 //!
-//! * [`Store`] — the memo: per-task fingerprints and cached output
-//!   contents, keyed by stable task keys and [`ResourceId`]s so
-//!   structural edits (which renumber versions) never invalidate by
-//!   accident. The hash primitives ([`store::initial_contents`],
-//!   [`store::task_output`], [`store::fingerprint`]) are public — they
-//!   are the contract the differential-test oracle shares.
+//! * [`store`] — the content-hash primitives
+//!   ([`store::initial_contents`], [`store::task_output`],
+//!   [`store::fingerprint`]) that define what "unchanged" means: a memo
+//!   keeps each task's fingerprint and output contents, over resource
+//!   names and contents, never version numbers, so structural edits
+//!   (which renumber versions) never invalidate by accident. They are
+//!   public because they are the contract the differential-test oracle
+//!   shares.
 //! * [`IncrementalProgram`] — the editable program: apply [`Edit`]s
 //!   (initial-contents changes, task add/remove/retarget; all-or-nothing
 //!   commit). Its dependency order is the frontend's order, recomputed
@@ -24,7 +26,7 @@
 //!   contents live against spliced memoized inputs). Each run reports
 //!   an [`IncrReport`].
 //!
-//! A from-scratch execution is just the degenerate case: an empty store
+//! A from-scratch execution is just the degenerate case: an empty memo
 //! dirties everything, so the very first `rerun` runs the whole
 //! program.
 //!
@@ -51,7 +53,7 @@
 //!
 //! let backend = Backend::Engine { shards: 2 };
 //! let first = ip.rerun(Lowering::Renamed, &backend);
-//! assert_eq!(first.reran, 2); // empty store: from scratch
+//! assert_eq!(first.reran, 2); // empty memo: from scratch
 //!
 //! // Change the input; both tasks are downstream, so both re-run...
 //! ip.edit(Edit::SetInitial { resource: "in".into(), seed: 7 }).unwrap();
@@ -73,7 +75,6 @@ pub mod store;
 
 pub use exec::{Backend, IncrReport};
 pub use program::{Access, Edit, IncrError, IncrementalProgram};
-pub use store::{Store, TaskRecord};
 
 // Re-exported so doctests and downstream callers can name the id type
 // without an explicit frontend dependency.

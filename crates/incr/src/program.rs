@@ -14,33 +14,44 @@
 //! **replayed** through a fresh frontend [`Program`] (reusing its
 //! binding-resolution logic verbatim — reads bind to
 //! latest-at-declaration, writes mint versions), and
-//! [`Program::graph`] returns the true-dependency edges, the
-//! topological order the next re-run walks in, and the verdict. The
-//! dependency order is the frontend's order, recomputed at each
-//! structural commit: a commit replays the whole declaration list
+//! [`Program::graph`] returns the true-dependency edges (as consumer
+//! lists), the topological order the next re-run walks in, and the
+//! verdict. The dependency order is the frontend's order, recomputed at
+//! each structural commit: a commit replays the whole declaration list
 //! anyway, so a second, online order would save nothing. A
 //! cycle-creating edit is rejected at declaration time with
 //! [`IncrError::Cycle`]. Nothing is assigned until the graph step
-//! succeeds, so a rejected edit leaves the declarations, the memo
-//! store, the edges and the order as they were; only the interner
-//! (below) may have grown.
+//! succeeds, so a rejected edit leaves the declarations, the memo, the
+//! edges and the order as they were; only the interner (below) may
+//! have grown.
+//!
+//! # Positions, not keys
+//!
+//! Everything a re-run reads is indexed by a task's *position*, its
+//! index in the replay's declaration list, as a Task Pool entry is
+//! addressed by its index rather than searched for: the memo, the dirty
+//! marks, the consumer lists, and each read's producer, bound once per
+//! replay. Keys are looked up only by edits. Positions move only at a
+//! structural commit, which carries each surviving task's memo and
+//! mark to its new position by key.
 //!
 //! # Resource identity
 //!
 //! Resource names are interned once, in first-mention order, and the
 //! interner only ever grows — so a [`ResourceId`] is stable across
-//! every edit, and the memo store can key cached outputs by it.
-//! Because each replay pre-registers the whole interner, reading a
-//! resource that no current task writes is always legal: it binds to
-//! version 0, the resource's initial contents (a deliberate divergence
-//! from the bare frontend, where a never-mentioned name is an error).
+//! every edit. Because each replay pre-registers the whole interner,
+//! reading a resource that no current task writes is always legal: it
+//! binds to version 0, the resource's initial contents (a deliberate
+//! divergence from the bare frontend, where a never-mentioned name is
+//! an error).
 
-use crate::store::{self, Store};
+use crate::store;
 use nexuspp_core::Priority;
 use nexuspp_frontend::{FrontendError, Program, ResourceId, TaskDecl, Version};
 use nexuspp_runtime::Runtime;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 
 /// One declared access in an [`Edit`] — the name-based form the
 /// frontend's builder accepts, kept symbolic so declarations can be
@@ -111,8 +122,8 @@ pub enum Edit {
 }
 
 /// Errors surfaced when an [`Edit`] is applied. A failed edit commits
-/// **nothing**: declarations, memo store, edges and order are exactly
-/// as before.
+/// **nothing**: declarations, memo, edges and order are exactly as
+/// before.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IncrError {
     /// `AddTask` reused a key that is already declared.
@@ -171,13 +182,169 @@ pub(crate) struct DeclSpec {
     pub(crate) accesses: Vec<Access>,
 }
 
-/// Everything one replay derives from the declaration list.
+/// Where a read's content comes from.
+#[derive(Clone, Copy)]
+pub(crate) enum Source {
+    /// Version 0: the resource's initial contents.
+    Initial,
+    /// A task's mint: the producer's position and the flat index of the
+    /// write (see [`Replay::writes`]).
+    Write { task: usize, write: usize },
+}
+
+/// One read of a task, bound once per replay: the `(resource, version)`
+/// it names and where that content comes from.
+#[derive(Clone, Copy)]
+pub(crate) struct Read {
+    pub(crate) r: ResourceId,
+    pub(crate) v: Version,
+    pub(crate) from: Source,
+}
+
+/// Everything one replay derives from the declaration list, indexed by
+/// task *position*: the declaration index, which addresses
+/// `program.tasks()` and every per-task vector of the program directly.
 pub(crate) struct Replay {
+    /// The replayed frontend program; its tasks are the resolved
+    /// declarations.
     pub(crate) program: Program,
-    pub(crate) resolved: HashMap<u64, TaskDecl>,
-    pub(crate) producers: HashMap<(ResourceId, Version), u64>,
-    pub(crate) edges: BTreeSet<(u64, u64)>,
-    pub(crate) rank: HashMap<u64, usize>,
+    /// Task key → position, for edits and for mapping the tags an
+    /// engine run retires; a re-run's walk never reads it.
+    pub(crate) index: HashMap<u64, usize>,
+    /// Positions in the frontend's topological order.
+    pub(crate) order: Vec<usize>,
+    /// Per position, the positions of its consumers: the true edges.
+    pub(crate) consumers: Vec<Vec<usize>>,
+    /// Every task's reads with their producers resolved, reads of the
+    /// task's own mints left out; task `p`'s are
+    /// `reads[read_at[p]..read_at[p + 1]]`.
+    reads: Vec<Read>,
+    read_at: Vec<usize>,
+    /// Task `p`'s writes are the flat write indices
+    /// `write_at[p]..write_at[p + 1]`, in the order of its `writes`.
+    write_at: Vec<usize>,
+    /// Per resource, where its latest version comes from.
+    latest: Vec<Source>,
+}
+
+impl Replay {
+    /// Replay a declaration list through a fresh frontend [`Program`]
+    /// (pre-registering the whole interner so ids stay stable and
+    /// never-written reads legally bind to version 0), take edges,
+    /// order and verdict from [`Program::graph`], and bind every read
+    /// to its producer.
+    pub(crate) fn new(interner: &[String], decls: &[DeclSpec]) -> Result<Replay, IncrError> {
+        let mut program = Program::new();
+        for name in interner {
+            program.resource(name);
+        }
+        for d in decls {
+            let mut b = program.task(d.fptr).tag(d.key).priority(d.priority);
+            for a in &d.accesses {
+                b = match a {
+                    Access::Read(n) => b.reads(n),
+                    Access::ReadVersion(n, v) => b.reads_version(n, *v),
+                    Access::Write(n) => b.writes(n),
+                    Access::ReadWrite(n) => b.read_writes(n),
+                };
+            }
+            b.submit().expect("every name pre-interned");
+        }
+        let (order, consumers) = program.graph().map_err(|e| match e {
+            FrontendError::UnknownProducer {
+                resource,
+                version,
+                reader,
+            } => IncrError::UnknownProducer {
+                resource,
+                version,
+                reader,
+            },
+            FrontendError::Cycle { tags } => IncrError::Cycle { tags },
+            FrontendError::UnknownResource { .. } => unreachable!("names resolve at submit"),
+        })?;
+        let tasks = program.tasks();
+        // Number the writes, and list per resource where each version
+        // comes from: writes mint versions 1, 2, ... in declaration
+        // order, so version `v` is entry `v - 1`.
+        let mut minted: Vec<Vec<Source>> = vec![Vec::new(); interner.len()];
+        let mut write_at = Vec::with_capacity(tasks.len() + 1);
+        let mut write = 0;
+        for (task, t) in tasks.iter().enumerate() {
+            write_at.push(write);
+            for &(r, _) in &t.writes {
+                minted[r.0 as usize].push(Source::Write { task, write });
+                write += 1;
+            }
+        }
+        write_at.push(write);
+        let mut reads = Vec::new();
+        let mut read_at = Vec::with_capacity(tasks.len() + 1);
+        for (p, t) in tasks.iter().enumerate() {
+            read_at.push(reads.len());
+            for &(r, v) in &t.reads {
+                let from = match v {
+                    0 => Source::Initial,
+                    v => minted[r.0 as usize][v as usize - 1],
+                };
+                // A read of the task's own mint is no input: its content
+                // is the task's own output (and no edge in the graph).
+                if !matches!(from, Source::Write { task, .. } if task == p) {
+                    reads.push(Read { r, v, from });
+                }
+            }
+        }
+        read_at.push(reads.len());
+        let latest = minted
+            .iter()
+            .map(|m| m.last().copied().unwrap_or(Source::Initial))
+            .collect();
+        let index = tasks.iter().enumerate().map(|(p, t)| (t.tag, p)).collect();
+        Ok(Replay {
+            program,
+            index,
+            order,
+            consumers,
+            reads,
+            read_at,
+            write_at,
+            latest,
+        })
+    }
+
+    /// Number of tasks.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The resolved declaration at position `p`.
+    pub(crate) fn task(&self, p: usize) -> &TaskDecl {
+        &self.program.tasks()[p]
+    }
+
+    /// Task `p`'s bound reads.
+    pub(crate) fn reads(&self, p: usize) -> &[Read] {
+        &self.reads[self.read_at[p]..self.read_at[p + 1]]
+    }
+
+    /// Task `p`'s flat write indices.
+    pub(crate) fn writes(&self, p: usize) -> Range<usize> {
+        self.write_at[p]..self.write_at[p + 1]
+    }
+
+    /// Extend `marks` (one per position) to its forward closure over the
+    /// consumer lists.
+    pub(crate) fn close(&self, marks: &mut [bool]) {
+        let mut stack: Vec<usize> = (0..marks.len()).filter(|&p| marks[p]).collect();
+        while let Some(p) = stack.pop() {
+            for &c in &self.consumers[p] {
+                if !marks[c] {
+                    marks[c] = true;
+                    stack.push(c);
+                }
+            }
+        }
+    }
 }
 
 /// An editable, memoized program of resource-declaring tasks. See the
@@ -213,21 +380,18 @@ pub struct IncrementalProgram {
     pub(crate) seeds: Vec<u64>,
     /// Current declarations, in declaration order.
     pub(crate) decls: Vec<DeclSpec>,
-    /// The current replay of `decls` through the frontend.
-    pub(crate) program: Program,
-    /// key → resolved declaration (from the current replay).
-    pub(crate) resolved: HashMap<u64, TaskDecl>,
-    /// (resource, version) → minting task key (current replay).
-    pub(crate) producers: HashMap<(ResourceId, Version), u64>,
-    /// Current true-dependency edges, by key.
-    pub(crate) edges: BTreeSet<(u64, u64)>,
-    /// key → position in the current replay's topological order.
-    pub(crate) rank: HashMap<u64, usize>,
-    /// The memo store (single writer: this struct, on the caller's
-    /// thread).
-    pub(crate) store: Store,
-    /// Keys dirtied by edits since the last re-run.
-    pub(crate) touched: BTreeSet<u64>,
+    /// The current replay of `decls`. The vectors below are indexed by
+    /// its positions.
+    pub(crate) replay: Replay,
+    /// The memo's fingerprints, one per position: the fingerprint the
+    /// task last ran or validated under, `None` if it has no memo.
+    pub(crate) fingerprints: Vec<Option<u64>>,
+    /// The memo's output contents, one per flat write index
+    /// ([`Replay::writes`]); meaningful where the writer has a
+    /// fingerprint.
+    pub(crate) outputs: Vec<u64>,
+    /// Per position: dirtied by an edit since the last re-run?
+    pub(crate) touched: Vec<bool>,
     /// Tasks + edges ordered by structural commits since the last
     /// report.
     pub(crate) ordered: u64,
@@ -244,8 +408,8 @@ impl Default for IncrementalProgram {
 }
 
 impl IncrementalProgram {
-    /// An empty program with an empty memo store (so the first re-run
-    /// is the degenerate from-scratch case).
+    /// An empty program with an empty memo (so the first re-run is the
+    /// degenerate from-scratch case).
     pub fn new() -> IncrementalProgram {
         IncrementalProgram {
             interner: Vec::new(),
@@ -253,13 +417,10 @@ impl IncrementalProgram {
             name_hashes: Vec::new(),
             seeds: Vec::new(),
             decls: Vec::new(),
-            program: Program::new(),
-            resolved: HashMap::new(),
-            producers: HashMap::new(),
-            edges: BTreeSet::new(),
-            rank: HashMap::new(),
-            store: Store::new(),
-            touched: BTreeSet::new(),
+            replay: Replay::new(&[], &[]).expect("the empty program has no cycle"),
+            fingerprints: Vec::new(),
+            outputs: Vec::new(),
+            touched: Vec::new(),
             ordered: 0,
             runtime: None,
         }
@@ -285,43 +446,37 @@ impl IncrementalProgram {
     /// The current true-dependency edges, as sorted (producer key,
     /// consumer key) pairs.
     pub fn edges(&self) -> Vec<(u64, u64)> {
-        self.edges.iter().copied().collect()
-    }
-
-    /// The memo store (read-only; mutation goes through re-runs and
-    /// edits).
-    pub fn store(&self) -> &Store {
-        &self.store
+        let key = |p: usize| self.replay.task(p).tag;
+        let mut v: Vec<(u64, u64)> = self
+            .replay
+            .consumers
+            .iter()
+            .enumerate()
+            .flat_map(|(p, cs)| cs.iter().map(move |&c| (key(p), key(c))))
+            .collect();
+        v.sort_unstable();
+        v
     }
 
     /// Keys currently dirtied by edits plus their forward closure over
     /// the true-dependency edges — exactly the set the next
     /// [`rerun`](Self::rerun) will validate, in sorted key order.
     pub fn dirty_cone(&self) -> Vec<u64> {
-        let mut cone: BTreeSet<u64> = self
-            .touched
-            .iter()
-            .copied()
-            .filter(|k| self.resolved.contains_key(k))
+        let mut marks = self.touched.clone();
+        self.replay.close(&mut marks);
+        let mut cone: Vec<u64> = (0..marks.len())
+            .filter(|&p| marks[p])
+            .map(|p| self.replay.task(p).tag)
             .collect();
-        let mut stack: Vec<u64> = cone.iter().copied().collect();
-        // Forward closure; adjacency read straight off the sorted edge
-        // set via range queries.
-        while let Some(k) = stack.pop() {
-            for &(_, to) in self.edges.range((k, 0)..=(k, u64::MAX)) {
-                if cone.insert(to) {
-                    stack.push(to);
-                }
-            }
-        }
-        cone.into_iter().collect()
+        cone.sort_unstable();
+        cone
     }
 
     /// Drop every memo and dirty every task: the next re-run is a full
-    /// from-scratch execution (the empty-store degenerate case).
+    /// from-scratch execution (the empty-memo degenerate case).
     pub fn invalidate_all(&mut self) {
-        self.store.clear();
-        self.touched.extend(self.resolved.keys().copied());
+        self.fingerprints.fill(None);
+        self.touched.fill(true);
     }
 
     /// Intern `name`, returning its stable [`ResourceId`].
@@ -342,43 +497,61 @@ impl IncrementalProgram {
         &self.interner[r.0 as usize]
     }
 
-    /// The simulated content of `(r, v)` as memoized: initial contents
-    /// for version 0, the producer's cached output otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the producer of a non-zero version has no memo yet —
-    /// callers resolve contents only for versions whose producers are
-    /// clean or already re-validated (the re-run walks in dependency
-    /// order, which guarantees it).
-    pub(crate) fn content_of(&self, r: ResourceId, v: Version) -> u64 {
-        if v == 0 {
-            return store::initial_contents(&self.interner[r.0 as usize], self.seeds[r.0 as usize]);
+    /// The content a read of `r` from `from` sees as memoized: initial
+    /// contents (the interned name hash mixed with the seed, which is
+    /// [`store::initial_contents`] without hashing the name again) or
+    /// the producer's memoized output. A re-run resolves contents only
+    /// for producers that are clean or already re-validated: it walks
+    /// in dependency order.
+    pub(crate) fn content(&self, r: ResourceId, from: Source) -> u64 {
+        match from {
+            Source::Initial => {
+                store::hash_mix(self.name_hashes[r.0 as usize], self.seeds[r.0 as usize])
+            }
+            Source::Write { write, .. } => self.outputs[write],
         }
-        let p = self.producers[&(r, v)];
-        self.store
-            .record(p)
-            .expect("producer memoized before its consumers resolve")
-            .output(r)
-            .expect("producer record covers each written resource")
     }
 
     /// The current content of resource `name` (its latest version), as
-    /// of the last re-run. `None` if the name was never mentioned.
+    /// of the last re-run. `None` if the name was never mentioned, or if
+    /// no re-run has computed its latest version yet: its producer was
+    /// declared (or lost its memo to
+    /// [`invalidate_all`](Self::invalidate_all)) after the last re-run.
     pub fn contents(&self, name: &str) -> Option<u64> {
         let &r = self.by_name.get(name)?;
-        let v = self.program.latest_version(name).unwrap_or(0);
-        Some(self.content_of(r, v))
+        // A name interned after the last replay has only version 0.
+        let from = self
+            .replay
+            .latest
+            .get(r.0 as usize)
+            .copied()
+            .unwrap_or(Source::Initial);
+        if let Source::Write { task, .. } = from {
+            self.fingerprints[task]?;
+        }
+        Some(self.content(r, from))
     }
 
     /// Final contents of every interned resource, in [`ResourceId`]
     /// order, as of the last re-run — the observable the edit-sequence
     /// differential compares against from-scratch execution and the
     /// oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a re-run is pending for some resource's latest version
+    /// (see [`contents`](Self::contents)): call
+    /// [`rerun`](Self::rerun) after declaring its producer.
     pub fn final_contents(&self) -> Vec<(String, u64)> {
         self.interner
             .iter()
-            .map(|n| (n.clone(), self.contents(n).expect("interned")))
+            .map(|n| {
+                let c = self.contents(n);
+                (
+                    n.clone(),
+                    c.expect("a re-run is pending for this latest version"),
+                )
+            })
             .collect()
     }
 
@@ -455,8 +628,8 @@ impl IncrementalProgram {
 
     /// Stage a structural change: replay the new declarations and take
     /// edges, order and verdict from the frontend's graph step, then
-    /// commit declarations + replay + seeds + dirty marks. Nothing is
-    /// assigned before the replay succeeds.
+    /// commit declarations + replay + memo + seeds + dirty marks.
+    /// Nothing is assigned before the replay succeeds.
     fn commit_structural(
         &mut self,
         scratch: Vec<DeclSpec>,
@@ -471,37 +644,48 @@ impl IncrementalProgram {
                 self.intern(a.name());
             }
         }
-        let replay = Self::replay(&self.interner, &scratch)?;
+        let replay = Replay::new(&self.interner, &scratch)?;
 
-        // Committed. Dirty the edited tasks, every task whose resolved
-        // binding changed, and nothing else; evict removed memos.
-        self.touched.extend(
-            edited_keys
-                .into_iter()
-                .filter(|k| replay.resolved.contains_key(k)),
-        );
-        for d in &scratch {
-            let new = &replay.resolved[&d.key];
-            match self.resolved.get(&d.key) {
-                Some(old) if !decl_changed(old, new) => {}
-                _ => {
-                    self.touched.insert(d.key);
-                }
+        // Committed. Positions move: carry each surviving task's memo
+        // and mark to its new position by key. Dirty the edited tasks,
+        // every task whose resolved binding changed, and nothing else;
+        // removed tasks' memos go with the old vectors.
+        let n = replay.len();
+        let mut fingerprints = vec![None; n];
+        let mut outputs = vec![0; replay.write_at[n]];
+        let mut touched = vec![false; n];
+        for (p, t) in replay.program.tasks().iter().enumerate() {
+            let Some(&q) = self.replay.index.get(&t.tag) else {
+                touched[p] = true;
+                continue;
+            };
+            let was = self.replay.task(q);
+            touched[p] = self.touched[q] || decl_changed(was, t);
+            // A memo's outputs follow its task's writes, so it moves only
+            // while the task writes the same resources (a changed write
+            // list changes the fingerprint anyway).
+            if was
+                .writes
+                .iter()
+                .map(|w| w.0)
+                .eq(t.writes.iter().map(|w| w.0))
+            {
+                fingerprints[p] = self.fingerprints[q];
+                outputs[replay.writes(p)].copy_from_slice(&self.outputs[self.replay.writes(q)]);
             }
         }
-        for k in self.resolved.keys() {
-            if !replay.resolved.contains_key(k) {
-                self.store.evict(*k);
-                self.touched.remove(k);
+        for k in edited_keys {
+            if let Some(&p) = replay.index.get(&k) {
+                touched[p] = true;
             }
         }
-        self.ordered += (scratch.len() + replay.edges.len()) as u64;
+        let edges: usize = replay.consumers.iter().map(Vec::len).sum();
+        self.ordered += (n + edges) as u64;
         self.decls = scratch;
-        self.program = replay.program;
-        self.resolved = replay.resolved;
-        self.producers = replay.producers;
-        self.edges = replay.edges;
-        self.rank = replay.rank;
+        self.replay = replay;
+        self.fingerprints = fingerprints;
+        self.outputs = outputs;
+        self.touched = touched;
         // Seeds last, so they dirty the v0-readers *as rebound by this
         // replay*.
         self.set_initial(seed_updates);
@@ -522,75 +706,11 @@ impl IncrementalProgram {
         if edited.is_empty() {
             return;
         }
-        self.touched.extend(
-            self.resolved
-                .values()
-                .filter(|d| d.reads.iter().any(|&(r, v)| v == 0 && edited.contains(&r)))
-                .map(|d| d.tag),
-        );
-    }
-
-    /// Replay a declaration list through a fresh frontend [`Program`]
-    /// (pre-registering the whole interner so ids stay stable and
-    /// never-written reads legally bind to version 0), take edges,
-    /// order and verdict from [`Program::graph`], and resolve
-    /// producers.
-    pub(crate) fn replay(interner: &[String], decls: &[DeclSpec]) -> Result<Replay, IncrError> {
-        let mut p = Program::new();
-        for name in interner {
-            p.resource(name);
-        }
-        for d in decls {
-            let mut b = p.task(d.fptr).tag(d.key).priority(d.priority);
-            for a in &d.accesses {
-                b = match a {
-                    Access::Read(n) => b.reads(n),
-                    Access::ReadVersion(n, v) => b.reads_version(n, *v),
-                    Access::Write(n) => b.writes(n),
-                    Access::ReadWrite(n) => b.read_writes(n),
-                };
+        for (p, t) in self.replay.program.tasks().iter().enumerate() {
+            if t.reads.iter().any(|&(r, v)| v == 0 && edited.contains(&r)) {
+                self.touched[p] = true;
             }
-            b.submit().expect("every name pre-interned");
         }
-        let (order, consumers) = p.graph().map_err(|e| match e {
-            FrontendError::UnknownProducer {
-                resource,
-                version,
-                reader,
-            } => IncrError::UnknownProducer {
-                resource,
-                version,
-                reader,
-            },
-            FrontendError::Cycle { tags } => IncrError::Cycle { tags },
-            FrontendError::UnknownResource { .. } => unreachable!("names resolve at submit"),
-        })?;
-        let tasks = p.tasks();
-        let mut resolved = HashMap::with_capacity(decls.len());
-        let mut producers = HashMap::new();
-        for t in tasks {
-            for &(r, v) in &t.writes {
-                producers.insert((r, v), t.tag);
-            }
-            resolved.insert(t.tag, t.clone());
-        }
-        let edges = consumers
-            .iter()
-            .enumerate()
-            .flat_map(|(p, cs)| cs.iter().map(move |&c| (tasks[p].tag, tasks[c].tag)))
-            .collect();
-        let rank = order
-            .iter()
-            .enumerate()
-            .map(|(pos, &i)| (tasks[i].tag, pos))
-            .collect();
-        Ok(Replay {
-            program: p,
-            resolved,
-            producers,
-            edges,
-            rank,
-        })
     }
 }
 
@@ -632,7 +752,13 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(ip.edges(), vec![(1, 2)]);
-        assert!(ip.rank[&1] < ip.rank[&2]);
+        let rank = |k| {
+            ip.replay
+                .order
+                .iter()
+                .position(|&p| ip.replay.task(p).tag == k)
+        };
+        assert!(rank(1).unwrap() < rank(2).unwrap());
         assert_eq!(
             ip.edit(add(1, 0x12, vec![])).unwrap_err(),
             IncrError::DuplicateKey(1)
@@ -643,7 +769,7 @@ mod tests {
     #[test]
     fn cycle_creating_edit_rolls_back_completely() {
         // in -> t1 -> a -> t2 -> b, run once, then "in" edited: a
-        // non-empty store and a pending cone.
+        // non-empty memo and a pending cone.
         let build = || {
             let mut ip = IncrementalProgram::new();
             ip.edit(add(
@@ -683,7 +809,8 @@ mod tests {
         assert_eq!(ip.edges(), twin.edges());
         assert_eq!(ip.dirty_cone(), vec![1, 2]);
         assert_eq!(ip.dirty_cone(), twin.dirty_cone());
-        assert_eq!(ip.store().len(), twin.store().len());
+        assert_eq!(ip.fingerprints, twin.fingerprints);
+        assert_eq!(ip.outputs, twin.outputs);
         let backend = Backend::Engine { shards: 2 };
         assert_eq!(
             ip.rerun(Lowering::Renamed, &backend),
@@ -708,7 +835,7 @@ mod tests {
         .unwrap();
         ip.edit(add(3, 0x12, vec![Access::Write("other".into())]))
             .unwrap();
-        ip.touched.clear(); // pretend a re-run happened
+        ip.touched.fill(false); // pretend a re-run happened
         ip.edit(Edit::SetInitial {
             resource: "in".into(),
             seed: 99,
@@ -729,7 +856,7 @@ mod tests {
         ip.edit(add(3, 0x12, vec![Access::Read("x".into())]))
             .unwrap();
         assert_eq!(ip.edges(), vec![(2, 3)]);
-        ip.touched.clear();
+        ip.touched.fill(false);
         ip.edit(Edit::RemoveTask { key: 2 }).unwrap();
         // Reader 3 now consumes task 1's mint.
         assert_eq!(ip.edges(), vec![(1, 3)]);
@@ -796,7 +923,35 @@ mod tests {
             vec![Access::Read("cfg".into()), Access::Write("o".into())],
         ))
         .unwrap();
-        let d = &ip.resolved[&1];
+        let d = ip.replay.task(ip.replay.index[&1]);
         assert_eq!(d.reads, vec![(ResourceId(0), 0)]);
+    }
+
+    #[test]
+    fn contents_before_a_rerun_is_none_for_unrun_producers() {
+        let mut ip = IncrementalProgram::new();
+        ip.edit(add(1, 0x10, vec![Access::Write("x".into())]))
+            .unwrap();
+        ip.edit(Edit::SetInitial {
+            resource: "cfg".into(),
+            seed: 5,
+        })
+        .unwrap();
+        assert_eq!(ip.contents("x"), None, "no re-run has computed x v1");
+        assert_eq!(ip.contents("cfg"), Some(store::initial_contents("cfg", 5)));
+        assert_eq!(ip.contents("never"), None);
+        ip.rerun(Lowering::Renamed, &Backend::Engine { shards: 1 });
+        assert_eq!(ip.contents("x"), Some(store::task_output(0x10, "x", &[])));
+        ip.invalidate_all();
+        assert_eq!(ip.contents("x"), None, "the memo was dropped");
+    }
+
+    #[test]
+    #[should_panic(expected = "a re-run is pending")]
+    fn final_contents_names_the_pending_rerun() {
+        let mut ip = IncrementalProgram::new();
+        ip.edit(add(1, 0x10, vec![Access::Write("x".into())]))
+            .unwrap();
+        ip.final_contents();
     }
 }

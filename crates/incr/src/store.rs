@@ -1,13 +1,12 @@
-//! The memo [`Store`]: per-task cached fingerprints and outputs, plus
-//! the content-hash primitives that define what "unchanged" means.
+//! The content-hash primitives that define what "unchanged" means.
 //!
-//! The store is the PIE-style half of the incremental layer: one
-//! [`TaskRecord`] per task key, remembering the **fingerprint** the
-//! task last ran under and the **output contents** it produced. A
-//! re-run validates a task by recomputing its fingerprint from current
-//! input contents — if it matches, the cached outputs are spliced in
-//! and the task is *not* resubmitted (early cutoff); if not, the task
-//! re-executes and the record is refreshed.
+//! They are the PIE-style half of the incremental layer: the memo
+//! remembers, per task, the **fingerprint** the task last ran under and
+//! the **output contents** it produced. A re-run validates a task by
+//! recomputing its fingerprint from current input contents — if it
+//! matches, the cached outputs are spliced in and the task is *not*
+//! resubmitted (early cutoff); if not, the task re-executes and its
+//! memo is rewritten.
 //!
 //! Everything is expressed over simulated 64-bit *contents*: every
 //! (resource, version) has a `u64` content, initial contents derive
@@ -26,8 +25,6 @@
 //! invalidation.
 
 use nexuspp_core::Priority;
-use nexuspp_frontend::ResourceId;
-use std::collections::HashMap;
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -101,77 +98,6 @@ pub fn fingerprint(
     h
 }
 
-/// One task's memo: the fingerprint it last validated or ran under and
-/// the contents it produced, keyed by the written resource's id.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskRecord {
-    /// Fingerprint of the last consistent execution (see
-    /// [`fingerprint`]).
-    pub fingerprint: u64,
-    /// Content produced per written resource. Keyed by [`ResourceId`]
-    /// (stable across edits), **not** by version (renumbered by
-    /// structural edits).
-    pub outputs: Vec<(ResourceId, u64)>,
-}
-
-impl TaskRecord {
-    /// The cached content this task wrote to `r`, if it writes `r`.
-    pub fn output(&self, r: ResourceId) -> Option<u64> {
-        self.outputs.iter().find(|&&(o, _)| o == r).map(|&(_, c)| c)
-    }
-}
-
-/// The memo store: task key → [`TaskRecord`]. An empty store makes
-/// every task dirty, so a from-scratch run is just the degenerate case
-/// of an incremental one.
-///
-/// The store has a **single writer**: it is mutated only through
-/// `IncrementalProgram`'s `&mut self` re-run path, never from executor
-/// threads (executors receive pre-planned submissions and report back;
-/// the store commit happens on the caller's thread).
-#[derive(Debug, Clone, Default)]
-pub struct Store {
-    records: HashMap<u64, TaskRecord>,
-}
-
-impl Store {
-    /// An empty store (everything dirty).
-    pub fn new() -> Store {
-        Store::default()
-    }
-
-    /// The record for task `key`, if it has ever run.
-    pub fn record(&self, key: u64) -> Option<&TaskRecord> {
-        self.records.get(&key)
-    }
-
-    /// Insert or replace the record for `key`.
-    pub fn put(&mut self, key: u64, record: TaskRecord) {
-        self.records.insert(key, record);
-    }
-
-    /// Drop the record for `key` (the task was removed or must re-run
-    /// unconditionally). Returns `true` if a record existed.
-    pub(crate) fn evict(&mut self, key: u64) -> bool {
-        self.records.remove(&key).is_some()
-    }
-
-    /// Drop everything: the next re-run is from scratch.
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-
-    /// Number of memoized tasks.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// No memoized tasks at all?
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,25 +129,5 @@ mod tests {
         assert_ne!(f, fingerprint(7, Priority::Normal, &[(n, 101)], &[n]));
         assert_ne!(f, fingerprint(7, Priority::High, &[(n, 100)], &[n]));
         assert_ne!(f, fingerprint(8, Priority::Normal, &[(n, 100)], &[n]));
-    }
-
-    #[test]
-    fn store_roundtrips_and_evicts() {
-        let mut s = Store::new();
-        assert!(s.is_empty());
-        let rec = TaskRecord {
-            fingerprint: 42,
-            outputs: vec![(ResourceId(3), 99)],
-        };
-        s.put(7, rec.clone());
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.record(7), Some(&rec));
-        assert_eq!(s.record(7).unwrap().output(ResourceId(3)), Some(99));
-        assert_eq!(s.record(7).unwrap().output(ResourceId(4)), None);
-        assert!(s.evict(7));
-        assert!(!s.evict(7));
-        s.put(1, rec);
-        s.clear();
-        assert!(s.is_empty());
     }
 }

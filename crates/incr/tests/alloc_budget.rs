@@ -5,11 +5,11 @@
 //!
 //! A seed-only edit dirties the readers of the edited resource and
 //! copies nothing else, so it allocates a handful of blocks whatever the
-//! program's size. A re-run keeps its runtime between calls and gives
-//! each write one slot in a block shared by the whole run, so a re-run
-//! task allocates its memo record, its submission's parameter list and
-//! the runtime's own per-task blocks (the body box and the task's home
-//! record), plus a share of the run's few shared blocks.
+//! program's size. A re-run keeps its runtime between calls, rewrites
+//! each re-run task's memo in place and gives each write one slot in a
+//! block shared by the whole run, so a re-run task allocates its
+//! submission's parameter list and the runtime's body box, plus a share
+//! of the run's few shared blocks.
 
 use nexuspp_core::Priority;
 use nexuspp_frontend::Lowering;
@@ -52,7 +52,7 @@ static GLOBAL: Counting = Counting;
 const EDIT_BUDGET: u64 = 16;
 
 /// The most a re-run may allocate per re-run task, on average.
-const RERUN_BUDGET: f64 = 8.0;
+const RERUN_BUDGET: f64 = 4.0;
 
 const CELLS: u32 = 100;
 const STEPS: u32 = 10;
