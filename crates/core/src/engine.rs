@@ -61,8 +61,6 @@ pub struct FinishResult {
 pub struct DependencyEngine {
     pool: TaskPool,
     table: DepTable,
-    /// Tasks admitted whose check has completed (scheduling gate).
-    checked: Vec<bool>,
     /// Tasks currently in flight (admitted, not yet finished).
     in_flight: usize,
     /// The waiters one parameter release wakes, reused across releases.
@@ -75,7 +73,6 @@ impl DependencyEngine {
         DependencyEngine {
             pool: TaskPool::new(cfg),
             table: DepTable::new(cfg),
-            checked: vec![false; cfg.task_pool_entries],
             in_flight: 0,
             woken: Vec::new(),
         }
@@ -96,19 +93,12 @@ impl DependencyEngine {
         self.in_flight
     }
 
-    fn set_checked(&mut self, td: TdIndex, v: bool) {
-        let i = td.0 as usize;
-        if i >= self.checked.len() {
-            self.checked.resize(i + 1, false);
-        }
-        self.checked[i] = v;
-    }
-
-    /// True once `check` has processed every parameter of `td` (the
-    /// scheduling gate: a task whose Dependence Counter reaches zero
-    /// mid-check must not run until the check completes).
+    /// True once `check` has processed every parameter of the live
+    /// descriptor `td` (the scheduling gate: a task whose Dependence
+    /// Counter reaches zero mid-check must not run until the check
+    /// completes).
     pub(crate) fn is_checked(&self, td: TdIndex) -> bool {
-        self.checked.get(td.0 as usize).copied().unwrap_or(false)
+        self.pool.get(td).is_checked()
     }
 
     /// Caller tag of a live descriptor. Lets a composing layer (e.g. the
@@ -122,12 +112,6 @@ impl DependencyEngine {
     #[cfg(test)]
     pub(crate) fn dc_of(&self, td: TdIndex) -> u32 {
         self.pool.get(td).dc
-    }
-
-    /// True if `td` could run right now: its check is complete and it has
-    /// no outstanding dependencies.
-    pub fn is_ready(&self, td: TdIndex) -> bool {
-        self.is_checked(td) && self.pool.get(td).dc == 0
     }
 
     /// `Write TP`: admit a task into the pool. The parameter list may be
@@ -144,7 +128,6 @@ impl DependencyEngine {
             "duplicate addresses in a parameter list must be normalized first"
         );
         let (td, cost) = self.pool.admit(fptr, tag, params)?;
-        self.set_checked(td, false);
         self.in_flight += 1;
         Ok((td, cost))
     }
@@ -153,13 +136,14 @@ impl DependencyEngine {
     /// "it contains hardware queues that can be used for low-latency
     /// retrieval of independent tasks"): a task with no parameters cannot
     /// interact with the Dependence Table, so it may bypass `Check Deps`
-    /// entirely and go straight to the ready list.
+    /// entirely and go straight to the ready list. Its check is complete
+    /// at admission (no parameter is left to process), so this only
+    /// asserts that the task qualifies.
     pub fn mark_trivially_ready(&mut self, td: TdIndex) {
         assert!(
             self.pool.get(td).params.is_empty(),
             "only parameterless tasks may bypass dependency checking"
         );
-        self.set_checked(td, true);
     }
 
     /// `Check Deps`: process the task's parameters against the Dependence
@@ -191,7 +175,6 @@ impl DependencyEngine {
                 Err(TableFull) => return CheckProgress::Stalled { cost },
             }
         }
-        self.set_checked(td, true);
         let ready = self.pool.get(td).dc == 0;
         CheckProgress::Done { ready, cost }
     }
@@ -231,7 +214,6 @@ impl DependencyEngine {
         // list is read off the retired entry rather than copied.
         let read_cost = self.pool.read_params_cost(td);
         let (entry, retire_cost) = self.pool.retire(td);
-        self.set_checked(td, false);
         self.in_flight -= 1;
         let mut cost = read_cost + retire_cost;
         for p in &entry.params {
@@ -245,7 +227,7 @@ impl DependencyEngine {
                 debug_assert!(e.dc > 0, "waking a task with DC == 0");
                 e.dc -= 1;
                 cost += OpCost::pool(1);
-                if e.dc == 0 && self.is_checked(w.td) {
+                if e.dc == 0 && e.is_checked() {
                     newly_ready.push(w.td);
                 }
             }
@@ -459,23 +441,23 @@ mod tests {
         let mut e = engine();
         let (t0, _) = e.admit(1, 77, vec![Param::output(0x5, 4)]).unwrap();
         assert_eq!(e.tag_of(t0), 77);
-        assert!(!e.is_checked(t0) && !e.is_ready(t0));
+        assert!(!e.is_checked(t0));
         assert!(matches!(
             e.check(t0),
             CheckProgress::Done { ready: true, .. }
         ));
-        assert!(e.is_checked(t0) && e.is_ready(t0));
+        assert!(e.is_checked(t0) && e.dc_of(t0) == 0);
         let (t1, _) = e.admit(1, 78, vec![Param::input(0x5, 4)]).unwrap();
         e.check(t1);
         assert_eq!(e.dc_of(t1), 1);
-        assert!(e.is_checked(t1) && !e.is_ready(t1));
+        assert!(e.is_checked(t1));
         let fin = e.finish(t0);
         // Newly-ready indices can be mapped to tags without retiring them.
         assert_eq!(
             fin.newly_ready.iter().map(|&t| e.tag_of(t)).sum::<u64>(),
             78
         );
-        assert!(e.is_ready(t1));
+        assert_eq!(e.dc_of(t1), 0);
         e.finish(t1);
     }
 

@@ -4,8 +4,8 @@
 //! full Task Pool until a finish frees a slot, and idle workers wait
 //! until the Kick-Off List hands them work. Their software forms — a
 //! submitter parked on a full shard, an idle scheduler worker, a
-//! `barrier` waiting for quiescence, the service's ingress thread and a
-//! `submit_blocking` client waiting for lane space — all block on an
+//! `barrier` waiting for quiescence, a `submit_blocking` client and the
+//! service's shutdown drain waiting on a tenant lane — all block on an
 //! [`EventCount`] and differ only in what they recheck and who
 //! notifies.
 

@@ -85,6 +85,13 @@ impl TdEntry {
     pub(crate) fn n_dummies(&self) -> usize {
         self.dummies.len()
     }
+
+    /// Whether `Check Deps` has processed every parameter: the resume
+    /// point has reached the end of the list. A stalled check keeps a
+    /// shorter cursor, and a parameterless task has nothing to check.
+    pub(crate) fn is_checked(&self) -> bool {
+        self.check_cursor as usize == self.params.len()
+    }
 }
 
 #[derive(Debug, Clone)]

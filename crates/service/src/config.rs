@@ -18,10 +18,6 @@ pub struct ServiceConfig {
     /// Bound of each tenant's ingress lane (queued, not yet admitted).
     /// A full lane is client-visible backpressure.
     pub(crate) lane_capacity: usize,
-    /// Max tasks one admission pass takes from a lane before giving
-    /// the lane up — for the ingress thread, before moving to the next
-    /// lane (round-robin fairness quantum).
-    pub(crate) sweep_batch: usize,
     pub(crate) tenants: Vec<(TenantId, u64)>,
 }
 
@@ -37,7 +33,6 @@ impl ServiceConfig {
             shards,
             capacity: ShardCapacity::Bounded(NexusConfig::default().task_pool_entries),
             lane_capacity: 256,
-            sweep_batch: 32,
             tenants: Vec::new(),
         }
     }
@@ -61,16 +56,5 @@ impl ServiceConfig {
     pub fn lane_capacity(mut self, cap: usize) -> Self {
         self.lane_capacity = cap.max(1);
         self
-    }
-
-    /// Set the per-lane fairness quantum (at least 1).
-    pub fn sweep_batch(mut self, batch: usize) -> Self {
-        self.sweep_batch = batch.max(1);
-        self
-    }
-
-    /// The registered tenants, in registration order.
-    pub(crate) fn tenants(&self) -> impl Iterator<Item = (TenantId, u64)> + '_ {
-        self.tenants.iter().copied()
     }
 }

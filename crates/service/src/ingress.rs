@@ -1,16 +1,22 @@
-//! Caller-runs admission: one [`pump`], three callers, program order
-//! per tenant.
+//! Caller-runs admission: one [`pump`], run where tasks are sent and
+//! retired, program order per tenant.
 //!
 //! A lane is a bounded queue plus two one-task slots, and admitting
 //! from it — `pump` — runs under the lane's lock on whichever thread
-//! has a reason to: the client that just sent into the lane, the worker
-//! that just retired one of the lane's tasks and so freed its budget and
-//! shard slots (the runtime's settle call, [`settle_on_retire`]) — both
-//! through [`Lane::try_pump`] — or the ingress thread ([`run`]). The
-//! first two never block on the lock; losing it, or leaving work they
-//! cannot finish, they notify the ingress thread, which otherwise
-//! sleeps. In steady state a task goes from its client straight to a
-//! worker.
+//! has a reason to: the client that just sent into the lane, or the
+//! worker that just retired a task and so freed budget or shard slots
+//! (the runtime's settle call, [`settle_on_retire`]) — both through
+//! [`Lane::try_pump`] — and, at shutdown, the thread that called it
+//! ([`drain`]). The service has no thread of its own: as the paper's
+//! master core writes each task into the Task Pool itself, a task goes
+//! from its client straight to a worker.
+//!
+//! Neither a client nor a worker waits for a lane. One that finds it
+//! locked leaves a request (`Queue::again`) and goes on; the holder
+//! looks for one after it unlocks and pumps again — a delegation lock
+//! on one lane, as in Nanos6's dependency system. A pump has no quota:
+//! it admits until the lane is empty or blocked, and every task it
+//! admitted will retire, whose settle call pumps the lane again.
 //!
 //! `pump` is the only caller of the runtime's non-blocking submission
 //! API, which keeps the two backpressure layers composable without ever
@@ -20,14 +26,15 @@
 //!    against its tenant's budget lane. A denial leaves the task in the
 //!    lane's *hold slot* (program order is part of the dependence
 //!    semantics, so a lane never reorders). Only a retirement can clear
-//!    it, so a client-side pump does not retry the charge; the
-//!    retirement's own pump does.
+//!    it, so a pump that finds the budget still at its cap leaves the
+//!    held task without charging again.
 //! 2. **Capacity** — the runtime's retryable
 //!    [`SubmitError`](nexuspp_core::SubmitError) hands the lowered task
 //!    back as a [`PendingSpawn`]; it parks in the lane's *retry slot*
-//!    until a finish frees shard slots. The settle call comes after the
-//!    finish, so a lane's own retirement resubmits it; a slot freed by
-//!    another lane's finish waits for the ingress thread's tick.
+//!    until a finish frees shard slots. Every retirement's settle call
+//!    comes after its finish and pumps each lane whose retry slot is
+//!    occupied (`Lane::parked`), whichever lane, or none, the retired
+//!    task belonged to.
 //!
 //! Both slots block only their own lane, which is exactly the isolation
 //! property the multi-tenant tests assert. The credit is data, not a
@@ -38,24 +45,21 @@
 //! settled where it is dropped.
 
 use crate::metrics::TenantMetrics;
-use crate::task::{IngressGate, ServiceTask};
+use crate::task::{IngressShared, ServiceTask};
 use nexuspp_core::{EventCount, TenantId};
 use nexuspp_runtime::{PendingSpawn, Runtime};
 use nexuspp_shard::BudgetLane;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
-use std::time::{Duration, Instant};
-
-/// The longest the ingress thread, or a parked `submit_blocking`,
-/// sleeps between looks.
-pub(crate) const TICK: Duration = Duration::from_millis(1);
+use std::time::Instant;
 
 /// Install the runtime's settle call for `lanes`: a retired task is
 /// settled on its tenant's lane, which is then pumped from the retiring
 /// thread — the freed budget and shard slots are what a held or parked
-/// task waits for. A tenant no lane has (a task spawned around the
-/// ingress) is not settled.
+/// task waits for — and so is every lane with a parked retry slot. A
+/// tenant no lane has (a task spawned around the service) is not
+/// settled.
 ///
 /// The call owns the lanes, which own the runtime; the runtime drops it
 /// at shutdown, which breaks that cycle.
@@ -65,7 +69,16 @@ pub(crate) fn settle_on_retire(rt: &Runtime, lanes: &[Arc<Lane>]) {
     rt.on_retire(move |tenant, executed| {
         if let Ok(i) = lanes.binary_search_by_key(&tenant, |lane| lane.tenant) {
             lanes[i].settle(executed);
-            lanes[i].try_pump(true);
+            lanes[i].try_pump();
+        }
+        // Pairs with the fence a pump puts between parking a retry slot
+        // and retrying it: either that retry sees the shard slots this
+        // finish released, or this load sees the slot parked.
+        fence(Ordering::SeqCst);
+        for lane in &lanes {
+            if lane.parked.load(Ordering::Relaxed) {
+                lane.try_pump();
+            }
         }
     });
 }
@@ -76,19 +89,32 @@ pub(crate) struct Lane {
     pub(crate) tenant: TenantId,
     pub(crate) shared: Arc<IngressShared>,
     pub(crate) metrics: TenantMetrics,
-    /// Notified when a pump pops the lane: room for one more send.
+    /// Notified when a pump pops the lane (room for one more send), and
+    /// after every `try_pump` once the gate is sealed (the shutdown
+    /// drain waits on it).
     pub(crate) space: EventCount,
     budget: BudgetLane,
     /// Sent and not yet popped. Its own lock, taken only briefly, so a
     /// client's send never waits for a pump; a pump takes it under the
     /// lane lock, never the reverse.
-    queue: Mutex<VecDeque<ServiceTask>>,
+    queue: Mutex<Queue>,
     /// The queue's bound: a send that finds `cap` tasks queued is
     /// backpressure.
     cap: usize,
+    /// Whether the retry slot is occupied; written under the lane lock,
+    /// read without it by every retirement's settle call.
+    parked: AtomicBool,
     /// The lane lock. Held across one `pump`, so per-tenant admission
     /// order is send order whichever threads do the admitting.
     slots: Mutex<Slots>,
+}
+
+/// What the queue lock owns.
+struct Queue {
+    tasks: VecDeque<ServiceTask>,
+    /// A `try_pump` found the lane lock held: its holder pumps again
+    /// after it unlocks.
+    again: bool,
 }
 
 /// What the lane lock owns: the two parked slots.
@@ -101,15 +127,6 @@ struct Slots {
     /// Set by the hard-deadline path once it has emptied the lane: no
     /// pump admits afterwards.
     discard: bool,
-}
-
-/// What one [`pump`] did.
-struct Pumped {
-    /// It admitted (or disposed of) at least one task.
-    progress: bool,
-    /// It left work that no later submit or retirement is bound to pick
-    /// up: a parked retry slot, or a queue it ran out of quota on.
-    wants_tick: bool,
 }
 
 impl Lane {
@@ -125,8 +142,12 @@ impl Lane {
             metrics: TenantMetrics::new(),
             space: EventCount::new(),
             budget,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                again: false,
+            }),
             cap,
+            parked: AtomicBool::new(false),
             slots: Mutex::new(Slots {
                 hold: None,
                 retry: None,
@@ -136,28 +157,46 @@ impl Lane {
     }
 
     /// Caller-runs admission: pump the lane on this thread if its lock
-    /// is free. The client calls this after its send (`budget_freed`
-    /// false), the settle call after a retirement (`true`). `try_lock`,
-    /// never `lock`: neither a client nor a worker waits for a lane.
+    /// is free, and leave the pump to the holder if not. The client
+    /// calls this after its send, the settle call after a retirement.
+    /// `try_lock`, never `lock`: neither a client nor a worker waits for
+    /// a lane.
     ///
-    /// Wakes the ingress thread if that leaves it something: a lost
-    /// lock race (the holder may already be past the queue), work only
-    /// a tick resolves, or a drain waiting to see this lane empty.
-    pub(crate) fn try_pump(&self, budget_freed: bool) {
-        let slots = match self.slots.try_lock() {
-            Ok(slots) => Some(slots),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        };
-        let wants_tick = match slots {
-            // A held task is budget-blocked, and a submit frees no
-            // budget: re-charging would only count another denial.
-            Some(slots) if !budget_freed && slots.hold.is_some() => false,
-            Some(mut slots) => pump(self, &mut slots).wants_tick,
-            None => true,
-        };
-        if wants_tick || self.shared.stop.load(Ordering::SeqCst) {
-            self.shared.signal.notify_all();
+    /// A loser records its request under the queue lock, then tries the
+    /// lane lock once more; a holder unlocks, then takes the request
+    /// under the queue lock. Whichever queue section comes second sees
+    /// the other's step: the holder finds the request, or the loser
+    /// finds the lane unlocked — or locked by a later holder, which
+    /// looks in turn.
+    pub(crate) fn try_pump(&self) {
+        while let Some(mut slots) = self.try_slots().or_else(|| {
+            self.queue().again = true;
+            self.try_slots()
+        }) {
+            pump(self, &mut slots);
+            drop(slots);
+            if !std::mem::take(&mut self.queue().again) {
+                break;
+            }
+        }
+        // The sealed gate says a drain may be waiting for this lane.
+        if !self.shared.is_accepting() {
+            self.space.notify_all();
+        }
+    }
+
+    /// The shutdown drain's step: pump under the lane lock, waiting for
+    /// it, until no request a lost `try_pump` left remains. Returns
+    /// whether the lane still has backlog.
+    fn pump_out(&self) -> bool {
+        loop {
+            let mut slots = self.slots();
+            pump(self, &mut slots);
+            let backlog = self.has_backlog(&slots);
+            drop(slots);
+            if !std::mem::take(&mut self.queue().again) {
+                return backlog;
+            }
         }
     }
 
@@ -175,39 +214,38 @@ impl Lane {
     /// Queue `task` unless the lane is full; a full lane hands it back.
     pub(crate) fn try_send(&self, task: ServiceTask) -> Result<(), ServiceTask> {
         let mut queue = self.queue();
-        if queue.len() >= self.cap {
+        if queue.tasks.len() >= self.cap {
             return Err(task);
         }
-        queue.push_back(task);
+        queue.tasks.push_back(task);
         Ok(())
     }
 
     /// Whether a send would be accepted right now.
     pub(crate) fn has_space(&self) -> bool {
-        self.queue().len() < self.cap
+        self.queue().tasks.len() < self.cap
     }
 
     /// Whether anything still waits for admission. The caller holds the
     /// lane lock (`slots`).
     fn has_backlog(&self, slots: &Slots) -> bool {
-        slots.retry.is_some() || slots.hold.is_some() || !self.queue().is_empty()
+        slots.retry.is_some() || slots.hold.is_some() || !self.queue().tasks.is_empty()
     }
 
-    /// Hard deadline: empty the lane un-admitted and close it to every
-    /// later pump. Returns how many accepted tasks were dropped.
-    fn discard(&self) -> u64 {
+    /// Hard deadline: empty the lane un-admitted, settling the retry
+    /// slot's charge, and close it to every later pump.
+    fn discard(&self) {
         let mut slots = self.slots();
         slots.discard = true;
         let held = slots.hold.take();
-        let queued = std::mem::take(&mut *self.queue());
-        let dropped = held.into_iter().chain(queued).count() as u64;
-        self.metrics.dropped.add(dropped);
-        // The retry slot was budget-charged already: settle it as
-        // cancelled.
-        if slots.retry.take().is_some() {
-            self.settle(false);
+        let retry = slots.retry.take();
+        let queued = std::mem::take(&mut self.queue().tasks);
+        let dropped = held.into_iter().chain(queued).count() + usize::from(retry.is_some());
+        self.metrics.dropped.add(dropped as u64);
+        if retry.is_some() {
+            self.parked.store(false, Ordering::Relaxed);
+            self.budget.credit();
         }
-        dropped
     }
 
     // Poisoning is recovered, as for the shard locks below the lane: no
@@ -216,146 +254,127 @@ impl Lane {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn queue(&self) -> MutexGuard<'_, VecDeque<ServiceTask>> {
+    fn try_slots(&self) -> Option<MutexGuard<'_, Slots>> {
+        match self.slots.try_lock() {
+            Ok(slots) => Some(slots),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    fn queue(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Admit from `lane`, in lane order, until it is empty, blocked or
-/// `sweep_batch` tasks are in. The caller holds the lane lock (`slots`).
-fn pump(lane: &Lane, slots: &mut Slots) -> Pumped {
-    let shared = &lane.shared;
-    let mut pumped = Pumped {
-        progress: false,
-        wants_tick: false,
-    };
+/// Admit from `lane`, in lane order, until it is empty or blocked. The
+/// caller holds the lane lock (`slots`).
+fn pump(lane: &Lane, slots: &mut Slots) {
+    let rt = &lane.shared.rt;
+    // Whether this pump has charged (or settled) a task.
+    let mut progress = false;
     if slots.discard {
-        return pumped;
+        return;
     }
-    // Order within a lane is dependence order: the retry slot precedes
-    // the hold slot precedes the queue, and a parked slot parks the
-    // whole lane (only that lane).
-    if let Some(p) = slots.retry.take() {
-        match shared.rt.try_respawn(p) {
-            Ok(()) => {
-                lane.metrics.admitted.inc();
-                pumped.progress = true;
-            }
-            Err((_e, p)) => {
-                slots.retry = Some(p);
-                pumped.wants_tick = true;
-                return pumped;
+    loop {
+        // Order within a lane is dependence order: the retry slot
+        // precedes the hold slot precedes the queue, and a parked slot
+        // parks the whole lane (only that lane).
+        if let Some(p) = slots.retry.take() {
+            match rt.try_respawn(p) {
+                Ok(()) => {
+                    lane.parked.store(false, Ordering::Relaxed);
+                    lane.metrics.admitted.inc();
+                    progress = true;
+                }
+                Err((_e, p)) => {
+                    slots.retry = Some(p);
+                    return;
+                }
             }
         }
-    }
-    for _ in 0..shared.sweep_batch {
-        let task = match slots.hold.take() {
-            Some(t) => t,
+        let (task, held) = match slots.hold.take() {
+            Some(t) => (t, true),
             None => {
-                let Some(t) = lane.queue().pop_front() else {
-                    return pumped;
+                let Some(t) = lane.queue().tasks.pop_front() else {
+                    return;
                 };
                 lane.space.notify_all();
-                t
+                (t, false)
             }
         };
-        // A pump that has just spent budget looks before it charges
-        // again: at the cap the task is held without a refused attempt
-        // (one per retirement, on a lane its budget paces).
-        let foreseen = pumped.progress && lane.budget.at_cap();
+        // A held task, or one behind a charge this pump made, looks
+        // before it charges: at the cap it is held without a refused
+        // attempt (one per retirement, on a lane its budget paces).
+        let foreseen = (held || progress) && lane.budget.at_cap();
         if foreseen || lane.budget.charge().is_err() {
             if !foreseen {
                 lane.metrics.budget_denied.inc();
             }
             slots.hold = Some(task);
-            return pumped;
+            return;
         }
         let ServiceTask { sub, job } = task;
-        match shared.rt.try_spawn_lowered(sub, job) {
+        match rt.try_spawn_lowered(sub, job) {
             Ok(()) => lane.metrics.admitted.inc(),
             Err((e, p)) if e.is_retryable() => {
                 lane.metrics.capacity_retries.inc();
                 slots.retry = Some(p);
-                pumped.wants_tick = true;
-                return pumped;
+                // Publish the park, then retry once (the loop's top): a
+                // finish that released its shard slots before this fence
+                // is seen by that retry, one after it by its settle
+                // call's scan.
+                lane.parked.store(true, Ordering::Relaxed);
+                fence(Ordering::SeqCst);
+                continue;
             }
             // Non-retryable (invalid submission): discarded, settled as
             // cancelled.
             Err(_) => lane.settle(false),
         }
-        pumped.progress = true;
+        progress = true;
     }
-    // Quota spent with the lane still flowing: the rest is the tick's.
-    pumped.wants_tick = !lane.queue().is_empty();
-    pumped
 }
 
-/// State shared between the service front, every lane and the ingress
-/// thread.
-pub(crate) struct IngressShared {
-    pub(crate) rt: Arc<Runtime>,
-    pub(crate) gate: IngressGate,
-    /// The ingress thread's wake-up.
-    pub(crate) signal: EventCount,
-    /// Max tasks one `pump` admits before it gives the lane up
-    /// (round-robin fairness quantum of the ingress sweep).
-    pub(crate) sweep_batch: usize,
-    /// Raised (after sealing the gate) to ask the sweep to drain out.
-    pub(crate) stop: AtomicBool,
-    /// Hard shutdown deadline; past it a draining sweep discards its
-    /// backlog instead of admitting it.
-    pub(crate) deadline: Mutex<Option<Instant>>,
-}
-
-/// What the ingress thread hands back when it exits.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IngressStats {
-    /// Accepted tasks discarded un-admitted by the hard-deadline path.
-    pub(crate) dropped: u64,
-}
-
-/// Pump every lane once, waiting for each lane's lock. Returns whether
-/// any pump made progress and whether any lane still has backlog.
-fn sweep(lanes: &[Arc<Lane>]) -> (bool, bool) {
-    let (mut progress, mut backlog) = (false, false);
-    for lane in lanes {
-        let mut slots = lane.slots();
-        progress |= pump(lane, &mut slots).progress;
-        backlog |= lane.has_backlog(&slots);
-    }
-    (progress, backlog)
-}
-
-/// The ingress thread: the slow path of admission. It sleeps on the
-/// shared signal and sweeps when a caller-side pump hands over, and
-/// once a [`TICK`] regardless — for a parked retry slot, and for the
-/// shutdown deadline. Exits when `stop` is raised and it has found
-/// every lane, under that lane's lock, without backlog — so an
-/// admission still in flight on another thread has reached the runtime
-/// before the caller goes on to quiesce it — or immediately past the
-/// hard deadline, discarding backlog.
-pub(crate) fn run(shared: &IngressShared, lanes: &[Arc<Lane>]) -> IngressStats {
+/// Shutdown's drain, on the caller's thread once the gate is sealed:
+/// pump every lane under its lock until none has backlog. Past
+/// `deadline` it empties every lane un-admitted instead.
+///
+/// Between sweeps it waits on a blocked lane's `space`, which every
+/// `try_pump` notifies once the gate is sealed; what unblocks a lane —
+/// a retirement — pumps it. A `try_pump` that lost the lock to a sweep
+/// left its request, which the sweep takes after it unlocks, and one
+/// that lost it to the wait's recheck is seen by that recheck. Every lane
+/// is last seen without backlog under its own lock, so an admission in
+/// flight on another thread has reached the runtime before the caller
+/// goes on to quiesce it.
+pub(crate) fn drain(lanes: &[Arc<Lane>], deadline: Option<Instant>) {
     loop {
-        let stop = shared.stop.load(Ordering::SeqCst);
-        if stop
-            && shared
-                .deadline
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_some_and(|d| Instant::now() >= d)
-        {
-            return IngressStats {
-                dropped: lanes.iter().map(|lane| lane.discard()).sum(),
-            };
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            for lane in lanes {
+                lane.discard();
+            }
+            return;
         }
-        let (progress, backlog) = sweep(lanes);
-        if stop && !backlog {
-            return IngressStats::default();
-        }
-        if !progress {
-            shared.signal.wait(Some(TICK), || {
-                shared.stop.load(Ordering::SeqCst) != stop || sweep(lanes).0
-            });
+        // Pump every lane; wait on the last one left with backlog.
+        let blocked = lanes
+            .iter()
+            .fold(None, |last, lane| lane.pump_out().then_some(lane).or(last));
+        let Some(lane) = blocked else {
+            return;
+        };
+        // Look again if the lane is being pumped, was asked to be (a
+        // loser that may have missed the seal leaves only its request),
+        // or has no backlog left.
+        let recheck = || {
+            lane.try_slots()
+                .is_none_or(|s| lane.queue().again || !lane.has_backlog(&s))
+        };
+        match deadline {
+            Some(d) => lane
+                .space
+                .wait(Some(d.saturating_duration_since(Instant::now())), recheck),
+            None => lane.space.wait(None, recheck),
         }
     }
 }
@@ -367,23 +386,16 @@ mod tests {
     use nexuspp_core::testsupport::{wait_until, with_watchdog};
     use nexuspp_core::{ShardCapacity, TaskBuilder};
     use nexuspp_shard::TenantBudgets;
+    use std::time::Duration;
 
     /// One worker and one shard holding one resident task, so a second
     /// task is always refused while the first is in, and lanes for
-    /// `tenants` with their settle call installed, but no ingress
-    /// thread: nothing pumps a lane but its clients, its retirements,
-    /// and an explicit [`sweep`].
-    fn lanes_without_ingress(tenants: &[u32]) -> (Arc<Runtime>, Vec<Arc<Lane>>) {
+    /// `tenants` with their settle call installed: nothing pumps a lane
+    /// but its clients and the runtime's retirements.
+    fn lanes(tenants: &[u32]) -> (Arc<Runtime>, Vec<Arc<Lane>>) {
         let rt = Arc::new(Runtime::with_capacity(1, 1, ShardCapacity::Bounded(1)));
         let budgets = TenantBudgets::new(tenants.iter().map(|&t| (TenantId(t), 8)));
-        let shared = Arc::new(IngressShared {
-            rt: Arc::clone(&rt),
-            gate: IngressGate::new(),
-            signal: EventCount::new(),
-            sweep_batch: 32,
-            stop: AtomicBool::new(false),
-            deadline: Mutex::new(None),
-        });
+        let shared = Arc::new(IngressShared::new(Arc::clone(&rt)));
         let lanes: Vec<_> = tenants
             .iter()
             .map(|&t| {
@@ -395,20 +407,24 @@ mod tests {
         (rt, lanes)
     }
 
+    /// A body that spins until `open` (if any) is set.
+    fn gated(open: Option<Arc<AtomicBool>>) -> impl FnOnce() + Send + 'static {
+        move || {
+            while open.as_ref().is_some_and(|o| !o.load(Ordering::Relaxed)) {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     /// Send a task on `addr` through `lane`'s handle path; `open` (if
     /// any) holds its body until it is set.
     fn send(lane: &Arc<Lane>, tag: u64, addr: u64, open: Option<Arc<AtomicBool>>) {
         let sub = TaskBuilder::new(1).tag(tag).read_writes(addr, 8).build();
-        let job = move || {
-            while open.as_ref().is_some_and(|o| !o.load(Ordering::Relaxed)) {
-                std::thread::yield_now();
-            }
-        };
         let handle = SubmissionHandle {
             lane: Arc::clone(lane),
         };
         handle
-            .try_submit(ServiceTask::new(sub, job))
+            .try_submit(ServiceTask::new(sub, gated(open)))
             .expect("the lane holds every send");
     }
 
@@ -416,7 +432,7 @@ mod tests {
     fn a_lanes_own_credit_resubmits_its_retry_slot() {
         with_watchdog(60, "own-credit retry", || {
             const TASKS: u64 = 40;
-            let (rt, lanes) = lanes_without_ingress(&[1]);
+            let (rt, lanes) = lanes(&[1]);
             let lane = &lanes[0];
             // The first task holds the shard's one slot; the second is
             // refused into the retry slot, the rest queue behind it.
@@ -438,32 +454,52 @@ mod tests {
             assert_eq!(lane.metrics.admitted.get(), TASKS);
             assert_eq!(lane.metrics.capacity_retries.get(), TASKS - 1);
             assert!(!lane.has_backlog(&lane.slots()));
+            assert!(!lane.parked.load(Ordering::Relaxed));
             assert_eq!(rt.shutdown().executed, TASKS);
         });
     }
 
+    /// Park a task of lane A (tenant 1) in its retry slot behind a task
+    /// that `occupy` puts on the shard's one slot, gated on the flag it
+    /// is given; then open the gate: that task's finish alone must
+    /// resubmit A's.
+    fn resubmitted_by_the_freeing_finish(
+        occupy: impl FnOnce(&Runtime, &[Arc<Lane>], Arc<AtomicBool>),
+    ) {
+        let (rt, lanes) = lanes(&[1, 2]);
+        let a = &lanes[0];
+        let open = Arc::new(AtomicBool::new(false));
+        occupy(&rt, &lanes, Arc::clone(&open));
+        send(a, 1, 0x100, None);
+        assert_eq!(a.metrics.capacity_retries.get(), 1);
+        assert!(a.parked.load(Ordering::Relaxed));
+        open.store(true, Ordering::Relaxed);
+        wait_until(Duration::from_secs(30), "A's task runs", || {
+            a.metrics.executed.get() == 1
+        });
+        rt.barrier();
+        assert_eq!(a.metrics.admitted.get(), 1);
+        assert!(!a.has_backlog(&a.slots()));
+        assert_eq!(rt.shutdown().executed, 2);
+    }
+
     #[test]
-    fn a_retry_slot_freed_by_another_lanes_finish_waits_for_the_tick() {
+    fn a_retry_slot_freed_by_another_lanes_finish_is_resubmitted_by_that_finish() {
         with_watchdog(60, "cross-lane retry", || {
-            let (rt, lanes) = lanes_without_ingress(&[1, 2]);
-            let (a, b) = (&lanes[0], &lanes[1]);
-            let open = Arc::new(AtomicBool::new(false));
-            send(b, 0, 0x200, Some(Arc::clone(&open)));
-            send(a, 1, 0x100, None);
-            assert_eq!(a.metrics.capacity_retries.get(), 1);
-            // B's finish frees the slot, but its settle pumps B only.
-            open.store(true, Ordering::Relaxed);
-            rt.barrier();
-            assert_eq!(b.metrics.executed.get(), 1);
-            assert_eq!(a.metrics.admitted.get(), 0);
-            assert!(a.slots().retry.is_some());
-            // The ingress thread's sweep is what resubmits it.
-            assert!(sweep(&lanes).0);
-            wait_until(Duration::from_secs(30), "A's task runs", || {
-                a.metrics.executed.get() == 1
-            });
-            rt.barrier();
-            assert_eq!(rt.shutdown().executed, 2);
+            resubmitted_by_the_freeing_finish(|_, lanes, open| {
+                send(&lanes[1], 0, 0x200, Some(open))
+            })
+        });
+    }
+
+    #[test]
+    fn a_retry_slot_freed_by_a_finish_outside_any_lane_is_resubmitted_by_that_finish() {
+        with_watchdog(60, "retry freed around the service", || {
+            // Spawned on the runtime directly: no tenant, no lane.
+            resubmitted_by_the_freeing_finish(|rt, _, open| {
+                let sub = TaskBuilder::new(1).tag(0).read_writes(0x300, 8).build();
+                rt.spawn_lowered(sub, gated(Some(open)));
+            })
         });
     }
 }

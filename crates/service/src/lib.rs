@@ -17,15 +17,17 @@
 //!   as a **retryable** [`IngressError::Backpressure`] carrying the
 //!   task back to the caller; `try_submit` never parks a client.
 //! * Admission — caller-runs: one routine, run under a per-lane lock by
-//!   the client that just sent, by the worker that just retired one of
-//!   the lane's tasks, or — the slow path — by the ingress thread,
-//!   admits in send order per tenant, charging each task against the
-//!   tenant's [`TenantBudgets`](nexuspp_shard::TenantBudgets) lane
-//!   before it may occupy runtime state, and absorbing the runtime's
-//!   retryable [`SubmitError`](nexuspp_core::SubmitError) capacity
-//!   rejections into a per-lane retry slot. The client's body box is
-//!   the runtime's, and the runtime settles the tenant's credit at
-//!   retirement ([`Runtime::on_retire`](nexuspp_runtime::Runtime::on_retire)).
+//!   the client that just sent or by the worker that just retired a
+//!   task — the service runs no thread of its own — admits in send
+//!   order per tenant, charging each task against the tenant's
+//!   [`TenantBudgets`](nexuspp_shard::TenantBudgets) lane before it may
+//!   occupy runtime state, and absorbing the runtime's retryable
+//!   [`SubmitError`](nexuspp_core::SubmitError) capacity rejections into
+//!   a per-lane retry slot, which the next retirement resubmits. A
+//!   thread that finds the lane locked leaves the pump to the holder.
+//!   The client's body box is the runtime's, and the runtime settles the
+//!   tenant's credit at retirement
+//!   ([`Runtime::on_retire`](nexuspp_runtime::Runtime::on_retire)).
 //!   A saturating tenant therefore stalls *its own lane only*: its
 //!   queue fills, its clients see backpressure, and every other lane
 //!   keeps flowing.
@@ -38,8 +40,9 @@
 //!   with [`ResolverService::with_observer`].
 //! * Shutdown — two-phase: [`ResolverService::shutdown`] first seals
 //!   ingress (a write-lock barrier guarantees no in-flight
-//!   `try_submit` races past the closed flag), drains every lane, then
-//!   quiesces the runtime and joins its workers. The
+//!   `try_submit` races past the closed flag), wakes any sender parked
+//!   on a full lane, and drains every lane on the calling thread; then
+//!   it quiesces the runtime and joins its workers. The
 //!   [`shutdown_deadline`](ResolverService::shutdown_deadline) form
 //!   adds the hard-abort path: past the deadline, still-queued ingress
 //!   is dropped (counted) and the runtime cancel-finishes queued tasks

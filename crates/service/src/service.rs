@@ -2,16 +2,13 @@
 //! two-phase shutdown.
 
 use crate::config::ServiceConfig;
-use crate::ingress::{self, IngressShared, IngressStats, Lane};
-use crate::task::{IngressGate, SubmissionHandle};
-use nexuspp_core::{EventCount, TenantId};
+use crate::ingress::{self, Lane};
+use crate::task::{IngressShared, SubmissionHandle};
+use nexuspp_core::TenantId;
 use nexuspp_obs::{Collector, MetricsRegistry, MetricsSnapshot};
 use nexuspp_runtime::{Runtime, ShutdownReport};
 use nexuspp_shard::{TenantBudgets, TenantCounts};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What [`ResolverService::shutdown`] /
@@ -39,15 +36,14 @@ pub struct ResolverService {
     registry: Arc<MetricsRegistry>,
     shared: Arc<IngressShared>,
     budgets: Arc<TenantBudgets>,
-    handles: HashMap<TenantId, SubmissionHandle>,
-    ingress: Mutex<Option<JoinHandle<IngressStats>>>,
-    /// Stats captured by whichever call actually performed shutdown.
-    finished: Mutex<Option<IngressStats>>,
+    /// One per registered tenant, sorted by tenant.
+    lanes: Vec<Arc<Lane>>,
 }
 
 impl ResolverService {
-    /// Start a service (runtime workers spawned, ingress thread
-    /// parked, handles ready to vend).
+    /// Start a service (runtime workers spawned, handles ready to
+    /// vend). The service runs no thread of its own: admission runs on
+    /// the threads that send and retire tasks.
     pub fn start(cfg: ServiceConfig) -> ResolverService {
         ResolverService::build(cfg, None)
     }
@@ -67,54 +63,40 @@ impl ResolverService {
         });
         let registry = Arc::new(rt.metrics());
         let budgets = Arc::new(TenantBudgets::new(cfg.tenants.iter().copied()));
-        let shared = Arc::new(IngressShared {
-            rt,
-            gate: IngressGate::new(),
-            signal: EventCount::new(),
-            sweep_batch: cfg.sweep_batch,
-            stop: AtomicBool::new(false),
-            deadline: Mutex::new(None),
-        });
-        let mut lanes = Vec::new();
-        let mut handles = HashMap::new();
-        for (tenant, _budget) in cfg.tenants() {
-            if handles.contains_key(&tenant) {
+        let shared = Arc::new(IngressShared::new(rt));
+        let mut lanes: Vec<Arc<Lane>> = Vec::new();
+        for &(tenant, _budget) in &cfg.tenants {
+            if lanes.iter().any(|lane| lane.tenant == tenant) {
                 continue; // duplicate registration: first entry wins
             }
             let budget = budgets.lane_of(tenant).expect("registered just above");
-            let lane = Arc::new(Lane::new(
-                tenant,
-                Arc::clone(&shared),
-                budget,
-                cfg.lane_capacity,
-            ));
+            let lane = Lane::new(tenant, Arc::clone(&shared), budget, cfg.lane_capacity);
             lane.metrics.register_in(&registry, tenant, &budgets);
-            lanes.push(Arc::clone(&lane));
-            handles.insert(tenant, SubmissionHandle { lane });
+            lanes.push(Arc::new(lane));
         }
+        lanes.sort_by_key(|lane| lane.tenant);
         ingress::settle_on_retire(&shared.rt, &lanes);
         if let Some(c) = collector {
             c.attach_registry(Arc::clone(&registry));
         }
-        let thread_shared = Arc::clone(&shared);
-        let ingress = std::thread::Builder::new()
-            .name("nexuspp-ingress".into())
-            .spawn(move || ingress::run(&thread_shared, &lanes))
-            .expect("failed to spawn ingress thread");
         ResolverService {
             registry,
             shared,
             budgets,
-            handles,
-            ingress: Mutex::new(Some(ingress)),
-            finished: Mutex::new(None),
+            lanes,
         }
     }
 
     /// The ingress endpoint for `tenant` (registered at construction).
     /// Clone-and-move into as many client threads as needed.
     pub fn handle(&self, tenant: TenantId) -> Option<SubmissionHandle> {
-        self.handles.get(&tenant).cloned()
+        let i = self
+            .lanes
+            .binary_search_by_key(&tenant, |lane| lane.tenant)
+            .ok()?;
+        Some(SubmissionHandle {
+            lane: Arc::clone(&self.lanes[i]),
+        })
     }
 
     /// The wrapped runtime (read-side introspection; submitting around
@@ -135,8 +117,9 @@ impl ResolverService {
     }
 
     /// Graceful two-phase shutdown: seal ingress (new `try_submit`s
-    /// refuse with `Closed`), drain every lane through admission, then
-    /// quiesce the runtime and join its workers. Blocks until done;
+    /// refuse with `Closed`, and a blocked `submit_blocking` returns its
+    /// task), drain every lane through admission on the calling thread,
+    /// then quiesce the runtime and join its workers. Blocks until done;
     /// every accepted task has executed when it returns.
     pub fn shutdown(&self) -> ServiceReport {
         self.shutdown_with(None)
@@ -153,22 +136,14 @@ impl ResolverService {
 
     fn shutdown_with(&self, deadline: Option<Duration>) -> ServiceReport {
         let start = Instant::now();
-        if let Some(d) = deadline {
-            *lock(&self.shared.deadline) = Some(start + d);
-        }
         // Phase 1: seal + drain. After seal() returns, every send a
-        // client got Ok for is visible to the ingress drain.
-        self.shared.gate.seal();
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.signal.notify_all();
-        let stats = {
-            let joined = lock(&self.ingress).take().and_then(|h| h.join().ok());
-            let mut finished = lock(&self.finished);
-            if let Some(s) = joined {
-                *finished = Some(s);
-            }
-            finished.unwrap_or_default()
-        };
+        // client got Ok for is in its lane; a sender parked on a full
+        // lane wakes to find the gate sealed.
+        self.shared.seal();
+        for lane in &self.lanes {
+            lane.space.notify_all();
+        }
+        ingress::drain(&self.lanes, deadline.map(|d| start + d));
         // Phase 2: quiesce the runtime within whatever deadline is
         // left (the drain above consumed part of it).
         let runtime = match deadline {
@@ -178,10 +153,11 @@ impl ResolverService {
                 .rt
                 .shutdown_deadline(d.saturating_sub(start.elapsed())),
         };
+        let dropped_ingress = self.lanes.iter().map(|l| l.metrics.dropped.get()).sum();
         ServiceReport {
-            graceful: runtime.graceful && stats.dropped == 0,
+            graceful: runtime.graceful && dropped_ingress == 0,
             runtime,
-            dropped_ingress: stats.dropped,
+            dropped_ingress,
             tenants: self.budgets.all_counts(),
         }
     }
@@ -190,15 +166,9 @@ impl ResolverService {
 impl Drop for ResolverService {
     fn drop(&mut self) {
         // Equivalent to an explicit graceful shutdown; a no-op beyond
-        // the runtime's own Drop if one already ran.
-        if lock(&self.ingress).is_some() {
+        // the runtime's own Drop if one already sealed the gate.
+        if self.shared.is_accepting() {
             let _ = self.shutdown();
         }
     }
-}
-
-/// Take `m`, recovering it if poisoned: each of this file's locks
-/// guards an `Option` that one store or `take` updates.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -1,8 +1,8 @@
 //! The client-facing ingress surface: tasks, errors, handles.
 
-use crate::ingress::{Lane, TICK};
-use nexuspp_core::{Submission, TenantId};
-use nexuspp_runtime::TaskCtx;
+use crate::ingress::Lane;
+use nexuspp_core::Submission;
+use nexuspp_runtime::{Runtime, TaskCtx};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -43,6 +43,7 @@ impl std::fmt::Debug for ServiceTask {
 }
 
 /// Why [`SubmissionHandle::try_submit`] handed the task back.
+#[derive(Debug)]
 pub enum IngressError {
     /// The tenant's lane is full. **Retryable**: the task is returned
     /// untouched; resubmit after backing off (lane slots free as
@@ -67,27 +68,28 @@ impl IngressError {
     }
 }
 
-impl std::fmt::Debug for IngressError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IngressError::Backpressure(t) => f.debug_tuple("Backpressure").field(t).finish(),
-            IngressError::Closed(t) => f.debug_tuple("Closed").field(t).finish(),
-        }
-    }
-}
-
-/// The gate `try_submit` threads hold (shared) while checking the
-/// accepting flag and sending. Shutdown flips the flag and then takes
-/// it exclusively once, which linearizes sealing: afterwards, anything
-/// a client managed to enqueue is provably visible to the drain.
-pub(crate) struct IngressGate {
+/// State shared between the service front and every lane: the wrapped
+/// runtime and the ingress gate.
+///
+/// `try_submit` threads hold the gate (shared) while checking the
+/// accepting flag and sending. Shutdown clears the flag and then takes
+/// the gate exclusively once, which linearizes sealing: afterwards,
+/// anything a client managed to enqueue is provably visible to the
+/// drain. The lock orders the flag for those readers, so its accesses
+/// are `Relaxed`; a reader outside the lock (a parked sender, a pump
+/// that may owe the drain a wake) is ordered by the `EventCount` it
+/// waits on or notifies, or by the lane lock the drain rechecks. The
+/// sealed gate is the service's only "stopping" signal.
+pub(crate) struct IngressShared {
+    pub(crate) rt: Arc<Runtime>,
     accepting: AtomicBool,
     gate: RwLock<()>,
 }
 
-impl IngressGate {
-    pub(crate) fn new() -> IngressGate {
-        IngressGate {
+impl IngressShared {
+    pub(crate) fn new(rt: Arc<Runtime>) -> IngressShared {
+        IngressShared {
+            rt,
             accepting: AtomicBool::new(true),
             gate: RwLock::new(()),
         }
@@ -96,7 +98,7 @@ impl IngressGate {
     /// Seal ingress. After this returns, no `try_submit` can succeed,
     /// and every previously successful send is visible in its lane.
     pub(crate) fn seal(&self) {
-        self.accepting.store(false, Ordering::SeqCst);
+        self.accepting.store(false, Ordering::Relaxed);
         let _w = self
             .gate
             .write()
@@ -104,7 +106,7 @@ impl IngressGate {
     }
 
     pub(crate) fn is_accepting(&self) -> bool {
-        self.accepting.load(Ordering::SeqCst)
+        self.accepting.load(Ordering::Relaxed)
     }
 }
 
@@ -118,11 +120,6 @@ pub struct SubmissionHandle {
 }
 
 impl SubmissionHandle {
-    /// The tenant this handle submits as.
-    pub fn tenant(&self) -> TenantId {
-        self.lane.tenant
-    }
-
     /// Non-blocking submit. `Ok(())` means *accepted*: the task is in
     /// the tenant's lane and — unless a hard-deadline shutdown drops
     /// it — will be admitted and retired exactly once. Errors hand the
@@ -134,12 +131,12 @@ impl SubmissionHandle {
     pub fn try_submit(&self, mut task: ServiceTask) -> Result<(), IngressError> {
         let lane = &self.lane;
         {
-            let gate = &lane.shared.gate;
-            let _r = gate
+            let shared = &lane.shared;
+            let _r = shared
                 .gate
                 .read()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if !gate.is_accepting() {
+            if !shared.is_accepting() {
                 return Err(IngressError::Closed(task));
             }
             task.sub.tenant = lane.tenant;
@@ -149,27 +146,24 @@ impl SubmissionHandle {
             }
             lane.metrics.submitted.inc();
         }
-        lane.try_pump(false);
+        lane.try_pump();
         Ok(())
     }
 
     /// Convenience retry loop around [`try_submit`](Self::try_submit):
-    /// while backpressured, parks (in 1 ms bounded waits) until an
-    /// admission pops the lane. Returns the task only if ingress closed.
-    pub fn submit_blocking(&self, task: ServiceTask) -> Result<(), ServiceTask> {
+    /// while backpressured, parks until an admission pops the lane or
+    /// shutdown seals ingress (both notify the lane's `space`). Returns
+    /// the task only if ingress closed.
+    pub fn submit_blocking(&self, mut task: ServiceTask) -> Result<(), ServiceTask> {
         let lane = &self.lane;
-        let mut task = task;
         loop {
             match self.try_submit(task) {
                 Ok(()) => return Ok(()),
                 Err(IngressError::Closed(t)) => return Err(t),
                 Err(IngressError::Backpressure(t)) => task = t,
             }
-            // A seal publishes nothing here; the bound is what returns
-            // a submitter parked across one to `try_submit`'s `Closed`.
-            lane.space.wait(Some(TICK), || {
-                lane.has_space() || !lane.shared.gate.is_accepting()
-            });
+            lane.space
+                .wait(None, || lane.has_space() || !lane.shared.is_accepting());
         }
     }
 }

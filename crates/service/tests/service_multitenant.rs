@@ -1,9 +1,9 @@
 //! Multi-tenant service behavior: admission isolation, client-visible
 //! backpressure, both shutdown phases' exactly-once accounting,
-//! caller-runs admission with client-side, worker-side and
-//! ingress-thread pumps racing on every lane, one settlement per
-//! admitted task on every exit path, and a service that frees its
-//! runtime once it is shut down and dropped.
+//! caller-runs admission with client-side and worker-side pumps racing
+//! on every lane, a blocked sender released by the seal alone, one
+//! settlement per admitted task on every exit path, and a service that
+//! frees its runtime once it is shut down and dropped.
 
 use nexuspp_core::testsupport::with_watchdog;
 use nexuspp_core::{Submission, TaskBuilder};
@@ -313,9 +313,8 @@ fn racing_pumps_admit_each_clients_tasks_in_send_order_exactly_once() {
         const CLIENTS: u32 = 2;
         const PER_CLIENT: u64 = 500;
         // Budget 1 and lane 2 keep every lane blocked nearly always, so
-        // a task is admitted by whichever of its clients, the worker
-        // that just retired its predecessor, or the ingress thread gets
-        // to the lane first.
+        // a task is admitted by whichever of its clients or the worker
+        // that just retired its predecessor gets to the lane first.
         let mut cfg = ServiceConfig::new(4, 4).lane_capacity(2);
         for t in 1..=TENANTS {
             cfg = cfg.tenant(TenantId(t), 1);
@@ -523,15 +522,13 @@ fn collector_samples_per_tenant_groups_live() {
 }
 
 #[test]
-fn zero_sweep_batch_and_lane_capacity_are_clamped_and_drain() {
-    with_watchdog(20, "zero-sized lane and quantum", || {
-        // A quantum of 0 would admit nothing and a bound of 0 would
-        // refuse every send; the builder clamps both to 1, and the
-        // builder is the only way to set them.
+fn zero_lane_capacity_is_clamped_and_drains() {
+    with_watchdog(20, "zero-sized lane", || {
+        // A bound of 0 would refuse every send; the builder clamps it to
+        // 1, and the builder is the only way to set it.
         let svc = ResolverService::start(
             ServiceConfig::new(1, 2)
                 .tenant(TenantId(1), 8)
-                .sweep_batch(0)
                 .lane_capacity(0),
         );
         let h = svc.handle(TenantId(1)).unwrap();
@@ -541,6 +538,57 @@ fn zero_sweep_batch_and_lane_capacity_are_clamped_and_drain() {
         let report = svc.shutdown();
         assert!(report.graceful);
         assert_eq!(report.runtime.executed, 4);
+    });
+}
+
+#[test]
+fn a_sender_blocked_on_a_full_lane_is_released_by_the_seal() {
+    with_watchdog(60, "blocked sender at shutdown", || {
+        // Budget 1 and a one-task lane: the gated head is admitted, the
+        // next task is held for budget, the one after fills the lane,
+        // and a fourth send blocks.
+        let svc = ResolverService::start(
+            ServiceConfig::new(2, 2)
+                .tenant(TenantId(1), 1)
+                .lane_capacity(1),
+        );
+        let h = svc.handle(TenantId(1)).unwrap();
+        let open = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&open);
+        h.try_submit(task(1, 0, 0, move || {
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }))
+        .expect("head accepted");
+        for tag in 1..3 {
+            h.submit_blocking(task(1, 0, tag, || {})).unwrap();
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(h.submit_blocking(task(1, 0, 3, || {})).map_err(|t| t.tag())));
+            assert!(
+                rx.recv_timeout(Duration::from_millis(50)).is_err(),
+                "parked"
+            );
+            // The drain waits for the gated head, so the shutdown stays
+            // in its first phase while the sender is watched.
+            let shutdown = s.spawn(|| svc.shutdown());
+            while !matches!(
+                h.try_submit(task(1, 1, 9, || {})),
+                Err(IngressError::Closed(_))
+            ) {}
+            let released = rx.recv_timeout(Duration::from_secs(1));
+            assert_eq!(
+                released,
+                Ok(Err(3)),
+                "handed back within a second of the seal"
+            );
+            open.store(true, Ordering::SeqCst);
+            let report = shutdown.join().unwrap();
+            assert!(report.graceful);
+            assert_eq!(report.runtime.executed, 3);
+        });
     });
 }
 

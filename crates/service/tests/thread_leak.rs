@@ -22,6 +22,9 @@ fn service_lifecycle_leaks_no_threads() {
                 .tenant(TenantId(1), 8)
                 .tenant(TenantId(2), 8),
         );
+        // The runtime's four workers are the service's only threads:
+        // admission runs on the threads that send and retire tasks.
+        assert_eq!(thread_count(), baseline + 4, "round {round}");
         for t in 1..=2u32 {
             let h = svc.handle(TenantId(t)).unwrap();
             for i in 0..100u64 {
@@ -37,8 +40,8 @@ fn service_lifecycle_leaks_no_threads() {
         assert!(report.graceful, "round {round}");
         assert_eq!(report.runtime.executed, 200, "round {round}");
         drop(svc);
-        // Worker + ingress threads must all be joined; give the OS a
-        // moment to reap, then insist on the baseline.
+        // Every worker must be joined; give the OS a moment to reap,
+        // then insist on the baseline.
         wait_until(
             Duration::from_secs(10),
             &format!("round {round}: thread count back to baseline {baseline}"),
