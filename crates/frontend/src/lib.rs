@@ -21,9 +21,10 @@
 //!   name a producerless version or form a cycle fail at
 //!   [`graph`](Program::graph).
 //! * [`graph`](Program::graph) — the one place dependency order is
-//!   computed: it derives the true-dependency edges, orders tasks
-//!   topologically (stable in declaration order) and rejects a cycle.
-//!   The incremental layer (`nexuspp_incr`) takes its edges, order and
+//!   computed: it turns the producer each read recorded at declaration
+//!   into flat consumer lists, orders tasks topologically (stable in
+//!   declaration order) and rejects a cycle, once per program. The
+//!   incremental layer (`nexuspp_incr`) takes its edges, order and
 //!   cycle verdict from it at every structural commit.
 //! * [`lower`](Program::lower) — takes that graph and assigns physical
 //!   addresses under a chosen [`Lowering`]:
@@ -66,5 +67,5 @@ pub mod exec;
 pub mod lower;
 pub mod program;
 
-pub use lower::{LoweredProgram, Lowering};
+pub use lower::{Graph, LoweredProgram, Lowering};
 pub use program::{FrontendError, Program, ResourceId, TaskDecl, Version};

@@ -24,7 +24,8 @@
 //! while differing hugely in available parallelism.
 
 use crate::program::{FrontendError, Program, ResourceId, Version};
-use nexuspp_core::{Submission, TaskBuilder};
+use nexuspp_core::{Submission, TenantId};
+use nexuspp_trace::{AccessMode, Param};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -113,59 +114,81 @@ impl LoweredProgram {
     }
 }
 
-impl Program {
-    /// The program's dependency graph — the one place the workspace
-    /// derives true edges, orders tasks and rejects a cycle. Returns
-    /// the declaration indices in stable topological order (Kahn's
-    /// algorithm, ties broken by declaration index) and, per
-    /// declaration, the indices of its consumers in declaration order:
-    /// the minter of each read version → its reader. Version 0 is
-    /// initial contents (no producer), and a task's read of a version
-    /// it mints itself is not an edge.
-    ///
-    /// Fails with [`FrontendError::UnknownProducer`] if a pinned read
-    /// names a version no task mints, or [`FrontendError::Cycle`] if
-    /// version pins loop.
-    pub fn graph(&self) -> Result<(Vec<usize>, Vec<Vec<usize>>), FrontendError> {
-        let decls = self.tasks();
-        let n = decls.len();
-        // Who mints each (resource, version)? Writes mint versions 1, 2,
-        // ... of a resource in declaration order, so version `v`'s
-        // producer is entry `v - 1` of the resource's list.
-        let mut producer: Vec<Vec<usize>> = vec![Vec::new(); self.resource_count()];
-        for (i, t) in decls.iter().enumerate() {
-            for &(r, v) in &t.writes {
-                let minted = &mut producer[r.0 as usize];
-                minted.push(i);
-                debug_assert_eq!(minted.len(), v as usize, "versions are minted densely");
+/// A program's dependency graph ([`Program::graph`]): a stable
+/// topological order and, per declaration, its consumers, stored flat
+/// (compressed sparse rows).
+#[derive(Debug, Clone)]
+pub struct Graph {
+    /// Declaration indices in stable topological order (Kahn's
+    /// algorithm, ties broken by declaration index).
+    pub order: Vec<usize>,
+    /// Declaration `p`'s consumers are
+    /// `consumers[consumer_at[p]..consumer_at[p + 1]]`.
+    consumer_at: Vec<usize>,
+    consumers: Vec<usize>,
+}
+
+impl Graph {
+    /// The declaration indices of `p`'s consumers, in declaration order:
+    /// every task reading a version `p` mints, once each.
+    pub fn consumers(&self, p: usize) -> &[usize] {
+        &self.consumers[self.consumer_at[p]..self.consumer_at[p + 1]]
+    }
+
+    /// Transpose the producers each read recorded at declaration into
+    /// consumer lists, and order the declarations.
+    fn build(prog: &Program) -> Result<Graph, FrontendError> {
+        if let Some(e) = prog.unminted_pin() {
+            return Err(e);
+        }
+        let n = prog.tasks().len();
+        // Count each producer's consumers into `consumer_at[p + 1]`, sum
+        // the counts into starts, then fill with `consumer_at[p]` as p's
+        // cursor: readers are visited in declaration order, and each
+        // cursor ends where the next list starts, so one shift restores
+        // the starts.
+        let mut consumer_at = vec![0; n + 1];
+        for c in 0..n {
+            for p in prog.producers_of(c) {
+                consumer_at[p + 1] += 1;
             }
         }
-        // Readers are visited in declaration order, so a reader's
-        // duplicate edges to one producer are adjacent in that
-        // producer's list.
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for p in 0..n {
+            consumer_at[p + 1] += consumer_at[p];
+        }
+        let mut consumers = vec![0; consumer_at[n]];
+        for c in 0..n {
+            for p in prog.producers_of(c) {
+                consumers[consumer_at[p]] = c;
+                consumer_at[p] += 1;
+            }
+        }
+        consumer_at.copy_within(0..n, 1);
+        consumer_at[0] = 0;
+        let mut graph = Graph {
+            order: Vec::new(),
+            consumer_at,
+            consumers,
+        };
+        graph.order = if prog.edges_point_forward() {
+            // Kahn's algorithm popping the smallest index would pop
+            // every index in turn.
+            (0..n).collect()
+        } else {
+            graph.kahn(prog)?
+        };
+        Ok(graph)
+    }
+
+    /// Kahn's algorithm, always popping the smallest declaration index:
+    /// the order is deterministic and follows program order wherever
+    /// dependencies permit.
+    fn kahn(&self, prog: &Program) -> Result<Vec<usize>, FrontendError> {
+        let n = self.consumer_at.len() - 1;
         let mut indeg: Vec<usize> = vec![0; n];
-        for (i, t) in decls.iter().enumerate() {
-            for &(r, v) in &t.reads {
-                if v == 0 {
-                    continue;
-                }
-                let &p = producer[r.0 as usize].get(v as usize - 1).ok_or_else(|| {
-                    FrontendError::UnknownProducer {
-                        resource: self.resource_name(r).to_string(),
-                        version: v,
-                        reader: t.tag,
-                    }
-                })?;
-                if p != i && adj[p].last() != Some(&i) {
-                    adj[p].push(i);
-                    indeg[i] += 1;
-                }
-            }
+        for &c in &self.consumers {
+            indeg[c] += 1;
         }
-        // Kahn's algorithm, always popping the smallest declaration
-        // index: the order is deterministic and follows program order
-        // wherever dependencies permit.
         let mut ready: BinaryHeap<Reverse<usize>> = indeg
             .iter()
             .enumerate()
@@ -175,7 +198,7 @@ impl Program {
         let mut order = Vec::with_capacity(n);
         while let Some(Reverse(i)) = ready.pop() {
             order.push(i);
-            for &j in &adj[i] {
+            for &j in self.consumers(i) {
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
                     ready.push(Reverse(j));
@@ -187,44 +210,76 @@ impl Program {
                 .iter()
                 .enumerate()
                 .filter(|(_, &d)| d > 0)
-                .map(|(i, _)| decls[i].tag)
+                .map(|(i, _)| prog.decl(i).tag)
                 .collect();
             return Err(FrontendError::Cycle { tags: unordered });
         }
-        Ok((order, adj))
+        Ok(order)
+    }
+}
+
+impl Program {
+    /// The program's dependency graph — the one place the workspace
+    /// derives true edges, orders tasks and rejects a cycle: the minter
+    /// of each read version → its reader. Version 0 is initial contents
+    /// (no producer), and a task's read of a version it mints itself is
+    /// not an edge. Built once, from the producers recorded at
+    /// declaration, and kept until the next declaration.
+    ///
+    /// Fails with [`FrontendError::UnknownProducer`] if a pinned read
+    /// names a version no task mints, or [`FrontendError::Cycle`] if
+    /// version pins loop.
+    pub fn graph(&self) -> Result<&Graph, FrontendError> {
+        self.graph
+            .get_or_init(|| Graph::build(self))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Lower the program: take the true-dependency edges and the stable
     /// topological order from [`graph`](Self::graph), assign physical
-    /// addresses per `lowering`, and emit one [`Submission`] per task.
+    /// addresses per `lowering`, and emit one [`Submission`] per task
+    /// whose parameter list is one block of exactly its length.
     ///
     /// Fails as [`graph`](Self::graph) does.
     pub fn lower(&self, lowering: Lowering) -> Result<LoweredProgram, FrontendError> {
-        let decls = self.tasks();
-        let (order, consumers) = self.graph()?;
-        // Emit. Under Raw, a read and a write of the same resource
-        // collapse to one address; TaskBuilder's normalization merges
-        // them into a single inout parameter.
-        let tasks = order
+        let graph = self.graph()?;
+        // Reads first, then writes, accesses to one address merged into
+        // the first one's slot (as `TaskBuilder` normalizes): under Raw a
+        // read and a write of one resource become a single inout
+        // parameter. Every access to an address names the same resource,
+        // so the sizes agree.
+        let mut params: Vec<Param> = Vec::new();
+        let tasks = graph
+            .order
             .iter()
-            .map(|&i| {
-                let t = &decls[i];
-                let mut b = TaskBuilder::new(t.fptr).tag(t.tag).priority(t.priority);
-                for &(r, v) in &t.reads {
-                    b = b.reads(lowering.address(r, v), self.resource_size(r));
+            .map(|&t| {
+                let d = self.decl(t);
+                params.clear();
+                let param = |mode| {
+                    move |&(r, v)| Param::new(lowering.address(r, v), self.resource_size(r), mode)
+                };
+                let reads = d.reads.iter().map(param(AccessMode::In));
+                for p in reads.chain(d.writes.iter().map(param(AccessMode::Out))) {
+                    match params.iter_mut().find(|q| q.addr == p.addr) {
+                        Some(q) => q.mode = q.mode.merge(p.mode),
+                        None => params.push(p),
+                    }
                 }
-                for &(r, v) in &t.writes {
-                    b = b.writes(lowering.address(r, v), self.resource_size(r));
+                Submission {
+                    fptr: d.fptr,
+                    tag: d.tag,
+                    priority: d.priority,
+                    tenant: TenantId::NONE,
+                    params: params.to_vec(),
                 }
-                b.build()
             })
             .collect();
-        let edges = consumers
-            .iter()
-            .enumerate()
-            .flat_map(|(p, cs)| cs.iter().map(move |&c| (p, c)))
-            .map(|(p, c)| (decls[p].tag, decls[c].tag))
-            .collect();
+        let tag = |t: usize| self.decl(t).tag;
+        let mut edges = Vec::with_capacity(graph.consumers.len());
+        let n = graph.order.len();
+        edges
+            .extend((0..n).flat_map(|p| graph.consumers(p).iter().map(move |&c| (tag(p), tag(c)))));
         Ok(LoweredProgram {
             lowering,
             tasks,
@@ -236,7 +291,6 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexuspp_trace::AccessMode;
 
     #[test]
     fn renamed_assigns_distinct_addresses_per_version() {

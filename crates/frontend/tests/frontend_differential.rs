@@ -17,14 +17,24 @@
 //!    set the hand encoding derives for itself.
 //! 3. The frontend's inferred edge set is compared edge-for-edge
 //!    against the hand encoding's last-writer model.
+//!
+//! A second property drops the restriction to well-formed programs:
+//! pins to future and never-minted versions, cycles, duplicate and
+//! `read_writes` accesses, and names registered only by a write. Its
+//! reference resolves names and versions at submit, finds producers by
+//! search, orders with Kahn's algorithm popping the smallest index, and
+//! normalizes parameters through `TaskBuilder`. The frontend's
+//! declaration errors, `graph()` order, consumers and errors, and both
+//! lowerings' tasks and edges must equal it element for element.
 
 use nexuspp_core::oracle::OracleResolver;
-use nexuspp_core::{NexusConfig, ShardCapacity, TaskBuilder};
-use nexuspp_frontend::{LoweredProgram, Lowering, Program};
+use nexuspp_core::{NexusConfig, Priority, ShardCapacity, Submission, TaskBuilder};
+use nexuspp_frontend::{FrontendError, LoweredProgram, Lowering, Program, ResourceId, Version};
 use nexuspp_runtime::Runtime;
 use nexuspp_shard::{ShardedEngine, TaskId};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Run the lowered stream on the threaded [`Runtime`]: every task body
@@ -303,5 +313,237 @@ proptest! {
         let b_order = run_on_engine_bounded(&lp, 2, ShardCapacity::Bounded(2));
         prop_assert_eq!(&b_order.iter().copied().collect::<BTreeSet<u64>>(), &all_tags);
         prop_assert!(lp.order_respects_edges(&b_order));
+    }
+}
+
+/// One access of an unrestricted declaration: resource `.0` of
+/// `REF_RESOURCES`, of which the first `REF_REGISTERED` are registered
+/// up front; a pin's version may be past, future or never minted.
+#[derive(Debug, Clone, Copy)]
+enum RefAcc {
+    Read(u8),
+    Write(u8),
+    ReadWrite(u8),
+    Pin(u8, Version),
+}
+
+const REF_RESOURCES: u8 = 5;
+const REF_REGISTERED: u8 = 3;
+
+/// One unrestricted declaration: its accesses, an explicit tag or the
+/// default, and whether it is high priority.
+type RefDecl = (Vec<RefAcc>, Option<u64>, bool);
+
+fn ref_decl_strategy() -> impl Strategy<Value = RefDecl> {
+    let r = 0..REF_RESOURCES;
+    let acc = prop_oneof![
+        r.clone().prop_map(RefAcc::Read),
+        r.clone().prop_map(RefAcc::Write),
+        r.clone().prop_map(RefAcc::ReadWrite),
+        (r, 0u32..6).prop_map(|(a, v)| RefAcc::Pin(a, v)),
+    ];
+    (
+        prop::collection::vec(acc, 0..=4),
+        (any::<bool>(), 0u64..1000).prop_map(|(some, t)| some.then_some(t)),
+        any::<bool>(),
+    )
+}
+
+/// The reference program: resolution done at submit from scratch
+/// bookkeeping, with no producer recorded at declaration.
+#[derive(Default)]
+struct RefProgram {
+    ids: HashMap<String, u32>,
+    names: Vec<String>,
+    latest: Vec<Version>,
+    tasks: Vec<RefTask>,
+}
+
+/// An accepted reference declaration.
+struct RefTask {
+    tag: u64,
+    priority: Priority,
+    reads: Vec<(u32, Version)>,
+    writes: Vec<(u32, Version)>,
+}
+
+/// A lowering's tasks and edges.
+type Lowered = (Vec<Submission>, Vec<(u64, u64)>);
+
+impl RefProgram {
+    fn register(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.ids.insert(name.to_string(), id);
+        self.names.push(name.to_string());
+        self.latest.push(0);
+        id
+    }
+
+    fn declare(&mut self, (accs, tag, high): &RefDecl) -> Result<u64, FrontendError> {
+        let tag = tag.unwrap_or(self.tasks.len() as u64);
+        let name = |r: u8| format!("r{r}");
+        let unknown = |r: u8| FrontendError::UnknownResource { name: name(r) };
+        let mut reads = Vec::new();
+        for a in accs {
+            let rv = match *a {
+                RefAcc::Write(_) => continue,
+                RefAcc::Read(r) => {
+                    let id = *self.ids.get(&name(r)).ok_or_else(|| unknown(r))?;
+                    (id, self.latest[id as usize])
+                }
+                RefAcc::Pin(r, v) => (*self.ids.get(&name(r)).ok_or_else(|| unknown(r))?, v),
+                RefAcc::ReadWrite(r) => {
+                    let id = self.register(&name(r));
+                    (id, self.latest[id as usize])
+                }
+            };
+            if !reads.contains(&rv) {
+                reads.push(rv);
+            }
+        }
+        let mut writes: Vec<(u32, Version)> = Vec::new();
+        for a in accs {
+            if let RefAcc::Write(r) | RefAcc::ReadWrite(r) = *a {
+                let id = self.register(&name(r));
+                if !writes.iter().any(|w| w.0 == id) {
+                    self.latest[id as usize] += 1;
+                    writes.push((id, self.latest[id as usize]));
+                }
+            }
+        }
+        let priority = if *high {
+            Priority::High
+        } else {
+            Priority::Normal
+        };
+        self.tasks.push(RefTask {
+            tag,
+            priority,
+            reads,
+            writes,
+        });
+        Ok(tag)
+    }
+
+    /// Order and consumer lists by search and Kahn's algorithm.
+    fn graph(&self) -> Result<(Vec<usize>, Vec<Vec<usize>>), FrontendError> {
+        let n = self.tasks.len();
+        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, t) in self.tasks.iter().enumerate() {
+            for &(r, v) in t.reads.iter().filter(|rv| rv.1 > 0) {
+                let minter = self.tasks.iter().position(|w| w.writes.contains(&(r, v)));
+                let p = minter.ok_or_else(|| FrontendError::UnknownProducer {
+                    resource: self.names[r as usize].clone(),
+                    version: v,
+                    reader: t.tag,
+                })?;
+                if p != i && !consumers[p].contains(&i) {
+                    consumers[p].push(i);
+                }
+            }
+        }
+        let mut indeg = vec![0; n];
+        for &c in consumers.iter().flatten() {
+            indeg[c] += 1;
+        }
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
+        let mut order = Vec::new();
+        while let Some(Reverse(i)) = ready.pop() {
+            order.push(i);
+            for &c in &consumers[i] {
+                indeg[c] -= 1;
+                if indeg[c] == 0 {
+                    ready.push(Reverse(c));
+                }
+            }
+        }
+        if order.len() < n {
+            let tags = (0..n).filter(|&i| indeg[i] > 0).map(|i| self.tasks[i].tag);
+            return Err(FrontendError::Cycle {
+                tags: tags.collect(),
+            });
+        }
+        Ok((order, consumers))
+    }
+
+    /// Both lowerings' tasks and edges, parameters built through
+    /// `TaskBuilder` from the public address mapping.
+    fn lower(&self, lowering: Lowering) -> Result<Lowered, FrontendError> {
+        let (order, consumers) = self.graph()?;
+        let addr = |&(r, v): &(u32, Version)| lowering.address(ResourceId(r), v);
+        let tasks = order
+            .iter()
+            .map(|&i| {
+                let t = &self.tasks[i];
+                let mut b = TaskBuilder::new(0x7000).tag(t.tag).priority(t.priority);
+                for rv in &t.reads {
+                    b = b.reads(addr(rv), 64);
+                }
+                for rv in &t.writes {
+                    b = b.writes(addr(rv), 64);
+                }
+                b.build()
+            })
+            .collect();
+        let tag = |i: usize| self.tasks[i].tag;
+        let edges = consumers
+            .iter()
+            .enumerate()
+            .flat_map(|(p, cs)| cs.iter().map(move |&c| (tag(p), tag(c))))
+            .collect();
+        Ok((tasks, edges))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn graph_and_lowering_equal_a_reference(
+        decls in prop::collection::vec(ref_decl_strategy(), 0..=16),
+    ) {
+        let mut prog = Program::new();
+        let mut reference = RefProgram::default();
+        for r in 0..REF_REGISTERED {
+            let name = format!("r{r}");
+            prog.resource(&name);
+            reference.register(&name);
+        }
+        for d in &decls {
+            let (accs, tag, high) = d;
+            let mut b = prog.task(0x7000);
+            if let Some(tag) = tag {
+                b = b.tag(*tag);
+            }
+            if *high {
+                b = b.priority(Priority::High);
+            }
+            for a in accs {
+                b = match *a {
+                    RefAcc::Read(r) => b.reads(&format!("r{r}")),
+                    RefAcc::Write(r) => b.writes(&format!("r{r}")),
+                    RefAcc::ReadWrite(r) => b.read_writes(&format!("r{r}")),
+                    RefAcc::Pin(r, v) => b.reads_version(&format!("r{r}"), v),
+                };
+            }
+            prop_assert_eq!(b.submit(), reference.declare(d));
+        }
+        match (prog.graph(), reference.graph()) {
+            (Ok(graph), Ok((order, consumers))) => {
+                prop_assert_eq!(&graph.order, &order);
+                for (p, cs) in consumers.iter().enumerate() {
+                    prop_assert_eq!(graph.consumers(p), cs.as_slice());
+                }
+            }
+            (got, want) => prop_assert_eq!(got.map(|_| ()), want.map(|_| ())),
+        }
+        for lowering in [Lowering::Renamed, Lowering::Raw] {
+            let got = prog.lower(lowering).map(|lp| (lp.tasks, lp.edges));
+            prop_assert_eq!(got, reference.lower(lowering));
+        }
     }
 }

@@ -202,6 +202,7 @@ impl IncrementalProgram {
         self.replay.close(&mut marks);
         let cone: Vec<usize> = self
             .replay
+            .graph()
             .order
             .iter()
             .copied()
@@ -342,8 +343,10 @@ impl IncrementalProgram {
             plans.len(),
             "backend ran exactly the invalidated tasks"
         );
+        let graph = self.replay.graph();
         let respected = plans.iter().enumerate().all(|(i, &p)| {
-            self.replay.consumers[p]
+            graph
+                .consumers(p)
                 .iter()
                 .all(|&c| plan_of[c] == UNPLANNED || at[i] < at[plan_of[c]])
         });

@@ -47,7 +47,7 @@
 
 use crate::store;
 use nexuspp_core::Priority;
-use nexuspp_frontend::{FrontendError, Program, ResourceId, TaskDecl, Version};
+use nexuspp_frontend::{FrontendError, Graph, Program, ResourceId, TaskDecl, Version};
 use nexuspp_runtime::Runtime;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -202,19 +202,16 @@ pub(crate) struct Read {
 }
 
 /// Everything one replay derives from the declaration list, indexed by
-/// task *position*: the declaration index, which addresses
-/// `program.tasks()` and every per-task vector of the program directly.
+/// task *position*: the declaration index, which addresses the
+/// program's declarations and its graph directly.
 pub(crate) struct Replay {
     /// The replayed frontend program; its tasks are the resolved
-    /// declarations.
+    /// declarations, and its graph (checked acyclic when the replay was
+    /// made) holds the true edges and the order a re-run walks in.
     pub(crate) program: Program,
     /// Task key → position, for edits and for mapping the tags an
     /// engine run retires; a re-run's walk never reads it.
     pub(crate) index: HashMap<u64, usize>,
-    /// Positions in the frontend's topological order.
-    pub(crate) order: Vec<usize>,
-    /// Per position, the positions of its consumers: the true edges.
-    pub(crate) consumers: Vec<Vec<usize>>,
     /// Every task's reads with their producers resolved, reads of the
     /// task's own mints left out; task `p`'s are
     /// `reads[read_at[p]..read_at[p + 1]]`.
@@ -232,7 +229,7 @@ impl Replay {
     /// (pre-registering the whole interner so ids stay stable and
     /// never-written reads legally bind to version 0), take edges,
     /// order and verdict from [`Program::graph`], and bind every read
-    /// to its producer.
+    /// to the producer the program recorded for it.
     pub(crate) fn new(interner: &[String], decls: &[DeclSpec]) -> Result<Replay, IncrError> {
         let mut program = Program::new();
         for name in interner {
@@ -250,7 +247,7 @@ impl Replay {
             }
             b.submit().expect("every name pre-interned");
         }
-        let (order, consumers) = program.graph().map_err(|e| match e {
+        program.graph().map_err(|e| match e {
             FrontendError::UnknownProducer {
                 resource,
                 version,
@@ -263,48 +260,52 @@ impl Replay {
             FrontendError::Cycle { tags } => IncrError::Cycle { tags },
             FrontendError::UnknownResource { .. } => unreachable!("names resolve at submit"),
         })?;
-        let tasks = program.tasks();
-        // Number the writes, and list per resource where each version
-        // comes from: writes mint versions 1, 2, ... in declaration
-        // order, so version `v` is entry `v - 1`.
-        let mut minted: Vec<Vec<Source>> = vec![Vec::new(); interner.len()];
-        let mut write_at = Vec::with_capacity(tasks.len() + 1);
+        // Number the writes in declaration order; the last write of a
+        // resource is where its latest version comes from.
+        let mut write_at = Vec::with_capacity(decls.len() + 1);
+        let mut latest = vec![Source::Initial; interner.len()];
         let mut write = 0;
-        for (task, t) in tasks.iter().enumerate() {
+        for (task, t) in program.tasks().enumerate() {
             write_at.push(write);
-            for &(r, _) in &t.writes {
-                minted[r.0 as usize].push(Source::Write { task, write });
+            for &(r, _) in t.writes {
+                latest[r.0 as usize] = Source::Write { task, write };
                 write += 1;
             }
         }
         write_at.push(write);
         let mut reads = Vec::new();
-        let mut read_at = Vec::with_capacity(tasks.len() + 1);
-        for (p, t) in tasks.iter().enumerate() {
+        let mut read_at = Vec::with_capacity(decls.len() + 1);
+        for (p, t) in program.tasks().enumerate() {
             read_at.push(reads.len());
-            for &(r, v) in &t.reads {
-                let from = match v {
-                    0 => Source::Initial,
-                    v => minted[r.0 as usize][v as usize - 1],
+            for (&(r, v), &producer) in t.reads.iter().zip(t.producers) {
+                let from = match producer {
+                    None => Source::Initial,
+                    // A read of the task's own mint is no input: its
+                    // content is the task's own output (and no edge in
+                    // the graph).
+                    Some(q) if q as usize == p => continue,
+                    Some(q) => {
+                        let task = q as usize;
+                        let nth = program.decl(task).writes.iter().position(|w| w.0 == r);
+                        let nth = nth.expect("a producer writes what it mints");
+                        Source::Write {
+                            task,
+                            write: write_at[task] + nth,
+                        }
+                    }
                 };
-                // A read of the task's own mint is no input: its content
-                // is the task's own output (and no edge in the graph).
-                if !matches!(from, Source::Write { task, .. } if task == p) {
-                    reads.push(Read { r, v, from });
-                }
+                reads.push(Read { r, v, from });
             }
         }
         read_at.push(reads.len());
-        let latest = minted
-            .iter()
-            .map(|m| m.last().copied().unwrap_or(Source::Initial))
+        let index = program
+            .tasks()
+            .enumerate()
+            .map(|(p, t)| (t.tag, p))
             .collect();
-        let index = tasks.iter().enumerate().map(|(p, t)| (t.tag, p)).collect();
         Ok(Replay {
             program,
             index,
-            order,
-            consumers,
             reads,
             read_at,
             write_at,
@@ -314,12 +315,19 @@ impl Replay {
 
     /// Number of tasks.
     pub(crate) fn len(&self) -> usize {
-        self.order.len()
+        self.write_at.len() - 1
+    }
+
+    /// The replayed program's graph.
+    pub(crate) fn graph(&self) -> &Graph {
+        self.program
+            .graph()
+            .expect("checked when the replay was made")
     }
 
     /// The resolved declaration at position `p`.
-    pub(crate) fn task(&self, p: usize) -> &TaskDecl {
-        &self.program.tasks()[p]
+    pub(crate) fn task(&self, p: usize) -> TaskDecl<'_> {
+        self.program.decl(p)
     }
 
     /// Task `p`'s bound reads.
@@ -335,9 +343,10 @@ impl Replay {
     /// Extend `marks` (one per position) to its forward closure over the
     /// consumer lists.
     pub(crate) fn close(&self, marks: &mut [bool]) {
+        let graph = self.graph();
         let mut stack: Vec<usize> = (0..marks.len()).filter(|&p| marks[p]).collect();
         while let Some(p) = stack.pop() {
-            for &c in &self.consumers[p] {
+            for &c in graph.consumers(p) {
                 if !marks[c] {
                     marks[c] = true;
                     stack.push(c);
@@ -447,12 +456,9 @@ impl IncrementalProgram {
     /// consumer key) pairs.
     pub fn edges(&self) -> Vec<(u64, u64)> {
         let key = |p: usize| self.replay.task(p).tag;
-        let mut v: Vec<(u64, u64)> = self
-            .replay
-            .consumers
-            .iter()
-            .enumerate()
-            .flat_map(|(p, cs)| cs.iter().map(move |&c| (key(p), key(c))))
+        let graph = self.replay.graph();
+        let mut v: Vec<(u64, u64)> = (0..self.len())
+            .flat_map(|p| graph.consumers(p).iter().map(move |&c| (key(p), key(c))))
             .collect();
         v.sort_unstable();
         v
@@ -490,11 +496,6 @@ impl IncrementalProgram {
         self.seeds.push(0);
         self.by_name.insert(name.to_string(), id);
         id
-    }
-
-    /// The interned name of `r`.
-    pub fn resource_name(&self, r: ResourceId) -> &str {
-        &self.interner[r.0 as usize]
     }
 
     /// The content a read of `r` from `from` sees as memoized: initial
@@ -654,7 +655,7 @@ impl IncrementalProgram {
         let mut fingerprints = vec![None; n];
         let mut outputs = vec![0; replay.write_at[n]];
         let mut touched = vec![false; n];
-        for (p, t) in replay.program.tasks().iter().enumerate() {
+        for (p, t) in replay.program.tasks().enumerate() {
             let Some(&q) = self.replay.index.get(&t.tag) else {
                 touched[p] = true;
                 continue;
@@ -679,7 +680,8 @@ impl IncrementalProgram {
                 touched[p] = true;
             }
         }
-        let edges: usize = replay.consumers.iter().map(Vec::len).sum();
+        let graph = replay.graph();
+        let edges: usize = (0..n).map(|p| graph.consumers(p).len()).sum();
         self.ordered += (n + edges) as u64;
         self.decls = scratch;
         self.replay = replay;
@@ -706,7 +708,7 @@ impl IncrementalProgram {
         if edited.is_empty() {
             return;
         }
-        for (p, t) in self.replay.program.tasks().iter().enumerate() {
+        for (p, t) in self.replay.program.tasks().enumerate() {
             if t.reads.iter().any(|&(r, v)| v == 0 && edited.contains(&r)) {
                 self.touched[p] = true;
             }
@@ -718,7 +720,7 @@ impl IncrementalProgram {
 /// numbers participate deliberately: a renumbered binding lands the
 /// task in the structural cone, and the content-based fingerprint then
 /// decides whether anything *semantically* changed (early cutoff).
-fn decl_changed(old: &TaskDecl, new: &TaskDecl) -> bool {
+fn decl_changed(old: TaskDecl, new: TaskDecl) -> bool {
     old.fptr != new.fptr
         || old.priority != new.priority
         || old.reads != new.reads
@@ -754,6 +756,7 @@ mod tests {
         assert_eq!(ip.edges(), vec![(1, 2)]);
         let rank = |k| {
             ip.replay
+                .graph()
                 .order
                 .iter()
                 .position(|&p| ip.replay.task(p).tag == k)

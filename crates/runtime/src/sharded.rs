@@ -134,6 +134,9 @@ struct Inner {
     submitted: AtomicU64,
     /// Tasks spawned and not yet fully retired.
     pending: AtomicU64,
+    /// Worker threads started; with none, the threads that wait run
+    /// every task.
+    workers: usize,
     /// Notified by the retirement that takes `pending` to 0. The count
     /// crosses 0 once per task on a streaming workload, almost always
     /// with nobody waiting, and then the notify takes no lock.
@@ -176,8 +179,10 @@ impl Inner {
     }
 
     /// Block until no task is pending, or until `limit` has passed;
-    /// `false` means the limit ran out first.
-    fn wait_quiescent(&self, limit: Option<Duration>) -> bool {
+    /// `false` means the limit ran out first. Without workers nothing
+    /// else runs a task, so the caller runs every ready task it can see
+    /// before it parks, as a stalled spawn does.
+    fn wait_quiescent(self: &Arc<Self>, limit: Option<Duration>) -> bool {
         let start = Instant::now();
         loop {
             if self.pending.load(Ordering::SeqCst) == 0 {
@@ -190,6 +195,9 @@ impl Inner {
                     _ => return false,
                 },
             };
+            if self.workers == 0 && help(self) {
+                continue;
+            }
             self.quiescent
                 .wait(left, || self.pending.load(Ordering::SeqCst) == 0);
         }
@@ -210,7 +218,9 @@ impl Inner {
 
 /// Run one ready task on the calling thread, if any is visible to a
 /// thread outside the pool; `false` if none was. The help step of a
-/// spawn stalled on a full shard and of [`Runtime::wait_on`].
+/// spawn stalled on a full shard, of [`Runtime::wait_on`] and, on a
+/// runtime with no workers, of the quiescence wait behind
+/// [`Runtime::barrier`] and shutdown.
 fn help(inner: &Arc<Inner>) -> bool {
     let Some(ready) = inner.sched.try_next_external() else {
         return false;
@@ -370,7 +380,8 @@ impl Runtime {
 
     fn build(n: usize, shards: usize, capacity: ShardCapacity, obs: Option<Arc<Recorder>>) -> Self {
         // n == 0 is allowed: no worker threads are spawned and every
-        // task executes inside a scheduler-aware waiter (`wait_on`).
+        // task executes on a thread that waits (`wait_on`, `barrier`,
+        // `shutdown` or the drop) or whose spawn stalls.
         let (mut sched, handles) = Scheduler::new(SchedulerKind::default(), n);
         let mut dispatcher =
             ShardDispatcher::with_capacity(shards, &NexusConfig::unbounded(), capacity);
@@ -384,6 +395,7 @@ impl Runtime {
             next_tag: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             pending: AtomicU64::new(0),
+            workers: n,
             quiescent: EventCount::new(),
             panicked: Mutex::new(None),
             aborting: AtomicBool::new(false),
@@ -712,8 +724,11 @@ impl Runtime {
     }
 
     /// Wait until every submitted task has finished — the equivalent of
-    /// `#pragma css barrier`. If any task panicked since the last
-    /// barrier, the panic is re-raised here on the calling thread.
+    /// `#pragma css barrier`. On a runtime built with no workers the
+    /// calling thread runs the ready tasks, parking only when none is
+    /// visible, as [`shutdown`](Self::shutdown) and the drop do. If any
+    /// task panicked since the last barrier, the panic is re-raised here
+    /// on the calling thread.
     pub fn barrier(&self) {
         self.inner.wait_quiescent(None);
         let panicked = self.inner.panicked().take();

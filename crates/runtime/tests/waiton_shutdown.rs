@@ -12,7 +12,8 @@
 //!    so does a graph longer than the default per-shard bound, whose
 //!    stalled spawns help the same way.
 //!
-//! Plus: explicit `shutdown()` reports every task executed, and
+//! Plus: `barrier()` and the drop drain a zero-worker runtime on the
+//! waiting thread, explicit `shutdown()` reports every task executed, and
 //! `shutdown_deadline()` past its deadline cancel-finishes queued
 //! bodies exactly once (executed + cancelled == submitted).
 
@@ -47,6 +48,24 @@ fn waiter_executes_the_graph_at_zero_workers(shards: usize) {
         rt.wait_on(&region);
         assert_eq!(ran.load(Ordering::SeqCst), 64);
         assert_eq!(rt.with_data(&region, |v| v[0]), 64);
+    });
+}
+
+/// With no workers, the thread that waits for quiescence is the only
+/// one able to run a task: `barrier` and the drop must run them rather
+/// than park.
+#[test]
+fn barrier_and_drop_drain_a_zero_worker_runtime() {
+    with_watchdog(60, "zero-worker barrier and drop", || {
+        let rt = Runtime::new(0, 2);
+        let region = rt.region(vec![0u64]);
+        let ran = spawn_chain(&rt, &region, 8);
+        rt.barrier();
+        assert_eq!(ran.load(Ordering::SeqCst), 8);
+        assert_eq!(rt.with_data(&region, |v| v[0]), 8);
+        let ran = spawn_chain(&rt, &region, 8);
+        drop(rt);
+        assert_eq!(ran.load(Ordering::SeqCst), 8);
     });
 }
 
